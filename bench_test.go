@@ -476,77 +476,6 @@ func BenchmarkRepairs(b *testing.B) {
 
 // --- Ablation benchmarks (DESIGN.md §6) ---
 
-// BenchmarkAblationWholeInstanceHom compares block-wise homomorphism
-// checking (Proposition 1) with a whole-instance search.
-func BenchmarkAblationWholeInstanceHom(b *testing.B) {
-	s := workload.LAVSetting()
-	rng := rand.New(rand.NewSource(21))
-	i, j := workload.LAVInstance(200, true, rng)
-	for _, whole := range []bool{false, true} {
-		name := "blockwise"
-		if whole {
-			name = "whole-instance"
-		}
-		b.Run(name, func(b *testing.B) {
-			for it := 0; it < b.N; it++ {
-				ok, _, err := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{WholeInstanceHom: whole})
-				if err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationNoIndex compares indexed and unindexed homomorphism
-// search inside the Figure 3 algorithm.
-func BenchmarkAblationNoIndex(b *testing.B) {
-	s := workload.FullSTSetting()
-	rng := rand.New(rand.NewSource(22))
-	i, j := workload.FullSTInstance(100, true, rng)
-	for _, noIndex := range []bool{false, true} {
-		name := "indexed"
-		if noIndex {
-			name = "no-index"
-		}
-		b.Run(name, func(b *testing.B) {
-			for it := 0; it < b.N; it++ {
-				opts := core.TractableOptions{}
-				opts.Hom.NoIndex = noIndex
-				ok, _, err := core.ExistsSolutionTractable(s, i, j, opts)
-				if err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationNaiveEnumeration compares the pruned backtracking
-// solver with naive leaf-checked enumeration.
-func BenchmarkAblationNaiveEnumeration(b *testing.B) {
-	// k = 2 keeps the naive side feasible: the naive enumeration visits
-	// every |domain|^nulls leaf, which is astronomically slower than the
-	// pruned search already at k = 3.
-	s := reductions.CliqueSetting()
-	g := graph.Complete(3)
-	i, j := reductions.CliqueInstance(g, 2)
-	for _, naive := range []bool{false, true} {
-		name := "pruned"
-		if naive {
-			name = "naive"
-		}
-		b.Run(name, func(b *testing.B) {
-			for it := 0; it < b.N; it++ {
-				got, _, _, err := core.ExistsSolutionGeneric(s, i, j, core.SolveOptions{Naive: naive, MaxNodes: 1_000_000_000})
-				if err != nil || !got {
-					b.Fatalf("got=%v err=%v", got, err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationParallel (EXP-PAR) compares the serial and parallel
 // execution of the Figure 3 algorithm on the two Theorem 4 acceptance
 // workloads at growing worker counts. Results are byte-identical across
@@ -600,111 +529,56 @@ func BenchmarkAblationObliviousChase(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDeltaChase (EXP-DELTA): semi-naive (delta-driven)
-// trigger collection against the naive full rescan, on the workloads
-// where rounds dominate: the LAV tractable path (two chase phases per
-// call) and the chain chase (depth+1 rounds, each adding one layer).
-func BenchmarkAblationDeltaChase(b *testing.B) {
-	lavS := workload.LAVSetting()
-	lavI, lavJ := workload.LAVInstance(1600, true, rand.New(rand.NewSource(7)))
-	for _, naive := range []bool{true, false} {
-		mode := "delta"
-		if naive {
-			mode = "naive"
-		}
-		b.Run("lav/n=1600/"+mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for it := 0; it < b.N; it++ {
-				ok, _, err := core.ExistsSolutionTractable(lavS, lavI, lavJ, core.TractableOptions{NaiveChase: naive})
-				if err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-			}
-		})
-	}
-	deps := workload.ChainDeps(3)
-	inst := workload.ChainInstance(100)
-	for _, naive := range []bool{true, false} {
-		mode := "delta"
-		if naive {
-			mode = "naive"
-		}
-		b.Run("chain/depth=3/n=100/"+mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for it := 0; it < b.N; it++ {
-				if _, err := chase.Run(inst, deps, chase.Options{NaiveTriggers: naive}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkChaseDeepRecursion (EXP-DELTA): the deep-recursion scaling
-// series. DeepChainDeps lists the chain tgds deepest first, so each
-// round fills exactly one layer and the chase takes depth+1 rounds;
-// the naive chase re-enumerates every filled layer's body every round
-// — Θ(depth²·n) tuple work — while the semi-naive chase skips
-// unchanged layers via their watermarks and touches each layer's facts
-// O(1) times. The gap widens linearly with depth.
+// BenchmarkChaseDeepRecursion: the deep-recursion scaling series.
+// DeepChainDeps lists the chain tgds deepest first, so each round fills
+// exactly one layer and the chase takes depth+1 rounds; the semi-naive
+// chase skips unchanged layers via their watermarks and touches each
+// layer's facts O(1) times, where a naive chase would re-enumerate
+// every filled layer's body every round — Θ(depth²·n) tuple work.
 func BenchmarkChaseDeepRecursion(b *testing.B) {
 	for _, depth := range []int{4, 8, 16} {
 		deps := workload.DeepChainDeps(depth)
 		inst := workload.ChainInstance(200)
-		for _, naive := range []bool{true, false} {
-			mode := "delta"
-			if naive {
-				mode = "naive"
+		b.Run(fmt.Sprintf("depth=%d/n=200/delta", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			var steps int
+			for it := 0; it < b.N; it++ {
+				res, err := chase.Run(inst, deps, chase.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps = res.Steps
 			}
-			b.Run(fmt.Sprintf("depth=%d/n=200/%s", depth, mode), func(b *testing.B) {
-				b.ReportAllocs()
-				var steps int
-				for it := 0; it < b.N; it++ {
-					res, err := chase.Run(inst, deps, chase.Options{NaiveTriggers: naive})
-					if err != nil {
-						b.Fatal(err)
-					}
-					steps = res.Steps
-				}
-				if want := depth * 200; steps != want {
-					b.Fatalf("chase fired %d steps, want %d", steps, want)
-				}
-			})
-		}
+			if want := depth * 200; steps != want {
+				b.Fatalf("chase fired %d steps, want %d", steps, want)
+			}
+		})
 	}
 }
 
 // BenchmarkChaseEgdMerge (EXP-UF): egd-merge scaling on the keyed LAV
 // workload, where every person contributes exactly one key-egd merge.
 // The union-find engine rewrites only the tuples that mention a merged
-// value (near-linear total work), while the RebuildMerges ablation
-// replays the legacy engine: each merge rebuilds the instance and
-// resets every watermark, so the chase re-enumerates all triggers
-// after every merge — Θ(n²) tuple work across n merges.
+// value and keeps every watermark valid, so total work stays
+// near-linear across the n merges.
 func BenchmarkChaseEgdMerge(b *testing.B) {
 	s := workload.KeyedLAVSetting()
 	deps := append(append([]dep.Dependency{}, s.StDeps()...), s.T...)
 	for _, n := range []int{100, 400, 1600} {
 		i, j := workload.KeyedLAVInstance(n)
 		start := rel.Union(i, j)
-		for _, rebuild := range []bool{false, true} {
-			mode := "uf"
-			if rebuild {
-				mode = "rebuild"
-			}
-			b.Run(fmt.Sprintf("keyedlav/n=%d/%s", n, mode), func(b *testing.B) {
-				b.ReportAllocs()
-				for it := 0; it < b.N; it++ {
-					res, err := chase.Run(start, deps, chase.Options{RebuildMerges: rebuild})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Failed || res.Merges != n {
-						b.Fatalf("failed=%v merges=%d want %d", res.Failed, res.Merges, n)
-					}
+		b.Run(fmt.Sprintf("keyedlav/n=%d/uf", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for it := 0; it < b.N; it++ {
+				res, err := chase.Run(start, deps, chase.Options{})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if res.Failed || res.Merges != n {
+					b.Fatalf("failed=%v merges=%d want %d", res.Failed, res.Merges, n)
+				}
+			}
+		})
 	}
 }
 

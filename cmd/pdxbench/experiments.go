@@ -39,7 +39,6 @@ func allExperiments() []experiment {
 		{"EXP-WA", "Definition 5: weakly acyclic chase terminates; cyclic chase does not", expWeakAcyclicity},
 		{"EXP-RANK", "Substrate: position ranks bound the chase length (Fagin et al.)", expRanks},
 		{"EXP-PAR", "Substrate: serial vs parallel Figure 3 — speedup vs workers", expParallel},
-		{"EXP-DELTA", "Substrate: semi-naive (delta-driven) chase vs naive re-enumeration", expDelta},
 		{"EXP-EGD", "Section 4 boundary: a single target egd is NP-hard", expBoundaryEgd},
 		{"EXP-FULLT", "Section 4 boundary: a single full target tgd is NP-hard", expBoundaryFullTgd},
 		{"EXP-3COL", "Section 4 boundary: disjunctive Σts encodes 3-colorability", expThreeCol},
@@ -318,70 +317,6 @@ func expParallel(w io.Writer) error {
 			}
 			fmt.Fprintf(tw, "%s\t%d\t%s\t%.2fx\n", c.name, workers, d.Round(time.Microsecond), float64(serial)/float64(d))
 		}
-	}
-	return tw.Flush()
-}
-
-// expDelta contrasts the naive chase (every round re-enumerates all
-// triggers against the whole instance) with the semi-naive delta chase
-// (each tgd joins only against tuples added since its last collection)
-// on the two workloads where the asymptotics differ: the Theorem 4 LAV
-// acceptance sweep, and a deep recursion where naive trigger collection
-// is quadratic in chase depth. Step counts must agree exactly — the
-// delta rewrite changes how triggers are found, never which fire.
-func expDelta(w io.Writer) error {
-	tw := table(w)
-	fmt.Fprintln(tw, "workload\tsize\tsteps\tnaive time\tdelta time\tspeedup")
-	rng := rand.New(rand.NewSource(7))
-	s := workload.LAVSetting()
-	for _, n := range []int{400, 800, 1600} {
-		i, j := workload.LAVInstance(n, true, rng)
-		var naiveT, deltaT *core.TractableTrace
-		var err error
-		naiveD := timed(func() {
-			_, naiveT, err = core.ExistsSolutionTractable(s, i, j, core.TractableOptions{NaiveChase: true})
-		})
-		if err != nil {
-			return err
-		}
-		deltaD := timed(func() {
-			_, deltaT, err = core.ExistsSolutionTractable(s, i, j, core.TractableOptions{})
-		})
-		if err != nil {
-			return err
-		}
-		if naiveT.StepsST != deltaT.StepsST || naiveT.StepsTS != deltaT.StepsTS {
-			return fmt.Errorf("EXP-DELTA: lav n=%d step counts diverged: naive %d+%d, delta %d+%d",
-				n, naiveT.StepsST, naiveT.StepsTS, deltaT.StepsST, deltaT.StepsTS)
-		}
-		fmt.Fprintf(tw, "lav (C_tract)\tn=%d\t%d\t%s\t%s\t%.2fx\n",
-			n, naiveT.StepsST+naiveT.StepsTS, naiveD.Round(time.Microsecond),
-			deltaD.Round(time.Microsecond), float64(naiveD)/float64(deltaD))
-	}
-	for _, depth := range []int{4, 8, 16} {
-		deps := workload.DeepChainDeps(depth)
-		inst := workload.ChainInstance(200)
-		var naiveRes, deltaRes *chase.Result
-		var err error
-		naiveD := timed(func() {
-			naiveRes, err = chase.Run(inst, deps, chase.Options{NaiveTriggers: true})
-		})
-		if err != nil {
-			return err
-		}
-		deltaD := timed(func() {
-			deltaRes, err = chase.Run(inst, deps, chase.Options{})
-		})
-		if err != nil {
-			return err
-		}
-		if naiveRes.Steps != deltaRes.Steps || naiveRes.Instance.String() != deltaRes.Instance.String() {
-			return fmt.Errorf("EXP-DELTA: deep-chain depth=%d diverged: naive %d steps, delta %d steps",
-				depth, naiveRes.Steps, deltaRes.Steps)
-		}
-		fmt.Fprintf(tw, "deep-chain n=200\tdepth=%d\t%d\t%s\t%s\t%.2fx\n",
-			depth, naiveRes.Steps, naiveD.Round(time.Microsecond),
-			deltaD.Round(time.Microsecond), float64(naiveD)/float64(deltaD))
 	}
 	return tw.Flush()
 }

@@ -76,10 +76,9 @@ func record(name string, steps *int, nodes *int64, fn func(b *testing.B)) benchR
 	return rec
 }
 
-// jsonBenchSuite runs the perf-trajectory suite. Each naive/delta pair
-// measures the same work under both trigger-collection strategies and
-// fails if their chase step counts diverge — the same invariant the
-// delta gate test enforces, here on the benchmarked workloads.
+// jsonBenchSuite runs the perf-trajectory suite. Record names keep the
+// "/delta" and "/uf" suffixes of the engine variants they were first
+// recorded under, so they stay comparable with older baselines.
 func jsonBenchSuite() (*benchReport, error) {
 	rep := &benchReport{
 		GoVersion:  runtime.Version(),
@@ -89,26 +88,16 @@ func jsonBenchSuite() (*benchReport, error) {
 
 	// Theorem 4 LAV acceptance at the headline size.
 	lavI, lavJ := workload.LAVInstance(1600, true, rand.New(rand.NewSource(7)))
-	lavSteps := map[bool]int{}
-	for _, naive := range []bool{true, false} {
-		naive := naive
-		var steps int
-		rec := record(fmt.Sprintf("tractable-lav/n=1600/%s", modeName(naive)), &steps, nil, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ok, trace, err := core.ExistsSolutionTractable(workload.LAVSetting(), lavI, lavJ,
-					core.TractableOptions{NaiveChase: naive})
-				if err != nil || !ok {
-					b.Fatalf("lav n=1600 rejected: ok=%v err=%v", ok, err)
-				}
-				steps = trace.StepsST + trace.StepsTS
+	var lavSteps int
+	rep.Benchmarks = append(rep.Benchmarks, record("tractable-lav/n=1600/delta", &lavSteps, nil, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ok, trace, err := core.ExistsSolutionTractable(workload.LAVSetting(), lavI, lavJ, core.TractableOptions{})
+			if err != nil || !ok {
+				b.Fatalf("lav n=1600 rejected: ok=%v err=%v", ok, err)
 			}
-		})
-		lavSteps[naive] = steps
-		rep.Benchmarks = append(rep.Benchmarks, rec)
-	}
-	if lavSteps[true] != lavSteps[false] {
-		return nil, fmt.Errorf("lav step counts diverged: naive %d, delta %d", lavSteps[true], lavSteps[false])
-	}
+			lavSteps = trace.StepsST + trace.StepsTS
+		}
+	}))
 
 	// Chase-only slice of the same LAV run (Σst chase, restrict, Σts
 	// chase) — the acceptance number for the semi-naive rewrite,
@@ -116,29 +105,23 @@ func jsonBenchSuite() (*benchReport, error) {
 	{
 		s := workload.LAVSetting()
 		start := rel.Union(lavI, lavJ)
-		chaseSteps := map[bool]int{}
-		for _, naive := range []bool{true, false} {
-			naive := naive
-			var steps int
-			rec := record(fmt.Sprintf("lav-chase/n=1600/%s", modeName(naive)), &steps, nil, func(b *testing.B) {
-				for it := 0; it < b.N; it++ {
-					res, err := chase.Run(start, s.StDeps(), chase.Options{NaiveTriggers: naive})
-					if err != nil || res.Failed {
-						b.Fatalf("lav Σst chase failed: %v", err)
-					}
-					jcan := res.Instance.Restrict(s.Target)
-					res2, err := chase.Run(jcan, s.TsDeps(), chase.Options{NaiveTriggers: naive})
-					if err != nil || res2.Failed {
-						b.Fatalf("lav Σts chase failed: %v", err)
-					}
-					steps = res.Steps + res2.Steps
+		var steps int
+		rep.Benchmarks = append(rep.Benchmarks, record("lav-chase/n=1600/delta", &steps, nil, func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				res, err := chase.Run(start, s.StDeps(), chase.Options{})
+				if err != nil || res.Failed {
+					b.Fatalf("lav Σst chase failed: %v", err)
 				}
-			})
-			chaseSteps[naive] = steps
-			rep.Benchmarks = append(rep.Benchmarks, rec)
-		}
-		if chaseSteps[true] != chaseSteps[false] {
-			return nil, fmt.Errorf("lav-chase step counts diverged: naive %d, delta %d", chaseSteps[true], chaseSteps[false])
+				jcan := res.Instance.Restrict(s.Target)
+				res2, err := chase.Run(jcan, s.TsDeps(), chase.Options{})
+				if err != nil || res2.Failed {
+					b.Fatalf("lav Σts chase failed: %v", err)
+				}
+				steps = res.Steps + res2.Steps
+			}
+		}))
+		if steps != lavSteps {
+			return nil, fmt.Errorf("lav-chase fired %d steps, tractable-lav %d", steps, lavSteps)
 		}
 	}
 
@@ -320,82 +303,62 @@ func jsonBenchSuite() (*benchReport, error) {
 	}
 
 	// Deep recursion: one tgd layer per round, where naive trigger
-	// collection is quadratic in depth.
+	// collection would be quadratic in depth.
 	for _, depth := range []int{8, 16} {
 		deps := workload.DeepChainDeps(depth)
 		inst := workload.ChainInstance(200)
-		chainSteps := map[bool]int{}
-		for _, naive := range []bool{true, false} {
-			naive := naive
-			var steps int
-			rec := record(fmt.Sprintf("deep-chain/depth=%d/%s", depth, modeName(naive)), &steps, nil, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := chase.Run(inst, deps, chase.Options{NaiveTriggers: naive})
-					if err != nil {
-						b.Fatal(err)
-					}
-					steps = res.Steps
-				}
-			})
-			chainSteps[naive] = steps
-			rep.Benchmarks = append(rep.Benchmarks, rec)
-		}
-		if chainSteps[true] != chainSteps[false] {
-			return nil, fmt.Errorf("deep-chain depth=%d step counts diverged: naive %d, delta %d",
-				depth, chainSteps[true], chainSteps[false])
-		}
-	}
-
-	// Oblivious chase (fired-key dedup hot path) on the chain workload.
-	for _, naive := range []bool{true, false} {
-		naive := naive
-		deps := workload.ChainDeps(3)
-		inst := workload.ChainInstance(100)
 		var steps int
-		rec := record(fmt.Sprintf("oblivious-chain/depth=3/n=100/%s", modeName(naive)), &steps, nil, func(b *testing.B) {
+		rep.Benchmarks = append(rep.Benchmarks, record(fmt.Sprintf("deep-chain/depth=%d/delta", depth), &steps, nil, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := chase.Run(inst, deps, chase.Options{Oblivious: true, NaiveTriggers: naive})
+				res, err := chase.Run(inst, deps, chase.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				steps = res.Steps
 			}
-		})
-		rep.Benchmarks = append(rep.Benchmarks, rec)
+		}))
+		if want := depth * 200; steps != want {
+			return nil, fmt.Errorf("deep-chain depth=%d fired %d steps, want %d", depth, steps, want)
+		}
+	}
+
+	// Oblivious chase (fired-key dedup hot path) on the chain workload.
+	{
+		deps := workload.ChainDeps(3)
+		inst := workload.ChainInstance(100)
+		var steps int
+		rep.Benchmarks = append(rep.Benchmarks, record("oblivious-chain/depth=3/n=100/delta", &steps, nil, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := chase.Run(inst, deps, chase.Options{Oblivious: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps = res.Steps
+			}
+		}))
 	}
 
 	// Union-find egd engine on the keyed LAV workload (EXP-UF): every
 	// person contributes one key-egd merge, so merge cost dominates.
-	// The rebuild record replays the legacy rebuild-on-merge engine
-	// via Options.RebuildMerges; both engines must agree on steps and
-	// merges or the probe fails.
 	{
 		s := workload.KeyedLAVSetting()
 		deps := append(append([]dep.Dependency{}, s.StDeps()...), s.T...)
 		keyedI, keyedJ := workload.KeyedLAVInstance(400)
 		start := rel.Union(keyedI, keyedJ)
-		keyedSteps := map[bool]int{}
-		keyedMerges := map[bool]int{}
-		for _, rebuild := range []bool{false, true} {
-			rebuild := rebuild
-			var steps, merges, finds int
-			rec := record(fmt.Sprintf("keyed-chase/n=400/%s", engineName(rebuild)), &steps, nil, func(b *testing.B) {
-				for it := 0; it < b.N; it++ {
-					res, err := chase.Run(start, deps, chase.Options{RebuildMerges: rebuild})
-					if err != nil || res.Failed {
-						b.Fatalf("keyed chase failed=%v err=%v", res != nil && res.Failed, err)
-					}
-					steps, merges, finds = res.Steps, res.Merges, res.Finds
+		var steps, merges, finds int
+		rec := record("keyed-chase/n=400/uf", &steps, nil, func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				res, err := chase.Run(start, deps, chase.Options{})
+				if err != nil || res.Failed {
+					b.Fatalf("keyed chase failed=%v err=%v", res != nil && res.Failed, err)
 				}
-			})
-			rec.Merges, rec.Finds = merges, finds
-			keyedSteps[rebuild] = steps
-			keyedMerges[rebuild] = merges
-			rep.Benchmarks = append(rep.Benchmarks, rec)
-		}
-		if keyedSteps[true] != keyedSteps[false] || keyedMerges[true] != keyedMerges[false] {
-			return nil, fmt.Errorf("keyed-chase engines diverged: rebuild %d steps/%d merges, uf %d steps/%d merges",
-				keyedSteps[true], keyedMerges[true], keyedSteps[false], keyedMerges[false])
+				steps, merges, finds = res.Steps, res.Merges, res.Finds
+			}
+		})
+		rec.Merges, rec.Finds = merges, finds
+		rep.Benchmarks = append(rep.Benchmarks, rec)
+		if merges != 400 {
+			return nil, fmt.Errorf("keyed-chase applied %d merges, want one per person (400)", merges)
 		}
 
 		// Warm keyed append: chase.Resume from the retained fixpoint +
@@ -406,8 +369,7 @@ func jsonBenchSuite() (*benchReport, error) {
 			return nil, fmt.Errorf("keyed resume base chase: failed=%v err=%v", prev != nil && prev.Failed, err)
 		}
 		delta := workload.KeyedLAVAppend(400, 16)
-		var steps, merges, finds int
-		rec := record("keyed-resume/n=400/append=16", &steps, nil, func(b *testing.B) {
+		rec = record("keyed-resume/n=400/append=16", &steps, nil, func(b *testing.B) {
 			for it := 0; it < b.N; it++ {
 				res, resumed, err := chase.Resume(prev, deps, delta, chase.Options{})
 				if err != nil || !resumed || res.Failed {
@@ -511,26 +473,12 @@ func jsonBenchSuite() (*benchReport, error) {
 			}
 		})
 		rep.Benchmarks = append(rep.Benchmarks, rec)
-		if steps != lavSteps[false] {
-			return nil, fmt.Errorf("lav parallel step count diverged: serial %d, par4 %d", lavSteps[false], steps)
+		if steps != lavSteps {
+			return nil, fmt.Errorf("lav parallel step count diverged: serial %d, par4 %d", lavSteps, steps)
 		}
 	}
 
 	return rep, nil
-}
-
-func modeName(naive bool) string {
-	if naive {
-		return "naive"
-	}
-	return "delta"
-}
-
-func engineName(rebuild bool) string {
-	if rebuild {
-		return "rebuild"
-	}
-	return "uf"
 }
 
 // writeJSONReport runs the suite and writes the report to path.

@@ -1,25 +1,29 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/oracle"
 	"repro/internal/rel"
 	"repro/pde"
 )
 
-// TestDeltaChaseGateExamples is the CI parity gate for the semi-naive
-// chase: for every checked-in example setting, chasing a deterministic
+// gateMaxSteps is the step budget of both chases in the gate.
+const gateMaxSteps = 2000
+
+// TestDeltaChaseGateExamples is the CI parity gate for the chase
+// engine: for every checked-in example setting, chasing a deterministic
 // synthetic source instance with Σst (plus Σt) and the resulting
 // target instance with Σts must fire exactly the same steps — and
-// produce byte-identical instances and failure verdicts — with
-// semi-naive trigger collection as with the naive rescan, serially and
-// in parallel. The cyclic example exhausts its step budget either way;
-// the gate requires the budget error and the truncated instances to
-// match too.
+// produce byte-identical instances and failure verdicts — as the naive
+// reference chase (oracle.Chase), with the engine serial and parallel.
+// The cyclic example exhausts its step budget either way; the gate
+// requires the budget error and the truncated instances to match too.
 func TestDeltaChaseGateExamples(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("examples", "settings", "*.pde"))
 	if err != nil || len(files) == 0 {
@@ -39,38 +43,43 @@ func TestDeltaChaseGateExamples(t *testing.T) {
 
 		stDeps := append(s.StDeps(), s.T...)
 		t.Run(filepath.Base(file), func(t *testing.T) {
+			ref, rerr := oracle.Chase(inst, stDeps, nil, false, gateMaxSteps)
+			var jcan *rel.Instance
+			var ref2 *oracle.ChaseResult
+			var r2err error
+			if rerr == nil && !ref.Failed {
+				// Second phase: chase the target part back with Σts.
+				jcan = ref.Instance.Restrict(s.Target)
+				jcan.Freeze()
+				ref2, r2err = oracle.Chase(jcan, s.TsDeps(), nil, false, gateMaxSteps)
+			}
 			for _, par := range []int{1, 4} {
-				naive, nerr := chase.Run(inst, stDeps, chase.Options{MaxSteps: 2000, Parallelism: par, NaiveTriggers: true})
-				semi, serr := chase.Run(inst, stDeps, chase.Options{MaxSteps: 2000, Parallelism: par})
-				compareChaseRuns(t, fmt.Sprintf("Σst par=%d", par), naive, nerr, semi, serr)
-				if nerr != nil || naive.Failed {
+				semi, serr := chase.Run(inst, stDeps, chase.Options{MaxSteps: gateMaxSteps, Parallelism: par})
+				compareChaseRuns(t, fmt.Sprintf("Σst par=%d", par), ref, rerr, semi, serr)
+				if jcan == nil {
 					continue
 				}
-				// Second phase: chase the target part back with Σts.
-				jcan := naive.Instance.Restrict(s.Target)
-				jcan.Freeze()
-				n2, n2err := chase.Run(jcan, s.TsDeps(), chase.Options{MaxSteps: 2000, Parallelism: par, NaiveTriggers: true})
-				s2, s2err := chase.Run(jcan, s.TsDeps(), chase.Options{MaxSteps: 2000, Parallelism: par})
-				compareChaseRuns(t, fmt.Sprintf("Σts par=%d", par), n2, n2err, s2, s2err)
+				s2, s2err := chase.Run(jcan, s.TsDeps(), chase.Options{MaxSteps: gateMaxSteps, Parallelism: par})
+				compareChaseRuns(t, fmt.Sprintf("Σts par=%d", par), ref2, r2err, s2, s2err)
 			}
 		})
 	}
 }
 
-func compareChaseRuns(t *testing.T, phase string, naive *chase.Result, nerr error, semi *chase.Result, serr error) {
+func compareChaseRuns(t *testing.T, phase string, ref *oracle.ChaseResult, rerr error, semi *chase.Result, serr error) {
 	t.Helper()
-	if (nerr == nil) != (serr == nil) {
-		t.Fatalf("%s: naive err=%v, semi-naive err=%v", phase, nerr, serr)
+	if errors.Is(rerr, oracle.ErrBudgetExhausted) != errors.Is(serr, chase.ErrBudgetExhausted) || (rerr == nil) != (serr == nil) {
+		t.Fatalf("%s: reference err=%v, engine err=%v", phase, rerr, serr)
 	}
-	if naive.Steps != semi.Steps {
-		t.Fatalf("%s: semi-naive fired %d steps, naive fired %d", phase, semi.Steps, naive.Steps)
+	if ref.Steps != semi.Steps {
+		t.Fatalf("%s: engine fired %d steps, reference fired %d", phase, semi.Steps, ref.Steps)
 	}
-	if naive.Failed != semi.Failed || naive.FailedOn != semi.FailedOn {
-		t.Fatalf("%s: failure verdicts differ: naive (%v, %q), semi-naive (%v, %q)",
-			phase, naive.Failed, naive.FailedOn, semi.Failed, semi.FailedOn)
+	if ref.Failed != semi.Failed || ref.FailedOn != semi.FailedOn {
+		t.Fatalf("%s: failure verdicts differ: reference (%v, %q), engine (%v, %q)",
+			phase, ref.Failed, ref.FailedOn, semi.Failed, semi.FailedOn)
 	}
-	if naive.Instance.String() != semi.Instance.String() {
-		t.Fatalf("%s: instances differ\nnaive:\n%s\nsemi-naive:\n%s", phase, naive.Instance, semi.Instance)
+	if ref.Instance.String() != semi.Instance.String() {
+		t.Fatalf("%s: instances differ\nreference:\n%s\nengine:\n%s", phase, ref.Instance, semi.Instance)
 	}
 }
 

@@ -68,22 +68,6 @@ type Options struct {
 	// Exists for the ablation benchmarks; the paper's constructions use
 	// the restricted chase.
 	Oblivious bool
-	// NaiveTriggers disables the semi-naive (delta-driven) trigger
-	// collection and re-enumerates every tgd's triggers against the
-	// whole instance each round. The chase produces byte-identical
-	// results either way — steps, null labels, instances, verdicts —
-	// so the knob exists only for the ablation benchmarks and the
-	// delta-vs-naive parity gates.
-	NaiveTriggers bool
-	// RebuildMerges reverts egd steps to the legacy rebuild engine:
-	// every merge rebuilds the whole instance (rel.ReplaceValue) and
-	// resets every delta watermark to a full rescan, instead of the
-	// union-find engine's in-place rewrite that preserves watermarks.
-	// Results are byte-identical either way — the knob exists for the
-	// ablation benchmarks and the union-find parity gates. Runs under
-	// RebuildMerges retain no union-find state, so their results are
-	// never resumable once an egd fired.
-	RebuildMerges bool
 	// Nulls supplies fresh labeled nulls; if nil, a source seeded past
 	// the nulls of the start instance is created.
 	Nulls *rel.NullSource
@@ -132,9 +116,9 @@ type Result struct {
 	EgdFired bool
 	// UnionFind records the equivalence classes the run's egd merges
 	// created, with the surviving value of each class as its
-	// representative. It is nil when no merge happened or when the run
-	// used Options.RebuildMerges. Resume uses it to canonicalize
-	// appended facts; callers must treat it as read-only (Clone first).
+	// representative. It is nil when no merge happened. Resume uses it
+	// to canonicalize appended facts; callers must treat it as
+	// read-only (Clone first).
 	UnionFind *rel.UnionFind
 	// Merges counts the egd merge steps applied; Finds counts the
 	// union-find lookups they and any resumed continuation performed.
@@ -220,8 +204,8 @@ func RunSolutionAware(start *rel.Instance, deps []dep.Dependency, witness *rel.I
 
 // mark is one dependency's semi-naive watermark: the per-relation
 // tuple-slot counts of its previous trigger collection (nil counts =
-// never collected, or invalidated: full rescan) plus the length of the
-// merge change log it had consumed at that point. Together they
+// never collected: full rescan) plus the length of the merge change log
+// it had consumed at that point. Together they
 // identify exactly the facts the dependency has not yet seen: the new
 // segments past counts, and the old tuples the log records as rewritten
 // since logPos.
@@ -253,18 +237,16 @@ type state struct {
 	// until the first merge, unless Resume seeded it); changedLog is
 	// the merge change log (entries may be stale — tombstoned or
 	// re-rewritten later — consumers re-filter against the live
-	// instance); merges counts merge steps in either engine.
+	// instance); merges counts merge steps.
 	uf         *rel.UnionFind
 	changedLog []changeEntry
 	merges     int
 
 	// Semi-naive bookkeeping, indexed by dependency position. marks[di]
 	// is the watermark of dependency di's previous trigger collection.
-	// The union-find engine keeps counts valid across merges (surviving
-	// tuples keep their slots) and routes merge rewrites through the
-	// change log, so marks are never reset; only the legacy rebuild
-	// engine (Options.RebuildMerges) still resets them to nil on any
-	// merge. Resume pre-seeds marks so the first round only enumerates
+	// Merges keep counts valid (surviving tuples keep their slots) and
+	// route their rewrites through the change log, so marks are never
+	// reset. Resume pre-seeds marks so the first round only enumerates
 	// triggers touching the appended facts. uvars[di] caches the sorted
 	// universal variables of tgd di; fired[di] is the oblivious chase's
 	// per-tgd set of already fired triggers, keyed by compact value keys
@@ -407,13 +389,11 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 // by the end of that earlier collection's firing pass, either satisfied
 // (and stays satisfied) or fired (oblivious mode: recorded in st.fired,
 // under a key built from values a merge never touched) — so the naive
-// enumeration would have filtered it too. Under Options.RebuildMerges
-// the legacy behavior remains: any egd progress resets every watermark
-// to nil, a full rescan. A dependency's watermark advances only when a
-// collection is actually consumed: to the round-start snapshot when its
-// speculated list is used, to a fresh snapshot when it re-collects
-// after the round went dirty. Discarded speculations leave the
-// watermark untouched.
+// enumeration would have filtered it too. A dependency's watermark
+// advances only when a collection is actually consumed: to the
+// round-start snapshot when its speculated list is used, to a fresh
+// snapshot when it re-collects after the round went dirty. Discarded
+// speculations leave the watermark untouched.
 func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed, failed bool, failedOn string, err error) {
 	// Snapshot the round-start sizes once; the map is shared by every
 	// watermark taken from it and never mutated after this point.
@@ -457,30 +437,18 @@ func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed
 			}
 			if p {
 				progressed, dirty = true, true
-				st.egdFired = true
-				if st.opts.RebuildMerges {
-					// Legacy engine: merges rebuilt the instance and
-					// shuffled the tuple lists; every watermark's old/new
-					// split is now meaningless.
-					for i := range st.marks {
-						st.marks[i] = mark{}
-						st.egdMarks[i] = mark{}
-					}
-				}
-				// Union-find engine: merges rewrote tuples in place, slots
-				// and counts are untouched, and the rewrites are on the
-				// change log — marks stay valid as they are.
+				// Merges rewrote tuples in place: slots and counts are
+				// untouched and the rewrites are on the change log, so
+				// marks stay valid as they are.
 			}
 			// The pass ended with no active trigger for d: record the
 			// state it was clean at, so later rounds skip the body scan
 			// until one of d's relations grows or a merge rewrites into
-			// them (or, under RebuildMerges, any merge resets it).
-			if !st.opts.NaiveTriggers {
-				if p || dirty {
-					st.egdMarks[di] = mark{counts: hom.Delta(st.inst.TupleCounts()), logPos: len(st.changedLog)}
-				} else {
-					st.egdMarks[di] = mark{counts: roundStart, logPos: roundLog}
-				}
+			// them.
+			if p || dirty {
+				st.egdMarks[di] = mark{counts: hom.Delta(st.inst.TupleCounts()), logPos: len(st.changedLog)}
+			} else {
+				st.egdMarks[di] = mark{counts: roundStart, logPos: roundLog}
 			}
 		default:
 			return false, false, "", fmt.Errorf("chase: unsupported dependency type %T", d)
@@ -571,9 +539,7 @@ func (st *state) changedSince(m mark, rels []string) map[string][]int {
 // round loop).
 func (st *state) collectTriggers(di int, d dep.TGD, m mark) []hom.Binding {
 	spec := hom.DeltaSpec{Old: m.counts}
-	if st.opts.NaiveTriggers {
-		spec = hom.DeltaSpec{}
-	} else if m.counts != nil {
+	if m.counts != nil {
 		spec.Changed = st.changedSince(m, st.brels[di])
 	}
 	if st.opts.Oblivious {
@@ -657,11 +623,10 @@ func (st *state) fire(d dep.TGD, b hom.Binding, witness *rel.Instance) error {
 // mean no added tuples; merges only rewrite logged slots or tombstone
 // tuples (which removes bindings from the body join, never creating a
 // violation) — so an unchanged watermark means an unchanged trigger
-// set. Under RebuildMerges any merge zeroed the mark, restoring the
-// legacy always-rescan behavior.
+// set.
 func (st *state) egdSkip(di int, roundStart hom.Delta, dirty bool) bool {
 	m := st.egdMarks[di]
-	if st.opts.NaiveTriggers || m.counts == nil {
+	if m.counts == nil {
 		return false
 	}
 	cur := roundStart
@@ -687,13 +652,10 @@ func (st *state) egdSkip(di int, roundStart hom.Delta, dirty bool) bool {
 // throughout the instance. The union-find engine records the class
 // merge, rewrites the affected tuples in place, and appends the
 // rewritten slots to the change log (in relation-name order, so the log
-// is deterministic); the legacy engine rebuilds the instance.
+// is deterministic).
 func (st *state) merge(from, to rel.Value) {
 	st.merges++
-	if st.opts.RebuildMerges {
-		st.inst = st.inst.ReplaceValue(from, to)
-		return
-	}
+	st.egdFired = true
 	if st.uf == nil {
 		st.uf = rel.NewUnionFind()
 	}
@@ -714,9 +676,10 @@ func (st *state) merge(from, to rel.Value) {
 // egdPass applies egd steps until d has no active trigger or the chase
 // fails. A merge can create a violation lexicographically before the
 // current scan position (the rewritten tuples join differently), so the
-// pass restarts its trigger scan after every step — on the same
-// instance either engine produces, scanned in the same live-tuple
-// order, so the merge sequences of the two engines match exactly.
+// pass restarts its trigger scan after every step. The in-place merge
+// keeps live tuples in the order a full rebuild would leave them, so
+// the merge sequence matches a chase that rebuilds the instance per
+// merge (oracle.Chase) exactly.
 func (st *state) egdPass(d dep.EGD) (progressed, failed bool, err error) {
 	for {
 		var l, r rel.Value

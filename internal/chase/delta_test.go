@@ -11,11 +11,11 @@ import (
 // TestChaseSemiNaiveMatchesNaiveProperty: on random weakly acyclic
 // dependency sets (mixing full tgds, existential inclusions, join
 // bodies, and key egds), the semi-naive chase is byte-identical to the
-// naive chase — same instances (including null labels), step counts,
-// and failure verdicts — in restricted and oblivious mode, at
-// Parallelism 1 and 4. This is the correctness contract of the
-// delta-driven trigger collection: it may only skip triggers the naive
-// keep filter would reject anyway.
+// naive reference chase (oracle.Chase) — same instances (including null
+// labels), step and merge counts, failure verdicts, and budget errors —
+// in restricted and oblivious mode, at Parallelism 1 and 4. This is the
+// correctness contract of the delta-driven trigger collection: it may
+// only skip triggers the naive keep filter would reject anyway.
 func TestChaseSemiNaiveMatchesNaiveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	trials := 60
@@ -24,22 +24,12 @@ func TestChaseSemiNaiveMatchesNaiveProperty(t *testing.T) {
 		inst := workload.RandomLayerInstance(rng)
 		inst.Freeze()
 		for _, oblivious := range []bool{false, true} {
+			want := referenceChase(inst, deps, nil, oblivious)
 			for _, par := range []int{1, 4} {
-				naive, nerr := chase.Run(inst, deps, chase.Options{Oblivious: oblivious, Parallelism: par, NaiveTriggers: true})
 				semi, serr := chase.Run(inst, deps, chase.Options{Oblivious: oblivious, Parallelism: par})
-				if (nerr == nil) != (serr == nil) {
-					t.Fatalf("trial %d obl=%v par=%d: naive err=%v, semi-naive err=%v\ndeps: %v", trial, oblivious, par, nerr, serr, deps)
-				}
-				if nerr != nil {
-					continue
-				}
-				if naive.Steps != semi.Steps || naive.Failed != semi.Failed || naive.FailedOn != semi.FailedOn {
-					t.Fatalf("trial %d obl=%v par=%d: naive (steps=%d failed=%v on=%q), semi-naive (steps=%d failed=%v on=%q)\ndeps: %v",
-						trial, oblivious, par, naive.Steps, naive.Failed, naive.FailedOn, semi.Steps, semi.Failed, semi.FailedOn, deps)
-				}
-				if naive.Instance.String() != semi.Instance.String() {
-					t.Fatalf("trial %d obl=%v par=%d: instances differ\nnaive:\n%s\nsemi-naive:\n%s\ndeps: %v",
-						trial, oblivious, par, naive.Instance, semi.Instance, deps)
+				if got := fingerprint(semi, serr); got != want {
+					t.Fatalf("trial %d obl=%v par=%d: semi-naive diverges from the reference chase\nsemi-naive: %+v\noracle:     %+v\ndeps: %v",
+						trial, oblivious, par, got, want, deps)
 				}
 			}
 		}
@@ -60,18 +50,11 @@ func TestChaseSemiNaiveMatchesNaiveSolutionAware(t *testing.T) {
 		witness := wres.Instance
 		witness.Freeze()
 		inst.Freeze()
+		want := referenceChase(inst, deps, witness, false)
 		for _, par := range []int{1, 4} {
-			naive, nerr := chase.RunSolutionAware(inst, deps, witness, chase.Options{Parallelism: par, NaiveTriggers: true})
 			semi, serr := chase.RunSolutionAware(inst, deps, witness, chase.Options{Parallelism: par})
-			if (nerr == nil) != (serr == nil) {
-				t.Fatalf("trial %d par=%d: naive err=%v, semi-naive err=%v", trial, par, nerr, serr)
-			}
-			if nerr != nil {
-				continue
-			}
-			if naive.Steps != semi.Steps || naive.Instance.String() != semi.Instance.String() {
-				t.Fatalf("trial %d par=%d: solution-aware parity broken (steps %d vs %d)\nnaive:\n%s\nsemi-naive:\n%s",
-					trial, par, naive.Steps, semi.Steps, naive.Instance, semi.Instance)
+			if got := fingerprint(semi, serr); got != want {
+				t.Fatalf("trial %d par=%d: solution-aware parity broken\nsemi-naive: %+v\noracle:     %+v", trial, par, got, want)
 			}
 		}
 	}
@@ -86,18 +69,17 @@ func TestChaseSemiNaiveDeepChain(t *testing.T) {
 	deps := workload.ChainDeps(6)
 	inst := workload.ChainInstance(40)
 	inst.Freeze()
-	naive, nerr := chase.Run(inst, deps, chase.Options{NaiveTriggers: true})
-	semi, serr := chase.Run(inst, deps, chase.Options{})
-	if nerr != nil || serr != nil {
-		t.Fatalf("chain chase errored: naive=%v semi=%v", nerr, serr)
-	}
-	if naive.Steps != semi.Steps {
-		t.Fatalf("chain steps diverged: naive %d, semi-naive %d", naive.Steps, semi.Steps)
-	}
-	if want := 6 * 40; semi.Steps != want {
-		t.Fatalf("chain chase fired %d steps, want %d", semi.Steps, want)
-	}
-	if naive.Instance.String() != semi.Instance.String() {
-		t.Fatal("chain instances diverged")
+	want := referenceChase(inst, deps, nil, false)
+	for _, par := range []int{1, 4} {
+		semi, serr := chase.Run(inst, deps, chase.Options{Parallelism: par})
+		if serr != nil {
+			t.Fatalf("par %d: chain chase errored: %v", par, serr)
+		}
+		if got := fingerprint(semi, nil); got != want {
+			t.Fatalf("par %d: chain chase diverges from the reference chase (steps %d vs %d)", par, got.steps, want.steps)
+		}
+		if w := 6 * 40; semi.Steps != w {
+			t.Fatalf("chain chase fired %d steps, want %d", semi.Steps, w)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package chase_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,38 +9,67 @@ import (
 	"repro/internal/chase"
 	"repro/internal/dep"
 	"repro/internal/hom"
+	"repro/internal/oracle"
 	"repro/internal/rel"
 	"repro/internal/workload"
 )
 
 // resultFingerprint captures every observable surface of a chase run
-// that the union-find engine promises to keep byte-identical to the
-// legacy rebuild-on-merge engine.
+// that the engine promises to keep byte-identical to the reference
+// chase (oracle.Chase).
 type resultFingerprint struct {
 	inst     string
 	steps    int
+	merges   int
 	failed   bool
 	failedOn string
 	egdFired bool
 	err      string
 }
 
-func fingerprint(res *chase.Result, err error) resultFingerprint {
-	fp := resultFingerprint{}
-	if err != nil {
-		fp.err = err.Error()
+// errKind classifies a chase error: "" for none, "budget" for budget
+// exhaustion, "error" for anything else (the two implementations word
+// their other errors differently).
+func errKind(err, budget error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, budget):
+		return "budget"
+	default:
+		return "error"
 	}
+}
+
+func fingerprint(res *chase.Result, err error) resultFingerprint {
+	fp := resultFingerprint{err: errKind(err, chase.ErrBudgetExhausted)}
 	if res == nil {
 		return fp
 	}
-	fp.steps = res.Steps
-	fp.failed = res.Failed
-	fp.failedOn = res.FailedOn
+	fp.steps, fp.merges = res.Steps, res.Merges
+	fp.failed, fp.failedOn = res.Failed, res.FailedOn
 	fp.egdFired = res.EgdFired
 	if res.Instance != nil {
 		fp.inst = res.Instance.String()
 	}
 	return fp
+}
+
+func oracleFingerprint(res *oracle.ChaseResult, err error) resultFingerprint {
+	fp := resultFingerprint{err: errKind(err, oracle.ErrBudgetExhausted)}
+	if res == nil {
+		return fp
+	}
+	fp.steps, fp.merges = res.Steps, res.Merges
+	fp.failed, fp.failedOn = res.Failed, res.FailedOn
+	fp.egdFired = res.Merges > 0
+	fp.inst = res.Instance.String()
+	return fp
+}
+
+// referenceChase runs oracle.Chase under the engine's default budget.
+func referenceChase(start *rel.Instance, deps []dep.Dependency, witness *rel.Instance, oblivious bool) resultFingerprint {
+	return oracleFingerprint(oracle.Chase(start, deps, witness, oblivious, chase.DefaultMaxSteps))
 }
 
 // injectNullDrafts seeds key violations into a random layer instance:
@@ -69,10 +99,10 @@ func injectNullDrafts(rng *rand.Rand, inst *rel.Instance) {
 
 // TestEngineParityProperty is the parity property suite for the
 // union-find egd engine: over random egd-bearing settings and start
-// instances, the default engine and the RebuildMerges ablation must
-// produce byte-identical instances, step counts, failure verdicts, and
-// EgdFired flags — in restricted, oblivious, and solution-aware modes,
-// at Parallelism 1 and 4.
+// instances, the engine and the reference chase must produce
+// byte-identical instances, step and merge counts, failure verdicts,
+// and EgdFired flags — in restricted, oblivious, and solution-aware
+// modes, with the engine at Parallelism 1 and 4.
 func TestEngineParityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const trials = 40
@@ -84,56 +114,51 @@ func TestEngineParityProperty(t *testing.T) {
 
 		// Solution-aware witness: the fixpoint of a plain restricted
 		// chase satisfies all deps and contains the start instance.
-		witness, werr := func() (*rel.Instance, error) {
-			res, err := chase.Run(inst, deps, chase.Options{})
-			if err != nil || res.Failed {
-				return nil, err
+		var witness *rel.Instance
+		if res, err := chase.Run(inst, deps, chase.Options{}); err == nil && !res.Failed {
+			witness = res.Instance
+		}
+
+		for _, mode := range []string{"restricted", "oblivious", "solution-aware"} {
+			if mode == "solution-aware" && witness == nil {
+				continue
 			}
-			return res.Instance, nil
-		}()
-
-		for _, par := range []int{1, 4} {
-			for _, mode := range []string{"restricted", "oblivious", "solution-aware"} {
+			var want resultFingerprint
+			switch mode {
+			case "oblivious":
+				want = referenceChase(inst, deps, nil, true)
+			case "solution-aware":
+				want = referenceChase(inst, deps, witness, false)
+			default:
+				want = referenceChase(inst, deps, nil, false)
+			}
+			for _, par := range []int{1, 4} {
 				name := fmt.Sprintf("trial %d mode %s par %d", trial, mode, par)
-				run := func(opts chase.Options) (*chase.Result, error) {
-					switch mode {
-					case "oblivious":
-						opts.Oblivious = true
-						return chase.Run(inst, deps, opts)
-					case "solution-aware":
-						if witness == nil {
-							return nil, nil
-						}
-						return chase.RunSolutionAware(inst, deps, witness, opts)
-					default:
-						return chase.Run(inst, deps, opts)
-					}
+				opts := chase.Options{Parallelism: par}
+				var res *chase.Result
+				var err error
+				switch mode {
+				case "oblivious":
+					opts.Oblivious = true
+					res, err = chase.Run(inst, deps, opts)
+				case "solution-aware":
+					res, err = chase.RunSolutionAware(inst, deps, witness, opts)
+				default:
+					res, err = chase.Run(inst, deps, opts)
 				}
-				if mode == "solution-aware" && (witness == nil || werr != nil) {
+				if got := fingerprint(res, err); got != want {
+					t.Fatalf("%s: engine diverges from the reference chase:\n  engine: %+v\n  oracle: %+v", name, got, want)
+				}
+				if res == nil || res.Failed || err != nil {
 					continue
 				}
-
-				ufRes, ufErr := run(chase.Options{Parallelism: par})
-				rbRes, rbErr := run(chase.Options{Parallelism: par, RebuildMerges: true})
-
-				got := fingerprint(ufRes, ufErr)
-				want := fingerprint(rbRes, rbErr)
-				if got != want {
-					t.Fatalf("%s: engines diverge:\n  uf:      %+v\n  rebuild: %+v", name, got, want)
-				}
-				if ufRes == nil || ufRes.Failed || ufErr != nil {
-					continue
-				}
-				if ufRes.Merges > 0 {
+				if res.Merges > 0 {
 					merged++
-					if ufRes.UnionFind == nil {
+					if res.UnionFind == nil {
 						t.Fatalf("%s: merging run retained no union-find", name)
 					}
 				}
-				if rbRes.UnionFind != nil {
-					t.Fatalf("%s: rebuild run must not retain a union-find", name)
-				}
-				if !chase.Check(ufRes.Instance, deps, hom.Options{Parallelism: par}) {
+				if !chase.Check(res.Instance, deps, hom.Options{Parallelism: par}) {
 					t.Fatalf("%s: union-find fixpoint violates deps", name)
 				}
 			}
@@ -152,19 +177,19 @@ func TestEngineParityKeyedLAV(t *testing.T) {
 	deps := append(append([]dep.Dependency{}, s.StDeps()...), s.T...)
 	i, j := workload.KeyedLAVInstance(80)
 	start := rel.Union(i, j)
+	want := referenceChase(start, deps, nil, false)
+	if want.err != "" {
+		t.Fatalf("reference chase errored: %s", want.err)
+	}
 	for _, par := range []int{1, 4} {
-		uf, err := chase.Run(start, deps, chase.Options{Parallelism: par})
+		res, err := chase.Run(start, deps, chase.Options{Parallelism: par})
 		if err != nil {
-			t.Fatalf("par %d: uf engine: %v", par, err)
+			t.Fatalf("par %d: engine: %v", par, err)
 		}
-		rb, err := chase.Run(start, deps, chase.Options{Parallelism: par, RebuildMerges: true})
-		if err != nil {
-			t.Fatalf("par %d: rebuild engine: %v", par, err)
+		if got := fingerprint(res, nil); got != want {
+			t.Fatalf("par %d: engine diverges from the reference chase:\n  engine: %+v\n  oracle: %+v", par, got, want)
 		}
-		if got, want := fingerprint(uf, nil), fingerprint(rb, nil); got != want {
-			t.Fatalf("par %d: engines diverge:\n  uf:      %+v\n  rebuild: %+v", par, got, want)
-		}
-		if uf.Merges == 0 {
+		if res.Merges == 0 {
 			t.Fatalf("par %d: keyed LAV workload produced no merges", par)
 		}
 	}

@@ -17,11 +17,11 @@ package chase
 // continuation then runs the ordinary chase with pre-seeded watermarks;
 // any new merges it performs rewrite old tuples in place and re-enter
 // them through the change log, exactly as in a cold run. Whenever that
-// reasoning does not apply — a non-key egd is present, the previous run
-// merged values but retained no union-find (legacy rebuild engine), the
-// run failed, or it was oblivious (fired sets are not retained) —
-// Resume falls back to a full re-chase from the previous run's true
-// start united with the appended facts.
+// reasoning does not apply — a non-key egd is present, the previous
+// result merged values but carries no union-find, the run failed, or
+// it was oblivious (fired sets are not retained) — Resume falls back
+// to a full re-chase from the previous run's true start united with
+// the appended facts.
 
 import (
 	"fmt"
@@ -46,8 +46,8 @@ const (
 	// are not retained across runs.
 	FallbackOblivious = "oblivious"
 	// FallbackEgd: an egd blocks the incremental path — a non-key-shaped
-	// egd is present, the legacy rebuild engine is selected, or the
-	// previous run merged values without retaining its union-find.
+	// egd is present, or the previous result merged values but carries
+	// no union-find (a hand-built or decoded result that lost it).
 	FallbackEgd = "egd"
 	// FallbackUnsupported: the dependency set contains kinds the chase
 	// cannot resume (disjunctive tgds).
@@ -76,7 +76,7 @@ func FallbackReason(prev *Result, deps []dep.Dependency, opts Options) string {
 		switch d := d.(type) {
 		case dep.TGD:
 		case dep.EGD:
-			if opts.RebuildMerges || !d.KeyShaped() {
+			if !d.KeyShaped() {
 				return FallbackEgd
 			}
 		default:

@@ -111,19 +111,34 @@ func TestChaseResumeEmptyAppend(t *testing.T) {
 	}
 }
 
+// unkeyed pads every key egd of deps with a redundant third body atom
+// R(x, w): the egd keeps its meaning (w may bind to y) but is no longer
+// key-shaped, so the set is resume-ineligible.
+func unkeyed(deps []dep.Dependency) []dep.Dependency {
+	out := make([]dep.Dependency, len(deps))
+	for i, d := range deps {
+		if e, ok := d.(dep.EGD); ok {
+			a := e.Body[0]
+			e.Body = append(append([]dep.Atom{}, e.Body...), dep.NewAtom(a.Rel, a.Args[0], dep.Var("w")))
+			d = e
+		}
+		out[i] = d
+	}
+	return out
+}
+
 // TestChaseResumeFallback: conditions that make the incremental path
-// unsound force the fallback — here, the legacy rebuild engine
-// (Options.RebuildMerges retains no union-find) — and the fallback
-// result is byte-identical to an independent from-scratch chase of the
-// union under the same options.
+// unsound force the fallback — here, an egd that is not key-shaped —
+// and the fallback result is byte-identical to an independent
+// from-scratch chase of the union under the same options.
 func TestChaseResumeFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	fellBack := 0
 	for trial := 0; trial < 80; trial++ {
-		deps := workload.RandomWeaklyAcyclicDeps(rng)
+		deps := unkeyed(workload.RandomWeaklyAcyclicDeps(rng))
 		hasEGD := false
 		for _, d := range deps {
-			if _, ok := d.(dep.EGD); ok {
+			if e, ok := d.(dep.EGD); ok && !e.KeyShaped() {
 				hasEGD = true
 			}
 		}
@@ -134,13 +149,13 @@ func TestChaseResumeFallback(t *testing.T) {
 		appended := workload.RandomLayerInstance(rng)
 		base.Freeze()
 		appended.Freeze()
-		opts := chase.Options{RebuildMerges: true}
+		opts := chase.Options{}
 		prev, err := chase.Run(base, deps, opts)
 		if err != nil || prev.Failed {
 			continue
 		}
 		if chase.Resumable(prev, deps, opts) {
-			t.Fatalf("trial %d: egd-bearing set under RebuildMerges reported resumable", trial)
+			t.Fatalf("trial %d: set with a non-key egd reported resumable", trial)
 		}
 		if reason := chase.FallbackReason(prev, deps, opts); reason != chase.FallbackEgd {
 			t.Fatalf("trial %d: fallback reason = %q, want %q", trial, reason, chase.FallbackEgd)
@@ -150,7 +165,7 @@ func TestChaseResumeFallback(t *testing.T) {
 			continue // budget exhaustion on the union is possible and fine
 		}
 		if resumed {
-			t.Fatalf("trial %d: RebuildMerges resume took the incremental path", trial)
+			t.Fatalf("trial %d: non-key egd resume took the incremental path", trial)
 		}
 		fellBack++
 		scratch, err := chase.Run(rel.Union(base, appended), deps, opts)
@@ -271,9 +286,10 @@ func TestChaseResumeNonKeyEgdFallback(t *testing.T) {
 	}
 }
 
-// TestChaseResumePrevRebuildFallback: a previous run that merged values
-// under the legacy rebuild engine retained no union-find, so even with
-// the union-find engine selected now, its result cannot seed a resume.
+// TestChaseResumePrevRebuildFallback: a previous result that merged
+// values but carries no union-find (a hand-built or decoded result that
+// lost it) cannot seed a resume, even for a key-only set; Resume
+// re-chases from scratch instead.
 func TestChaseResumePrevRebuildFallback(t *testing.T) {
 	deps := []dep.Dependency{dep.EGD{
 		Label: "r-key",
@@ -287,15 +303,23 @@ func TestChaseResumePrevRebuildFallback(t *testing.T) {
 	inst.Add("R", rel.Const("a"), rel.Null(1))
 	inst.Add("R", rel.Const("a"), rel.Const("c"))
 	inst.Freeze()
-	prev, err := chase.Run(inst, deps, chase.Options{RebuildMerges: true})
-	if err != nil || prev.Failed {
+	run, err := chase.Run(inst, deps, chase.Options{})
+	if err != nil || run.Failed {
 		t.Fatal(err)
 	}
-	if !prev.EgdFired || prev.UnionFind != nil {
-		t.Fatalf("rebuild-engine run: EgdFired=%v UnionFind=%v", prev.EgdFired, prev.UnionFind)
-	}
+	prev := &chase.Result{Instance: run.Instance, Start: inst, Steps: run.Steps, EgdFired: true, UnionFind: nil}
 	if reason := chase.FallbackReason(prev, deps, chase.Options{}); reason != chase.FallbackEgd {
-		t.Fatalf("prev-rebuild fallback reason = %q, want %q", reason, chase.FallbackEgd)
+		t.Fatalf("prev-without-union-find fallback reason = %q, want %q", reason, chase.FallbackEgd)
+	}
+	more := rel.NewInstance()
+	more.Add("R", rel.Const("b"), rel.Const("d"))
+	more.Freeze()
+	res, resumed, err := chase.Resume(prev, deps, more, chase.Options{})
+	if err != nil || resumed {
+		t.Fatalf("prev-without-union-find resume: resumed=%v err=%v", resumed, err)
+	}
+	if want := "R(a, c)\nR(b, d)"; res.Instance.String() != want {
+		t.Fatalf("fallback re-chase gave\n%s\nwant\n%s", res.Instance, want)
 	}
 }
 
@@ -389,7 +413,7 @@ func TestChaseResumeOblivious(t *testing.T) {
 
 // TestChaseEgdWatermarkParity: egd-heavy workloads where the detection
 // watermark actually skips passes (several rounds of tgd growth in
-// relations no egd reads) stay byte-identical to the naive pass. The
+// relations no egd reads) stay byte-identical to the reference chase. The
 // random suite in delta_test.go covers the mixed case; this pins the
 // shape the satellite optimization targets.
 func TestChaseEgdWatermarkParity(t *testing.T) {
@@ -408,16 +432,17 @@ func TestChaseEgdWatermarkParity(t *testing.T) {
 	})
 	inst := workload.ChainInstance(25)
 	inst.Freeze()
-	naive, nerr := chase.Run(inst, deps, chase.Options{NaiveTriggers: true})
-	semi, serr := chase.Run(inst, deps, chase.Options{})
-	if nerr != nil || serr != nil {
-		t.Fatalf("egd-watermark chase errored: naive=%v semi=%v", nerr, serr)
+	want := referenceChase(inst, deps, nil, false)
+	if want.err != "" {
+		t.Fatalf("reference chase errored: %s", want.err)
 	}
-	if naive.Steps != semi.Steps || naive.Failed != semi.Failed {
-		t.Fatalf("egd-watermark parity broken: naive steps=%d failed=%v, semi steps=%d failed=%v",
-			naive.Steps, naive.Failed, semi.Steps, semi.Failed)
-	}
-	if naive.Instance.String() != semi.Instance.String() {
-		t.Fatalf("egd-watermark instances diverged\nnaive:\n%s\nsemi:\n%s", naive.Instance, semi.Instance)
+	for _, par := range []int{1, 4} {
+		semi, serr := chase.Run(inst, deps, chase.Options{Parallelism: par})
+		if serr != nil {
+			t.Fatalf("par %d: egd-watermark chase errored: %v", par, serr)
+		}
+		if got := fingerprint(semi, nil); got != want {
+			t.Fatalf("par %d: egd-watermark parity broken\nsemi:   %+v\noracle: %+v", par, got, want)
+		}
 	}
 }

@@ -48,7 +48,7 @@ func ChaseCanonicalTarget(s *Setting, i, j *rel.Instance, opts SolveOptions) (*C
 	nulls := &rel.NullSource{}
 	nulls.SeenIn(i)
 	nulls.SeenIn(j)
-	copts := chase.Options{Nulls: nulls, Hom: opts.Hom, MaxSteps: opts.MaxChaseSteps, NaiveTriggers: opts.NaiveChase, Ctx: opts.Ctx}
+	copts := chase.Options{Nulls: nulls, Hom: opts.Hom, MaxSteps: opts.MaxChaseSteps, Ctx: opts.Ctx}
 	res, err := chase.Run(rel.Union(i, j), s.StDeps(), copts)
 	if err != nil {
 		return nil, fmt.Errorf("core: chasing Σst: %w", err)
@@ -90,7 +90,7 @@ func ForEachImageSolutionFrom(s *Setting, i, j *rel.Instance, ct *CanonicalTarge
 	opts.Hom = opts.homOpts()
 	nulls := &rel.NullSource{}
 	nulls.SetState(ct.NullState)
-	copts := chase.Options{Nulls: nulls, Hom: opts.Hom, MaxSteps: opts.MaxChaseSteps, NaiveTriggers: opts.NaiveChase, Ctx: opts.Ctx}
+	copts := chase.Options{Nulls: nulls, Hom: opts.Hom, MaxSteps: opts.MaxChaseSteps, Ctx: opts.Ctx}
 	if ct.TFailed {
 		sv := newImageSearch(s, i, j, rel.NewInstance(), opts, copts)
 		sv.stats.Nodes = 0

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dep"
+	"repro/internal/oracle"
 	"repro/internal/rel"
 )
 
@@ -293,6 +294,8 @@ func TestGenericSolverBudget(t *testing.T) {
 	}
 }
 
+// TestNaiveModeAgrees: the pruned solver's verdict matches the
+// brute-force SOL(P) decider.
 func TestNaiveModeAgrees(t *testing.T) {
 	s := example1Setting()
 	cases := []*rel.Instance{
@@ -305,12 +308,12 @@ func TestNaiveModeAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, _, _, err := core.ExistsSolutionGeneric(s, i, rel.NewInstance(), core.SolveOptions{Naive: true})
+		want, err := oracle.ExhaustiveSOL(s, i, rel.NewInstance(), oracle.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fast != naive {
-			t.Errorf("case %d: pruned=%v naive=%v", idx, fast, naive)
+		if fast != want {
+			t.Errorf("case %d: pruned=%v exhaustive=%v", idx, fast, want)
 		}
 	}
 }

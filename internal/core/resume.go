@@ -34,13 +34,12 @@ func ResumeCanonicalTractable(s *Setting, trace *TractableTrace, appended *rel.I
 	ns := &rel.NullSource{}
 	ns.SetState(trace.NullState)
 	copts := chase.Options{
-		Nulls:         ns,
-		Hom:           opts.Hom,
-		MaxSteps:      opts.MaxChaseSteps,
-		NaiveTriggers: opts.NaiveChase,
-		Parallelism:   opts.Parallelism,
-		Seed:          opts.Seed,
-		Ctx:           opts.Ctx,
+		Nulls:       ns,
+		Hom:         opts.Hom,
+		MaxSteps:    opts.MaxChaseSteps,
+		Parallelism: opts.Parallelism,
+		Seed:        opts.Seed,
+		Ctx:         opts.Ctx,
 	}
 
 	res1, r1, err := chase.Resume(trace.STResult, s.StDeps(), appended, copts)
@@ -95,7 +94,7 @@ func ResumeCanonicalTarget(s *Setting, ct *CanonicalTarget, appended *rel.Instan
 	opts.Hom = opts.homOpts()
 	ns := &rel.NullSource{}
 	ns.SetState(ct.NullState)
-	copts := chase.Options{Nulls: ns, Hom: opts.Hom, MaxSteps: opts.MaxChaseSteps, NaiveTriggers: opts.NaiveChase, Ctx: opts.Ctx}
+	copts := chase.Options{Nulls: ns, Hom: opts.Hom, MaxSteps: opts.MaxChaseSteps, Ctx: opts.Ctx}
 
 	res, r1, err := chase.Resume(ct.STResult, s.StDeps(), appended, copts)
 	if err != nil {

@@ -43,15 +43,8 @@ type SolveOptions struct {
 	MaxNodes int64
 	// Hom configures homomorphism search.
 	Hom hom.Options
-	// Naive disables violation-driven pruning: constraints are checked
-	// only at the leaves. Exists for the ablation benchmark.
-	Naive bool
 	// MaxChaseSteps bounds each chase; 0 means the chase default.
 	MaxChaseSteps int
-	// NaiveChase disables the semi-naive (delta-driven) trigger
-	// collection in the chases the solver runs. Results are
-	// byte-identical either way; exists for ablation and parity gates.
-	NaiveChase bool
 	// Parallelism bounds the workers of the parallel phases (chase
 	// trigger search, the candidate-violation scan over the Σts
 	// dependencies): 0 means GOMAXPROCS, 1 forces the serial paths.
@@ -411,7 +404,7 @@ func (sv *imageSearch) groundLevel(k int) (bool, []int) {
 			if _, dup := sv.factResp[key]; !dup {
 				sv.factResp[key] = sv.factNulls[fi]
 			}
-			if okAll && !sv.opts.Naive {
+			if okAll {
 				if viol := sv.newFactViolation(gf); viol != nil {
 					okAll = false
 					resp = viol
@@ -600,9 +593,8 @@ func (sv *imageSearch) tsTriggerSatisfied(d dep.TGD, b hom.Binding) bool {
 }
 
 // leaf handles a fully assigned image: with Σt = ∅ the incremental
-// checks already guarantee a solution (or, in Naive mode, a full check
-// runs here); with Σt nonempty the image is chased with Σt and all
-// constraints are re-verified on the result.
+// checks already guarantee a solution; with Σt nonempty the image is
+// chased with Σt and all constraints are re-verified on the result.
 func (sv *imageSearch) leaf(fn func(*rel.Instance) bool) error {
 	candidate := sv.cur.Clone()
 	if len(sv.s.T) > 0 {
@@ -614,10 +606,6 @@ func (sv *imageSearch) leaf(fn func(*rel.Instance) bool) error {
 			return nil
 		}
 		candidate = res.Instance
-		if !sv.s.IsSolution(sv.i, sv.j, candidate) {
-			return nil
-		}
-	} else if sv.opts.Naive {
 		if !sv.s.IsSolution(sv.i, sv.j, candidate) {
 			return nil
 		}

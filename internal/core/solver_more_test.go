@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dep"
+	"repro/internal/hom"
 	"repro/internal/rel"
 	"repro/internal/workload"
 )
@@ -205,21 +206,19 @@ func TestWeaklyAcyclicExistentialTargetTGDs(t *testing.T) {
 	}
 }
 
-// TestWholeInstanceHomAgreesWithBlockwise (Proposition 1) on random
-// C_tract instances.
-func TestWholeInstanceHomAgreesWithBlockwise(t *testing.T) {
+// TestInstanceHomAgreesWithBlockwise (Proposition 1) on random C_tract
+// instances: the blockwise verdict equals one homomorphism search of
+// the whole I_can into I.
+func TestInstanceHomAgreesWithBlockwise(t *testing.T) {
 	s := workload.FullSTSetting()
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 10; trial++ {
 		i, j := workload.FullSTInstance(10+rng.Intn(10), rng.Intn(2) == 0, rng)
-		block, _, err := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{})
+		block, trace, err := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole, _, err := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{WholeInstanceHom: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		whole := hom.Exists(hom.InstanceAtoms(trace.ICan), i, nil, hom.Options{})
 		if block != whole {
 			t.Errorf("trial %d: blockwise=%v whole=%v", trial, block, whole)
 		}

@@ -46,24 +46,14 @@ type TractableTrace struct {
 
 // TractableOptions configures ExistsSolutionTractable.
 type TractableOptions struct {
-	// Hom configures homomorphism search (NoIndex enables the ablation).
+	// Hom configures homomorphism search.
 	Hom hom.Options
-	// WholeInstanceHom skips the block decomposition and searches one
-	// homomorphism from the whole ICan into I. Semantically equivalent
-	// (Proposition 1) but exponentially slower in general; exists for
-	// the ablation benchmark.
-	WholeInstanceHom bool
 	// SkipCondition1Check runs the algorithm even when condition 1 of
 	// C_tract fails. The answer may then be incorrect (Theorem 5 needs
 	// condition 1); used only by tests demonstrating exactly that.
 	SkipCondition1Check bool
 	// MaxChaseSteps bounds each chase phase; 0 means the chase default.
 	MaxChaseSteps int
-	// NaiveChase disables the semi-naive (delta-driven) trigger
-	// collection in both chase phases, re-enumerating every trigger
-	// against the whole instance each round. Results are byte-identical
-	// either way; exists for the ablation benchmarks and parity gates.
-	NaiveChase bool
 	// Parallelism bounds the workers of the parallel phases (chase
 	// trigger search, per-block homomorphism checks): 0 means GOMAXPROCS,
 	// 1 forces the serial paths. The verdict and the whole trace are
@@ -156,24 +146,13 @@ func ExistsSolutionTractableFrom(i *rel.Instance, trace *TractableTrace, opts Tr
 	t := *trace
 	trace = &t
 	trace.FailedBlock = -1
-	h := opts.homOpts()
-
-	if opts.WholeInstanceHom {
-		ok := hom.Exists(hom.InstanceAtoms(trace.ICan), i, nil, h)
-		if err := canceled(opts.Ctx, "tractable algorithm"); err != nil {
-			return false, trace, err // the aborted search's verdict is meaningless
-		}
-		if !ok {
-			trace.FailedBlock = 0
-		}
-		return ok, trace, nil
-	}
 
 	// The per-block checks fan out across workers with early cancellation
 	// and a memoizing cache keyed on the canonical block signature; the
 	// reported index is the minimal failing one, exactly as the serial
-	// left-to-right scan returns (see hom.CheckBlocks).
-	idx := hom.CheckBlocks(trace.BlockList, i, h)
+	// left-to-right scan returns (see hom.CheckBlocks). By Proposition 1
+	// this agrees with one homomorphism search of the whole I_can.
+	idx := hom.CheckBlocks(trace.BlockList, i, opts.homOpts())
 	if err := canceled(opts.Ctx, "tractable algorithm"); err != nil {
 		return false, trace, err // a canceled CheckBlocks index is meaningless
 	}
@@ -191,13 +170,12 @@ func canonicalInstances(s *Setting, i, j *rel.Instance, opts TractableOptions) (
 	nulls.SeenIn(i)
 	nulls.SeenIn(j)
 	copts := chase.Options{
-		Nulls:         nulls,
-		Hom:           opts.Hom,
-		MaxSteps:      opts.MaxChaseSteps,
-		NaiveTriggers: opts.NaiveChase,
-		Parallelism:   opts.Parallelism,
-		Seed:          opts.Seed,
-		Ctx:           opts.Ctx,
+		Nulls:       nulls,
+		Hom:         opts.Hom,
+		MaxSteps:    opts.MaxChaseSteps,
+		Parallelism: opts.Parallelism,
+		Seed:        opts.Seed,
+		Ctx:         opts.Ctx,
 	}
 
 	// Phase 1: (I, J_can) := chase of (I, J) with Σst.

@@ -20,8 +20,7 @@ import (
 // merges (egd steps) rewrite tuples in place without shuffling indexes
 // (rel.Instance.MergeValue), so counts stay valid across merges; the
 // rewritten old tuples are carried separately as the Changed lists of a
-// DeltaSpec. Only the legacy rebuild path (chase.Options.RebuildMerges)
-// still invalidates watermarks back to nil.
+// DeltaSpec, so a watermark is never invalidated.
 type Delta map[string]int
 
 // Names returns the watermark's relation names in sorted order — the

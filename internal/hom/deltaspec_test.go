@@ -94,8 +94,7 @@ func oldUnchangedCopy(inst *rel.Instance, counts Delta, changed map[string][]int
 // old segment, in-place merges, and appended tuples,
 // EnumerateDeltaSpec returns exactly the full enumeration minus the
 // bindings realizable over unchanged old tuples, in the full
-// enumeration's order, at every parallelism setting and with and
-// without indexes.
+// enumeration's order, serially and in parallel.
 func TestEnumerateDeltaSpecMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 60; trial++ {
@@ -105,7 +104,7 @@ func TestEnumerateDeltaSpecMatchesReference(t *testing.T) {
 		oldUnchanged.Freeze()
 		for pi, atoms := range deltaTestPatterns {
 			want := deltaReference(atoms, inst, oldUnchanged, Options{})
-			for _, opts := range []Options{{}, {Parallelism: 4}, {NoIndex: true}, {NoIndex: true, Parallelism: 4}} {
+			for _, opts := range []Options{{}, {Parallelism: 4}} {
 				spec := DeltaSpec{Old: counts, Changed: changed}
 				got := EnumerateDeltaSpec(atoms, inst, nil, spec, opts, nil)
 				if len(got) != len(want) {

@@ -62,8 +62,9 @@ func Enumerate(atoms []dep.Atom, inst *rel.Instance, init Binding, opts Options,
 		scratch.release()
 		return out
 	}
-	// The scratch searcher owns the candidate buffer in the NoIndex
-	// case; copy before handing ranges to workers.
+	// The scratch searcher owns the candidate buffer when no position of
+	// the first atom is bound (the live-slot scan); copy before handing
+	// ranges to workers.
 	owned := make([]int, len(candidates))
 	copy(owned, candidates)
 	scratch.release()

@@ -29,9 +29,6 @@ func (b Binding) Clone() Binding {
 
 // Options controls the homomorphism search.
 type Options struct {
-	// NoIndex disables the per-position indexes of relations, forcing
-	// full scans. It exists only for the ablation benchmarks.
-	NoIndex bool
 	// Parallelism bounds the worker count of the parallel entry points
 	// (Enumerate, CheckBlocks, InstanceHomExists): 0 means GOMAXPROCS,
 	// 1 forces the serial path, n > 1 uses n workers. Results are
@@ -375,33 +372,31 @@ func (s *searcher) candidateTuples(r *rel.Relation, a dep.Atom, b Binding, depth
 			return list[:sort.SearchInts(list, hi)]
 		}
 	}
-	if !s.opts.NoIndex {
-		bestPos, bestVal, bestLen := -1, rel.Value{}, -1
-		for j, term := range a.Args {
-			var v rel.Value
-			if term.IsConst {
-				v = rel.Const(term.Name)
-			} else if bv, bound := b[term.Name]; bound {
-				v = bv
-			} else {
-				continue
-			}
-			l := len(r.MatchingAt(j, v))
-			if bestLen == -1 || l < bestLen {
-				bestPos, bestVal, bestLen = j, v, l
-			}
+	bestPos, bestVal, bestLen := -1, rel.Value{}, -1
+	for j, term := range a.Args {
+		var v rel.Value
+		if term.IsConst {
+			v = rel.Const(term.Name)
+		} else if bv, bound := b[term.Name]; bound {
+			v = bv
+		} else {
+			continue
 		}
-		if bestPos >= 0 {
-			// Position-index lists hold ascending tuple indexes (they are
-			// append-only as tuples arrive), so the bound clip is a binary
-			// search, not a scan.
-			list := r.MatchingAt(bestPos, bestVal)
-			if s.low != nil {
-				list = list[sort.SearchInts(list, lo):]
-				list = list[:sort.SearchInts(list, hi)]
-			}
-			return list
+		l := len(r.MatchingAt(j, v))
+		if bestLen == -1 || l < bestLen {
+			bestPos, bestVal, bestLen = j, v, l
 		}
+	}
+	if bestPos >= 0 {
+		// Position-index lists hold ascending tuple indexes (they are
+		// append-only as tuples arrive), so the bound clip is a binary
+		// search, not a scan.
+		list := r.MatchingAt(bestPos, bestVal)
+		if s.low != nil {
+			list = list[sort.SearchInts(list, lo):]
+			list = list[:sort.SearchInts(list, hi)]
+		}
+		return list
 	}
 	for len(s.allIdx) <= depth {
 		s.allIdx = append(s.allIdx, nil)

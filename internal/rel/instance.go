@@ -227,7 +227,7 @@ func (r *Relation) tombstone(idx int) {
 // mergeValue rewrites every live tuple carrying from so it holds to
 // instead, in place. A rewrite that collides with an existing tuple
 // keeps the copy with the smaller index and tombstones the other —
-// exactly the first-occurrence-wins dedup a full rebuild (ReplaceValue)
+// exactly the first-occurrence-wins dedup a full rebuild (MapValues)
 // performs, so the surviving tuples and their relative order match the
 // rebuild byte for byte, while surviving indexes stay put. It returns
 // the sorted indexes of live tuples whose content changed.
@@ -451,13 +451,13 @@ func (inst *Instance) IsEmpty() bool { return inst.NumFacts() == 0 }
 
 // TupleCounts returns the current tuple slot count of every relation,
 // keyed by name. Relations grow append-only (AddTuple appends; only
-// RemoveLastTuple and the ReplaceValue/MapValues rebuilds disturb the
-// order), so a snapshot of the counts splits each relation into a
-// stable old prefix and a new suffix until the next non-append
-// mutation — this is the watermark the semi-naive chase keeps per
-// dependency (see hom.Delta). Tombstoned slots are counted: MergeValue
-// keeps slot indexes stable precisely so these watermarks survive egd
-// merges. Empty relations are included.
+// RemoveLastTuple and the MapValues rebuild disturb the order), so a
+// snapshot of the counts splits each relation into a stable old prefix
+// and a new suffix until the next non-append mutation — this is the
+// watermark the semi-naive chase keeps per dependency (see hom.Delta).
+// Tombstoned slots are counted: MergeValue keeps slot indexes stable
+// precisely so these watermarks survive egd merges. Empty relations
+// are included.
 func (inst *Instance) TupleCounts() map[string]int {
 	counts := make(map[string]int, len(inst.rels))
 	for name, r := range inst.rels {
@@ -579,30 +579,13 @@ func (inst *Instance) HasNulls() bool {
 	return false
 }
 
-// ReplaceValue returns a new instance with every occurrence of from
-// replaced by to. It is used by equality-generating dependency chase
-// steps, which identify a null with a constant or with another null.
-func (inst *Instance) ReplaceValue(from, to Value) *Instance {
-	out := NewInstance()
-	for _, f := range inst.Facts() {
-		t := f.Args.Clone()
-		for i, v := range t {
-			if v == from {
-				t[i] = to
-			}
-		}
-		out.AddTuple(f.Rel, t)
-	}
-	return out
-}
-
 // MergeValue substitutes to for every occurrence of from, in place.
-// It is the union-find egd engine's counterpart of ReplaceValue: where
-// ReplaceValue rebuilds the whole instance (shuffling every tuple
+// It is the in-place counterpart of MapValues(map[Value]Value{from: to}):
+// where MapValues rebuilds the whole instance (shuffling every tuple
 // index), MergeValue rewrites only the tuples that carry from and
 // tombstones rewrites that collide with an existing tuple (keeping the
-// copy with the smaller index, matching ReplaceValue's
-// first-occurrence-wins dedup). Surviving tuples keep their indexes,
+// copy with the smaller index, matching MapValues' first-occurrence-wins
+// dedup). Surviving tuples keep their indexes,
 // so TupleCounts watermarks taken before the merge stay valid.
 //
 // The result maps each relation to the sorted indexes of live tuples

@@ -134,16 +134,25 @@ func TestActiveDomainAndNulls(t *testing.T) {
 	}
 }
 
+// TestReplaceValueMergesTuples checks the single-value rebuild
+// MapValues(map[Value]Value{from: to}), which replaced the former
+// ReplaceValue helper: tuples that become equal collapse into one, the
+// receiver is left untouched, and in-place MergeValue keeps the same
+// tuple.
 func TestReplaceValueMergesTuples(t *testing.T) {
 	inst := NewInstance()
 	inst.Add("E", Null(1), Const("b"))
 	inst.Add("E", Const("a"), Const("b"))
-	out := inst.ReplaceValue(Null(1), Const("a"))
+	out := inst.MapValues(map[Value]Value{Null(1): Const("a")})
 	if out.NumFacts() != 1 {
-		t.Errorf("ReplaceValue should merge duplicate tuples, got %d facts:\n%s", out.NumFacts(), out)
+		t.Errorf("MapValues should merge duplicate tuples, got %d facts:\n%s", out.NumFacts(), out)
 	}
 	if inst.NumFacts() != 2 {
-		t.Error("ReplaceValue mutated its receiver")
+		t.Error("MapValues mutated its receiver")
+	}
+	inst.MergeValue(Null(1), Const("a"))
+	if inst.Compact().String() != out.String() {
+		t.Errorf("MergeValue kept %s, rebuild kept %s", inst.Compact(), out)
 	}
 }
 

@@ -84,8 +84,10 @@ func TestCompactNoTombstonesReturnsSame(t *testing.T) {
 
 // TestMergeValueMatchesReplaceValue is the parity property the chase
 // engine rests on: a sequence of in-place merges followed by one final
-// compaction yields byte-for-byte the instance that the rebuild path
-// (ReplaceValue) produces, with live tuples in the same relative order.
+// compaction yields byte-for-byte the instance that the single-value
+// rebuild MapValues(map[Value]Value{from: to}) produces, with live
+// tuples in the same relative order. (The test keeps the name of the
+// former ReplaceValue helper, which that rebuild replaced.)
 func TestMergeValueMatchesReplaceValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -112,7 +114,7 @@ func TestMergeValueMatchesReplaceValue(t *testing.T) {
 				continue
 			}
 			merged.MergeValue(from, to)
-			rebuilt = rebuilt.ReplaceValue(from, to)
+			rebuilt = rebuilt.MapValues(map[Value]Value{from: to})
 		}
 		compact := merged.Compact()
 		if compact.String() != rebuilt.String() {

@@ -288,10 +288,10 @@ func chainRel(lvl int) string { return fmt.Sprintf("T%d", lvl) }
 // first. The chase processes a round's dependencies in order, so the
 // forward listing cascades the whole chain inside a single round; the
 // reversed listing fills exactly one layer per round, making the chase
-// take depth+1 rounds. This is the deep-recursion shape where the
-// naive chase re-enumerates every filled layer every round — Θ(depth²)
-// body scans — while the semi-naive chase touches each layer's facts
-// O(1) times (EXP-DELTA).
+// take depth+1 rounds. This is the deep-recursion shape where a naive
+// chase re-enumerates every filled layer every round — Θ(depth²) body
+// scans — while the semi-naive chase touches each layer's facts O(1)
+// times (BenchmarkChaseDeepRecursion).
 func DeepChainDeps(depth int) []dep.Dependency {
 	fwd := ChainDeps(depth)
 	out := make([]dep.Dependency, 0, len(fwd))

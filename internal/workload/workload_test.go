@@ -8,6 +8,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/dep"
+	"repro/internal/oracle"
 	"repro/internal/rel"
 	"repro/internal/workload"
 )
@@ -160,34 +161,34 @@ func TestKeyedLAVSetting(t *testing.T) {
 
 // TestKeyedLAVInstanceMerges: the generator really is egd-heavy — the
 // chase of Union(i, j) performs one merge per person and reaches a
-// clean fixpoint, and both engines agree byte-for-byte.
+// clean fixpoint, byte for byte the reference chase's (oracle.Chase),
+// with the engine at Parallelism 1 and 4.
 func TestKeyedLAVInstanceMerges(t *testing.T) {
 	const n = 60
 	s := workload.KeyedLAVSetting()
 	i, j := workload.KeyedLAVInstance(n)
 	start := rel.Union(i, j)
 	deps := append(append([]dep.Dependency{}, s.StDeps()...), s.T...)
-	res, err := chase.Run(start, deps, chase.Options{})
+	ref, err := oracle.Chase(start, deps, nil, false, chase.DefaultMaxSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Failed {
-		t.Fatalf("keyed chase failed on %s", res.FailedOn)
-	}
-	if res.Merges != n {
-		t.Fatalf("chase applied %d merges, want one per person (%d)", res.Merges, n)
-	}
-	if res.UnionFind == nil || res.UnionFind.Merges() != n {
-		t.Fatalf("union-find state not retained: %v", res.UnionFind)
-	}
-	legacy, err := chase.Run(start, deps, chase.Options{RebuildMerges: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Instance.String() != res.Instance.String() || legacy.Steps != res.Steps {
-		t.Fatal("rebuild and union-find engines diverged on the keyed workload")
-	}
-	if legacy.UnionFind != nil {
-		t.Fatal("rebuild engine retained a union-find")
+	for _, par := range []int{1, 4} {
+		res, err := chase.Run(start, deps, chase.Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed {
+			t.Fatalf("keyed chase failed on %s", res.FailedOn)
+		}
+		if res.Merges != n {
+			t.Fatalf("chase applied %d merges, want one per person (%d)", res.Merges, n)
+		}
+		if res.UnionFind == nil || res.UnionFind.Merges() != n {
+			t.Fatalf("union-find state not retained: %v", res.UnionFind)
+		}
+		if ref.Instance.String() != res.Instance.String() || ref.Steps != res.Steps || ref.Merges != res.Merges || ref.Failed {
+			t.Fatalf("par %d: engine diverged from the reference chase on the keyed workload", par)
+		}
 	}
 }

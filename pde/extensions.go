@@ -35,12 +35,11 @@ func UniversalSolution(s *Setting, i, j *Instance, opts ...Options) (sol *Instan
 // (used by the data-exchange helpers, which chase but never search).
 func chaseOptions(o Options) chase.Options {
 	return chase.Options{
-		Parallelism:   o.Parallelism,
-		Seed:          o.Seed,
-		MaxSteps:      o.Solve.MaxChaseSteps,
-		NaiveTriggers: o.Solve.NaiveChase,
-		Hom:           o.Solve.Hom,
-		Ctx:           o.Solve.Ctx,
+		Parallelism: o.Parallelism,
+		Seed:        o.Seed,
+		MaxSteps:    o.Solve.MaxChaseSteps,
+		Hom:         o.Solve.Hom,
+		Ctx:         o.Solve.Ctx,
 	}
 }
 

@@ -243,12 +243,6 @@ type Options struct {
 	// Seed perturbs parallel work distribution (never results); folded
 	// like Parallelism.
 	Seed int64
-	// NaiveChase disables the semi-naive (delta-driven) trigger
-	// collection in every chase the call runs, re-enumerating triggers
-	// against the whole instance each round. Results are byte-identical
-	// either way; the knob exists for ablation benchmarks and parity
-	// gates. Folded into Solve and Tractable.
-	NaiveChase bool
 	// Compiled makes CertainBool and CertainAnswers try the compiled
 	// plan path first (package qplan): for settings in the compilable
 	// C_tract fragment the chase and solution enumeration are skipped
@@ -299,10 +293,6 @@ func (o Options) normalized() Options {
 		if o.Tractable.Seed == 0 {
 			o.Tractable.Seed = o.Seed
 		}
-	}
-	if o.NaiveChase {
-		o.Solve.NaiveChase = true
-		o.Tractable.NaiveChase = true
 	}
 	return o
 }
