@@ -16,6 +16,7 @@ import (
 	"repro/internal/dep"
 	"repro/internal/graph"
 	"repro/internal/hom"
+	"repro/internal/par"
 	"repro/internal/pdms"
 	"repro/internal/reductions"
 	"repro/internal/rel"
@@ -498,7 +499,7 @@ func BenchmarkAblationParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", w.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for it := 0; it < b.N; it++ {
-					ok, _, err := core.ExistsSolutionTractable(w.s, w.i, w.j, core.TractableOptions{Parallelism: workers})
+					ok, _, err := core.ExistsSolutionTractable(w.s, w.i, w.j, core.TractableOptions{Config: par.Config{Parallelism: workers}})
 					if err != nil || !ok {
 						b.Fatalf("ok=%v err=%v", ok, err)
 					}

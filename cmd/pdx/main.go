@@ -170,8 +170,7 @@ func cmdSolve(args []string) error {
 	if err := in.load(true); err != nil {
 		return err
 	}
-	opts := pde.Options{ForceGeneric: *forceGeneric}
-	opts.Solve.MaxNodes = *maxNodes
+	opts := pde.Options{ForceGeneric: *forceGeneric, MaxNodes: *maxNodes}
 	var res pde.Result
 	var err error
 	if *witness {
@@ -216,8 +215,7 @@ func cmdCertain(args []string) error {
 	if err != nil {
 		return fmt.Errorf("parsing %s: %w", *queries, err)
 	}
-	opts := pde.Options{}
-	opts.Solve.MaxNodes = *maxNodes
+	opts := pde.Options{MaxNodes: *maxNodes}
 	for _, q := range qs {
 		if q[0].IsBoolean() {
 			res, err := pde.CertainBool(in.settingV, in.sourceV, in.targetV, q, opts)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dep"
 	"repro/internal/graph"
 	"repro/internal/hom"
+	"repro/internal/par"
 	"repro/internal/pdms"
 	"repro/internal/reductions"
 	"repro/internal/rel"
@@ -302,7 +303,7 @@ func expParallel(w io.Writer) error {
 			var err error
 			var ok bool
 			d := timed(func() {
-				ok, trace, err = core.ExistsSolutionTractable(c.s, c.i, c.j, core.TractableOptions{Parallelism: workers})
+				ok, trace, err = core.ExistsSolutionTractable(c.s, c.i, c.j, core.TractableOptions{Config: par.Config{Parallelism: workers}})
 			})
 			if err != nil {
 				return err

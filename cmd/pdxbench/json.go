@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dep"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/qplan"
 	"repro/internal/reductions"
 	"repro/internal/rel"
@@ -465,7 +466,7 @@ func jsonBenchSuite() (*benchReport, error) {
 		rec := record("tractable-lav/n=1600/delta-par4", &steps, nil, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ok, trace, err := core.ExistsSolutionTractable(workload.LAVSetting(), lavI, lavJ,
-					core.TractableOptions{Parallelism: 4})
+					core.TractableOptions{Config: par.Config{Parallelism: 4}})
 				if err != nil || !ok {
 					b.Fatalf("lav n=1600 parallel rejected: ok=%v err=%v", ok, err)
 				}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/oracle"
+	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/pde"
 )
@@ -53,14 +54,14 @@ func TestDeltaChaseGateExamples(t *testing.T) {
 				jcan.Freeze()
 				ref2, r2err = oracle.Chase(jcan, s.TsDeps(), nil, false, gateMaxSteps)
 			}
-			for _, par := range []int{1, 4} {
-				semi, serr := chase.Run(inst, stDeps, chase.Options{MaxSteps: gateMaxSteps, Parallelism: par})
-				compareChaseRuns(t, fmt.Sprintf("Σst par=%d", par), ref, rerr, semi, serr)
+			for _, workers := range []int{1, 4} {
+				semi, serr := chase.Run(inst, stDeps, chase.Options{Config: par.Config{Parallelism: workers}, MaxSteps: gateMaxSteps})
+				compareChaseRuns(t, fmt.Sprintf("Σst par=%d", workers), ref, rerr, semi, serr)
 				if jcan == nil {
 					continue
 				}
-				s2, s2err := chase.Run(jcan, s.TsDeps(), chase.Options{MaxSteps: gateMaxSteps, Parallelism: par})
-				compareChaseRuns(t, fmt.Sprintf("Σts par=%d", par), ref2, r2err, s2, s2err)
+				s2, s2err := chase.Run(jcan, s.TsDeps(), chase.Options{Config: par.Config{Parallelism: workers}, MaxSteps: gateMaxSteps})
+				compareChaseRuns(t, fmt.Sprintf("Σts par=%d", workers), ref2, r2err, s2, s2err)
 			}
 		})
 	}

@@ -181,6 +181,17 @@ func (o Options) forEach(s *core.Setting, i, j *rel.Instance, fn func(*rel.Insta
 	return core.ForEachImageSolution(s, i, j, o.Solve, fn)
 }
 
+// evalOpts configures query evaluation over one image solution. It
+// carries no Ctx: a canceled search may report a spurious miss, which
+// here would become a verdict. The enumeration polls Ctx between
+// solutions instead, and a query over one solution is a single serial
+// search.
+func (o Options) evalOpts() hom.Options {
+	c := o.Solve.Config
+	c.Ctx = nil
+	return c
+}
+
 // Result reports a certain-answers computation.
 type Result struct {
 	// SolutionExists is false when (I, J) has no solution; then every
@@ -203,7 +214,7 @@ func Boolean(s *core.Setting, i, j *rel.Instance, q UCQ, opts Options) (Result, 
 	_, err := opts.forEach(s, i, j, func(sol *rel.Instance) bool {
 		res.SolutionExists = true
 		res.SolutionsExamined++
-		if !q.EvalBool(sol, opts.Solve.Hom) {
+		if !q.EvalBool(sol, opts.evalOpts()) {
 			res.Certain = false
 			return false // one counterexample solution settles it
 		}
@@ -224,7 +235,7 @@ func Answers(s *core.Setting, i, j *rel.Instance, q UCQ, opts Options) (Result, 
 		res.SolutionExists = true
 		res.SolutionsExamined++
 		cur := make(map[rel.TupleKey]rel.Tuple)
-		for _, t := range q.Eval(sol, opts.Solve.Hom) {
+		for _, t := range q.Eval(sol, opts.evalOpts()) {
 			if tupleGround(t) {
 				cur[rel.KeyOf(t)] = t
 			}

@@ -7,7 +7,6 @@
 package chase
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -58,8 +57,16 @@ func BudgetHint(tgds []dep.TGD, size int) int {
 	return budget
 }
 
-// Options configures a chase run.
+// Options configures a chase run. The embedded execution config applies
+// to the trigger searches: with Parallelism above 1, triggers for the
+// dependencies of a round are collected in parallel against the
+// round-start instance and applied serially, so restricted-chase
+// semantics, step counts, and fresh-null labels are byte-identical to
+// the serial chase at every setting; a canceled Ctx stops the run at the
+// next step with an error wrapping par.ErrCanceled and the context's own
+// error.
 type Options struct {
+	par.Config
 	// MaxSteps bounds the number of chase steps; 0 means
 	// DefaultMaxSteps.
 	MaxSteps int
@@ -71,24 +78,6 @@ type Options struct {
 	// Nulls supplies fresh labeled nulls; if nil, a source seeded past
 	// the nulls of the start instance is created.
 	Nulls *rel.NullSource
-	// Hom configures the homomorphism searches.
-	Hom hom.Options
-	// Parallelism bounds the workers used for trigger search: 0 means
-	// GOMAXPROCS, 1 forces the serial path. Triggers for the
-	// dependencies of a round are collected in parallel against the
-	// round-start instance and applied serially, so restricted-chase
-	// semantics, step counts, and fresh-null labels are byte-identical
-	// to the serial chase at every setting. When nonzero it overrides
-	// Hom.Parallelism for the searches the chase issues.
-	Parallelism int
-	// Seed perturbs parallel work distribution (never results); when
-	// nonzero it overrides Hom.Seed.
-	Seed int64
-	// Ctx, when non-nil, cancels the chase: every step checks it, and
-	// the trigger searches poll it, so a canceled context stops the run
-	// promptly with an error wrapping par.ErrCanceled and the context's
-	// own error. nil means never canceled.
-	Ctx context.Context
 }
 
 // Result reports the outcome of a chase run.
@@ -134,22 +123,6 @@ func (o Options) maxSteps() int {
 	return DefaultMaxSteps
 }
 
-// homOpts folds the chase-level parallelism knobs into the hom options
-// used for trigger search.
-func (o Options) homOpts() hom.Options {
-	h := o.Hom
-	if o.Parallelism != 0 {
-		h.Parallelism = o.Parallelism
-	}
-	if o.Seed != 0 {
-		h.Seed = o.Seed
-	}
-	if h.Ctx == nil {
-		h.Ctx = o.Ctx
-	}
-	return h
-}
-
 func (o Options) nulls(start *rel.Instance) *rel.NullSource {
 	if o.Nulls != nil {
 		return o.Nulls
@@ -172,7 +145,6 @@ func Run(start *rel.Instance, deps []dep.Dependency, opts Options) (*Result, err
 		inst:   start.Clone(),
 		start:  start,
 		opts:   opts,
-		hom:    opts.homOpts(),
 		nulls:  opts.nulls(start),
 		budget: opts.maxSteps(),
 	}
@@ -195,7 +167,6 @@ func RunSolutionAware(start *rel.Instance, deps []dep.Dependency, witness *rel.I
 		inst:   start.Clone(),
 		start:  start,
 		opts:   opts,
-		hom:    opts.homOpts(),
 		nulls:  opts.nulls(start),
 		budget: opts.maxSteps(),
 	}
@@ -227,7 +198,6 @@ type state struct {
 	inst     *rel.Instance
 	start    *rel.Instance // the caller's start instance, reported on Result
 	opts     Options
-	hom      hom.Options // resolved homOpts(), applied to every search
 	nulls    *rel.NullSource
 	budget   int
 	steps    int
@@ -465,7 +435,7 @@ func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed
 // as long as the instance is unchanged; round discards the speculation
 // once any step fires.
 func (st *state) speculate(deps []dep.Dependency) [][]hom.Binding {
-	degree := par.Degree(st.hom.Parallelism)
+	degree := par.Degree(st.opts.Parallelism)
 	if degree <= 1 {
 		return nil
 	}
@@ -479,7 +449,7 @@ func (st *state) speculate(deps []dep.Dependency) [][]hom.Binding {
 		return nil
 	}
 	spec := make([][]hom.Binding, len(deps))
-	par.Do(len(idxs), degree, st.hom.Seed, func(k int) {
+	par.Do(len(idxs), degree, st.opts.Seed, func(k int) {
 		di := idxs[k]
 		spec[di] = st.collectTriggers(di, deps[di].(dep.TGD), st.marks[di])
 	})
@@ -544,12 +514,12 @@ func (st *state) collectTriggers(di int, d dep.TGD, m mark) []hom.Binding {
 	}
 	if st.opts.Oblivious {
 		fired, vars := st.fired[di], st.uvars[di]
-		return hom.EnumerateDeltaSpec(d.Body, st.inst, nil, spec, st.hom, func(b hom.Binding) bool {
+		return hom.EnumerateDeltaSpec(d.Body, st.inst, nil, spec, st.opts.Config, func(b hom.Binding) bool {
 			return !fired[makeFiredKey(vars, b)]
 		})
 	}
-	return hom.EnumerateDeltaSpec(d.Body, st.inst, nil, spec, st.hom, func(b hom.Binding) bool {
-		return !hom.Exists(d.Head, st.inst, b, st.hom)
+	return hom.EnumerateDeltaSpec(d.Body, st.inst, nil, spec, st.opts.Config, func(b hom.Binding) bool {
+		return !hom.Exists(d.Head, st.inst, b, st.opts.Config)
 	})
 }
 
@@ -566,7 +536,7 @@ func (st *state) fireTriggers(di int, d dep.TGD, triggers []hom.Binding, witness
 				continue
 			}
 			st.fired[di][key] = true
-		} else if hom.Exists(d.Head, st.inst, b, st.hom) {
+		} else if hom.Exists(d.Head, st.inst, b, st.opts.Config) {
 			// Re-check: an earlier firing in this pass may have
 			// satisfied this trigger (restricted chase).
 			continue
@@ -601,7 +571,7 @@ func (st *state) fire(d dep.TGD, b hom.Binding, witness *rel.Instance) error {
 			// Solution-aware step: extend the trigger homomorphism into
 			// the witness, which satisfies the tgd, so an extension is
 			// guaranteed when the trigger facts lie inside the witness.
-			w, ok := hom.FindOne(d.Head, witness, b, st.hom)
+			w, ok := hom.FindOne(d.Head, witness, b, st.opts.Config)
 			if !ok {
 				return fmt.Errorf("chase: solution-aware step for %s found no witness extension; witness does not satisfy the tgds", d.Label)
 			}
@@ -684,7 +654,7 @@ func (st *state) egdPass(d dep.EGD) (progressed, failed bool, err error) {
 	for {
 		var l, r rel.Value
 		found := false
-		hom.ForEach(d.Body, st.inst, nil, st.hom, func(b hom.Binding) bool {
+		hom.ForEach(d.Body, st.inst, nil, st.opts.Config, func(b hom.Binding) bool {
 			if b[d.Left] != b[d.Right] {
 				l, r = b[d.Left], b[d.Right]
 				found = true

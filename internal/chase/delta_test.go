@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -25,11 +26,11 @@ func TestChaseSemiNaiveMatchesNaiveProperty(t *testing.T) {
 		inst.Freeze()
 		for _, oblivious := range []bool{false, true} {
 			want := referenceChase(inst, deps, nil, oblivious)
-			for _, par := range []int{1, 4} {
-				semi, serr := chase.Run(inst, deps, chase.Options{Oblivious: oblivious, Parallelism: par})
+			for _, workers := range []int{1, 4} {
+				semi, serr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers}, Oblivious: oblivious})
 				if got := fingerprint(semi, serr); got != want {
 					t.Fatalf("trial %d obl=%v par=%d: semi-naive diverges from the reference chase\nsemi-naive: %+v\noracle:     %+v\ndeps: %v",
-						trial, oblivious, par, got, want, deps)
+						trial, oblivious, workers, got, want, deps)
 				}
 			}
 		}
@@ -51,10 +52,10 @@ func TestChaseSemiNaiveMatchesNaiveSolutionAware(t *testing.T) {
 		witness.Freeze()
 		inst.Freeze()
 		want := referenceChase(inst, deps, witness, false)
-		for _, par := range []int{1, 4} {
-			semi, serr := chase.RunSolutionAware(inst, deps, witness, chase.Options{Parallelism: par})
+		for _, workers := range []int{1, 4} {
+			semi, serr := chase.RunSolutionAware(inst, deps, witness, chase.Options{Config: par.Config{Parallelism: workers}})
 			if got := fingerprint(semi, serr); got != want {
-				t.Fatalf("trial %d par=%d: solution-aware parity broken\nsemi-naive: %+v\noracle:     %+v", trial, par, got, want)
+				t.Fatalf("trial %d par=%d: solution-aware parity broken\nsemi-naive: %+v\noracle:     %+v", trial, workers, got, want)
 			}
 		}
 	}
@@ -70,13 +71,13 @@ func TestChaseSemiNaiveDeepChain(t *testing.T) {
 	inst := workload.ChainInstance(40)
 	inst.Freeze()
 	want := referenceChase(inst, deps, nil, false)
-	for _, par := range []int{1, 4} {
-		semi, serr := chase.Run(inst, deps, chase.Options{Parallelism: par})
+	for _, workers := range []int{1, 4} {
+		semi, serr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers}})
 		if serr != nil {
-			t.Fatalf("par %d: chain chase errored: %v", par, serr)
+			t.Fatalf("par %d: chain chase errored: %v", workers, serr)
 		}
 		if got := fingerprint(semi, nil); got != want {
-			t.Fatalf("par %d: chain chase diverges from the reference chase (steps %d vs %d)", par, got.steps, want.steps)
+			t.Fatalf("par %d: chain chase diverges from the reference chase (steps %d vs %d)", workers, got.steps, want.steps)
 		}
 		if w := 6 * 40; semi.Steps != w {
 			t.Fatalf("chain chase fired %d steps, want %d", semi.Steps, w)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dep"
 	"repro/internal/hom"
 	"repro/internal/oracle"
+	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/workload"
 )
@@ -97,20 +98,62 @@ func injectNullDrafts(rng *rand.Rand, inst *rel.Instance) {
 	}
 }
 
+// randomMergeJoin generates an egd workload in which merges create new
+// tgd body matches. Each key a_k holds a labeled null n_k beside a
+// constant c_k in the keyed relation K, so the key egd merges n_k into
+// c_k. That rewrites in place the facts R(n_k, d_k) and K(b_k, n_k)
+// into R(c_k, d_k) and K(b_k, c_k), which join S(c_k) for the two join
+// tgds. The tgds come first in dependency order, so they collect their
+// triggers before the first merge; afterwards only the merge change log
+// (hom.DeltaSpec.Changed) shows the rewritten facts to the semi-naive
+// trigger collection.
+func randomMergeJoin(rng *rand.Rand) ([]dep.Dependency, *rel.Instance) {
+	x, y, z, w := dep.Var("x"), dep.Var("y"), dep.Var("z"), dep.Var("w")
+	deps := []dep.Dependency{
+		dep.TGD{Label: "joinR", Body: []dep.Atom{dep.NewAtom("R", y, w), dep.NewAtom("S", y)}, Head: []dep.Atom{dep.NewAtom("Q", w)}},
+		dep.TGD{Label: "joinK", Body: []dep.Atom{dep.NewAtom("K", x, y), dep.NewAtom("S", y)}, Head: []dep.Atom{dep.NewAtom("Q", x)}},
+	}
+	rng.Shuffle(len(deps), func(a, b int) { deps[a], deps[b] = deps[b], deps[a] })
+	deps = append(deps, dep.EGD{Label: "key", Body: []dep.Atom{dep.NewAtom("K", x, y), dep.NewAtom("K", x, z)}, Left: "y", Right: "z"})
+	inst := rel.NewInstance()
+	for k := 0; k < 2+rng.Intn(3); k++ {
+		a, c, n := rel.Const(fmt.Sprintf("a%d", k)), rel.Const(fmt.Sprintf("c%d", k)), rel.Null(k+1)
+		inst.Add("K", a, n)
+		inst.Add("K", a, c)
+		if rng.Intn(3) > 0 {
+			inst.Add("S", c)
+		}
+		if rng.Intn(2) == 0 {
+			inst.Add("R", n, rel.Const(fmt.Sprintf("d%d", k)))
+		}
+		if rng.Intn(2) == 0 {
+			inst.Add("K", rel.Const(fmt.Sprintf("b%d", k)), n)
+		}
+	}
+	return deps, inst
+}
+
 // TestEngineParityProperty is the parity property suite for the
 // union-find egd engine: over random egd-bearing settings and start
 // instances, the engine and the reference chase must produce
 // byte-identical instances, step and merge counts, failure verdicts,
 // and EgdFired flags — in restricted, oblivious, and solution-aware
-// modes, with the engine at Parallelism 1 and 4.
+// modes, with the engine at Parallelism 1 and 4. The last trials use
+// randomMergeJoin, whose merges create tgd body matches.
 func TestEngineParityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const trials = 40
+	const trials, mergeJoinTrials = 40, 20
 	merged := 0
-	for trial := 0; trial < trials; trial++ {
-		deps := workload.RandomWeaklyAcyclicDeps(rng)
-		inst := workload.RandomLayerInstance(rng)
-		injectNullDrafts(rng, inst)
+	for trial := 0; trial < trials+mergeJoinTrials; trial++ {
+		var deps []dep.Dependency
+		var inst *rel.Instance
+		if trial < trials {
+			deps = workload.RandomWeaklyAcyclicDeps(rng)
+			inst = workload.RandomLayerInstance(rng)
+			injectNullDrafts(rng, inst)
+		} else {
+			deps, inst = randomMergeJoin(rng)
+		}
 
 		// Solution-aware witness: the fixpoint of a plain restricted
 		// chase satisfies all deps and contains the start instance.
@@ -132,9 +175,9 @@ func TestEngineParityProperty(t *testing.T) {
 			default:
 				want = referenceChase(inst, deps, nil, false)
 			}
-			for _, par := range []int{1, 4} {
-				name := fmt.Sprintf("trial %d mode %s par %d", trial, mode, par)
-				opts := chase.Options{Parallelism: par}
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("trial %d mode %s par %d", trial, mode, workers)
+				opts := chase.Options{Config: par.Config{Parallelism: workers}}
 				var res *chase.Result
 				var err error
 				switch mode {
@@ -158,7 +201,7 @@ func TestEngineParityProperty(t *testing.T) {
 						t.Fatalf("%s: merging run retained no union-find", name)
 					}
 				}
-				if !chase.Check(res.Instance, deps, hom.Options{Parallelism: par}) {
+				if !chase.Check(res.Instance, deps, hom.Options{Parallelism: workers}) {
 					t.Fatalf("%s: union-find fixpoint violates deps", name)
 				}
 			}
@@ -181,16 +224,16 @@ func TestEngineParityKeyedLAV(t *testing.T) {
 	if want.err != "" {
 		t.Fatalf("reference chase errored: %s", want.err)
 	}
-	for _, par := range []int{1, 4} {
-		res, err := chase.Run(start, deps, chase.Options{Parallelism: par})
+	for _, workers := range []int{1, 4} {
+		res, err := chase.Run(start, deps, chase.Options{Config: par.Config{Parallelism: workers}})
 		if err != nil {
-			t.Fatalf("par %d: engine: %v", par, err)
+			t.Fatalf("par %d: engine: %v", workers, err)
 		}
 		if got := fingerprint(res, nil); got != want {
-			t.Fatalf("par %d: engine diverges from the reference chase:\n  engine: %+v\n  oracle: %+v", par, got, want)
+			t.Fatalf("par %d: engine diverges from the reference chase:\n  engine: %+v\n  oracle: %+v", workers, got, want)
 		}
 		if res.Merges == 0 {
-			t.Fatalf("par %d: keyed LAV workload produced no merges", par)
+			t.Fatalf("par %d: keyed LAV workload produced no merges", workers)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -21,23 +22,23 @@ func TestChaseParallelMatchesSerial(t *testing.T) {
 		inst := workload.RandomLayerInstance(rng)
 		inst.Freeze()
 		for _, oblivious := range []bool{false, true} {
-			ref, refErr := chase.Run(inst, deps, chase.Options{Oblivious: oblivious, Parallelism: 1})
-			for _, par := range []int{2, 4} {
+			ref, refErr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: 1}, Oblivious: oblivious})
+			for _, workers := range []int{2, 4} {
 				for _, seed := range []int64{0, 19} {
-					got, err := chase.Run(inst, deps, chase.Options{Oblivious: oblivious, Parallelism: par, Seed: seed})
+					got, err := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers, Seed: seed}, Oblivious: oblivious})
 					if (refErr == nil) != (err == nil) {
-						t.Fatalf("trial %d obl=%v par=%d: err=%v, serial err=%v", trial, oblivious, par, err, refErr)
+						t.Fatalf("trial %d obl=%v par=%d: err=%v, serial err=%v", trial, oblivious, workers, err, refErr)
 					}
 					if refErr != nil {
 						continue
 					}
 					if got.Steps != ref.Steps || got.Failed != ref.Failed || got.FailedOn != ref.FailedOn {
 						t.Fatalf("trial %d obl=%v par=%d seed=%d: (steps=%d failed=%v on=%q), serial (steps=%d failed=%v on=%q)",
-							trial, oblivious, par, seed, got.Steps, got.Failed, got.FailedOn, ref.Steps, ref.Failed, ref.FailedOn)
+							trial, oblivious, workers, seed, got.Steps, got.Failed, got.FailedOn, ref.Steps, ref.Failed, ref.FailedOn)
 					}
 					if got.Instance.String() != ref.Instance.String() {
 						t.Fatalf("trial %d obl=%v par=%d seed=%d: instances differ\nparallel:\n%s\nserial:\n%s",
-							trial, oblivious, par, seed, got.Instance, ref.Instance)
+							trial, oblivious, workers, seed, got.Instance, ref.Instance)
 					}
 				}
 			}
@@ -59,8 +60,8 @@ func TestChaseSolutionAwareParallelMatchesSerial(t *testing.T) {
 		witness := wres.Instance
 		witness.Freeze()
 		inst.Freeze()
-		ref, refErr := chase.RunSolutionAware(inst, deps, witness, chase.Options{Parallelism: 1})
-		got, err := chase.RunSolutionAware(inst, deps, witness, chase.Options{Parallelism: 4})
+		ref, refErr := chase.RunSolutionAware(inst, deps, witness, chase.Options{Config: par.Config{Parallelism: 1}})
+		got, err := chase.RunSolutionAware(inst, deps, witness, chase.Options{Config: par.Config{Parallelism: 4}})
 		if (refErr == nil) != (err == nil) {
 			t.Fatalf("trial %d: err=%v, serial err=%v", trial, err, refErr)
 		}
@@ -82,7 +83,7 @@ func TestChaseConcurrentStress(t *testing.T) {
 	deps := workload.RandomWeaklyAcyclicDeps(rng)
 	inst := workload.RandomLayerInstance(rng)
 	inst.Freeze()
-	ref, refErr := chase.Run(inst, deps, chase.Options{Parallelism: 1})
+	ref, refErr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: 1}})
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
@@ -91,7 +92,7 @@ func TestChaseConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], errs[g] = chase.Run(inst, deps, chase.Options{Parallelism: 2, Seed: int64(g)})
+			results[g], errs[g] = chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: 2, Seed: int64(g)}})
 		}(g)
 	}
 	wg.Wait()

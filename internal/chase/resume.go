@@ -152,7 +152,6 @@ func Resume(prev *Result, deps []dep.Dependency, appended *rel.Instance, opts Op
 		inst:     inst,
 		start:    start,
 		opts:     opts,
-		hom:      opts.homOpts(),
 		nulls:    nulls,
 		budget:   opts.maxSteps(),
 		egdFired: prev.EgdFired,

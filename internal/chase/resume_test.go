@@ -10,6 +10,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/dep"
 	"repro/internal/hom"
+	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/workload"
 )
@@ -46,8 +47,8 @@ func TestChaseResumeProperty(t *testing.T) {
 		appended := workload.RandomLayerInstance(rng)
 		base.Freeze()
 		appended.Freeze()
-		for _, par := range []int{1, 4} {
-			opts := chase.Options{Parallelism: par}
+		for _, workers := range []int{1, 4} {
+			opts := chase.Options{Config: par.Config{Parallelism: workers}}
 			prev, err := chase.Run(base, deps, opts)
 			if err != nil {
 				t.Fatalf("trial %d: base chase errored: %v", trial, err)
@@ -213,8 +214,8 @@ func TestChaseResumeKeyedProperty(t *testing.T) {
 		appended := workload.RandomLayerInstance(rng)
 		base.Freeze()
 		appended.Freeze()
-		for _, par := range []int{1, 4} {
-			opts := chase.Options{Parallelism: par}
+		for _, workers := range []int{1, 4} {
+			opts := chase.Options{Config: par.Config{Parallelism: workers}}
 			prev, err := chase.Run(base, deps, opts)
 			if err != nil || prev.Failed {
 				continue
@@ -436,13 +437,13 @@ func TestChaseEgdWatermarkParity(t *testing.T) {
 	if want.err != "" {
 		t.Fatalf("reference chase errored: %s", want.err)
 	}
-	for _, par := range []int{1, 4} {
-		semi, serr := chase.Run(inst, deps, chase.Options{Parallelism: par})
+	for _, workers := range []int{1, 4} {
+		semi, serr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers}})
 		if serr != nil {
-			t.Fatalf("par %d: egd-watermark chase errored: %v", par, serr)
+			t.Fatalf("par %d: egd-watermark chase errored: %v", workers, serr)
 		}
 		if got := fingerprint(semi, nil); got != want {
-			t.Fatalf("par %d: egd-watermark parity broken\nsemi:   %+v\noracle: %+v", par, got, want)
+			t.Fatalf("par %d: egd-watermark parity broken\nsemi:   %+v\noracle: %+v", workers, got, want)
 		}
 	}
 }

@@ -44,11 +44,10 @@ func ChaseCanonicalTarget(s *Setting, i, j *rel.Instance, opts SolveOptions) (*C
 	if len(s.T) > 0 && !s.TargetTGDsWeaklyAcyclic() {
 		return nil, ErrUnsupportedTargetTGDs
 	}
-	opts.Hom = opts.homOpts()
 	nulls := &rel.NullSource{}
 	nulls.SeenIn(i)
 	nulls.SeenIn(j)
-	copts := chase.Options{Nulls: nulls, Hom: opts.Hom, MaxSteps: opts.MaxChaseSteps, Ctx: opts.Ctx}
+	copts := chase.Options{Config: opts.Config, Nulls: nulls, MaxSteps: opts.MaxChaseSteps}
 	res, err := chase.Run(rel.Union(i, j), s.StDeps(), copts)
 	if err != nil {
 		return nil, fmt.Errorf("core: chasing Σst: %w", err)
@@ -87,10 +86,9 @@ func ChaseCanonicalTarget(s *Setting, i, j *rel.Instance, opts SolveOptions) (*C
 // per-solve null source from ct.NullState so leaf Σt chases never
 // collide with the cached J_can's nulls. ct is not mutated.
 func ForEachImageSolutionFrom(s *Setting, i, j *rel.Instance, ct *CanonicalTarget, opts SolveOptions, fn func(*rel.Instance) bool) (*SolveStats, error) {
-	opts.Hom = opts.homOpts()
 	nulls := &rel.NullSource{}
 	nulls.SetState(ct.NullState)
-	copts := chase.Options{Nulls: nulls, Hom: opts.Hom, MaxSteps: opts.MaxChaseSteps, Ctx: opts.Ctx}
+	copts := chase.Options{Config: opts.Config, Nulls: nulls, MaxSteps: opts.MaxChaseSteps}
 	if ct.TFailed {
 		sv := newImageSearch(s, i, j, rel.NewInstance(), opts, copts)
 		sv.stats.Nodes = 0

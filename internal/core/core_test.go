@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dep"
 	"repro/internal/oracle"
+	"repro/internal/par"
 	"repro/internal/rel"
 )
 
@@ -420,6 +421,22 @@ func TestSmallSolutionLemma2(t *testing.T) {
 	}
 }
 
+func TestSmallSolutionHonorsContext(t *testing.T) {
+	// The solution-aware chase runs under the options' execution config,
+	// so a pre-canceled context stops it instead of being dropped.
+	s := example1Setting()
+	i := edges([2]string{"a", "b"}, [2]string{"b", "c"}, [2]string{"a", "c"})
+	big := rel.NewInstance()
+	big.Add("H", rel.Const("a"), rel.Const("c"))
+	big.Add("H", rel.Const("a"), rel.Const("b"))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := core.SmallSolution(s, i, rel.NewInstance(), big, core.SolveOptions{Config: par.Config{Ctx: ctx, Parallelism: 2, Seed: 3}})
+	if !errors.Is(err, par.ErrCanceled) {
+		t.Fatalf("SmallSolution under a canceled context: err = %v, want par.ErrCanceled", err)
+	}
+}
+
 func TestSmallSolutionRejectsNonSolution(t *testing.T) {
 	s := example1Setting()
 	i := edges([2]string{"a", "b"}, [2]string{"b", "c"})
@@ -503,7 +520,7 @@ func TestMinimizeSolutionCanceledContextReturnsEarly(t *testing.T) {
 	big.Add("H", rel.Const("a"), rel.Const("b"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got := core.MinimizeSolution(s, i, j, big, core.SolveOptions{Ctx: ctx})
+	got := core.MinimizeSolution(s, i, j, big, core.SolveOptions{Config: par.Config{Ctx: ctx}})
 	if got.NumFacts() != big.NumFacts() {
 		t.Errorf("canceled MinimizeSolution still removed facts: %d -> %d", big.NumFacts(), got.NumFacts())
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -77,27 +78,27 @@ func TestTractableParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("only %d workloads generated, want >= 50", len(wls))
 	}
 	for _, wl := range wls {
-		refOK, refTr, refErr := wl.run(core.TractableOptions{Parallelism: 1})
-		for _, par := range []int{2, 4} {
-			gotOK, gotTr, err := wl.run(core.TractableOptions{Parallelism: par, Seed: 5})
+		refOK, refTr, refErr := wl.run(core.TractableOptions{Config: par.Config{Parallelism: 1}})
+		for _, workers := range []int{2, 4} {
+			gotOK, gotTr, err := wl.run(core.TractableOptions{Config: par.Config{Parallelism: workers, Seed: 5}})
 			if (refErr == nil) != (err == nil) {
-				t.Fatalf("%s par=%d: err=%v, serial err=%v", wl.name, par, err, refErr)
+				t.Fatalf("%s par=%d: err=%v, serial err=%v", wl.name, workers, err, refErr)
 			}
 			if refErr != nil {
 				continue
 			}
 			if gotOK != refOK {
-				t.Fatalf("%s par=%d: verdict %v, serial %v", wl.name, par, gotOK, refOK)
+				t.Fatalf("%s par=%d: verdict %v, serial %v", wl.name, workers, gotOK, refOK)
 			}
 			if gotTr.Blocks != refTr.Blocks || gotTr.MaxBlockNulls != refTr.MaxBlockNulls ||
 				gotTr.FailedBlock != refTr.FailedBlock ||
 				gotTr.StepsST != refTr.StepsST || gotTr.StepsTS != refTr.StepsTS {
-				t.Fatalf("%s par=%d: trace %+v, serial %+v", wl.name, par,
+				t.Fatalf("%s par=%d: trace %+v, serial %+v", wl.name, workers,
 					struct{ B, M, F, S1, S2 int }{gotTr.Blocks, gotTr.MaxBlockNulls, gotTr.FailedBlock, gotTr.StepsST, gotTr.StepsTS},
 					struct{ B, M, F, S1, S2 int }{refTr.Blocks, refTr.MaxBlockNulls, refTr.FailedBlock, refTr.StepsST, refTr.StepsTS})
 			}
 			if gotTr.JCan.String() != refTr.JCan.String() || gotTr.ICan.String() != refTr.ICan.String() {
-				t.Fatalf("%s par=%d: canonical instances differ from serial run", wl.name, par)
+				t.Fatalf("%s par=%d: canonical instances differ from serial run", wl.name, workers)
 			}
 		}
 	}
@@ -115,18 +116,18 @@ func TestGenericSolverParallelMatchesSerial(t *testing.T) {
 		seed := rng.Int63()
 		s := workload.GenomicSetting()
 		i, j := workload.GenomicInstance(n, good, rand.New(rand.NewSource(seed)))
-		refOK, _, refStats, refErr := core.ExistsSolutionGeneric(s, i, j, core.SolveOptions{Parallelism: 1})
-		for _, par := range []int{2, 4} {
-			gotOK, _, gotStats, err := core.ExistsSolutionGeneric(s, i, j, core.SolveOptions{Parallelism: par})
+		refOK, _, refStats, refErr := core.ExistsSolutionGeneric(s, i, j, core.SolveOptions{Config: par.Config{Parallelism: 1}})
+		for _, workers := range []int{2, 4} {
+			gotOK, _, gotStats, err := core.ExistsSolutionGeneric(s, i, j, core.SolveOptions{Config: par.Config{Parallelism: workers}})
 			if (refErr == nil) != (err == nil) {
-				t.Fatalf("trial %d par=%d: err=%v, serial err=%v", trial, par, err, refErr)
+				t.Fatalf("trial %d par=%d: err=%v, serial err=%v", trial, workers, err, refErr)
 			}
 			if refErr != nil {
 				continue
 			}
 			if gotOK != refOK || gotStats.Nodes != refStats.Nodes || gotStats.Solutions != refStats.Solutions {
 				t.Fatalf("trial %d par=%d: (ok=%v nodes=%d sols=%d), serial (ok=%v nodes=%d sols=%d)",
-					trial, par, gotOK, gotStats.Nodes, gotStats.Solutions, refOK, refStats.Nodes, refStats.Solutions)
+					trial, workers, gotOK, gotStats.Nodes, gotStats.Solutions, refOK, refStats.Nodes, refStats.Solutions)
 			}
 		}
 	}
@@ -142,7 +143,7 @@ func TestTractableConcurrentStress(t *testing.T) {
 	i, j := workload.LAVInstance(120, true, rng)
 	i.Freeze()
 	j.Freeze()
-	refOK, refTr, refErr := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{Parallelism: 1})
+	refOK, refTr, refErr := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{Config: par.Config{Parallelism: 1}})
 	if refErr != nil || !refOK {
 		t.Fatalf("reference run failed: ok=%v err=%v", refOK, refErr)
 	}
@@ -153,7 +154,7 @@ func TestTractableConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ok, tr, err := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{Parallelism: 2, Seed: int64(g + 1)})
+			ok, tr, err := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{Config: par.Config{Parallelism: 2, Seed: int64(g + 1)}})
 			switch {
 			case err != nil:
 				failures[g] = fmt.Sprintf("err=%v", err)

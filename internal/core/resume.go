@@ -33,14 +33,7 @@ func ResumeCanonicalTractable(s *Setting, trace *TractableTrace, appended *rel.I
 	}
 	ns := &rel.NullSource{}
 	ns.SetState(trace.NullState)
-	copts := chase.Options{
-		Nulls:       ns,
-		Hom:         opts.Hom,
-		MaxSteps:    opts.MaxChaseSteps,
-		Parallelism: opts.Parallelism,
-		Seed:        opts.Seed,
-		Ctx:         opts.Ctx,
-	}
+	copts := chase.Options{Config: opts.Config, Nulls: ns, MaxSteps: opts.MaxChaseSteps}
 
 	res1, r1, err := chase.Resume(trace.STResult, s.StDeps(), appended, copts)
 	if err != nil {
@@ -91,10 +84,9 @@ func ResumeCanonicalTarget(s *Setting, ct *CanonicalTarget, appended *rel.Instan
 	if ct == nil || ct.STResult == nil {
 		return nil, false, chase.FallbackNoPrev, fmt.Errorf("core: cannot resume a canonical target without its chase results")
 	}
-	opts.Hom = opts.homOpts()
 	ns := &rel.NullSource{}
 	ns.SetState(ct.NullState)
-	copts := chase.Options{Nulls: ns, Hom: opts.Hom, MaxSteps: opts.MaxChaseSteps, Ctx: opts.Ctx}
+	copts := chase.Options{Config: opts.Config, Nulls: ns, MaxSteps: opts.MaxChaseSteps}
 
 	res, r1, err := chase.Resume(ct.STResult, s.StDeps(), appended, copts)
 	if err != nil {

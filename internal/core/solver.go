@@ -37,45 +37,18 @@ func canceled(ctx context.Context, what string) error {
 	return nil
 }
 
-// SolveOptions configures the generic solver.
+// SolveOptions configures the generic solver. The embedded execution
+// config reaches every phase: the solver checks Ctx at every search
+// node and hands the config to the chase runs and homomorphism searches
+// it issues, and Parallelism fans out the candidate-violation scan over
+// the Σts dependencies. Verdicts, witnesses, and search statistics are
+// byte-identical at every Parallelism and Seed.
 type SolveOptions struct {
+	par.Config
 	// MaxNodes bounds the number of search nodes; 0 means no bound.
 	MaxNodes int64
-	// Hom configures homomorphism search.
-	Hom hom.Options
 	// MaxChaseSteps bounds each chase; 0 means the chase default.
 	MaxChaseSteps int
-	// Parallelism bounds the workers of the parallel phases (chase
-	// trigger search, the candidate-violation scan over the Σts
-	// dependencies): 0 means GOMAXPROCS, 1 forces the serial paths.
-	// Verdicts, witnesses, and search statistics are byte-identical at
-	// every setting. When nonzero it overrides Hom.Parallelism.
-	Parallelism int
-	// Seed perturbs parallel work distribution (never results); when
-	// nonzero it overrides Hom.Seed.
-	Seed int64
-	// Ctx, when non-nil, cancels the search: the solver checks it at
-	// every node, the chase phases check it at every step, and the
-	// homomorphism searches poll it, so per-request deadlines and
-	// client disconnects stop work promptly with an error wrapping
-	// ErrCanceled. nil means never canceled.
-	Ctx context.Context
-}
-
-// homOpts folds the option-level parallelism knobs into the hom options
-// handed to the searches.
-func (o SolveOptions) homOpts() hom.Options {
-	h := o.Hom
-	if o.Parallelism != 0 {
-		h.Parallelism = o.Parallelism
-	}
-	if o.Seed != 0 {
-		h.Seed = o.Seed
-	}
-	if h.Ctx == nil {
-		h.Ctx = o.Ctx
-	}
-	return h
 }
 
 // SolveStats reports search effort.
@@ -461,14 +434,14 @@ func (sv *imageSearch) newFactViolation(gf rel.Fact) []int {
 		d := sv.s.TSDisj[di-len(sv.s.TS)]
 		return sv.violatedTriggerThroughFact(d.Body, func(b hom.Binding) bool {
 			for _, disj := range d.Disjuncts {
-				if hom.Exists(disj, sv.i, b, sv.opts.Hom) {
+				if hom.Exists(disj, sv.i, b, sv.opts.Config) {
 					return true
 				}
 			}
 			return false
 		}, gf, pruneOnNulls)
 	}
-	if degree := par.Degree(sv.opts.Hom.Parallelism); degree > 1 && total > 1 {
+	if degree := par.Degree(sv.opts.Parallelism); degree > 1 && total > 1 {
 		// Fan out per dependency; FirstReject returns the minimal
 		// violated index, so the responsibility set returned is the one
 		// the serial scan would find — backjumping stays deterministic.
@@ -508,7 +481,7 @@ func (sv *imageSearch) violatedTriggerThroughFact(body []dep.Atom, satisfied fun
 		rest = append(rest, body[:ai]...)
 		rest = append(rest, body[ai+1:]...)
 		var resp []int
-		hom.ForEach(rest, sv.cur, init, sv.opts.Hom, func(b hom.Binding) bool {
+		hom.ForEach(rest, sv.cur, init, sv.opts.Config, func(b hom.Binding) bool {
 			if !pruneOnNulls {
 				for _, v := range b {
 					if v.IsNull() {
@@ -589,7 +562,7 @@ func (sv *imageSearch) tsTriggerSatisfied(d dep.TGD, b hom.Binding) bool {
 	for _, v := range uvars {
 		init[v] = b[v]
 	}
-	return hom.Exists(d.Head, sv.i, init, sv.opts.Hom)
+	return hom.Exists(d.Head, sv.i, init, sv.opts.Config)
 }
 
 // leaf handles a fully assigned image: with Σt = ∅ the incremental

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/chase"
 	"repro/internal/dep"
 	"repro/internal/hom"
+	"repro/internal/par"
 	"repro/internal/rel"
 )
 
@@ -44,46 +44,19 @@ type TractableTrace struct {
 	NullState int
 }
 
-// TractableOptions configures ExistsSolutionTractable.
+// TractableOptions configures ExistsSolutionTractable. The embedded
+// execution config reaches both chase phases and the per-block
+// homomorphism checks: a canceled Ctx stops work promptly with an error
+// wrapping ErrCanceled, and the verdict and the whole trace are
+// byte-identical at every Parallelism and Seed.
 type TractableOptions struct {
-	// Hom configures homomorphism search.
-	Hom hom.Options
+	par.Config
 	// SkipCondition1Check runs the algorithm even when condition 1 of
 	// C_tract fails. The answer may then be incorrect (Theorem 5 needs
 	// condition 1); used only by tests demonstrating exactly that.
 	SkipCondition1Check bool
 	// MaxChaseSteps bounds each chase phase; 0 means the chase default.
 	MaxChaseSteps int
-	// Parallelism bounds the workers of the parallel phases (chase
-	// trigger search, per-block homomorphism checks): 0 means GOMAXPROCS,
-	// 1 forces the serial paths. The verdict and the whole trace are
-	// byte-identical at every setting. When nonzero it overrides
-	// Hom.Parallelism.
-	Parallelism int
-	// Seed perturbs parallel work distribution (never results); when
-	// nonzero it overrides Hom.Seed.
-	Seed int64
-	// Ctx, when non-nil, cancels the run: both chase phases check it at
-	// every step and the block-homomorphism checks poll it, so
-	// per-request deadlines stop work promptly with an error wrapping
-	// ErrCanceled. nil means never canceled.
-	Ctx context.Context
-}
-
-// homOpts folds the option-level parallelism knobs into the hom options
-// handed to the searches.
-func (o TractableOptions) homOpts() hom.Options {
-	h := o.Hom
-	if o.Parallelism != 0 {
-		h.Parallelism = o.Parallelism
-	}
-	if o.Seed != 0 {
-		h.Seed = o.Seed
-	}
-	if h.Ctx == nil {
-		h.Ctx = o.Ctx
-	}
-	return h
 }
 
 // ExistsSolutionTractable implements the algorithm of Figure 3 of the
@@ -93,23 +66,11 @@ func (o TractableOptions) homOpts() hom.Options {
 //
 // Correctness requires condition 1 of C_tract (Theorem 5) and Σt = ∅;
 // polynomial running time additionally requires condition 2 (Theorems 4
-// and 6). The function refuses settings with target constraints or
-// disjunctive target-to-source dependencies, and — unless
-// SkipCondition1Check is set — settings violating condition 1.
+// and 6). It is ChaseCanonicalTractable followed by
+// ExistsSolutionTractableFrom, so it refuses the settings the former
+// refuses.
 func ExistsSolutionTractable(s *Setting, i, j *rel.Instance, opts TractableOptions) (bool, *TractableTrace, error) {
-	if len(s.T) > 0 {
-		return false, nil, fmt.Errorf("core: ExistsSolutionTractable: setting %s has target constraints", s.Name)
-	}
-	if len(s.TSDisj) > 0 {
-		return false, nil, fmt.Errorf("core: ExistsSolutionTractable: setting %s has disjunctive Σts", s.Name)
-	}
-	if !opts.SkipCondition1Check {
-		if rep := dep.ClassifyCtract(s.ST, s.TS, nil); !rep.Cond1 {
-			return false, nil, fmt.Errorf("core: ExistsSolutionTractable: setting %s violates condition 1 of C_tract; the algorithm would be unsound: %s", s.Name, rep.Summary())
-		}
-	}
-
-	trace, err := canonicalInstances(s, i, j, opts)
+	trace, err := ChaseCanonicalTractable(s, i, j, opts)
 	if err != nil {
 		return false, nil, err
 	}
@@ -119,9 +80,11 @@ func ExistsSolutionTractable(s *Setting, i, j *rel.Instance, opts TractableOptio
 // ChaseCanonicalTractable runs the two chase phases of Figure 3 and the
 // block decomposition of I_can, returning a trace ready for repeated
 // ExistsSolutionTractableFrom calls against different (or identical)
-// source instances. It performs the same setting checks as
-// ExistsSolutionTractable. The trace's instances are frozen and its
-// block list is read-only, so the trace may be shared concurrently.
+// source instances. It refuses settings with target constraints or
+// disjunctive target-to-source dependencies, and — unless
+// SkipCondition1Check is set — settings violating condition 1. The
+// trace's instances are frozen and its block list is read-only, so the
+// trace may be shared concurrently.
 func ChaseCanonicalTractable(s *Setting, i, j *rel.Instance, opts TractableOptions) (*TractableTrace, error) {
 	if len(s.T) > 0 {
 		return nil, fmt.Errorf("core: ExistsSolutionTractable: setting %s has target constraints", s.Name)
@@ -134,49 +97,10 @@ func ChaseCanonicalTractable(s *Setting, i, j *rel.Instance, opts TractableOptio
 			return nil, fmt.Errorf("core: ExistsSolutionTractable: setting %s violates condition 1 of C_tract; the algorithm would be unsound: %s", s.Name, rep.Summary())
 		}
 	}
-	return canonicalInstances(s, i, j, opts)
-}
-
-// ExistsSolutionTractableFrom runs the verdict phase of the Figure 3
-// algorithm against a precomputed trace: the per-block homomorphism
-// checks of I_can into i. The input trace is not mutated — the returned
-// trace is a copy with the per-run fields (FailedBlock) filled in — so
-// a cached trace may serve concurrent solves.
-func ExistsSolutionTractableFrom(i *rel.Instance, trace *TractableTrace, opts TractableOptions) (bool, *TractableTrace, error) {
-	t := *trace
-	trace = &t
-	trace.FailedBlock = -1
-
-	// The per-block checks fan out across workers with early cancellation
-	// and a memoizing cache keyed on the canonical block signature; the
-	// reported index is the minimal failing one, exactly as the serial
-	// left-to-right scan returns (see hom.CheckBlocks). By Proposition 1
-	// this agrees with one homomorphism search of the whole I_can.
-	idx := hom.CheckBlocks(trace.BlockList, i, opts.homOpts())
-	if err := canceled(opts.Ctx, "tractable algorithm"); err != nil {
-		return false, trace, err // a canceled CheckBlocks index is meaningless
-	}
-	if idx >= 0 {
-		trace.FailedBlock = idx
-		return false, trace, nil
-	}
-	return true, trace, nil
-}
-
-// canonicalInstances runs the two chase phases of Figure 3 and fills in
-// JCan, ICan, and the step counts.
-func canonicalInstances(s *Setting, i, j *rel.Instance, opts TractableOptions) (*TractableTrace, error) {
 	nulls := &rel.NullSource{}
 	nulls.SeenIn(i)
 	nulls.SeenIn(j)
-	copts := chase.Options{
-		Nulls:       nulls,
-		Hom:         opts.Hom,
-		MaxSteps:    opts.MaxChaseSteps,
-		Parallelism: opts.Parallelism,
-		Seed:        opts.Seed,
-		Ctx:         opts.Ctx,
-	}
+	copts := chase.Options{Config: opts.Config, Nulls: nulls, MaxSteps: opts.MaxChaseSteps}
 
 	// Phase 1: (I, J_can) := chase of (I, J) with Σst.
 	res1, err := chase.Run(rel.Union(i, j), s.StDeps(), copts)
@@ -208,6 +132,32 @@ func canonicalInstances(s *Setting, i, j *rel.Instance, opts TractableOptions) (
 	}
 	trace.FillBlocks()
 	return trace, nil
+}
+
+// ExistsSolutionTractableFrom runs the verdict phase of the Figure 3
+// algorithm against a precomputed trace: the per-block homomorphism
+// checks of I_can into i. The input trace is not mutated — the returned
+// trace is a copy with the per-run fields (FailedBlock) filled in — so
+// a cached trace may serve concurrent solves.
+func ExistsSolutionTractableFrom(i *rel.Instance, trace *TractableTrace, opts TractableOptions) (bool, *TractableTrace, error) {
+	t := *trace
+	trace = &t
+	trace.FailedBlock = -1
+
+	// The per-block checks fan out across workers with early cancellation
+	// and a memoizing cache keyed on the canonical block signature; the
+	// reported index is the minimal failing one, exactly as the serial
+	// left-to-right scan returns (see hom.CheckBlocks). By Proposition 1
+	// this agrees with one homomorphism search of the whole I_can.
+	idx := hom.CheckBlocks(trace.BlockList, i, opts.Config)
+	if err := canceled(opts.Ctx, "tractable algorithm"); err != nil {
+		return false, trace, err // a canceled CheckBlocks index is meaningless
+	}
+	if idx >= 0 {
+		trace.FailedBlock = idx
+		return false, trace, nil
+	}
+	return true, trace, nil
 }
 
 // FillBlocks computes the block decomposition of ICan and the derived
@@ -247,7 +197,7 @@ func FindSolutionTractableFrom(i *rel.Instance, trace *TractableTrace, opts Trac
 	if !ok {
 		return nil, trace, nil
 	}
-	h, found := hom.FindInstanceHom(trace.ICan, i, opts.homOpts())
+	h, found := hom.FindInstanceHom(trace.ICan, i, opts.Config)
 	if err := canceled(opts.Ctx, "tractable algorithm"); err != nil {
 		return nil, trace, err
 	}

@@ -6,11 +6,11 @@
 package hom
 
 import (
-	"context"
 	"sort"
 	"sync"
 
 	"repro/internal/dep"
+	"repro/internal/par"
 	"repro/internal/rel"
 )
 
@@ -27,29 +27,12 @@ func (b Binding) Clone() Binding {
 	return c
 }
 
-// Options controls the homomorphism search.
-type Options struct {
-	// Parallelism bounds the worker count of the parallel entry points
-	// (Enumerate, CheckBlocks, InstanceHomExists): 0 means GOMAXPROCS,
-	// 1 forces the serial path, n > 1 uses n workers. Results are
-	// byte-identical at every setting; the knob only trades wall-clock
-	// for cores. Single-homomorphism searches (Exists, FindOne,
-	// ForEach) always run serially — they are the inner loops the
-	// parallel layers fan out over.
-	Parallelism int
-	// Seed perturbs how parallel work is distributed across workers
-	// (see par.Do). It never affects results; 0 is the deterministic
-	// default distribution.
-	Seed int64
-	// Ctx, when non-nil, lets long searches be abandoned: the
-	// backtracking searcher polls it periodically and stops enumerating
-	// once it is canceled. A search cut short this way may return a
-	// spurious "no homomorphism" — callers that set Ctx MUST check
-	// Ctx.Err() after the search and discard the result when it is
-	// non-nil (this is what the chase, the solvers, and CheckBlocks
-	// do). nil means never canceled.
-	Ctx context.Context
-}
+// Options controls the homomorphism search: Parallelism bounds the
+// workers of the parallel entry points (Enumerate, CheckBlocks,
+// InstanceHomExists), and a canceled Ctx makes the backtracking searcher
+// stop enumerating — possibly reporting a spurious miss, so callers
+// that set Ctx re-check Ctx.Err() before trusting a result.
+type Options = par.Config
 
 // ForEach enumerates homomorphisms from the conjunction of atoms into
 // the instance, extending the initial binding (which may be nil). It

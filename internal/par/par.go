@@ -16,11 +16,41 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
+
+// Config is the execution configuration shared by every layer of the
+// solver stack: homomorphism search (hom.Options is an alias), compiled
+// plan evaluation (qplan.EvalOptions is an alias), and the chase and
+// solver option structs, which embed it. Each layer hands its Config
+// down unchanged, so one value set at the top reaches every search.
+type Config struct {
+	// Parallelism bounds the workers of the parallel phases (chase
+	// trigger search, block checks, the solver's violation scan, plan
+	// leaf scans); see Degree. Results are byte-identical at every
+	// setting; the knob only trades wall-clock for cores.
+	// Single-homomorphism searches (hom.Exists, FindOne, ForEach) always
+	// run serially — they are the inner loops the parallel layers fan out
+	// over.
+	Parallelism int
+	// Seed perturbs how parallel work is distributed across workers (see
+	// Do). It never affects results; 0 is the deterministic default
+	// distribution.
+	Seed int64
+	// Ctx, when non-nil, cancels the work: the chase checks it at every
+	// step, the generic solver at every node, and the homomorphism
+	// searcher polls it periodically, so a canceled context stops a run
+	// promptly with an error wrapping ErrCanceled and the context's own
+	// error. A search cut short this way may return a spurious "no
+	// homomorphism" — callers that set Ctx MUST check Ctx.Err() after a
+	// search and discard the result when it is non-nil. nil means never
+	// canceled.
+	Ctx context.Context
+}
 
 // ErrCanceled is the shared identity of context-cancellation failures
 // across the execution layer: the chase, the generic solver, and the

@@ -262,18 +262,10 @@ func headUniversalVars(d dep.TGD) []string {
 // Setting returns the compiled setting.
 func (sp *SettingPlan) Setting() *core.Setting { return sp.s }
 
-// EvalOptions configures plan evaluation.
-type EvalOptions struct {
-	// Parallelism bounds the workers of the leaf scans: 0 means
-	// GOMAXPROCS, 1 forces the serial path. Results are byte-identical
-	// at every setting.
-	Parallelism int
-	// Seed perturbs parallel work distribution; never results.
-	Seed int64
-	// Ctx, when non-nil, cancels the evaluation with an error wrapping
-	// par.ErrCanceled.
-	Ctx context.Context
-}
+// EvalOptions configures plan evaluation: Parallelism bounds the
+// workers of the leaf scans, and a canceled Ctx stops the evaluation
+// with an error wrapping par.ErrCanceled.
+type EvalOptions = par.Config
 
 func canceled(ctx context.Context, what string) error {
 	if ctx == nil {
@@ -322,7 +314,6 @@ func (sp *SettingPlan) SolutionExists(i, j *rel.Instance, opts EvalOptions) (boo
 		return false, err
 	}
 	i, j = orEmpty(i), orEmpty(j)
-	homOpts := hom.Options{Ctx: opts.Ctx}
 	for pi := range sp.probes {
 		pb := &sp.probes[pi]
 		seen := make(map[rel.TupleKey]bool)
@@ -338,7 +329,7 @@ func (sp *SettingPlan) SolutionExists(i, j *rel.Instance, opts EvalOptions) (boo
 				for vi, name := range pb.headVars {
 					b[name] = row[vi]
 				}
-				if !hom.Exists(pb.headAtoms, i, b, homOpts) {
+				if !hom.Exists(pb.headAtoms, i, b, opts) {
 					violated = true
 					return false
 				}

@@ -279,14 +279,20 @@ func TestClusterEndToEnd(t *testing.T) {
 	if n := restarted.met.warmTransfers.Load(); n != 1 {
 		t.Fatalf("restarted shard installed %d warm transfers, want 1", n)
 	}
+	// The holder drops its copy only after the push returns, so the
+	// entry may land on the owner a moment before it leaves the holder.
+	waitFor(t, "survivors dropping the handed-off entry", func() bool {
+		for i, s := range tc.srvs {
+			if i != ownerIdx && len(s.cache.entries()) != 0 {
+				return false
+			}
+		}
+		return true
+	})
 	var handoffs int64
 	for i, s := range tc.srvs {
-		if i == ownerIdx {
-			continue
-		}
-		handoffs += s.met.clusterHandoffs.Load()
-		if len(s.cache.entries()) != 0 {
-			t.Fatalf("shard %d kept a handed-off entry", i)
+		if i != ownerIdx {
+			handoffs += s.met.clusterHandoffs.Load()
 		}
 	}
 	if handoffs != 1 {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/chase"
 	"repro/internal/qplan"
@@ -89,26 +90,26 @@ type metrics struct {
 	clusterHandoffs      atomic.Int64 // cache entries pushed to their new owner after a ring change
 	clusterRingChanges   atomic.Int64 // liveness transitions observed on the ring
 
-	mu        sync.Mutex
-	requests  map[string]int64 // route|status -> count
-	durMillis map[string]int64 // route -> cumulative handler milliseconds
-	durCount  map[string]int64 // route -> observations
+	mu       sync.Mutex
+	requests map[string]int64         // route|status -> count
+	dur      map[string]time.Duration // route -> cumulative handler time
+	durCount map[string]int64         // route -> observations
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		compiledFallbacks: make([]atomic.Int64, len(compiledFallbackLabels)),
 		requests:          make(map[string]int64),
-		durMillis:         make(map[string]int64),
+		dur:               make(map[string]time.Duration),
 		durCount:          make(map[string]int64),
 	}
 }
 
 // observe records one completed request.
-func (m *metrics) observe(route string, status int, millis int64) {
+func (m *metrics) observe(route string, status int, d time.Duration) {
 	m.mu.Lock()
 	m.requests[fmt.Sprintf("%s|%d", route, status)]++
-	m.durMillis[route] += millis
+	m.dur[route] += d
 	m.durCount[route]++
 	m.mu.Unlock()
 }
@@ -138,7 +139,7 @@ func (m *metrics) render(registrySize, instanceCount, cacheEntries int, cacheByt
 	}
 	sort.Strings(routes)
 	for _, r := range routes {
-		fmt.Fprintf(&b, "pdxd_request_duration_milliseconds_sum{route=%q} %d\n", r, m.durMillis[r])
+		fmt.Fprintf(&b, "pdxd_request_duration_milliseconds_sum{route=%q} %.3f\n", r, float64(m.dur[r])/float64(time.Millisecond))
 		fmt.Fprintf(&b, "pdxd_request_duration_milliseconds_count{route=%q} %d\n", r, m.durCount[r])
 	}
 	m.mu.Unlock()

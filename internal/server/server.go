@@ -192,14 +192,14 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
-		millis := time.Since(start).Milliseconds()
-		s.met.observe(name, sw.status, millis)
+		d := time.Since(start)
+		s.met.observe(name, sw.status, d)
 		s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("route", name),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", sw.status),
-			slog.Int64("duration_ms", millis),
+			slog.Int64("duration_ms", d.Milliseconds()),
 			slog.String("remote", r.RemoteAddr),
 		)
 	}
@@ -347,7 +347,7 @@ func (s *Server) solveInput(w http.ResponseWriter, settingID, source, sourceID, 
 		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "target instance: %v", err)
 		return nil, nil, false
 	}
-	return c, &solvePair{i: i, j: j, srcID: srcID, tgtID: tgtID}, true
+	return c, &solvePair{srv: s, c: c, i: i, j: j, srcID: srcID, tgtID: tgtID}, true
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -433,7 +433,7 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	res, hit, err := s.solveExists(ctx, c, p, req.Witness, req.MaxNodes)
+	res, err := pde.SolveFrom(ctx, c.Setting, p.i, p.j, pde.Strategy(c.Strategy), req.Witness, p, s.options(req.MaxNodes))
 	s.met.nodes.Add(res.Nodes)
 	if err != nil {
 		status, code := solveError(err)
@@ -444,7 +444,7 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 		Exists:        res.Exists,
 		Strategy:      string(res.Strategy),
 		Nodes:         res.Nodes,
-		CacheHit:      hit,
+		CacheHit:      p.hit,
 		ElapsedMillis: time.Since(start).Milliseconds(),
 	}
 	if req.Witness && res.Solution != nil {
@@ -453,7 +453,7 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "solve",
 		slog.String("setting", c.ID), slog.Bool("exists", res.Exists),
 		slog.String("strategy", out.Strategy), slog.Int64("nodes", res.Nodes),
-		slog.Bool("cache_hit", hit), slog.Int64("elapsed_ms", out.ElapsedMillis))
+		slog.Bool("cache_hit", p.hit), slog.Int64("elapsed_ms", out.ElapsedMillis))
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -492,31 +492,26 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	oc, err := s.solveCertain(ctx, c, p, qs[0])
+	res, err := s.certain(ctx, p, qs)
 	if err != nil {
 		status, code := solveError(err)
 		writeErr(w, status, code, "certain answers: %v", err)
 		return
 	}
+	cr := res[0]
 	out := client.CertainResponse{
-		SolutionExists:    oc.res.SolutionExists,
-		Certain:           oc.res.Certain,
-		SolutionsExamined: oc.res.SolutionsExamined,
-		CacheHit:          oc.cacheHit,
-		Compiled:          oc.compiled,
-		FallbackReason:    oc.fallback,
+		SolutionExists:    cr.SolutionExists,
+		Certain:           cr.Certain,
+		Answers:           wireAnswers(cr.Answers),
+		SolutionsExamined: cr.SolutionsExamined,
+		CacheHit:          p.hit,
+		Compiled:          cr.Compiled,
+		FallbackReason:    cr.FallbackReason,
 		ElapsedMillis:     time.Since(start).Milliseconds(),
-	}
-	for _, t := range oc.res.Answers {
-		row := make([]string, len(t))
-		for k, v := range t {
-			row[k] = v.String()
-		}
-		out.Answers = append(out.Answers, row)
 	}
 	s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "certain",
 		slog.String("setting", c.ID), slog.Int("answers", len(out.Answers)),
-		slog.Bool("compiled", oc.compiled),
+		slog.Bool("compiled", cr.Compiled),
 		slog.Int64("elapsed_ms", out.ElapsedMillis))
 	writeJSON(w, http.StatusOK, out)
 }
@@ -572,11 +567,22 @@ func (s *Server) handleCertainBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	out, err := s.solveCertainBatch(ctx, c, p, queries)
+	res, err := s.certain(ctx, p, queries)
 	if err != nil {
 		status, code := solveError(err)
 		writeErr(w, status, code, "certain answers: %v", err)
 		return
+	}
+	out := client.CertainBatchResponse{Results: make([]client.CertainBatchResult, len(res)), CacheHit: p.hit}
+	for n, cr := range res {
+		out.Results[n] = client.CertainBatchResult{
+			Name:           queries[n][0].Name,
+			SolutionExists: cr.SolutionExists,
+			Certain:        cr.Certain,
+			Answers:        wireAnswers(cr.Answers),
+			Compiled:       cr.Compiled,
+			FallbackReason: cr.FallbackReason,
+		}
 	}
 	out.ElapsedMillis = time.Since(start).Milliseconds()
 	s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "certain batch",

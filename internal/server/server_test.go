@@ -467,6 +467,24 @@ func TestMetricsAndLogs(t *testing.T) {
 	}
 }
 
+func TestRequestDurationSubMillisecond(t *testing.T) {
+	// Sub-millisecond requests must still add their time: four 250µs
+	// observations sum to one millisecond.
+	m := newMetrics()
+	for range 4 {
+		m.observe("exists-solution", http.StatusOK, 250*time.Microsecond)
+	}
+	text := m.render(0, 0, 0, 0)
+	for _, want := range []string{
+		`pdxd_request_duration_milliseconds_sum{route="exists-solution"} 1.000`,
+		`pdxd_request_duration_milliseconds_count{route="exists-solution"} 4`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("metrics missing %q in:\n%s", want, text)
+		}
+	}
+}
+
 // lockedWriter serializes concurrent handler goroutines writing to the
 // test's log buffer.
 type lockedWriter struct {

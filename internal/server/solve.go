@@ -12,27 +12,36 @@ import (
 	"log/slog"
 	"net/http"
 
-	"repro/internal/certain"
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/qplan"
 	"repro/pde"
 	"repro/pde/client"
 )
 
-// solvePair is a solve's resolved instances plus their cache IDs.
+// solvePair is a solve's resolved instances plus their cache IDs. It is
+// the pde.Artifacts of the request: the shared dispatch reads chased
+// state through the chase cache and compiled plans through the plan
+// cache.
 type solvePair struct {
+	srv          *Server
+	c            *Compiled
 	i, j         *pde.Instance
 	srcID, tgtID string
+	// hit reports that the last artifact fetched came from the cache.
+	hit bool
 }
 
-// tractableOpts builds the Figure 3 options for one request.
-func (s *Server) tractableOpts(ctx context.Context) core.TractableOptions {
-	return core.TractableOptions{Parallelism: s.cfg.Parallelism, Ctx: ctx}
+// config is the execution config of one request's solver work.
+func (s *Server) config(ctx context.Context) par.Config {
+	return par.Config{Parallelism: s.cfg.Parallelism, Ctx: ctx}
 }
 
-// solveOpts builds the generic-solver options for one request.
-func (s *Server) solveOpts(ctx context.Context, maxNodes int64) core.SolveOptions {
-	o := core.SolveOptions{Parallelism: s.cfg.Parallelism, Ctx: ctx, MaxNodes: s.cfg.MaxNodes}
+// options configures the shared dispatch for one request: the compiled
+// certain-answer path is always on, and a positive maxNodes overrides
+// the server-wide generic-solver budget.
+func (s *Server) options(maxNodes int64) pde.Options {
+	o := pde.Options{Compiled: true, Parallelism: s.cfg.Parallelism, MaxNodes: s.cfg.MaxNodes}
 	if maxNodes > 0 {
 		o.MaxNodes = maxNodes
 	}
@@ -63,48 +72,68 @@ func canonicalBytes(ct *core.CanonicalTarget) int64 {
 	return n
 }
 
-// tractableArtifact returns the cached (or freshly chased) Figure 3
-// trace for the pair.
-func (s *Server) tractableArtifact(ctx context.Context, c *Compiled, p *solvePair) (*core.TractableTrace, bool, error) {
-	key := cacheKey(c.ID, p.srcID, p.tgtID, kindTractable)
-	meta := cacheEntry{key: key, settingID: c.ID, srcID: p.srcID, tgtID: p.tgtID, kind: kindTractable, srcInst: p.i, tgtInst: p.j}
-	v, hit, err := s.cache.getOrCompute(ctx, key, meta, func() (any, int64, error) {
-		tr, err := core.ChaseCanonicalTractable(c.Setting, p.i, p.j, s.tractableOpts(ctx))
+// Tractable returns the cached (or freshly chased) Figure 3 trace for
+// the pair.
+func (p *solvePair) Tractable(ctx context.Context) (*core.TractableTrace, error) {
+	v, err := p.artifact(ctx, kindTractable, func() (any, int64, error) {
+		tr, err := core.ChaseCanonicalTractable(p.c.Setting, p.i, p.j, core.TractableOptions{Config: p.srv.config(ctx)})
 		if err != nil {
 			return nil, 0, err
 		}
 		return tr, tractableBytes(tr), nil
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if !hit {
-		s.countOwnerCompute()
-		s.snapshotFill(key)
-	}
-	return v.(*core.TractableTrace), hit, nil
+	return v.(*core.TractableTrace), nil
 }
 
-// genericArtifact returns the cached (or freshly chased) canonical
-// target for the pair.
-func (s *Server) genericArtifact(ctx context.Context, c *Compiled, p *solvePair, sopts core.SolveOptions) (*core.CanonicalTarget, bool, error) {
-	key := cacheKey(c.ID, p.srcID, p.tgtID, kindGeneric)
-	meta := cacheEntry{key: key, settingID: c.ID, srcID: p.srcID, tgtID: p.tgtID, kind: kindGeneric, srcInst: p.i, tgtInst: p.j}
-	v, hit, err := s.cache.getOrCompute(ctx, key, meta, func() (any, int64, error) {
-		ct, err := core.ChaseCanonicalTarget(c.Setting, p.i, p.j, sopts)
+// Canonical returns the cached (or freshly chased) canonical target for
+// the pair.
+func (p *solvePair) Canonical(ctx context.Context) (*core.CanonicalTarget, error) {
+	v, err := p.artifact(ctx, kindGeneric, func() (any, int64, error) {
+		ct, err := core.ChaseCanonicalTarget(p.c.Setting, p.i, p.j, core.SolveOptions{Config: p.srv.config(ctx)})
 		if err != nil {
 			return nil, 0, err
 		}
 		return ct, canonicalBytes(ct), nil
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
+	return v.(*core.CanonicalTarget), nil
+}
+
+// artifact fetches the pair's cache entry of the given kind, computing
+// it once on a miss (single-flight), and records whether it was a hit.
+func (p *solvePair) artifact(ctx context.Context, kind cacheKind, compute func() (any, int64, error)) (any, error) {
+	key := cacheKey(p.c.ID, p.srcID, p.tgtID, kind)
+	meta := cacheEntry{key: key, settingID: p.c.ID, srcID: p.srcID, tgtID: p.tgtID, kind: kind, srcInst: p.i, tgtInst: p.j}
+	v, hit, err := p.srv.cache.getOrCompute(ctx, key, meta, compute)
+	if err != nil {
+		return nil, err
+	}
+	p.hit = hit
 	if !hit {
-		s.countOwnerCompute()
-		s.snapshotFill(key)
+		p.srv.countOwnerCompute()
+		p.srv.snapshotFill(key)
 	}
-	return v.(*core.CanonicalTarget), hit, nil
+	return v, nil
+}
+
+// Plan returns the query's plan from the plan cache, or the setting's
+// fallback reason when it is outside the compilable fragment.
+func (p *solvePair) Plan(q pde.UCQ) (*pde.Plan, error) {
+	if p.c.Plan == nil {
+		return nil, &qplan.FallbackError{Reason: p.c.PlanFallback}
+	}
+	plan, hit, err := p.srv.plans.get(p.c, q)
+	if hit {
+		p.srv.met.planHits.Add(1)
+	} else {
+		p.srv.met.planMisses.Add(1)
+	}
+	return plan, err
 }
 
 // snapshotFill enqueues the freshly computed entry under key for the
@@ -118,119 +147,16 @@ func (s *Server) snapshotFill(key string) {
 	}
 }
 
-// solveExists runs the SOL(P) verdict from the cached fixpoint,
-// mirroring pde's strategy dispatch. The bool reports a cache hit.
-func (s *Server) solveExists(ctx context.Context, c *Compiled, p *solvePair, witness bool, maxNodes int64) (pde.Result, bool, error) {
-	if c.Strategy == string(pde.StrategyTractable) {
-		trace, hit, err := s.tractableArtifact(ctx, c, p)
-		if err != nil {
-			return pde.Result{}, false, err
-		}
-		topts := s.tractableOpts(ctx)
-		if witness {
-			sol, _, err := core.FindSolutionTractableFrom(p.i, trace, topts)
-			if err != nil {
-				return pde.Result{}, hit, err
-			}
-			return pde.Result{Exists: sol != nil, Solution: sol, Strategy: pde.StrategyTractable}, hit, nil
-		}
-		ok, _, err := core.ExistsSolutionTractableFrom(p.i, trace, topts)
-		if err != nil {
-			return pde.Result{}, hit, err
-		}
-		return pde.Result{Exists: ok, Strategy: pde.StrategyTractable}, hit, nil
-	}
-
-	sopts := s.solveOpts(ctx, maxNodes)
-	ct, hit, err := s.genericArtifact(ctx, c, p, sopts)
-	if err != nil {
-		return pde.Result{}, false, err
-	}
-	ok, wit, stats, err := core.ExistsSolutionGenericFrom(c.Setting, p.i, p.j, ct, sopts)
-	if err != nil {
-		return pde.Result{}, hit, err
-	}
-	res := pde.Result{Exists: ok, Solution: wit, Strategy: pde.StrategyGeneric}
-	if stats != nil {
-		res.Nodes = stats.Nodes
-	}
-	return res, hit, nil
-}
-
-// planOpts builds the compiled-plan evaluation options for one request.
-func (s *Server) planOpts(ctx context.Context) qplan.EvalOptions {
-	return qplan.EvalOptions{Parallelism: s.cfg.Parallelism, Ctx: ctx}
-}
-
-// certainOutcome is one certain-answers result plus how it was
-// produced: from a compiled plan (compiled, no chase at all), or by
-// solution enumeration (cacheHit reports whether the chase was cached;
-// fallback is the non-empty reason when a compiled setting declined).
-type certainOutcome struct {
-	res      certain.Result
-	cacheHit bool
-	compiled bool
-	fallback string
-}
-
-// solveCertain answers one certain-answers request: the compiled plan
-// path when the setting is in the compilable fragment, the
-// enumeration path from the cached canonical target otherwise (with
-// the fallback reason counted and surfaced).
-func (s *Server) solveCertain(ctx context.Context, c *Compiled, p *solvePair, q pde.UCQ) (certainOutcome, error) {
-	reason := c.PlanFallback
-	if c.Plan != nil {
-		plan, cerr := s.queryPlan(c, q)
-		if cerr == nil {
-			res, err := plan.Eval(p.i, p.j, s.planOpts(ctx))
-			if err == nil {
-				return certainOutcome{res: res, compiled: true}, nil
-			}
-			if reason = pde.CompiledFallbackReason(err); reason == "" {
-				return certainOutcome{}, err
-			}
-		} else if reason = pde.CompiledFallbackReason(cerr); reason == "" {
-			return certainOutcome{}, cerr
+// certain runs the shared certain-answers dispatch over the pair and
+// counts every query the compiled path declined, by reason.
+func (s *Server) certain(ctx context.Context, p *solvePair, queries []pde.UCQ) ([]pde.CertainResult, error) {
+	res, err := pde.CertainFrom(ctx, p.c.Setting, p.i, p.j, queries, p, s.options(0))
+	for _, r := range res {
+		if r.FallbackReason != "" {
+			s.met.compiledFallback(r.FallbackReason).Add(1)
 		}
 	}
-	s.met.compiledFallback(reason).Add(1)
-	res, hit, err := s.enumerateCertain(ctx, c, p, q, nil)
-	return certainOutcome{res: res, cacheHit: hit, fallback: reason}, err
-}
-
-// queryPlan fetches (or compiles and caches) the compiled plan for one
-// query of a compilable setting, counting plan-cache traffic.
-func (s *Server) queryPlan(c *Compiled, q pde.UCQ) (*pde.Plan, error) {
-	plan, hit, err := s.plans.get(c, q)
-	if hit {
-		s.met.planHits.Add(1)
-	} else {
-		s.met.planMisses.Add(1)
-	}
-	return plan, err
-}
-
-// enumerateCertain runs the enumeration path from the cached canonical
-// target. Certain answers enumerate image solutions, so this uses the
-// generic artifact even for tractable settings. A non-nil ct reuses an
-// artifact the caller already fetched (batch mode).
-func (s *Server) enumerateCertain(ctx context.Context, c *Compiled, p *solvePair, q pde.UCQ, ct *core.CanonicalTarget) (certain.Result, bool, error) {
-	sopts := s.solveOpts(ctx, 0)
-	hit := true
-	if ct == nil {
-		var err error
-		ct, hit, err = s.genericArtifact(ctx, c, p, sopts)
-		if err != nil {
-			return certain.Result{}, false, err
-		}
-	}
-	copts := certain.Options{Solve: sopts, Canonical: ct}
-	if q[0].IsBoolean() {
-		res, err := certain.Boolean(c.Setting, p.i, p.j, q, copts)
-		return res, hit, err
-	}
-	res, err := certain.Answers(c.Setting, p.i, p.j, q, copts)
-	return res, hit, err
+	return res, err
 }
 
 // fitsSetting reports whether every fact of the batch belongs to the
@@ -367,7 +293,7 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 		var reason string
 		switch e.kind {
 		case kindTractable:
-			next, r, why, err := core.ResumeCanonicalTractable(c.Setting, e.value.(*core.TractableTrace), delta, s.tractableOpts(ctx))
+			next, r, why, err := core.ResumeCanonicalTractable(c.Setting, e.value.(*core.TractableTrace), delta, core.TractableOptions{Config: s.config(ctx)})
 			if err != nil {
 				s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "cache migration failed",
 					slog.String("setting", e.settingID), slog.String("err", err.Error()))
@@ -376,7 +302,7 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 			s.cache.put(meta, next, tractableBytes(next))
 			resumed, reason = r, why
 		case kindGeneric:
-			next, r, why, err := core.ResumeCanonicalTarget(c.Setting, e.value.(*core.CanonicalTarget), delta, s.solveOpts(ctx, 0))
+			next, r, why, err := core.ResumeCanonicalTarget(c.Setting, e.value.(*core.CanonicalTarget), delta, core.SolveOptions{Config: s.config(ctx)})
 			if err != nil {
 				s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "cache migration failed",
 					slog.String("setting", e.settingID), slog.String("err", err.Error()))
@@ -400,88 +326,15 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 	return migrated, resumes, fallbacks
 }
 
-// solveCertainBatch answers many queries over one instance pair,
-// sharing the per-pair work: the setting's solution probes run at most
-// once (every compiled plan evaluates against that verdict), and the
-// queries that fall off the compiled path share one chased artifact.
-func (s *Server) solveCertainBatch(ctx context.Context, c *Compiled, p *solvePair, queries []pde.UCQ) (client.CertainBatchResponse, error) {
-	out := client.CertainBatchResponse{Results: make([]client.CertainBatchResult, len(queries))}
-
-	// Lazy shared state: neither the probes nor the chase run unless
-	// some query needs them.
-	var (
-		probesDone bool
-		solExists  bool
-		probeErr   error
-		ct         *core.CanonicalTarget
-	)
-	probes := func() (bool, error) {
-		if !probesDone {
-			probesDone = true
-			solExists, probeErr = c.Plan.SolutionExists(p.i, p.j, s.planOpts(ctx))
-		}
-		return solExists, probeErr
-	}
-	artifact := func() (*core.CanonicalTarget, error) {
-		if ct == nil {
-			a, hit, err := s.genericArtifact(ctx, c, p, s.solveOpts(ctx, 0))
-			if err != nil {
-				return nil, err
-			}
-			ct, out.CacheHit = a, hit
-		}
-		return ct, nil
-	}
-
-	for n, q := range queries {
-		reason := c.PlanFallback
-		if c.Plan != nil {
-			plan, cerr := s.queryPlan(c, q)
-			if cerr == nil {
-				ex, err := probes()
-				if err == nil {
-					var res certain.Result
-					if res, err = plan.EvalGiven(ex, p.i, p.j, s.planOpts(ctx)); err == nil {
-						out.Results[n] = batchResult(q, res, true, "")
-						continue
-					}
-				}
-				if reason = pde.CompiledFallbackReason(err); reason == "" {
-					return out, err
-				}
-			} else if reason = pde.CompiledFallbackReason(cerr); reason == "" {
-				return out, cerr
-			}
-		}
-		s.met.compiledFallback(reason).Add(1)
-		a, err := artifact()
-		if err != nil {
-			return out, err
-		}
-		res, _, err := s.enumerateCertain(ctx, c, p, q, a)
-		if err != nil {
-			return out, err
-		}
-		out.Results[n] = batchResult(q, res, false, reason)
-	}
-	return out, nil
-}
-
-// batchResult converts one certain-answers result to its wire form.
-func batchResult(q pde.UCQ, res certain.Result, compiled bool, fallback string) client.CertainBatchResult {
-	r := client.CertainBatchResult{
-		Name:           q[0].Name,
-		SolutionExists: res.SolutionExists,
-		Certain:        res.Certain,
-		Compiled:       compiled,
-		FallbackReason: fallback,
-	}
-	for _, t := range res.Answers {
+// wireAnswers converts certain-answer tuples to their wire form.
+func wireAnswers(ts []pde.Tuple) [][]string {
+	var out [][]string
+	for _, t := range ts {
 		row := make([]string, len(t))
 		for k, v := range t {
 			row[k] = v.String()
 		}
-		r.Answers = append(r.Answers, row)
+		out = append(out, row)
 	}
-	return r
+	return out
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dep"
 	"repro/internal/oracle"
+	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/workload"
 )
@@ -173,8 +174,8 @@ func TestKeyedLAVInstanceMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 4} {
-		res, err := chase.Run(start, deps, chase.Options{Parallelism: par})
+	for _, workers := range []int{1, 4} {
+		res, err := chase.Run(start, deps, chase.Options{Config: par.Config{Parallelism: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestKeyedLAVInstanceMerges(t *testing.T) {
 			t.Fatalf("union-find state not retained: %v", res.UnionFind)
 		}
 		if ref.Instance.String() != res.Instance.String() || ref.Steps != res.Steps || ref.Merges != res.Merges || ref.Failed {
-			t.Fatalf("par %d: engine diverged from the reference chase on the keyed workload", par)
+			t.Fatalf("par %d: engine diverged from the reference chase on the keyed workload", workers)
 		}
 	}
 }

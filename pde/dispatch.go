@@ -1,0 +1,158 @@
+package pde
+
+// The shared solve pipeline. SolveFrom and CertainFrom encode the
+// paper's decision rules once: the Figure 3 algorithm for C_tract
+// settings and the complete search otherwise (Theorems 3–5), and the
+// certain answers of Definition 4 through a compiled plan or by
+// enumerating image solutions. They read chased state through the
+// Artifacts seam: the façade entry points chase on demand (chaser),
+// pdxd reads its chase cache, single-flight and plan cache. Neither
+// function validates or classifies; the callers did that once.
+
+import (
+	"context"
+
+	"repro/internal/certain"
+	"repro/internal/core"
+	"repro/internal/qplan"
+)
+
+// Artifacts supplies the chased state of one instance pair (I, J) to
+// SolveFrom and CertainFrom. Each method is called at most once per
+// dispatch call, and only when the dispatch needs its result.
+type Artifacts interface {
+	// Tractable returns the Figure 3 trace of (I, J): both chase phases
+	// and the block decomposition of I_can.
+	Tractable(ctx context.Context) (*TractableTrace, error)
+	// Canonical returns the canonical target of (I, J).
+	Canonical(ctx context.Context) (*CanonicalTarget, error)
+	// Plan returns the compiled plan of q, or an error whose
+	// CompiledFallbackReason names why the compiled path declines.
+	Plan(q UCQ) (*Plan, error)
+}
+
+// SolveFrom decides SOL(P) for (I, J) with the given strategy over the
+// chased state a supplies. The setting must be valid, I and J must fit
+// its schemas, and StrategyTractable requires a C_tract setting; the
+// strategy is the caller's classification (ForceGeneric in o is not
+// consulted). With witness set, a tractable run also builds the witness
+// solution J_img; the generic solver always returns its witness.
+func SolveFrom(ctx context.Context, s *Setting, i, j *Instance, strategy Strategy, witness bool, a Artifacts, o Options) (Result, error) {
+	if strategy == StrategyTractable {
+		trace, err := a.Tractable(ctx)
+		if err != nil {
+			return Result{}, err
+		}
+		topts := core.TractableOptions{Config: o.config(ctx)}
+		if witness {
+			sol, _, err := core.FindSolutionTractableFrom(i, trace, topts)
+			if err != nil {
+				return Result{}, err
+			}
+			return Result{Exists: sol != nil, Solution: sol, Strategy: StrategyTractable}, nil
+		}
+		ok, _, err := core.ExistsSolutionTractableFrom(i, trace, topts)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Exists: ok, Strategy: StrategyTractable}, nil
+	}
+	ct, err := a.Canonical(ctx)
+	if err != nil {
+		return Result{}, err
+	}
+	ok, sol, stats, err := core.ExistsSolutionGenericFrom(s, i, j, ct, o.solveOptions(ctx))
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Exists: ok, Solution: sol, Strategy: StrategyGeneric}
+	if stats != nil {
+		res.Nodes = stats.Nodes
+	}
+	return res, nil
+}
+
+// CertainFrom computes the certain answers of each query on (I, J)
+// over the chased state a supplies; a query with an empty head gets the
+// Boolean verdict. With o.Compiled, each query first tries its compiled
+// plan; the setting's solution probes run at most once for the whole
+// batch. Queries the compiled path declines, and every query without
+// o.Compiled, enumerate the image solutions of one canonical target,
+// fetched at most once. The setting must be valid and the instances and
+// queries must fit its schemas. On error the returned slice ends at the
+// failing query, so callers can still account for the fallbacks taken.
+func CertainFrom(ctx context.Context, s *Setting, i, j *Instance, queries []UCQ, a Artifacts, o Options) ([]CertainResult, error) {
+	cfg := o.config(ctx)
+	out := make([]CertainResult, len(queries))
+	var (
+		probed, exists bool
+		probeErr       error
+		ct             *CanonicalTarget
+	)
+	for n, q := range queries {
+		if o.Compiled {
+			plan, err := a.Plan(q)
+			if err == nil {
+				if !probed {
+					probed = true
+					exists, probeErr = plan.SettingPlan().SolutionExists(i, j, cfg)
+				}
+				if err = probeErr; err == nil {
+					var res certain.Result
+					if res, err = plan.EvalGiven(exists, i, j, cfg); err == nil {
+						out[n] = CertainResult{SolutionExists: res.SolutionExists, Certain: res.Certain, Answers: res.Answers, Compiled: true}
+						continue
+					}
+				}
+			}
+			if out[n].FallbackReason = qplan.ReasonOf(err); out[n].FallbackReason == "" {
+				return out[:n+1], err
+			}
+		}
+		if ct == nil {
+			var err error
+			if ct, err = a.Canonical(ctx); err != nil {
+				return out[:n+1], err
+			}
+		}
+		eval := certain.Answers
+		if q[0].IsBoolean() {
+			eval = certain.Boolean
+		}
+		res, err := eval(s, i, j, q, certain.Options{Solve: o.solveOptions(ctx), Canonical: ct})
+		if err != nil {
+			return out[:n+1], err
+		}
+		out[n].SolutionExists, out[n].Certain, out[n].Answers, out[n].SolutionsExamined =
+			res.SolutionExists, res.Certain, res.Answers, res.SolutionsExamined
+	}
+	return out, nil
+}
+
+// chaser is the façade's Artifacts: it chases (I, J) when asked and
+// compiles the setting plan at most once.
+type chaser struct {
+	s     *Setting
+	i, j  *Instance
+	o     Options
+	sp    *SettingPlan
+	spErr error
+}
+
+func (c *chaser) Tractable(ctx context.Context) (*TractableTrace, error) {
+	return core.ChaseCanonicalTractable(c.s, c.i, c.j, core.TractableOptions{Config: c.o.config(ctx)})
+}
+
+func (c *chaser) Canonical(ctx context.Context) (*CanonicalTarget, error) {
+	return core.ChaseCanonicalTarget(c.s, c.i, c.j, c.o.solveOptions(ctx))
+}
+
+func (c *chaser) Plan(q UCQ) (*Plan, error) {
+	if c.sp == nil && c.spErr == nil {
+		c.sp, c.spErr = qplan.CompileSetting(c.s)
+	}
+	if c.spErr != nil {
+		return nil, c.spErr
+	}
+	return c.sp.CompileQuery(q)
+}

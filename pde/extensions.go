@@ -20,8 +20,7 @@ import (
 // exists. Options.Parallelism/Seed configure the chase's trigger
 // search.
 func UniversalSolution(s *Setting, i, j *Instance, opts ...Options) (sol *Instance, exists bool, err error) {
-	o := options(opts).normalized()
-	res, err := uni.CanonicalSolution(s, i, j, chaseOptions(o))
+	res, err := uni.CanonicalSolution(s, i, j, chase.Options{Config: options(opts).config(nil)})
 	if err != nil {
 		return nil, false, err
 	}
@@ -29,18 +28,6 @@ func UniversalSolution(s *Setting, i, j *Instance, opts ...Options) (sol *Instan
 		return nil, false, nil
 	}
 	return res.Solution, true, nil
-}
-
-// chaseOptions projects the façade options onto a chase configuration
-// (used by the data-exchange helpers, which chase but never search).
-func chaseOptions(o Options) chase.Options {
-	return chase.Options{
-		Parallelism: o.Parallelism,
-		Seed:        o.Seed,
-		MaxSteps:    o.Solve.MaxChaseSteps,
-		Hom:         o.Solve.Hom,
-		Ctx:         o.Solve.Ctx,
-	}
 }
 
 // Core computes the core of an instance with labeled nulls: its
@@ -56,13 +43,15 @@ func Core(inst *Instance) *Instance {
 // solution. This is the tractable contrast the paper draws with the
 // coNP-complete PDE case.
 func CertainAnswersDataExchange(s *Setting, i, j *Instance, q UCQ, opts ...Options) (CertainResult, error) {
-	o := options(opts).normalized()
 	if err := prepareCertain(s, i, j, q); err != nil {
 		return CertainResult{}, err
 	}
+	// The context-free config: query evaluation never sees a canceled
+	// search, so a spurious miss can never become an answer.
+	cfg := options(opts).config(nil)
 	answers, exists, err := uni.CertainAnswers(s, i, j, func(inst *rel.Instance) []rel.Tuple {
-		return q.Eval(inst, o.Solve.Hom)
-	}, chaseOptions(o))
+		return q.Eval(inst, cfg)
+	}, chase.Options{Config: cfg})
 	if err != nil {
 		return CertainResult{}, err
 	}
@@ -84,11 +73,10 @@ type RepairResult struct {
 // unsolvable inputs sketched in the paper's conclusion. The target
 // instance must be small (the enumeration is exponential in |J|).
 func Repairs(s *Setting, i, j *Instance, opts ...Options) (RepairResult, error) {
-	o := options(opts).normalized()
 	if err := s.Validate(); err != nil {
 		return RepairResult{}, err
 	}
-	res, err := repair.Repairs(s, i, j, repair.Options{Solve: o.Solve})
+	res, err := repair.Repairs(s, i, j, repair.Options{Solve: options(opts).solveOptions(nil)})
 	if err != nil {
 		return RepairResult{}, err
 	}
@@ -98,11 +86,10 @@ func Repairs(s *Setting, i, j *Instance, opts ...Options) (RepairResult, error) 
 // CertainUnderRepairs computes repair-based certain answers: tuples (or
 // the Boolean verdict) certain in every solution of every repair.
 func CertainUnderRepairs(s *Setting, i, j *Instance, q UCQ, opts ...Options) (CertainResult, error) {
-	o := options(opts).normalized()
 	if err := prepareCertain(s, i, j, q); err != nil {
 		return CertainResult{}, err
 	}
-	ropts := repair.Options{Solve: o.Solve}
+	ropts := repair.Options{Solve: options(opts).solveOptions(nil)}
 	if q[0].IsBoolean() {
 		cert, hasRepair, err := repair.CertainBool(s, i, j, q, ropts)
 		if err != nil {

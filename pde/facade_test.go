@@ -35,8 +35,7 @@ func TestErrSearchBudgetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := pde.Options{}
-	opts.Solve.MaxNodes = 5
+	opts := pde.Options{MaxNodes: 5}
 	_, err = pde.ExistsSolution(s, i, pde.NewInstance(), opts)
 	if err == nil {
 		t.Fatal("want a budget error, got nil")

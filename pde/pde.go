@@ -54,7 +54,7 @@ import (
 //	res, err := pde.ExistsSolutionContext(ctx, s, i, j, opts)
 //	switch {
 //	case errors.Is(err, pde.ErrCanceled):     // ctx canceled or deadline hit
-//	case errors.Is(err, pde.ErrSearchBudget): // Options.Solve.MaxNodes exhausted
+//	case errors.Is(err, pde.ErrSearchBudget): // Options.MaxNodes exhausted
 //	case errors.Is(err, pde.ErrChaseBudget):  // chase step budget exhausted
 //	}
 //
@@ -62,7 +62,7 @@ import (
 // context.Canceled or context.DeadlineExceeded, whichever applied.
 var (
 	// ErrSearchBudget reports that the generic solver exhausted its
-	// node budget (Options.Solve.MaxNodes) before deciding.
+	// node budget (Options.MaxNodes) before deciding.
 	ErrSearchBudget = core.ErrSearchBudget
 	// ErrCanceled reports that a context canceled the computation
 	// before it completed.
@@ -99,10 +99,12 @@ type (
 	UCQ = certain.UCQ
 	// CtractReport explains a C_tract classification (Definition 9).
 	CtractReport = dep.CtractReport
-	// SolveOptions configures the generic (NP) solver.
-	SolveOptions = core.SolveOptions
-	// TractableOptions configures the Figure 3 algorithm.
-	TractableOptions = core.TractableOptions
+	// TractableTrace is the chased state of the Figure 3 algorithm: the
+	// canonical instances and the block decomposition of I_can.
+	TractableTrace = core.TractableTrace
+	// CanonicalTarget is the chased canonical target the generic solver
+	// and the certain-answers enumeration search over.
+	CanonicalTarget = core.CanonicalTarget
 	// VetReport is the result of a static-analysis pass over a setting.
 	VetReport = lint.Report
 	// Plan is a compiled certain-answer plan; see CompileCertain.
@@ -229,21 +231,12 @@ type Result struct {
 	Nodes int64
 }
 
-// Options configures ExistsSolution and FindSolution.
+// Options configures the façade entry points.
 type Options struct {
 	// ForceGeneric skips the C_tract dispatch and always runs the
 	// complete solver.
 	ForceGeneric bool
-	// Parallelism bounds the workers of every parallel phase (chase
-	// trigger search, block checks, the solver's violation scan): 0
-	// means GOMAXPROCS, 1 forces the serial paths. It is folded into
-	// Solve and Tractable wherever they do not set their own value;
-	// results are byte-identical at every setting.
-	Parallelism int
-	// Seed perturbs parallel work distribution (never results); folded
-	// like Parallelism.
-	Seed int64
-	// Compiled makes CertainBool and CertainAnswers try the compiled
+	// Compiled makes the certain-answer entry points try the compiled
 	// plan path first (package qplan): for settings in the compilable
 	// C_tract fragment the chase and solution enumeration are skipped
 	// entirely. Outside the fragment the call falls back to the
@@ -252,56 +245,34 @@ type Options struct {
 	// paths (SolutionsExamined excepted: the compiled path examines
 	// none).
 	Compiled bool
-	// Solve configures the generic solver.
-	Solve SolveOptions
-	// Tractable configures the Figure 3 algorithm.
-	Tractable TractableOptions
+	// Parallelism bounds the workers of every parallel phase (chase
+	// trigger search, block checks, the solver's violation scan): 0
+	// means GOMAXPROCS, 1 forces the serial paths. Results are
+	// byte-identical at every setting.
+	Parallelism int
+	// Seed perturbs parallel work distribution, never results.
+	Seed int64
+	// MaxNodes bounds the generic solver's search nodes; 0 means no
+	// bound. An exhausted budget fails with ErrSearchBudget.
+	MaxNodes int64
 }
 
-// withContext folds a cancellation context plus the façade-level knobs
-// into the per-algorithm option structs, preserving any value those
-// structs already set.
-func (o Options) withContext(ctx context.Context) Options {
-	o = o.normalized()
-	if ctx != nil {
-		if o.Solve.Ctx == nil {
-			o.Solve.Ctx = ctx
-		}
-		if o.Tractable.Ctx == nil {
-			o.Tractable.Ctx = ctx
-		}
-	}
-	return o
+// config is the execution config of one call: the options' knobs plus
+// the call's context (nil for the context-free entry points).
+func (o Options) config(ctx context.Context) par.Config {
+	return par.Config{Parallelism: o.Parallelism, Seed: o.Seed, Ctx: ctx}
 }
 
-// normalized folds the façade-level knobs (Parallelism, Seed) into the
-// per-algorithm option structs, preserving any value those structs
-// already set.
-func (o Options) normalized() Options {
-	if o.Parallelism != 0 {
-		if o.Solve.Parallelism == 0 {
-			o.Solve.Parallelism = o.Parallelism
-		}
-		if o.Tractable.Parallelism == 0 {
-			o.Tractable.Parallelism = o.Parallelism
-		}
-	}
-	if o.Seed != 0 {
-		if o.Solve.Seed == 0 {
-			o.Solve.Seed = o.Seed
-		}
-		if o.Tractable.Seed == 0 {
-			o.Tractable.Seed = o.Seed
-		}
-	}
-	return o
+// solveOptions configures the generic solver for one call.
+func (o Options) solveOptions(ctx context.Context) core.SolveOptions {
+	return core.SolveOptions{Config: o.config(ctx), MaxNodes: o.MaxNodes}
 }
 
 // ExistsSolution decides SOL(P) for (I, J): it runs the polynomial
 // Figure 3 algorithm when the setting is in C_tract and the complete
 // backtracking solver otherwise.
 func ExistsSolution(s *Setting, i, j *Instance, opts ...Options) (Result, error) {
-	return solve(s, i, j, false, options(opts).normalized())
+	return solve(nil, s, i, j, false, options(opts))
 }
 
 // ExistsSolutionContext is ExistsSolution with cancellation: when ctx
@@ -309,19 +280,19 @@ func ExistsSolution(s *Setting, i, j *Instance, opts ...Options) (Result, error)
 // homomorphism searches all stop promptly and the call returns an
 // error matching pde.ErrCanceled (and the ctx's own error).
 func ExistsSolutionContext(ctx context.Context, s *Setting, i, j *Instance, opts ...Options) (Result, error) {
-	return solve(s, i, j, false, options(opts).withContext(ctx))
+	return solve(ctx, s, i, j, false, options(opts))
 }
 
 // FindSolution decides SOL(P) and constructs a witness solution when
 // one exists.
 func FindSolution(s *Setting, i, j *Instance, opts ...Options) (Result, error) {
-	return solve(s, i, j, true, options(opts).normalized())
+	return solve(nil, s, i, j, true, options(opts))
 }
 
 // FindSolutionContext is FindSolution with cancellation; see
 // ExistsSolutionContext.
 func FindSolutionContext(ctx context.Context, s *Setting, i, j *Instance, opts ...Options) (Result, error) {
-	return solve(s, i, j, true, options(opts).withContext(ctx))
+	return solve(ctx, s, i, j, true, options(opts))
 }
 
 func options(opts []Options) Options {
@@ -334,36 +305,20 @@ func options(opts []Options) Options {
 	return opts[0]
 }
 
-func solve(s *Setting, i, j *Instance, wantWitness bool, o Options) (Result, error) {
+// solve validates and classifies, then runs the shared dispatch over
+// chases made on demand.
+func solve(ctx context.Context, s *Setting, i, j *Instance, witness bool, o Options) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
 	if err := validateInstances(s, i, j); err != nil {
 		return Result{}, err
 	}
+	strategy := StrategyGeneric
 	if !o.ForceGeneric && s.Classify().InCtract {
-		if wantWitness {
-			sol, _, err := core.FindSolutionTractable(s, i, j, o.Tractable)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Exists: sol != nil, Solution: sol, Strategy: StrategyTractable}, nil
-		}
-		ok, _, err := core.ExistsSolutionTractable(s, i, j, o.Tractable)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Exists: ok, Strategy: StrategyTractable}, nil
+		strategy = StrategyTractable
 	}
-	ok, witness, stats, err := core.ExistsSolutionGeneric(s, i, j, o.Solve)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Exists: ok, Solution: witness, Strategy: StrategyGeneric}
-	if stats != nil {
-		res.Nodes = stats.Nodes
-	}
-	return res, nil
+	return SolveFrom(ctx, s, i, j, strategy, witness, &chaser{s: s, i: i, j: j, o: o}, o)
 }
 
 // IsSolution checks Definition 2 directly: J ⊆ J', (I, J') ⊨ Σst ∪ Σts,
@@ -405,91 +360,43 @@ type CertainResult struct {
 }
 
 // CertainBool computes certain(q, (I, J)) for a Boolean union of
-// conjunctive queries (Definition 4).
+// conjunctive queries (Definition 4). CertainBool and CertainAnswers
+// share one dispatch: the query's head decides the form of the result,
+// the verdict in Certain for an empty head and the tuples in Answers
+// otherwise.
 func CertainBool(s *Setting, i, j *Instance, q UCQ, opts ...Options) (CertainResult, error) {
-	return certainBool(s, i, j, q, options(opts).normalized())
+	return certainOne(nil, s, i, j, q, options(opts))
 }
 
 // CertainBoolContext is CertainBool with cancellation; see
 // ExistsSolutionContext.
 func CertainBoolContext(ctx context.Context, s *Setting, i, j *Instance, q UCQ, opts ...Options) (CertainResult, error) {
-	return certainBool(s, i, j, q, options(opts).withContext(ctx))
-}
-
-func certainBool(s *Setting, i, j *Instance, q UCQ, o Options) (CertainResult, error) {
-	if err := prepareCertain(s, i, j, q); err != nil {
-		return CertainResult{}, err
-	}
-	var fallback string
-	if o.Compiled {
-		out, done, err := certainCompiled(s, i, j, q, o)
-		if done {
-			return out, err
-		}
-		fallback = out.FallbackReason
-	}
-	res, err := certain.Boolean(s, i, j, q, certain.Options{Solve: o.Solve})
-	if err != nil {
-		return CertainResult{}, err
-	}
-	return CertainResult{SolutionExists: res.SolutionExists, Certain: res.Certain, SolutionsExamined: res.SolutionsExamined, FallbackReason: fallback}, nil
-}
-
-// certainCompiled runs the compiled plan path. done reports that the
-// returned result (or error) is final; otherwise the caller must run
-// the enumeration path, carrying out.FallbackReason into its result.
-func certainCompiled(s *Setting, i, j *Instance, q UCQ, o Options) (out CertainResult, done bool, err error) {
-	p, err := qplan.Compile(s, q)
-	if err != nil {
-		if reason := qplan.ReasonOf(err); reason != "" {
-			return CertainResult{FallbackReason: reason}, false, nil
-		}
-		return CertainResult{}, true, err
-	}
-	res, err := p.Eval(i, j, qplan.EvalOptions{Parallelism: o.Solve.Parallelism, Seed: o.Solve.Seed, Ctx: o.Solve.Ctx})
-	if err != nil {
-		if reason := qplan.ReasonOf(err); reason != "" {
-			return CertainResult{FallbackReason: reason}, false, nil
-		}
-		return CertainResult{}, true, err
-	}
-	return CertainResult{
-		SolutionExists: res.SolutionExists,
-		Certain:        res.Certain,
-		Answers:        res.Answers,
-		Compiled:       true,
-	}, true, nil
+	return certainOne(ctx, s, i, j, q, options(opts))
 }
 
 // CertainAnswers computes the certain answers of an open union of
-// conjunctive queries on (I, J).
+// conjunctive queries on (I, J); see CertainBool.
 func CertainAnswers(s *Setting, i, j *Instance, q UCQ, opts ...Options) (CertainResult, error) {
-	return certainAnswers(s, i, j, q, options(opts).normalized())
+	return certainOne(nil, s, i, j, q, options(opts))
 }
 
 // CertainAnswersContext is CertainAnswers with cancellation; see
 // ExistsSolutionContext.
 func CertainAnswersContext(ctx context.Context, s *Setting, i, j *Instance, q UCQ, opts ...Options) (CertainResult, error) {
-	return certainAnswers(s, i, j, q, options(opts).withContext(ctx))
+	return certainOne(ctx, s, i, j, q, options(opts))
 }
 
-func certainAnswers(s *Setting, i, j *Instance, q UCQ, o Options) (CertainResult, error) {
+// certainOne validates, then runs the shared dispatch on a batch of one
+// query over chases made on demand.
+func certainOne(ctx context.Context, s *Setting, i, j *Instance, q UCQ, o Options) (CertainResult, error) {
 	if err := prepareCertain(s, i, j, q); err != nil {
 		return CertainResult{}, err
 	}
-	var fallback string
-	if o.Compiled {
-		out, done, err := certainCompiled(s, i, j, q, o)
-		if done {
-			return out, err
-		}
-		fallback = out.FallbackReason
-	}
-	res, err := certain.Answers(s, i, j, q, certain.Options{Solve: o.Solve})
+	res, err := CertainFrom(ctx, s, i, j, []UCQ{q}, &chaser{s: s, i: i, j: j, o: o}, o)
 	if err != nil {
 		return CertainResult{}, err
 	}
-	return CertainResult{SolutionExists: res.SolutionExists, Answers: res.Answers, SolutionsExamined: res.SolutionsExamined, FallbackReason: fallback}, nil
+	return res[0], nil
 }
 
 func prepareCertain(s *Setting, i, j *Instance, q UCQ) error {
