@@ -2,7 +2,8 @@
 // the reproduction as a testing.B benchmark (see DESIGN.md §4 for the
 // experiment index and EXPERIMENTS.md for recorded results). The same
 // workloads are printed as tables by cmd/pdxbench; the benchmarks here
-// measure them.
+// measure them. BenchmarkSuite runs the perf registry
+// (internal/perfsuite) that `pdxbench -json` records.
 package repro
 
 import (
@@ -13,11 +14,10 @@ import (
 	"repro/internal/certain"
 	"repro/internal/chase"
 	"repro/internal/core"
-	"repro/internal/dep"
 	"repro/internal/graph"
 	"repro/internal/hom"
-	"repro/internal/par"
 	"repro/internal/pdms"
+	"repro/internal/perfsuite"
 	"repro/internal/reductions"
 	"repro/internal/rel"
 	"repro/internal/repair"
@@ -26,24 +26,18 @@ import (
 	"repro/pde"
 )
 
-func example1Setting(b *testing.B) *pde.Setting {
-	b.Helper()
-	s, err := pde.ParseSetting(`
-setting example1
-source E/2
-target H/2
-st: E(x,z), E(z,y) -> H(x,y)
-ts: H(x,y) -> E(x,y)
-`)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkSuite runs every perf-registry case (EXP-T4-*, EXP-PAR,
+// EXP-DELTA, EXP-UF and the serving paths) as a sub-benchmark named
+// after it; select by name, e.g. -bench 'Suite/keyed'.
+func BenchmarkSuite(b *testing.B) {
+	for _, c := range perfsuite.Cases() {
+		b.Run(c.Name, c.Benchmark())
 	}
-	return s
 }
 
 // BenchmarkExample1 (EXP-EX1): SOL on the three Example 1 instances.
 func BenchmarkExample1(b *testing.B) {
-	s := example1Setting(b)
+	s := workload.Example1Setting()
 	instances := make([]*pde.Instance, 0, 3)
 	for _, src := range []string{
 		"E(a,b). E(b,c).",
@@ -143,42 +137,6 @@ func BenchmarkCertainClique(b *testing.B) {
 		if err != nil || !res.Certain {
 			b.Fatalf("res=%+v err=%v", res, err)
 		}
-	}
-}
-
-// BenchmarkTractableLAV (EXP-T4-LAV): the Figure 3 algorithm on the LAV
-// family; time per op should grow roughly linearly in n.
-func BenchmarkTractableLAV(b *testing.B) {
-	s := workload.LAVSetting()
-	for _, n := range []int{100, 400, 1600} {
-		rng := rand.New(rand.NewSource(7))
-		i, j := workload.LAVInstance(n, true, rng)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for it := 0; it < b.N; it++ {
-				ok, _, err := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{})
-				if err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTractableFullST (EXP-T4-FULL): the Figure 3 algorithm on the
-// full-Σst family.
-func BenchmarkTractableFullST(b *testing.B) {
-	s := workload.FullSTSetting()
-	for _, n := range []int{50, 100, 200, 400} {
-		rng := rand.New(rand.NewSource(7))
-		i, j := workload.FullSTInstance(n, true, rng)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for it := 0; it < b.N; it++ {
-				ok, _, err := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{})
-				if err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-			}
-		})
 	}
 }
 
@@ -340,8 +298,8 @@ func BenchmarkBoundary3Col(b *testing.B) {
 // BenchmarkDataExchangeContrast (EXP-DE): the same instances under a
 // data exchange setting (Σts = ∅, always solvable) and the PDE setting.
 func BenchmarkDataExchangeContrast(b *testing.B) {
-	pdeS := example1Setting(b)
-	deS := example1Setting(b)
+	pdeS := workload.Example1Setting()
+	deS := workload.Example1Setting()
 	deS.TS = nil
 	i, err := pde.ParseInstance("E(a,b). E(b,c).")
 	if err != nil {
@@ -388,7 +346,7 @@ func BenchmarkPDMSEquivalence(b *testing.B) {
 // BenchmarkMultiPDE (EXP-MULTI): combining and solving a two-peer
 // multi-PDE setting.
 func BenchmarkMultiPDE(b *testing.B) {
-	p1 := example1Setting(b)
+	p1 := workload.Example1Setting()
 	p2, err := pde.ParseSetting(`
 setting peer2
 source F/2
@@ -426,16 +384,7 @@ st: F(x,y) -> H(x,y)
 // BenchmarkCore (EXP-CORE): core computation on an oblivious-chase
 // result with redundant nulls.
 func BenchmarkCore(b *testing.B) {
-	s, err := pde.ParseSetting(`
-setting staffing
-source Emp/2
-target Assigned/2, Manages/2
-st: Emp(name, mgr) -> exists team: Assigned(name, team)
-st: Emp(name, mgr) -> Manages(mgr, name)
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := workload.StaffingSetting()
 	rng := rand.New(rand.NewSource(15))
 	i := rel.NewInstance()
 	for k := 0; k < 30; k++ {
@@ -473,150 +422,4 @@ func BenchmarkRepairs(b *testing.B) {
 			b.Fatalf("unexpected repair result: %+v", res)
 		}
 	}
-}
-
-// --- Ablation benchmarks (DESIGN.md §6) ---
-
-// BenchmarkAblationParallel (EXP-PAR) compares the serial and parallel
-// execution of the Figure 3 algorithm on the two Theorem 4 acceptance
-// workloads at growing worker counts. Results are byte-identical across
-// the sub-benchmarks; only wall-clock changes. On a single-core host
-// the w>1 rows measure the overhead of the worker pool rather than a
-// speedup.
-func BenchmarkAblationParallel(b *testing.B) {
-	type bench struct {
-		name string
-		s    *core.Setting
-		i, j *rel.Instance
-	}
-	lavI, lavJ := workload.LAVInstance(1600, true, rand.New(rand.NewSource(7)))
-	fstI, fstJ := workload.FullSTInstance(400, true, rand.New(rand.NewSource(7)))
-	for _, w := range []bench{
-		{"lav/n=1600", workload.LAVSetting(), lavI, lavJ},
-		{"fullst/n=400", workload.FullSTSetting(), fstI, fstJ},
-	} {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", w.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for it := 0; it < b.N; it++ {
-					ok, _, err := core.ExistsSolutionTractable(w.s, w.i, w.j, core.TractableOptions{Config: par.Config{Parallelism: workers}})
-					if err != nil || !ok {
-						b.Fatalf("ok=%v err=%v", ok, err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationObliviousChase compares restricted and oblivious
-// chase step counts on the chain family.
-func BenchmarkAblationObliviousChase(b *testing.B) {
-	deps := workload.ChainDeps(3)
-	inst := workload.ChainInstance(100)
-	for _, oblivious := range []bool{false, true} {
-		name := "restricted"
-		if oblivious {
-			name = "oblivious"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for it := 0; it < b.N; it++ {
-				if _, err := chase.Run(inst, deps, chase.Options{Oblivious: oblivious}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkChaseDeepRecursion: the deep-recursion scaling series.
-// DeepChainDeps lists the chain tgds deepest first, so each round fills
-// exactly one layer and the chase takes depth+1 rounds; the semi-naive
-// chase skips unchanged layers via their watermarks and touches each
-// layer's facts O(1) times, where a naive chase would re-enumerate
-// every filled layer's body every round — Θ(depth²·n) tuple work.
-func BenchmarkChaseDeepRecursion(b *testing.B) {
-	for _, depth := range []int{4, 8, 16} {
-		deps := workload.DeepChainDeps(depth)
-		inst := workload.ChainInstance(200)
-		b.Run(fmt.Sprintf("depth=%d/n=200/delta", depth), func(b *testing.B) {
-			b.ReportAllocs()
-			var steps int
-			for it := 0; it < b.N; it++ {
-				res, err := chase.Run(inst, deps, chase.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				steps = res.Steps
-			}
-			if want := depth * 200; steps != want {
-				b.Fatalf("chase fired %d steps, want %d", steps, want)
-			}
-		})
-	}
-}
-
-// BenchmarkChaseEgdMerge (EXP-UF): egd-merge scaling on the keyed LAV
-// workload, where every person contributes exactly one key-egd merge.
-// The union-find engine rewrites only the tuples that mention a merged
-// value and keeps every watermark valid, so total work stays
-// near-linear across the n merges.
-func BenchmarkChaseEgdMerge(b *testing.B) {
-	s := workload.KeyedLAVSetting()
-	deps := append(append([]dep.Dependency{}, s.StDeps()...), s.T...)
-	for _, n := range []int{100, 400, 1600} {
-		i, j := workload.KeyedLAVInstance(n)
-		start := rel.Union(i, j)
-		b.Run(fmt.Sprintf("keyedlav/n=%d/uf", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for it := 0; it < b.N; it++ {
-				res, err := chase.Run(start, deps, chase.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Failed || res.Merges != n {
-					b.Fatalf("failed=%v merges=%d want %d", res.Failed, res.Merges, n)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkChaseKeyedResume (EXP-UF): warm append on a keyed setting.
-// The cold path re-chases the enlarged start from scratch; the warm
-// path resumes from the retained fixpoint + union-find, canonicalizes
-// the appended facts through the merge classes, and only chases the
-// delta. Before the union-find engine, any egd-bearing setting forced
-// the cold path.
-func BenchmarkChaseKeyedResume(b *testing.B) {
-	s := workload.KeyedLAVSetting()
-	deps := append(append([]dep.Dependency{}, s.StDeps()...), s.T...)
-	const n, k = 1600, 16
-	i, j := workload.KeyedLAVInstance(n)
-	start := rel.Union(i, j)
-	prev, err := chase.Run(start, deps, chase.Options{})
-	if err != nil || prev.Failed {
-		b.Fatalf("base chase: failed=%v err=%v", prev != nil && prev.Failed, err)
-	}
-	delta := workload.KeyedLAVAppend(n, k)
-	b.Run(fmt.Sprintf("keyedlav/n=%d/k=%d/warm", n, k), func(b *testing.B) {
-		b.ReportAllocs()
-		for it := 0; it < b.N; it++ {
-			res, resumed, err := chase.Resume(prev, deps, delta, chase.Options{})
-			if err != nil || !resumed || res.Failed {
-				b.Fatalf("resumed=%v failed=%v err=%v", resumed, res != nil && res.Failed, err)
-			}
-		}
-	})
-	cold := rel.Union(start, delta)
-	b.Run(fmt.Sprintf("keyedlav/n=%d/k=%d/cold", n, k), func(b *testing.B) {
-		b.ReportAllocs()
-		for it := 0; it < b.N; it++ {
-			res, err := chase.Run(cold, deps, chase.Options{})
-			if err != nil || res.Failed {
-				b.Fatalf("failed=%v err=%v", res != nil && res.Failed, err)
-			}
-		}
-	})
 }

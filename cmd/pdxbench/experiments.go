@@ -64,16 +64,7 @@ func timed(f func()) time.Duration {
 
 // expExample1 reproduces Example 1 of the paper.
 func expExample1(w io.Writer) error {
-	s, err := pde.ParseSetting(`
-setting example1
-source E/2
-target H/2
-st: E(x,z), E(z,y) -> H(x,y)
-ts: H(x,y) -> E(x,y)
-`)
-	if err != nil {
-		return err
-	}
+	s := workload.Example1Setting()
 	cases := []struct{ name, facts, paper string }{
 		{"I = {E(a,b), E(b,c)}", "E(a,b). E(b,c).", "no solution"},
 		{"I = {E(a,a)}", "E(a,a).", "unique solution {H(a,a)}"},
@@ -105,7 +96,7 @@ ts: H(x,y) -> E(x,y)
 // expClassify classifies every setting defined in the paper.
 func expClassify(w io.Writer) error {
 	settings := []*core.Setting{
-		exampleOneSetting(),
+		workload.Example1Setting(),
 		reductions.CliqueSetting(),
 		reductions.BoundaryEgdSetting(),
 		reductions.BoundaryFullTgdSetting(),
@@ -122,20 +113,6 @@ func expClassify(w io.Writer) error {
 			s.Name, rep.Cond1, rep.Cond21, rep.Cond22, len(s.T), rep.HasDisjunctiveTS, rep.InCtract)
 	}
 	return tw.Flush()
-}
-
-func exampleOneSetting() *core.Setting {
-	s, err := pde.ParseSetting(`
-setting example1
-source E/2
-target H/2
-st: E(x,z), E(z,y) -> H(x,y)
-ts: H(x,y) -> E(x,y)
-`)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // expUpperBound exercises the Theorem 1 upper-bound machinery: the
@@ -609,8 +586,8 @@ func wheel5() *graph.Graph {
 
 // expDataExchange contrasts PDE with plain data exchange.
 func expDataExchange(w io.Writer) error {
-	pdeSetting := exampleOneSetting()
-	deSetting := exampleOneSetting()
+	pdeSetting := workload.Example1Setting()
+	deSetting := workload.Example1Setting()
 	deSetting.TS = nil
 	deSetting.Name = "example1-data-exchange"
 	rng := rand.New(rand.NewSource(12))
@@ -648,16 +625,7 @@ func expDataExchange(w io.Writer) error {
 // its core, the smallest universal solution. The restricted chase is
 // shown for comparison: on this family it is already core-sized.
 func expCores(w io.Writer) error {
-	s, err := pde.ParseSetting(`
-setting staffing
-source Emp/2
-target Assigned/2, Manages/2
-st: Emp(name, mgr) -> exists team: Assigned(name, team)
-st: Emp(name, mgr) -> Manages(mgr, name)
-`)
-	if err != nil {
-		return err
-	}
+	s := workload.StaffingSetting()
 	rng := rand.New(rand.NewSource(15))
 	tw := table(w)
 	fmt.Fprintln(tw, "n (Emp facts)\t|restricted chase|\t|oblivious chase|\t|core|\tsolution")
@@ -773,7 +741,7 @@ func expPDMS(w io.Writer) error {
 // expMultiPDE validates the multi-PDE-to-PDE compression.
 func expMultiPDE(w io.Writer) error {
 	target := rel.SchemaOf("H", 2)
-	p1 := exampleOneSetting()
+	p1 := workload.Example1Setting()
 	p1.Target = target
 	p2, err := pde.ParseSetting(`
 setting peer2
@@ -844,50 +812,41 @@ func expCache(w io.Writer) error {
 		i, j := workload.LAVInstance(n, true, rand.New(rand.NewSource(7)))
 
 		var trace *core.TractableTrace
+		var coldOK bool
+		var err error
 		cold := timed(func() {
-			var err error
-			trace, err = core.ChaseCanonicalTractable(s, i, j, core.TractableOptions{})
-			if err != nil {
-				panic(err)
-			}
-			if ok, _, err := core.ExistsSolutionTractableFrom(i, trace, core.TractableOptions{}); err != nil || !ok {
-				panic(fmt.Sprintf("cold lav n=%d rejected: ok=%v err=%v", n, ok, err))
+			if trace, err = core.ChaseCanonicalTractable(s, i, j, core.TractableOptions{}); err == nil {
+				coldOK, _, err = core.ExistsSolutionTractableFrom(i, trace, core.TractableOptions{})
 			}
 		})
+		if err != nil || !coldOK {
+			return fmt.Errorf("EXP-CACHE: cold lav n=%d rejected: ok=%v err=%v", n, coldOK, err)
+		}
 		var warmOK bool
 		warm := timed(func() {
-			var err error
 			warmOK, _, err = core.ExistsSolutionTractableFrom(i, trace, core.TractableOptions{})
-			if err != nil {
-				panic(err)
-			}
 		})
-		if !warmOK {
-			return fmt.Errorf("EXP-CACHE: warm verdict diverged at n=%d", n)
+		if err != nil || !warmOK {
+			return fmt.Errorf("EXP-CACHE: warm verdict diverged at n=%d: ok=%v err=%v", n, warmOK, err)
 		}
 
-		delta := rel.NewInstance()
-		for k := 0; k < 16; k++ {
-			delta.Add("Person", rel.Const(fmt.Sprintf("newp%d", k)), rel.Const(fmt.Sprintf("newg%d", k%4)))
-		}
+		delta := workload.LAVAppend(16)
 		var next *core.TractableTrace
+		var resumed bool
 		resume := timed(func() {
-			var resumed bool
-			var err error
 			next, resumed, _, err = core.ResumeCanonicalTractable(s, trace, delta, core.TractableOptions{})
-			if err != nil || !resumed {
-				panic(fmt.Sprintf("resume lav n=%d: resumed=%v err=%v", n, resumed, err))
-			}
 		})
+		if err != nil || !resumed {
+			return fmt.Errorf("EXP-CACHE: resume lav n=%d: resumed=%v err=%v", n, resumed, err)
+		}
 		grown := rel.Union(i, delta)
 		var scratch *core.TractableTrace
 		rechase := timed(func() {
-			var err error
 			scratch, err = core.ChaseCanonicalTractable(s, grown, j, core.TractableOptions{})
-			if err != nil {
-				panic(err)
-			}
 		})
+		if err != nil {
+			return err
+		}
 		if next.JCan.NumFacts() != scratch.JCan.NumFacts() || next.ICan.NumFacts() != scratch.ICan.NumFacts() {
 			return fmt.Errorf("EXP-CACHE: resumed fixpoint diverged at n=%d: J_can %d vs %d, I_can %d vs %d",
 				n, next.JCan.NumFacts(), scratch.JCan.NumFacts(), next.ICan.NumFacts(), scratch.ICan.NumFacts())

@@ -11,15 +11,22 @@
 //	pdxbench -list                  # list experiment ids
 //	pdxbench -exp EXP-PAR -cpuprofile cpu.out -memprofile mem.out
 //	pdxbench -json BENCH_PR4.json   # machine-readable perf suite
+//
+// -json times every case of the perf registry (internal/perfsuite) and
+// writes the report that scripts/bench-compare gates against the
+// committed BENCH_PR<k>.json baselines; a failing case writes none.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+
+	"repro/internal/perfsuite"
 )
 
 type experiment struct {
@@ -109,4 +116,17 @@ func run() int {
 		return 2
 	}
 	return 0
+}
+
+// writeJSONReport runs the perf registry and writes its report to path.
+func writeJSONReport(path string) error {
+	rep, err := perfsuite.RunAll()
+	if err != nil {
+		return err
+	}
+	buf, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

@@ -216,8 +216,7 @@ func TestEngineParityProperty(t *testing.T) {
 // workload used by the benchmarks, where every person contributes
 // exactly one merge.
 func TestEngineParityKeyedLAV(t *testing.T) {
-	s := workload.KeyedLAVSetting()
-	deps := append(append([]dep.Dependency{}, s.StDeps()...), s.T...)
+	deps := workload.KeyedLAVDeps()
 	i, j := workload.KeyedLAVInstance(80)
 	start := rel.Union(i, j)
 	want := referenceChase(start, deps, nil, false)

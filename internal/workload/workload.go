@@ -17,6 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dep"
+	"repro/internal/depparse"
 	"repro/internal/rel"
 )
 
@@ -161,6 +162,24 @@ func KeyedLAVInstance(n int) (*rel.Instance, *rel.Instance) {
 	return i, j
 }
 
+// KeyedLAVDeps is KeyedLAVSetting's Σst followed by its Σt, the list
+// the egd-merge benchmarks and parity tests chase.
+func KeyedLAVDeps() []dep.Dependency {
+	s := KeyedLAVSetting()
+	return append(append([]dep.Dependency{}, s.StDeps()...), s.T...)
+}
+
+// LAVAppend builds k fresh persons over four fresh groups, without
+// memberships: LAVSetting's append workload (lav-resume, EXP-CACHE).
+// The grown instance has no solution.
+func LAVAppend(k int) *rel.Instance {
+	a := rel.NewInstance()
+	for p := 0; p < k; p++ {
+		a.Add("Person", rel.Const(fmt.Sprintf("newp%d", p)), rel.Const(fmt.Sprintf("newg%d", p%4)))
+	}
+	return a
+}
+
 // KeyedLAVAppend builds a batch of k fresh persons (ids starting at n)
 // over KeyedLAVSetting's source schema, each in one existing group with
 // the matching membership: the append workload for the keyed-resume
@@ -291,7 +310,7 @@ func chainRel(lvl int) string { return fmt.Sprintf("T%d", lvl) }
 // take depth+1 rounds. This is the deep-recursion shape where a naive
 // chase re-enumerates every filled layer every round — Θ(depth²) body
 // scans — while the semi-naive chase touches each layer's facts O(1)
-// times (BenchmarkChaseDeepRecursion).
+// times (the perfsuite deep-chain cases).
 func DeepChainDeps(depth int) []dep.Dependency {
 	fwd := ChainDeps(depth)
 	out := make([]dep.Dependency, 0, len(fwd))
@@ -325,6 +344,40 @@ func CyclicInstance() *rel.Instance {
 	inst := rel.NewInstance()
 	inst.Add("T", rel.Const("a"), rel.Const("b"))
 	return inst
+}
+
+// Example1Setting returns the setting of the paper's Example 1: a
+// solution exists iff every length-two path of E is an edge of E.
+func Example1Setting() *core.Setting {
+	return mustParseSetting(`
+setting example1
+source E/2
+target H/2
+st: E(x,z), E(z,y) -> H(x,y)
+ts: H(x,y) -> E(x,y)
+`)
+}
+
+// StaffingSetting returns a data exchange setting (Σts = ∅) whose
+// oblivious chase invents a redundant Assigned null per extra manager
+// of an employee: the input of EXP-CORE.
+func StaffingSetting() *core.Setting {
+	return mustParseSetting(`
+setting staffing
+source Emp/2
+target Assigned/2, Manages/2
+st: Emp(name, mgr) -> exists team: Assigned(name, team)
+st: Emp(name, mgr) -> Manages(mgr, name)
+`)
+}
+
+// mustParseSetting parses one of this package's constant setting texts.
+func mustParseSetting(src string) *core.Setting {
+	s, err := depparse.ParseSetting(src)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // GenomicSetting returns the Swiss-Prot scenario from the paper's

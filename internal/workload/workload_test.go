@@ -166,10 +166,9 @@ func TestKeyedLAVSetting(t *testing.T) {
 // with the engine at Parallelism 1 and 4.
 func TestKeyedLAVInstanceMerges(t *testing.T) {
 	const n = 60
-	s := workload.KeyedLAVSetting()
 	i, j := workload.KeyedLAVInstance(n)
 	start := rel.Union(i, j)
-	deps := append(append([]dep.Dependency{}, s.StDeps()...), s.T...)
+	deps := workload.KeyedLAVDeps()
 	ref, err := oracle.Chase(start, deps, nil, false, chase.DefaultMaxSteps)
 	if err != nil {
 		t.Fatal(err)

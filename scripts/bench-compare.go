@@ -3,6 +3,8 @@
 // and fails when any benchmark present in both runs got more than
 // -threshold slower in ns/op. Names only in one run are reported but
 // never gate, so adding or retiring benchmarks doesn't break the gate.
+// Both files use the perfsuite Report format; a record whose ns/op is
+// not positive is malformed input (exit 2), as a failed run leaves it.
 //
 // Without -baseline the highest-numbered BENCH_PR<k>.json in the
 // repository root is used, so landing a fresh baseline automatically
@@ -23,25 +25,9 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+
+	"repro/internal/perfsuite"
 )
-
-type benchRecord struct {
-	Name        string `json:"name"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-	Steps       int    `json:"steps,omitempty"`
-	Nodes       int64  `json:"nodes,omitempty"`
-	Merges      int    `json:"merges,omitempty"`
-	Finds       int    `json:"finds,omitempty"`
-}
-
-type benchReport struct {
-	GoVersion  string        `json:"go_version"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
-	Benchmarks []benchRecord `json:"benchmarks"`
-}
 
 // baselinePattern matches committed baseline file names, capturing the
 // PR number.
@@ -85,19 +71,34 @@ func findBaseline(dir string) (string, error) {
 	return filepath.Join(dir, name), nil
 }
 
-func load(path string) (*benchReport, error) {
+// load reads a report. A record without a positive ns/op is malformed:
+// it is what a failed run would leave, and it would read as a speedup.
+func load(path string) (*perfsuite.Report, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var rep benchReport
+	var rep perfsuite.Report
 	if err := json.Unmarshal(buf, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(rep.Benchmarks) == 0 {
 		return nil, fmt.Errorf("%s: no benchmarks", path)
 	}
+	for _, r := range rep.Benchmarks {
+		if r.NsPerOp <= 0 {
+			return nil, fmt.Errorf("%s: %s: ns_per_op %d, want > 0", path, r.Name, r.NsPerOp)
+		}
+	}
 	return &rep, nil
+}
+
+func byName(rep *perfsuite.Report) map[string]perfsuite.Record {
+	m := make(map[string]perfsuite.Record, len(rep.Benchmarks))
+	for _, r := range rep.Benchmarks {
+		m[r.Name] = r
+	}
+	return m
 }
 
 func main() {
@@ -135,21 +136,14 @@ func main() {
 			base.GoVersion, base.NumCPU, cur.GoVersion, cur.NumCPU)
 	}
 
-	baseByName := make(map[string]benchRecord, len(base.Benchmarks))
-	for _, r := range base.Benchmarks {
-		baseByName[r.Name] = r
-	}
-
-	var regressions []string
-	names := make([]string, 0, len(cur.Benchmarks))
-	for _, r := range cur.Benchmarks {
-		names = append(names, r.Name)
+	baseByName, curByName := byName(base), byName(cur)
+	names := make([]string, 0, len(curByName))
+	for name := range curByName {
+		names = append(names, name)
 	}
 	sort.Strings(names)
-	curByName := make(map[string]benchRecord, len(cur.Benchmarks))
-	for _, r := range cur.Benchmarks {
-		curByName[r.Name] = r
-	}
+
+	var regressions []string
 
 	fmt.Printf("%-40s %14s %14s %8s\n", "benchmark", "baseline ns", "current ns", "delta")
 	for _, name := range names {

@@ -1,6 +1,30 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestLoadRejectsNonPositiveNs: a record with ns_per_op <= 0 is what a
+// failed benchmark run leaves behind, and it would read as a −100%
+// speedup, so load refuses the file instead of letting it pass the gate.
+func TestLoadRejectsNonPositiveNs(t *testing.T) {
+	dir := t.TempDir()
+	for name, ns := range map[string]string{"zero": "0", "negative": "-5", "ok": "1200"} {
+		path := filepath.Join(dir, name+".json")
+		body := `{"go_version":"go1.24.0","gomaxprocs":1,"num_cpu":1,"benchmarks":[` +
+			`{"name":"tractable-lav/n=1600/delta","ns_per_op":1000,"allocs_per_op":1,"bytes_per_op":1},` +
+			`{"name":"certain-warm/n=1600","ns_per_op":` + ns + `,"allocs_per_op":1,"bytes_per_op":1}]}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := load(path)
+		if (err != nil) != (name != "ok") {
+			t.Errorf("load(%s record) error = %v", name, err)
+		}
+	}
+}
 
 // TestLatestBaseline pins the auto-selection rule CI relies on: the
 // numerically highest BENCH_PR<k>.json wins, everything else in the
