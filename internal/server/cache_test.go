@@ -29,13 +29,13 @@ func TestChaseCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, hit, err := cc.getOrCompute(context.Background(), "k", meta, func() (any, int64, error) {
+			e, hit, err := cc.getOrCompute(context.Background(), meta, func() (any, int64, error) {
 				computes.Add(1)
 				time.Sleep(30 * time.Millisecond)
 				return "artifact", 8, nil
 			})
-			if err != nil || v != "artifact" {
-				t.Errorf("getOrCompute: %v, %v", v, err)
+			if err != nil || e.value != "artifact" {
+				t.Errorf("getOrCompute: %v, %v", e, err)
 			}
 			if hit {
 				hits.Add(1)
@@ -55,7 +55,7 @@ func TestChaseCacheFailedComputeNotRetained(t *testing.T) {
 	cc := newChaseCache(0, 16, newMetrics())
 	meta := cacheEntry{key: "k"}
 	boom := errors.New("budget exhausted")
-	if _, _, err := cc.getOrCompute(context.Background(), "k", meta, func() (any, int64, error) {
+	if _, _, err := cc.getOrCompute(context.Background(), meta, func() (any, int64, error) {
 		return nil, 0, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("want leader failure, got %v", err)
@@ -64,11 +64,11 @@ func TestChaseCacheFailedComputeNotRetained(t *testing.T) {
 		t.Fatalf("failed compute was retained: %d entries", n)
 	}
 	// The next requester becomes the leader and can succeed.
-	v, hit, err := cc.getOrCompute(context.Background(), "k", meta, func() (any, int64, error) {
+	e, hit, err := cc.getOrCompute(context.Background(), meta, func() (any, int64, error) {
 		return "ok", 2, nil
 	})
-	if err != nil || hit || v != "ok" {
-		t.Fatalf("recompute after failure: v=%v hit=%v err=%v", v, hit, err)
+	if err != nil || hit || e.value != "ok" {
+		t.Fatalf("recompute after failure: e=%v hit=%v err=%v", e, hit, err)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestChaseCacheLRUBounds(t *testing.T) {
 	met := newMetrics()
 	cc := newChaseCache(0, 2, met)
 	for _, k := range []string{"a", "b", "c"} {
-		cc.getOrCompute(context.Background(), k, cacheEntry{key: k}, func() (any, int64, error) {
+		cc.getOrCompute(context.Background(), cacheEntry{key: k}, func() (any, int64, error) {
 			return k, 100, nil
 		})
 	}
@@ -85,7 +85,7 @@ func TestChaseCacheLRUBounds(t *testing.T) {
 		t.Errorf("after 3 inserts with maxEntries=2: %d entries / %d bytes, want 2 / 200", n, bytes)
 	}
 	// "a" (least recently used) is gone; a re-get recomputes it.
-	_, hit, _ := cc.getOrCompute(context.Background(), "a", cacheEntry{key: "a"}, func() (any, int64, error) {
+	_, hit, _ := cc.getOrCompute(context.Background(), cacheEntry{key: "a"}, func() (any, int64, error) {
 		return "a", 100, nil
 	})
 	if hit {

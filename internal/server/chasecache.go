@@ -83,18 +83,23 @@ func newChaseCache(maxBytes int64, maxEntries int, met *metrics) *chaseCache {
 func (c *chaseCache) lock()   { c.mu.Lock() }
 func (c *chaseCache) unlock() { c.mu.Unlock() }
 
-// getOrCompute returns the cached artifact for key, computing it via
-// compute exactly once per concurrent burst. The boolean reports a hit
-// (the artifact existed, or another request's computation was joined).
-// On compute failure the error is returned and nothing is cached.
-func (c *chaseCache) getOrCompute(ctx context.Context, key string, meta cacheEntry, compute func() (any, int64, error)) (any, bool, error) {
+// getOrCompute returns the cache entry for meta.key, computing its
+// value via compute exactly once per concurrent burst. The boolean
+// reports a hit (the entry existed, or another request's computation was
+// joined); on a miss the entry is the one this call installed. On
+// compute failure the error is returned and nothing is cached. With the
+// cache disabled the entry is detached: it carries the value only.
+func (c *chaseCache) getOrCompute(ctx context.Context, meta cacheEntry, compute func() (any, int64, error)) (*cacheEntry, bool, error) {
 	if c.disabled {
 		v, _, err := compute()
-		return v, false, err
+		if err != nil {
+			return nil, false, err
+		}
+		return &cacheEntry{value: v}, false, nil
 	}
 	for {
 		c.lock()
-		if el, ok := c.items[key]; ok {
+		if el, ok := c.items[meta.key]; ok {
 			e := el.Value.(*cacheEntry)
 			if e.done {
 				// Completed entries always hold a value: a failed leader
@@ -102,7 +107,7 @@ func (c *chaseCache) getOrCompute(ctx context.Context, key string, meta cacheEnt
 				c.lru.MoveToFront(el)
 				c.unlock()
 				c.met.cacheHits.Add(1)
-				return e.value, true, nil
+				return e, true, nil
 			}
 			ready := e.ready
 			c.unlock()
@@ -115,17 +120,8 @@ func (c *chaseCache) getOrCompute(ctx context.Context, key string, meta cacheEnt
 			}
 			continue
 		}
-		e := &cacheEntry{
-			key:       key,
-			settingID: meta.settingID,
-			srcID:     meta.srcID,
-			tgtID:     meta.tgtID,
-			kind:      meta.kind,
-			srcInst:   meta.srcInst,
-			tgtInst:   meta.tgtInst,
-			ready:     make(chan struct{}),
-		}
-		c.items[key] = c.lru.PushFront(e)
+		e := newEntry(meta)
+		c.items[meta.key] = c.lru.PushFront(e)
 		c.unlock()
 		c.met.cacheMisses.Add(1)
 
@@ -133,30 +129,23 @@ func (c *chaseCache) getOrCompute(ctx context.Context, key string, meta cacheEnt
 		c.lock()
 		e.value, e.bytes, e.err, e.done = v, bytes, err, true
 		if err != nil {
-			c.removeLocked(key)
+			c.removeLocked(meta.key)
 		} else {
 			c.bytes += bytes
-			c.evictOverBudgetLocked(key)
+			c.evictOverBudgetLocked(meta.key)
 		}
 		c.unlock()
 		close(e.ready)
-		return v, false, err
+		if err != nil {
+			return nil, false, err
+		}
+		return e, false, nil
 	}
 }
 
-// put inserts a completed artifact directly (append migration). An
-// existing entry for the key — even a pending one — wins; migration is
-// best-effort and must not clobber an in-flight leader.
-func (c *chaseCache) put(meta cacheEntry, value any, bytes int64) {
-	if c.disabled {
-		return
-	}
-	c.lock()
-	defer c.unlock()
-	if _, ok := c.items[meta.key]; ok {
-		return
-	}
-	e := &cacheEntry{
+// newEntry builds a pending entry carrying meta's identity.
+func newEntry(meta cacheEntry) *cacheEntry {
+	return &cacheEntry{
 		key:       meta.key,
 		settingID: meta.settingID,
 		srcID:     meta.srcID,
@@ -164,15 +153,30 @@ func (c *chaseCache) put(meta cacheEntry, value any, bytes int64) {
 		kind:      meta.kind,
 		srcInst:   meta.srcInst,
 		tgtInst:   meta.tgtInst,
-		value:     value,
-		bytes:     bytes,
-		done:      true,
 		ready:     make(chan struct{}),
 	}
+}
+
+// put inserts a completed artifact directly (append migration, snapshot
+// install) and returns the entry it installed. An existing entry for the
+// key — even a pending one — wins and put returns nil: migration is
+// best-effort and must not clobber an in-flight leader.
+func (c *chaseCache) put(meta cacheEntry, value any, bytes int64) *cacheEntry {
+	if c.disabled {
+		return nil
+	}
+	c.lock()
+	defer c.unlock()
+	if _, ok := c.items[meta.key]; ok {
+		return nil
+	}
+	e := newEntry(meta)
+	e.value, e.bytes, e.done = value, bytes, true
 	close(e.ready)
 	c.items[meta.key] = c.lru.PushFront(e)
 	c.bytes += bytes
 	c.evictOverBudgetLocked(meta.key)
+	return e
 }
 
 // entries snapshots the completed entries, most recently used first

@@ -171,9 +171,7 @@ func (s *Server) clusterRebalance() {
 }
 
 // handoffEntry pushes one cache entry to its owner over the snapshot
-// wire format. When the owner rejects it for lack of the setting, the
-// setting is registered there (forwarded, so the owner does not
-// re-broadcast) and the push retried once.
+// wire format, healing the owner's missing setting.
 func (s *Server) handoffEntry(ctx context.Context, owner string, e *cacheEntry) bool {
 	cl := s.cluster.clients[owner]
 	se := snapEntry(e)
@@ -187,15 +185,7 @@ func (s *Server) handoffEntry(ctx context.Context, owner string, e *cacheEntry) 
 		return false
 	}
 	key := snapKeyOf(e)
-	err = cl.PushCacheEntry(ctx, key, data)
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) && apiErr.Code == client.CodeNotFound {
-		if c := s.reg.Get(e.settingID); c != nil {
-			if _, rerr := cl.Register(ctx, c.Text); rerr == nil {
-				err = cl.PushCacheEntry(ctx, key, data)
-			}
-		}
-	}
+	err = healSetting(ctx, cl, s.reg.Get(e.settingID), func() error { return cl.PushCacheEntry(ctx, key, data) })
 	if err != nil {
 		s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "handoff push failed",
 			slog.String("key", key), slog.String("owner", owner), slog.String("err", err.Error()))
@@ -230,33 +220,36 @@ func (s *Server) clusterOwner(r *http.Request, settingID, srcID, tgtID string) (
 	return owner, s.cluster.clients[owner]
 }
 
-// proxyCall runs one forwarded request against the owner, healing the
-// owner's missing setting (register, retry once) — the only not-found a
-// fully inlined solve can produce.
-func (s *Server) proxyCall(ctx context.Context, cl *client.Client, c *Compiled, call func() error) error {
-	err := call()
+// forward relays a solve to its owning shard with the resolved
+// instances inlined as canonical text (the owner hashes them back to the
+// same cache identity, whether or not it has them registered), and
+// reports whether the response was written. The owner's missing setting
+// — the only not-found a fully inlined solve can produce — is healed.
+// Owner-side API errors relay as-is: the owner already computed (or
+// refused) authoritatively. A transport failure (owner unreachable; no
+// APIError to relay) writes nothing and returns false — the caller
+// computes locally, and the monitor marks the peer dead on its next
+// probe.
+func forward[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Request, rt *solveRoute[Req, Resp], req Req, owner string, cl *client.Client, p *solvePair) bool {
+	f := rt.fields(&req)
+	// The owner applies the request's own solve deadline; the margin
+	// covers the extra hop.
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(*f.deadlineMillis)+5*time.Second)
+	defer cancel()
+	*f.source, *f.sourceID = pde.FormatInstance(p.i), ""
+	*f.target, *f.targetID = pde.FormatInstance(p.j), ""
+	var out Resp
+	err := healSetting(ctx, cl, p.c, func() (err error) {
+		out, err = rt.forward(cl, ctx, req)
+		return err
+	})
 	var apiErr *client.APIError
-	if errors.As(err, &apiErr) && apiErr.Code == client.CodeNotFound {
-		if _, rerr := cl.Register(ctx, c.Text); rerr == nil {
-			err = call()
-		}
-	}
-	return err
-}
-
-// finishProxy reports a proxied outcome to the caller. A transport
-// failure (owner unreachable; no APIError to relay) returns false and
-// writes nothing — the caller computes locally, and the monitor marks
-// the peer dead on its next probe. Owner-side API errors relay as-is:
-// the owner already computed (or refused) authoritatively.
-func (s *Server) finishProxy(w http.ResponseWriter, r *http.Request, owner string, err error, write func()) bool {
-	if err == nil {
+	switch {
+	case err == nil:
 		s.met.clusterProxied.Add(1)
-		write()
+		writeJSON(w, http.StatusOK, out)
 		return true
-	}
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
+	case errors.As(err, &apiErr):
 		s.met.clusterProxied.Add(1)
 		writeErr(w, apiErr.Status, apiErr.Code, "%s", apiErr.Message)
 		return true
@@ -266,65 +259,26 @@ func (s *Server) finishProxy(w http.ResponseWriter, r *http.Request, owner strin
 	return false
 }
 
-// proxyDeadline bounds a proxied round trip: the owner applies the
-// request's own solve deadline, this margin covers the extra hop.
-func (s *Server) proxyDeadline(requestedMillis int64) time.Duration {
-	return s.deadline(requestedMillis) + 5*time.Second
-}
-
-// proxyExists relays an exists-solution request to the owner with the
-// resolved instances inlined as canonical text (the owner hashes them
-// back to the same cache identity, whether or not it has them
-// registered). Reports whether the response was written.
-func (s *Server) proxyExists(w http.ResponseWriter, r *http.Request, owner string, cl *client.Client, c *Compiled, p *solvePair, req client.SolveRequest) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), s.proxyDeadline(req.DeadlineMillis))
-	defer cancel()
-	fwd := req
-	fwd.Source, fwd.SourceID = pde.FormatInstance(p.i), ""
-	fwd.Target, fwd.TargetID = pde.FormatInstance(p.j), ""
-	var out client.SolveResponse
-	err := s.proxyCall(ctx, cl, c, func() (cerr error) {
-		out, cerr = cl.ExistsSolution(ctx, fwd)
-		return cerr
-	})
-	return s.finishProxy(w, r, owner, err, func() { writeJSON(w, http.StatusOK, out) })
-}
-
-// proxyCertain relays a certain-answers request to the owner.
-func (s *Server) proxyCertain(w http.ResponseWriter, r *http.Request, owner string, cl *client.Client, c *Compiled, p *solvePair, req client.CertainRequest) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), s.proxyDeadline(req.DeadlineMillis))
-	defer cancel()
-	fwd := req
-	fwd.Source, fwd.SourceID = pde.FormatInstance(p.i), ""
-	fwd.Target, fwd.TargetID = pde.FormatInstance(p.j), ""
-	var out client.CertainResponse
-	err := s.proxyCall(ctx, cl, c, func() (cerr error) {
-		out, cerr = cl.CertainAnswers(ctx, fwd)
-		return cerr
-	})
-	return s.finishProxy(w, r, owner, err, func() { writeJSON(w, http.StatusOK, out) })
-}
-
-// proxyCertainBatch relays a batch certain-answers request to the
-// owner.
-func (s *Server) proxyCertainBatch(w http.ResponseWriter, r *http.Request, owner string, cl *client.Client, c *Compiled, p *solvePair, req client.CertainBatchRequest) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), s.proxyDeadline(req.DeadlineMillis))
-	defer cancel()
-	fwd := req
-	fwd.Source, fwd.SourceID = pde.FormatInstance(p.i), ""
-	fwd.Target, fwd.TargetID = pde.FormatInstance(p.j), ""
-	var out client.CertainBatchResponse
-	err := s.proxyCall(ctx, cl, c, func() (cerr error) {
-		out, cerr = cl.CertainBatch(ctx, fwd)
-		return cerr
-	})
-	return s.finishProxy(w, r, owner, err, func() { writeJSON(w, http.StatusOK, out) })
+// healSetting runs one cluster-internal call against a peer. When the
+// peer answers not-found for lack of the setting, the setting is
+// registered there (forwarded, so the peer does not re-broadcast) and
+// the call retried once. A nil setting (evicted here meanwhile) is not
+// healed.
+func healSetting(ctx context.Context, cl *client.Client, c *Compiled, call func() error) error {
+	err := call()
+	var apiErr *client.APIError
+	if c != nil && errors.As(err, &apiErr) && apiErr.Code == client.CodeNotFound {
+		if _, rerr := cl.Register(ctx, c.Text); rerr == nil {
+			err = call()
+		}
+	}
+	return err
 }
 
 // clusterBroadcastSetting pushes a freshly registered setting to every
 // live peer, so proxied and handed-off traffic lands on shards that
 // already know it. Best-effort: a peer that misses the broadcast is
-// healed on first contact by proxyCall/handoffEntry's register-retry.
+// healed on first contact by healSetting's register-retry.
 func (s *Server) clusterBroadcastSetting(r *http.Request, c *Compiled) {
 	if s.cluster == nil || r.Header.Get(client.ForwardedHeader) != "" {
 		return

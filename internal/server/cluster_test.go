@@ -60,15 +60,21 @@ func startTestCluster(t *testing.T, n int) *testCluster {
 	return tc
 }
 
-// shardConfig is the per-shard server config (fast probes so liveness
-// transitions land within test patience).
+// shardConfig is the per-shard server config: fast probes so liveness
+// transitions land within test patience, and an admission queue that
+// holds a whole request storm. TestClusterEndToEnd lands 12 concurrent
+// solves on the owner; the default queue (2×GOMAXPROCS) sheds some of
+// them with 429 on a 2-CPU host.
 func (tc *testCluster) shardConfig(i int) Config {
-	return Config{Cluster: &ClusterConfig{
-		Self:          tc.urls[i],
-		Peers:         tc.urls,
-		ProbeInterval: 25 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-	}}
+	return Config{
+		MaxQueue: 64,
+		Cluster: &ClusterConfig{
+			Self:          tc.urls[i],
+			Peers:         tc.urls,
+			ProbeInterval: 25 * time.Millisecond,
+			ProbeTimeout:  time.Second,
+		},
+	}
 }
 
 // bootShard starts (or restarts) shard i on the given listener.

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"repro/pde"
 )
@@ -58,17 +57,14 @@ func freezeInstance(inst *pde.Instance, parent string) *StoredInstance {
 }
 
 // InstanceRegistry is the concurrent content-addressed instance store,
-// the mirror of Registry for data rather than settings.
+// the mirror of Registry for data rather than settings. Get, List, Evict
+// and Len come from the shared store.
 type InstanceRegistry struct {
-	mu    sync.RWMutex
-	byID  map[string]*StoredInstance
-	order []string
+	store[*StoredInstance]
 }
 
 // NewInstanceRegistry returns an empty instance registry.
-func NewInstanceRegistry() *InstanceRegistry {
-	return &InstanceRegistry{byID: make(map[string]*StoredInstance)}
-}
+func NewInstanceRegistry() *InstanceRegistry { return &InstanceRegistry{} }
 
 // Register parses and stores instance text under its content hash.
 // Idempotent: re-registering returns the existing entry, created=false.
@@ -77,60 +73,8 @@ func (r *InstanceRegistry) Register(src string) (*StoredInstance, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("parsing instance: %w", err)
 	}
-	return r.insert(si)
-}
-
-func (r *InstanceRegistry) insert(si *StoredInstance) (*StoredInstance, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if have, ok := r.byID[si.ID]; ok {
-		return have, false, nil
-	}
-	r.byID[si.ID] = si
-	r.order = append(r.order, si.ID)
-	return si, true, nil
-}
-
-// Get returns the stored instance for an ID, or nil.
-func (r *InstanceRegistry) Get(id string) *StoredInstance {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.byID[id]
-}
-
-// List returns the stored instances in registration order.
-func (r *InstanceRegistry) List() []*StoredInstance {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*StoredInstance, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, r.byID[id])
-	}
-	return out
-}
-
-// Evict removes an instance; it reports whether the ID was present.
-func (r *InstanceRegistry) Evict(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.byID[id]; !ok {
-		return false
-	}
-	delete(r.byID, id)
-	for i, have := range r.order {
-		if have == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Len returns the number of stored instances.
-func (r *InstanceRegistry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byID)
+	si, created := r.add(si.ID, si)
+	return si, created, nil
 }
 
 // Append builds the instance base ∪ batch and registers it as a child
@@ -149,6 +93,7 @@ func (r *InstanceRegistry) Append(base *StoredInstance, batch *pde.Instance) (*S
 		return base, delta, false
 	}
 	delta.Freeze()
-	child, created, _ := r.insert(freezeInstance(union, base.ID))
+	child := freezeInstance(union, base.ID)
+	child, created := r.add(child.ID, child)
 	return child, delta, created
 }

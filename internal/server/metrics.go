@@ -2,7 +2,9 @@ package server
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -114,65 +116,112 @@ func (m *metrics) observe(route string, status int, d time.Duration) {
 	m.mu.Unlock()
 }
 
-// render writes the Prometheus text exposition. Families are emitted in
-// a fixed order and series in sorted label order, so scrapes are
-// deterministic.
-func (m *metrics) render(registrySize, instanceCount, cacheEntries int, cacheBytes int64) string {
-	var b strings.Builder
-	b.WriteString("# HELP pdxd_requests_total Requests served, by route and HTTP status.\n")
-	b.WriteString("# TYPE pdxd_requests_total counter\n")
-	m.mu.Lock()
-	keys := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		route, status, _ := strings.Cut(k, "|")
-		fmt.Fprintf(&b, "pdxd_requests_total{route=%q,status=%q} %d\n", route, status, m.requests[k])
-	}
-	b.WriteString("# HELP pdxd_request_duration_milliseconds Cumulative handler time, by route.\n")
-	b.WriteString("# TYPE pdxd_request_duration_milliseconds counter\n")
-	routes := make([]string, 0, len(m.durCount))
-	for k := range m.durCount {
-		routes = append(routes, k)
-	}
-	sort.Strings(routes)
-	for _, r := range routes {
-		fmt.Fprintf(&b, "pdxd_request_duration_milliseconds_sum{route=%q} %.3f\n", r, float64(m.dur[r])/float64(time.Millisecond))
-		fmt.Fprintf(&b, "pdxd_request_duration_milliseconds_count{route=%q} %d\n", r, m.durCount[r])
-	}
-	m.mu.Unlock()
+// family is one /metrics family: name, help text, type, label names
+// (in the order every series prints them) and its current series.
+type family struct {
+	name, help, typ string
+	labels          []string
+	series          []sample
+}
 
-	fmt.Fprintf(&b, "# HELP pdxd_in_flight_solves Solves currently executing.\n# TYPE pdxd_in_flight_solves gauge\npdxd_in_flight_solves %d\n", m.inFlight.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_queue_depth Solves waiting for an admission slot.\n# TYPE pdxd_queue_depth gauge\npdxd_queue_depth %d\n", m.queueDepth.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_shed_total Requests rejected by admission control.\n# TYPE pdxd_shed_total counter\npdxd_shed_total %d\n", m.shed.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_solver_nodes_total Cumulative generic-solver search nodes.\n# TYPE pdxd_solver_nodes_total counter\npdxd_solver_nodes_total %d\n", m.nodes.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_registry_settings Registered settings.\n# TYPE pdxd_registry_settings gauge\npdxd_registry_settings %d\n", registrySize)
-	fmt.Fprintf(&b, "# HELP pdxd_instances Registered instances.\n# TYPE pdxd_instances gauge\npdxd_instances %d\n", instanceCount)
-	fmt.Fprintf(&b, "# HELP pdxd_chase_cache_hits_total Solves served from a cached chased artifact.\n# TYPE pdxd_chase_cache_hits_total counter\npdxd_chase_cache_hits_total %d\n", m.cacheHits.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_chase_cache_misses_total Solves that chased from scratch.\n# TYPE pdxd_chase_cache_misses_total counter\npdxd_chase_cache_misses_total %d\n", m.cacheMisses.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_chase_cache_resumes_total Append migrations that resumed the chase incrementally.\n# TYPE pdxd_chase_cache_resumes_total counter\npdxd_chase_cache_resumes_total %d\n", m.cacheResumes.Load())
-	b.WriteString("# HELP pdxd_chase_cache_fallbacks_total Append migrations that re-chased fully, by fallback reason.\n# TYPE pdxd_chase_cache_fallbacks_total counter\n")
-	for i, l := range fallbackLabels {
-		fmt.Fprintf(&b, "pdxd_chase_cache_fallbacks_total{reason=%q} %d\n", l, m.cacheFallbacks[i].Load())
+// sample is one series of a family.
+type sample struct {
+	suffix string   // appended to the family name ("_sum"), usually empty
+	values []string // one per family label
+	value  string
+}
+
+// one is the single series of an unlabelled family.
+func one(v int64) []sample { return []sample{{value: strconv.FormatInt(v, 10)}} }
+
+// byLabel is one series per label value, counts[i] for labels[i].
+func byLabel(labels []string, counts []atomic.Int64) []sample {
+	out := make([]sample, len(labels))
+	for i, l := range labels {
+		out[i] = sample{values: []string{l}, value: strconv.FormatInt(counts[i].Load(), 10)}
 	}
-	fmt.Fprintf(&b, "# HELP pdxd_chase_cache_evictions_total Cache entries dropped by LRU bounds or explicit eviction.\n# TYPE pdxd_chase_cache_evictions_total counter\npdxd_chase_cache_evictions_total %d\n", m.cacheEvictions.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_chase_cache_entries Cached chased artifacts.\n# TYPE pdxd_chase_cache_entries gauge\npdxd_chase_cache_entries %d\n", cacheEntries)
-	fmt.Fprintf(&b, "# HELP pdxd_chase_cache_bytes Approximate bytes held by the chase cache.\n# TYPE pdxd_chase_cache_bytes gauge\npdxd_chase_cache_bytes %d\n", cacheBytes)
-	fmt.Fprintf(&b, "# HELP pdxd_plan_cache_hits_total Certain-answer requests served by a cached compiled plan.\n# TYPE pdxd_plan_cache_hits_total counter\npdxd_plan_cache_hits_total %d\n", m.planHits.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_plan_cache_misses_total Compiled plans built on demand.\n# TYPE pdxd_plan_cache_misses_total counter\npdxd_plan_cache_misses_total %d\n", m.planMisses.Load())
-	b.WriteString("# HELP pdxd_certain_compiled_fallbacks_total Certain-answer requests that fell back to solution enumeration, by reason.\n# TYPE pdxd_certain_compiled_fallbacks_total counter\n")
-	for i, l := range compiledFallbackLabels {
-		fmt.Fprintf(&b, "pdxd_certain_compiled_fallbacks_total{reason=%q} %d\n", l, m.compiledFallbacks[i].Load())
+	return out
+}
+
+// families declares the /metrics exposition, in order, read at the
+// moment of the call.
+func (s *Server) families() []family {
+	m := s.met
+	requests, durations := m.routeSeries()
+	entries, bytes := s.cache.stats()
+	fs := []family{
+		{"pdxd_requests_total", "Requests served, by route and HTTP status.", "counter", []string{"route", "status"}, requests},
+		{"pdxd_request_duration_milliseconds", "Cumulative handler time, by route.", "counter", []string{"route"}, durations},
+		{"pdxd_in_flight_solves", "Solves currently executing.", "gauge", nil, one(m.inFlight.Load())},
+		{"pdxd_queue_depth", "Solves waiting for an admission slot.", "gauge", nil, one(m.queueDepth.Load())},
+		{"pdxd_shed_total", "Requests rejected by admission control.", "counter", nil, one(m.shed.Load())},
+		{"pdxd_solver_nodes_total", "Cumulative generic-solver search nodes.", "counter", nil, one(m.nodes.Load())},
+		{"pdxd_registry_settings", "Registered settings.", "gauge", nil, one(int64(s.reg.Len()))},
+		{"pdxd_instances", "Registered instances.", "gauge", nil, one(int64(s.inst.Len()))},
+		{"pdxd_chase_cache_hits_total", "Solves served from a cached chased artifact.", "counter", nil, one(m.cacheHits.Load())},
+		{"pdxd_chase_cache_misses_total", "Solves that chased from scratch.", "counter", nil, one(m.cacheMisses.Load())},
+		{"pdxd_chase_cache_resumes_total", "Append migrations that resumed the chase incrementally.", "counter", nil, one(m.cacheResumes.Load())},
+		{"pdxd_chase_cache_fallbacks_total", "Append migrations that re-chased fully, by fallback reason.", "counter", []string{"reason"}, byLabel(fallbackLabels[:], m.cacheFallbacks[:])},
+		{"pdxd_chase_cache_evictions_total", "Cache entries dropped by LRU bounds or explicit eviction.", "counter", nil, one(m.cacheEvictions.Load())},
+		{"pdxd_chase_cache_entries", "Cached chased artifacts.", "gauge", nil, one(int64(entries))},
+		{"pdxd_chase_cache_bytes", "Approximate bytes held by the chase cache.", "gauge", nil, one(bytes)},
+		{"pdxd_plan_cache_hits_total", "Certain-answer requests served by a cached compiled plan.", "counter", nil, one(m.planHits.Load())},
+		{"pdxd_plan_cache_misses_total", "Compiled plans built on demand.", "counter", nil, one(m.planMisses.Load())},
+		{"pdxd_certain_compiled_fallbacks_total", "Certain-answer requests that fell back to solution enumeration, by reason.", "counter", []string{"reason"}, byLabel(compiledFallbackLabels, m.compiledFallbacks)},
+		{"pdxd_snapshot_saves_total", "Snapshots written to the snapshot store.", "counter", nil, one(m.snapshotSaves.Load())},
+		{"pdxd_snapshot_loads_total", "Snapshots loaded and installed at warm start.", "counter", nil, one(m.snapshotLoads.Load())},
+		{"pdxd_snapshot_load_errors_total", "Snapshots rejected at load time.", "counter", nil, one(m.snapshotLoadErrors.Load())},
+		{"pdxd_snapshot_warm_transfers_total", "Snapshots pulled from a peer and installed.", "counter", nil, one(m.warmTransfers.Load())},
+		{"pdxd_cluster_proxied_total", "Solves forwarded to the owning shard.", "counter", nil, one(m.clusterProxied.Load())},
+		{"pdxd_cluster_owner_computes_total", "Chases computed on this shard as the ring owner.", "counter", nil, one(m.clusterOwnerComputes.Load())},
+		{"pdxd_cluster_handoffs_total", "Cache entries pushed to their new owner after a ring change.", "counter", nil, one(m.clusterHandoffs.Load())},
+		{"pdxd_cluster_ring_changes_total", "Liveness transitions observed on the ring.", "counter", nil, one(m.clusterRingChanges.Load())},
 	}
-	fmt.Fprintf(&b, "# HELP pdxd_snapshot_saves_total Snapshots written to the snapshot store.\n# TYPE pdxd_snapshot_saves_total counter\npdxd_snapshot_saves_total %d\n", m.snapshotSaves.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_snapshot_loads_total Snapshots loaded and installed at warm start.\n# TYPE pdxd_snapshot_loads_total counter\npdxd_snapshot_loads_total %d\n", m.snapshotLoads.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_snapshot_load_errors_total Snapshots rejected at load time.\n# TYPE pdxd_snapshot_load_errors_total counter\npdxd_snapshot_load_errors_total %d\n", m.snapshotLoadErrors.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_snapshot_warm_transfers_total Snapshots pulled from a peer and installed.\n# TYPE pdxd_snapshot_warm_transfers_total counter\npdxd_snapshot_warm_transfers_total %d\n", m.warmTransfers.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_cluster_proxied_total Solves forwarded to the owning shard.\n# TYPE pdxd_cluster_proxied_total counter\npdxd_cluster_proxied_total %d\n", m.clusterProxied.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_cluster_owner_computes_total Chases computed on this shard as the ring owner.\n# TYPE pdxd_cluster_owner_computes_total counter\npdxd_cluster_owner_computes_total %d\n", m.clusterOwnerComputes.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_cluster_handoffs_total Cache entries pushed to their new owner after a ring change.\n# TYPE pdxd_cluster_handoffs_total counter\npdxd_cluster_handoffs_total %d\n", m.clusterHandoffs.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_cluster_ring_changes_total Liveness transitions observed on the ring.\n# TYPE pdxd_cluster_ring_changes_total counter\npdxd_cluster_ring_changes_total %d\n", m.clusterRingChanges.Load())
+	if s.cluster != nil {
+		fs = append(fs, family{"pdxd_cluster_peers_alive", "Ring members this shard currently sees as up (including itself).", "gauge", nil, one(int64(s.cluster.ring.AliveCount()))})
+	}
+	return fs
+}
+
+// routeSeries reads the per-route families: pdxd_requests_total by
+// route and status, and the _sum/_count pairs of
+// pdxd_request_duration_milliseconds by route, each in sorted key order.
+func (m *metrics) routeSeries() (requests, durations []sample) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, k := range slices.Sorted(maps.Keys(m.requests)) {
+		route, status, _ := strings.Cut(k, "|")
+		requests = append(requests, sample{values: []string{route, status}, value: strconv.FormatInt(m.requests[k], 10)})
+	}
+	for _, r := range slices.Sorted(maps.Keys(m.durCount)) {
+		durations = append(durations,
+			sample{"_sum", []string{r}, strconv.FormatFloat(float64(m.dur[r])/float64(time.Millisecond), 'f', 3, 64)},
+			sample{"_count", []string{r}, strconv.FormatInt(m.durCount[r], 10)})
+	}
+	return requests, durations
+}
+
+// renderMetrics writes the Prometheus text exposition: families in
+// declaration order, series in sorted label order, so scrapes are
+// deterministic.
+func (s *Server) renderMetrics() string {
+	var b strings.Builder
+	for _, f := range s.families() {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for _, x := range f.series {
+			b.WriteString(f.name + x.suffix)
+			for i, l := range f.labels {
+				sep := ","
+				if i == 0 {
+					sep = "{"
+				}
+				fmt.Fprintf(&b, "%s%s=%q", sep, l, x.values[i])
+			}
+			if len(f.labels) > 0 {
+				b.WriteByte('}')
+			}
+			b.WriteString(" " + x.value + "\n")
+		}
+	}
 	return b.String()
 }

@@ -9,7 +9,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"repro/pde"
 )
@@ -47,17 +46,14 @@ type Compiled struct {
 
 // Registry is the concurrent compiled-setting store. Registration is
 // idempotent by content hash; lookups are read-locked and return the
-// shared immutable Compiled.
+// shared immutable Compiled. Get, List, Evict and Len come from the
+// shared store.
 type Registry struct {
-	mu    sync.RWMutex
-	byID  map[string]*Compiled
-	order []string // registration order, for deterministic listings
+	store[*Compiled]
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byID: make(map[string]*Compiled)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Compile parses, vets, and classifies setting text without touching
 // any registry. A vet error rejects the setting (the daemon refuses to
@@ -116,56 +112,6 @@ func (r *Registry) Register(src string) (c *Compiled, created bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if have, ok := r.byID[c.ID]; ok {
-		return have, false, nil
-	}
-	r.byID[c.ID] = c
-	r.order = append(r.order, c.ID)
-	return c, true, nil
-}
-
-// Get returns the compiled setting for an ID, or nil.
-func (r *Registry) Get(id string) *Compiled {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.byID[id]
-}
-
-// List returns the registered settings in registration order.
-func (r *Registry) List() []*Compiled {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Compiled, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, r.byID[id])
-	}
-	return out
-}
-
-// Evict removes a setting; it reports whether the ID was present.
-// In-flight solves against the evicted setting finish unaffected (they
-// hold the immutable Compiled, not the registry slot).
-func (r *Registry) Evict(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.byID[id]; !ok {
-		return false
-	}
-	delete(r.byID, id)
-	for i, have := range r.order {
-		if have == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Len returns the number of registered settings.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byID)
+	c, created = r.add(c.ID, c)
+	return c, created, nil
 }

@@ -131,9 +131,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/instances", s.route("instances-list", s.handleInstanceList))
 	s.mux.HandleFunc("DELETE /v1/instances/{id}", s.route("instances-evict", s.handleInstanceEvict))
 	s.mux.HandleFunc("POST /v1/instances/{id}/append", s.route("instances-append", s.handleInstanceAppend))
-	s.mux.HandleFunc("POST /v1/exists-solution", s.route("exists-solution", s.handleExists))
-	s.mux.HandleFunc("POST /v1/certain-answers", s.route("certain-answers", s.handleCertain))
-	s.mux.HandleFunc("POST /v1/certain-answers/batch", s.route("certain-answers-batch", s.handleCertainBatch))
+	s.mux.HandleFunc("POST /v1/exists-solution", s.route("exists-solution", solveHandler(s, &existsRoute)))
+	s.mux.HandleFunc("POST /v1/certain-answers", s.route("certain-answers", solveHandler(s, &certainRoute)))
+	s.mux.HandleFunc("POST /v1/certain-answers/batch", s.route("certain-answers-batch", solveHandler(s, &certainBatchRoute)))
 	s.mux.HandleFunc("POST /v1/classify", s.route("classify", s.handleClassify))
 	s.mux.HandleFunc("POST /v1/vet", s.route("vet", s.handleVet))
 	s.mux.HandleFunc("GET /v1/cache/keys", s.route("cache-keys", s.handleCacheKeys))
@@ -199,7 +199,7 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", sw.status),
-			slog.Int64("duration_ms", d.Milliseconds()),
+			slog.Float64("duration_ms", float64(d)/float64(time.Millisecond)),
 			slog.String("remote", r.RemoteAddr),
 		)
 	}
@@ -231,43 +231,56 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// admit acquires an in-flight slot, queueing up to MaxQueue waiters.
-// It returns a release function, or writes the shed/timeout response
-// and returns nil.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter) func() {
+// admit installs the request's solve deadline and acquires an in-flight
+// slot under it, queueing up to MaxQueue waiters. It returns the deadline
+// context and a release function that frees the slot and the context, or
+// writes the shed/timeout response and returns a nil release.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, deadlineMillis int64) (context.Context, func()) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(deadlineMillis))
+	if !s.acquire(ctx, w) {
+		cancel()
+		return nil, nil
+	}
+	s.met.inFlight.Add(1)
+	return ctx, func() {
+		s.met.inFlight.Add(-1)
+		<-s.sem
+		cancel()
+	}
+}
+
+// acquire takes an admission slot or writes why it could not.
+func (s *Server) acquire(ctx context.Context, w http.ResponseWriter) bool {
 	if s.draining.Load() {
 		s.met.shed.Add(1)
 		writeErr(w, http.StatusServiceUnavailable, client.CodeShuttingDown, "daemon is draining")
-		return nil
+		return false
 	}
 	select {
 	case s.sem <- struct{}{}:
+		return true
 	default:
-		if s.met.queueDepth.Add(1) > int64(s.cfg.MaxQueue) {
-			s.met.queueDepth.Add(-1)
-			s.met.shed.Add(1)
-			writeErr(w, http.StatusTooManyRequests, client.CodeOverloaded,
-				"admission queue full (%d in flight, %d queued); retry later", s.cfg.MaxInFlight, s.cfg.MaxQueue)
-			return nil
-		}
-		select {
-		case s.sem <- struct{}{}:
-			s.met.queueDepth.Add(-1)
-		case <-ctx.Done():
-			s.met.queueDepth.Add(-1)
-			s.met.shed.Add(1)
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				writeErr(w, http.StatusGatewayTimeout, client.CodeDeadlineExceeded, "deadline expired while queued for admission")
-			} else {
-				writeErr(w, http.StatusServiceUnavailable, client.CodeCanceled, "request canceled while queued for admission")
-			}
-			return nil
-		}
 	}
-	s.met.inFlight.Add(1)
-	return func() {
-		s.met.inFlight.Add(-1)
-		<-s.sem
+	if s.met.queueDepth.Add(1) > int64(s.cfg.MaxQueue) {
+		s.met.queueDepth.Add(-1)
+		s.met.shed.Add(1)
+		writeErr(w, http.StatusTooManyRequests, client.CodeOverloaded,
+			"admission queue full (%d in flight, %d queued); retry later", s.cfg.MaxInFlight, s.cfg.MaxQueue)
+		return false
+	}
+	select {
+	case s.sem <- struct{}{}:
+		s.met.queueDepth.Add(-1)
+		return true
+	case <-ctx.Done():
+		s.met.queueDepth.Add(-1)
+		s.met.shed.Add(1)
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			writeErr(w, http.StatusGatewayTimeout, client.CodeDeadlineExceeded, "deadline expired while queued for admission")
+		} else {
+			writeErr(w, http.StatusServiceUnavailable, client.CodeCanceled, "request canceled while queued for admission")
+		}
+		return false
 	}
 }
 
@@ -325,29 +338,29 @@ func (s *Server) resolveInstance(w http.ResponseWriter, side, inline, byID strin
 
 // solveInput resolves the shared preamble of the solve endpoints:
 // setting lookup, instance resolution, and schema validation.
-func (s *Server) solveInput(w http.ResponseWriter, settingID, source, sourceID, target, targetID string) (*Compiled, *solvePair, bool) {
-	c := s.reg.Get(settingID)
+func (s *Server) solveInput(w http.ResponseWriter, f pairFields) (*solvePair, bool) {
+	c := s.reg.Get(*f.settingID)
 	if c == nil {
-		writeErr(w, http.StatusNotFound, client.CodeNotFound, "setting %q is not registered", settingID)
-		return nil, nil, false
+		writeErr(w, http.StatusNotFound, client.CodeNotFound, "setting %q is not registered", *f.settingID)
+		return nil, false
 	}
-	i, srcID, ok := s.resolveInstance(w, "source", source, sourceID)
+	i, srcID, ok := s.resolveInstance(w, "source", *f.source, *f.sourceID)
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
-	j, tgtID, ok := s.resolveInstance(w, "target", target, targetID)
+	j, tgtID, ok := s.resolveInstance(w, "target", *f.target, *f.targetID)
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	if err := i.ValidateAgainst(c.Setting.Source); err != nil {
 		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "source instance: %v", err)
-		return nil, nil, false
+		return nil, false
 	}
 	if err := j.ValidateAgainst(c.Setting.Target); err != nil {
 		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "target instance: %v", err)
-		return nil, nil, false
+		return nil, false
 	}
-	return c, &solvePair{srv: s, c: c, i: i, j: j, srcID: srcID, tgtID: tgtID}, true
+	return &solvePair{srv: s, c: c, i: i, j: j, srcID: srcID, tgtID: tgtID}, true
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -369,8 +382,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	if created {
 		status = http.StatusCreated
-	}
-	if created {
 		s.clusterBroadcastSetting(r, c)
 	}
 	s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "setting registered",
@@ -408,37 +419,161 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"evicted": id})
 }
 
-func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
-	var req client.SolveRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, p, ok := s.solveInput(w, req.SettingID, req.Source, req.SourceID, req.Target, req.TargetID)
-	if !ok {
-		return
-	}
-	// Cluster routing happens before admission: a proxied solve spends
-	// this shard's time waiting on the owner, not computing.
-	if owner, cl := s.clusterOwner(r, c.ID, p.srcID, p.tgtID); cl != nil {
-		if s.proxyExists(w, r, owner, cl, c, p, req) {
+// pairFields points at the fields every solve request carries: the
+// setting, one inline-or-ID slot per instance side, and the deadline.
+// The skeleton reads the request through it, and the forwarding hop
+// rewrites a copy's instance slots to inline text through it.
+type pairFields struct {
+	settingID, source, sourceID, target, targetID *string
+	deadlineMillis                                *int64
+}
+
+// solveRoute is one solve endpoint as the shared request skeleton
+// (solveHandler) sees it: the request and response types, and the three
+// steps that differ between routes. Everything else — decode, resolve,
+// route/proxy, deadline, admit, error mapping, encode — is the
+// skeleton's.
+type solveRoute[Req, Resp any] struct {
+	// op prefixes dispatch errors ("solve: ...").
+	op string
+	// fields exposes the request's pair fields.
+	fields func(*Req) pairFields
+	// queries returns the request's query texts; nil for a route that
+	// takes none. A batch route's texts are size-checked before the
+	// setting lookup and its errors name the failing index.
+	queries func(*Req) []string
+	batch   bool
+	// forward is the typed-client call relaying the request to its
+	// owning shard.
+	forward func(*client.Client, context.Context, Req) (Resp, error)
+	// answer runs the dispatch under the admitted context and builds
+	// the response.
+	answer func(s *Server, ctx context.Context, req *Req, p *solvePair, qs []pde.UCQ) (Resp, error)
+}
+
+// solveHandler is the one request skeleton of the solve routes: decode,
+// resolve the pair, parse the queries, route on the ring (proxying to
+// the owner), install the deadline and admit, dispatch, encode. Cluster
+// routing happens before admission: a proxied solve spends this shard's
+// time waiting on the owner, not computing.
+func solveHandler[Req, Resp any](s *Server, rt *solveRoute[Req, Resp]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !decode(w, r, &req) {
 			return
 		}
+		var texts []string
+		if rt.queries != nil {
+			texts = rt.queries(&req)
+		}
+		if rt.batch {
+			switch {
+			case len(texts) == 0:
+				writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "batch has no queries")
+				return
+			case len(texts) > maxBatchQueries:
+				writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "batch has %d queries, max %d", len(texts), maxBatchQueries)
+				return
+			}
+		}
+		f := rt.fields(&req)
+		p, ok := s.solveInput(w, f)
+		if !ok {
+			return
+		}
+		qs, ok := parseQueries(w, p.c, texts, rt.batch)
+		if !ok {
+			return
+		}
+		if owner, cl := s.clusterOwner(r, p.c.ID, p.srcID, p.tgtID); cl != nil {
+			if forward(s, w, r, rt, req, owner, cl, p) {
+				return
+			}
+		}
+		ctx, release := s.admit(w, r, *f.deadlineMillis)
+		if release == nil {
+			return
+		}
+		defer release()
+		out, err := rt.answer(s, ctx, &req, p, qs)
+		if err != nil {
+			status, code := solveError(err)
+			writeErr(w, status, code, "%s: %v", rt.op, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, out)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMillis))
-	defer cancel()
-	release := s.admit(ctx, w)
-	if release == nil {
-		return
-	}
-	defer release()
+}
 
+// maxBatchQueries bounds one batch request; beyond it the request is
+// rejected up front rather than admitted and half-served.
+const maxBatchQueries = 4096
+
+// parseQueries parses and validates one query per text against the
+// setting's target schema. A single certain-answers query is a batch of
+// one whose error messages carry no index.
+func parseQueries(w http.ResponseWriter, c *Compiled, texts []string, batch bool) ([]pde.UCQ, bool) {
+	label := func(n int) string {
+		if batch {
+			return fmt.Sprintf("query %d", n)
+		}
+		return "query"
+	}
+	out := make([]pde.UCQ, len(texts))
+	for n, text := range texts {
+		qs, err := pde.ParseQueries(text)
+		if err == nil && len(qs) != 1 {
+			err = fmt.Errorf("want exactly one query, got %d", len(qs))
+		}
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "parsing %s: %v", label(n), err)
+			return nil, false
+		}
+		if err := qs[0].Validate(c.Setting.Target); err != nil {
+			writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "%s: %v", label(n), err)
+			return nil, false
+		}
+		out[n] = qs[0]
+	}
+	return out, true
+}
+
+var existsRoute = solveRoute[client.SolveRequest, client.SolveResponse]{
+	op: "solve",
+	fields: func(r *client.SolveRequest) pairFields {
+		return pairFields{&r.SettingID, &r.Source, &r.SourceID, &r.Target, &r.TargetID, &r.DeadlineMillis}
+	},
+	forward: (*client.Client).ExistsSolution,
+	answer:  (*Server).answerExists,
+}
+
+var certainRoute = solveRoute[client.CertainRequest, client.CertainResponse]{
+	op: "certain answers",
+	fields: func(r *client.CertainRequest) pairFields {
+		return pairFields{&r.SettingID, &r.Source, &r.SourceID, &r.Target, &r.TargetID, &r.DeadlineMillis}
+	},
+	queries: func(r *client.CertainRequest) []string { return []string{r.Query} },
+	forward: (*client.Client).CertainAnswers,
+	answer:  (*Server).answerCertain,
+}
+
+var certainBatchRoute = solveRoute[client.CertainBatchRequest, client.CertainBatchResponse]{
+	op: "certain answers",
+	fields: func(r *client.CertainBatchRequest) pairFields {
+		return pairFields{&r.SettingID, &r.Source, &r.SourceID, &r.Target, &r.TargetID, &r.DeadlineMillis}
+	},
+	queries: func(r *client.CertainBatchRequest) []string { return r.Queries },
+	batch:   true,
+	forward: (*client.Client).CertainBatch,
+	answer:  (*Server).answerCertainBatch,
+}
+
+func (s *Server) answerExists(ctx context.Context, req *client.SolveRequest, p *solvePair, _ []pde.UCQ) (client.SolveResponse, error) {
 	start := time.Now()
-	res, err := pde.SolveFrom(ctx, c.Setting, p.i, p.j, pde.Strategy(c.Strategy), req.Witness, p, s.options(req.MaxNodes))
+	res, err := pde.SolveFrom(ctx, p.c.Setting, p.i, p.j, pde.Strategy(p.c.Strategy), req.Witness, p, s.options(req.MaxNodes))
 	s.met.nodes.Add(res.Nodes)
 	if err != nil {
-		status, code := solveError(err)
-		writeErr(w, status, code, "solve: %v", err)
-		return
+		return client.SolveResponse{}, err
 	}
 	out := client.SolveResponse{
 		Exists:        res.Exists,
@@ -450,53 +585,18 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 	if req.Witness && res.Solution != nil {
 		out.Solution = pde.FormatInstance(res.Solution)
 	}
-	s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "solve",
-		slog.String("setting", c.ID), slog.Bool("exists", res.Exists),
+	s.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "solve",
+		slog.String("setting", p.c.ID), slog.Bool("exists", res.Exists),
 		slog.String("strategy", out.Strategy), slog.Int64("nodes", res.Nodes),
 		slog.Bool("cache_hit", p.hit), slog.Int64("elapsed_ms", out.ElapsedMillis))
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
-	var req client.CertainRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, p, ok := s.solveInput(w, req.SettingID, req.Source, req.SourceID, req.Target, req.TargetID)
-	if !ok {
-		return
-	}
-	qs, err := pde.ParseQueries(req.Query)
-	if err != nil || len(qs) != 1 {
-		if err == nil {
-			err = fmt.Errorf("want exactly one query, got %d", len(qs))
-		}
-		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "parsing query: %v", err)
-		return
-	}
-	if err := qs[0].Validate(c.Setting.Target); err != nil {
-		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "query: %v", err)
-		return
-	}
-	if owner, cl := s.clusterOwner(r, c.ID, p.srcID, p.tgtID); cl != nil {
-		if s.proxyCertain(w, r, owner, cl, c, p, req) {
-			return
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMillis))
-	defer cancel()
-	release := s.admit(ctx, w)
-	if release == nil {
-		return
-	}
-	defer release()
-
+func (s *Server) answerCertain(ctx context.Context, _ *client.CertainRequest, p *solvePair, qs []pde.UCQ) (client.CertainResponse, error) {
 	start := time.Now()
 	res, err := s.certain(ctx, p, qs)
 	if err != nil {
-		status, code := solveError(err)
-		writeErr(w, status, code, "certain answers: %v", err)
-		return
+		return client.CertainResponse{}, err
 	}
 	cr := res[0]
 	out := client.CertainResponse{
@@ -509,74 +609,23 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 		FallbackReason:    cr.FallbackReason,
 		ElapsedMillis:     time.Since(start).Milliseconds(),
 	}
-	s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "certain",
-		slog.String("setting", c.ID), slog.Int("answers", len(out.Answers)),
+	s.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "certain",
+		slog.String("setting", p.c.ID), slog.Int("answers", len(out.Answers)),
 		slog.Bool("compiled", cr.Compiled),
 		slog.Int64("elapsed_ms", out.ElapsedMillis))
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-// maxBatchQueries bounds one batch request; beyond it the request is
-// rejected up front rather than admitted and half-served.
-const maxBatchQueries = 4096
-
-func (s *Server) handleCertainBatch(w http.ResponseWriter, r *http.Request) {
-	var req client.CertainBatchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "batch has no queries")
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "batch has %d queries, max %d", len(req.Queries), maxBatchQueries)
-		return
-	}
-	c, p, ok := s.solveInput(w, req.SettingID, req.Source, req.SourceID, req.Target, req.TargetID)
-	if !ok {
-		return
-	}
-	queries := make([]pde.UCQ, len(req.Queries))
-	for n, text := range req.Queries {
-		qs, err := pde.ParseQueries(text)
-		if err != nil || len(qs) != 1 {
-			if err == nil {
-				err = fmt.Errorf("want exactly one query, got %d", len(qs))
-			}
-			writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "parsing query %d: %v", n, err)
-			return
-		}
-		if err := qs[0].Validate(c.Setting.Target); err != nil {
-			writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "query %d: %v", n, err)
-			return
-		}
-		queries[n] = qs[0]
-	}
-	if owner, cl := s.clusterOwner(r, c.ID, p.srcID, p.tgtID); cl != nil {
-		if s.proxyCertainBatch(w, r, owner, cl, c, p, req) {
-			return
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMillis))
-	defer cancel()
-	release := s.admit(ctx, w)
-	if release == nil {
-		return
-	}
-	defer release()
-
+func (s *Server) answerCertainBatch(ctx context.Context, _ *client.CertainBatchRequest, p *solvePair, qs []pde.UCQ) (client.CertainBatchResponse, error) {
 	start := time.Now()
-	res, err := s.certain(ctx, p, queries)
+	res, err := s.certain(ctx, p, qs)
 	if err != nil {
-		status, code := solveError(err)
-		writeErr(w, status, code, "certain answers: %v", err)
-		return
+		return client.CertainBatchResponse{}, err
 	}
 	out := client.CertainBatchResponse{Results: make([]client.CertainBatchResult, len(res)), CacheHit: p.hit}
 	for n, cr := range res {
 		out.Results[n] = client.CertainBatchResult{
-			Name:           queries[n][0].Name,
+			Name:           qs[n][0].Name,
 			SolutionExists: cr.SolutionExists,
 			Certain:        cr.Certain,
 			Answers:        wireAnswers(cr.Answers),
@@ -585,10 +634,10 @@ func (s *Server) handleCertainBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out.ElapsedMillis = time.Since(start).Milliseconds()
-	s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "certain batch",
-		slog.String("setting", c.ID), slog.Int("queries", len(queries)),
+	s.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "certain batch",
+		slog.String("setting", p.c.ID), slog.Int("queries", len(qs)),
 		slog.Int64("elapsed_ms", out.ElapsedMillis))
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -668,11 +717,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	entries, bytes := s.cache.stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = io.WriteString(w, s.met.render(s.reg.Len(), s.inst.Len(), entries, bytes))
-	if s.cluster != nil {
-		fmt.Fprintf(w, "# HELP pdxd_cluster_peers_alive Ring members this shard currently sees as up (including itself).\n# TYPE pdxd_cluster_peers_alive gauge\npdxd_cluster_peers_alive %d\n",
-			s.cluster.ring.AliveCount())
-	}
+	_, _ = io.WriteString(w, s.renderMetrics())
 }

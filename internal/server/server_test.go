@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -336,9 +337,12 @@ func TestDrain(t *testing.T) {
 }
 
 // TestConcurrentClients hammers one registered setting from 32 clients
-// (the acceptance race scenario; run under -race).
+// (the acceptance race scenario; run under -race). The admission queue
+// holds all 32, so the test checks concurrent solves rather than
+// shedding: the default queue (2×GOMAXPROCS) sheds some of them with 429
+// on a 2-CPU host.
 func TestConcurrentClients(t *testing.T) {
-	_, c := newTestServer(t, Config{})
+	_, c := newTestServer(t, Config{MaxQueue: 64})
 	ctx := context.Background()
 
 	reg, err := c.Register(ctx, example1)
@@ -470,11 +474,11 @@ func TestMetricsAndLogs(t *testing.T) {
 func TestRequestDurationSubMillisecond(t *testing.T) {
 	// Sub-millisecond requests must still add their time: four 250µs
 	// observations sum to one millisecond.
-	m := newMetrics()
+	s := New(Config{})
 	for range 4 {
-		m.observe("exists-solution", http.StatusOK, 250*time.Microsecond)
+		s.met.observe("exists-solution", http.StatusOK, 250*time.Microsecond)
 	}
-	text := m.render(0, 0, 0, 0)
+	text := s.renderMetrics()
 	for _, want := range []string{
 		`pdxd_request_duration_milliseconds_sum{route="exists-solution"} 1.000`,
 		`pdxd_request_duration_milliseconds_count{route="exists-solution"} 4`,
@@ -483,6 +487,39 @@ func TestRequestDurationSubMillisecond(t *testing.T) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)
 		}
 	}
+}
+
+// TestRequestLogFractionalDuration: the request log keeps sub-millisecond
+// handler time instead of truncating it to whole milliseconds (a
+// /healthz call takes microseconds and used to log 0).
+func TestRequestLogFractionalDuration(t *testing.T) {
+	var mu sync.Mutex
+	var logs strings.Builder
+	logger := slog.New(slog.NewJSONHandler(&lockedWriter{mu: &mu, w: &logs}, nil))
+	_, c := newTestServer(t, Config{Logger: logger})
+	if _, err := c.Health(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	logged := logs.String()
+	mu.Unlock()
+	for _, line := range strings.Split(strings.TrimSpace(logged), "\n") {
+		var rec struct {
+			Msg        string  `json:"msg"`
+			Route      string  `json:"route"`
+			DurationMS float64 `json:"duration_ms"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec.Msg == "request" && rec.Route == "healthz" {
+			if rec.DurationMS <= 0 {
+				t.Fatalf("healthz logged duration_ms=%v, want > 0: %s", rec.DurationMS, line)
+			}
+			return
+		}
+	}
+	t.Fatalf("no healthz request record in:\n%s", logged)
 }
 
 // lockedWriter serializes concurrent handler goroutines writing to the

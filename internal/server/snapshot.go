@@ -240,12 +240,10 @@ func (s *Server) installSnapshot(key string, e *snap.Entry, fromPeer bool) error
 		srcInst:   src,
 		tgtInst:   tgt,
 	}
-	s.cache.put(meta, value, bytes)
+	installed := s.cache.put(meta, value, bytes)
 	if fromPeer {
 		s.met.warmTransfers.Add(1)
-		if el, ok := s.cacheEntryByKey(meta.key); ok {
-			s.saveAsync(el)
-		}
+		s.saveAsync(installed)
 	}
 	return nil
 }
@@ -263,22 +261,9 @@ func (s *Server) adoptInstance(text, claimedID, side string) (*pde.Instance, err
 		return nil, fmt.Errorf("%s instance text hashes to %s, snapshot claims %s", side, si.ID, claimedID)
 	}
 	if si.Facts > 0 {
-		si, _, err = s.inst.insert(si)
-		if err != nil {
-			return nil, fmt.Errorf("registering %s instance: %w", side, err)
-		}
+		si, _ = s.inst.add(si.ID, si)
 	}
 	return si.Inst, nil
-}
-
-// cacheEntryByKey finds a completed cache entry by its composite key.
-func (s *Server) cacheEntryByKey(key string) (*cacheEntry, bool) {
-	for _, e := range s.cache.entries() {
-		if e.key == key {
-			return e, true
-		}
-	}
-	return nil, false
 }
 
 // WarmFrom pulls the peer's cache listing and installs every snapshot

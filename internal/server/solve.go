@@ -106,19 +106,19 @@ func (p *solvePair) Canonical(ctx context.Context) (*core.CanonicalTarget, error
 
 // artifact fetches the pair's cache entry of the given kind, computing
 // it once on a miss (single-flight), and records whether it was a hit.
+// A freshly computed entry goes to the write-behind snapshot queue.
 func (p *solvePair) artifact(ctx context.Context, kind cacheKind, compute func() (any, int64, error)) (any, error) {
-	key := cacheKey(p.c.ID, p.srcID, p.tgtID, kind)
-	meta := cacheEntry{key: key, settingID: p.c.ID, srcID: p.srcID, tgtID: p.tgtID, kind: kind, srcInst: p.i, tgtInst: p.j}
-	v, hit, err := p.srv.cache.getOrCompute(ctx, key, meta, compute)
+	meta := cacheEntry{key: cacheKey(p.c.ID, p.srcID, p.tgtID, kind), settingID: p.c.ID, srcID: p.srcID, tgtID: p.tgtID, kind: kind, srcInst: p.i, tgtInst: p.j}
+	e, hit, err := p.srv.cache.getOrCompute(ctx, meta, compute)
 	if err != nil {
 		return nil, err
 	}
 	p.hit = hit
 	if !hit {
 		p.srv.countOwnerCompute()
-		p.srv.snapshotFill(key)
+		p.srv.saveAsync(e)
 	}
-	return v, nil
+	return e.value, nil
 }
 
 // Plan returns the query's plan from the plan cache, or the setting's
@@ -134,17 +134,6 @@ func (p *solvePair) Plan(q pde.UCQ) (*pde.Plan, error) {
 		p.srv.met.planMisses.Add(1)
 	}
 	return plan, err
-}
-
-// snapshotFill enqueues the freshly computed entry under key for the
-// write-behind snapshot worker (no-op without a snapshot store).
-func (s *Server) snapshotFill(key string) {
-	if s.cfg.Snapshots == nil {
-		return
-	}
-	if e, ok := s.cacheEntryByKey(key); ok {
-		s.saveAsync(e)
-	}
 }
 
 // certain runs the shared certain-answers dispatch over the pair and
@@ -180,12 +169,11 @@ func (s *Server) handleInstanceRegister(w http.ResponseWriter, r *http.Request) 
 	if !decode(w, r, &req) {
 		return
 	}
-	si, err := compileInstance(req.Instance)
+	si, created, err := s.inst.Register(req.Instance)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "parsing instance: %v", err)
+		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "%v", err)
 		return
 	}
-	si, created, _ := s.inst.insert(si)
 	status := http.StatusOK
 	if created {
 		status = http.StatusCreated
@@ -232,9 +220,7 @@ func (s *Server) handleInstanceAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	// Migration resumes chases, so it runs under admission control and
 	// the request deadline like any solve.
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMillis))
-	defer cancel()
-	release := s.admit(ctx, w)
+	ctx, release := s.admit(w, r, req.DeadlineMillis)
 	if release == nil {
 		return
 	}
@@ -289,6 +275,7 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 			srcInst:   newSrcInst,
 			tgtInst:   newTgtInst,
 		}
+		var installed *cacheEntry
 		var resumed bool
 		var reason string
 		switch e.kind {
@@ -299,8 +286,7 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 					slog.String("setting", e.settingID), slog.String("err", err.Error()))
 				continue
 			}
-			s.cache.put(meta, next, tractableBytes(next))
-			resumed, reason = r, why
+			installed, resumed, reason = s.cache.put(meta, next, tractableBytes(next)), r, why
 		case kindGeneric:
 			next, r, why, err := core.ResumeCanonicalTarget(c.Setting, e.value.(*core.CanonicalTarget), delta, core.SolveOptions{Config: s.config(ctx)})
 			if err != nil {
@@ -308,13 +294,12 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 					slog.String("setting", e.settingID), slog.String("err", err.Error()))
 				continue
 			}
-			s.cache.put(meta, next, canonicalBytes(next))
-			resumed, reason = r, why
+			installed, resumed, reason = s.cache.put(meta, next, canonicalBytes(next)), r, why
 		default:
 			continue
 		}
 		migrated++
-		s.snapshotFill(meta.key)
+		s.saveAsync(installed)
 		if resumed {
 			resumes++
 			s.met.cacheResumes.Add(1)

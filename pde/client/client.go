@@ -190,53 +190,64 @@ func (c *Client) ClusterStatus(ctx context.Context, settingID, sourceID, targetI
 // re-validates the snapshot exactly like a warm start before
 // installing it.
 func (c *Client) PushCacheEntry(ctx context.Context, key string, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		c.base+"/v1/cache/entries/"+url.PathEscape(key), bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("client: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	c.applyHeaders(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: PUT /v1/cache/entries: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return fmt.Errorf("client: reading response: %w", err)
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		var eb errorBody
-		if err := json.Unmarshal(data, &eb); err == nil && eb.Error != nil {
-			eb.Error.Status = resp.StatusCode
-			return eb.Error
-		}
-		return &APIError{
-			Code:    CodeInternal,
-			Message: fmt.Sprintf("non-JSON error response: %.200s", data),
-			Status:  resp.StatusCode,
-		}
-	}
-	return nil
+	_, err := c.roundTrip(ctx, http.MethodPut, "/v1/cache/entries/"+url.PathEscape(key),
+		bytes.NewReader(data), "application/octet-stream", 64<<20)
+	return err
 }
 
 // CacheEntry fetches one cache entry in the binary snapshot wire
 // format (decode with internal/snap). The key comes from CacheKeys.
 func (c *Client) CacheEntry(ctx context.Context, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/cache/entries/"+url.PathEscape(key), nil)
+	return c.roundTrip(ctx, http.MethodGet, "/v1/cache/entries/"+url.PathEscape(key), nil, "", 256<<20)
+}
+
+func (c *Client) post(ctx context.Context, path string, in, out any) error {
+	return c.do(ctx, http.MethodPost, path, in, out)
+}
+
+// do sends one JSON request and decodes the response into out (when
+// non-nil).
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	var body io.Reader
+	contentType := ""
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return fmt.Errorf("client: encoding request: %w", err)
+		}
+		body, contentType = bytes.NewReader(b), "application/json"
+	}
+	data, err := c.roundTrip(ctx, method, path, body, contentType, 64<<20)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("client: decoding %s response: %w", path, err)
+	}
+	return nil
+}
+
+// roundTrip sends one request and returns the response body, read up to
+// limit bytes. A non-2xx response decodes the error envelope and returns
+// it as an *APIError carrying the HTTP status; a body that is not the
+// envelope becomes CodeInternal.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body io.Reader, contentType string, limit int64) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	c.applyHeaders(req)
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("client: GET /v1/cache/entries: %w", err)
+		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if err != nil {
-		return nil, fmt.Errorf("client: reading snapshot: %w", err)
+		return nil, fmt.Errorf("client: reading response: %w", err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		var eb errorBody
@@ -251,58 +262,4 @@ func (c *Client) CacheEntry(ctx context.Context, key string) ([]byte, error) {
 		}
 	}
 	return data, nil
-}
-
-func (c *Client) post(ctx context.Context, path string, in, out any) error {
-	return c.do(ctx, http.MethodPost, path, in, out)
-}
-
-// do sends one request and decodes the response into out (when
-// non-nil). Non-2xx responses decode the error envelope and return it
-// as an *APIError.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("client: encoding request: %w", err)
-		}
-		body = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		return fmt.Errorf("client: %w", err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	c.applyHeaders(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return fmt.Errorf("client: reading response: %w", err)
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		var eb errorBody
-		if err := json.Unmarshal(data, &eb); err == nil && eb.Error != nil {
-			eb.Error.Status = resp.StatusCode
-			return eb.Error
-		}
-		return &APIError{
-			Code:    CodeInternal,
-			Message: fmt.Sprintf("non-JSON error response: %.200s", data),
-			Status:  resp.StatusCode,
-		}
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("client: decoding %s response: %w", path, err)
-	}
-	return nil
 }
