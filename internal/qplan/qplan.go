@@ -290,9 +290,12 @@ func orEmpty(inst *rel.Instance) *rel.Instance {
 	return inst
 }
 
-// checkInstances gates evaluation on null-free inputs (the fragment's
-// equivalence is proved for null-free I and J only).
-func (sp *SettingPlan) checkInstances(i, j *rel.Instance) error {
+// CheckInstances gates evaluation on null-free inputs (the fragment's
+// equivalence is proved for null-free I and J only): it returns a
+// *FallbackError with reason FallbackNulls when i or j holds a labeled
+// null. Callers that take the SOL(P) verdict from elsewhere than
+// SolutionExists must still pass this gate before EvalGiven.
+func (sp *SettingPlan) CheckInstances(i, j *rel.Instance) error {
 	if orEmpty(i).HasNulls() {
 		return &FallbackError{Reason: FallbackNulls, Detail: "source instance"}
 	}
@@ -307,7 +310,7 @@ func (sp *SettingPlan) checkInstances(i, j *rel.Instance) error {
 // of some unfolded Σts body has no extension into i. It returns a
 // *FallbackError when an instance contains labeled nulls.
 func (sp *SettingPlan) SolutionExists(i, j *rel.Instance, opts EvalOptions) (bool, error) {
-	if err := sp.checkInstances(i, j); err != nil {
+	if err := sp.CheckInstances(i, j); err != nil {
 		return false, err
 	}
 	if err := canceled(opts.Ctx, "solution probes"); err != nil {
@@ -432,9 +435,10 @@ func (p *Plan) Eval(i, j *rel.Instance, opts EvalOptions) (certain.Result, error
 
 // EvalGiven is Eval with the solution-existence verdict supplied by the
 // caller, so a batch of queries over one instance pair runs the probes
-// once. The caller must have obtained solutionExists from
-// SolutionExists on the same (i, j) — which also vetted the instances
-// as null-free.
+// once. The caller must have obtained solutionExists for the same
+// (i, j), from SolutionExists or from any other decision of SOL(P),
+// and must have vetted the instances as null-free (SolutionExists does
+// so; otherwise CheckInstances).
 func (p *Plan) EvalGiven(solutionExists bool, i, j *rel.Instance, opts EvalOptions) (certain.Result, error) {
 	if !solutionExists {
 		// No solution: a Boolean query is vacuously certain; package

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Relation is the extension of one relation symbol inside an instance:
@@ -291,7 +292,17 @@ func (r *Relation) mergeValue(from, to Value) []int {
 type Instance struct {
 	rels   map[string]*Relation
 	frozen bool
+	// nulls memoizes HasNulls once the instance is frozen. Atomic
+	// because frozen instances are read by many goroutines at once.
+	nulls atomic.Uint32
 }
+
+// States of Instance.nulls.
+const (
+	nullsUnknown uint32 = iota
+	nullsNone
+	nullsSome
+)
 
 // NewInstance returns an empty instance.
 func NewInstance() *Instance {
@@ -562,8 +573,25 @@ func (inst *Instance) Nulls() map[Value]struct{} {
 	return nulls
 }
 
-// HasNulls reports whether the instance contains any labeled null.
+// HasNulls reports whether the instance contains any labeled null. A
+// frozen instance scans once and answers later calls from memory.
 func (inst *Instance) HasNulls() bool {
+	if !inst.frozen {
+		return inst.scanNulls()
+	}
+	if m := inst.nulls.Load(); m != nullsUnknown {
+		return m == nullsSome
+	}
+	has := inst.scanNulls()
+	memo := nullsNone
+	if has {
+		memo = nullsSome
+	}
+	inst.nulls.Store(memo)
+	return has
+}
+
+func (inst *Instance) scanNulls() bool {
 	for _, r := range inst.rels {
 		for i, t := range r.tuples {
 			if !r.Live(i) {

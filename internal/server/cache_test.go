@@ -21,7 +21,7 @@ import (
 
 func TestChaseCacheSingleFlight(t *testing.T) {
 	cc := newChaseCache(0, 16, newMetrics())
-	meta := cacheEntry{key: "k", settingID: "s", srcID: "i", tgtID: "j", kind: kindTractable}
+	meta := entryMeta{key: "k", settingID: "s", srcID: "i", tgtID: "j", kind: kindTractable}
 	var computes atomic.Int32
 	var hits atomic.Int32
 	var wg sync.WaitGroup
@@ -53,7 +53,7 @@ func TestChaseCacheSingleFlight(t *testing.T) {
 
 func TestChaseCacheFailedComputeNotRetained(t *testing.T) {
 	cc := newChaseCache(0, 16, newMetrics())
-	meta := cacheEntry{key: "k"}
+	meta := entryMeta{key: "k"}
 	boom := errors.New("budget exhausted")
 	if _, _, err := cc.getOrCompute(context.Background(), meta, func() (any, int64, error) {
 		return nil, 0, boom
@@ -76,7 +76,7 @@ func TestChaseCacheLRUBounds(t *testing.T) {
 	met := newMetrics()
 	cc := newChaseCache(0, 2, met)
 	for _, k := range []string{"a", "b", "c"} {
-		cc.getOrCompute(context.Background(), cacheEntry{key: k}, func() (any, int64, error) {
+		cc.getOrCompute(context.Background(), entryMeta{key: k}, func() (any, int64, error) {
 			return k, 100, nil
 		})
 	}
@@ -85,7 +85,7 @@ func TestChaseCacheLRUBounds(t *testing.T) {
 		t.Errorf("after 3 inserts with maxEntries=2: %d entries / %d bytes, want 2 / 200", n, bytes)
 	}
 	// "a" (least recently used) is gone; a re-get recomputes it.
-	_, hit, _ := cc.getOrCompute(context.Background(), cacheEntry{key: "a"}, func() (any, int64, error) {
+	_, hit, _ := cc.getOrCompute(context.Background(), entryMeta{key: "a"}, func() (any, int64, error) {
 		return "a", 100, nil
 	})
 	if hit {
@@ -98,8 +98,8 @@ func TestChaseCacheLRUBounds(t *testing.T) {
 	// Byte budget: an insert that blows the bound evicts older entries
 	// but spares itself.
 	cc2 := newChaseCache(150, 0, met)
-	cc2.put(cacheEntry{key: "x"}, "x", 100)
-	cc2.put(cacheEntry{key: "y"}, "y", 120)
+	cc2.put(entryMeta{key: "x"}, "x", 100)
+	cc2.put(entryMeta{key: "y"}, "y", 120)
 	n, bytes = cc2.stats()
 	if n != 1 || bytes != 120 {
 		t.Errorf("byte bound: %d entries / %d bytes, want 1 / 120 (y only)", n, bytes)
@@ -196,8 +196,9 @@ func TestCacheHitAppendEndToEnd(t *testing.T) {
 	}
 
 	// Certain answers by ID: this setting is in the compilable
-	// fragment, so both calls run the compiled plan and never touch the
-	// chase cache; the second is served by the cached query plan.
+	// fragment, so both calls run the compiled plan and never chase
+	// (SOL(P) comes from the pair's cached verdict, which counts no
+	// hit); the second is served by the cached query plan.
 	ca1, err := c.CertainAnswers(ctx, client.CertainRequest{SettingID: reg.ID, SourceID: app.ID, Query: "q(x,y) :- H(x,y)"})
 	if err != nil {
 		t.Fatal(err)

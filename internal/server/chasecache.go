@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/pde"
 )
@@ -26,11 +27,9 @@ func cacheKey(settingID, srcID, tgtID string, kind cacheKind) string {
 	return settingID + "\x00" + srcID + "\x00" + tgtID + "\x00" + string(kind)
 }
 
-// cacheEntry is one cached chased artifact. value is a
-// *core.TractableTrace or *core.CanonicalTarget depending on kind; it
-// is immutable once done (the From-style solvers never mutate it), so
-// any number of solves may share it concurrently.
-type cacheEntry struct {
+// entryMeta is a cache entry's identity: its key and what the key was
+// built from.
+type entryMeta struct {
 	key       string
 	settingID string
 	srcID     string
@@ -42,11 +41,50 @@ type cacheEntry struct {
 	// once the entry is done.
 	srcInst *pde.Instance
 	tgtInst *pde.Instance
+}
+
+// cacheEntry is one cached chased artifact. value is a
+// *core.TractableTrace or *core.CanonicalTarget depending on kind; it
+// is immutable once done (the From-style solvers never mutate it), so
+// any number of solves may share it concurrently. A tractable entry
+// also memoizes the pair's SOL(P) verdict (decide): it starts unknown,
+// including on entries that append migration, snapshot install or
+// cluster handoff put, and is set by the first successful decision.
+type cacheEntry struct {
+	entryMeta
 	value   any
 	bytes   int64
 	done    bool          // computation finished (value/err valid)
 	err     error         // leader's failure, observed by waiters once
 	ready   chan struct{} // closed when done flips true
+	verdict atomic.Uint32 // SOL(P) memo: one of the verdict* states below
+}
+
+// States of cacheEntry.verdict.
+const (
+	verdictUnknown uint32 = iota
+	verdictNone
+	verdictExists
+)
+
+// decide returns the entry's memoized SOL(P) verdict, running compute
+// on first use. Only a successful verdict is stored: an error (deadline,
+// cancellation) leaves the memo unknown for the next request. Callers
+// racing on a fresh entry may each compute; they store the same value.
+func (e *cacheEntry) decide(compute func() (bool, error)) (bool, error) {
+	if v := e.verdict.Load(); v != verdictUnknown {
+		return v == verdictExists, nil
+	}
+	ok, err := compute()
+	if err != nil {
+		return false, err
+	}
+	v := verdictNone
+	if ok {
+		v = verdictExists
+	}
+	e.verdict.Store(v)
+	return ok, nil
 }
 
 // chaseCache is the LRU, single-flight store of chased artifacts keyed
@@ -89,7 +127,7 @@ func (c *chaseCache) unlock() { c.mu.Unlock() }
 // joined); on a miss the entry is the one this call installed. On
 // compute failure the error is returned and nothing is cached. With the
 // cache disabled the entry is detached: it carries the value only.
-func (c *chaseCache) getOrCompute(ctx context.Context, meta cacheEntry, compute func() (any, int64, error)) (*cacheEntry, bool, error) {
+func (c *chaseCache) getOrCompute(ctx context.Context, meta entryMeta, compute func() (any, int64, error)) (*cacheEntry, bool, error) {
 	if c.disabled {
 		v, _, err := compute()
 		if err != nil {
@@ -143,25 +181,38 @@ func (c *chaseCache) getOrCompute(ctx context.Context, meta cacheEntry, compute 
 	}
 }
 
-// newEntry builds a pending entry carrying meta's identity.
-func newEntry(meta cacheEntry) *cacheEntry {
-	return &cacheEntry{
-		key:       meta.key,
-		settingID: meta.settingID,
-		srcID:     meta.srcID,
-		tgtID:     meta.tgtID,
-		kind:      meta.kind,
-		srcInst:   meta.srcInst,
-		tgtInst:   meta.tgtInst,
-		ready:     make(chan struct{}),
+// peek returns the completed entry for key without waiting or
+// computing, or nil when there is none (absent, still pending, or the
+// cache disabled). It counts neither a hit nor a miss; a found entry
+// moves to the LRU front, since it is serving a request.
+func (c *chaseCache) peek(key string) *cacheEntry {
+	if c.disabled {
+		return nil
 	}
+	c.lock()
+	defer c.unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil
+	}
+	e := el.Value.(*cacheEntry)
+	if !e.done {
+		return nil
+	}
+	c.lru.MoveToFront(el)
+	return e
+}
+
+// newEntry builds a pending entry carrying meta's identity.
+func newEntry(meta entryMeta) *cacheEntry {
+	return &cacheEntry{entryMeta: meta, ready: make(chan struct{})}
 }
 
 // put inserts a completed artifact directly (append migration, snapshot
 // install) and returns the entry it installed. An existing entry for the
 // key — even a pending one — wins and put returns nil: migration is
 // best-effort and must not clobber an in-flight leader.
-func (c *chaseCache) put(meta cacheEntry, value any, bytes int64) *cacheEntry {
+func (c *chaseCache) put(meta entryMeta, value any, bytes int64) *cacheEntry {
 	if c.disabled {
 		return nil
 	}

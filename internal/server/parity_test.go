@@ -77,7 +77,8 @@ func queryText(q pde.UCQ) string {
 // façade answers on random settings and instances, sent inline and by
 // ID: /v1/exists-solution (witness on and off) against
 // ExistsSolution/FindSolution, and /v1/certain-answers and its batch
-// form against CertainBool/CertainAnswers with Options.Compiled.
+// form against CertainBool/CertainAnswers with Options.Compiled, each
+// sent both before and after the exists-solution requests.
 func TestFacadeParityRandom(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -144,6 +145,34 @@ func TestFacadeParityRandom(t *testing.T) {
 			if byID {
 				req = client.SolveRequest{SettingID: reg.ID, SourceID: srcReg.ID, TargetID: tgtReg.ID}
 			}
+			// Certain and batch requests go both before the exists
+			// requests (the Σts probes, unless an earlier pass cached the
+			// pair's trace) and after them (the memoized verdict).
+			checkCertain := func(when string) {
+				for n, text := range texts {
+					creq := client.CertainRequest{SettingID: req.SettingID, Source: req.Source, SourceID: req.SourceID, Target: req.Target, TargetID: req.TargetID, Query: text}
+					got, err := c.CertainAnswers(ctx, creq)
+					if err != nil {
+						t.Fatalf("%s: certain-answers %q %s: %v", name, text, when, err)
+					}
+					gotRes := client.CertainBatchResult{
+						Name: want[n].Name, SolutionExists: got.SolutionExists, Certain: got.Certain,
+						Answers: got.Answers, Compiled: got.Compiled, FallbackReason: got.FallbackReason,
+					}
+					if !reflect.DeepEqual(gotRes, want[n]) {
+						t.Errorf("%s: certain-answers %q %s: daemon %+v, façade %+v", name, text, when, gotRes, want[n])
+					}
+				}
+				breq := client.CertainBatchRequest{SettingID: req.SettingID, Source: req.Source, SourceID: req.SourceID, Target: req.Target, TargetID: req.TargetID, Queries: texts}
+				batch, err := c.CertainBatch(ctx, breq)
+				if err != nil {
+					t.Fatalf("%s: certain-answers batch %s: %v", name, when, err)
+				}
+				if !reflect.DeepEqual(batch.Results, want) {
+					t.Errorf("%s: certain-answers batch %s: daemon %+v, façade %+v", name, when, batch.Results, want)
+				}
+			}
+			checkCertain("before exists-solution")
 			for _, witness := range []bool{false, true} {
 				req.Witness = witness
 				got, err := c.ExistsSolution(ctx, req)
@@ -163,29 +192,7 @@ func TestFacadeParityRandom(t *testing.T) {
 						name, witness, got.Exists, got.Strategy, got.Nodes, got.Solution, ref.Exists, ref.Strategy, ref.Nodes, wantSol)
 				}
 			}
-
-			for n, text := range texts {
-				creq := client.CertainRequest{SettingID: req.SettingID, Source: req.Source, SourceID: req.SourceID, Target: req.Target, TargetID: req.TargetID, Query: text}
-				got, err := c.CertainAnswers(ctx, creq)
-				if err != nil {
-					t.Fatalf("%s: certain-answers %q: %v", name, text, err)
-				}
-				gotRes := client.CertainBatchResult{
-					Name: want[n].Name, SolutionExists: got.SolutionExists, Certain: got.Certain,
-					Answers: got.Answers, Compiled: got.Compiled, FallbackReason: got.FallbackReason,
-				}
-				if !reflect.DeepEqual(gotRes, want[n]) {
-					t.Errorf("%s: certain-answers %q: daemon %+v, façade %+v", name, text, gotRes, want[n])
-				}
-			}
-			breq := client.CertainBatchRequest{SettingID: req.SettingID, Source: req.Source, SourceID: req.SourceID, Target: req.Target, TargetID: req.TargetID, Queries: texts}
-			batch, err := c.CertainBatch(ctx, breq)
-			if err != nil {
-				t.Fatalf("%s: certain-answers batch: %v", name, err)
-			}
-			if !reflect.DeepEqual(batch.Results, want) {
-				t.Errorf("%s: certain-answers batch: daemon %+v, façade %+v", name, batch.Results, want)
-			}
+			checkCertain("after exists-solution")
 		}
 	}
 	t.Logf("%d cases served, %d refused at registration", served, refused)

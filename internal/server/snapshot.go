@@ -231,7 +231,7 @@ func (s *Server) installSnapshot(key string, e *snap.Entry, fromPeer bool) error
 	case kindGeneric:
 		value, bytes = e.Generic, canonicalBytes(e.Generic)
 	}
-	meta := cacheEntry{
+	meta := entryMeta{
 		key:       cacheKey(e.SettingID, e.SourceID, e.TargetID, kind),
 		settingID: e.SettingID,
 		srcID:     e.SourceID,

@@ -1,11 +1,13 @@
 package server
 
 // The cached solve paths. Solves resolve their instances to content
-// IDs, fetch (or compute, once) the chased artifact for the
-// (setting, I, J, kind) key, and run only the verdict phase against
-// it. Appends migrate affected artifacts to the appended instance by
-// resuming the chases with just the new facts (core.Resume*), so warm
-// traffic keeps skipping the chase even as instances grow.
+// IDs and fetch (or compute, once) the chased artifact for the
+// (setting, I, J, kind) key. A tractable entry also memoizes the SOL(P)
+// verdict, so warm exists-solution and compiled certain requests skip
+// the block checks and the Σts probes. Appends migrate affected
+// artifacts to the appended instance by resuming the chases with just
+// the new facts (core.Resume*), so warm traffic keeps skipping the
+// chase even as instances grow.
 
 import (
 	"context"
@@ -21,8 +23,8 @@ import (
 
 // solvePair is a solve's resolved instances plus their cache IDs. It is
 // the pde.Artifacts of the request: the shared dispatch reads chased
-// state through the chase cache and compiled plans through the plan
-// cache.
+// state and memoized verdicts through the chase cache and compiled
+// plans through the plan cache.
 type solvePair struct {
 	srv          *Server
 	c            *Compiled
@@ -75,23 +77,53 @@ func canonicalBytes(ct *core.CanonicalTarget) int64 {
 // Tractable returns the cached (or freshly chased) Figure 3 trace for
 // the pair.
 func (p *solvePair) Tractable(ctx context.Context) (*core.TractableTrace, error) {
-	v, err := p.artifact(ctx, kindTractable, func() (any, int64, error) {
+	e, err := p.tractable(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return e.value.(*core.TractableTrace), nil
+}
+
+// tractable fetches the pair's tractable cache entry, chasing it once
+// on a miss.
+func (p *solvePair) tractable(ctx context.Context) (*cacheEntry, error) {
+	return p.entry(ctx, kindTractable, func() (any, int64, error) {
 		tr, err := core.ChaseCanonicalTractable(p.c.Setting, p.i, p.j, core.TractableOptions{Config: p.srv.config(ctx)})
 		if err != nil {
 			return nil, 0, err
 		}
 		return tr, tractableBytes(tr), nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// Verdict returns the pair's SOL(P) verdict memoized on its tractable
+// cache entry; the entry's first ask runs the block checks over its
+// trace. With cachedOnly set it only peeks: no chase, no entry created,
+// no hit or miss counted, and known == false when the pair has no
+// completed tractable entry.
+func (p *solvePair) Verdict(ctx context.Context, cachedOnly bool) (bool, bool, error) {
+	var e *cacheEntry
+	if cachedOnly {
+		if e = p.srv.cache.peek(cacheKey(p.c.ID, p.srcID, p.tgtID, kindTractable)); e == nil {
+			return false, false, nil
+		}
+	} else {
+		var err error
+		if e, err = p.tractable(ctx); err != nil {
+			return false, false, err
+		}
 	}
-	return v.(*core.TractableTrace), nil
+	ok, err := e.decide(func() (bool, error) {
+		ok, _, err := core.ExistsSolutionTractableFrom(p.i, e.value.(*core.TractableTrace), core.TractableOptions{Config: p.srv.config(ctx)})
+		return ok, err
+	})
+	return ok, err == nil, err
 }
 
 // Canonical returns the cached (or freshly chased) canonical target for
 // the pair.
 func (p *solvePair) Canonical(ctx context.Context) (*core.CanonicalTarget, error) {
-	v, err := p.artifact(ctx, kindGeneric, func() (any, int64, error) {
+	e, err := p.entry(ctx, kindGeneric, func() (any, int64, error) {
 		ct, err := core.ChaseCanonicalTarget(p.c.Setting, p.i, p.j, core.SolveOptions{Config: p.srv.config(ctx)})
 		if err != nil {
 			return nil, 0, err
@@ -101,14 +133,14 @@ func (p *solvePair) Canonical(ctx context.Context) (*core.CanonicalTarget, error
 	if err != nil {
 		return nil, err
 	}
-	return v.(*core.CanonicalTarget), nil
+	return e.value.(*core.CanonicalTarget), nil
 }
 
-// artifact fetches the pair's cache entry of the given kind, computing
-// it once on a miss (single-flight), and records whether it was a hit.
-// A freshly computed entry goes to the write-behind snapshot queue.
-func (p *solvePair) artifact(ctx context.Context, kind cacheKind, compute func() (any, int64, error)) (any, error) {
-	meta := cacheEntry{key: cacheKey(p.c.ID, p.srcID, p.tgtID, kind), settingID: p.c.ID, srcID: p.srcID, tgtID: p.tgtID, kind: kind, srcInst: p.i, tgtInst: p.j}
+// entry fetches the pair's cache entry of the given kind, computing it
+// once on a miss (single-flight), and records whether it was a hit. A
+// freshly computed entry goes to the write-behind snapshot queue.
+func (p *solvePair) entry(ctx context.Context, kind cacheKind, compute func() (any, int64, error)) (*cacheEntry, error) {
+	meta := entryMeta{key: cacheKey(p.c.ID, p.srcID, p.tgtID, kind), settingID: p.c.ID, srcID: p.srcID, tgtID: p.tgtID, kind: kind, srcInst: p.i, tgtInst: p.j}
 	e, hit, err := p.srv.cache.getOrCompute(ctx, meta, compute)
 	if err != nil {
 		return nil, err
@@ -118,7 +150,7 @@ func (p *solvePair) artifact(ctx context.Context, kind cacheKind, compute func()
 		p.srv.countOwnerCompute()
 		p.srv.saveAsync(e)
 	}
-	return e.value, nil
+	return e, nil
 }
 
 // Plan returns the query's plan from the plan cache, or the setting's
@@ -266,7 +298,7 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 		if newTgt == baseID {
 			newTgt, newTgtInst = child.ID, child.Inst
 		}
-		meta := cacheEntry{
+		meta := entryMeta{
 			key:       cacheKey(e.settingID, newSrc, newTgt, e.kind),
 			settingID: e.settingID,
 			srcID:     newSrc,

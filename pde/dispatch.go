@@ -24,6 +24,15 @@ type Artifacts interface {
 	// Tractable returns the Figure 3 trace of (I, J): both chase phases
 	// and the block decomposition of I_can.
 	Tractable(ctx context.Context) (*TractableTrace, error)
+	// Verdict decides SOL(P) for (I, J) by the Figure 3 block checks of
+	// I_can against I (ExistsSolutionTractableFrom over the Tractable
+	// trace); it is only asked of C_tract settings. The verdict is a
+	// fixed property of the pair, so an implementation may remember
+	// it: pdxd keeps it on the chase-cache entry of the trace, while
+	// the façade computes it afresh. With cachedOnly set, Verdict must
+	// not chase: when no trace is at hand it reports known == false
+	// and the caller decides SOL(P) some other way.
+	Verdict(ctx context.Context, cachedOnly bool) (exists, known bool, err error)
 	// Canonical returns the canonical target of (I, J).
 	Canonical(ctx context.Context) (*CanonicalTarget, error)
 	// Plan returns the compiled plan of q, or an error whose
@@ -39,23 +48,22 @@ type Artifacts interface {
 // solution J_img; the generic solver always returns its witness.
 func SolveFrom(ctx context.Context, s *Setting, i, j *Instance, strategy Strategy, witness bool, a Artifacts, o Options) (Result, error) {
 	if strategy == StrategyTractable {
+		if !witness {
+			ok, _, err := a.Verdict(ctx, false)
+			if err != nil {
+				return Result{}, err
+			}
+			return Result{Exists: ok, Strategy: StrategyTractable}, nil
+		}
 		trace, err := a.Tractable(ctx)
 		if err != nil {
 			return Result{}, err
 		}
-		topts := core.TractableOptions{Config: o.config(ctx)}
-		if witness {
-			sol, _, err := core.FindSolutionTractableFrom(i, trace, topts)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Exists: sol != nil, Solution: sol, Strategy: StrategyTractable}, nil
-		}
-		ok, _, err := core.ExistsSolutionTractableFrom(i, trace, topts)
+		sol, _, err := core.FindSolutionTractableFrom(i, trace, core.TractableOptions{Config: o.config(ctx)})
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{Exists: ok, Strategy: StrategyTractable}, nil
+		return Result{Exists: sol != nil, Solution: sol, Strategy: StrategyTractable}, nil
 	}
 	ct, err := a.Canonical(ctx)
 	if err != nil {
@@ -75,9 +83,11 @@ func SolveFrom(ctx context.Context, s *Setting, i, j *Instance, strategy Strateg
 // CertainFrom computes the certain answers of each query on (I, J)
 // over the chased state a supplies; a query with an empty head gets the
 // Boolean verdict. With o.Compiled, each query first tries its compiled
-// plan; the setting's solution probes run at most once for the whole
-// batch. Queries the compiled path declines, and every query without
-// o.Compiled, enumerate the image solutions of one canonical target,
+// plan. The plans' SOL(P) verdict is decided at most once for the
+// whole batch: from a's cached Figure 3 verdict when a holds one (the
+// compiled fragment lies inside C_tract, so both decide the same
+// SOL(P)), else by the setting's solution probes. Queries the compiled
+// path declines, and every query without o.Compiled, enumerate the image solutions of one canonical target,
 // fetched at most once. The setting must be valid and the instances and
 // queries must fit its schemas. On error the returned slice ends at the
 // failing query, so callers can still account for the fallbacks taken.
@@ -95,7 +105,7 @@ func CertainFrom(ctx context.Context, s *Setting, i, j *Instance, queries []UCQ,
 			if err == nil {
 				if !probed {
 					probed = true
-					exists, probeErr = plan.SettingPlan().SolutionExists(i, j, cfg)
+					exists, probeErr = compiledVerdict(ctx, plan.SettingPlan(), i, j, a, cfg)
 				}
 				if err = probeErr; err == nil {
 					var res certain.Result
@@ -129,6 +139,18 @@ func CertainFrom(ctx context.Context, s *Setting, i, j *Instance, queries []UCQ,
 	return out, nil
 }
 
+// compiledVerdict decides SOL(P) for the compiled path: the null-free
+// gate first, then a's cached verdict if it has one, else the probes.
+func compiledVerdict(ctx context.Context, sp *SettingPlan, i, j *Instance, a Artifacts, cfg qplan.EvalOptions) (bool, error) {
+	if err := sp.CheckInstances(i, j); err != nil {
+		return false, err
+	}
+	if exists, known, err := a.Verdict(ctx, true); known || err != nil {
+		return exists, err
+	}
+	return sp.SolutionExists(i, j, cfg)
+}
+
 // chaser is the façade's Artifacts: it chases (I, J) when asked and
 // compiles the setting plan at most once.
 type chaser struct {
@@ -141,6 +163,18 @@ type chaser struct {
 
 func (c *chaser) Tractable(ctx context.Context) (*TractableTrace, error) {
 	return core.ChaseCanonicalTractable(c.s, c.i, c.j, core.TractableOptions{Config: c.o.config(ctx)})
+}
+
+func (c *chaser) Verdict(ctx context.Context, cachedOnly bool) (bool, bool, error) {
+	if cachedOnly {
+		return false, false, nil
+	}
+	trace, err := c.Tractable(ctx)
+	if err != nil {
+		return false, false, err
+	}
+	ok, _, err := core.ExistsSolutionTractableFrom(c.i, trace, core.TractableOptions{Config: c.o.config(ctx)})
+	return ok, err == nil, err
 }
 
 func (c *chaser) Canonical(ctx context.Context) (*CanonicalTarget, error) {

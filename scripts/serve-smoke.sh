@@ -114,6 +114,29 @@ hits_after=$(cache_hits)
   echo "FAIL: cache hit counter did not move ($hits_before -> $hits_after)"; exit 1; }
 echo "ok: warm repeat solve hit the chase cache ($hits_before -> $hits_after)"
 
+# check_certain_by_id INSTANCE_ID WANT_EXISTS WANT_ANSWERS — the corpus
+# query by instance ID; WANT_ANSWERS is the JSON of the answers field,
+# or "none" when the field must be absent. The pair's solve ran first,
+# so its compiled plan takes SOL(P) from the cached verdict.
+check_certain_by_id() {
+  local resp
+  resp=$(curl -sS -X POST "$base/v1/certain-answers" \
+    -d "{\"setting_id\":\"$id\",\"source_id\":\"$1\",\"query\":$(json_text examples/corpus/queries.cq)}")
+  case "$resp" in
+    *"\"solution_exists\":$2"*'"compiled":true'*) ;;
+    *) echo "FAIL: certain by id $1: want solution_exists=$2, compiled: $resp"; exit 1 ;;
+  esac
+  case "$3:$resp" in
+    none:*'"answers"'*) echo "FAIL: certain by id $1: want no answers: $resp"; exit 1 ;;
+    none:*) ;;
+    *"\"answers\":$3"*) ;;
+    *) echo "FAIL: certain by id $1: want answers $3: $resp"; exit 1 ;;
+  esac
+  echo "ok: certain by id $1 -> solution_exists=$2, answers=$3"
+}
+
+check_certain_by_id "$iid" false none
+
 append=$(curl -sS -X POST "$base/v1/instances/$iid/append" -d '{"facts":"E(a,c)."}')
 newid=$(printf '%s' "$append" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 { [ -n "$newid" ] && [ "$newid" != "$iid" ]; } || {
@@ -124,6 +147,7 @@ case "$append" in
 esac
 check_exists_by_id "$newid" true
 echo "ok: re-solve after append (triangle closed -> solution exists)"
+check_certain_by_id "$newid" true '[["a","c"]]'
 
 # One scrape, checked offline: grep -q on a curl pipe trips pipefail
 # once the body outgrows the pipe buffer (grep exits at the match,
