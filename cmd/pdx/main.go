@@ -217,17 +217,13 @@ func cmdCertain(args []string) error {
 	}
 	opts := pde.Options{MaxNodes: *maxNodes}
 	for _, q := range qs {
-		if q[0].IsBoolean() {
-			res, err := pde.CertainBool(in.settingV, in.sourceV, in.targetV, q, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "%s: certain = %v (solutions exist: %v)\n", q[0].Name, res.Certain, res.SolutionExists)
-			continue
-		}
 		res, err := pde.CertainAnswers(in.settingV, in.sourceV, in.targetV, q, opts)
 		if err != nil {
 			return err
+		}
+		if q[0].IsBoolean() {
+			fmt.Fprintf(stdout, "%s: certain = %v (solutions exist: %v)\n", q[0].Name, res.Certain, res.SolutionExists)
+			continue
 		}
 		fmt.Fprintf(stdout, "%s: %d certain answer(s) (solutions exist: %v)\n", q[0].Name, len(res.Answers), res.SolutionExists)
 		for _, t := range res.Answers {
@@ -287,12 +283,7 @@ func cmdCompile(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: evaluating plan: %w", q[0].Name, err)
 		}
-		var want pde.CertainResult
-		if q[0].IsBoolean() {
-			want, err = pde.CertainBool(in.settingV, in.sourceV, in.targetV, q, pde.Options{})
-		} else {
-			want, err = pde.CertainAnswers(in.settingV, in.sourceV, in.targetV, q, pde.Options{})
-		}
+		want, err := pde.CertainAnswers(in.settingV, in.sourceV, in.targetV, q, pde.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: chase-backed check: %w", q[0].Name, err)
 		}

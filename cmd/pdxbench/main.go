@@ -1,16 +1,19 @@
 // Command pdxbench regenerates every experiment of the reproduction:
 // one experiment per theorem, lemma, example, and boundary construction
-// of the peer data exchange paper (see DESIGN.md for the index and
-// EXPERIMENTS.md for recorded outputs).
+// of the peer data exchange paper, declared once in internal/paperexp
+// (see DESIGN.md for the index and EXPERIMENTS.md for recorded
+// outputs). Each table is followed by its claim verdict, "claim: ok" or
+// "claim: FAILED: <reason>"; any failure makes the exit status 1.
 //
 // Usage:
 //
 //	pdxbench                        # run all experiments
 //	pdxbench -exp EXP-T3            # run one experiment
-//	pdxbench -experiment EXP-T3     # same, long spelling
 //	pdxbench -list                  # list experiment ids
-//	pdxbench -exp EXP-PAR -cpuprofile cpu.out -memprofile mem.out
 //	pdxbench -json BENCH_PR4.json   # machine-readable perf suite
+//
+// To profile an experiment, profile its benchmark:
+// go test -run '^$' -bench 'Paper/EXP-PAR' -cpuprofile cpu.out .
 //
 // -json times every case of the perf registry (internal/perfsuite) and
 // writes the report that scripts/bench-compare gates against the
@@ -23,99 +26,66 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
+	"repro/internal/paperexp"
 	"repro/internal/perfsuite"
 )
 
-type experiment struct {
-	ID    string
-	Title string
-	Run   func(w io.Writer) error
-}
-
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], paperexp.Experiments(), os.Stdout, os.Stderr))
 }
 
-// run carries the whole program so profile-flushing defers execute on
-// every exit path (os.Exit in main would skip them).
-func run() int {
-	expID := flag.String("exp", "", "run a single experiment by id (default: all)")
-	expLong := flag.String("experiment", "", "alias for -exp")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	jsonOut := flag.String("json", "", "run the perf suite and write machine-readable results to this file")
-	flag.Parse()
-	if *expID == "" {
-		*expID = *expLong
-	}
+// run runs the experiments of exps that args select and returns the
+// exit status.
+func run(args []string, exps []paperexp.Experiment, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pdxbench", flag.ExitOnError)
+	expID := fs.String("exp", "", "run a single experiment by id (default: all)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	jsonOut := fs.String("json", "", "run the perf suite and write machine-readable results to this file")
+	fs.Parse(args) //nolint:errcheck // ExitOnError exits on a parse error
 
 	if *jsonOut != "" {
 		if err := writeJSONReport(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "pdxbench: -json: %v\n", err)
+			fmt.Fprintf(stderr, "pdxbench: -json: %v\n", err)
 			return 1
 		}
-		fmt.Printf("wrote %s\n", *jsonOut)
+		fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
 		return 0
 	}
-
-	exps := allExperiments()
 	if *list {
 		for _, e := range exps {
-			fmt.Printf("%-12s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-12s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pdxbench: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pdxbench: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pdxbench: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize a settled heap before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "pdxbench: -memprofile: %v\n", err)
-			}
-		}()
-	}
-
-	ran := 0
+	ran, status := 0, 0
 	for _, e := range exps {
 		if *expID != "" && e.ID != *expID {
 			continue
 		}
 		ran++
-		fmt.Printf("== %s — %s ==\n", e.ID, e.Title)
-		if err := e.Run(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "pdxbench: %s: %v\n", e.ID, err)
-			return 1
+		fmt.Fprintf(stdout, "== %s — %s ==\n", e.ID, e.Title)
+		tab, err := e.Run()
+		if err == nil {
+			err = tab.Write(stdout)
 		}
-		fmt.Println()
+		if err != nil {
+			fmt.Fprintf(stderr, "pdxbench: %s: %v\n", e.ID, err)
+			status = 1
+			continue
+		}
+		verdict := "ok"
+		if err := e.Claim(tab); err != nil {
+			verdict, status = "FAILED: "+err.Error(), 1
+		}
+		fmt.Fprintf(stdout, "claim: %s\n\n", verdict)
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "pdxbench: unknown experiment %q (use -list)\n", *expID)
+		fmt.Fprintf(stderr, "pdxbench: unknown experiment %q (use -list)\n", *expID)
 		return 2
 	}
-	return 0
+	return status
 }
 
 // writeJSONReport runs the perf registry and writes its report to path.
