@@ -116,6 +116,15 @@ type Result struct {
 	Finds  int
 }
 
+// Freeze freezes the result's Start and Instance. A result retained in
+// a shared artifact must be frozen: Resume clones both, and cloning an
+// unfrozen instance writes to it (see rel.Instance), so concurrent
+// resumes of one unfrozen result would race.
+func (r *Result) Freeze() {
+	r.Start.Freeze()
+	r.Instance.Freeze()
+}
+
 func (o Options) maxSteps() int {
 	if o.MaxSteps > 0 {
 		return o.MaxSteps
@@ -133,7 +142,9 @@ func (o Options) nulls(start *rel.Instance) *rel.NullSource {
 }
 
 // Run chases the start instance with the dependencies until fixpoint,
-// failure, or budget exhaustion. The start instance is not mutated.
+// failure, or budget exhaustion. The start instance's facts are not
+// changed, but the run clones it, which counts as a write to an
+// unfrozen start (see rel.Instance).
 // Disjunctive tgds cannot be chased and cause an error.
 func Run(start *rel.Instance, deps []dep.Dependency, opts Options) (*Result, error) {
 	for _, d := range deps {
@@ -581,7 +592,7 @@ func (st *state) fire(d dep.TGD, b hom.Binding, witness *rel.Instance) error {
 		}
 	}
 	for _, a := range d.Head {
-		st.inst.AddTuple(a.Rel, groundAtom(a, ext))
+		st.inst.AddOwnedTuple(a.Rel, groundAtom(a, ext))
 	}
 	return nil
 }

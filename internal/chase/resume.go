@@ -103,8 +103,10 @@ func Resumable(prev *Result, deps []dep.Dependency, opts Options) bool {
 // triggers touching the appended facts — and canonicalizes each
 // appended fact through the previous run's union-find before adding it;
 // otherwise it re-chases from Union(prev.Start, appended). The returned
-// bool reports which path ran. Neither prev's instances nor appended
-// are mutated, and the result's Steps and Merges count only this run.
+// bool reports which path ran. The facts of prev's instances and of
+// appended are not changed, but Resume clones and unites them, which
+// counts as a write to any of them left unfrozen (see rel.Instance);
+// the result's Steps and Merges count only this run.
 // The resumed fixpoint is a chase result of Union(prev.Start, appended):
 // the previous sequence replayed on the enlarged start reaches the
 // fixpoint plus the canonicalized appended facts (the old merges
@@ -139,7 +141,7 @@ func Resume(prev *Result, deps []dep.Dependency, appended *rel.Instance, opts Op
 				t[i] = uf.Find(v)
 			}
 		}
-		inst.AddTuple(f.Rel, t)
+		inst.AddOwnedTuple(f.Rel, t)
 	}
 	nulls := opts.nulls(inst)
 	if uf != nil {

@@ -54,6 +54,7 @@ func ChaseCanonicalTarget(s *Setting, i, j *rel.Instance, opts SolveOptions) (*C
 	}
 	ct := &CanonicalTarget{STResult: res}
 	jcan := res.Instance.Restrict(s.Target)
+	res.Freeze()
 
 	if len(s.T) > 0 {
 		// Pre-chase J_can with Σt. The chase result is universal for the
@@ -67,6 +68,7 @@ func ChaseCanonicalTarget(s *Setting, i, j *rel.Instance, opts SolveOptions) (*C
 		if err != nil {
 			return nil, fmt.Errorf("core: chasing Σt: %w", err)
 		}
+		tres.Freeze()
 		ct.TResult = tres
 		if tres.Failed {
 			ct.TFailed = true

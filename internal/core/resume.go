@@ -59,6 +59,8 @@ func ResumeCanonicalTractable(s *Setting, trace *TractableTrace, appended *rel.I
 
 	jcan.Freeze()
 	ican.Freeze()
+	res1.Freeze()
+	res2.Freeze()
 	next := &TractableTrace{
 		JCan:      jcan,
 		ICan:      ican,
@@ -98,6 +100,7 @@ func ResumeCanonicalTarget(s *Setting, ct *CanonicalTarget, appended *rel.Instan
 	}
 	next := &CanonicalTarget{STResult: res}
 	jcan := res.Instance.Restrict(s.Target)
+	res.Freeze()
 	resumed := r1
 
 	if len(s.T) > 0 {
@@ -109,6 +112,7 @@ func ResumeCanonicalTarget(s *Setting, ct *CanonicalTarget, appended *rel.Instan
 			reason = chase.FallbackReason(ct.TResult, s.T, copts)
 		}
 		resumed = resumed && r2
+		tres.Freeze()
 		next.TResult = tres
 		if tres.Failed {
 			next.TFailed = true

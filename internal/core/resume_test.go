@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/chase"
@@ -261,5 +262,83 @@ func TestResumeCanonicalTargetEgdFallback(t *testing.T) {
 	}
 	if gotOK != wantOK {
 		t.Fatalf("resumed verdict %v, scratch %v", gotOK, wantOK)
+	}
+}
+
+// TestConcurrentResumeOfCachedArtifacts resumes one cached artifact
+// from 8 goroutines at once, each with its own appended batch, as pdxd
+// does when appends to one instance race. Resume clones the retained
+// chase results, so they must be frozen before the artifact is shared;
+// run under -race. Every concurrent result must equal the serial one.
+func TestConcurrentResumeOfCachedArtifacts(t *testing.T) {
+	const goroutines = 8
+	batches := make([]*rel.Instance, goroutines)
+
+	s := workload.LAVSetting()
+	i, j := workload.LAVInstance(40, true, rand.New(rand.NewSource(5)))
+	trace, err := core.ChaseCanonicalTractable(s, i, j, core.TractableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range batches {
+		batches[g] = randomLAVAppend(rand.New(rand.NewSource(int64(g))), g)
+		batches[g].Freeze()
+	}
+	concurrentlyResume(t, "tractable", batches, func(b *rel.Instance) (string, error) {
+		next, _, _, err := core.ResumeCanonicalTractable(s, trace, b, core.TractableOptions{})
+		if err != nil {
+			return "", err
+		}
+		return next.JCan.String() + "\n--\n" + next.ICan.String(), nil
+	})
+
+	ks := workload.KeyedLAVSetting()
+	ki, kj := workload.KeyedLAVInstance(40)
+	ct, err := core.ChaseCanonicalTarget(ks, ki, kj, core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range batches {
+		batches[g] = workload.KeyedLAVAppend(40+3*g, 3)
+		batches[g].Freeze()
+	}
+	concurrentlyResume(t, "generic", batches, func(b *rel.Instance) (string, error) {
+		next, _, _, err := core.ResumeCanonicalTarget(ks, ct, b, core.SolveOptions{})
+		if err != nil {
+			return "", err
+		}
+		return next.JCan.String(), nil
+	})
+}
+
+// concurrentlyResume runs resume once per batch serially, then once per
+// batch from one goroutine each, and fails on any difference.
+func concurrentlyResume(t *testing.T, what string, batches []*rel.Instance, resume func(*rel.Instance) (string, error)) {
+	t.Helper()
+	want := make([]string, len(batches))
+	for g, b := range batches {
+		var err error
+		if want[g], err = resume(b); err != nil {
+			t.Fatalf("%s: serial resume %d: %v", what, g, err)
+		}
+	}
+	got := make([]string, len(batches))
+	errs := make([]error, len(batches))
+	var wg sync.WaitGroup
+	for g, b := range batches {
+		wg.Add(1)
+		go func(g int, b *rel.Instance) {
+			defer wg.Done()
+			got[g], errs[g] = resume(b)
+		}(g, b)
+	}
+	wg.Wait()
+	for g := range batches {
+		if errs[g] != nil {
+			t.Fatalf("%s: concurrent resume %d: %v", what, g, errs[g])
+		}
+		if got[g] != want[g] {
+			t.Fatalf("%s: concurrent resume %d differs from the serial one", what, g)
+		}
 	}
 }

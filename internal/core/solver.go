@@ -370,8 +370,8 @@ func (sv *imageSearch) groundLevel(k int) (bool, []int) {
 			}
 		}
 		gf := rel.Fact{Rel: f.Rel, Args: t}
-		if sv.cur.AddFact(gf) {
-			sv.curSrc.AddFact(gf)
+		if sv.cur.AddOwnedTuple(f.Rel, t) {
+			sv.curSrc.AddOwnedTuple(f.Rel, t)
 			*added = append(*added, gf)
 			key := gf.String()
 			if _, dup := sv.factResp[key]; !dup {

@@ -117,9 +117,12 @@ func ChaseCanonicalTractable(s *Setting, i, j *rel.Instance, opts TractableOptio
 	ican := res2.Instance.Restrict(s.Source)
 
 	// Freeze-after-build: both canonical instances are now shared with
-	// concurrent block-check workers and must never be mutated again.
+	// concurrent block-check workers, and the retained chase results
+	// with concurrent resumes; none may be mutated again.
 	jcan.Freeze()
 	ican.Freeze()
+	res1.Freeze()
+	res2.Freeze()
 
 	trace := &TractableTrace{
 		JCan:      jcan,

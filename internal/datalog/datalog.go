@@ -114,8 +114,10 @@ func (o Options) maxDerivations() int {
 }
 
 // Eval computes the minimal model of the program over the given
-// extensional database: the least fixpoint containing edb. The input is
-// not mutated; the result holds edb plus every derived fact.
+// extensional database: the least fixpoint containing edb. The facts of
+// edb are not changed, but Eval clones it, which counts as a write to an
+// unfrozen edb (see rel.Instance); the result holds edb plus every
+// derived fact.
 //
 // Evaluation is semi-naive: each round matches every rule with at least
 // one subgoal bound to the previous round's delta, so already-joined

@@ -49,7 +49,7 @@ func ParseInstance(src string) (*rel.Instance, error) {
 			if existing := inst.Relation(name.text); existing != nil && existing.Arity() != len(tuple) {
 				return nil, posErrorf(n, name.pos+1, "relation %s used with arity %d, previously %d", name.text, len(tuple), existing.Arity())
 			}
-			inst.AddTuple(name.text, tuple)
+			inst.AddOwnedTuple(name.text, tuple)
 			sep, err := p.peek()
 			if err != nil {
 				return nil, err

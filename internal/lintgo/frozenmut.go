@@ -13,10 +13,10 @@ import (
 // but only on the code path that actually executes. The analyzer flags
 // two shapes statically:
 //
-//   - a mutating method (Add, AddTuple, AddFact, AddAll,
-//     RemoveLastTuple) called on a receiver that was frozen earlier in
-//     the same function, unless the variable was reassigned (e.g. to a
-//     Clone()) in between;
+//   - a mutating method (Add, AddTuple, AddOwnedTuple, AddFact, AddAll,
+//     Reserve, RemoveLastTuple, MergeValue) called on a receiver that
+//     was frozen earlier in the same function, unless the variable was
+//     reassigned (e.g. to a Clone()) in between;
 //   - a mutating method called inside a par.Do / par.FirstReject
 //     closure or a go-statement on an instance declared outside the
 //     closure: even an unfrozen instance must not be mutated from
@@ -32,9 +32,12 @@ var frozenmutAnalyzer = &Analyzer{
 var instanceMutators = map[string]bool{
 	"Add":             true,
 	"AddTuple":        true,
+	"AddOwnedTuple":   true,
 	"AddFact":         true,
 	"AddAll":          true,
+	"Reserve":         true,
 	"RemoveLastTuple": true,
+	"MergeValue":      true,
 }
 
 const relPkgPath = "repro/internal/rel"

@@ -34,6 +34,14 @@ func fieldReceiver(s *holder) {
 	s.inst.AddTuple("R", rel.Tuple{rel.Const("x")}) // want `AddTuple called on s.inst, frozen at line`
 }
 
+func freezeThenOwnedAddReserveMerge() {
+	inst := rel.NewInstance()
+	inst.Freeze()
+	inst.AddOwnedTuple("R", rel.Tuple{rel.Const("x")}) // want `AddOwnedTuple called on inst, frozen at line`
+	inst.Reserve("R", 1, 8)                            // want `Reserve called on inst, frozen at line`
+	inst.MergeValue(rel.Null(1), rel.Const("a"))       // want `MergeValue called on inst, frozen at line`
+}
+
 func mutateBeforeFreeze() {
 	inst := rel.NewInstance()
 	inst.Add("R", rel.Const("a")) // ok: not frozen yet
@@ -65,6 +73,14 @@ func goMutation(shared *rel.Instance, done chan struct{}) {
 		shared.AddFact(rel.Fact{}) // want `AddFact mutates captured instance shared inside a goroutine`
 		close(done)
 	}()
+}
+
+func parDoOwnedAddReserveMerge(shared *rel.Instance) {
+	par.Do(4, 2, 1, func(task int) {
+		shared.AddOwnedTuple("R", rel.Tuple{rel.Const("x")}) // want `AddOwnedTuple mutates captured instance shared inside a par.Do worker`
+		shared.Reserve("R", 1, 8)                            // want `Reserve mutates captured instance shared inside a par.Do worker`
+		shared.MergeValue(rel.Null(1), rel.Const("a"))       // want `MergeValue mutates captured instance shared inside a par.Do worker`
+	})
 }
 
 func goReadOnly(shared *rel.Instance, out chan int) {

@@ -1,0 +1,216 @@
+package rel
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// deepCopy is the copy-on-write model's reference: an instance whose
+// relations are all copied up front and owned, the semantics Clone had
+// before relations were shared.
+func deepCopy(inst *Instance) *Instance {
+	c := NewInstance()
+	for name, s := range inst.rels {
+		c.rels[name] = relSlot{r: s.r.clone(), owned: true}
+	}
+	return c
+}
+
+// cowArity fixes the relations the property test writes, with small
+// value domains so adds collide and merges tombstone.
+var cowArity = map[string]int{"R": 2, "S": 1, "T": 3}
+
+func cowValue(rng *rand.Rand) Value {
+	if rng.Intn(3) == 0 {
+		return Null(1 + rng.Intn(4))
+	}
+	return Const(fmt.Sprintf("c%d", rng.Intn(4)))
+}
+
+func cowTuple(rng *rand.Rand, arity int) Tuple {
+	t := make(Tuple, arity)
+	for i := range t {
+		t[i] = cowValue(rng)
+	}
+	return t
+}
+
+// TestCopyOnWriteMatchesDeepCopy runs random Clone, Restrict and Union
+// steps interleaved with every write (AddTuple, AddOwnedTuple, Reserve,
+// RemoveLastTuple, MergeValue) on sources and copies alike, and after
+// every step compares each instance's facts with a model that deep
+// copies instead of sharing. A write leaking into an instance that
+// shares the relation shows up as a mismatch.
+func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
+	names := []string{"R", "S", "T"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cow := []*Instance{NewInstance()}
+		model := []*Instance{NewInstance()}
+		for step := 0; step < 400; step++ {
+			k := rng.Intn(len(cow))
+			c, m := cow[k], model[k]
+			op := ""
+			var wrote []string // relations of c the step wrote
+			switch rng.Intn(10) {
+			case 0:
+				op = "Clone"
+				cow, model = append(cow, c.Clone()), append(model, deepCopy(m))
+			case 1:
+				op = "Restrict"
+				s := NewSchema()
+				for _, name := range names {
+					if rng.Intn(2) == 0 {
+						s.Add(name, cowArity[name]) //nolint:errcheck // arities fixed by cowArity
+					}
+				}
+				cow, model = append(cow, c.Restrict(s)), append(model, deepCopy(m).Restrict(s))
+			case 2:
+				op = "Union"
+				b := rng.Intn(len(cow))
+				u := deepCopy(m)
+				u.AddAll(model[b])
+				cow, model = append(cow, Union(c, cow[b])), append(model, u)
+			case 3:
+				op = "Freeze"
+				c.Freeze()
+				m.Freeze()
+			default:
+				if c.Frozen() {
+					continue
+				}
+				name := names[rng.Intn(len(names))]
+				switch rng.Intn(5) {
+				case 0:
+					op = "AddTuple"
+					tup := cowTuple(rng, cowArity[name])
+					got, want := c.AddTuple(name, tup), m.AddTuple(name, tup)
+					if got != want {
+						t.Fatalf("seed %d step %d: AddTuple = %v, model %v", seed, step, got, want)
+					}
+					if got {
+						wrote = []string{name}
+					}
+				case 1:
+					op = "AddOwnedTuple"
+					tup := cowTuple(rng, cowArity[name])
+					got, want := c.AddOwnedTuple(name, tup), m.AddOwnedTuple(name, tup.Clone())
+					if got != want {
+						t.Fatalf("seed %d step %d: AddOwnedTuple = %v, model %v", seed, step, got, want)
+					}
+					if got {
+						wrote = []string{name}
+					}
+				case 2:
+					op = "Reserve"
+					n := rng.Intn(5)
+					c.Reserve(name, cowArity[name], n)
+					m.Reserve(name, cowArity[name], n)
+					wrote = []string{name}
+				case 3:
+					op = "RemoveLastTuple"
+					r := m.Relation(name)
+					if r == nil || r.Len() == 0 || r.nDead > 0 {
+						continue
+					}
+					if got, want := c.RemoveLastTuple(name), m.RemoveLastTuple(name); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d step %d: RemoveLastTuple = %v, model %v", seed, step, got, want)
+					}
+					wrote = []string{name}
+				case 4:
+					op = "MergeValue"
+					from, to := Null(1+rng.Intn(4)), cowValue(rng)
+					got, want := c.MergeValue(from, to), m.MergeValue(from, to)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d step %d: MergeValue = %v, model %v", seed, step, got, want)
+					}
+					for name := range got {
+						wrote = append(wrote, name)
+					}
+				}
+			}
+			// A write leaves the writer sole holder of the relation.
+			for _, name := range wrote {
+				for i, o := range cow {
+					if o != c && o.Relation(name) == c.Relation(name) {
+						t.Fatalf("seed %d step %d: %s on instance %d left %s shared with instance %d", seed, step, op, k, name, i)
+					}
+				}
+			}
+			if len(cow) > 8 {
+				drop := rng.Intn(len(cow))
+				cow, model = append(cow[:drop], cow[drop+1:]...), append(model[:drop], model[drop+1:]...)
+			}
+			for i := range cow {
+				if got, want := cow[i].Facts(), model[i].Facts(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d (%s on instance %d): instance %d facts\n%v\nmodel\n%v", seed, step, op, k, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCloneOfFrozenWritesNothing: cloning, restricting or uniting a
+// frozen instance leaves its relation slots untouched, which is what
+// lets many goroutines clone one frozen instance at once.
+func TestCloneOfFrozenWritesNothing(t *testing.T) {
+	inst := NewInstance()
+	inst.Add("R", Const("a"), Const("b"))
+	inst.Add("S", Const("a"))
+	inst.Freeze()
+	before := make(map[string]relSlot, len(inst.rels))
+	for name, s := range inst.rels {
+		before[name] = s
+	}
+	c := inst.Clone()
+	inst.Restrict(NewSchema())
+	Union(NewInstance(), inst)
+	if !reflect.DeepEqual(inst.rels, before) {
+		t.Fatal("sharing a frozen instance rewrote its relation slots")
+	}
+	c.Add("R", Const("c"), Const("d"))
+	if inst.NumFacts() != 2 || c.NumFacts() != 3 {
+		t.Fatalf("write to the clone leaked: source %d facts, clone %d", inst.NumFacts(), c.NumFacts())
+	}
+}
+
+// TestOnlyFirstShareWrites: only the first Clone of a relation an
+// unfrozen instance owns writes its slot. Once shared, further Clones
+// store nothing into the source, so under -race they run alongside
+// readers of it.
+func TestOnlyFirstShareWrites(t *testing.T) {
+	inst := NewInstance()
+	for k := 0; k < 8; k++ {
+		inst.Add("R", Const(fmt.Sprint(k)), Const("b"))
+		inst.Add("S", Const(fmt.Sprint(k)))
+	}
+	onlyR := NewSchema()
+	if err := onlyR.Add("R", 2); err != nil {
+		t.Fatal(err)
+	}
+	inst.Clone()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				inst.Clone()
+				inst.Restrict(onlyR)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				if len(inst.Facts()) != 16 {
+					t.Error("source changed under concurrent clones")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -115,15 +115,14 @@ func (r *Relation) popLast() Tuple {
 	return t
 }
 
-// clone returns a structural copy of the relation. The containers —
-// the tuple slice, the seen map, the position-index maps and their
-// index lists — are copied, so either copy can add or pop tuples
-// without disturbing the other; the stored Tuple arrays are shared,
-// which is safe because tuples are never mutated in place once added
-// (add stores a private Clone; popLast only drops the last entry).
-// Compared with re-adding every fact, this skips the per-tuple key
-// construction and tuple copy that dominate chase-side instance
-// cloning.
+// clone returns a structural copy of the relation, made when an
+// instance first writes a relation it shares (see Instance.own). The
+// containers — the tuple slice, the seen map, the position-index maps
+// and their index lists — are copied, so either copy can add, pop or
+// merge tuples without disturbing the other; the stored Tuple arrays
+// are shared, which is safe because tuples are never mutated in place
+// once added (mergeValue replaces a rewritten tuple, popLast only drops
+// the last entry).
 func (r *Relation) clone() *Relation {
 	c := &Relation{
 		name:     r.name,
@@ -149,18 +148,8 @@ func (r *Relation) clone() *Relation {
 	return c
 }
 
-func (r *Relation) add(t Tuple) bool {
-	k := KeyOf(t)
-	if _, ok := r.seen[k]; ok {
-		return false
-	}
-	r.insert(k, t.Clone())
-	return true
-}
-
-// addOwned is add for tuples whose ownership transfers to the relation:
-// the defensive copy is skipped, so the caller must never mutate t
-// afterwards.
+// addOwned inserts t unless it is already present, storing t itself:
+// the caller hands over ownership and must never mutate t afterwards.
 func (r *Relation) addOwned(t Tuple) bool {
 	k := KeyOf(t)
 	if _, ok := r.seen[k]; ok {
@@ -225,6 +214,16 @@ func (r *Relation) tombstone(idx int) {
 	r.nDead++
 }
 
+// holds reports whether some live tuple carries v.
+func (r *Relation) holds(v Value) bool {
+	for _, idx := range r.posIndex {
+		if len(idx[v]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // mergeValue rewrites every live tuple carrying from so it holds to
 // instead, in place. A rewrite that collides with an existing tuple
 // keeps the copy with the smaller index and tombstones the other —
@@ -284,17 +283,37 @@ func (r *Relation) mergeValue(from, to Value) []int {
 // Instance is a finite set of facts over a set of relations. The zero
 // value is not usable; construct instances with NewInstance.
 //
+// Copy-on-write: Clone, Restrict and Union share each *Relation with
+// the instance they return instead of copying it. Neither side owns a
+// shared relation; the first write through either one (AddTuple,
+// AddOwnedTuple, Reserve, RemoveLastTuple, MergeValue and the methods
+// built on them) copies that relation for the writer alone. Sharing
+// marks the source's relations as shared, so Clone, Restrict and Union
+// of an unfrozen instance count as writes to it (only the first share
+// of a relation the instance owns stores anything); a frozen instance is
+// never written, so it keeps its marks and may be cloned from many
+// goroutines at once. A *Relation returned by Relation stays valid
+// only until that instance's next write.
+//
 // Concurrency: an Instance is safe for concurrent reads as long as no
-// goroutine mutates it. The parallel search paths (hom, chase, core)
+// goroutine writes it. The parallel search paths (hom, chase, core)
 // rely on a freeze-after-build discipline: instances are fully built by
 // one goroutine, then only read while shared. Freeze turns that
 // discipline into a checked invariant.
 type Instance struct {
-	rels   map[string]*Relation
+	rels   map[string]relSlot
 	frozen bool
 	// nulls memoizes HasNulls once the instance is frozen. Atomic
 	// because frozen instances are read by many goroutines at once.
 	nulls atomic.Uint32
+}
+
+// relSlot is one relation of an instance. owned is false while the
+// relation may be shared with another instance; the instance then
+// copies it before its first write to it.
+type relSlot struct {
+	r     *Relation
+	owned bool
 }
 
 // States of Instance.nulls.
@@ -306,7 +325,7 @@ const (
 
 // NewInstance returns an empty instance.
 func NewInstance() *Instance {
-	return &Instance{rels: make(map[string]*Relation)}
+	return &Instance{rels: make(map[string]relSlot)}
 }
 
 // Add inserts the fact R(args) and reports whether it was newly added.
@@ -334,18 +353,63 @@ func (inst *Instance) mutable(op string) {
 	}
 }
 
+// own returns the relation in slot s, inst's slot for name, ready for
+// a write: a shared relation is first copied into a slot inst owns.
+func (inst *Instance) own(name string, s relSlot) *Relation {
+	if !s.owned {
+		s = relSlot{r: s.r.clone(), owned: true}
+		inst.rels[name] = s
+	}
+	return s.r
+}
+
+// lend shares s, inst's slot for relation name, with out. Neither
+// instance owns the relation afterwards, so whichever writes it first
+// copies it. Only the first share of a relation inst owns writes inst's
+// slot: a frozen lender, or a slot already shared, is left as it is.
+func (inst *Instance) lend(out *Instance, name string, s relSlot) {
+	out.rels[name] = relSlot{r: s.r}
+	if s.owned && !inst.frozen {
+		inst.rels[name] = relSlot{r: s.r}
+	}
+}
+
 // AddTuple inserts the fact R(t) and reports whether it was newly added.
 func (inst *Instance) AddTuple(relName string, t Tuple) bool {
-	return inst.relFor(relName, len(t), "AddTuple").add(t)
+	return inst.add(relName, t, "AddTuple", true)
 }
 
 // AddOwnedTuple is AddTuple for callers that transfer ownership of t:
 // the tuple is stored without the defensive copy, so the caller must
-// never mutate it afterwards. Decoders that build instances from
-// freshly allocated memory use it to avoid doubling their tuple
-// allocations.
+// never mutate it afterwards. Decoders and the chase, which build
+// tuples in freshly allocated memory, use it to avoid doubling their
+// tuple allocations.
 func (inst *Instance) AddOwnedTuple(relName string, t Tuple) bool {
-	return inst.relFor(relName, len(t), "AddOwnedTuple").addOwned(t)
+	return inst.add(relName, t, "AddOwnedTuple", false)
+}
+
+// add inserts t (a private copy of it when copyTuple is set) unless the
+// relation already holds it. A duplicate writes nothing, so it never
+// copies a shared relation.
+func (inst *Instance) add(relName string, t Tuple, op string, copyTuple bool) bool {
+	inst.mutable(op)
+	s, ok := inst.rels[relName]
+	if !ok {
+		s = relSlot{r: newRelation(relName, len(t)), owned: true}
+		inst.rels[relName] = s
+	}
+	if s.r.arity != len(t) {
+		panic(fmt.Sprintf("rel: arity mismatch adding %s/%d to relation of arity %d", relName, len(t), s.r.arity))
+	}
+	k := KeyOf(t)
+	if _, dup := s.r.seen[k]; dup {
+		return false
+	}
+	if copyTuple {
+		t = t.Clone()
+	}
+	inst.own(relName, s).insert(k, t)
+	return true
 }
 
 // Reserve pre-sizes the relation for n tuples of the given arity,
@@ -355,9 +419,9 @@ func (inst *Instance) AddOwnedTuple(relName string, t Tuple) bool {
 // decoder) call it before inserting.
 func (inst *Instance) Reserve(relName string, arity, n int) {
 	inst.mutable("Reserve")
-	r, ok := inst.rels[relName]
+	s, ok := inst.rels[relName]
 	if !ok {
-		r = &Relation{
+		r := &Relation{
 			name:     relName,
 			arity:    arity,
 			tuples:   make([]Tuple, 0, n),
@@ -367,30 +431,18 @@ func (inst *Instance) Reserve(relName string, arity, n int) {
 		for i := range r.posIndex {
 			r.posIndex[i] = make(map[Value][]int, n)
 		}
-		inst.rels[relName] = r
+		inst.rels[relName] = relSlot{r: r, owned: true}
 		return
 	}
-	if r.arity != arity {
-		panic(fmt.Sprintf("rel: arity mismatch reserving %s/%d in relation of arity %d", relName, arity, r.arity))
+	if s.r.arity != arity {
+		panic(fmt.Sprintf("rel: arity mismatch reserving %s/%d in relation of arity %d", relName, arity, s.r.arity))
 	}
+	r := inst.own(relName, s)
 	if free := cap(r.tuples) - len(r.tuples); free < n {
 		grown := make([]Tuple, len(r.tuples), len(r.tuples)+n)
 		copy(grown, r.tuples)
 		r.tuples = grown
 	}
-}
-
-func (inst *Instance) relFor(relName string, arity int, op string) *Relation {
-	inst.mutable(op)
-	r, ok := inst.rels[relName]
-	if !ok {
-		r = newRelation(relName, arity)
-		inst.rels[relName] = r
-	}
-	if r.arity != arity {
-		panic(fmt.Sprintf("rel: arity mismatch adding %s/%d to relation of arity %d", relName, arity, r.arity))
-	}
-	return r
 }
 
 // AddFact inserts the fact and reports whether it was newly added.
@@ -399,11 +451,22 @@ func (inst *Instance) AddFact(f Fact) bool {
 }
 
 // AddAll inserts every fact of other into inst and returns the number of
-// newly added facts.
+// newly added facts. Stored tuples are immutable, so inst stores other's
+// tuples without copying them.
 func (inst *Instance) AddAll(other *Instance) int {
 	n := 0
-	for _, f := range other.Facts() {
-		if inst.AddFact(f) {
+	for name, s := range other.rels {
+		n += inst.addLive(name, s.r)
+	}
+	return n
+}
+
+// addLive adds the live tuples of r, which belongs to another instance,
+// to the named relation and returns how many were new.
+func (inst *Instance) addLive(name string, r *Relation) int {
+	n := 0
+	for i, t := range r.tuples {
+		if r.Live(i) && inst.add(name, t, "AddAll", false) {
 			n++
 		}
 	}
@@ -416,31 +479,32 @@ func (inst *Instance) AddAll(other *Instance) int {
 // It panics when the relation is absent or empty.
 func (inst *Instance) RemoveLastTuple(relName string) Tuple {
 	inst.mutable("RemoveLastTuple")
-	r, ok := inst.rels[relName]
+	s, ok := inst.rels[relName]
 	if !ok {
 		panic(fmt.Sprintf("rel: RemoveLastTuple on absent relation %s", relName))
 	}
-	return r.popLast()
+	return inst.own(relName, s).popLast()
 }
 
 // Relation returns the extension of the relation, or nil if the instance
-// has no facts for it.
+// has no facts for it. The result reflects the instance only until its
+// next write, which may copy the relation (see Instance).
 func (inst *Instance) Relation(name string) *Relation {
-	return inst.rels[name]
+	return inst.rels[name].r
 }
 
 // Contains reports whether the fact is present.
 func (inst *Instance) Contains(f Fact) bool {
-	r, ok := inst.rels[f.Rel]
-	return ok && r.Contains(f.Args)
+	s, ok := inst.rels[f.Rel]
+	return ok && s.r.Contains(f.Args)
 }
 
 // RelationNames returns the names of relations with at least one tuple,
 // sorted.
 func (inst *Instance) RelationNames() []string {
 	names := make([]string, 0, len(inst.rels))
-	for n, r := range inst.rels {
-		if r.LiveLen() > 0 {
+	for n, s := range inst.rels {
+		if s.r.LiveLen() > 0 {
 			names = append(names, n)
 		}
 	}
@@ -451,8 +515,8 @@ func (inst *Instance) RelationNames() []string {
 // NumFacts returns the total number of facts (live tuples).
 func (inst *Instance) NumFacts() int {
 	n := 0
-	for _, r := range inst.rels {
-		n += r.LiveLen()
+	for _, s := range inst.rels {
+		n += s.r.LiveLen()
 	}
 	return n
 }
@@ -471,8 +535,8 @@ func (inst *Instance) IsEmpty() bool { return inst.NumFacts() == 0 }
 // are included.
 func (inst *Instance) TupleCounts() map[string]int {
 	counts := make(map[string]int, len(inst.rels))
-	for name, r := range inst.rels {
-		counts[name] = len(r.tuples)
+	for name, s := range inst.rels {
+		counts[name] = len(s.r.tuples)
 	}
 	return counts
 }
@@ -483,7 +547,7 @@ func (inst *Instance) TupleCounts() map[string]int {
 func (inst *Instance) Facts() []Fact {
 	out := make([]Fact, 0, inst.NumFacts())
 	for _, name := range inst.RelationNames() {
-		r := inst.rels[name]
+		r := inst.rels[name].r
 		for i, t := range r.tuples {
 			if !r.Live(i) {
 				continue
@@ -494,21 +558,32 @@ func (inst *Instance) Facts() []Fact {
 	return out
 }
 
-// Clone returns a deep copy of the instance: mutations of either copy
-// never affect the other. (The immutable tuple arrays are shared
-// internally; see Relation.clone.)
+// Clone returns a copy of the instance: writes to either copy never
+// affect the other. The copies share every relation until its first
+// write (see Instance), so Clone of an unfrozen instance is a write to
+// it.
 func (inst *Instance) Clone() *Instance {
-	c := NewInstance()
-	for name, r := range inst.rels {
-		c.rels[name] = r.clone()
+	c := &Instance{rels: make(map[string]relSlot, len(inst.rels))}
+	for name, s := range inst.rels {
+		inst.lend(c, name, s)
 	}
 	return c
 }
 
-// Union returns a new instance holding the facts of both instances.
+// Union returns a new instance holding the facts of both instances. It
+// shares a's relations, and b's relations that a lacks, with the
+// result (see Instance), so it counts as a write to both.
 func Union(a, b *Instance) *Instance {
 	u := a.Clone()
-	u.AddAll(b)
+	for name, s := range b.rels {
+		// Lending a relation with dead slots, or an empty one, would
+		// keep slots or a relation that adding its live tuples drops.
+		if _, ok := u.rels[name]; !ok && s.r.nDead == 0 && s.r.Len() > 0 {
+			b.lend(u, name, s)
+			continue
+		}
+		u.addLive(name, s.r)
+	}
 	return u
 }
 
@@ -528,12 +603,13 @@ func (inst *Instance) Equal(other *Instance) bool {
 }
 
 // Restrict returns a new instance holding only the facts whose relations
-// belong to the given schema.
+// belong to the given schema. It shares those relations with the result
+// (see Instance), so it counts as a write to inst.
 func (inst *Instance) Restrict(s *Schema) *Instance {
 	out := NewInstance()
-	for name, r := range inst.rels {
+	for name, slot := range inst.rels {
 		if s.Has(name) {
-			out.rels[name] = r.clone()
+			inst.lend(out, name, slot)
 		}
 	}
 	return out
@@ -542,7 +618,8 @@ func (inst *Instance) Restrict(s *Schema) *Instance {
 // ActiveDomain returns the set of values occurring in the instance.
 func (inst *Instance) ActiveDomain() map[Value]struct{} {
 	dom := make(map[Value]struct{})
-	for _, r := range inst.rels {
+	for _, s := range inst.rels {
+		r := s.r
 		for i, t := range r.tuples {
 			if !r.Live(i) {
 				continue
@@ -558,7 +635,8 @@ func (inst *Instance) ActiveDomain() map[Value]struct{} {
 // Nulls returns the set of labeled nulls occurring in the instance.
 func (inst *Instance) Nulls() map[Value]struct{} {
 	nulls := make(map[Value]struct{})
-	for _, r := range inst.rels {
+	for _, s := range inst.rels {
+		r := s.r
 		for i, t := range r.tuples {
 			if !r.Live(i) {
 				continue
@@ -592,7 +670,8 @@ func (inst *Instance) HasNulls() bool {
 }
 
 func (inst *Instance) scanNulls() bool {
-	for _, r := range inst.rels {
+	for _, s := range inst.rels {
+		r := s.r
 		for i, t := range r.tuples {
 			if !r.Live(i) {
 				continue
@@ -614,7 +693,8 @@ func (inst *Instance) scanNulls() bool {
 // tombstones rewrites that collide with an existing tuple (keeping the
 // copy with the smaller index, matching MapValues' first-occurrence-wins
 // dedup). Surviving tuples keep their indexes,
-// so TupleCounts watermarks taken before the merge stay valid.
+// so TupleCounts watermarks taken before the merge stay valid. Only
+// relations that hold from are written (and, when shared, copied).
 //
 // The result maps each relation to the sorted indexes of live tuples
 // whose content changed; relations without changes are absent. The
@@ -626,8 +706,11 @@ func (inst *Instance) MergeValue(from, to Value) map[string][]int {
 		return nil
 	}
 	var out map[string][]int
-	for name, r := range inst.rels {
-		if ch := r.mergeValue(from, to); len(ch) > 0 {
+	for name, s := range inst.rels {
+		if !s.r.holds(from) {
+			continue
+		}
+		if ch := inst.own(name, s).mergeValue(from, to); len(ch) > 0 {
 			if out == nil {
 				out = make(map[string][]int)
 			}
@@ -644,8 +727,8 @@ func (inst *Instance) MergeValue(from, to Value) map[string][]int {
 // pre-compaction watermarks with the compacted instance.
 func (inst *Instance) Compact() *Instance {
 	dirty := false
-	for _, r := range inst.rels {
-		if r.nDead > 0 {
+	for _, s := range inst.rels {
+		if s.r.nDead > 0 {
 			dirty = true
 			break
 		}
@@ -654,14 +737,15 @@ func (inst *Instance) Compact() *Instance {
 		return inst
 	}
 	out := NewInstance()
-	for name, r := range inst.rels {
+	for name, s := range inst.rels {
+		r := s.r
 		nr := newRelation(r.name, r.arity)
 		for i, t := range r.tuples {
 			if r.Live(i) {
-				nr.add(t)
+				nr.addOwned(t)
 			}
 		}
-		out.rels[name] = nr
+		out.rels[name] = relSlot{r: nr, owned: true}
 	}
 	return out
 }
@@ -678,7 +762,7 @@ func (inst *Instance) MapValues(m map[Value]Value) *Instance {
 				t[i] = w
 			}
 		}
-		out.AddTuple(f.Rel, t)
+		out.AddOwnedTuple(f.Rel, t)
 	}
 	return out
 }
@@ -686,7 +770,8 @@ func (inst *Instance) MapValues(m map[Value]Value) *Instance {
 // ValidateAgainst checks that every relation of the instance is declared
 // in the schema with a matching arity.
 func (inst *Instance) ValidateAgainst(s *Schema) error {
-	for name, r := range inst.rels {
+	for name, slot := range inst.rels {
+		r := slot.r
 		if r.Len() == 0 {
 			continue
 		}

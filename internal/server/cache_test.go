@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/rel"
 	"repro/internal/workload"
 	"repro/pde"
 	"repro/pde/client"
@@ -586,5 +588,35 @@ t: T(x,y), U(x,z) -> y = z
 		if v := metricsValue(t, c, fmt.Sprintf("pdxd_chase_cache_fallbacks_total{reason=%q}", reason)); v != 0 {
 			t.Errorf("fallback reason %q moved to %d, want 0", reason, v)
 		}
+	}
+}
+
+// TestTractableBytesCountsSharedRelationsOnce: a trace's six instances
+// share relations copy-on-write, and accounting a LAV(800) trace
+// charges each distinct relation once.
+func TestTractableBytesCountsSharedRelationsOnce(t *testing.T) {
+	i, j := workload.LAVInstance(800, true, rand.New(rand.NewSource(1)))
+	tr, err := core.ChaseCanonicalTractable(workload.LAVSetting(), i, j, core.TractableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := make(map[*rel.Relation]bool)
+	var want, perInstance int64
+	for _, inst := range []*rel.Instance{tr.JCan, tr.ICan, tr.STResult.Start, tr.STResult.Instance, tr.TSResult.Start, tr.TSResult.Instance} {
+		for _, name := range inst.RelationNames() {
+			r := inst.Relation(name)
+			perInstance += relationBytes(r)
+			if !distinct[r] {
+				distinct[r] = true
+				want += relationBytes(r)
+			}
+		}
+	}
+	want += int64(tr.Blocks)*64 + 256
+	if got := tractableBytes(tr); got != want {
+		t.Fatalf("tractableBytes = %d, want %d over %d distinct relations", got, want, len(distinct))
+	}
+	if want >= perInstance {
+		t.Fatalf("no relation shared: %d bytes over distinct relations, %d per instance", want, perInstance)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/rel"
 	"repro/pde"
 )
 
@@ -315,30 +316,45 @@ func (c *chaseCache) removeLocked(key string) {
 	c.lru.Remove(el)
 }
 
-// instanceBytes approximates the heap footprint of an instance for the
-// cache's byte accounting: per-fact map/slice overhead plus the value
-// strings. Precision is not the point — bounding growth is. Only live
-// tuples count: egd merges tombstone tuples in place rather than
-// deleting them, and an accounting that charged tombstoned slots would
-// inflate pdxd_chase_cache_bytes after every keyed-egd chase. The walk
-// reads relations directly (LiveLen/Live/TupleAt) instead of
+// instanceBytes approximates the heap footprint of instances for the
+// cache's byte accounting. An artifact's instances share relations
+// copy-on-write (see rel.Instance), so it sums relationBytes over the
+// distinct relations they hold: a relation reached from several
+// instances counts once. nil instances count zero.
+func instanceBytes(insts ...*pde.Instance) int64 {
+	seen := make(map[*rel.Relation]bool)
+	var n int64
+	for _, inst := range insts {
+		if inst == nil {
+			continue
+		}
+		for _, name := range inst.RelationNames() {
+			if r := inst.Relation(name); !seen[r] {
+				seen[r] = true
+				n += relationBytes(r)
+			}
+		}
+	}
+	return n
+}
+
+// relationBytes approximates a relation's heap footprint: per-fact
+// map/slice overhead plus the value strings. Precision is not the
+// point — bounding growth is. Only live tuples count: egd merges
+// tombstone tuples in place rather than deleting them, and an
+// accounting that charged tombstoned slots would inflate
+// pdxd_chase_cache_bytes after every keyed-egd chase. The walk reads
+// the relation directly (LiveLen/Live/TupleAt) instead of
 // materializing Facts(), so accounting an entry does not itself
 // allocate a copy of the instance.
-func instanceBytes(inst *pde.Instance) int64 {
-	if inst == nil {
-		return 0
-	}
-	var n int64
-	for _, name := range inst.RelationNames() {
-		r := inst.Relation(name)
-		n += int64(r.LiveLen()) * int64(48+len(name))
-		for i := 0; i < r.Len(); i++ {
-			if !r.Live(i) {
-				continue
-			}
-			for _, v := range r.TupleAt(i) {
-				n += 16 + int64(len(v.String()))
-			}
+func relationBytes(r *rel.Relation) int64 {
+	n := int64(r.LiveLen()) * int64(48+len(r.Name()))
+	for i := 0; i < r.Len(); i++ {
+		if !r.Live(i) {
+			continue
+		}
+		for _, v := range r.TupleAt(i) {
+			n += 16 + int64(len(v.String()))
 		}
 	}
 	return n

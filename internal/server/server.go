@@ -312,7 +312,9 @@ func solveError(err error) (int, string) {
 
 // resolveInstance resolves one side of a solve request: inline fact
 // text XOR a registered instance ID. Inline instances are canonicalized
-// and hashed so they share the chase cache with registered ones; an
+// and hashed so they share the chase cache with registered ones, and
+// frozen like them: a cache entry keeps the request's instances, which
+// the snapshot writer reads while the request still clones them. An
 // empty side is the empty instance.
 func (s *Server) resolveInstance(w http.ResponseWriter, side, inline, byID string) (*pde.Instance, string, bool) {
 	switch {
@@ -335,7 +337,8 @@ func (s *Server) resolveInstance(w http.ResponseWriter, side, inline, byID strin
 			writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "parsing %s instance: %v", side, err)
 			return nil, "", false
 		}
-		return inst, instanceID(pde.FormatInstance(inst)), true
+		si := freezeInstance(inst, "")
+		return si.Inst, si.ID, true
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -209,5 +210,37 @@ func TestInstanceBytesIgnoresTombstones(t *testing.T) {
 	}
 	if instanceBytes(nil) != 0 {
 		t.Fatal("nil instance must account to zero")
+	}
+}
+
+// TestInlineSolveWithSnapshotsRace: a cache entry keeps a solve's
+// inline instances, and the write-behind snapshot worker formats them
+// while the request goes on to clone them in the image search. Inline
+// instances are frozen, so neither side writes them; under -race a
+// write would show here.
+func TestInlineSolveWithSnapshotsRace(t *testing.T) {
+	store, err := snap.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, c := newTestServer(t, Config{Snapshots: store})
+	defer srv.Close()
+	ctx := context.Background()
+	reg, err := c.Register(ctx, keyedSetting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 20; n++ {
+		var src strings.Builder
+		for k := 0; k < 30; k++ {
+			fmt.Fprintf(&src, "E(a%d,b%d). ", k, (k+n)%30)
+		}
+		res, err := c.ExistsSolution(ctx, client.SolveRequest{SettingID: reg.ID, Source: src.String()})
+		if err != nil {
+			t.Fatalf("solve %d: %v", n, err)
+		}
+		if !res.Exists {
+			t.Fatalf("solve %d: no solution for a functional E", n)
+		}
 	}
 }

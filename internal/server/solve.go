@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net/http"
 
+	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/qplan"
@@ -52,26 +53,26 @@ func (s *Server) options(maxNodes int64) pde.Options {
 
 // tractableBytes approximates a trace's heap footprint for the cache.
 func tractableBytes(t *core.TractableTrace) int64 {
-	n := instanceBytes(t.JCan) + instanceBytes(t.ICan) + int64(t.Blocks)*64 + 256
-	if t.STResult != nil {
-		n += instanceBytes(t.STResult.Instance) + instanceBytes(t.STResult.Start)
-	}
-	if t.TSResult != nil {
-		n += instanceBytes(t.TSResult.Instance) + instanceBytes(t.TSResult.Start)
-	}
-	return n
+	insts := append([]*pde.Instance{t.JCan, t.ICan}, resultInstances(t.STResult, t.TSResult)...)
+	return instanceBytes(insts...) + int64(t.Blocks)*64 + 256
 }
 
 // canonicalBytes approximates a canonical target's heap footprint.
 func canonicalBytes(ct *core.CanonicalTarget) int64 {
-	n := instanceBytes(ct.JCan) + int64(256)
-	if ct.STResult != nil {
-		n += instanceBytes(ct.STResult.Instance) + instanceBytes(ct.STResult.Start)
+	insts := append([]*pde.Instance{ct.JCan}, resultInstances(ct.STResult, ct.TResult)...)
+	return instanceBytes(insts...) + 256
+}
+
+// resultInstances lists the start and fixpoint instances of the
+// non-nil chase results.
+func resultInstances(results ...*chase.Result) []*pde.Instance {
+	var out []*pde.Instance
+	for _, r := range results {
+		if r != nil {
+			out = append(out, r.Start, r.Instance)
+		}
 	}
-	if ct.TResult != nil {
-		n += instanceBytes(ct.TResult.Instance) + instanceBytes(ct.TResult.Start)
-	}
-	return n
+	return out
 }
 
 // Tractable returns the cached (or freshly chased) Figure 3 trace for

@@ -676,6 +676,8 @@ func (r *reader) result(what string) *chase.Result {
 	if r.err != nil {
 		return nil
 	}
+	inst.Freeze()
+	start.Freeze()
 	return &chase.Result{
 		Instance:  inst,
 		Steps:     steps,

@@ -45,7 +45,9 @@ type Artifacts interface {
 // its schemas, and StrategyTractable requires a C_tract setting; the
 // strategy is the caller's classification (ForceGeneric in o is not
 // consulted). With witness set, a tractable run also builds the witness
-// solution J_img; the generic solver always returns its witness.
+// solution J_img; the generic solver always returns its witness. I and J
+// are cloned, so callers sharing them across goroutines freeze them
+// first (see Sharing instances).
 func SolveFrom(ctx context.Context, s *Setting, i, j *Instance, strategy Strategy, witness bool, a Artifacts, o Options) (Result, error) {
 	if strategy == StrategyTractable {
 		if !witness {
@@ -89,8 +91,9 @@ func SolveFrom(ctx context.Context, s *Setting, i, j *Instance, strategy Strateg
 // SOL(P)), else by the setting's solution probes. Queries the compiled
 // path declines, and every query without o.Compiled, enumerate the image solutions of one canonical target,
 // fetched at most once. The setting must be valid and the instances and
-// queries must fit its schemas. On error the returned slice ends at the
-// failing query, so callers can still account for the fallbacks taken.
+// queries must fit its schemas; I and J are taken on SolveFrom's terms.
+// On error the returned slice ends at the failing query, so callers can
+// still account for the fallbacks taken.
 func CertainFrom(ctx context.Context, s *Setting, i, j *Instance, queries []UCQ, a Artifacts, o Options) ([]CertainResult, error) {
 	cfg := o.config(ctx)
 	out := make([]CertainResult, len(queries))

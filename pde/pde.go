@@ -30,6 +30,16 @@
 // The heavy lifting lives in the internal packages (chase, hom, core);
 // this package re-exports the stable surface and picks the right
 // algorithm per setting.
+//
+// # Sharing instances
+//
+// Instances are copy-on-write: a clone shares each relation with the
+// instance it came from until one of them writes it. Cloning an
+// unfrozen instance therefore writes to it, and the solve and
+// certain-answer calls clone their input instances. An instance that
+// several goroutines pass to these calls at once must be frozen first
+// (Instance.Freeze); a frozen instance is never written, so any number
+// of calls may share it.
 package pde
 
 import (
@@ -79,7 +89,9 @@ type (
 	Setting = core.Setting
 	// MultiSetting is a family of settings sharing one target peer.
 	MultiSetting = core.MultiSetting
-	// Instance is a set of facts over a relational schema.
+	// Instance is a set of facts over a relational schema. Freeze an
+	// instance before sharing it between goroutines: cloning an
+	// unfrozen instance writes to it (see Sharing instances above).
 	Instance = rel.Instance
 	// Schema declares relation names and arities.
 	Schema = rel.Schema
@@ -270,7 +282,11 @@ func (o Options) solveOptions(ctx context.Context) core.SolveOptions {
 
 // ExistsSolution decides SOL(P) for (I, J): it runs the polynomial
 // Figure 3 algorithm when the setting is in C_tract and the complete
-// backtracking solver otherwise.
+// backtracking solver otherwise. The facts of i and j are not changed,
+// but the call clones them, which writes to an unfrozen instance: freeze
+// i and j before passing them to concurrent calls (see Sharing
+// instances). The other solve and certain-answer calls take their
+// instances on the same terms.
 func ExistsSolution(s *Setting, i, j *Instance, opts ...Options) (Result, error) {
 	return solve(nil, s, i, j, false, options(opts))
 }
@@ -363,7 +379,8 @@ type CertainResult struct {
 // conjunctive queries (Definition 4). CertainBool and CertainAnswers
 // share one dispatch: the query's head decides the form of the result,
 // the verdict in Certain for an empty head and the tuples in Answers
-// otherwise.
+// otherwise. Like ExistsSolution, it clones i and j, so concurrent
+// calls sharing them need them frozen.
 func CertainBool(s *Setting, i, j *Instance, q UCQ, opts ...Options) (CertainResult, error) {
 	return certainOne(nil, s, i, j, q, options(opts))
 }
