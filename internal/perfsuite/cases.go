@@ -44,6 +44,7 @@ func Cases() []Case {
 		cacheHit("lav-resume/n=1600/append=16", true),
 		snapshotCase("snapshot-save/n=1600", false),
 		snapshotCase("snapshot-load/n=1600", true),
+		Case{"parse-instance/n=1600", parseInstance},
 		certainCase("certain-warm/n=1600", false),
 		certainCase("certain-compiled/n=1600", true),
 		Case{"certain-batch/n=1600/q=256", certainBatch},
@@ -215,6 +216,24 @@ func snapshotCase(name string, decode bool) Case {
 			return Counters{}, err
 		}, nil
 	}}
+}
+
+// parseInstance times depparse.ParseInstance on the text of the LAV(1600)
+// source instance: the parse every inlined pdxd request pays before
+// content hashing and the chase. Each parse must rebuild every fact.
+func parseInstance() (Op, error) {
+	_, i, _ := acceptance("lav", 1600)
+	text := depparse.FormatInstance(i)
+	if back, err := depparse.ParseInstance(text); err != nil || depparse.FormatInstance(back) != text {
+		return nil, fmt.Errorf("the source text does not round-trip: %v", err)
+	}
+	return func() (Counters, error) {
+		inst, err := depparse.ParseInstance(text)
+		if err == nil && inst.NumFacts() != i.NumFacts() {
+			err = fmt.Errorf("parsed %d facts, want %d", inst.NumFacts(), i.NumFacts())
+		}
+		return Counters{}, err
+	}, nil
 }
 
 // certainCase answers a Boolean point query over LAV(1600) on the

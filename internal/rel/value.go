@@ -13,6 +13,7 @@ package rel
 import (
 	"fmt"
 	"strconv"
+	"unique"
 )
 
 // Kind discriminates constants from labeled nulls.
@@ -28,63 +29,99 @@ const (
 // Value is either a constant (a string) or a labeled null (an integer
 // label). The zero Value is the empty constant. Value is comparable and
 // may be used as a map key.
+//
+// A Value is two machine words, so equality and map hashing cost one
+// 16-byte memory hash and never hash a string. text is the constant's
+// text interned with unique.Make; the zero handle stands for the empty
+// constant, so the zero Value equals Const(""). null is ^label for a
+// labeled null — negative for every label in the domain label >= 0 —
+// and 0 for a constant. Only this file reads the fields.
 type Value struct {
-	kind Kind
-	str  string
-	id   int
+	text unique.Handle[string]
+	null int
 }
 
-// Const returns the constant value with the given text.
-func Const(s string) Value { return Value{kind: KindConst, str: s} }
+// Const returns the constant value with the given text. The text is
+// interned: every Const of equal text returns the same handle, and the
+// runtime drops the interned copy once no Value holds it.
+func Const(s string) Value {
+	if s == "" {
+		return Value{}
+	}
+	return Value{text: unique.Make(s)}
+}
 
-// Null returns the labeled null with the given label.
-func Null(id int) Value { return Value{kind: KindNull, id: id} }
+// Null returns the labeled null with the given label. Labels range
+// over label >= 0 (NullSource, the instance parser and the snapshot
+// decoder produce no others); Null panics on a negative label.
+func Null(label int) Value {
+	if label < 0 {
+		panic("rel: negative null label " + strconv.Itoa(label))
+	}
+	return Value{null: ^label}
+}
 
 // Kind reports whether v is a constant or a null.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if v.null < 0 {
+		return KindNull
+	}
+	return KindConst
+}
 
 // IsNull reports whether v is a labeled null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.null < 0 }
 
 // IsConst reports whether v is a constant.
-func (v Value) IsConst() bool { return v.kind == KindConst }
+func (v Value) IsConst() bool { return v.null >= 0 }
 
 // ConstText returns the text of a constant value. It panics if v is a
 // null; callers must check IsConst first.
 func (v Value) ConstText() string {
-	if v.kind != KindConst {
+	if v.null < 0 {
 		panic("rel: ConstText on labeled null")
 	}
-	return v.str
+	return v.str()
+}
+
+// str returns a constant's text, "" for the zero handle.
+func (v Value) str() string {
+	if v.text == (unique.Handle[string]{}) {
+		return ""
+	}
+	return v.text.Value()
 }
 
 // NullID returns the label of a null value. It panics if v is a
 // constant; callers must check IsNull first.
 func (v Value) NullID() int {
-	if v.kind != KindNull {
+	if v.null >= 0 {
 		panic("rel: NullID on constant")
 	}
-	return v.id
+	return ^v.null
 }
 
 // String renders the value: constants as their text, nulls as _N<label>.
 func (v Value) String() string {
-	if v.kind == KindNull {
-		return "_N" + strconv.Itoa(v.id)
+	if v.null < 0 {
+		return "_N" + strconv.Itoa(^v.null)
 	}
-	return v.str
+	return v.str()
 }
 
 // Less imposes a total order on values: constants before nulls,
-// constants by text, nulls by label. Used only for deterministic output.
+// constants by text, nulls by label. Used only for deterministic output;
+// it never consults a handle's address, so the order does not depend on
+// which constant was interned first.
 func (v Value) Less(w Value) bool {
-	if v.kind != w.kind {
-		return v.kind < w.kind
+	vn, wn := v.null < 0, w.null < 0
+	if vn != wn {
+		return wn
 	}
-	if v.kind == KindNull {
-		return v.id < w.id
+	if vn {
+		return v.null > w.null // ^a > ^b exactly when a < b
 	}
-	return v.str < w.str
+	return v.text != w.text && v.str() < w.str()
 }
 
 // NullSource hands out fresh labeled nulls. The zero value is ready to
@@ -203,12 +240,17 @@ func tupleKey(t Tuple) string {
 	buf := make([]byte, 0, 16*len(t))
 	for _, v := range t {
 		buf = append(buf, 0)
-		if v.kind == KindNull {
+		if v.null < 0 {
 			buf = append(buf, 'n')
-			buf = strconv.AppendInt(buf, int64(v.id), 10)
+			buf = strconv.AppendInt(buf, int64(^v.null), 10)
 		} else {
+			// Length-prefixed, so a text holding the separator byte
+			// cannot forge a value boundary.
+			s := v.str()
 			buf = append(buf, 'c')
-			buf = append(buf, v.str...)
+			buf = strconv.AppendInt(buf, int64(len(s)), 10)
+			buf = append(buf, ':')
+			buf = append(buf, s...)
 		}
 	}
 	return string(buf)

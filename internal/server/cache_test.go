@@ -620,3 +620,20 @@ func TestTractableBytesCountsSharedRelationsOnce(t *testing.T) {
 		t.Fatalf("no relation shared: %d bytes over distinct relations, %d per instance", want, perInstance)
 	}
 }
+
+// TestRelationBytesAllocatesNothing: accounting a relation that holds
+// nulls allocates nothing (rendering a null would allocate "_N…") and
+// charges one 16-byte Value slot per argument, not the constant text.
+func TestRelationBytesAllocatesNothing(t *testing.T) {
+	inst := rel.NewInstance()
+	for k := 0; k < 100; k++ {
+		inst.Add("Rec", rel.Const(fmt.Sprintf("a-long-constant-text-%d", k)), rel.Null(k))
+	}
+	r := inst.Relation("Rec")
+	if avg := testing.AllocsPerRun(100, func() { relationBytes(r) }); avg != 0 {
+		t.Fatalf("relationBytes allocates %.1f per run, want 0", avg)
+	}
+	if got, want := relationBytes(r), int64(100*(48+len("Rec")+2*16)); got != want {
+		t.Fatalf("relationBytes = %d, want %d", got, want)
+	}
+}

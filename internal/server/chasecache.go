@@ -5,6 +5,7 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/rel"
 	"repro/pde"
@@ -339,23 +340,16 @@ func instanceBytes(insts ...*pde.Instance) int64 {
 }
 
 // relationBytes approximates a relation's heap footprint: per-fact
-// map/slice overhead plus the value strings. Precision is not the
-// point — bounding growth is. Only live tuples count: egd merges
+// map/slice overhead plus one Value slot per argument. Precision is not
+// the point — bounding growth is. A constant's text is interned once
+// process-wide (see rel.Const), so an occurrence costs its 16-byte
+// slot, not its text again. Only live tuples count: egd merges
 // tombstone tuples in place rather than deleting them, and an
 // accounting that charged tombstoned slots would inflate
-// pdxd_chase_cache_bytes after every keyed-egd chase. The walk reads
-// the relation directly (LiveLen/Live/TupleAt) instead of
-// materializing Facts(), so accounting an entry does not itself
-// allocate a copy of the instance.
+// pdxd_chase_cache_bytes after every keyed-egd chase. The charge
+// depends only on the live count and the arity, so accounting an
+// entry allocates nothing.
 func relationBytes(r *rel.Relation) int64 {
-	n := int64(r.LiveLen()) * int64(48+len(r.Name()))
-	for i := 0; i < r.Len(); i++ {
-		if !r.Live(i) {
-			continue
-		}
-		for _, v := range r.TupleAt(i) {
-			n += 16 + int64(len(v.String()))
-		}
-	}
-	return n
+	perFact := 48 + len(r.Name()) + r.Arity()*int(unsafe.Sizeof(rel.Value{}))
+	return int64(r.LiveLen()) * int64(perFact)
 }

@@ -396,9 +396,11 @@ type reader struct {
 	buf []byte
 	off int
 	err error
-	// interned dedups constant Values across the whole snapshot: chase
-	// artifacts repeat the same constants in fixpoints, starts, and
-	// canonical instances, so decoding allocates each text once.
+	// interned maps a constant's text to its Value for this decode.
+	// rel.Const already dedups texts process-wide; the map stays because
+	// a hit looks the raw bytes up without building a temporary string,
+	// and chase artifacts repeat the same constants in fixpoints,
+	// starts, and canonical instances.
 	interned map[string]rel.Value
 }
 

@@ -180,7 +180,8 @@ func CompiledFallbackReason(err error) string { return qplan.ReasonOf(err) }
 // Const returns the constant with the given text.
 func Const(s string) Value { return rel.Const(s) }
 
-// NullValue returns the labeled null with the given label.
+// NullValue returns the labeled null with the given label. Labels range
+// over id >= 0; NullValue panics on a negative label.
 func NullValue(id int) Value { return rel.Null(id) }
 
 // NewInstance returns an empty instance.
