@@ -98,7 +98,7 @@ hasInsulin :- GeneProduct(acc, insulin)
 			log.Fatal(err)
 		}
 		fmt.Printf("certain paper references: %d\n", len(refs.Answers))
-		boolRes, err := pde.CertainBool(setting, source, target, queries[1])
+		boolRes, err := pde.CertainAnswers(setting, source, target, queries[1])
 		if err != nil {
 			log.Fatal(err)
 		}

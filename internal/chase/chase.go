@@ -1,16 +1,15 @@
 // Package chase implements the chase procedure used by the peer data
 // exchange paper: the standard (restricted) chase with tgds and egds of
-// Fagin, Kolaitis, Miller, Popa, an oblivious variant for ablation
-// studies, and the solution-aware chase of Definitions 6 and 7, which
-// witnesses existential variables with values drawn from a given
-// solution instead of fresh labeled nulls.
+// Fagin, Kolaitis, Miller, Popa, and the solution-aware chase of
+// Definitions 6 and 7, which witnesses existential variables with values
+// drawn from a given solution instead of fresh labeled nulls. The
+// oblivious chase lives only in the reference chase, oracle.Chase.
 package chase
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/dep"
 	"repro/internal/hom"
@@ -70,11 +69,6 @@ type Options struct {
 	// MaxSteps bounds the number of chase steps; 0 means
 	// DefaultMaxSteps.
 	MaxSteps int
-	// Oblivious switches tgd steps to the oblivious chase: a trigger
-	// fires once regardless of whether the head is already satisfied.
-	// Exists for the ablation benchmarks; the paper's constructions use
-	// the restricted chase.
-	Oblivious bool
 	// Nulls supplies fresh labeled nulls; if nil, a source seeded past
 	// the nulls of the start instance is created.
 	Nulls *rel.NullSource
@@ -147,19 +141,7 @@ func (o Options) nulls(start *rel.Instance) *rel.NullSource {
 // unfrozen start (see rel.Instance).
 // Disjunctive tgds cannot be chased and cause an error.
 func Run(start *rel.Instance, deps []dep.Dependency, opts Options) (*Result, error) {
-	for _, d := range deps {
-		if _, ok := d.(dep.DisjunctiveTGD); ok {
-			return nil, fmt.Errorf("chase: cannot chase disjunctive tgd %s", d.DepLabel())
-		}
-	}
-	st := &state{
-		inst:   start.Clone(),
-		start:  start,
-		opts:   opts,
-		nulls:  opts.nulls(start),
-		budget: opts.maxSteps(),
-	}
-	return st.run(deps, nil)
+	return runFrom(start, deps, nil, opts)
 }
 
 // RunSolutionAware performs the solution-aware chase of Definitions 6–7:
@@ -169,6 +151,12 @@ func Run(start *rel.Instance, deps []dep.Dependency, opts Options) (*Result, err
 // created. The returned instance is contained in witness whenever start
 // is (this is the property Lemma 2 exploits to extract small solutions).
 func RunSolutionAware(start *rel.Instance, deps []dep.Dependency, witness *rel.Instance, opts Options) (*Result, error) {
+	return runFrom(start, deps, witness, opts)
+}
+
+// runFrom is Run (witness nil) and RunSolutionAware: it rejects
+// disjunctive tgds and chases a clone of start from zero watermarks.
+func runFrom(start *rel.Instance, deps []dep.Dependency, witness *rel.Instance, opts Options) (*Result, error) {
 	for _, d := range deps {
 		if _, ok := d.(dep.DisjunctiveTGD); ok {
 			return nil, fmt.Errorf("chase: cannot chase disjunctive tgd %s", d.DepLabel())
@@ -228,13 +216,8 @@ type state struct {
 	// Merges keep counts valid (surviving tuples keep their slots) and
 	// route their rewrites through the change log, so marks are never
 	// reset. Resume pre-seeds marks so the first round only enumerates
-	// triggers touching the appended facts. uvars[di] caches the sorted
-	// universal variables of tgd di; fired[di] is the oblivious chase's
-	// per-tgd set of already fired triggers, keyed by compact value keys
-	// instead of built strings.
+	// triggers touching the appended facts.
 	marks []mark
-	uvars [][]string
-	fired []map[firedKey]bool
 
 	// Egd detection watermarks, indexed by dependency position.
 	// egdMarks[di] with non-nil counts records the state at the end of
@@ -293,23 +276,13 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 	if st.egdMarks == nil {
 		st.egdMarks = make([]mark, len(deps))
 	}
-	st.uvars = make([][]string, len(deps))
 	st.brels = make([][]string, len(deps))
-	if st.opts.Oblivious {
-		st.fired = make([]map[firedKey]bool, len(deps))
-	}
 	// Precompute per-dependency state up front so parallel speculation
 	// never lazily initializes shared maps mid-flight.
 	for di, d := range deps {
 		var body []dep.Atom
 		switch d := d.(type) {
 		case dep.TGD:
-			vs := append([]string(nil), d.UniversalVars()...)
-			sort.Strings(vs)
-			st.uvars[di] = vs
-			if st.opts.Oblivious {
-				st.fired[di] = make(map[firedKey]bool)
-			}
 			body = d.Body
 		case dep.EGD:
 			body = d.Body
@@ -367,14 +340,12 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 // untouched — a binding whose values a merge rewrote has, by
 // definition, a changed tuple in it and is re-enumerated via the change
 // log). A trigger whose facts all predate the watermark unchanged was,
-// by the end of that earlier collection's firing pass, either satisfied
-// (and stays satisfied) or fired (oblivious mode: recorded in st.fired,
-// under a key built from values a merge never touched) — so the naive
-// enumeration would have filtered it too. A dependency's watermark
-// advances only when a collection is actually consumed: to the
-// round-start snapshot when its speculated list is used, to a fresh
-// snapshot when it re-collects after the round went dirty. Discarded
-// speculations leave the watermark untouched.
+// by the end of that earlier collection's firing pass, satisfied (and
+// stays satisfied) — so the naive enumeration would have filtered it
+// too. A dependency's watermark advances only when a collection is
+// actually consumed: to the round-start snapshot when its speculated
+// list is used, to a fresh snapshot when it re-collects after the round
+// went dirty. Discarded speculations leave the watermark untouched.
 func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed, failed bool, failedOn string, err error) {
 	// Snapshot the round-start sizes once; the map is shared by every
 	// watermark taken from it and never mutated after this point.
@@ -398,7 +369,7 @@ func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed
 				triggers = st.collectTriggers(di, d, st.marks[di])
 				st.marks[di] = mark{counts: hom.Delta(st.inst.TupleCounts()), logPos: len(st.changedLog)}
 			}
-			p, e := st.fireTriggers(di, d, triggers, witness)
+			p, e := st.fireTriggers(d, triggers, witness)
 			if e != nil {
 				return false, false, "", e
 			}
@@ -508,26 +479,18 @@ func (st *state) changedSince(m mark, rels []string) map[string][]int {
 }
 
 // collectTriggers enumerates the triggers of d against the current
-// instance that were not already satisfied (restricted chase) or fired
-// (oblivious chase) at collection time, skipping — via the delta
-// watermark and the merge change log — triggers whose body facts all
-// predate d's previous collection unchanged. The enumeration and its
-// satisfaction checks fan out across workers inside
+// instance that were not already satisfied at collection time, skipping
+// — via the delta watermark and the merge change log — triggers whose
+// body facts all predate d's previous collection unchanged. The
+// enumeration and its satisfaction checks fan out across workers inside
 // hom.EnumerateDeltaSpec; the list comes back in the serial
-// full-enumeration order. Collection only reads st.inst, st.marks,
-// st.changedLog, and st.fired, so concurrent collections for different
-// dependencies are safe (marks and the log advance only in the serial
-// round loop).
+// full-enumeration order. Collection only reads st.inst, st.marks and
+// st.changedLog, so concurrent collections for different dependencies
+// are safe (marks and the log advance only in the serial round loop).
 func (st *state) collectTriggers(di int, d dep.TGD, m mark) []hom.Binding {
 	spec := hom.DeltaSpec{Old: m.counts}
 	if m.counts != nil {
 		spec.Changed = st.changedSince(m, st.brels[di])
-	}
-	if st.opts.Oblivious {
-		fired, vars := st.fired[di], st.uvars[di]
-		return hom.EnumerateDeltaSpec(d.Body, st.inst, nil, spec, st.opts.Config, func(b hom.Binding) bool {
-			return !fired[makeFiredKey(vars, b)]
-		})
 	}
 	return hom.EnumerateDeltaSpec(d.Body, st.inst, nil, spec, st.opts.Config, func(b hom.Binding) bool {
 		return !hom.Exists(d.Head, st.inst, b, st.opts.Config)
@@ -538,18 +501,12 @@ func (st *state) collectTriggers(di int, d dep.TGD, m mark) []hom.Binding {
 // applicable, serially and in collection order. Triggers were collected
 // up front so the enumeration never observes its own insertions; new
 // triggers created by the fired steps are picked up by the next round.
-func (st *state) fireTriggers(di int, d dep.TGD, triggers []hom.Binding, witness *rel.Instance) (bool, error) {
+func (st *state) fireTriggers(d dep.TGD, triggers []hom.Binding, witness *rel.Instance) (bool, error) {
 	progressed := false
 	for _, b := range triggers {
-		if st.opts.Oblivious {
-			key := makeFiredKey(st.uvars[di], b)
-			if st.fired[di][key] {
-				continue
-			}
-			st.fired[di][key] = true
-		} else if hom.Exists(d.Head, st.inst, b, st.opts.Config) {
+		if hom.Exists(d.Head, st.inst, b, st.opts.Config) {
 			// Re-check: an earlier firing in this pass may have
-			// satisfied this trigger (restricted chase).
+			// satisfied this trigger.
 			continue
 		}
 		if err := st.fire(d, b, witness); err != nil {
@@ -569,9 +526,9 @@ func (st *state) fire(d dep.TGD, b hom.Binding, witness *rel.Instance) error {
 		return fmt.Errorf("%w (after %d steps, chasing %s)", ErrBudgetExhausted, st.steps, d.Label)
 	}
 	st.steps++
-	// Trigger bindings are consumed exactly once (fireTriggers reads the
-	// fired key and re-checks satisfaction before this call), so the
-	// existential extension can write into b directly instead of cloning.
+	// Trigger bindings are consumed exactly once (fireTriggers re-checks
+	// satisfaction before this call), so the existential extension can
+	// write into b directly instead of cloning.
 	ext := b
 	if exist := d.ExistentialVars(); len(exist) > 0 {
 		if witness == nil {
@@ -719,48 +676,4 @@ func groundAtom(a dep.Atom, b hom.Binding) rel.Tuple {
 		}
 	}
 	return t
-}
-
-// firedKey identifies an oblivious-chase trigger of one tgd: the values
-// its sorted universal variables are bound to. It is comparable, so it
-// keys the per-tgd fired set directly — the common case (≤ 4 universal
-// variables) stores the values inline and a lookup allocates nothing,
-// unlike the string key it replaced, which built and joined
-// "var=kindvalue" parts on every probe. Wider bindings spill the
-// remainder into one encoded string.
-type firedKey struct {
-	inline [firedKeyInline]rel.Value
-	rest   string
-}
-
-const firedKeyInline = 4
-
-// makeFiredKey builds the key for b over the tgd's pre-sorted universal
-// variables. Variable names are not part of the key: the fired set is
-// per-dependency and the variable order is fixed, so positions alone
-// disambiguate.
-func makeFiredKey(vars []string, b hom.Binding) firedKey {
-	var k firedKey
-	n := len(vars)
-	if n > firedKeyInline {
-		n = firedKeyInline
-	}
-	for i := 0; i < n; i++ {
-		k.inline[i] = b[vars[i]]
-	}
-	if len(vars) > firedKeyInline {
-		var sb strings.Builder
-		for _, v := range vars[firedKeyInline:] {
-			val := b[v]
-			if val.IsNull() {
-				sb.WriteByte('n')
-			} else {
-				sb.WriteByte('c')
-			}
-			sb.WriteString(val.String())
-			sb.WriteByte(0)
-		}
-		k.rest = sb.String()
-	}
-	return k
 }

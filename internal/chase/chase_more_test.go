@@ -151,26 +151,6 @@ func TestMultipleHeadAtomsShareExistential(t *testing.T) {
 	}
 }
 
-// TestObliviousTriggerKeyDistinguishesKinds: a constant named like a
-// null's rendering must not collide in the fired-trigger bookkeeping.
-func TestObliviousTriggerKeyDistinguishesKinds(t *testing.T) {
-	d := dep.TGD{
-		Label: "mk",
-		Body:  []dep.Atom{dep.NewAtom("A", dep.Var("x"))},
-		Head:  []dep.Atom{dep.NewAtom("B", dep.Var("x"), dep.Var("u"))},
-	}
-	inst := rel.NewInstance()
-	inst.Add("A", rel.Const("_N1")) // adversarial constant text
-	inst.Add("A", rel.Null(1))
-	res, err := Run(inst, []dep.Dependency{d}, Options{Oblivious: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps != 2 {
-		t.Errorf("steps = %d, want 2 distinct trigger firings", res.Steps)
-	}
-}
-
 // TestEgdOnlyFailedOnReported: the failing dependency label is surfaced.
 func TestEgdOnlyFailedOnReported(t *testing.T) {
 	egd1 := dep.EGD{

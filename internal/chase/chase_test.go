@@ -74,30 +74,6 @@ func TestRestrictedChaseSkipsSatisfiedTrigger(t *testing.T) {
 	}
 }
 
-func TestObliviousChaseFiresAnyway(t *testing.T) {
-	inst := rel.NewInstance()
-	inst.Add("A", rel.Const("a"))
-	inst.Add("B", rel.Const("a"), rel.Const("b"))
-	res, err := Run(inst, []dep.Dependency{existBTgd()}, Options{Oblivious: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps != 1 {
-		t.Errorf("oblivious chase steps = %d, want 1", res.Steps)
-	}
-	if res.Instance.Relation("B").Len() != 2 {
-		t.Errorf("oblivious chase should add a second B tuple:\n%s", res.Instance)
-	}
-	// And it must not refire the same trigger forever.
-	res2, err := Run(inst, []dep.Dependency{existBTgd()}, Options{Oblivious: true, MaxSteps: 50})
-	if err != nil {
-		t.Fatalf("oblivious chase diverged: %v", err)
-	}
-	if res2.Steps != 1 {
-		t.Errorf("oblivious trigger fired %d times", res2.Steps)
-	}
-}
-
 func TestEGDMergesNullWithConstant(t *testing.T) {
 	egd := dep.EGD{
 		Label: "key",

@@ -14,7 +14,7 @@ import (
 // bodies, and key egds), the semi-naive chase is byte-identical to the
 // naive reference chase (oracle.Chase) — same instances (including null
 // labels), step and merge counts, failure verdicts, and budget errors —
-// in restricted and oblivious mode, at Parallelism 1 and 4. This is the
+// at Parallelism 1 and 4. This is the
 // correctness contract of the delta-driven trigger collection: it may
 // only skip triggers the naive keep filter would reject anyway.
 func TestChaseSemiNaiveMatchesNaiveProperty(t *testing.T) {
@@ -24,14 +24,12 @@ func TestChaseSemiNaiveMatchesNaiveProperty(t *testing.T) {
 		deps := workload.RandomWeaklyAcyclicDeps(rng)
 		inst := workload.RandomLayerInstance(rng)
 		inst.Freeze()
-		for _, oblivious := range []bool{false, true} {
-			want := referenceChase(inst, deps, nil, oblivious)
-			for _, workers := range []int{1, 4} {
-				semi, serr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers}, Oblivious: oblivious})
-				if got := fingerprint(semi, serr); got != want {
-					t.Fatalf("trial %d obl=%v par=%d: semi-naive diverges from the reference chase\nsemi-naive: %+v\noracle:     %+v\ndeps: %v",
-						trial, oblivious, workers, got, want, deps)
-				}
+		want := referenceChase(inst, deps, nil)
+		for _, workers := range []int{1, 4} {
+			semi, serr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers}})
+			if got := fingerprint(semi, serr); got != want {
+				t.Fatalf("trial %d par=%d: semi-naive diverges from the reference chase\nsemi-naive: %+v\noracle:     %+v\ndeps: %v",
+					trial, workers, got, want, deps)
 			}
 		}
 	}
@@ -51,7 +49,7 @@ func TestChaseSemiNaiveMatchesNaiveSolutionAware(t *testing.T) {
 		witness := wres.Instance
 		witness.Freeze()
 		inst.Freeze()
-		want := referenceChase(inst, deps, witness, false)
+		want := referenceChase(inst, deps, witness)
 		for _, workers := range []int{1, 4} {
 			semi, serr := chase.RunSolutionAware(inst, deps, witness, chase.Options{Config: par.Config{Parallelism: workers}})
 			if got := fingerprint(semi, serr); got != want {
@@ -70,7 +68,7 @@ func TestChaseSemiNaiveDeepChain(t *testing.T) {
 	deps := workload.ChainDeps(6)
 	inst := workload.ChainInstance(40)
 	inst.Freeze()
-	want := referenceChase(inst, deps, nil, false)
+	want := referenceChase(inst, deps, nil)
 	for _, workers := range []int{1, 4} {
 		semi, serr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers}})
 		if serr != nil {

@@ -68,9 +68,10 @@ func oracleFingerprint(res *oracle.ChaseResult, err error) resultFingerprint {
 	return fp
 }
 
-// referenceChase runs oracle.Chase under the engine's default budget.
-func referenceChase(start *rel.Instance, deps []dep.Dependency, witness *rel.Instance, oblivious bool) resultFingerprint {
-	return oracleFingerprint(oracle.Chase(start, deps, witness, oblivious, chase.DefaultMaxSteps))
+// referenceChase runs the restricted (witness nil) or solution-aware
+// oracle.Chase under the engine's default budget.
+func referenceChase(start *rel.Instance, deps []dep.Dependency, witness *rel.Instance) resultFingerprint {
+	return oracleFingerprint(oracle.Chase(start, deps, witness, false, chase.DefaultMaxSteps))
 }
 
 // injectNullDrafts seeds key violations into a random layer instance:
@@ -137,8 +138,8 @@ func randomMergeJoin(rng *rand.Rand) ([]dep.Dependency, *rel.Instance) {
 // union-find egd engine: over random egd-bearing settings and start
 // instances, the engine and the reference chase must produce
 // byte-identical instances, step and merge counts, failure verdicts,
-// and EgdFired flags — in restricted, oblivious, and solution-aware
-// modes, with the engine at Parallelism 1 and 4. The last trials use
+// and EgdFired flags — in restricted and solution-aware modes, with the
+// engine at Parallelism 1 and 4. The last trials use
 // randomMergeJoin, whose merges create tgd body matches.
 func TestEngineParityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -162,31 +163,24 @@ func TestEngineParityProperty(t *testing.T) {
 			witness = res.Instance
 		}
 
-		for _, mode := range []string{"restricted", "oblivious", "solution-aware"} {
+		for _, mode := range []string{"restricted", "solution-aware"} {
 			if mode == "solution-aware" && witness == nil {
 				continue
 			}
 			var want resultFingerprint
-			switch mode {
-			case "oblivious":
-				want = referenceChase(inst, deps, nil, true)
-			case "solution-aware":
-				want = referenceChase(inst, deps, witness, false)
-			default:
-				want = referenceChase(inst, deps, nil, false)
+			if mode == "solution-aware" {
+				want = referenceChase(inst, deps, witness)
+			} else {
+				want = referenceChase(inst, deps, nil)
 			}
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("trial %d mode %s par %d", trial, mode, workers)
 				opts := chase.Options{Config: par.Config{Parallelism: workers}}
 				var res *chase.Result
 				var err error
-				switch mode {
-				case "oblivious":
-					opts.Oblivious = true
-					res, err = chase.Run(inst, deps, opts)
-				case "solution-aware":
+				if mode == "solution-aware" {
 					res, err = chase.RunSolutionAware(inst, deps, witness, opts)
-				default:
+				} else {
 					res, err = chase.Run(inst, deps, opts)
 				}
 				if got := fingerprint(res, err); got != want {
@@ -219,7 +213,7 @@ func TestEngineParityKeyedLAV(t *testing.T) {
 	deps := workload.KeyedLAVDeps()
 	i, j := workload.KeyedLAVInstance(80)
 	start := rel.Union(i, j)
-	want := referenceChase(start, deps, nil, false)
+	want := referenceChase(start, deps, nil)
 	if want.err != "" {
 		t.Fatalf("reference chase errored: %s", want.err)
 	}

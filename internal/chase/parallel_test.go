@@ -13,33 +13,30 @@ import (
 // TestChaseParallelMatchesSerial: on random weakly acyclic dependency
 // sets, the parallel chase produces a byte-identical Result — the same
 // instance (including null labels), step count, and failure report — as
-// the serial chase, at every parallelism level and seed, in both
-// restricted and oblivious mode.
+// the serial chase, at every parallelism level and seed.
 func TestChaseParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 60; trial++ {
 		deps := workload.RandomWeaklyAcyclicDeps(rng)
 		inst := workload.RandomLayerInstance(rng)
 		inst.Freeze()
-		for _, oblivious := range []bool{false, true} {
-			ref, refErr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: 1}, Oblivious: oblivious})
-			for _, workers := range []int{2, 4} {
-				for _, seed := range []int64{0, 19} {
-					got, err := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers, Seed: seed}, Oblivious: oblivious})
-					if (refErr == nil) != (err == nil) {
-						t.Fatalf("trial %d obl=%v par=%d: err=%v, serial err=%v", trial, oblivious, workers, err, refErr)
-					}
-					if refErr != nil {
-						continue
-					}
-					if got.Steps != ref.Steps || got.Failed != ref.Failed || got.FailedOn != ref.FailedOn {
-						t.Fatalf("trial %d obl=%v par=%d seed=%d: (steps=%d failed=%v on=%q), serial (steps=%d failed=%v on=%q)",
-							trial, oblivious, workers, seed, got.Steps, got.Failed, got.FailedOn, ref.Steps, ref.Failed, ref.FailedOn)
-					}
-					if got.Instance.String() != ref.Instance.String() {
-						t.Fatalf("trial %d obl=%v par=%d seed=%d: instances differ\nparallel:\n%s\nserial:\n%s",
-							trial, oblivious, workers, seed, got.Instance, ref.Instance)
-					}
+		ref, refErr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: 1}})
+		for _, workers := range []int{2, 4} {
+			for _, seed := range []int64{0, 19} {
+				got, err := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers, Seed: seed}})
+				if (refErr == nil) != (err == nil) {
+					t.Fatalf("trial %d par=%d: err=%v, serial err=%v", trial, workers, err, refErr)
+				}
+				if refErr != nil {
+					continue
+				}
+				if got.Steps != ref.Steps || got.Failed != ref.Failed || got.FailedOn != ref.FailedOn {
+					t.Fatalf("trial %d par=%d seed=%d: (steps=%d failed=%v on=%q), serial (steps=%d failed=%v on=%q)",
+						trial, workers, seed, got.Steps, got.Failed, got.FailedOn, ref.Steps, ref.Failed, ref.FailedOn)
+				}
+				if got.Instance.String() != ref.Instance.String() {
+					t.Fatalf("trial %d par=%d seed=%d: instances differ\nparallel:\n%s\nserial:\n%s",
+						trial, workers, seed, got.Instance, ref.Instance)
 				}
 			}
 		}

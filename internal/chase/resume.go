@@ -18,10 +18,9 @@ package chase
 // any new merges it performs rewrite old tuples in place and re-enter
 // them through the change log, exactly as in a cold run. Whenever that
 // reasoning does not apply — a non-key egd is present, the previous
-// result merged values but carries no union-find, the run failed, or
-// it was oblivious (fired sets are not retained) — Resume falls back
-// to a full re-chase from the previous run's true start united with
-// the appended facts.
+// result merged values but carries no union-find, or the run failed —
+// Resume falls back to a full re-chase from the previous run's true
+// start united with the appended facts.
 
 import (
 	"fmt"
@@ -42,9 +41,6 @@ const (
 	FallbackNoPrev = "no-previous-result"
 	// FallbackFailed: the previous run failed; there is no fixpoint.
 	FallbackFailed = "failed"
-	// FallbackOblivious: oblivious chase requested; per-tgd fired sets
-	// are not retained across runs.
-	FallbackOblivious = "oblivious"
 	// FallbackEgd: an egd blocks the incremental path — a non-key-shaped
 	// egd is present, or the previous result merged values but carries
 	// no union-find (a hand-built or decoded result that lost it).
@@ -55,19 +51,16 @@ const (
 )
 
 // FallbackReason explains why a previous chase result cannot be resumed
-// incrementally for the given dependencies and options, or returns
-// FallbackNone ("") when it can. The non-empty reasons are the Fallback*
-// constants; when several apply the most fundamental wins (no previous
-// result, then failure, then obliviousness, then dependency shape).
-func FallbackReason(prev *Result, deps []dep.Dependency, opts Options) string {
+// incrementally for the given dependencies, or returns FallbackNone ("")
+// when it can. The non-empty reasons are the Fallback* constants; when
+// several apply the most fundamental wins (no previous result, then
+// failure, then dependency shape).
+func FallbackReason(prev *Result, deps []dep.Dependency) string {
 	if prev == nil || prev.Instance == nil {
 		return FallbackNoPrev
 	}
 	if prev.Failed {
 		return FallbackFailed
-	}
-	if opts.Oblivious {
-		return FallbackOblivious
 	}
 	if prev.EgdFired && prev.UnionFind == nil {
 		return FallbackEgd
@@ -87,13 +80,12 @@ func FallbackReason(prev *Result, deps []dep.Dependency, opts Options) string {
 }
 
 // Resumable reports whether a previous chase result can be resumed
-// incrementally for the given dependencies and options. It requires a
-// successful restricted-chase fixpoint over tgds and key-shaped egds
-// (dep.EGD.KeyShaped), with the previous run's union-find retained
-// whenever it merged values. FallbackReason names the blocking
-// condition when this returns false.
-func Resumable(prev *Result, deps []dep.Dependency, opts Options) bool {
-	return FallbackReason(prev, deps, opts) == FallbackNone
+// incrementally for the given dependencies. It requires a successful
+// chase fixpoint over tgds and key-shaped egds (dep.EGD.KeyShaped), with
+// the previous run's union-find retained whenever it merged values.
+// FallbackReason names the blocking condition when this returns false.
+func Resumable(prev *Result, deps []dep.Dependency) bool {
+	return FallbackReason(prev, deps) == FallbackNone
 }
 
 // Resume continues a finished chase after appending the facts of
@@ -123,7 +115,7 @@ func Resume(prev *Result, deps []dep.Dependency, appended *rel.Instance, opts Op
 		return nil, false, fmt.Errorf("chase: cannot resume a result without its start instance")
 	}
 	start := rel.Union(prev.Start, appended)
-	if !Resumable(prev, deps, opts) {
+	if !Resumable(prev, deps) {
 		res, err := Run(start, deps, opts)
 		return res, false, err
 	}

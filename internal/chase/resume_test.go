@@ -10,6 +10,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/dep"
 	"repro/internal/hom"
+	"repro/internal/oracle"
 	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/workload"
@@ -155,10 +156,10 @@ func TestChaseResumeFallback(t *testing.T) {
 		if err != nil || prev.Failed {
 			continue
 		}
-		if chase.Resumable(prev, deps, opts) {
+		if chase.Resumable(prev, deps) {
 			t.Fatalf("trial %d: set with a non-key egd reported resumable", trial)
 		}
-		if reason := chase.FallbackReason(prev, deps, opts); reason != chase.FallbackEgd {
+		if reason := chase.FallbackReason(prev, deps); reason != chase.FallbackEgd {
 			t.Fatalf("trial %d: fallback reason = %q, want %q", trial, reason, chase.FallbackEgd)
 		}
 		res, resumed, err := chase.Resume(prev, deps, appended, opts)
@@ -220,7 +221,7 @@ func TestChaseResumeKeyedProperty(t *testing.T) {
 			if err != nil || prev.Failed {
 				continue
 			}
-			if reason := chase.FallbackReason(prev, deps, opts); reason != chase.FallbackNone {
+			if reason := chase.FallbackReason(prev, deps); reason != chase.FallbackNone {
 				t.Fatalf("trial %d: keyed set not resumable, reason %q", trial, reason)
 			}
 			res, resumed, err := chase.Resume(prev, deps, appended, opts)
@@ -276,7 +277,7 @@ func TestChaseResumeNonKeyEgdFallback(t *testing.T) {
 	if err != nil || prev.Failed {
 		t.Fatalf("cross-rel chase: failed=%v err=%v", prev != nil && prev.Failed, err)
 	}
-	if reason := chase.FallbackReason(prev, deps, chase.Options{}); reason != chase.FallbackEgd {
+	if reason := chase.FallbackReason(prev, deps); reason != chase.FallbackEgd {
 		t.Fatalf("non-key egd fallback reason = %q, want %q", reason, chase.FallbackEgd)
 	}
 	more := rel.NewInstance()
@@ -309,7 +310,7 @@ func TestChaseResumePrevRebuildFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := &chase.Result{Instance: run.Instance, Start: inst, Steps: run.Steps, EgdFired: true, UnionFind: nil}
-	if reason := chase.FallbackReason(prev, deps, chase.Options{}); reason != chase.FallbackEgd {
+	if reason := chase.FallbackReason(prev, deps); reason != chase.FallbackEgd {
 		t.Fatalf("prev-without-union-find fallback reason = %q, want %q", reason, chase.FallbackEgd)
 	}
 	more := rel.NewInstance()
@@ -390,25 +391,41 @@ func TestChaseResumeCanonicalizesAppended(t *testing.T) {
 	}
 }
 
-// TestChaseResumeOblivious: an oblivious previous run is not resumable
-// (its fired sets are not retained), so Resume falls back.
+// TestChaseResumeOblivious: on the chain family no trigger is ever
+// already satisfied, so the restricted chase takes exactly the oblivious
+// chase's steps there. Its result is resumable, and resuming it after an
+// append reaches the oblivious reference chase's fixpoint of the union
+// (up to null renaming) in the same total number of steps.
 func TestChaseResumeOblivious(t *testing.T) {
 	deps := workload.ChainDeps(3)
 	inst := workload.ChainInstance(10)
 	inst.Freeze()
-	opts := chase.Options{Oblivious: true}
-	prev, err := chase.Run(inst, deps, opts)
+	prev, err := chase.Run(inst, deps, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chase.Resumable(prev, deps, opts) {
-		t.Fatal("oblivious result reported resumable")
+	if !chase.Resumable(prev, deps) {
+		t.Fatalf("restricted chain result not resumable: %q", chase.FallbackReason(prev, deps))
 	}
 	more := rel.NewInstance()
 	more.Add("T0", rel.Const("x"), rel.Const("y"))
 	more.Freeze()
-	if _, resumed, err := chase.Resume(prev, deps, more, opts); err != nil || resumed {
-		t.Fatalf("oblivious resume: resumed=%v err=%v", resumed, err)
+	res, resumed, err := chase.Resume(prev, deps, more, chase.Options{})
+	if err != nil || !resumed {
+		t.Fatalf("resume: resumed=%v err=%v", resumed, err)
+	}
+	union := rel.Union(inst, more)
+	union.Freeze()
+	obl, err := oracle.Chase(union, deps, nil, true, chase.DefaultMaxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prev.Steps + res.Steps; got != obl.Steps {
+		t.Errorf("restricted steps %d+%d = %d, oblivious reference %d", prev.Steps, res.Steps, got, obl.Steps)
+	}
+	if !hom.InstanceHomExists(res.Instance, obl.Instance, hom.Options{}) ||
+		!hom.InstanceHomExists(obl.Instance, res.Instance, hom.Options{}) {
+		t.Fatalf("resumed fixpoint not hom-equivalent to the oblivious reference chase\nresumed:\n%s\noblivious:\n%s", res.Instance, obl.Instance)
 	}
 }
 
@@ -433,7 +450,7 @@ func TestChaseEgdWatermarkParity(t *testing.T) {
 	})
 	inst := workload.ChainInstance(25)
 	inst.Freeze()
-	want := referenceChase(inst, deps, nil, false)
+	want := referenceChase(inst, deps, nil)
 	if want.err != "" {
 		t.Fatalf("reference chase errored: %s", want.err)
 	}

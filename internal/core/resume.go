@@ -41,7 +41,7 @@ func ResumeCanonicalTractable(s *Setting, trace *TractableTrace, appended *rel.I
 	}
 	reason := chase.FallbackNone
 	if !r1 {
-		reason = chase.FallbackReason(trace.STResult, s.StDeps(), copts)
+		reason = chase.FallbackReason(trace.STResult, s.StDeps())
 	}
 	jcan := res1.Instance.Restrict(s.Target)
 
@@ -53,7 +53,7 @@ func ResumeCanonicalTractable(s *Setting, trace *TractableTrace, appended *rel.I
 		return nil, false, chase.FallbackNone, fmt.Errorf("core: resuming Σts: %w", err)
 	}
 	if !r2 && reason == chase.FallbackNone {
-		reason = chase.FallbackReason(trace.TSResult, s.TsDeps(), copts)
+		reason = chase.FallbackReason(trace.TSResult, s.TsDeps())
 	}
 	ican := res2.Instance.Restrict(s.Source)
 
@@ -96,7 +96,7 @@ func ResumeCanonicalTarget(s *Setting, ct *CanonicalTarget, appended *rel.Instan
 	}
 	reason := chase.FallbackNone
 	if !r1 {
-		reason = chase.FallbackReason(ct.STResult, s.StDeps(), copts)
+		reason = chase.FallbackReason(ct.STResult, s.StDeps())
 	}
 	next := &CanonicalTarget{STResult: res}
 	jcan := res.Instance.Restrict(s.Target)
@@ -109,7 +109,7 @@ func ResumeCanonicalTarget(s *Setting, ct *CanonicalTarget, appended *rel.Instan
 			return nil, false, chase.FallbackNone, fmt.Errorf("core: resuming Σt: %w", err)
 		}
 		if !r2 && reason == chase.FallbackNone {
-			reason = chase.FallbackReason(ct.TResult, s.T, copts)
+			reason = chase.FallbackReason(ct.TResult, s.T)
 		}
 		resumed = resumed && r2
 		tres.Freeze()

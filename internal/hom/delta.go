@@ -75,31 +75,6 @@ type deltaHit struct {
 	b   Binding
 }
 
-// EnumerateDelta is the semi-naive counterpart of Enumerate: it returns
-// every homomorphism from the atoms into the instance that uses at
-// least one new tuple (per the delta watermark), in exactly the
-// relative order Enumerate produces them. Bindings whose atoms all
-// match old tuples are skipped without being enumerated — the caller
-// guarantees it has already processed them (this is the chase's
-// invariant: a trigger over round-k facts was either satisfied or fired
-// by round k+1, and egd merges reset the watermark).
-//
-// A nil delta requests a full enumeration; so does an all-zero one
-// (the first chase round seeds the delta with the whole instance). The
-// keep filter follows the Enumerate contract: it may run concurrently
-// and must only read shared state.
-//
-// The decomposition is the textbook one: for each position s in the
-// join order, pin atom s to the delta segment, atoms before s to the
-// old segment, and leave atoms after s unconstrained. The slots
-// partition the wanted bindings by the first join position that touches
-// a new tuple, so no deduplication is needed; slots run in parallel
-// under opts.Parallelism and the merged result is re-sorted into the
-// serial enumeration order.
-func EnumerateDelta(atoms []dep.Atom, inst *rel.Instance, init Binding, delta Delta, opts Options, keep func(Binding) bool) []Binding {
-	return EnumerateDeltaSpec(atoms, inst, init, DeltaSpec{Old: delta}, opts, keep)
-}
-
 // deltaSlot is one pinned search of the semi-naive decomposition: atom
 // `atom` of the join order restricted either to the new segment of its
 // relation (changed == nil) or to the explicit changed-index list.
@@ -108,18 +83,32 @@ type deltaSlot struct {
 	changed []int
 }
 
-// EnumerateDeltaSpec is EnumerateDelta extended with the merged-value
-// delta: it returns every homomorphism that uses at least one new tuple
-// or one changed (merge-rewritten) tuple, in exactly the relative order
-// Enumerate produces them, and each such binding exactly once.
+// EnumerateDeltaSpec is the semi-naive counterpart of Enumerate: it
+// returns every homomorphism from the atoms into the instance that uses
+// at least one new tuple (past the spec.Old watermark) or one changed
+// (merge-rewritten) tuple listed in spec.Changed, in exactly the
+// relative order Enumerate produces them, and each such binding exactly
+// once. Bindings whose atoms all match unchanged old tuples are skipped
+// without being enumerated — the caller guarantees it has already
+// processed them (this is the chase's invariant: a trigger over facts
+// it has seen was satisfied by the end of that collection's firing
+// pass, and merges report the tuples they rewrite through Changed).
 //
-// The decomposition generalizes the textbook one: count slots pin atom
-// s to the delta segment and atoms before s to the old segment; changed
-// slots pin atom s to the changed-index list instead. Count slots are
-// mutually disjoint as before, but a binding can combine changed tuples
-// with new ones and so surface from several slots — the merged,
+// A nil spec.Old requests a full enumeration; so does an all-zero one
+// (the first chase round seeds the delta with the whole instance). The
+// keep filter follows the Enumerate contract: it may run concurrently
+// and must only read shared state.
+//
+// The decomposition generalizes the textbook one: for each position s
+// in the join order, a count slot pins atom s to the delta segment,
+// atoms before s to the old segment, and leaves atoms after s
+// unconstrained; a changed slot pins atom s to the changed-index list
+// instead. Count slots partition their bindings by the first join
+// position that touches a new tuple, but a binding can combine changed
+// tuples with new ones and so surface from several slots — the merged,
 // vector-sorted result is deduplicated by vector (equal vectors denote
-// the same binding).
+// the same binding). Slots run in parallel under opts.Parallelism and
+// the merged result is re-sorted into the serial enumeration order.
 func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec DeltaSpec, opts Options, keep func(Binding) bool) []Binding {
 	if spec.Old == nil {
 		return Enumerate(atoms, inst, init, opts, keep)

@@ -24,11 +24,12 @@ func bindingKey(b Binding) string {
 	return sb.String()
 }
 
-// deltaReference computes what EnumerateDelta must return: the full
-// enumeration order, minus the bindings that already exist against the
-// old prefix of the instance (distinct tuple-index vectors yield
-// distinct bindings here because relations deduplicate tuples, so the
-// set difference is exact).
+// deltaReference computes what EnumerateDeltaSpec must return for a
+// spec with only an Old watermark: the full enumeration order, minus
+// the bindings that already exist against the old prefix of the
+// instance (distinct tuple-index vectors yield distinct bindings here
+// because relations deduplicate tuples, so the set difference is
+// exact).
 func deltaReference(atoms []dep.Atom, full, old *rel.Instance, opts Options) []Binding {
 	seen := map[string]bool{}
 	for _, b := range Enumerate(atoms, old, nil, opts, nil) {
@@ -78,9 +79,9 @@ var deltaTestPatterns = [][]dep.Atom{
 }
 
 // TestEnumerateDeltaMatchesReference: on random old/new instance
-// splits, EnumerateDelta returns exactly the full enumeration minus the
-// old-only bindings, in the full enumeration's order, serially and in
-// parallel.
+// splits, EnumerateDeltaSpec with an Old watermark returns exactly the
+// full enumeration minus the old-only bindings, in the full
+// enumeration's order, serially and in parallel.
 func TestEnumerateDeltaMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
@@ -90,7 +91,7 @@ func TestEnumerateDeltaMatchesReference(t *testing.T) {
 		for pi, atoms := range deltaTestPatterns {
 			want := deltaReference(atoms, full, old, Options{})
 			for _, opts := range []Options{{}, {Parallelism: 4}} {
-				got := EnumerateDelta(atoms, full, nil, delta, opts, nil)
+				got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, opts, nil)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d pattern %d opts %+v: got %d bindings, want %d", trial, pi, opts, len(got), len(want))
 				}
@@ -115,21 +116,21 @@ func TestEnumerateDeltaDegenerateCases(t *testing.T) {
 	atoms := deltaTestPatterns[1]
 	fullEnum := Enumerate(atoms, full, nil, Options{}, nil)
 
-	if got := EnumerateDelta(atoms, full, nil, nil, Options{}, nil); len(got) != len(fullEnum) {
+	if got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{}, Options{}, nil); len(got) != len(fullEnum) {
 		t.Fatalf("nil delta: got %d bindings, want full %d", len(got), len(fullEnum))
 	}
-	if got := EnumerateDelta(atoms, full, nil, Delta{}, Options{}, nil); len(got) != len(fullEnum) {
+	if got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: Delta{}}, Options{}, nil); len(got) != len(fullEnum) {
 		t.Fatalf("all-new delta: got %d bindings, want full %d", len(got), len(fullEnum))
 	}
-	if got := EnumerateDelta(atoms, full, nil, Delta(full.TupleCounts()), Options{}, nil); len(got) != 0 {
+	if got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: Delta(full.TupleCounts())}, Options{}, nil); len(got) != 0 {
 		t.Fatalf("no-new delta: got %d bindings, want none", len(got))
 	}
-	if got := EnumerateDelta(nil, full, nil, delta, Options{}, nil); got != nil {
+	if got := EnumerateDeltaSpec(nil, full, nil, DeltaSpec{Old: delta}, Options{}, nil); got != nil {
 		t.Fatalf("empty atom list with a watermark: got %d bindings, want none", len(got))
 	}
 
-	all := EnumerateDelta(atoms, full, nil, delta, Options{}, nil)
-	kept := EnumerateDelta(atoms, full, nil, delta, Options{}, func(b Binding) bool {
+	all := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, nil)
+	kept := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(b Binding) bool {
 		return b["x"] == rel.Const("v0")
 	})
 	for _, b := range kept {
@@ -144,7 +145,7 @@ func TestEnumerateDeltaDegenerateCases(t *testing.T) {
 	// A stale watermark larger than the relation (possible after an
 	// instance shrinks) clamps instead of panicking.
 	over := Delta{"R": 1 << 30, "S": 1 << 30}
-	if got := EnumerateDelta(atoms, full, nil, over, Options{}, nil); len(got) != 0 {
+	if got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: over}, Options{}, nil); len(got) != 0 {
 		t.Fatalf("oversized watermark: got %d bindings, want none", len(got))
 	}
 }

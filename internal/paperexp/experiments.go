@@ -14,6 +14,7 @@ import (
 	"repro/internal/dep"
 	"repro/internal/graph"
 	"repro/internal/hom"
+	"repro/internal/oracle"
 	"repro/internal/par"
 	"repro/internal/pdms"
 	"repro/internal/reductions"
@@ -453,7 +454,7 @@ func runChaseLength() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			obl, err := chase.Run(inst, deps, chase.Options{Oblivious: true})
+			obl, err := oracle.Chase(inst, deps, nil, true, chase.DefaultMaxSteps)
 			if err != nil {
 				return nil, err
 			}
@@ -611,7 +612,8 @@ func runDataExchange() (*Table, error) {
 }
 
 // runCores measures the gap between the oblivious chase's canonical
-// universal solution and its core, the smallest universal solution.
+// universal solution (from the reference chase, oracle.Chase) and its
+// core, the smallest universal solution.
 // Each employee reports to up to three managers, so the oblivious chase
 // invents an Assigned null per Emp fact where the core keeps one per
 // employee; the restricted chase is already core-sized here.
@@ -630,7 +632,7 @@ func runCores() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		oblivious, err := chase.Run(i, s.StDeps(), chase.Options{Oblivious: true})
+		oblivious, err := oracle.Chase(i, s.StDeps(), nil, true, chase.DefaultMaxSteps)
 		if err != nil {
 			return nil, err
 		}

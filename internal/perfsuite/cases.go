@@ -52,13 +52,11 @@ func Cases() []Case {
 	// EXP-DELTA: DeepChainDeps fills one layer per round, where naive
 	// trigger collection would be quadratic in depth.
 	for _, depth := range []int{4, 8, 16} {
-		cs = append(cs, chainCase(fmt.Sprintf("deep-chain/depth=%d/delta", depth), workload.DeepChainDeps(depth), 200, false))
+		cs = append(cs, chainCase(fmt.Sprintf("deep-chain/depth=%d/delta", depth), workload.DeepChainDeps(depth), 200))
 	}
-	// Restricted vs oblivious (fired-key dedup hot path) on the chain
-	// family, where no trigger is ever pre-satisfied.
-	cs = append(cs,
-		chainCase("restricted-chain/depth=3/n=100/delta", workload.ChainDeps(3), 100, false),
-		chainCase("oblivious-chain/depth=3/n=100/delta", workload.ChainDeps(3), 100, true))
+	// The restricted chase on the chain family, where no trigger is ever
+	// pre-satisfied.
+	cs = append(cs, chainCase("restricted-chain/depth=3/n=100/delta", workload.ChainDeps(3), 100))
 	// EXP-UF: on the keyed LAV workload every person contributes one
 	// key-egd merge, so merge cost dominates.
 	for _, n := range []int{100, 400, 1600} {
@@ -324,11 +322,11 @@ func certainBatch() (Op, error) {
 
 // chainCase times the chase of deps, len(deps) tgd layers, over
 // ChainInstance(n): exactly len(deps)·n steps.
-func chainCase(name string, deps []dep.Dependency, n int, oblivious bool) Case {
+func chainCase(name string, deps []dep.Dependency, n int) Case {
 	return Case{name, func() (Op, error) {
 		inst := workload.ChainInstance(n)
 		return func() (Counters, error) {
-			res, err := chase.Run(inst, deps, chase.Options{Oblivious: oblivious})
+			res, err := chase.Run(inst, deps, chase.Options{})
 			if err != nil {
 				return Counters{}, err
 			}

@@ -584,7 +584,7 @@ t: T(x,y), U(x,z) -> y = z
 	if metricsValue(t, c, `pdxd_chase_cache_fallbacks_total{reason="egd"}`) != 1 {
 		t.Error("egd-reason fallback counter did not move")
 	}
-	for _, reason := range []string{"failed", "oblivious", "other"} {
+	for _, reason := range []string{"failed", "other"} {
 		if v := metricsValue(t, c, fmt.Sprintf("pdxd_chase_cache_fallbacks_total{reason=%q}", reason)); v != 0 {
 			t.Errorf("fallback reason %q moved to %d, want 0", reason, v)
 		}

@@ -183,7 +183,6 @@ pdxd_chase_cache_resumes_total
 # TYPE pdxd_chase_cache_fallbacks_total counter
 pdxd_chase_cache_fallbacks_total{reason="egd"}
 pdxd_chase_cache_fallbacks_total{reason="failed"}
-pdxd_chase_cache_fallbacks_total{reason="oblivious"}
 pdxd_chase_cache_fallbacks_total{reason="other"}
 # HELP pdxd_chase_cache_evictions_total Cache entries dropped by LRU bounds or explicit eviction.
 # TYPE pdxd_chase_cache_evictions_total counter

@@ -16,12 +16,11 @@ import (
 
 // fallbackLabels are the reason labels of
 // pdxd_chase_cache_fallbacks_total, in exposition order. The first
-// three mirror the chase.Fallback* constants; everything else
-// aggregates under "other".
+// two mirror the chase.Fallback* constants; everything else aggregates
+// under "other".
 var fallbackLabels = [...]string{
 	chase.FallbackEgd,
 	chase.FallbackFailed,
-	chase.FallbackOblivious,
 	"other",
 }
 
@@ -70,9 +69,8 @@ type metrics struct {
 
 	// cacheFallbacks counts append migrations that re-chased fully,
 	// split by the chase's fallback reason (indexed per fallbackLabels):
-	// an egd blocks the incremental path, the previous chase failed, the
-	// chase is oblivious, or anything else (no previous result,
-	// unsupported dependency kinds).
+	// an egd blocks the incremental path, the previous chase failed, or
+	// anything else (no previous result, unsupported dependency kinds).
 	cacheFallbacks [len(fallbackLabels)]atomic.Int64
 
 	planHits   atomic.Int64 // certain-answer requests served by a cached compiled plan

@@ -77,7 +77,7 @@ func queryText(q pde.UCQ) string {
 // façade answers on random settings and instances, sent inline and by
 // ID: /v1/exists-solution (witness on and off) against
 // ExistsSolution/FindSolution, and /v1/certain-answers and its batch
-// form against CertainBool/CertainAnswers with Options.Compiled, each
+// form against CertainAnswers with Options.Compiled, each
 // sent both before and after the exists-solution requests.
 func TestFacadeParityRandom(t *testing.T) {
 	_, c := newTestServer(t, Config{})
@@ -124,11 +124,7 @@ func TestFacadeParityRandom(t *testing.T) {
 		want := make([]client.CertainBatchResult, len(tc.queries))
 		texts := make([]string, len(tc.queries))
 		for n, q := range tc.queries {
-			certainFn := pde.CertainAnswers
-			if q[0].IsBoolean() {
-				certainFn = pde.CertainBool
-			}
-			res, err := certainFn(s, i, j, q, pde.Options{Compiled: true})
+			res, err := pde.CertainAnswers(s, i, j, q, pde.Options{Compiled: true})
 			if err != nil {
 				t.Fatalf("case %d: façade certain %s: %v", k, q[0].Name, err)
 			}

@@ -156,7 +156,7 @@ func TestQueriesWithConstantsInBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pde.CertainBool(s, i, pde.NewInstance(), queries[0])
+	res, err := pde.CertainAnswers(s, i, pde.NewInstance(), queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,9 +163,9 @@ func CompileSettingPlan(s *Setting) (*SettingPlan, error) {
 
 // CompileCertain compiles a certain-answer plan for the query over the
 // setting: evaluation over (I, J) returns exactly the answers of
-// CertainBool / CertainAnswers without chasing or enumerating
-// solutions. Settings outside the compilable fragment return an error
-// whose CompiledFallbackReason is non-empty.
+// CertainAnswers without chasing or enumerating solutions. Settings
+// outside the compilable fragment return an error whose
+// CompiledFallbackReason is non-empty.
 func CompileCertain(s *Setting, q UCQ) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -376,24 +376,12 @@ type CertainResult struct {
 	FallbackReason string
 }
 
-// CertainBool computes certain(q, (I, J)) for a Boolean union of
-// conjunctive queries (Definition 4). CertainBool and CertainAnswers
-// share one dispatch: the query's head decides the form of the result,
-// the verdict in Certain for an empty head and the tuples in Answers
-// otherwise. Like ExistsSolution, it clones i and j, so concurrent
-// calls sharing them need them frozen.
-func CertainBool(s *Setting, i, j *Instance, q UCQ, opts ...Options) (CertainResult, error) {
-	return certainOne(nil, s, i, j, q, options(opts))
-}
-
-// CertainBoolContext is CertainBool with cancellation; see
-// ExistsSolutionContext.
-func CertainBoolContext(ctx context.Context, s *Setting, i, j *Instance, q UCQ, opts ...Options) (CertainResult, error) {
-	return certainOne(ctx, s, i, j, q, options(opts))
-}
-
-// CertainAnswers computes the certain answers of an open union of
-// conjunctive queries on (I, J); see CertainBool.
+// CertainAnswers computes certain(q, (I, J)) for a union of
+// conjunctive queries (Definition 4). The query's head decides the form
+// of the result: the verdict in Certain for a Boolean query (empty
+// head), the certain tuples in Answers for an open one. Like
+// ExistsSolution, it clones i and j, so concurrent calls sharing them
+// need them frozen.
 func CertainAnswers(s *Setting, i, j *Instance, q UCQ, opts ...Options) (CertainResult, error) {
 	return certainOne(nil, s, i, j, q, options(opts))
 }

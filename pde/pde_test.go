@@ -114,7 +114,7 @@ func TestCertainFlow(t *testing.T) {
 	}
 	q := queries[0]
 
-	res, err := pde.CertainBool(s, mustInstance(t, "E(a,a)."), pde.NewInstance(), q)
+	res, err := pde.CertainAnswers(s, mustInstance(t, "E(a,a)."), pde.NewInstance(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCertainFlow(t *testing.T) {
 		t.Errorf("certain = %+v, want true", res)
 	}
 
-	res, err = pde.CertainBool(s, mustInstance(t, "E(a,b). E(b,c). E(a,c)."), pde.NewInstance(), q)
+	res, err = pde.CertainAnswers(s, mustInstance(t, "E(a,b). E(b,c). E(a,c)."), pde.NewInstance(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestCertainValidatesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pde.CertainBool(s, pde.NewInstance(), pde.NewInstance(), queries[0]); err == nil {
+	if _, err := pde.CertainAnswers(s, pde.NewInstance(), pde.NewInstance(), queries[0]); err == nil {
 		t.Error("query over unknown relation accepted")
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -101,6 +102,54 @@ func byName(rep *perfsuite.Report) map[string]perfsuite.Record {
 	return m
 }
 
+// compare diffs cur against base, printing one line per current record
+// (and one per retired record) to w. It returns a description of every
+// record present in both runs that got more than threshold slower in
+// ns/op, and the sorted names of the baseline-only (retired) records,
+// which never gate.
+func compare(w io.Writer, base, cur *perfsuite.Report, threshold float64) (regressions, retired []string) {
+	baseByName, curByName := byName(base), byName(cur)
+	names := make([]string, 0, len(curByName))
+	for name := range curByName {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	fmt.Fprintf(w, "%-40s %14s %14s %8s\n", "benchmark", "baseline ns", "current ns", "delta")
+	for _, name := range names {
+		c := curByName[name]
+		b, ok := baseByName[name]
+		if !ok {
+			fmt.Fprintf(w, "%-40s %14s %14d %8s\n", name, "(new)", c.NsPerOp, "-")
+			continue
+		}
+		ratio := float64(c.NsPerOp)/float64(b.NsPerOp) - 1
+		mark := ""
+		if ratio > threshold {
+			mark = "  REGRESSION"
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %d -> %d ns/op (%+.1f%%, limit %+.0f%%)", name, b.NsPerOp, c.NsPerOp, 100*ratio, 100*threshold))
+		}
+		fmt.Fprintf(w, "%-40s %14d %14d %+7.1f%%%s\n", name, b.NsPerOp, c.NsPerOp, 100*ratio, mark)
+		if b.Steps != 0 && c.Steps != 0 && b.Steps != c.Steps {
+			fmt.Fprintf(w, "%-40s   steps changed: %d -> %d\n", "", b.Steps, c.Steps)
+		}
+		if b.Nodes != 0 && c.Nodes != 0 && b.Nodes != c.Nodes {
+			fmt.Fprintf(w, "%-40s   nodes changed: %d -> %d\n", "", b.Nodes, c.Nodes)
+		}
+	}
+	for name := range baseByName {
+		if _, ok := curByName[name]; !ok {
+			retired = append(retired, name)
+		}
+	}
+	sort.Strings(retired)
+	for _, name := range retired {
+		fmt.Fprintf(w, "%-40s retired (baseline only)\n", name)
+	}
+	return regressions, retired
+}
+
 func main() {
 	baseline := flag.String("baseline", "", "committed baseline JSON (empty = highest-numbered BENCH_PR<k>.json in -baseline-dir)")
 	baselineDir := flag.String("baseline-dir", ".", "directory scanned for BENCH_PR<k>.json when -baseline is empty")
@@ -136,49 +185,7 @@ func main() {
 			base.GoVersion, base.NumCPU, cur.GoVersion, cur.NumCPU)
 	}
 
-	baseByName, curByName := byName(base), byName(cur)
-	names := make([]string, 0, len(curByName))
-	for name := range curByName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	var regressions []string
-
-	fmt.Printf("%-40s %14s %14s %8s\n", "benchmark", "baseline ns", "current ns", "delta")
-	for _, name := range names {
-		c := curByName[name]
-		b, ok := baseByName[name]
-		if !ok {
-			fmt.Printf("%-40s %14s %14d %8s\n", name, "(new)", c.NsPerOp, "-")
-			continue
-		}
-		ratio := float64(c.NsPerOp)/float64(b.NsPerOp) - 1
-		mark := ""
-		if ratio > *threshold {
-			mark = "  REGRESSION"
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %d -> %d ns/op (%+.1f%%, limit %+.0f%%)", name, b.NsPerOp, c.NsPerOp, 100*ratio, 100**threshold))
-		}
-		fmt.Printf("%-40s %14d %14d %+7.1f%%%s\n", name, b.NsPerOp, c.NsPerOp, 100*ratio, mark)
-		if b.Steps != 0 && c.Steps != 0 && b.Steps != c.Steps {
-			fmt.Printf("%-40s   steps changed: %d -> %d\n", "", b.Steps, c.Steps)
-		}
-		if b.Nodes != 0 && c.Nodes != 0 && b.Nodes != c.Nodes {
-			fmt.Printf("%-40s   nodes changed: %d -> %d\n", "", b.Nodes, c.Nodes)
-		}
-	}
-	var retired []string
-	for name := range baseByName {
-		if _, ok := curByName[name]; !ok {
-			retired = append(retired, name)
-		}
-	}
-	sort.Strings(retired)
-	for _, name := range retired {
-		fmt.Printf("%-40s retired (baseline only)\n", name)
-	}
-
+	regressions, _ := compare(os.Stdout, base, cur, *threshold)
 	if len(regressions) > 0 {
 		fmt.Fprintf(os.Stderr, "\nbench-compare: %d regression(s) beyond the %.0f%% gate:\n", len(regressions), 100**threshold)
 		for _, r := range regressions {
@@ -186,5 +193,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("\nbench-compare: ok (%d compared, gate %.0f%%)\n", len(curByName), 100**threshold)
+	fmt.Printf("\nbench-compare: ok (%d compared, gate %.0f%%)\n", len(cur.Benchmarks), 100**threshold)
 }

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/perfsuite"
 )
 
 // TestLoadRejectsNonPositiveNs: a record with ns_per_op <= 0 is what a
@@ -54,5 +59,41 @@ func TestLatestBaseline(t *testing.T) {
 		if got != tc.want || ok != tc.wantOK {
 			t.Errorf("latestBaseline(%v) = %q, %v; want %q, %v", tc.names, got, ok, tc.want, tc.wantOK)
 		}
+	}
+}
+
+// TestCompareRetiredRecordDoesNotGate: a record only the baseline has is
+// reported as retired and never counts as a regression, while a record
+// in both runs beyond the threshold does.
+func TestCompareRetiredRecordDoesNotGate(t *testing.T) {
+	base := &perfsuite.Report{Benchmarks: []perfsuite.Record{
+		{Name: "restricted-chain/depth=3/n=100/delta", NsPerOp: 1000},
+		{Name: "oblivious-chain/depth=3/n=100/delta", NsPerOp: 1000},
+		{Name: "certain-warm/n=1600", NsPerOp: 1000},
+	}}
+	cur := &perfsuite.Report{Benchmarks: []perfsuite.Record{
+		{Name: "restricted-chain/depth=3/n=100/delta", NsPerOp: 1100},
+		{Name: "certain-warm/n=1600", NsPerOp: 1100},
+	}}
+	var out strings.Builder
+	regressions, retired := compare(&out, base, cur, 0.25)
+	if len(regressions) != 0 {
+		t.Errorf("regressions = %q, want none", regressions)
+	}
+	if want := []string{"oblivious-chain/depth=3/n=100/delta"}; !slices.Equal(retired, want) {
+		t.Errorf("retired = %q, want %q", retired, want)
+	}
+	if !strings.Contains(out.String(), "oblivious-chain/depth=3/n=100/delta") ||
+		!strings.Contains(out.String(), "retired (baseline only)") {
+		t.Errorf("retired record not reported:\n%s", out.String())
+	}
+
+	cur.Benchmarks[1].NsPerOp = 1300
+	regressions, retired = compare(io.Discard, base, cur, 0.25)
+	if len(regressions) != 1 || !strings.HasPrefix(regressions[0], "certain-warm/n=1600:") {
+		t.Errorf("regressions = %q, want certain-warm/n=1600 only", regressions)
+	}
+	if len(retired) != 1 {
+		t.Errorf("retired = %q, want one record", retired)
 	}
 }
