@@ -1,0 +1,366 @@
+package rel
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// The relation-index model check: runRelationOps decodes bytes into a
+// sequence of writes (fresh and duplicate adds, RemoveLastTuple,
+// MergeValue, Reserve, and Clone followed by a write) and checks the
+// instance against modelInstance, a map[TupleKey]int rendering of the
+// same semantics, plus checkIndexCoherence, after every step.
+
+// opsRels are the relations the op sequences write, with their
+// arities; opsPool is the value pool their tuples draw from. A small
+// pool makes duplicates, merge collisions and shared posting lists
+// common, and the arity-3 relation grows large enough for long probe
+// clusters in the dedup table.
+var (
+	opsRels = []struct {
+		name  string
+		arity int
+	}{{"R", 1}, {"S", 2}, {"T", 3}}
+	opsPool = []Value{
+		Const("a"), Const("b"), Const("c"), Const("d"), Const("e"),
+		Null(1), Null(2), Null(3), Null(4), Null(5),
+	}
+)
+
+// modelRel is one relation of the model: the tuple slots with their
+// tombstones and a map from each live tuple's key to its slot.
+type modelRel struct {
+	tuples []Tuple
+	dead   []bool
+	keys   map[TupleKey]int
+}
+
+type modelInstance map[string]*modelRel
+
+func (m modelInstance) clone() modelInstance {
+	c := make(modelInstance, len(m))
+	for name, r := range m {
+		keys := make(map[TupleKey]int, len(r.keys))
+		for k, i := range r.keys {
+			keys[k] = i
+		}
+		c[name] = &modelRel{slices.Clone(r.tuples), slices.Clone(r.dead), keys}
+	}
+	return c
+}
+
+func (m modelInstance) rel(name string) *modelRel {
+	r, ok := m[name]
+	if !ok {
+		r = &modelRel{keys: make(map[TupleKey]int)}
+		m[name] = r
+	}
+	return r
+}
+
+func (m modelInstance) add(name string, t Tuple) bool {
+	r := m.rel(name)
+	k := KeyOf(t)
+	if _, ok := r.keys[k]; ok {
+		return false
+	}
+	r.keys[k] = len(r.tuples)
+	r.tuples = append(r.tuples, t)
+	r.dead = append(r.dead, false)
+	return true
+}
+
+func (r *modelRel) hasDead() bool { return slices.Contains(r.dead, true) }
+
+func (m modelInstance) popLast(name string) Tuple {
+	r := m[name]
+	n := len(r.tuples) - 1
+	t := r.tuples[n]
+	delete(r.keys, KeyOf(t))
+	r.tuples, r.dead = r.tuples[:n], r.dead[:n]
+	return t
+}
+
+// merge rewrites from to to in ascending slot order; a rewrite that
+// collides keeps the copy with the smaller slot and tombstones the
+// other. It returns the changed live slots of each relation.
+func (m modelInstance) merge(from, to Value) map[string][]int {
+	out := make(map[string][]int)
+	for name, r := range m {
+		for i, old := range r.tuples {
+			if r.dead[i] || !slices.Contains(old, from) {
+				continue
+			}
+			neu := old.Clone()
+			for p, v := range neu {
+				if v == from {
+					neu[p] = to
+				}
+			}
+			delete(r.keys, KeyOf(old))
+			k := KeyOf(neu)
+			if j, ok := r.keys[k]; ok {
+				if j < i {
+					r.dead[i] = true
+					continue
+				}
+				r.dead[j] = true
+			}
+			r.tuples[i] = neu
+			r.keys[k] = i
+			out[name] = append(out[name], i)
+		}
+	}
+	return out
+}
+
+// byteReader hands out the fuzz bytes one at a time, then zeros.
+type byteReader struct{ b []byte }
+
+func (br *byteReader) next() int {
+	if len(br.b) == 0 {
+		return 0
+	}
+	x := br.b[0]
+	br.b = br.b[1:]
+	return int(x)
+}
+
+func (br *byteReader) value() Value { return opsPool[br.next()%len(opsPool)] }
+
+// runRelationOps applies the op sequence encoded in ops to a fresh
+// instance and a model and checks the two against each other: after
+// every step when everyStep is set, else at the end and around each
+// clone.
+func runRelationOps(t *testing.T, ops []byte, everyStep bool) {
+	t.Helper()
+	br := &byteReader{b: ops}
+	inst, model := NewInstance(), make(modelInstance)
+	for step := 0; len(br.b) > 0; step++ {
+		if br.next()%8 == 7 {
+			// Clone, write through the clone, and check that the
+			// write left the source alone — spare capacity included,
+			// so a write into an array the two share is caught.
+			c, cm := inst.Clone(), model.clone()
+			before := relationArrays(inst)
+			applyRelationOp(t, br, c, cm)
+			if after := relationArrays(inst); !slices.Equal(before, after) {
+				t.Fatalf("step %d: a write through a clone changed its source's arrays", step)
+			}
+			checkAgainstModel(t, step, inst, model)
+			if br.next()%2 == 0 {
+				inst, model = c, cm
+			}
+		} else {
+			applyRelationOp(t, br, inst, model)
+		}
+		if everyStep || len(br.b) == 0 {
+			checkAgainstModel(t, step, inst, model)
+		}
+	}
+}
+
+// applyRelationOp decodes one write and applies it to inst and model.
+func applyRelationOp(t *testing.T, br *byteReader, inst *Instance, model modelInstance) {
+	t.Helper()
+	spec := opsRels[br.next()%len(opsRels)]
+	name := spec.name
+	switch br.next() % 6 {
+	case 0, 1: // add a tuple, new or not
+		tup := make(Tuple, spec.arity)
+		for i := range tup {
+			tup[i] = br.value()
+		}
+		want := model.add(name, tup.Clone())
+		var got bool
+		if br.next()%2 == 0 {
+			got = inst.AddTuple(name, tup)
+		} else {
+			got = inst.AddOwnedTuple(name, tup)
+		}
+		if got != want {
+			t.Fatalf("add %s%v = %v, model says %v", name, tup, got, want)
+		}
+	case 2: // add a tuple already present
+		m := model[name]
+		if m == nil || len(m.keys) == 0 {
+			return
+		}
+		i := br.next() % len(m.tuples)
+		if m.dead[i] {
+			return
+		}
+		if inst.AddTuple(name, m.tuples[i].Clone()) {
+			t.Fatalf("duplicate add of %s%v reported new", name, m.tuples[i])
+		}
+	case 3: // RemoveLastTuple
+		m := model[name]
+		if m == nil || len(m.tuples) == 0 || m.hasDead() {
+			return
+		}
+		want := model.popLast(name)
+		if got := inst.RemoveLastTuple(name); !slices.Equal(got, want) {
+			t.Fatalf("RemoveLastTuple(%s) = %v, model says %v", name, got, want)
+		}
+	case 4: // MergeValue
+		from, to := br.value(), br.value()
+		if from == to {
+			return
+		}
+		want := model.merge(from, to)
+		got := inst.MergeValue(from, to)
+		if len(got) != len(want) {
+			t.Fatalf("MergeValue(%v, %v) changed %v, model says %v", from, to, got, want)
+		}
+		for rn, idx := range want {
+			if !slices.Equal(got[rn], idx) {
+				t.Fatalf("MergeValue(%v, %v) changed %v, model says %v", from, to, got, want)
+			}
+		}
+	case 5: // Reserve
+		model.rel(name)
+		inst.Reserve(name, spec.arity, br.next()%40)
+	}
+}
+
+// relationArrays flattens every array the instance's relations can
+// reach — each full to its capacity — so a comparison catches writes
+// into spare capacity as well as into the live elements.
+func relationArrays(inst *Instance) []int {
+	var out []int
+	names := make([]string, 0, len(inst.rels))
+	for name := range inst.rels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		r := inst.rels[name].r
+		for _, e := range r.slots[:cap(r.slots)] {
+			out = append(out, int(e))
+		}
+		out = append(out, r.ident[:cap(r.ident)]...)
+		for p, m := range r.posIndex {
+			for _, v := range opsPool {
+				if lst, ok := m[v]; ok {
+					out = append(out, -1-p)
+					out = append(out, lst[:cap(lst)]...)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkAgainstModel checks that inst holds exactly the model's slots,
+// tombstones, membership and posting lists, and that its indexes are
+// coherent.
+func checkAgainstModel(t *testing.T, step int, inst *Instance, model modelInstance) {
+	t.Helper()
+	for _, spec := range opsRels {
+		m := model[spec.name]
+		r := inst.Relation(spec.name)
+		if m == nil {
+			if r != nil {
+				t.Fatalf("step %d: relation %s exists without a model", step, spec.name)
+			}
+			continue
+		}
+		if r.Len() != len(m.tuples) || r.LiveLen() != len(m.keys) {
+			t.Fatalf("step %d: %s has %d slots, %d live; model %d, %d",
+				step, spec.name, r.Len(), r.LiveLen(), len(m.tuples), len(m.keys))
+		}
+		for i, tup := range m.tuples {
+			if r.Live(i) == m.dead[i] {
+				t.Fatalf("step %d: %s slot %d live=%v, model dead=%v", step, spec.name, i, r.Live(i), m.dead[i])
+			}
+			if !m.dead[i] && !slices.Equal(r.TupleAt(i), tup) {
+				t.Fatalf("step %d: %s slot %d = %v, model %v", step, spec.name, i, r.TupleAt(i), tup)
+			}
+		}
+		postings := make([]map[Value][]int, spec.arity)
+		for p := range postings {
+			postings[p] = make(map[Value][]int)
+		}
+		for i, tup := range m.tuples {
+			if !m.dead[i] {
+				for p, v := range tup {
+					postings[p][v] = append(postings[p][v], i)
+				}
+			}
+		}
+		for p, want := range postings {
+			for _, v := range opsPool {
+				if got := r.MatchingAt(p, v); !slices.Equal(got, want[v]) {
+					t.Fatalf("step %d: %s MatchingAt(%d, %v) = %v, model %v", step, spec.name, p, v, got, want[v])
+				}
+			}
+		}
+		// Membership of every tuple over the pool for arities 1 and
+		// 2; for arity 3, of the live tuples and, for each, one
+		// variant per position.
+		probe := func(tup Tuple) {
+			_, want := m.keys[KeyOf(tup)]
+			if got := r.Contains(tup); got != want {
+				t.Fatalf("step %d: %s Contains(%v) = %v, model %v", step, spec.name, tup, got, want)
+			}
+		}
+		switch spec.arity {
+		case 1:
+			for _, a := range opsPool {
+				probe(Tuple{a})
+			}
+		case 2:
+			for _, a := range opsPool {
+				for _, b := range opsPool {
+					probe(Tuple{a, b})
+				}
+			}
+		default:
+			for i, tup := range m.tuples {
+				if m.dead[i] {
+					continue
+				}
+				probe(tup)
+				for p := range tup {
+					variant := tup.Clone()
+					variant[p] = opsPool[(i+p)%len(opsPool)]
+					probe(variant)
+				}
+			}
+		}
+	}
+	checkIndexCoherence(t, inst)
+}
+
+// TestRelationOpsMatchModel runs random op sequences through
+// runRelationOps.
+func TestRelationOpsMatchModel(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 300+rng.Intn(900))
+		rng.Read(ops)
+		runRelationOps(t, ops, true)
+	}
+}
+
+// FuzzRelationOps decodes the fuzz input as an op sequence for
+// runRelationOps. Inputs are cut at 192 bytes and checked at the end
+// rather than after every step, which keeps an execution fast enough
+// for the fuzzer's quadratic input minimization;
+// TestRelationOpsMatchModel covers the long sequences.
+func FuzzRelationOps(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 16, 64, 192} {
+		ops := make([]byte, n)
+		rng.Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 192 {
+			ops = ops[:192]
+		}
+		runRelationOps(t, ops, false)
+	})
+}

@@ -2,6 +2,10 @@ package rel
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -9,18 +13,37 @@ import (
 
 // Relation is the extension of one relation symbol inside an instance:
 // a set of tuples with a fixed arity, plus indexes that accelerate
-// trigger and homomorphism search.
+// trigger and homomorphism search. The dedup table and ident are
+// pointer-free arrays, which the GC does not scan, and indexing a tuple
+// allocates no per-tuple object.
 type Relation struct {
 	name   string
 	arity  int
 	tuples []Tuple
-	seen   map[TupleKey]int // canonical tuple key -> index into tuples
 
-	// posIndex[i] maps a value to the indexes of tuples carrying that
-	// value at position i. Maintained incrementally by add; rebuilt by
-	// replaceValue. Lists hold live indexes only: mergeValue removes
-	// tombstoned tuples from every list they belong to.
+	// slots is the dedup table: open addressing with linear probing
+	// over tuple indexes, each stored as index+1 so that 0 marks an
+	// empty slot. Its length is a power of two and at least twice the
+	// number of entries, one per live tuple. A tuple is hashed by
+	// hashTuple and compared against r.tuples[slot], so the table
+	// stores no key; deletion shifts the rest of the probe cluster
+	// back instead of leaving tombstones. Nothing reads the table in
+	// slot order except clone, which copies it whole.
+	slots []int32
+
+	// posIndex[i] maps a value to the ascending indexes of the live
+	// tuples carrying that value at position i. A value carried by one
+	// tuple gets no list of its own: its entry is the cap-1 window
+	// ident[idx:idx+1:idx+1], and any append to it copies first.
+	// Lists hold live indexes only: mergeValue removes tombstoned
+	// tuples from every list they belong to.
 	posIndex []map[Value][]int
+
+	// ident holds ident[i] == i for every i < len(ident), and
+	// len(ident) >= len(tuples). Singleton lists are windows into it.
+	// It only ever grows by appending, and clone hands the copy a
+	// cap-limited window, so no array is written after it is shared.
+	ident []int
 
 	// dead marks tuple slots tombstoned by mergeValue: a merge that
 	// makes two tuples collide keeps the earlier copy and tombstones
@@ -32,11 +55,34 @@ type Relation struct {
 	nDead int
 }
 
+// hashSeed seeds hashTuple. The dedup table is never read in slot
+// order where it could reach output, so a per-process seed changes no
+// result.
+var hashSeed = maphash.MakeSeed()
+
+// hashTuple hashes the value sequence of t.
+func hashTuple(t Tuple) uint64 {
+	h := uint64(len(t))
+	for _, v := range t {
+		h = bits.RotateLeft64(h, 23)*0x9e3779b97f4a7c15 ^ maphash.Comparable(hashSeed, v)
+	}
+	return h
+}
+
+// tableSize returns the dedup table length for n entries: the least
+// power of two that keeps the load at or below one half.
+func tableSize(n int) int {
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	return size
+}
+
 func newRelation(name string, arity int) *Relation {
 	r := &Relation{
 		name:     name,
 		arity:    arity,
-		seen:     make(map[TupleKey]int),
 		posIndex: make([]map[Value][]int, arity),
 	}
 	for i := range r.posIndex {
@@ -70,8 +116,7 @@ func (r *Relation) Tuples() []Tuple { return r.tuples }
 
 // Contains reports whether the tuple is present.
 func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.seen[KeyOf(t)]
-	return ok
+	return r.find(t, hashTuple(t)) >= 0
 }
 
 // MatchingAt returns the indexes of tuples whose i-th position holds v.
@@ -83,11 +128,100 @@ func (r *Relation) MatchingAt(i int, v Value) []int {
 // TupleAt returns the tuple at the given index.
 func (r *Relation) TupleAt(i int) Tuple { return r.tuples[i] }
 
+// find returns the index of the live tuple equal to t, whose hash is
+// h, or -1 when the relation does not hold t.
+func (r *Relation) find(t Tuple, h uint64) int {
+	if len(r.slots) == 0 {
+		return -1
+	}
+	mask := len(r.slots) - 1
+	for s := int(h) & mask; ; s = (s + 1) & mask {
+		e := r.slots[s]
+		if e == 0 {
+			return -1
+		}
+		if slices.Equal(r.tuples[e-1], t) {
+			return int(e - 1)
+		}
+	}
+}
+
+// place enters tuple index idx, whose tuple hashes to h and is absent
+// from the table, into a table with room for it.
+func (r *Relation) place(idx int, h uint64) {
+	mask := len(r.slots) - 1
+	s := int(h) & mask
+	for r.slots[s] != 0 {
+		s = (s + 1) & mask
+	}
+	r.slots[s] = int32(idx + 1)
+}
+
+// unindex removes tuple index idx from the dedup table. r.tuples[idx]
+// must still hold the content idx was entered under. The entries after
+// it in its probe cluster shift back, each into the first free slot
+// its own probe sequence reaches, so lookups never need tombstones.
+func (r *Relation) unindex(idx int) {
+	mask := len(r.slots) - 1
+	s := int(hashTuple(r.tuples[idx])) & mask
+	for int(r.slots[s]) != idx+1 {
+		if r.slots[s] == 0 {
+			panic("rel: dedup table corrupted during removal")
+		}
+		s = (s + 1) & mask
+	}
+	for j := (s + 1) & mask; r.slots[j] != 0; j = (j + 1) & mask {
+		home := int(hashTuple(r.tuples[r.slots[j]-1])) & mask
+		// The entry at j may move to the hole at s unless its home
+		// lies cyclically in (s, j].
+		if (s < j && (home <= s || home > j)) || (s > j && home <= s && home > j) {
+			r.slots[s] = r.slots[j]
+			s = j
+		}
+	}
+	r.slots[s] = 0
+}
+
+// reserveSlots grows the dedup table to hold n entries, re-entering
+// every live tuple when it grows.
+func (r *Relation) reserveSlots(n int) {
+	if 2*n <= len(r.slots) {
+		return
+	}
+	r.slots = make([]int32, tableSize(n))
+	for i, t := range r.tuples {
+		if r.Live(i) {
+			r.place(i, hashTuple(t))
+		}
+	}
+}
+
+// singleton returns the posting list holding just idx, a cap-1 window
+// into ident.
+func (r *Relation) singleton(idx int) []int {
+	return r.ident[idx : idx+1 : idx+1]
+}
+
+// setPosting stores lst as the posting list of v at position pos: an
+// empty list drops the entry, and a one-element list becomes a
+// singleton window so that every one-element list has cap 1.
+func (r *Relation) setPosting(pos int, v Value, lst []int) {
+	switch len(lst) {
+	case 0:
+		delete(r.posIndex[pos], v)
+	case 1:
+		r.posIndex[pos][v] = r.singleton(lst[0])
+	default:
+		r.posIndex[pos][v] = lst
+	}
+}
+
 // popLast removes the most recently added tuple and returns it. It
 // panics when the relation is empty. Because tuple indexes grow
 // monotonically and position-index lists are append-only, the popped
 // tuple's index sits at the end of every list it belongs to, making the
-// removal O(arity).
+// removal O(arity). ident keeps its length, so pushing a tuple again
+// reuses its entry.
 func (r *Relation) popLast() Tuple {
 	n := len(r.tuples)
 	if n == 0 {
@@ -99,49 +233,48 @@ func (r *Relation) popLast() Tuple {
 		panic("rel: popLast on relation with tombstoned tuples")
 	}
 	t := r.tuples[n-1]
+	r.unindex(n - 1)
 	r.tuples = r.tuples[:n-1]
-	delete(r.seen, KeyOf(t))
 	for i, v := range t {
 		lst := r.posIndex[i][v]
 		if len(lst) == 0 || lst[len(lst)-1] != n-1 {
 			panic("rel: position index corrupted during popLast")
 		}
-		if len(lst) == 1 {
-			delete(r.posIndex[i], v)
-		} else {
-			r.posIndex[i][v] = lst[:len(lst)-1]
-		}
+		r.setPosting(i, v, lst[:len(lst)-1])
 	}
 	return t
 }
 
 // clone returns a structural copy of the relation, made when an
 // instance first writes a relation it shares (see Instance.own). The
-// containers — the tuple slice, the seen map, the position-index maps
-// and their index lists — are copied, so either copy can add, pop or
-// merge tuples without disturbing the other; the stored Tuple arrays
-// are shared, which is safe because tuples are never mutated in place
-// once added (mergeValue replaces a rewritten tuple, popLast only drops
-// the last entry).
+// tuple slice, the dedup table, the position-index maps and their
+// multi-element lists are copied, so either copy can add, pop or
+// merge tuples without disturbing the other. Singleton lists and ident
+// are shared: ident goes over cap-limited and no code writes a cap-1
+// list in place, so neither copy ever writes a shared array. The
+// stored Tuple arrays are shared too, which is safe because tuples are
+// never mutated in place once added (mergeValue replaces a rewritten
+// tuple, popLast only drops the last entry).
 func (r *Relation) clone() *Relation {
 	c := &Relation{
 		name:     r.name,
 		arity:    r.arity,
 		tuples:   append(make([]Tuple, 0, len(r.tuples)), r.tuples...),
-		seen:     make(map[TupleKey]int, len(r.seen)),
+		slots:    slices.Clone(r.slots),
 		posIndex: make([]map[Value][]int, len(r.posIndex)),
+		ident:    r.ident[:len(r.ident):len(r.ident)],
 		nDead:    r.nDead,
 	}
 	if r.dead != nil {
 		c.dead = append(make([]bool, 0, len(r.dead)), r.dead...)
 	}
-	for k, v := range r.seen {
-		c.seen[k] = v
-	}
 	for i, idx := range r.posIndex {
 		m := make(map[Value][]int, len(idx))
 		for v, lst := range idx {
-			m[v] = append(make([]int, 0, len(lst)), lst...)
+			if cap(lst) > 1 {
+				lst = append(make([]int, 0, len(lst)), lst...)
+			}
+			m[v] = lst
 		}
 		c.posIndex[i] = m
 	}
@@ -151,20 +284,32 @@ func (r *Relation) clone() *Relation {
 // addOwned inserts t unless it is already present, storing t itself:
 // the caller hands over ownership and must never mutate t afterwards.
 func (r *Relation) addOwned(t Tuple) bool {
-	k := KeyOf(t)
-	if _, ok := r.seen[k]; ok {
+	h := hashTuple(t)
+	if r.find(t, h) >= 0 {
 		return false
 	}
-	r.insert(k, t)
+	r.insert(t, h)
 	return true
 }
 
-func (r *Relation) insert(k TupleKey, t Tuple) {
+// insert appends t, which hashes to h and is absent, and indexes it.
+func (r *Relation) insert(t Tuple, h uint64) {
 	idx := len(r.tuples)
+	if idx >= math.MaxInt32 {
+		panic("rel: relation " + r.name + " exceeds the dedup table's index range")
+	}
+	r.reserveSlots(r.LiveLen() + 1)
 	r.tuples = append(r.tuples, t)
-	r.seen[k] = idx
+	r.place(idx, h)
+	if len(r.ident) == idx {
+		r.ident = append(r.ident, idx)
+	}
 	for i, v := range t {
-		r.posIndex[i][v] = append(r.posIndex[i][v], idx)
+		if lst, ok := r.posIndex[i][v]; ok {
+			r.posIndex[i][v] = append(lst, idx)
+		} else {
+			r.posIndex[i][v] = r.singleton(idx)
+		}
 	}
 }
 
@@ -178,17 +323,17 @@ func (r *Relation) removeFromIndex(pos int, v Value, idx int) {
 	if at >= len(lst) || lst[at] != idx {
 		panic("rel: position index corrupted during merge")
 	}
-	if len(lst) == 1 {
-		delete(r.posIndex[pos], v)
-		return
-	}
-	r.posIndex[pos][v] = append(lst[:at], lst[at+1:]...)
+	r.setPosting(pos, v, append(lst[:at], lst[at+1:]...))
 }
 
 // insertIntoIndex adds idx to the position-index list of v at position
 // pos, keeping the list sorted.
 func (r *Relation) insertIntoIndex(pos int, v Value, idx int) {
-	lst := r.posIndex[pos][v]
+	lst, ok := r.posIndex[pos][v]
+	if !ok {
+		r.posIndex[pos][v] = r.singleton(idx)
+		return
+	}
 	at := sort.SearchInts(lst, idx)
 	lst = append(lst, 0)
 	copy(lst[at+1:], lst[at:])
@@ -196,13 +341,12 @@ func (r *Relation) insertIntoIndex(pos int, v Value, idx int) {
 	r.posIndex[pos][v] = lst
 }
 
-// tombstone marks the tuple slot at idx dead: its canonical key and
-// position-index entries are removed so lookups never see it, but the
-// slot itself stays so later tuples keep their indexes.
+// tombstone marks the tuple slot at idx dead, removing its
+// position-index entries so lookups never see it; the slot itself
+// stays so later tuples keep their indexes. The caller has already
+// removed idx from the dedup table.
 func (r *Relation) tombstone(idx int) {
-	t := r.tuples[idx]
-	delete(r.seen, KeyOf(t))
-	for i, v := range t {
+	for i, v := range r.tuples[idx] {
 		r.removeFromIndex(i, v, idx)
 	}
 	if len(r.dead) < len(r.tuples) {
@@ -254,21 +398,20 @@ func (r *Relation) mergeValue(from, to Value) []int {
 				neu[i] = to
 			}
 		}
-		delete(r.seen, KeyOf(old))
-		k := KeyOf(neu)
-		if j, ok := r.seen[k]; ok {
+		r.unindex(idx) // while r.tuples[idx] still holds old
+		h := hashTuple(neu)
+		if j := r.find(neu, h); j >= 0 {
 			if j < idx {
 				// The earlier copy survives unchanged; idx dies.
 				r.tombstone(idx)
 				continue
 			}
 			// idx survives the collision; the later copy dies.
-			// (j's key is k; tombstone removes it before rewrite
-			// re-binds k to idx.)
+			r.unindex(j)
 			r.tombstone(j)
 		}
 		r.tuples[idx] = neu
-		r.seen[k] = idx
+		r.place(idx, h)
 		for i, v := range old {
 			if v == from {
 				r.removeFromIndex(i, v, idx)
@@ -401,22 +544,24 @@ func (inst *Instance) add(relName string, t Tuple, op string, copyTuple bool) bo
 	if s.r.arity != len(t) {
 		panic(fmt.Sprintf("rel: arity mismatch adding %s/%d to relation of arity %d", relName, len(t), s.r.arity))
 	}
-	k := KeyOf(t)
-	if _, dup := s.r.seen[k]; dup {
+	h := hashTuple(t)
+	if s.r.find(t, h) >= 0 {
 		return false
 	}
 	if copyTuple {
 		t = t.Clone()
 	}
-	inst.own(relName, s).insert(k, t)
+	inst.own(relName, s).insert(t, h)
 	return true
 }
 
-// Reserve pre-sizes the relation for n tuples of the given arity,
-// creating it if absent: the tuple slice, the dedup map, and the
-// position-index maps are allocated once instead of growing
-// incrementally. Loaders that know tuple counts up front (the snapshot
-// decoder) call it before inserting.
+// Reserve pre-sizes the relation for n more tuples of the given
+// arity, creating it if absent: the tuple slice, the dedup table and
+// ident are grown once instead of incrementally, on both paths. The
+// position-index maps are pre-sized only for a new relation; an
+// existing relation's maps grow as tuples arrive. Loaders that know
+// tuple counts up front (the snapshot decoder) call it before
+// inserting.
 func (inst *Instance) Reserve(relName string, arity, n int) {
 	inst.mutable("Reserve")
 	s, ok := inst.rels[relName]
@@ -425,7 +570,8 @@ func (inst *Instance) Reserve(relName string, arity, n int) {
 			name:     relName,
 			arity:    arity,
 			tuples:   make([]Tuple, 0, n),
-			seen:     make(map[TupleKey]int, n),
+			slots:    make([]int32, tableSize(n)),
+			ident:    make([]int, 0, n),
 			posIndex: make([]map[Value][]int, arity),
 		}
 		for i := range r.posIndex {
@@ -438,10 +584,10 @@ func (inst *Instance) Reserve(relName string, arity, n int) {
 		panic(fmt.Sprintf("rel: arity mismatch reserving %s/%d in relation of arity %d", relName, arity, s.r.arity))
 	}
 	r := inst.own(relName, s)
-	if free := cap(r.tuples) - len(r.tuples); free < n {
-		grown := make([]Tuple, len(r.tuples), len(r.tuples)+n)
-		copy(grown, r.tuples)
-		r.tuples = grown
+	r.tuples = slices.Grow(r.tuples, n)
+	r.reserveSlots(r.LiveLen() + n)
+	if want := len(r.tuples) + n; cap(r.ident) < want {
+		r.ident = slices.Grow(r.ident, want-len(r.ident))
 	}
 }
 

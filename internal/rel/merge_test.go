@@ -135,12 +135,15 @@ func TestMergeValueMatchesReplaceValue(t *testing.T) {
 	}
 }
 
-// checkIndexCoherence verifies that seen and posIndex agree exactly
-// with the live tuples.
+// checkIndexCoherence verifies that the dedup table and posIndex agree
+// exactly with the live tuples: every live tuple is found at its own
+// index, the table holds one entry per live tuple at a load of at most
+// one half, ident[i] == i, and every one-element posting list has cap
+// 1 so that no append can write into ident.
 func checkIndexCoherence(t *testing.T, inst *Instance) {
 	t.Helper()
-	for _, name := range inst.RelationNames() {
-		r := inst.Relation(name)
+	for name, s := range inst.rels {
+		r := s.r
 		live := 0
 		for i := 0; i < r.Len(); i++ {
 			if !r.Live(i) {
@@ -148,8 +151,8 @@ func checkIndexCoherence(t *testing.T, inst *Instance) {
 			}
 			live++
 			tup := r.TupleAt(i)
-			if got, ok := r.seen[KeyOf(tup)]; !ok || got != i {
-				t.Fatalf("%s: seen[%v] = %d,%v, want %d", name, tup, got, ok, i)
+			if got := r.find(tup, hashTuple(tup)); got != i {
+				t.Fatalf("%s: dedup table finds %v at %d, want %d", name, tup, got, i)
 			}
 			for p, v := range tup {
 				lst := r.MatchingAt(p, v)
@@ -162,8 +165,25 @@ func checkIndexCoherence(t *testing.T, inst *Instance) {
 		if live != r.LiveLen() {
 			t.Fatalf("%s: LiveLen=%d but %d live slots", name, r.LiveLen(), live)
 		}
-		if len(r.seen) != live {
-			t.Fatalf("%s: seen has %d keys for %d live tuples", name, len(r.seen), live)
+		entries := 0
+		for _, e := range r.slots {
+			if e != 0 {
+				entries++
+			}
+		}
+		if entries != live {
+			t.Fatalf("%s: dedup table has %d entries for %d live tuples", name, entries, live)
+		}
+		if n := len(r.slots); n&(n-1) != 0 || 2*entries > n {
+			t.Fatalf("%s: dedup table of %d slots holds %d entries", name, n, entries)
+		}
+		if len(r.ident) < r.Len() {
+			t.Fatalf("%s: ident has %d entries for %d tuple slots", name, len(r.ident), r.Len())
+		}
+		for i, x := range r.ident {
+			if x != i {
+				t.Fatalf("%s: ident[%d] = %d", name, i, x)
+			}
 		}
 		for p := 0; p < r.Arity(); p++ {
 			total := 0
@@ -171,8 +191,14 @@ func checkIndexCoherence(t *testing.T, inst *Instance) {
 				if len(lst) == 0 {
 					t.Fatalf("%s: empty index list kept for %v at %d", name, v, p)
 				}
+				if len(lst) == 1 && cap(lst) != 1 {
+					t.Fatalf("%s: singleton list for %v at %d has cap %d", name, v, p, cap(lst))
+				}
 				total += len(lst)
-				for _, idx := range lst {
+				for k, idx := range lst {
+					if k > 0 && lst[k-1] >= idx {
+						t.Fatalf("%s: posIndex[%d][%v] not ascending: %v", name, p, v, lst)
+					}
 					if !r.Live(idx) {
 						t.Fatalf("%s: dead index %d in posIndex[%d][%v]", name, idx, p, v)
 					}

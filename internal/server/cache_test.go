@@ -633,7 +633,7 @@ func TestRelationBytesAllocatesNothing(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { relationBytes(r) }); avg != 0 {
 		t.Fatalf("relationBytes allocates %.1f per run, want 0", avg)
 	}
-	if got, want := relationBytes(r), int64(100*(48+len("Rec")+2*16)); got != want {
+	if got, want := relationBytes(r), int64(100*(80+len("Rec")+2*16)); got != want {
 		t.Fatalf("relationBytes = %d, want %d", got, want)
 	}
 }
