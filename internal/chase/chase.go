@@ -230,6 +230,9 @@ type state struct {
 	// di's body relation names, for every dependency kind.
 	egdMarks []mark
 	brels    [][]string
+	// exist[di] caches the existential variables of tgd di, which every
+	// step of di draws values for.
+	exist [][]string
 }
 
 // result packages the run's current outcome. Tombstoned slots left by
@@ -277,6 +280,7 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 		st.egdMarks = make([]mark, len(deps))
 	}
 	st.brels = make([][]string, len(deps))
+	st.exist = make([][]string, len(deps))
 	// Precompute per-dependency state up front so parallel speculation
 	// never lazily initializes shared maps mid-flight.
 	for di, d := range deps {
@@ -284,6 +288,7 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 		switch d := d.(type) {
 		case dep.TGD:
 			body = d.Body
+			st.exist[di] = d.ExistentialVars()
 		case dep.EGD:
 			body = d.Body
 		}
@@ -369,7 +374,7 @@ func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed
 				triggers = st.collectTriggers(di, d, st.marks[di])
 				st.marks[di] = mark{counts: hom.Delta(st.inst.TupleCounts()), logPos: len(st.changedLog)}
 			}
-			p, e := st.fireTriggers(d, triggers, witness)
+			p, e := st.fireTriggers(di, d, triggers, witness)
 			if e != nil {
 				return false, false, "", e
 			}
@@ -501,7 +506,7 @@ func (st *state) collectTriggers(di int, d dep.TGD, m mark) []hom.Binding {
 // applicable, serially and in collection order. Triggers were collected
 // up front so the enumeration never observes its own insertions; new
 // triggers created by the fired steps are picked up by the next round.
-func (st *state) fireTriggers(d dep.TGD, triggers []hom.Binding, witness *rel.Instance) (bool, error) {
+func (st *state) fireTriggers(di int, d dep.TGD, triggers []hom.Binding, witness *rel.Instance) (bool, error) {
 	progressed := false
 	for _, b := range triggers {
 		if hom.Exists(d.Head, st.inst, b, st.opts.Config) {
@@ -509,7 +514,7 @@ func (st *state) fireTriggers(d dep.TGD, triggers []hom.Binding, witness *rel.In
 			// satisfied this trigger.
 			continue
 		}
-		if err := st.fire(d, b, witness); err != nil {
+		if err := st.fire(di, d, b, witness); err != nil {
 			return progressed, err
 		}
 		progressed = true
@@ -517,8 +522,8 @@ func (st *state) fireTriggers(d dep.TGD, triggers []hom.Binding, witness *rel.In
 	return progressed, nil
 }
 
-// fire applies one tgd step for the trigger b.
-func (st *state) fire(d dep.TGD, b hom.Binding, witness *rel.Instance) error {
+// fire applies one step of tgd d, dependency di, for the trigger b.
+func (st *state) fire(di int, d dep.TGD, b hom.Binding, witness *rel.Instance) error {
 	if err := st.ctxErr(); err != nil {
 		return err
 	}
@@ -530,7 +535,7 @@ func (st *state) fire(d dep.TGD, b hom.Binding, witness *rel.Instance) error {
 	// satisfaction before this call), so the existential extension can
 	// write into b directly instead of cloning.
 	ext := b
-	if exist := d.ExistentialVars(); len(exist) > 0 {
+	if exist := st.exist[di]; len(exist) > 0 {
 		if witness == nil {
 			for _, v := range exist {
 				ext[v] = st.nulls.Fresh()

@@ -2,11 +2,12 @@ package core
 
 // Resuming cached chase state after an instance append. Both helpers
 // wrap chase.Resume phase by phase: the Σst chase continues with the
-// appended facts as its delta, and the downstream phase (Σts or Σt) is
-// handed the re-restricted canonical target wholesale — AddTuple
-// dedups, so only the genuinely new facts land past the seeded
-// watermark. Null labels continue from the stored NullState, so a
-// resumed artifact never collides with the labels it already contains.
+// appended facts as its delta, and the downstream phase (Σts or Σt)
+// continues with the facts of the new canonical target its previous
+// start lacks (newFacts) — Σst is pure tgds, so the old J_can is a
+// prefix of the new one and those are exactly the facts Σst added.
+// Null labels continue from the stored NullState, so a resumed
+// artifact never collides with the labels it already contains.
 // The returned bool reports whether every phase took the incremental
 // path; a false still returns a correct artifact (the fallback phases
 // re-chased from their true starts), and the returned reason string —
@@ -45,10 +46,7 @@ func ResumeCanonicalTractable(s *Setting, trace *TractableTrace, appended *rel.I
 	}
 	jcan := res1.Instance.Restrict(s.Target)
 
-	// Phase 2's "appended" facts are the whole new J_can: its start was
-	// the old J_can, a subset, and the dedup on insert makes exactly the
-	// new target facts the delta.
-	res2, r2, err := chase.Resume(trace.TSResult, s.TsDeps(), jcan, copts)
+	res2, r2, err := chase.Resume(trace.TSResult, s.TsDeps(), newFacts(jcan, trace.TSResult), copts)
 	if err != nil {
 		return nil, false, chase.FallbackNone, fmt.Errorf("core: resuming Σts: %w", err)
 	}
@@ -104,7 +102,7 @@ func ResumeCanonicalTarget(s *Setting, ct *CanonicalTarget, appended *rel.Instan
 	resumed := r1
 
 	if len(s.T) > 0 {
-		tres, r2, err := chase.Resume(ct.TResult, s.T, jcan, copts)
+		tres, r2, err := chase.Resume(ct.TResult, s.T, newFacts(jcan, ct.TResult), copts)
 		if err != nil {
 			return nil, false, chase.FallbackNone, fmt.Errorf("core: resuming Σt: %w", err)
 		}
@@ -125,4 +123,29 @@ func ResumeCanonicalTarget(s *Setting, ct *CanonicalTarget, appended *rel.Instan
 	next.JCan = jcan
 	next.NullState = ns.State()
 	return next, resumed, reason, nil
+}
+
+// newFacts returns the facts of jcan that the previous run's start
+// lacks: the delta a downstream phase resumes from. chase.Resume would
+// discard the rest anyway — it unites its start with the appended
+// facts, and every fact of the previous start is already in the
+// previous fixpoint (up to the retained merges) — so the resumed start
+// and fixpoint are the same as for the whole of jcan, minus the work of
+// re-adding the old facts. The returned instance shares jcan's tuples,
+// which are immutable once stored. Without a previous start it returns
+// jcan itself, for chase.Resume to reject.
+func newFacts(jcan *rel.Instance, prev *chase.Result) *rel.Instance {
+	if prev == nil || prev.Start == nil {
+		return jcan
+	}
+	delta := rel.NewInstance()
+	for _, name := range jcan.RelationNames() {
+		r, old := jcan.Relation(name), prev.Start.Relation(name)
+		for i, t := range r.Tuples() {
+			if r.Live(i) && (old == nil || !old.Contains(t)) {
+				delta.AddOwnedTuple(name, t)
+			}
+		}
+	}
+	return delta
 }

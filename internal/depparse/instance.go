@@ -1,8 +1,9 @@
 package depparse
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -117,34 +118,71 @@ func nullLabel(text string) (int, bool) {
 }
 
 // FormatInstance renders an instance in the ParseInstance format, one
-// fact per line in deterministic order.
+// fact per line in deterministic order: the lines sorted bytewise.
+// Every line is rendered into one buffer and the sort permutes line
+// offsets, so the instance costs one buffer and one output string
+// rather than a string per fact.
 func FormatInstance(inst *rel.Instance) string {
-	facts := inst.Facts()
-	lines := make([]string, 0, len(facts))
-	for _, f := range facts {
-		var b strings.Builder
-		b.WriteString(f.Rel)
-		b.WriteByte('(')
-		for i, v := range f.Args {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			if v.IsNull() {
-				fmt.Fprintf(&b, "_%d", v.NullID())
-			} else {
-				b.WriteString(formatConst(v.ConstText()))
-			}
-		}
-		b.WriteString(").")
-		lines = append(lines, b.String())
+	n := inst.NumFacts()
+	if n == 0 {
+		return "" // allocation-free: every request with an empty side formats one
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
+	var buf []byte
+	// starts[k] is the offset of line k in buf; the final entry is
+	// len(buf), so line k is buf[starts[k]:starts[k+1]].
+	starts := make([]int, 0, n+1)
+	for _, name := range inst.RelationNames() {
+		r := inst.Relation(name)
+		for i, t := range r.Tuples() {
+			if !r.Live(i) {
+				continue
+			}
+			starts = append(starts, len(buf))
+			buf = appendFact(buf, name, t)
+		}
+	}
+	starts = append(starts, len(buf))
+	line := func(k int) []byte { return buf[starts[k]:starts[k+1]] }
+	order := make([]int, n)
+	for k := range order {
+		order[k] = k
+	}
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(line(a), line(b)) })
+	var out strings.Builder
+	out.Grow(len(buf) + n - 1)
+	for i, k := range order {
+		if i > 0 {
+			out.WriteByte('\n')
+		}
+		out.Write(line(k))
+	}
+	return out.String()
 }
 
-func formatConst(s string) string {
+// appendFact appends the line of the fact name(t), without newline.
+func appendFact(buf []byte, name string, t rel.Tuple) []byte {
+	buf = append(buf, name...)
+	buf = append(buf, '(')
+	for i, v := range t {
+		if i > 0 {
+			buf = append(buf, ", "...)
+		}
+		if v.IsNull() {
+			buf = append(buf, '_')
+			buf = strconv.AppendInt(buf, int64(v.NullID()), 10)
+		} else {
+			buf = appendConst(buf, v.ConstText())
+		}
+	}
+	return append(buf, ")."...)
+}
+
+// appendConst appends constant s as an instance-file value: bare when
+// it lexes back as the same constant (an identifier other than a null
+// label or the exists keyword, or a digit-led word), quoted otherwise.
+func appendConst(buf []byte, s string) []byte {
 	if s == "" {
-		return "''"
+		return append(buf, "''"...)
 	}
 	plain := true
 	for i := 0; i < len(s); i++ {
@@ -155,13 +193,15 @@ func formatConst(s string) string {
 	}
 	if plain && isIdentStart(s[0]) {
 		if _, isNull := nullLabel(s); !isNull && s != "exists" {
-			return s
+			return append(buf, s...)
 		}
 	}
 	if plain && s[0] >= '0' && s[0] <= '9' {
-		return s
+		return append(buf, s...)
 	}
-	return "'" + s + "'"
+	buf = append(buf, '\'')
+	buf = append(buf, s...)
+	return append(buf, '\'')
 }
 
 // ParseQueries parses a query file: one conjunctive query per line in

@@ -23,7 +23,7 @@ import (
 
 func TestChaseCacheSingleFlight(t *testing.T) {
 	cc := newChaseCache(0, 16, newMetrics())
-	meta := entryMeta{key: "k", settingID: "s", srcID: "i", tgtID: "j", kind: kindTractable}
+	meta := entryMeta{key: "k", settingID: "s", kind: kindTractable, src: &StoredInstance{ID: "i"}, tgt: &StoredInstance{ID: "j"}}
 	var computes atomic.Int32
 	var hits atomic.Int32
 	var wg sync.WaitGroup

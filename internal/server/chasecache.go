@@ -34,15 +34,11 @@ func cacheKey(settingID, srcID, tgtID string, kind cacheKind) string {
 type entryMeta struct {
 	key       string
 	settingID string
-	srcID     string
-	tgtID     string
 	kind      cacheKind
-	// srcInst and tgtInst are the resolved instances behind srcID/tgtID,
-	// retained so the snapshot store can serialize the entry with the
-	// canonical texts a warm start validates against. Both are immutable
-	// once the entry is done.
-	srcInst *pde.Instance
-	tgtInst *pde.Instance
+	// src and tgt are the resolved source and target instances the key
+	// was built from. Their canonical texts are what the snapshot store
+	// saves and a warm start validates against. Both are immutable.
+	src, tgt *StoredInstance
 }
 
 // cacheEntry is one cached chased artifact. value is a

@@ -161,7 +161,7 @@ func (s *Server) clusterRebalance() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for _, e := range s.cache.entries() {
-		owner := s.cluster.ring.Owner(cluster.Key(e.settingID, e.srcID, e.tgtID))
+		owner := s.cluster.ring.Owner(cluster.Key(e.settingID, e.src.ID, e.tgt.ID))
 		if owner == s.cluster.ring.Self() {
 			continue
 		}
@@ -257,12 +257,12 @@ func forward[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Request, r
 		s.met.clusterProxyInlined.Add(1)
 		for _, side := range [...]struct {
 			id   string
-			inst *pde.Instance
-		}{{*f.sourceID, p.i}, {*f.targetID, p.j}} {
+			inst *StoredInstance
+		}{{*f.sourceID, p.src}, {*f.targetID, p.tgt}} {
 			if side.id == "" {
 				continue
 			}
-			if _, err := cl.RegisterInstance(ctx, pde.FormatInstance(side.inst)); err != nil {
+			if _, err := cl.RegisterInstance(ctx, side.inst.Text); err != nil {
 				return err
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 
 	"repro/pde"
 )
@@ -81,6 +82,8 @@ func (r *InstanceRegistry) Register(src string) (*StoredInstance, bool, error) {
 // of base. It returns the stored child (which is base itself when the
 // batch adds nothing), the delta instance holding exactly the
 // genuinely new facts, and whether a new registry entry was created.
+// The child's canonical text is base's text with the delta's lines
+// merged in, so an append formats and sorts only the batch.
 func (r *InstanceRegistry) Append(base *StoredInstance, batch *pde.Instance) (*StoredInstance, *pde.Instance, bool) {
 	delta := pde.NewInstance()
 	union := base.Inst.Clone()
@@ -93,7 +96,58 @@ func (r *InstanceRegistry) Append(base *StoredInstance, batch *pde.Instance) (*S
 		return base, delta, false
 	}
 	delta.Freeze()
-	child := freezeInstance(union, base.ID)
+	union.Freeze()
+	text := mergeLines(base.Text, pde.FormatInstance(delta))
+	child := &StoredInstance{
+		ID:     instanceID(text),
+		Text:   text,
+		Inst:   union,
+		Facts:  base.Facts + delta.NumFacts(),
+		Parent: base.ID,
+	}
 	child, created := r.add(child.ID, child)
 	return child, delta, created
+}
+
+// mergeLines merges two canonical texts — sorted lines joined by
+// newlines, "" for no lines — into the canonical text of the union of
+// their lines, in one linear pass. Merging sorted line lists is sorting
+// their concatenation, so when a and b format two disjoint instances
+// the result is exactly FormatInstance of their union. This relies on
+// no line containing a newline, which holds for every registered
+// instance: ParseInstance reads one line at a time, so no constant it
+// produces contains one.
+func mergeLines(a, b string) string {
+	if a == "" {
+		return b
+	}
+	if b == "" {
+		return a
+	}
+	var out strings.Builder
+	out.Grow(len(a) + 1 + len(b))
+	// la and lb are the first lines of the unmerged rests a and b.
+	la, ra, moreA := strings.Cut(a, "\n")
+	lb, rb, moreB := strings.Cut(b, "\n")
+	for {
+		if la <= lb {
+			out.WriteString(la)
+			out.WriteByte('\n')
+			if !moreA {
+				out.WriteString(b)
+				return out.String()
+			}
+			a = ra
+			la, ra, moreA = strings.Cut(a, "\n")
+		} else {
+			out.WriteString(lb)
+			out.WriteByte('\n')
+			if !moreB {
+				out.WriteString(a)
+				return out.String()
+			}
+			b = rb
+			lb, rb, moreB = strings.Cut(b, "\n")
+		}
+	}
 }

@@ -314,13 +314,13 @@ func solveError(err error) (int, string) {
 // text XOR a registered instance ID. Inline instances are canonicalized
 // and hashed so they share the chase cache with registered ones, and
 // frozen like them: a cache entry keeps the request's instances, which
-// the snapshot writer reads while the request still clones them. An
-// empty side is the empty instance.
-func (s *Server) resolveInstance(w http.ResponseWriter, side, inline, byID string) (*pde.Instance, string, bool) {
+// concurrent requests on the same entry clone, and the canonical text
+// the snapshot writer saves. An empty side is the empty instance.
+func (s *Server) resolveInstance(w http.ResponseWriter, side, inline, byID string) (*StoredInstance, bool) {
 	switch {
 	case inline != "" && byID != "":
 		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "set either %s or %s_id, not both", side, side)
-		return nil, "", false
+		return nil, false
 	case byID != "":
 		si := s.inst.Get(byID)
 		if si == nil {
@@ -328,17 +328,16 @@ func (s *Server) resolveInstance(w http.ResponseWriter, side, inline, byID strin
 			// shard tells it from a missing setting by that
 			// (missingInstance) and registers the instance here.
 			writeErr(w, http.StatusNotFound, client.CodeNotFound, "instance %q is not registered", byID)
-			return nil, "", false
+			return nil, false
 		}
-		return si.Inst, si.ID, true
+		return si, true
 	default:
 		inst, err := pde.ParseInstance(inline)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "parsing %s instance: %v", side, err)
-			return nil, "", false
+			return nil, false
 		}
-		si := freezeInstance(inst, "")
-		return si.Inst, si.ID, true
+		return freezeInstance(inst, ""), true
 	}
 }
 
@@ -350,23 +349,23 @@ func (s *Server) solveInput(w http.ResponseWriter, f pairFields) (*solvePair, bo
 		writeErr(w, http.StatusNotFound, client.CodeNotFound, "setting %q is not registered", *f.settingID)
 		return nil, false
 	}
-	i, srcID, ok := s.resolveInstance(w, "source", *f.source, *f.sourceID)
+	src, ok := s.resolveInstance(w, "source", *f.source, *f.sourceID)
 	if !ok {
 		return nil, false
 	}
-	j, tgtID, ok := s.resolveInstance(w, "target", *f.target, *f.targetID)
+	tgt, ok := s.resolveInstance(w, "target", *f.target, *f.targetID)
 	if !ok {
 		return nil, false
 	}
-	if err := i.ValidateAgainst(c.Setting.Source); err != nil {
+	if err := src.Inst.ValidateAgainst(c.Setting.Source); err != nil {
 		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "source instance: %v", err)
 		return nil, false
 	}
-	if err := j.ValidateAgainst(c.Setting.Target); err != nil {
+	if err := tgt.Inst.ValidateAgainst(c.Setting.Target); err != nil {
 		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "target instance: %v", err)
 		return nil, false
 	}
-	return &solvePair{srv: s, c: c, i: i, j: j, srcID: srcID, tgtID: tgtID}, true
+	return &solvePair{srv: s, c: c, src: src, tgt: tgt}, true
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -492,7 +491,7 @@ func solveHandler[Req, Resp any](s *Server, rt *solveRoute[Req, Resp]) http.Hand
 		if !ok {
 			return
 		}
-		if owner, cl := s.clusterOwner(r, p.c.ID, p.srcID, p.tgtID); cl != nil {
+		if owner, cl := s.clusterOwner(r, p.c.ID, p.src.ID, p.tgt.ID); cl != nil {
 			if forward(s, w, r, rt, req, owner, cl, p) {
 				return
 			}
@@ -577,7 +576,7 @@ var certainBatchRoute = solveRoute[client.CertainBatchRequest, client.CertainBat
 
 func (s *Server) answerExists(ctx context.Context, req *client.SolveRequest, p *solvePair, _ []pde.UCQ) (client.SolveResponse, error) {
 	start := time.Now()
-	res, err := pde.SolveFrom(ctx, p.c.Setting, p.i, p.j, pde.Strategy(p.c.Strategy), req.Witness, p, s.options(req.MaxNodes))
+	res, err := pde.SolveFrom(ctx, p.c.Setting, p.src.Inst, p.tgt.Inst, pde.Strategy(p.c.Strategy), req.Witness, p, s.options(req.MaxNodes))
 	s.met.nodes.Add(res.Nodes)
 	if err != nil {
 		return client.SolveResponse{}, err

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/snap"
-	"repro/pde"
 	"repro/pde/client"
 )
 
@@ -47,19 +46,20 @@ func snapKind(k cacheKind) string {
 }
 
 // snapEntry builds the codec entry for a completed cache entry, or nil
-// when the entry cannot be serialized (missing instances — e.g. a
-// legacy entry installed without them).
+// when the entry cannot be serialized (no instances — the detached
+// entries of a disabled cache carry none). The instance texts are the
+// canonical texts stored with the instances, so a save formats nothing.
 func snapEntry(e *cacheEntry) *snap.Entry {
-	if e.srcInst == nil || e.tgtInst == nil {
+	if e.src == nil || e.tgt == nil {
 		return nil
 	}
 	se := &snap.Entry{
 		SettingID:  e.settingID,
-		SourceID:   e.srcID,
-		TargetID:   e.tgtID,
+		SourceID:   e.src.ID,
+		TargetID:   e.tgt.ID,
 		Kind:       snapKind(e.kind),
-		SourceText: pde.FormatInstance(e.srcInst),
-		TargetText: pde.FormatInstance(e.tgtInst),
+		SourceText: e.src.Text,
+		TargetText: e.tgt.Text,
 	}
 	switch v := e.value.(type) {
 	case *core.TractableTrace:
@@ -74,14 +74,15 @@ func snapEntry(e *cacheEntry) *snap.Entry {
 
 // snapKeyOf returns the snapshot key of a cache entry.
 func snapKeyOf(e *cacheEntry) string {
-	return snap.Key(e.settingID, e.srcID, e.tgtID, snapKind(e.kind))
+	return snap.Key(e.settingID, e.src.ID, e.tgt.ID, snapKind(e.kind))
 }
 
 // saveAsync enqueues a completed cache entry for the write-behind
 // worker. It never blocks: with the queue full the save is dropped and
-// logged. Safe to call with snapshots disabled (no-op).
+// logged. Safe to call with snapshots disabled, and with an entry that
+// carries no instances (both no-ops).
 func (s *Server) saveAsync(e *cacheEntry) {
-	if s.cfg.Snapshots == nil || e == nil {
+	if s.cfg.Snapshots == nil || e == nil || e.src == nil || e.tgt == nil {
 		return
 	}
 	s.snapMu.Lock()
@@ -217,10 +218,10 @@ func (s *Server) installSnapshot(key string, e *snap.Entry, fromPeer bool) error
 	if err != nil {
 		return err
 	}
-	if err := src.ValidateAgainst(c.Setting.Source); err != nil {
+	if err := src.Inst.ValidateAgainst(c.Setting.Source); err != nil {
 		return fmt.Errorf("source instance: %w", err)
 	}
-	if err := tgt.ValidateAgainst(c.Setting.Target); err != nil {
+	if err := tgt.Inst.ValidateAgainst(c.Setting.Target); err != nil {
 		return fmt.Errorf("target instance: %w", err)
 	}
 	var value any
@@ -234,11 +235,9 @@ func (s *Server) installSnapshot(key string, e *snap.Entry, fromPeer bool) error
 	meta := entryMeta{
 		key:       cacheKey(e.SettingID, e.SourceID, e.TargetID, kind),
 		settingID: e.SettingID,
-		srcID:     e.SourceID,
-		tgtID:     e.TargetID,
 		kind:      kind,
-		srcInst:   src,
-		tgtInst:   tgt,
+		src:       src,
+		tgt:       tgt,
 	}
 	installed := s.cache.put(meta, value, bytes)
 	if fromPeer {
@@ -252,7 +251,7 @@ func (s *Server) installSnapshot(key string, e *snap.Entry, fromPeer bool) error
 // content hash against the claimed ID, and registers the instance so
 // solve-by-ID works immediately after a warm start. Empty instances are
 // returned without registration — they have no facts to address.
-func (s *Server) adoptInstance(text, claimedID, side string) (*pde.Instance, error) {
+func (s *Server) adoptInstance(text, claimedID, side string) (*StoredInstance, error) {
 	si, err := compileInstance(text)
 	if err != nil {
 		return nil, fmt.Errorf("%s instance text: %w", side, err)
@@ -263,7 +262,7 @@ func (s *Server) adoptInstance(text, claimedID, side string) (*pde.Instance, err
 	if si.Facts > 0 {
 		si, _ = s.inst.add(si.ID, si)
 	}
-	return si.Inst, nil
+	return si, nil
 }
 
 // WarmFrom pulls the peer's cache listing and installs every snapshot
@@ -309,14 +308,14 @@ func (s *Server) WarmFrom(ctx context.Context, base string) (pulled, skipped int
 func (s *Server) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 	out := client.CacheKeysResponse{Keys: []client.CacheKeySummary{}}
 	for _, e := range s.cache.entries() {
-		if e.srcInst == nil || e.tgtInst == nil {
+		if e.src == nil || e.tgt == nil {
 			continue // not serializable; nothing to transfer
 		}
 		out.Keys = append(out.Keys, client.CacheKeySummary{
 			Key:       snapKeyOf(e),
 			SettingID: e.settingID,
-			SourceID:  e.srcID,
-			TargetID:  e.tgtID,
+			SourceID:  e.src.ID,
+			TargetID:  e.tgt.ID,
 			Kind:      string(e.kind),
 		})
 	}

@@ -27,10 +27,9 @@ import (
 // state and memoized verdicts through the chase cache and compiled
 // plans through the plan cache.
 type solvePair struct {
-	srv          *Server
-	c            *Compiled
-	i, j         *pde.Instance
-	srcID, tgtID string
+	srv      *Server
+	c        *Compiled
+	src, tgt *StoredInstance
 	// hit reports that the last artifact fetched came from the cache.
 	hit bool
 }
@@ -89,7 +88,7 @@ func (p *solvePair) Tractable(ctx context.Context) (*core.TractableTrace, error)
 // on a miss.
 func (p *solvePair) tractable(ctx context.Context) (*cacheEntry, error) {
 	return p.entry(ctx, kindTractable, func() (any, int64, error) {
-		tr, err := core.ChaseCanonicalTractable(p.c.Setting, p.i, p.j, core.TractableOptions{Config: p.srv.config(ctx)})
+		tr, err := core.ChaseCanonicalTractable(p.c.Setting, p.src.Inst, p.tgt.Inst, core.TractableOptions{Config: p.srv.config(ctx)})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -105,7 +104,7 @@ func (p *solvePair) tractable(ctx context.Context) (*cacheEntry, error) {
 func (p *solvePair) Verdict(ctx context.Context, cachedOnly bool) (bool, bool, error) {
 	var e *cacheEntry
 	if cachedOnly {
-		if e = p.srv.cache.peek(cacheKey(p.c.ID, p.srcID, p.tgtID, kindTractable)); e == nil {
+		if e = p.srv.cache.peek(cacheKey(p.c.ID, p.src.ID, p.tgt.ID, kindTractable)); e == nil {
 			return false, false, nil
 		}
 	} else {
@@ -115,7 +114,7 @@ func (p *solvePair) Verdict(ctx context.Context, cachedOnly bool) (bool, bool, e
 		}
 	}
 	ok, err := e.decide(func() (bool, error) {
-		ok, _, err := core.ExistsSolutionTractableFrom(p.i, e.value.(*core.TractableTrace), core.TractableOptions{Config: p.srv.config(ctx)})
+		ok, _, err := core.ExistsSolutionTractableFrom(p.src.Inst, e.value.(*core.TractableTrace), core.TractableOptions{Config: p.srv.config(ctx)})
 		return ok, err
 	})
 	return ok, err == nil, err
@@ -125,7 +124,7 @@ func (p *solvePair) Verdict(ctx context.Context, cachedOnly bool) (bool, bool, e
 // the pair.
 func (p *solvePair) Canonical(ctx context.Context) (*core.CanonicalTarget, error) {
 	e, err := p.entry(ctx, kindGeneric, func() (any, int64, error) {
-		ct, err := core.ChaseCanonicalTarget(p.c.Setting, p.i, p.j, core.SolveOptions{Config: p.srv.config(ctx)})
+		ct, err := core.ChaseCanonicalTarget(p.c.Setting, p.src.Inst, p.tgt.Inst, core.SolveOptions{Config: p.srv.config(ctx)})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -141,7 +140,7 @@ func (p *solvePair) Canonical(ctx context.Context) (*core.CanonicalTarget, error
 // once on a miss (single-flight), and records whether it was a hit. A
 // freshly computed entry goes to the write-behind snapshot queue.
 func (p *solvePair) entry(ctx context.Context, kind cacheKind, compute func() (any, int64, error)) (*cacheEntry, error) {
-	meta := entryMeta{key: cacheKey(p.c.ID, p.srcID, p.tgtID, kind), settingID: p.c.ID, srcID: p.srcID, tgtID: p.tgtID, kind: kind, srcInst: p.i, tgtInst: p.j}
+	meta := entryMeta{key: cacheKey(p.c.ID, p.src.ID, p.tgt.ID, kind), settingID: p.c.ID, kind: kind, src: p.src, tgt: p.tgt}
 	e, hit, err := p.srv.cache.getOrCompute(ctx, meta, compute)
 	if err != nil {
 		return nil, err
@@ -172,7 +171,7 @@ func (p *solvePair) Plan(q pde.UCQ) (*pde.Plan, error) {
 // certain runs the shared certain-answers dispatch over the pair and
 // counts every query the compiled path declined, by reason.
 func (s *Server) certain(ctx context.Context, p *solvePair, queries []pde.UCQ) ([]pde.CertainResult, error) {
-	res, err := pde.CertainFrom(ctx, p.c.Setting, p.i, p.j, queries, p, s.options(0))
+	res, err := pde.CertainFrom(ctx, p.c.Setting, p.src.Inst, p.tgt.Inst, queries, p, s.options(0))
 	for _, r := range res {
 		if r.FallbackReason != "" {
 			s.met.compiledFallback(r.FallbackReason).Add(1)
@@ -231,7 +230,7 @@ func (s *Server) handleInstanceEvict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, client.CodeNotFound, "instance %q is not registered", id)
 		return
 	}
-	s.cache.evictMatching(func(e *cacheEntry) bool { return e.srcID == id || e.tgtID == id })
+	s.cache.evictMatching(func(e *cacheEntry) bool { return e.src.ID == id || e.tgt.ID == id })
 	writeJSON(w, http.StatusOK, map[string]string{"evicted": id})
 }
 
@@ -284,29 +283,26 @@ func (s *Server) handleInstanceAppend(w http.ResponseWriter, r *http.Request) {
 // errors (deadline, budget) likewise skip the entry.
 func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredInstance, delta *pde.Instance) (migrated, resumes, fallbacks int) {
 	for _, e := range s.cache.entries() {
-		if e.srcID != baseID && e.tgtID != baseID {
+		if e.src.ID != baseID && e.tgt.ID != baseID {
 			continue
 		}
 		c := s.reg.Get(e.settingID)
 		if c == nil || !fitsSetting(delta, c.Setting) {
 			continue
 		}
-		newSrc, newTgt := e.srcID, e.tgtID
-		newSrcInst, newTgtInst := e.srcInst, e.tgtInst
-		if newSrc == baseID {
-			newSrc, newSrcInst = child.ID, child.Inst
+		src, tgt := e.src, e.tgt
+		if src.ID == baseID {
+			src = child
 		}
-		if newTgt == baseID {
-			newTgt, newTgtInst = child.ID, child.Inst
+		if tgt.ID == baseID {
+			tgt = child
 		}
 		meta := entryMeta{
-			key:       cacheKey(e.settingID, newSrc, newTgt, e.kind),
+			key:       cacheKey(e.settingID, src.ID, tgt.ID, e.kind),
 			settingID: e.settingID,
-			srcID:     newSrc,
-			tgtID:     newTgt,
 			kind:      e.kind,
-			srcInst:   newSrcInst,
-			tgtInst:   newTgtInst,
+			src:       src,
+			tgt:       tgt,
 		}
 		var installed *cacheEntry
 		var resumed bool

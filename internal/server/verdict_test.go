@@ -165,7 +165,7 @@ func TestVerdictMemoSkipsCanceledVerdict(t *testing.T) {
 	p := pairByID(t, s, setID, inst.ID)
 	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
 	defer cancel()
-	_, err = pde.SolveFrom(expired, p.c.Setting, p.i, p.j, pde.StrategyTractable, false, p, s.options(0))
+	_, err = pde.SolveFrom(expired, p.c.Setting, p.src.Inst, p.tgt.Inst, pde.StrategyTractable, false, p, s.options(0))
 	if !errors.Is(err, pde.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("verdict past its deadline: err = %v, want a deadline cancellation", err)
 	}
@@ -347,7 +347,7 @@ func TestWarmVerdictAllocsIndependentOfSize(t *testing.T) {
 			}
 		}
 		existsOnce := func() {
-			res, err := pde.SolveFrom(ctx, p.c.Setting, p.i, p.j, pde.StrategyTractable, false, p, s.options(0))
+			res, err := pde.SolveFrom(ctx, p.c.Setting, p.src.Inst, p.tgt.Inst, pde.StrategyTractable, false, p, s.options(0))
 			if err != nil || !res.Exists {
 				t.Fatalf("n=%d: exists: %+v, %v", n, res, err)
 			}
