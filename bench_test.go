@@ -12,9 +12,9 @@ import (
 	"repro/internal/perfsuite"
 )
 
-// BenchmarkSuite runs every perf-registry case (EXP-T4-*, EXP-PAR,
-// EXP-DELTA, EXP-UF and the serving paths) as a sub-benchmark named
-// after it; select by name, e.g. -bench 'Suite/keyed'.
+// BenchmarkSuite runs every perf-registry case (EXP-T4-*, EXP-DELTA,
+// EXP-UF and the serving paths) as a sub-benchmark named after it;
+// select by name, e.g. -bench 'Suite/keyed'.
 func BenchmarkSuite(b *testing.B) {
 	for _, c := range perfsuite.Cases() {
 		b.Run(c.Name, c.Benchmark())

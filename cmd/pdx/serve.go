@@ -31,7 +31,6 @@ func cmdServe(args []string) error {
 	defaultDeadline := fs.Duration("default-deadline", 30*time.Second, "solve deadline when the request sends none")
 	maxDeadline := fs.Duration("max-deadline", 5*time.Minute, "cap on client-requested deadlines")
 	maxNodes := fs.Int64("max-nodes", 0, "server-wide generic-solver node budget (0 = unbounded)")
-	parallelism := fs.Int("parallelism", 0, "workers per solve (0 = GOMAXPROCS)")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "chase-cache byte budget (0 = 256 MiB, -1 = no byte bound)")
 	cacheMaxEntries := fs.Int("cache-max-entries", 0, "chase-cache entry budget (0 = 1024, -1 = disable the cache)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
@@ -73,7 +72,6 @@ func cmdServe(args []string) error {
 		DefaultDeadline: *defaultDeadline,
 		MaxDeadline:     *maxDeadline,
 		MaxNodes:        *maxNodes,
-		Parallelism:     *parallelism,
 		CacheMaxBytes:   *cacheMaxBytes,
 		CacheMaxEntries: *cacheMaxEntries,
 		Snapshots:       snapshots,

@@ -13,7 +13,7 @@
 //	pdxbench -json BENCH_PR4.json   # machine-readable perf suite
 //
 // To profile an experiment, profile its benchmark:
-// go test -run '^$' -bench 'Paper/EXP-PAR' -cpuprofile cpu.out .
+// go test -run '^$' -bench 'Paper/EXP-T4-LAV' -cpuprofile cpu.out .
 //
 // -json times every case of the perf registry (internal/perfsuite) and
 // writes the report that scripts/bench-compare gates against the

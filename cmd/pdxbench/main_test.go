@@ -15,7 +15,7 @@ func TestListPrintsRegistryInOrder(t *testing.T) {
 	want := []string{
 		"EXP-EX1", "EXP-MARK", "EXP-T1", "EXP-T3", "EXP-T3Q", "EXP-T4-LAV",
 		"EXP-T4-FULL", "EXP-T5", "EXP-T6", "EXP-L1", "EXP-L2", "EXP-WA",
-		"EXP-RANK", "EXP-PAR", "EXP-EGD", "EXP-FULLT", "EXP-3COL", "EXP-DE",
+		"EXP-RANK", "EXP-EGD", "EXP-FULLT", "EXP-3COL", "EXP-DE",
 		"EXP-CORE", "EXP-REPAIR", "EXP-PDMS", "EXP-MULTI", "EXP-CACHE",
 	}
 	var stdout, stderr bytes.Buffer

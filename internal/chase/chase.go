@@ -57,13 +57,8 @@ func BudgetHint(tgds []dep.TGD, size int) int {
 }
 
 // Options configures a chase run. The embedded execution config applies
-// to the trigger searches: with Parallelism above 1, triggers for the
-// dependencies of a round are collected in parallel against the
-// round-start instance and applied serially, so restricted-chase
-// semantics, step counts, and fresh-null labels are byte-identical to
-// the serial chase at every setting; a canceled Ctx stops the run at the
-// next step with an error wrapping par.ErrCanceled and the context's own
-// error.
+// to the trigger searches: a canceled Ctx stops the run at the next step
+// with an error wrapping par.ErrCanceled and the context's own error.
 type Options struct {
 	par.Config
 	// MaxSteps bounds the number of chase steps; 0 means
@@ -281,8 +276,7 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 	}
 	st.brels = make([][]string, len(deps))
 	st.exist = make([][]string, len(deps))
-	// Precompute per-dependency state up front so parallel speculation
-	// never lazily initializes shared maps mid-flight.
+	// Precompute per-dependency state once per run.
 	for di, d := range deps {
 		var body []dep.Atom
 		switch d := d.(type) {
@@ -326,15 +320,6 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 // trigger found against the instance as it evolves. It reports whether
 // any step was applied.
 //
-// When running parallel, the triggers of every tgd in the round are
-// speculatively collected up front against the round-start instance
-// (see speculate); the speculation stays valid exactly as long as no
-// step has fired, so each dependency either consumes its precomputed
-// list or — once the instance has changed — re-collects against the
-// current instance, exactly as the serial chase does. Either way the
-// steps applied, their order, and the fresh nulls drawn are
-// byte-identical to the serial chase.
-//
 // Trigger collection is semi-naive: each tgd enumerates only triggers
 // that touch at least one fact added — or rewritten by a merge — since
 // its own previous collection (its watermark in st.marks). This is
@@ -347,31 +332,24 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 // log). A trigger whose facts all predate the watermark unchanged was,
 // by the end of that earlier collection's firing pass, satisfied (and
 // stays satisfied) — so the naive enumeration would have filtered it
-// too. A dependency's watermark advances only when a collection is
-// actually consumed: to the round-start snapshot when its speculated
-// list is used, to a fresh snapshot when it re-collects after the round
-// went dirty. Discarded speculations leave the watermark untouched.
+// too. A dependency's watermark advances at each collection: to the
+// round-start snapshot while the round is still clean, to a fresh
+// snapshot once the round went dirty.
 func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed, failed bool, failedOn string, err error) {
 	// Snapshot the round-start sizes once; the map is shared by every
 	// watermark taken from it and never mutated after this point.
 	roundStart := hom.Delta(st.inst.TupleCounts())
 	roundLog := len(st.changedLog)
-	spec := st.speculate(deps)
 	dirty := false
 	for di, d := range deps {
 		switch d := d.(type) {
 		case dep.TGD:
-			var triggers []hom.Binding
-			if spec != nil && !dirty {
-				triggers = spec[di]
-				st.marks[di] = mark{counts: roundStart, logPos: roundLog}
-			} else if !dirty {
+			triggers := st.collectTriggers(di, d, st.marks[di])
+			if !dirty {
 				// Instance still equals the round start, so the shared
 				// snapshot doubles as this collection's watermark.
-				triggers = st.collectTriggers(di, d, st.marks[di])
 				st.marks[di] = mark{counts: roundStart, logPos: roundLog}
 			} else {
-				triggers = st.collectTriggers(di, d, st.marks[di])
 				st.marks[di] = mark{counts: hom.Delta(st.inst.TupleCounts()), logPos: len(st.changedLog)}
 			}
 			p, e := st.fireTriggers(di, d, triggers, witness)
@@ -412,35 +390,6 @@ func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed
 		}
 	}
 	return progressed, false, "", nil
-}
-
-// speculate collects the triggers of every tgd in the round
-// concurrently against the round-start instance, which no worker
-// mutates. It returns nil when the round runs serially (degree 1, or
-// fewer than two tgds — a single tgd's search already fans out inside
-// Enumerate). A speculated list equals what a serial scan would collect
-// as long as the instance is unchanged; round discards the speculation
-// once any step fires.
-func (st *state) speculate(deps []dep.Dependency) [][]hom.Binding {
-	degree := par.Degree(st.opts.Parallelism)
-	if degree <= 1 {
-		return nil
-	}
-	idxs := make([]int, 0, len(deps))
-	for di, d := range deps {
-		if _, ok := d.(dep.TGD); ok {
-			idxs = append(idxs, di)
-		}
-	}
-	if len(idxs) < 2 {
-		return nil
-	}
-	spec := make([][]hom.Binding, len(deps))
-	par.Do(len(idxs), degree, st.opts.Seed, func(k int) {
-		di := idxs[k]
-		spec[di] = st.collectTriggers(di, deps[di].(dep.TGD), st.marks[di])
-	})
-	return spec
 }
 
 // changedSince assembles the merged-value delta a dependency must
@@ -486,12 +435,8 @@ func (st *state) changedSince(m mark, rels []string) map[string][]int {
 // collectTriggers enumerates the triggers of d against the current
 // instance that were not already satisfied at collection time, skipping
 // — via the delta watermark and the merge change log — triggers whose
-// body facts all predate d's previous collection unchanged. The
-// enumeration and its satisfaction checks fan out across workers inside
-// hom.EnumerateDeltaSpec; the list comes back in the serial
-// full-enumeration order. Collection only reads st.inst, st.marks and
-// st.changedLog, so concurrent collections for different dependencies
-// are safe (marks and the log advance only in the serial round loop).
+// body facts all predate d's previous collection unchanged. The list
+// comes back in the full-enumeration order.
 func (st *state) collectTriggers(di int, d dep.TGD, m mark) []hom.Binding {
 	spec := hom.DeltaSpec{Old: m.counts}
 	if m.counts != nil {

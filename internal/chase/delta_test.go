@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/chase"
-	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -13,9 +12,8 @@ import (
 // dependency sets (mixing full tgds, existential inclusions, join
 // bodies, and key egds), the semi-naive chase is byte-identical to the
 // naive reference chase (oracle.Chase) — same instances (including null
-// labels), step and merge counts, failure verdicts, and budget errors —
-// at Parallelism 1 and 4. This is the
-// correctness contract of the delta-driven trigger collection: it may
+// labels), step and merge counts, failure verdicts, and budget errors.
+// This is the correctness contract of the delta-driven trigger collection: it may
 // only skip triggers the naive keep filter would reject anyway.
 func TestChaseSemiNaiveMatchesNaiveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
@@ -25,12 +23,10 @@ func TestChaseSemiNaiveMatchesNaiveProperty(t *testing.T) {
 		inst := workload.RandomLayerInstance(rng)
 		inst.Freeze()
 		want := referenceChase(inst, deps, nil)
-		for _, workers := range []int{1, 4} {
-			semi, serr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers}})
-			if got := fingerprint(semi, serr); got != want {
-				t.Fatalf("trial %d par=%d: semi-naive diverges from the reference chase\nsemi-naive: %+v\noracle:     %+v\ndeps: %v",
-					trial, workers, got, want, deps)
-			}
+		semi, serr := chase.Run(inst, deps, chase.Options{})
+		if got := fingerprint(semi, serr); got != want {
+			t.Fatalf("trial %d: semi-naive diverges from the reference chase\nsemi-naive: %+v\noracle:     %+v\ndeps: %v",
+				trial, got, want, deps)
 		}
 	}
 }
@@ -50,11 +46,9 @@ func TestChaseSemiNaiveMatchesNaiveSolutionAware(t *testing.T) {
 		witness.Freeze()
 		inst.Freeze()
 		want := referenceChase(inst, deps, witness)
-		for _, workers := range []int{1, 4} {
-			semi, serr := chase.RunSolutionAware(inst, deps, witness, chase.Options{Config: par.Config{Parallelism: workers}})
-			if got := fingerprint(semi, serr); got != want {
-				t.Fatalf("trial %d par=%d: solution-aware parity broken\nsemi-naive: %+v\noracle:     %+v", trial, workers, got, want)
-			}
+		semi, serr := chase.RunSolutionAware(inst, deps, witness, chase.Options{})
+		if got := fingerprint(semi, serr); got != want {
+			t.Fatalf("trial %d: solution-aware parity broken\nsemi-naive: %+v\noracle:     %+v", trial, got, want)
 		}
 	}
 }
@@ -69,16 +63,14 @@ func TestChaseSemiNaiveDeepChain(t *testing.T) {
 	inst := workload.ChainInstance(40)
 	inst.Freeze()
 	want := referenceChase(inst, deps, nil)
-	for _, workers := range []int{1, 4} {
-		semi, serr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers}})
-		if serr != nil {
-			t.Fatalf("par %d: chain chase errored: %v", workers, serr)
-		}
-		if got := fingerprint(semi, nil); got != want {
-			t.Fatalf("par %d: chain chase diverges from the reference chase (steps %d vs %d)", workers, got.steps, want.steps)
-		}
-		if w := 6 * 40; semi.Steps != w {
-			t.Fatalf("chain chase fired %d steps, want %d", semi.Steps, w)
-		}
+	semi, serr := chase.Run(inst, deps, chase.Options{})
+	if serr != nil {
+		t.Fatalf("chain chase errored: %v", serr)
+	}
+	if got := fingerprint(semi, nil); got != want {
+		t.Fatalf("chain chase diverges from the reference chase (steps %d vs %d)", got.steps, want.steps)
+	}
+	if w := 6 * 40; semi.Steps != w {
+		t.Fatalf("chain chase fired %d steps, want %d", semi.Steps, w)
 	}
 }

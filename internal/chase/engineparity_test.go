@@ -10,7 +10,6 @@ import (
 	"repro/internal/dep"
 	"repro/internal/hom"
 	"repro/internal/oracle"
-	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/workload"
 )
@@ -138,9 +137,8 @@ func randomMergeJoin(rng *rand.Rand) ([]dep.Dependency, *rel.Instance) {
 // union-find egd engine: over random egd-bearing settings and start
 // instances, the engine and the reference chase must produce
 // byte-identical instances, step and merge counts, failure verdicts,
-// and EgdFired flags — in restricted and solution-aware modes, with the
-// engine at Parallelism 1 and 4. The last trials use
-// randomMergeJoin, whose merges create tgd body matches.
+// and EgdFired flags — in restricted and solution-aware modes. The last
+// trials use randomMergeJoin, whose merges create tgd body matches.
 func TestEngineParityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const trials, mergeJoinTrials = 40, 20
@@ -173,31 +171,29 @@ func TestEngineParityProperty(t *testing.T) {
 			} else {
 				want = referenceChase(inst, deps, nil)
 			}
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("trial %d mode %s par %d", trial, mode, workers)
-				opts := chase.Options{Config: par.Config{Parallelism: workers}}
-				var res *chase.Result
-				var err error
-				if mode == "solution-aware" {
-					res, err = chase.RunSolutionAware(inst, deps, witness, opts)
-				} else {
-					res, err = chase.Run(inst, deps, opts)
+			name := fmt.Sprintf("trial %d mode %s", trial, mode)
+			opts := chase.Options{}
+			var res *chase.Result
+			var err error
+			if mode == "solution-aware" {
+				res, err = chase.RunSolutionAware(inst, deps, witness, opts)
+			} else {
+				res, err = chase.Run(inst, deps, opts)
+			}
+			if got := fingerprint(res, err); got != want {
+				t.Fatalf("%s: engine diverges from the reference chase:\n  engine: %+v\n  oracle: %+v", name, got, want)
+			}
+			if res == nil || res.Failed || err != nil {
+				continue
+			}
+			if res.Merges > 0 {
+				merged++
+				if res.UnionFind == nil {
+					t.Fatalf("%s: merging run retained no union-find", name)
 				}
-				if got := fingerprint(res, err); got != want {
-					t.Fatalf("%s: engine diverges from the reference chase:\n  engine: %+v\n  oracle: %+v", name, got, want)
-				}
-				if res == nil || res.Failed || err != nil {
-					continue
-				}
-				if res.Merges > 0 {
-					merged++
-					if res.UnionFind == nil {
-						t.Fatalf("%s: merging run retained no union-find", name)
-					}
-				}
-				if !chase.Check(res.Instance, deps, hom.Options{Parallelism: workers}) {
-					t.Fatalf("%s: union-find fixpoint violates deps", name)
-				}
+			}
+			if !chase.Check(res.Instance, deps, hom.Options{}) {
+				t.Fatalf("%s: union-find fixpoint violates deps", name)
 			}
 		}
 	}
@@ -217,16 +213,14 @@ func TestEngineParityKeyedLAV(t *testing.T) {
 	if want.err != "" {
 		t.Fatalf("reference chase errored: %s", want.err)
 	}
-	for _, workers := range []int{1, 4} {
-		res, err := chase.Run(start, deps, chase.Options{Config: par.Config{Parallelism: workers}})
-		if err != nil {
-			t.Fatalf("par %d: engine: %v", workers, err)
-		}
-		if got := fingerprint(res, nil); got != want {
-			t.Fatalf("par %d: engine diverges from the reference chase:\n  engine: %+v\n  oracle: %+v", workers, got, want)
-		}
-		if res.Merges == 0 {
-			t.Fatalf("par %d: keyed LAV workload produced no merges", workers)
-		}
+	res, err := chase.Run(start, deps, chase.Options{})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	if got := fingerprint(res, nil); got != want {
+		t.Fatalf("engine diverges from the reference chase:\n  engine: %+v\n  oracle: %+v", got, want)
+	}
+	if res.Merges == 0 {
+		t.Fatal("keyed LAV workload produced no merges")
 	}
 }

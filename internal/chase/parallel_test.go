@@ -1,50 +1,76 @@
 package chase_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/chase"
-	"repro/internal/par"
 	"repro/internal/workload"
 )
 
+// runParallel calls run from n goroutines at once and returns what
+// each call returned.
+func runParallel(n int, run func() (*chase.Result, error)) ([]*chase.Result, []error) {
+	results := make([]*chase.Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			results[g], errs[g] = run()
+		}(g)
+	}
+	wg.Wait()
+	return results, errs
+}
+
+// sameResult describes how got differs from the serial reference, or
+// returns "" when the two agree byte for byte.
+func sameResult(got *chase.Result, err error, ref *chase.Result, refErr error) string {
+	if (refErr == nil) != (err == nil) {
+		return fmt.Sprintf("err=%v, serial err=%v", err, refErr)
+	}
+	if refErr != nil {
+		return ""
+	}
+	if got.Steps != ref.Steps || got.Failed != ref.Failed || got.FailedOn != ref.FailedOn {
+		return fmt.Sprintf("(steps=%d failed=%v on=%q), serial (steps=%d failed=%v on=%q)",
+			got.Steps, got.Failed, got.FailedOn, ref.Steps, ref.Failed, ref.FailedOn)
+	}
+	if got.Instance.String() != ref.Instance.String() {
+		return fmt.Sprintf("instances differ\nparallel:\n%s\nserial:\n%s", got.Instance, ref.Instance)
+	}
+	return ""
+}
+
 // TestChaseParallelMatchesSerial: on random weakly acyclic dependency
-// sets, the parallel chase produces a byte-identical Result — the same
-// instance (including null labels), step count, and failure report — as
-// the serial chase, at every parallelism level and seed.
+// sets, chase runs issued in parallel on one frozen start instance each
+// produce a byte-identical Result — the same instance (including null
+// labels), step count, and failure report — as a serial run.
 func TestChaseParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 60; trial++ {
 		deps := workload.RandomWeaklyAcyclicDeps(rng)
 		inst := workload.RandomLayerInstance(rng)
 		inst.Freeze()
-		ref, refErr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: 1}})
-		for _, workers := range []int{2, 4} {
-			for _, seed := range []int64{0, 19} {
-				got, err := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers, Seed: seed}})
-				if (refErr == nil) != (err == nil) {
-					t.Fatalf("trial %d par=%d: err=%v, serial err=%v", trial, workers, err, refErr)
-				}
-				if refErr != nil {
-					continue
-				}
-				if got.Steps != ref.Steps || got.Failed != ref.Failed || got.FailedOn != ref.FailedOn {
-					t.Fatalf("trial %d par=%d seed=%d: (steps=%d failed=%v on=%q), serial (steps=%d failed=%v on=%q)",
-						trial, workers, seed, got.Steps, got.Failed, got.FailedOn, ref.Steps, ref.Failed, ref.FailedOn)
-				}
-				if got.Instance.String() != ref.Instance.String() {
-					t.Fatalf("trial %d par=%d seed=%d: instances differ\nparallel:\n%s\nserial:\n%s",
-						trial, workers, seed, got.Instance, ref.Instance)
-				}
+		ref, refErr := chase.Run(inst, deps, chase.Options{})
+		results, errs := runParallel(2, func() (*chase.Result, error) {
+			return chase.Run(inst, deps, chase.Options{})
+		})
+		for g := range results {
+			if diff := sameResult(results[g], errs[g], ref, refErr); diff != "" {
+				t.Fatalf("trial %d caller %d: %s", trial, g, diff)
 			}
 		}
 	}
 }
 
 // TestChaseSolutionAwareParallelMatchesSerial: the solution-aware chase
-// is byte-identical under parallelism too.
+// is byte-identical when runs share a frozen instance and witness in
+// parallel too.
 func TestChaseSolutionAwareParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 30; trial++ {
@@ -57,16 +83,14 @@ func TestChaseSolutionAwareParallelMatchesSerial(t *testing.T) {
 		witness := wres.Instance
 		witness.Freeze()
 		inst.Freeze()
-		ref, refErr := chase.RunSolutionAware(inst, deps, witness, chase.Options{Config: par.Config{Parallelism: 1}})
-		got, err := chase.RunSolutionAware(inst, deps, witness, chase.Options{Config: par.Config{Parallelism: 4}})
-		if (refErr == nil) != (err == nil) {
-			t.Fatalf("trial %d: err=%v, serial err=%v", trial, err, refErr)
-		}
-		if refErr != nil {
-			continue
-		}
-		if got.Steps != ref.Steps || got.Instance.String() != ref.Instance.String() {
-			t.Fatalf("trial %d: parallel solution-aware chase diverged (steps %d vs %d)", trial, got.Steps, ref.Steps)
+		ref, refErr := chase.RunSolutionAware(inst, deps, witness, chase.Options{})
+		results, errs := runParallel(2, func() (*chase.Result, error) {
+			return chase.RunSolutionAware(inst, deps, witness, chase.Options{})
+		})
+		for g := range results {
+			if diff := sameResult(results[g], errs[g], ref, refErr); diff != "" {
+				t.Fatalf("trial %d caller %d: solution-aware chase diverged: %s", trial, g, diff)
+			}
 		}
 	}
 }
@@ -80,28 +104,13 @@ func TestChaseConcurrentStress(t *testing.T) {
 	deps := workload.RandomWeaklyAcyclicDeps(rng)
 	inst := workload.RandomLayerInstance(rng)
 	inst.Freeze()
-	ref, refErr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: 1}})
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	results := make([]*chase.Result, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results[g], errs[g] = chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: 2, Seed: int64(g)}})
-		}(g)
-	}
-	wg.Wait()
-	for g := 0; g < goroutines; g++ {
-		if (refErr == nil) != (errs[g] == nil) {
-			t.Fatalf("goroutine %d: err=%v, serial err=%v", g, errs[g], refErr)
-		}
-		if refErr != nil {
-			continue
-		}
-		if results[g].Steps != ref.Steps || results[g].Instance.String() != ref.Instance.String() {
-			t.Fatalf("goroutine %d diverged from the serial chase", g)
+	ref, refErr := chase.Run(inst, deps, chase.Options{})
+	results, errs := runParallel(8, func() (*chase.Result, error) {
+		return chase.Run(inst, deps, chase.Options{})
+	})
+	for g := range results {
+		if diff := sameResult(results[g], errs[g], ref, refErr); diff != "" {
+			t.Fatalf("goroutine %d diverged from the serial chase: %s", g, diff)
 		}
 	}
 	if !inst.Frozen() {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dep"
 	"repro/internal/hom"
 	"repro/internal/oracle"
-	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/workload"
 )
@@ -48,42 +47,40 @@ func TestChaseResumeProperty(t *testing.T) {
 		appended := workload.RandomLayerInstance(rng)
 		base.Freeze()
 		appended.Freeze()
-		for _, workers := range []int{1, 4} {
-			opts := chase.Options{Config: par.Config{Parallelism: workers}}
-			prev, err := chase.Run(base, deps, opts)
-			if err != nil {
-				t.Fatalf("trial %d: base chase errored: %v", trial, err)
-			}
-			if prev.EgdFired || prev.Failed {
-				t.Fatalf("trial %d: pure-tgd chase reported EgdFired=%v Failed=%v", trial, prev.EgdFired, prev.Failed)
-			}
-			res, resumed, err := chase.Resume(prev, deps, appended, opts)
-			if err != nil {
-				t.Fatalf("trial %d: resume errored: %v", trial, err)
-			}
-			if !resumed {
-				t.Fatalf("trial %d: pure-tgd resume fell back to a full re-chase", trial)
-			}
-			resumedSome = true
-			union := rel.Union(base, appended)
-			if !res.Instance.ContainsAll(union) {
-				t.Fatalf("trial %d: resumed fixpoint lost facts of the enlarged start", trial)
-			}
-			if !chase.Check(res.Instance, deps, hom.Options{}) {
-				t.Fatalf("trial %d: resumed fixpoint violates dependencies\ndeps: %v\nresult:\n%s", trial, deps, res.Instance)
-			}
-			scratch, err := chase.Run(union, deps, opts)
-			if err != nil {
-				t.Fatalf("trial %d: scratch chase errored: %v", trial, err)
-			}
-			if !hom.InstanceHomExists(res.Instance, scratch.Instance, hom.Options{}) ||
-				!hom.InstanceHomExists(scratch.Instance, res.Instance, hom.Options{}) {
-				t.Fatalf("trial %d: resumed and scratch fixpoints not hom-equivalent\nresumed:\n%s\nscratch:\n%s",
-					trial, res.Instance, scratch.Instance)
-			}
-			if res.Steps > scratch.Steps {
-				t.Fatalf("trial %d: resume fired %d steps, scratch only %d", trial, res.Steps, scratch.Steps)
-			}
+		opts := chase.Options{}
+		prev, err := chase.Run(base, deps, opts)
+		if err != nil {
+			t.Fatalf("trial %d: base chase errored: %v", trial, err)
+		}
+		if prev.EgdFired || prev.Failed {
+			t.Fatalf("trial %d: pure-tgd chase reported EgdFired=%v Failed=%v", trial, prev.EgdFired, prev.Failed)
+		}
+		res, resumed, err := chase.Resume(prev, deps, appended, opts)
+		if err != nil {
+			t.Fatalf("trial %d: resume errored: %v", trial, err)
+		}
+		if !resumed {
+			t.Fatalf("trial %d: pure-tgd resume fell back to a full re-chase", trial)
+		}
+		resumedSome = true
+		union := rel.Union(base, appended)
+		if !res.Instance.ContainsAll(union) {
+			t.Fatalf("trial %d: resumed fixpoint lost facts of the enlarged start", trial)
+		}
+		if !chase.Check(res.Instance, deps, hom.Options{}) {
+			t.Fatalf("trial %d: resumed fixpoint violates dependencies\ndeps: %v\nresult:\n%s", trial, deps, res.Instance)
+		}
+		scratch, err := chase.Run(union, deps, opts)
+		if err != nil {
+			t.Fatalf("trial %d: scratch chase errored: %v", trial, err)
+		}
+		if !hom.InstanceHomExists(res.Instance, scratch.Instance, hom.Options{}) ||
+			!hom.InstanceHomExists(scratch.Instance, res.Instance, hom.Options{}) {
+			t.Fatalf("trial %d: resumed and scratch fixpoints not hom-equivalent\nresumed:\n%s\nscratch:\n%s",
+				trial, res.Instance, scratch.Instance)
+		}
+		if res.Steps > scratch.Steps {
+			t.Fatalf("trial %d: resume fired %d steps, scratch only %d", trial, res.Steps, scratch.Steps)
 		}
 	}
 	if !resumedSome {
@@ -215,41 +212,39 @@ func TestChaseResumeKeyedProperty(t *testing.T) {
 		appended := workload.RandomLayerInstance(rng)
 		base.Freeze()
 		appended.Freeze()
-		for _, workers := range []int{1, 4} {
-			opts := chase.Options{Config: par.Config{Parallelism: workers}}
-			prev, err := chase.Run(base, deps, opts)
-			if err != nil || prev.Failed {
-				continue
-			}
-			if reason := chase.FallbackReason(prev, deps); reason != chase.FallbackNone {
-				t.Fatalf("trial %d: keyed set not resumable, reason %q", trial, reason)
-			}
-			res, resumed, err := chase.Resume(prev, deps, appended, opts)
-			if err != nil {
-				continue // budget exhaustion on the union is possible and fine
-			}
-			if !resumed {
-				t.Fatalf("trial %d: keyed resume fell back to a full re-chase", trial)
-			}
-			resumedSome = true
-			scratch, err := chase.Run(rel.Union(base, appended), deps, opts)
-			if err != nil {
-				t.Fatalf("trial %d: scratch chase errored after resume succeeded: %v", trial, err)
-			}
-			if res.Failed != scratch.Failed {
-				t.Fatalf("trial %d: resumed failed=%v, scratch failed=%v", trial, res.Failed, scratch.Failed)
-			}
-			if res.Failed {
-				continue
-			}
-			if !chase.Check(res.Instance, deps, hom.Options{}) {
-				t.Fatalf("trial %d: resumed fixpoint violates dependencies\ndeps: %v\nresult:\n%s", trial, deps, res.Instance)
-			}
-			if !hom.InstanceHomExists(res.Instance, scratch.Instance, hom.Options{}) ||
-				!hom.InstanceHomExists(scratch.Instance, res.Instance, hom.Options{}) {
-				t.Fatalf("trial %d: resumed and scratch fixpoints not hom-equivalent\nresumed:\n%s\nscratch:\n%s",
-					trial, res.Instance, scratch.Instance)
-			}
+		opts := chase.Options{}
+		prev, err := chase.Run(base, deps, opts)
+		if err != nil || prev.Failed {
+			continue
+		}
+		if reason := chase.FallbackReason(prev, deps); reason != chase.FallbackNone {
+			t.Fatalf("trial %d: keyed set not resumable, reason %q", trial, reason)
+		}
+		res, resumed, err := chase.Resume(prev, deps, appended, opts)
+		if err != nil {
+			continue // budget exhaustion on the union is possible and fine
+		}
+		if !resumed {
+			t.Fatalf("trial %d: keyed resume fell back to a full re-chase", trial)
+		}
+		resumedSome = true
+		scratch, err := chase.Run(rel.Union(base, appended), deps, opts)
+		if err != nil {
+			t.Fatalf("trial %d: scratch chase errored after resume succeeded: %v", trial, err)
+		}
+		if res.Failed != scratch.Failed {
+			t.Fatalf("trial %d: resumed failed=%v, scratch failed=%v", trial, res.Failed, scratch.Failed)
+		}
+		if res.Failed {
+			continue
+		}
+		if !chase.Check(res.Instance, deps, hom.Options{}) {
+			t.Fatalf("trial %d: resumed fixpoint violates dependencies\ndeps: %v\nresult:\n%s", trial, deps, res.Instance)
+		}
+		if !hom.InstanceHomExists(res.Instance, scratch.Instance, hom.Options{}) ||
+			!hom.InstanceHomExists(scratch.Instance, res.Instance, hom.Options{}) {
+			t.Fatalf("trial %d: resumed and scratch fixpoints not hom-equivalent\nresumed:\n%s\nscratch:\n%s",
+				trial, res.Instance, scratch.Instance)
 		}
 	}
 	if !resumedSome {
@@ -454,13 +449,11 @@ func TestChaseEgdWatermarkParity(t *testing.T) {
 	if want.err != "" {
 		t.Fatalf("reference chase errored: %s", want.err)
 	}
-	for _, workers := range []int{1, 4} {
-		semi, serr := chase.Run(inst, deps, chase.Options{Config: par.Config{Parallelism: workers}})
-		if serr != nil {
-			t.Fatalf("par %d: egd-watermark chase errored: %v", workers, serr)
-		}
-		if got := fingerprint(semi, nil); got != want {
-			t.Fatalf("par %d: egd-watermark parity broken\nsemi:   %+v\noracle: %+v", workers, got, want)
-		}
+	semi, serr := chase.Run(inst, deps, chase.Options{})
+	if serr != nil {
+		t.Fatalf("egd-watermark chase errored: %v", serr)
+	}
+	if got := fingerprint(semi, nil); got != want {
+		t.Fatalf("egd-watermark parity broken\nsemi:   %+v\noracle: %+v", got, want)
 	}
 }

@@ -431,7 +431,7 @@ func TestSmallSolutionHonorsContext(t *testing.T) {
 	big.Add("H", rel.Const("a"), rel.Const("b"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := core.SmallSolution(s, i, rel.NewInstance(), big, core.SolveOptions{Config: par.Config{Ctx: ctx, Parallelism: 2, Seed: 3}})
+	_, err := core.SmallSolution(s, i, rel.NewInstance(), big, core.SolveOptions{Config: par.Config{Ctx: ctx}})
 	if !errors.Is(err, par.ErrCanceled) {
 		t.Fatalf("SmallSolution under a canceled context: err = %v, want par.ErrCanceled", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -67,10 +66,24 @@ func parallelWorkloads(rng *rand.Rand) []struct {
 	return out
 }
 
+// inParallel calls run(g) for g in [0, n) from n goroutines at once.
+func inParallel(n int, run func(g int)) {
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			run(g)
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestTractableParallelMatchesSerial: on 60 random workloads from the
-// three families, the parallel Figure 3 algorithm returns the same
-// verdict AND the same full trace (canonical instances, block counts,
-// failing block index, step counts) as the serial run.
+// three families, Figure 3 runs issued in parallel on shared frozen
+// inputs each return the same verdict AND the same full trace
+// (canonical instances, block counts, failing block index, step counts)
+// as a serial run.
 func TestTractableParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	wls := parallelWorkloads(rng)
@@ -78,36 +91,38 @@ func TestTractableParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("only %d workloads generated, want >= 50", len(wls))
 	}
 	for _, wl := range wls {
-		refOK, refTr, refErr := wl.run(core.TractableOptions{Config: par.Config{Parallelism: 1}})
-		for _, workers := range []int{2, 4} {
-			gotOK, gotTr, err := wl.run(core.TractableOptions{Config: par.Config{Parallelism: workers, Seed: 5}})
-			if (refErr == nil) != (err == nil) {
-				t.Fatalf("%s par=%d: err=%v, serial err=%v", wl.name, workers, err, refErr)
-			}
-			if refErr != nil {
-				continue
-			}
-			if gotOK != refOK {
-				t.Fatalf("%s par=%d: verdict %v, serial %v", wl.name, workers, gotOK, refOK)
-			}
-			if gotTr.Blocks != refTr.Blocks || gotTr.MaxBlockNulls != refTr.MaxBlockNulls ||
+		refOK, refTr, refErr := wl.run(core.TractableOptions{})
+		failures := make([]string, 2)
+		inParallel(len(failures), func(g int) {
+			gotOK, gotTr, err := wl.run(core.TractableOptions{})
+			switch {
+			case (refErr == nil) != (err == nil):
+				failures[g] = fmt.Sprintf("err=%v, serial err=%v", err, refErr)
+			case refErr != nil:
+			case gotOK != refOK:
+				failures[g] = fmt.Sprintf("verdict %v, serial %v", gotOK, refOK)
+			case gotTr.Blocks != refTr.Blocks || gotTr.MaxBlockNulls != refTr.MaxBlockNulls ||
 				gotTr.FailedBlock != refTr.FailedBlock ||
-				gotTr.StepsST != refTr.StepsST || gotTr.StepsTS != refTr.StepsTS {
-				t.Fatalf("%s par=%d: trace %+v, serial %+v", wl.name, workers,
+				gotTr.StepsST != refTr.StepsST || gotTr.StepsTS != refTr.StepsTS:
+				failures[g] = fmt.Sprintf("trace %+v, serial %+v",
 					struct{ B, M, F, S1, S2 int }{gotTr.Blocks, gotTr.MaxBlockNulls, gotTr.FailedBlock, gotTr.StepsST, gotTr.StepsTS},
 					struct{ B, M, F, S1, S2 int }{refTr.Blocks, refTr.MaxBlockNulls, refTr.FailedBlock, refTr.StepsST, refTr.StepsTS})
+			case gotTr.JCan.String() != refTr.JCan.String() || gotTr.ICan.String() != refTr.ICan.String():
+				failures[g] = "canonical instances differ from serial run"
 			}
-			if gotTr.JCan.String() != refTr.JCan.String() || gotTr.ICan.String() != refTr.ICan.String() {
-				t.Fatalf("%s par=%d: canonical instances differ from serial run", wl.name, workers)
+		})
+		for g, f := range failures {
+			if f != "" {
+				t.Fatalf("%s caller %d: %s", wl.name, g, f)
 			}
 		}
 	}
 }
 
-// TestGenericSolverParallelMatchesSerial: the generic solver's verdict
-// and node count are identical under parallelism (the violation scan
-// returns the minimal violated dependency, so backjumping follows the
-// same path).
+// TestGenericSolverParallelMatchesSerial: generic solves issued in
+// parallel on shared frozen inputs each return the verdict, node count
+// and solution count of a serial solve (the searcher pool and the
+// shared setting hold no per-solve state).
 func TestGenericSolverParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	for trial := 0; trial < 12; trial++ {
@@ -116,18 +131,24 @@ func TestGenericSolverParallelMatchesSerial(t *testing.T) {
 		seed := rng.Int63()
 		s := workload.GenomicSetting()
 		i, j := workload.GenomicInstance(n, good, rand.New(rand.NewSource(seed)))
-		refOK, _, refStats, refErr := core.ExistsSolutionGeneric(s, i, j, core.SolveOptions{Config: par.Config{Parallelism: 1}})
-		for _, workers := range []int{2, 4} {
-			gotOK, _, gotStats, err := core.ExistsSolutionGeneric(s, i, j, core.SolveOptions{Config: par.Config{Parallelism: workers}})
-			if (refErr == nil) != (err == nil) {
-				t.Fatalf("trial %d par=%d: err=%v, serial err=%v", trial, workers, err, refErr)
+		i.Freeze()
+		j.Freeze()
+		refOK, _, refStats, refErr := core.ExistsSolutionGeneric(s, i, j, core.SolveOptions{})
+		failures := make([]string, 2)
+		inParallel(len(failures), func(g int) {
+			gotOK, _, gotStats, err := core.ExistsSolutionGeneric(s, i, j, core.SolveOptions{})
+			switch {
+			case (refErr == nil) != (err == nil):
+				failures[g] = fmt.Sprintf("err=%v, serial err=%v", err, refErr)
+			case refErr != nil:
+			case gotOK != refOK || gotStats.Nodes != refStats.Nodes || gotStats.Solutions != refStats.Solutions:
+				failures[g] = fmt.Sprintf("(ok=%v nodes=%d sols=%d), serial (ok=%v nodes=%d sols=%d)",
+					gotOK, gotStats.Nodes, gotStats.Solutions, refOK, refStats.Nodes, refStats.Solutions)
 			}
-			if refErr != nil {
-				continue
-			}
-			if gotOK != refOK || gotStats.Nodes != refStats.Nodes || gotStats.Solutions != refStats.Solutions {
-				t.Fatalf("trial %d par=%d: (ok=%v nodes=%d sols=%d), serial (ok=%v nodes=%d sols=%d)",
-					trial, workers, gotOK, gotStats.Nodes, gotStats.Solutions, refOK, refStats.Nodes, refStats.Solutions)
+		})
+		for g, f := range failures {
+			if f != "" {
+				t.Fatalf("trial %d caller %d: %s", trial, g, f)
 			}
 		}
 	}
@@ -143,29 +164,22 @@ func TestTractableConcurrentStress(t *testing.T) {
 	i, j := workload.LAVInstance(120, true, rng)
 	i.Freeze()
 	j.Freeze()
-	refOK, refTr, refErr := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{Config: par.Config{Parallelism: 1}})
+	refOK, refTr, refErr := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{})
 	if refErr != nil || !refOK {
 		t.Fatalf("reference run failed: ok=%v err=%v", refOK, refErr)
 	}
-	const goroutines = 8
-	var wg sync.WaitGroup
-	failures := make([]string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ok, tr, err := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{Config: par.Config{Parallelism: 2, Seed: int64(g + 1)}})
-			switch {
-			case err != nil:
-				failures[g] = fmt.Sprintf("err=%v", err)
-			case ok != refOK:
-				failures[g] = fmt.Sprintf("verdict %v, want %v", ok, refOK)
-			case tr.Blocks != refTr.Blocks || tr.StepsST != refTr.StepsST || tr.StepsTS != refTr.StepsTS:
-				failures[g] = "trace diverged"
-			}
-		}(g)
-	}
-	wg.Wait()
+	failures := make([]string, 8)
+	inParallel(len(failures), func(g int) {
+		ok, tr, err := core.ExistsSolutionTractable(s, i, j, core.TractableOptions{})
+		switch {
+		case err != nil:
+			failures[g] = fmt.Sprintf("err=%v", err)
+		case ok != refOK:
+			failures[g] = fmt.Sprintf("verdict %v, want %v", ok, refOK)
+		case tr.Blocks != refTr.Blocks || tr.StepsST != refTr.StepsST || tr.StepsTS != refTr.StepsTS:
+			failures[g] = "trace diverged"
+		}
+	})
 	for g, f := range failures {
 		if f != "" {
 			t.Fatalf("goroutine %d: %s", g, f)

@@ -40,9 +40,7 @@ func canceled(ctx context.Context, what string) error {
 // SolveOptions configures the generic solver. The embedded execution
 // config reaches every phase: the solver checks Ctx at every search
 // node and hands the config to the chase runs and homomorphism searches
-// it issues, and Parallelism fans out the candidate-violation scan over
-// the Σts dependencies. Verdicts, witnesses, and search statistics are
-// byte-identical at every Parallelism and Seed.
+// it issues.
 type SolveOptions struct {
 	par.Config
 	// MaxNodes bounds the number of search nodes; 0 means no bound.
@@ -420,19 +418,16 @@ func (sv *imageSearch) levelAdds(k int) *[]rel.Fact {
 // into a constant). Returns nil when every trigger is satisfied.
 func (sv *imageSearch) newFactViolation(gf rel.Fact) []int {
 	pruneOnNulls := len(dep.EGDs(sv.s.T)) == 0
-	total := len(sv.s.TS) + len(sv.s.TSDisj)
-	// check runs the violation scan of the di-th dependency (Σts tgds
-	// first, then the disjunctive ones). It only reads search state, so
-	// the scans for different dependencies can run concurrently.
-	check := func(di int) []int {
-		if di < len(sv.s.TS) {
-			d := sv.s.TS[di]
-			return sv.violatedTriggerThroughFact(d.Body, func(b hom.Binding) bool {
-				return sv.tsTriggerSatisfied(d, b)
-			}, gf, pruneOnNulls)
+	for _, d := range sv.s.TS {
+		resp := sv.violatedTriggerThroughFact(d.Body, func(b hom.Binding) bool {
+			return sv.tsTriggerSatisfied(d, b)
+		}, gf, pruneOnNulls)
+		if resp != nil {
+			return resp
 		}
-		d := sv.s.TSDisj[di-len(sv.s.TS)]
-		return sv.violatedTriggerThroughFact(d.Body, func(b hom.Binding) bool {
+	}
+	for _, d := range sv.s.TSDisj {
+		resp := sv.violatedTriggerThroughFact(d.Body, func(b hom.Binding) bool {
 			for _, disj := range d.Disjuncts {
 				if hom.Exists(disj, sv.i, b, sv.opts.Config) {
 					return true
@@ -440,23 +435,7 @@ func (sv *imageSearch) newFactViolation(gf rel.Fact) []int {
 			}
 			return false
 		}, gf, pruneOnNulls)
-	}
-	if degree := par.Degree(sv.opts.Parallelism); degree > 1 && total > 1 {
-		// Fan out per dependency; FirstReject returns the minimal
-		// violated index, so the responsibility set returned is the one
-		// the serial scan would find — backjumping stays deterministic.
-		resps := make([][]int, total)
-		idx := par.FirstReject(total, degree, func(di int) bool {
-			resps[di] = check(di)
-			return resps[di] == nil
-		})
-		if idx >= 0 {
-			return resps[idx]
-		}
-		return nil
-	}
-	for di := 0; di < total; di++ {
-		if resp := check(di); resp != nil {
+		if resp != nil {
 			return resp
 		}
 	}

@@ -47,8 +47,7 @@ type TractableTrace struct {
 // TractableOptions configures ExistsSolutionTractable. The embedded
 // execution config reaches both chase phases and the per-block
 // homomorphism checks: a canceled Ctx stops work promptly with an error
-// wrapping ErrCanceled, and the verdict and the whole trace are
-// byte-identical at every Parallelism and Seed.
+// wrapping ErrCanceled.
 type TractableOptions struct {
 	par.Config
 	// SkipCondition1Check runs the algorithm even when condition 1 of
@@ -116,9 +115,9 @@ func ChaseCanonicalTractable(s *Setting, i, j *rel.Instance, opts TractableOptio
 	}
 	ican := res2.Instance.Restrict(s.Source)
 
-	// Freeze-after-build: both canonical instances are now shared with
-	// concurrent block-check workers, and the retained chase results
-	// with concurrent resumes; none may be mutated again.
+	// Freeze-after-build: a cached trace is shared by concurrent solves,
+	// which read both canonical instances, and by concurrent resumes of
+	// the retained chase results; none may be mutated again.
 	jcan.Freeze()
 	ican.Freeze()
 	res1.Freeze()
@@ -147,11 +146,10 @@ func ExistsSolutionTractableFrom(i *rel.Instance, trace *TractableTrace, opts Tr
 	trace = &t
 	trace.FailedBlock = -1
 
-	// The per-block checks fan out across workers with early cancellation
-	// and a memoizing cache keyed on the canonical block signature; the
-	// reported index is the minimal failing one, exactly as the serial
-	// left-to-right scan returns (see hom.CheckBlocks). By Proposition 1
-	// this agrees with one homomorphism search of the whole I_can.
+	// The per-block checks scan left to right, memoized on the canonical
+	// block signature, and report the first failing block (see
+	// hom.CheckBlocks). By Proposition 1 this agrees with one
+	// homomorphism search of the whole I_can.
 	idx := hom.CheckBlocks(trace.BlockList, i, opts.Config)
 	if err := canceled(opts.Ctx, "tractable algorithm"); err != nil {
 		return false, trace, err // a canceled CheckBlocks index is meaningless

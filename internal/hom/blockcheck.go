@@ -3,9 +3,7 @@ package hom
 import (
 	"strconv"
 	"strings"
-	"sync"
 
-	"repro/internal/par"
 	"repro/internal/rel"
 )
 
@@ -13,10 +11,6 @@ import (
 // signature hashing costs more than the duplicate checks it saves. A
 // variable so tests can force caching on small decompositions.
 var blockCacheMinBlocks = 16
-
-// containsChunkMin gates the chunked containment scan for large
-// null-free blocks. A variable so tests can force chunking.
-var containsChunkMin = 256
 
 // BlockSignature returns a canonical encoding of the block, invariant
 // under renaming of its labeled nulls: nulls are renumbered by first
@@ -51,95 +45,56 @@ func BlockSignature(b Block) string {
 	return sb.String()
 }
 
-// blockCache memoizes per-signature verdicts of block-into-instance
-// homomorphism checks. Blocks that are copies of each other up to null
-// renaming — thousands of them in the LAV and genomic chase results —
-// share a single search. A cache is scoped to one target instance; it
-// is safe for concurrent use by the workers of one CheckBlocks call.
-type blockCache struct {
-	mu sync.RWMutex
-	m  map[string]bool
-}
-
-func (c *blockCache) lookup(sig string) (verdict, ok bool) {
-	c.mu.RLock()
-	verdict, ok = c.m[sig]
-	c.mu.RUnlock()
-	return verdict, ok
-}
-
-func (c *blockCache) store(sig string, verdict bool) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[string]bool)
-	}
-	c.m[sig] = verdict
-	c.mu.Unlock()
-}
-
 // CheckBlocks reports the index of the first block (in input order)
 // with no homomorphism into inst that is the identity on constants, or
 // -1 when every block maps. It is the per-block loop of the Figure 3
-// algorithm (via Proposition 1), run across opts.Parallelism workers
-// with early cancellation once a failing block is found, and memoized
-// so blocks isomorphic up to null renaming are checked once. The result
-// is deterministic — always the minimal failing index, exactly what a
-// serial left-to-right scan returns.
+// algorithm (via Proposition 1), scanned left to right and memoized by
+// BlockSignature, so blocks that are copies of each other up to null
+// renaming — thousands of them in the LAV and genomic chase results —
+// share a single search. The memo is scoped to this call, and so to one
+// target instance.
 //
 // inst must not be mutated for the duration of the call (the
 // freeze-after-build discipline of DESIGN.md §8).
 //
 // When opts.Ctx is canceled mid-call the returned index is meaningless
-// (cancellation is surfaced as a rejection so the early-cancellation
-// machinery stops the remaining workers); callers that set Ctx must
-// check Ctx.Err() after the call and discard the result when non-nil.
+// (cancellation is surfaced as a rejection so the scan stops); callers
+// that set Ctx must check Ctx.Err() after the call and discard the
+// result when non-nil.
 func CheckBlocks(blocks []Block, inst *rel.Instance, opts Options) int {
-	degree := par.Degree(opts.Parallelism)
-	var cache *blockCache
+	var cache map[string]bool
 	if len(blocks) >= blockCacheMinBlocks {
-		cache = &blockCache{}
+		cache = make(map[string]bool)
 	}
-	check := func(i int) bool {
+	for i, b := range blocks {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			return false
+			return i
 		}
-		b := blocks[i]
+		var verdict bool
 		if cache == nil || len(b.Nulls) == 0 {
 			// Null-free blocks are containment checks; memoizing them
 			// would cache a scan cheaper than the signature itself.
-			return blockHomExists(b, inst, opts)
+			verdict = blockHomExists(b, inst, opts)
+		} else {
+			sig := BlockSignature(b)
+			var ok bool
+			if verdict, ok = cache[sig]; !ok {
+				verdict = blockHomExists(b, inst, opts)
+				cache[sig] = verdict
+			}
 		}
-		sig := BlockSignature(b)
-		if verdict, ok := cache.lookup(sig); ok {
-			return verdict
+		if !verdict {
+			return i
 		}
-		verdict := blockHomExists(b, inst, opts)
-		cache.store(sig, verdict)
-		return verdict
 	}
-	return par.FirstReject(len(blocks), degree, check)
+	return -1
 }
 
 // blockHomExists checks one block; per Proposition 1 of the paper, a
 // homomorphism from k to i exists iff each block maps independently.
 func blockHomExists(block Block, i *rel.Instance, opts Options) bool {
 	if len(block.Nulls) == 0 {
-		// A null-free block maps by the identity: containment check,
-		// chunked across workers when the block is large (the common
-		// shape for families with full Σts heads, where I_can is one
-		// giant ground block).
-		degree := par.Degree(opts.Parallelism)
-		if degree > 1 && len(block.Facts) >= containsChunkMin {
-			chunks := par.Chunks(len(block.Facts), degree*enumerateChunksPerWorker)
-			return par.FirstReject(len(chunks), degree, func(c int) bool {
-				for _, f := range block.Facts[chunks[c][0]:chunks[c][1]] {
-					if !i.Contains(f) {
-						return false
-					}
-				}
-				return true
-			}) < 0
-		}
+		// A null-free block maps by the identity: a containment check.
 		for _, f := range block.Facts {
 			if !i.Contains(f) {
 				return false

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/dep"
-	"repro/internal/par"
 	"repro/internal/rel"
 )
 
@@ -96,8 +95,7 @@ type deltaSlot struct {
 //
 // A nil spec.Old requests a full enumeration; so does an all-zero one
 // (the first chase round seeds the delta with the whole instance). The
-// keep filter follows the Enumerate contract: it may run concurrently
-// and must only read shared state.
+// keep filter follows the Enumerate contract.
 //
 // The decomposition generalizes the textbook one: for each position s
 // in the join order, a count slot pins atom s to the delta segment,
@@ -107,8 +105,8 @@ type deltaSlot struct {
 // position that touches a new tuple, but a binding can combine changed
 // tuples with new ones and so surface from several slots — the merged,
 // vector-sorted result is deduplicated by vector (equal vectors denote
-// the same binding). Slots run in parallel under opts.Parallelism and
-// the merged result is re-sorted into the serial enumeration order.
+// the same binding). The merged result is re-sorted into the full
+// enumeration order.
 func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec DeltaSpec, opts Options, keep func(Binding) bool) []Binding {
 	if spec.Old == nil {
 		return Enumerate(atoms, inst, init, opts, keep)
@@ -137,7 +135,7 @@ func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec
 	}
 	if allNew {
 		// Whole instance is delta: the plain enumeration is equivalent
-		// and fans out with better granularity (per-candidate chunks).
+		// and skips the per-hit vectors and the merge sort.
 		return Enumerate(atoms, inst, init, opts, keep)
 	}
 
@@ -173,23 +171,9 @@ func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec
 		return nil
 	}
 
-	results := make([][]deltaHit, len(slots))
-	if degree := par.Degree(opts.Parallelism); degree > 1 && len(slots) > 1 {
-		par.Do(len(slots), degree, opts.Seed, func(k int) {
-			results[k] = enumerateSlot(order, inst, opts, base.Clone(), spec.Old, slots[k], keep)
-		})
-	} else {
-		for k, s := range slots {
-			results[k] = enumerateSlot(order, inst, opts, base, spec.Old, s, keep)
-		}
-	}
-	total := 0
-	for _, rs := range results {
-		total += len(rs)
-	}
-	hits := make([]deltaHit, 0, total)
-	for _, rs := range results {
-		hits = append(hits, rs...)
+	var hits []deltaHit
+	for _, s := range slots {
+		hits = enumerateSlot(order, inst, opts, base, spec.Old, s, keep, hits)
 	}
 	sort.Slice(hits, func(i, j int) bool { return lexLess(hits[i].vec, hits[j].vec) })
 	out := make([]Binding, 0, len(hits))
@@ -205,9 +189,9 @@ func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec
 // enumerateSlot runs one slot of the semi-naive decomposition: a
 // backtracking search with the slot atom pinned to the delta segment or
 // to the changed-index list, earlier atoms pinned to the old segment,
-// later atoms unconstrained. Each hit carries its tuple-index vector
-// for the merge sort.
-func enumerateSlot(order []dep.Atom, inst *rel.Instance, opts Options, base Binding, delta Delta, slot deltaSlot, keep func(Binding) bool) []deltaHit {
+// later atoms unconstrained. Each hit, appended to hits, carries its
+// tuple-index vector for the merge sort.
+func enumerateSlot(order []dep.Atom, inst *rel.Instance, opts Options, base Binding, delta Delta, slot deltaSlot, keep func(Binding) bool, hits []deltaHit) []deltaHit {
 	n := len(order)
 	low := make([]int, n)
 	high := make([]int, n)
@@ -223,7 +207,6 @@ func enumerateSlot(order []dep.Atom, inst *rel.Instance, opts Options, base Bind
 			low[i] = old
 		}
 	}
-	var hits []deltaHit
 	s := newSearcher(inst, opts, false, nil)
 	defer s.release()
 	s.low, s.high, s.vec = low, high, vec

@@ -81,7 +81,7 @@ var deltaTestPatterns = [][]dep.Atom{
 // TestEnumerateDeltaMatchesReference: on random old/new instance
 // splits, EnumerateDeltaSpec with an Old watermark returns exactly the
 // full enumeration minus the old-only bindings, in the full
-// enumeration's order, serially and in parallel.
+// enumeration's order.
 func TestEnumerateDeltaMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
@@ -90,16 +90,14 @@ func TestEnumerateDeltaMatchesReference(t *testing.T) {
 		old.Freeze()
 		for pi, atoms := range deltaTestPatterns {
 			want := deltaReference(atoms, full, old, Options{})
-			for _, opts := range []Options{{}, {Parallelism: 4}} {
-				got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, opts, nil)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d pattern %d opts %+v: got %d bindings, want %d", trial, pi, opts, len(got), len(want))
-				}
-				for i := range got {
-					if bindingKey(got[i]) != bindingKey(want[i]) {
-						t.Fatalf("trial %d pattern %d opts %+v: binding %d is %s, want %s (order or content diverged)",
-							trial, pi, opts, i, bindingKey(got[i]), bindingKey(want[i]))
-					}
+			got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, nil)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d pattern %d: got %d bindings, want %d", trial, pi, len(got), len(want))
+			}
+			for i := range got {
+				if bindingKey(got[i]) != bindingKey(want[i]) {
+					t.Fatalf("trial %d pattern %d: binding %d is %s, want %s (order or content diverged)",
+						trial, pi, i, bindingKey(got[i]), bindingKey(want[i]))
 				}
 			}
 		}

@@ -94,7 +94,7 @@ func oldUnchangedCopy(inst *rel.Instance, counts Delta, changed map[string][]int
 // old segment, in-place merges, and appended tuples,
 // EnumerateDeltaSpec returns exactly the full enumeration minus the
 // bindings realizable over unchanged old tuples, in the full
-// enumeration's order, serially and in parallel.
+// enumeration's order.
 func TestEnumerateDeltaSpecMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 60; trial++ {
@@ -104,17 +104,15 @@ func TestEnumerateDeltaSpecMatchesReference(t *testing.T) {
 		oldUnchanged.Freeze()
 		for pi, atoms := range deltaTestPatterns {
 			want := deltaReference(atoms, inst, oldUnchanged, Options{})
-			for _, opts := range []Options{{}, {Parallelism: 4}} {
-				spec := DeltaSpec{Old: counts, Changed: changed}
-				got := EnumerateDeltaSpec(atoms, inst, nil, spec, opts, nil)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d pattern %d opts %+v: got %d bindings, want %d", trial, pi, opts, len(got), len(want))
-				}
-				for i := range got {
-					if bindingKey(got[i]) != bindingKey(want[i]) {
-						t.Fatalf("trial %d pattern %d opts %+v: binding %d is %s, want %s (order or content diverged)",
-							trial, pi, opts, i, bindingKey(got[i]), bindingKey(want[i]))
-					}
+			spec := DeltaSpec{Old: counts, Changed: changed}
+			got := EnumerateDeltaSpec(atoms, inst, nil, spec, Options{}, nil)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d pattern %d: got %d bindings, want %d", trial, pi, len(got), len(want))
+			}
+			for i := range got {
+				if bindingKey(got[i]) != bindingKey(want[i]) {
+					t.Fatalf("trial %d pattern %d: binding %d is %s, want %s (order or content diverged)",
+						trial, pi, i, bindingKey(got[i]), bindingKey(want[i]))
 				}
 			}
 		}

@@ -27,11 +27,10 @@ func (b Binding) Clone() Binding {
 	return c
 }
 
-// Options controls the homomorphism search: Parallelism bounds the
-// workers of the parallel entry points (Enumerate, CheckBlocks,
-// InstanceHomExists), and a canceled Ctx makes the backtracking searcher
-// stop enumerating — possibly reporting a spurious miss, so callers
-// that set Ctx re-check Ctx.Err() before trusting a result.
+// Options controls the homomorphism search: a canceled Ctx makes the
+// backtracking searcher stop enumerating — possibly reporting a
+// spurious miss, so callers that set Ctx re-check Ctx.Err() before
+// trusting a result.
 type Options = par.Config
 
 // ForEach enumerates homomorphisms from the conjunction of atoms into

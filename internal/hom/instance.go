@@ -54,8 +54,7 @@ func factAtom(f rel.Fact) dep.Atom {
 
 // InstanceHomExists reports whether there is a homomorphism from k to i
 // that is the identity on constants (nulls of k may map to any value
-// of i). The per-block checks run across opts.Parallelism workers (see
-// CheckBlocks); the verdict is identical at any setting.
+// of i), checking block by block (see CheckBlocks).
 func InstanceHomExists(k, i *rel.Instance, opts Options) bool {
 	return CheckBlocks(Blocks(k), i, opts) < 0
 }

@@ -17,10 +17,9 @@ import (
 //     Reserve, RemoveLastTuple, MergeValue) called on a receiver that
 //     was frozen earlier in the same function, unless the variable was
 //     reassigned (e.g. to a Clone()) in between;
-//   - a mutating method called inside a par.Do / par.FirstReject
-//     closure or a go-statement on an instance declared outside the
-//     closure: even an unfrozen instance must not be mutated from
-//     worker goroutines.
+//   - a mutating method called inside a go-statement closure on an
+//     instance declared outside the closure: even an unfrozen instance
+//     must not be mutated from another goroutine.
 var frozenmutAnalyzer = &Analyzer{
 	Name: "frozenmut",
 	Doc:  "no mutation of frozen or goroutine-shared rel.Instance values",
@@ -86,7 +85,7 @@ func runFrozenmut(p *Pass) {
 	forEachFunc(p, func(decl *ast.FuncDecl, body *ast.BlockStmt) {
 		checkFreezeThenMutate(p, body)
 	})
-	checkParallelClosures(p)
+	checkGoClosures(p)
 }
 
 // checkFreezeThenMutate replays freeze/mutate/reassign events of one
@@ -127,29 +126,14 @@ func checkFreezeThenMutate(p *Pass, body *ast.BlockStmt) {
 	}
 }
 
-// checkParallelClosures flags instance mutations inside closures run
-// by par.Do / par.FirstReject or go statements when the instance is
-// declared outside the closure.
-func checkParallelClosures(p *Pass) {
+// checkGoClosures flags instance mutations inside closures run by go
+// statements when the instance is declared outside the closure.
+func checkGoClosures(p *Pass) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				fn := calleeFunc(p.Info, n)
-				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "repro/internal/par" {
-					return true
-				}
-				if fn.Name() != "Do" && fn.Name() != "FirstReject" {
-					return true
-				}
-				for _, arg := range n.Args {
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-						checkClosureMutations(p, lit, "par."+fn.Name()+" worker")
-					}
-				}
-			case *ast.GoStmt:
-				if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-					checkClosureMutations(p, lit, "goroutine")
+			if g, ok := n.(*ast.GoStmt); ok {
+				if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
+					checkClosureMutations(p, lit)
 				}
 				return false
 			}
@@ -158,7 +142,7 @@ func checkParallelClosures(p *Pass) {
 	}
 }
 
-func checkClosureMutations(p *Pass, lit *ast.FuncLit, where string) {
+func checkClosureMutations(p *Pass, lit *ast.FuncLit) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -176,8 +160,8 @@ func checkClosureMutations(p *Pass, lit *ast.FuncLit, where string) {
 		if obj == nil || declaredWithin(obj, lit) {
 			return true
 		}
-		p.Reportf(call.Pos(), "%s mutates captured instance %s inside a %s; instances shared with goroutines must be frozen, and frozen instances must not be mutated",
-			name, types.ExprString(recv), where)
+		p.Reportf(call.Pos(), "%s mutates captured instance %s inside a goroutine; instances shared with goroutines must be frozen, and frozen instances must not be mutated",
+			name, types.ExprString(recv))
 		return true
 	})
 }

@@ -1,10 +1,7 @@
 // Package frozenmut exercises the freeze-after-build analyzer.
 package frozenmut
 
-import (
-	"repro/internal/par"
-	"repro/internal/rel"
-)
+import "repro/internal/rel"
 
 func freezeThenMutate() {
 	inst := rel.NewInstance()
@@ -48,24 +45,12 @@ func mutateBeforeFreeze() {
 	inst.Freeze()
 }
 
-func parDoMutation(shared *rel.Instance) {
-	par.Do(4, 2, 1, func(task int) {
-		shared.Add("R", rel.Const("x")) // want `Add mutates captured instance shared inside a par.Do worker`
-	})
-}
-
-func parDoLocalInstance() {
-	par.Do(4, 2, 1, func(task int) {
+func goLocalInstance(done chan struct{}) {
+	go func() {
 		local := rel.NewInstance()
 		local.Add("R", rel.Const("x")) // ok: declared inside the closure
-	})
-}
-
-func firstRejectMutation(shared *rel.Instance) {
-	par.FirstReject(4, 2, func(task int) bool {
-		shared.AddAll(rel.NewInstance()) // want `AddAll mutates captured instance shared inside a par.FirstReject worker`
-		return true
-	})
+		close(done)
+	}()
 }
 
 func goMutation(shared *rel.Instance, done chan struct{}) {
@@ -75,12 +60,14 @@ func goMutation(shared *rel.Instance, done chan struct{}) {
 	}()
 }
 
-func parDoOwnedAddReserveMerge(shared *rel.Instance) {
-	par.Do(4, 2, 1, func(task int) {
-		shared.AddOwnedTuple("R", rel.Tuple{rel.Const("x")}) // want `AddOwnedTuple mutates captured instance shared inside a par.Do worker`
-		shared.Reserve("R", 1, 8)                            // want `Reserve mutates captured instance shared inside a par.Do worker`
-		shared.MergeValue(rel.Null(1), rel.Const("a"))       // want `MergeValue mutates captured instance shared inside a par.Do worker`
-	})
+func goOwnedAddReserveMerge(shared *rel.Instance, done chan struct{}) {
+	go func() {
+		shared.AddOwnedTuple("R", rel.Tuple{rel.Const("x")}) // want `AddOwnedTuple mutates captured instance shared inside a goroutine`
+		shared.Reserve("R", 1, 8)                            // want `Reserve mutates captured instance shared inside a goroutine`
+		shared.MergeValue(rel.Null(1), rel.Const("a"))       // want `MergeValue mutates captured instance shared inside a goroutine`
+		shared.AddAll(rel.NewInstance())                     // want `AddAll mutates captured instance shared inside a goroutine`
+		close(done)
+	}()
 }
 
 func goReadOnly(shared *rel.Instance, out chan int) {

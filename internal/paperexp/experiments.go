@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hom"
 	"repro/internal/oracle"
-	"repro/internal/par"
 	"repro/internal/pdms"
 	"repro/internal/reductions"
 	"repro/internal/rel"
@@ -83,13 +81,6 @@ func Experiments() []Experiment {
 					return t.Cell(r, "max rank") == "unbounded"
 				}
 				return t.Int(r, "chase steps") <= t.Int(r, "budget hint")
-			})},
-		{"EXP-PAR", "Substrate: serial vs parallel Figure 3 — speedup vs workers", runParallel,
-			// Every worker count accepts with the 1-worker trace, so a
-			// speedup is a pure wall-clock effect.
-			each("the solvable instance is rejected, or the trace differs from the previous worker count's", func(t *Table, r int) bool {
-				return t.Cell(r, "SOL") == true &&
-					(t.Int(r, "workers") == 1 || sameCells(t, r, r-1, "workload", "blocks", "Σst steps", "Σts steps"))
 			})},
 		{"EXP-EGD", "Section 4 boundary: a single target egd is NP-hard",
 			boundarySweep(reductions.BoundaryEgdSetting()), same("has k-clique", "SOL")},
@@ -337,39 +328,6 @@ func tractableSweep(s *core.Setting, gen func(int, bool, *rand.Rand) (*rel.Insta
 		}
 		return t, nil
 	}
-}
-
-// runParallel times the Theorem 4 acceptance workloads at growing worker
-// counts. Speedups require cores: on GOMAXPROCS=1 hosts, expect ~1.0x.
-func runParallel() (*Table, error) {
-	t := &Table{Header: []string{"workload", "workers", "SOL", "blocks", "Σst steps", "Σts steps", "time", "speedup"}}
-	t.Note = fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d", runtime.GOMAXPROCS(0), runtime.NumCPU())
-	for _, c := range []struct {
-		name string
-		s    *core.Setting
-		gen  func(int, bool, *rand.Rand) (*rel.Instance, *rel.Instance)
-		n    int
-	}{
-		{"lav n=1600", workload.LAVSetting(), workload.LAVInstance, 1600},
-		{"full-st n=400", workload.FullSTSetting(), workload.FullSTInstance, 400},
-	} {
-		i, j := c.gen(c.n, true, rand.New(rand.NewSource(7)))
-		var serial time.Duration
-		for _, workers := range []int{1, 2, 4} {
-			start := time.Now()
-			ok, trace, err := core.ExistsSolutionTractable(c.s, i, j, core.TractableOptions{Config: par.Config{Parallelism: workers}})
-			d := time.Since(start)
-			if err != nil {
-				return nil, err
-			}
-			if workers == 1 {
-				serial = d
-			}
-			t.add(c.name, workers, ok, trace.Blocks, trace.StepsST, trace.StepsTS,
-				d.Round(time.Microsecond), fmt.Sprintf("%.2fx", float64(serial)/float64(d)))
-		}
-	}
-	return t, nil
 }
 
 func runTheorem5() (*Table, error) {

@@ -23,7 +23,6 @@ var corruptions = map[string]func(t *Table){
 	"EXP-L2":      func(t *Table) { t.Rows[0][2] = 121 },        // extracted larger than bloated
 	"EXP-WA":      func(t *Table) { t.Rows[1][2] = "fixpoint" }, // cyclic chase terminates
 	"EXP-RANK":    func(t *Table) { t.Rows[4][1] = 1 },          // cyclic family ranked
-	"EXP-PAR":     func(t *Table) { t.Rows[2][4] = 0 },          // 4-worker trace diverges
 	"EXP-EGD":     func(t *Table) { t.Rows[1][3] = true },       // P4 has no triangle
 	"EXP-FULLT":   func(t *Table) { t.Rows[3][3] = false },      // K4 has a 4-clique
 	"EXP-3COL":    func(t *Table) { t.Rows[1][2] = true },       // K4 is not 3-colorable

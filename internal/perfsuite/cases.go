@@ -12,7 +12,6 @@ import (
 	"repro/internal/dep"
 	"repro/internal/depparse"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/qplan"
 	"repro/internal/reductions"
 	"repro/internal/rel"
@@ -26,17 +25,12 @@ import (
 func Cases() []Case {
 	var cs []Case
 	// Theorem 4 (EXP-T4-LAV, EXP-T4-FULL): the Figure 3 algorithm on the
-	// two C_tract families, near-linear in n. EXP-PAR pins the headline
-	// sizes to 1, 2 and 4 workers: results are identical, and on one
-	// core the w>1 rows measure the worker pool's overhead.
+	// two C_tract families, near-linear in n.
 	for _, n := range []int{100, 400, 1600} {
-		cs = append(cs, tractable("lav", n, 0))
+		cs = append(cs, tractable("lav", n))
 	}
 	for _, n := range []int{50, 100, 200, 400} {
-		cs = append(cs, tractable("fullst", n, 0))
-	}
-	for _, w := range []int{1, 2, 4} {
-		cs = append(cs, tractable("lav", 1600, w), tractable("fullst", 400, w))
+		cs = append(cs, tractable("fullst", n))
 	}
 	cs = append(cs,
 		Case{"lav-chase/n=1600/delta", lavChase},
@@ -84,24 +78,19 @@ func acceptance(family string, n int) (*core.Setting, *rel.Instance, *rel.Instan
 	return workload.LAVSetting(), i, j
 }
 
-// tractable times ExistsSolutionTractable. With workers > 0 the run is
-// pinned to that many workers and must fire the default run's steps.
-func tractable(family string, n, workers int) Case {
-	name := fmt.Sprintf("tractable-%s/n=%d/delta", family, n)
-	if workers > 0 {
-		name += fmt.Sprintf("-par%d", workers)
-	}
-	return Case{name, func() (Op, error) {
+// tractable times ExistsSolutionTractable. Every timed run must fire
+// the steps of the setup run.
+func tractable(family string, n int) Case {
+	return Case{fmt.Sprintf("tractable-%s/n=%d/delta", family, n), func() (Op, error) {
 		s, i, j := acceptance(family, n)
 		want, err := solveTractable(s, i, j, core.TractableOptions{})
 		if err != nil {
 			return nil, err
 		}
-		opts := core.TractableOptions{Config: par.Config{Parallelism: workers}}
 		return func() (Counters, error) {
-			c, err := solveTractable(s, i, j, opts)
+			c, err := solveTractable(s, i, j, core.TractableOptions{})
 			if err == nil && c != want {
-				err = fmt.Errorf("fired %d steps, the default run %d", c.Steps, want.Steps)
+				err = fmt.Errorf("fired %d steps, the setup run %d", c.Steps, want.Steps)
 			}
 			return c, err
 		}, nil

@@ -1,15 +1,11 @@
 // Plan execution: an index-driven backtracking join over the compiled
-// atoms, with deterministic parallel leaf scans. The top atom of each
-// disjunct fans its candidate tuples out over par workers in contiguous
-// chunks; per-chunk results merge in chunk order, so output is
-// byte-identical at every Parallelism/Seed setting.
+// atoms. The top atom of each disjunct scans its candidate tuples in
+// index order, so output is deterministic.
 package qplan
 
 import (
 	"context"
-	"sync/atomic"
 
-	"repro/internal/par"
 	"repro/internal/rel"
 )
 
@@ -17,7 +13,7 @@ import (
 // context polls (matching the hom searcher's cadence).
 const ctxPollEvery = 1024
 
-// runner is the per-worker backtracking state of one disjunct.
+// runner is the backtracking state of one disjunct scan.
 type runner struct {
 	d      *disjunct
 	i, j   *rel.Instance
@@ -198,100 +194,38 @@ func topCandidates(a *catom, rl *rel.Relation) []int {
 // collectRows evaluates one disjunct and returns every head row in
 // candidate order (duplicates included; the caller deduplicates).
 func collectRows(d *disjunct, i, j *rel.Instance, opts EvalOptions) ([]rel.Tuple, error) {
-	if len(d.order) == 0 {
-		return nil, nil
-	}
-	a := &d.atoms[d.order[0]]
-	inst := j
-	if a.source {
-		inst = i
-	}
-	rl := inst.Relation(a.rel)
-	if rl == nil {
-		return nil, nil
-	}
-	cands := topCandidates(a, rl)
-	if len(cands) == 0 {
-		return nil, nil
-	}
-	degree := par.Degree(opts.Parallelism)
-	chunks := par.Chunks(len(cands), degree)
-	results := make([][]rel.Tuple, len(chunks))
-	var sawCancel atomic.Bool
-	par.Do(len(chunks), degree, opts.Seed, func(ci int) {
-		r := newRunner(d, i, j, opts.Ctx, nil)
-		r.emit = func(t rel.Tuple) bool {
-			results[ci] = append(results[ci], t)
-			return true
-		}
-		for _, idx := range cands[chunks[ci][0]:chunks[ci][1]] {
-			if !r.tryTuple(a, rl.TupleAt(idx), 0) {
-				break
-			}
-		}
-		if r.stop {
-			sawCancel.Store(true)
-		}
-	})
-	if sawCancel.Load() {
-		if err := canceled(opts.Ctx, "plan scan"); err != nil {
-			return nil, err
-		}
-	}
 	var out []rel.Tuple
-	for _, rs := range results {
-		out = append(out, rs...)
+	err := forEachRow(d, i, j, opts.Ctx, "plan scan", func(t rel.Tuple) bool {
+		out = append(out, t)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// existsMatch reports whether the disjunct has any match. The verdict
-// is order-independent, so chunks race freely and the first match
-// cancels the rest.
+// existsMatch reports whether the disjunct has any match, stopping at
+// the first one.
 func existsMatch(d *disjunct, i, j *rel.Instance, opts EvalOptions) (bool, error) {
 	if len(d.order) == 0 {
 		return true, nil
 	}
-	a := &d.atoms[d.order[0]]
-	inst := j
-	if a.source {
-		inst = i
-	}
-	rl := inst.Relation(a.rel)
-	if rl == nil {
-		return false, nil
-	}
-	cands := topCandidates(a, rl)
-	if len(cands) == 0 {
-		return false, nil
-	}
-	degree := par.Degree(opts.Parallelism)
-	chunks := par.Chunks(len(cands), degree)
-	var sawCancel atomic.Bool
-	hit := par.FirstReject(len(chunks), degree, func(ci int) bool {
-		r := newRunner(d, i, j, opts.Ctx, func(rel.Tuple) bool { return false })
-		for _, idx := range cands[chunks[ci][0]:chunks[ci][1]] {
-			if !r.tryTuple(a, rl.TupleAt(idx), 0) {
-				break
-			}
-		}
-		if r.stop {
-			sawCancel.Store(true)
-		}
-		return !r.halted // reject the chunk when it found a match
+	found := false
+	err := forEachRow(d, i, j, opts.Ctx, "plan scan", func(rel.Tuple) bool {
+		found = true
+		return false
 	})
-	if sawCancel.Load() {
-		if err := canceled(opts.Ctx, "plan scan"); err != nil {
-			return false, err
-		}
+	if err != nil {
+		return false, err
 	}
-	return hit >= 0, nil
+	return found, nil
 }
 
-// forEachRow enumerates one disjunct's head rows serially, stopping
-// when fn returns false (used by the solution probes, which want early
-// exit on the first violation).
-func forEachRow(d *disjunct, i, j *rel.Instance, ctx context.Context, fn func(rel.Tuple) bool) error {
+// forEachRow enumerates one disjunct's head rows in candidate order,
+// stopping when fn returns false. A canceled ctx stops the scan with an
+// error naming what was scanning.
+func forEachRow(d *disjunct, i, j *rel.Instance, ctx context.Context, what string, fn func(rel.Tuple) bool) error {
 	if len(d.order) == 0 {
 		return nil
 	}
@@ -311,7 +245,7 @@ func forEachRow(d *disjunct, i, j *rel.Instance, ctx context.Context, fn func(re
 		}
 	}
 	if r.stop {
-		return canceled(ctx, "probe scan")
+		return canceled(ctx, what)
 	}
 	return nil
 }

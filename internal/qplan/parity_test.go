@@ -19,7 +19,7 @@ const enumBudget = 200000
 // TestCompiledParityRandom is the property suite behind the compiled
 // path: over ≥50 random settings inside the compilable fragment, a
 // random open and a random Boolean query must produce byte-identical
-// results to the chase-backed enumeration, at Parallelism 1 and 4.
+// results to the chase-backed enumeration.
 func TestCompiledParityRandom(t *testing.T) {
 	const wantCases = 50
 	evaluated := 0
@@ -66,17 +66,15 @@ func TestCompiledParityRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d boolean=%v: enumeration: %v", seed, boolean, err)
 			}
-			for _, par := range []int{1, 4} {
-				got, err := p.Eval(i, j, EvalOptions{Parallelism: par, Seed: seed})
-				if err != nil {
-					t.Fatalf("seed %d boolean=%v par=%d: compiled: %v", seed, boolean, par, err)
-				}
-				if got.SolutionExists != want.SolutionExists ||
-					got.Certain != want.Certain ||
-					!reflect.DeepEqual(got.Answers, want.Answers) {
-					t.Fatalf("seed %d boolean=%v par=%d:\nsetting: %v\nquery: %v\ncompiled:   %+v\nenumerated: %+v\nplan:\n%s",
-						seed, boolean, par, s, q, got, want, p)
-				}
+			got, err := p.Eval(i, j, EvalOptions{})
+			if err != nil {
+				t.Fatalf("seed %d boolean=%v: compiled: %v", seed, boolean, err)
+			}
+			if got.SolutionExists != want.SolutionExists ||
+				got.Certain != want.Certain ||
+				!reflect.DeepEqual(got.Answers, want.Answers) {
+				t.Fatalf("seed %d boolean=%v:\nsetting: %v\nquery: %v\ncompiled:   %+v\nenumerated: %+v\nplan:\n%s",
+					seed, boolean, s, q, got, want, p)
 			}
 		}
 		evaluated++

@@ -262,9 +262,8 @@ func headUniversalVars(d dep.TGD) []string {
 // Setting returns the compiled setting.
 func (sp *SettingPlan) Setting() *core.Setting { return sp.s }
 
-// EvalOptions configures plan evaluation: Parallelism bounds the
-// workers of the leaf scans, and a canceled Ctx stops the evaluation
-// with an error wrapping par.ErrCanceled.
+// EvalOptions configures plan evaluation: a canceled Ctx stops the
+// evaluation with an error wrapping par.ErrCanceled.
 type EvalOptions = par.Config
 
 func canceled(ctx context.Context, what string) error {
@@ -323,7 +322,7 @@ func (sp *SettingPlan) SolutionExists(i, j *rel.Instance, opts EvalOptions) (boo
 		b := hom.Binding{}
 		for di := range pb.disjuncts {
 			violated := false
-			err := forEachRow(&pb.disjuncts[di], i, j, opts.Ctx, func(row rel.Tuple) bool {
+			err := forEachRow(&pb.disjuncts[di], i, j, opts.Ctx, "probe scan", func(row rel.Tuple) bool {
 				k := rel.KeyOf(row)
 				if seen[k] {
 					return true

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/certain"
@@ -38,7 +39,7 @@ func TestLAVCompiled(t *testing.T) {
 	// Open query projecting the constant positions: every Person pair.
 	q := openQ("q", []string{"x", "g"}, dep.NewAtom("Rec", dep.Var("x"), dep.Var("g"), dep.Var("u")))
 	p := mustCompile(t, s, q)
-	res, err := p.Eval(i, j, EvalOptions{Parallelism: 1})
+	res, err := p.Eval(i, j, EvalOptions{})
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
@@ -120,7 +121,7 @@ func TestCompiledMatchesChaseOnStockFamilies(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := mustCompile(t, tc.s, tc.q)
-			got, err := p.Eval(tc.i, tc.j, EvalOptions{Parallelism: 1})
+			got, err := p.Eval(tc.i, tc.j, EvalOptions{})
 			if err != nil {
 				t.Fatalf("compiled: %v", err)
 			}
@@ -313,5 +314,40 @@ func TestEvalCanceled(t *testing.T) {
 	cancel()
 	if _, err := p.Eval(i, j, EvalOptions{Ctx: ctx}); err == nil || !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("canceled eval: err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestPlanConcurrentCallers: one compiled plan evaluated from several
+// goroutines over shared frozen instances — as pdxd's plan cache serves
+// concurrent requests — gives every caller the serial result.
+func TestPlanConcurrentCallers(t *testing.T) {
+	s := workload.LAVSetting()
+	i, j := workload.LAVInstance(200, true, rand.New(rand.NewSource(4)))
+	i.Freeze()
+	j.Freeze()
+	q := openQ("q", []string{"x", "g"}, dep.NewAtom("Rec", dep.Var("x"), dep.Var("g"), dep.Var("u")))
+	p := mustCompile(t, s, q)
+	want, err := p.Eval(i, j, EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.SolutionExists || len(want.Answers) != 200 {
+		t.Fatalf("serial eval: %d answers, solution %v; want 200 answers", len(want.Answers), want.SolutionExists)
+	}
+	got := make([]certain.Result, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = p.Eval(i, j, EvalOptions{})
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil || !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("caller %d: %+v, %v; want the serial result", g, got[g], errs[g])
+		}
 	}
 }

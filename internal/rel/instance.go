@@ -439,9 +439,10 @@ func (r *Relation) mergeValue(from, to Value) []int {
 // only until that instance's next write.
 //
 // Concurrency: an Instance is safe for concurrent reads as long as no
-// goroutine writes it. The parallel search paths (hom, chase, core)
-// rely on a freeze-after-build discipline: instances are fully built by
-// one goroutine, then only read while shared. Freeze turns that
+// goroutine writes it. Instances shared between concurrent requests
+// (cached chase results, registered instances, compiled settings) rely
+// on a freeze-after-build discipline: they are fully built by one
+// goroutine, then only read while shared. Freeze turns that
 // discipline into a checked invariant.
 type Instance struct {
 	rels   map[string]relSlot
@@ -481,10 +482,9 @@ func (inst *Instance) Add(relName string, args ...Value) bool {
 
 // Freeze marks the instance immutable: any subsequent mutation panics.
 // Freezing is idempotent and cannot be undone. It exists to enforce the
-// freeze-after-build discipline of the parallel search paths: an
-// instance handed to concurrent workers must already be frozen, or at
-// least never mutated while shared. Clones of a frozen instance are
-// mutable again.
+// freeze-after-build discipline: an instance shared between goroutines
+// must already be frozen, or at least never mutated while shared.
+// Clones of a frozen instance are mutable again.
 func (inst *Instance) Freeze() { inst.frozen = true }
 
 // Frozen reports whether Freeze has been called.

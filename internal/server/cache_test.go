@@ -249,6 +249,70 @@ func TestCacheHitAppendEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAppendArityMismatchIs400: a batch that uses a relation at another
+// arity than the base instance is rejected with a typed 400 before
+// admission — with every slot taken it still gets 400, not 429 — and
+// the daemon keeps serving: the base is unchanged and a well-formed
+// append succeeds afterwards.
+func TestAppendArityMismatchIs400(t *testing.T) {
+	s, c := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: -1})
+	ctx := context.Background()
+	base, err := c.RegisterInstance(ctx, "E(a,b).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.sem <- struct{}{} // take the only admission slot
+	_, err = c.AppendInstance(ctx, base.ID, client.AppendRequest{Facts: "E(a,b,c)."})
+	<-s.sem
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != client.CodeBadRequest {
+		t.Fatalf("arity-mismatched append: want a 400 %s, got %v", client.CodeBadRequest, err)
+	}
+	if !strings.Contains(apiErr.Message, "E") || !strings.Contains(apiErr.Message, "arity") {
+		t.Errorf("error %q does not name the relation and its arity", apiErr.Message)
+	}
+
+	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("daemon stopped answering after the rejected append: %+v, %v", h, err)
+	}
+	list, err := c.Instances(ctx)
+	if err != nil || len(list.Instances) != 1 || list.Instances[0].ID != base.ID || list.Instances[0].Facts != 1 {
+		t.Fatalf("registry after the rejected append: %+v, %v", list, err)
+	}
+	app, err := c.AppendInstance(ctx, base.ID, client.AppendRequest{Facts: "E(b,c). F(a,b,c)."})
+	if err != nil || app.Added != 2 || app.Facts != 3 || app.Parent != base.ID {
+		t.Fatalf("well-formed append after the rejected one: %+v, %v", app, err)
+	}
+}
+
+// TestEmptySideIsShared: a side a request leaves out resolves to one
+// shared frozen instance, without allocating, under the content ID and
+// text that parsing "" gives.
+func TestEmptySideIsShared(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	a, okA := s.resolveInstance(nil, "source", "", "")
+	b, okB := s.resolveInstance(nil, "target", "", "")
+	if !okA || !okB || a != b {
+		t.Fatalf("empty sides resolve to %p and %p, want one shared instance", a, b)
+	}
+	parsed, err := compileInstance("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ID != parsed.ID || a.Text != parsed.Text || a.Facts != 0 || !a.Inst.Frozen() || a.Parent != "" {
+		t.Fatalf("shared empty instance %+v differs from the parsed one %+v", a, parsed)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if si, ok := s.resolveInstance(nil, "target", "", ""); !ok || si != a {
+			t.Fatal("empty side resolved to another instance")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("resolving an empty side allocates %.1f times, want 0", allocs)
+	}
+}
+
 func TestSolveRejectsInlinePlusID(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	ctx := context.Background()

@@ -57,6 +57,10 @@ func freezeInstance(inst *pde.Instance, parent string) *StoredInstance {
 	}
 }
 
+// emptyInstance is the side a request leaves out, built once: every
+// warm-read target would otherwise re-parse, format and hash "".
+var emptyInstance = freezeInstance(pde.NewInstance(), "")
+
 // InstanceRegistry is the concurrent content-addressed instance store,
 // the mirror of Registry for data rather than settings. Get, List, Evict
 // and Len come from the shared store.

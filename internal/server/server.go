@@ -37,10 +37,6 @@ type Config struct {
 	// MaxNodes is the server-wide generic-solver budget applied when a
 	// request doesn't set max_nodes; 0 means unbounded.
 	MaxNodes int64
-	// Parallelism is handed to every solve (pde.Options.Parallelism);
-	// 0 means GOMAXPROCS. Deadlines are the primary isolation knob; this
-	// bounds how many cores one request may burn.
-	Parallelism int
 	// CacheMaxBytes bounds the approximate bytes held by the
 	// chased-result cache; 0 means 256 MiB, negative means no byte
 	// bound.
@@ -315,7 +311,8 @@ func solveError(err error) (int, string) {
 // and hashed so they share the chase cache with registered ones, and
 // frozen like them: a cache entry keeps the request's instances, which
 // concurrent requests on the same entry clone, and the canonical text
-// the snapshot writer saves. An empty side is the empty instance.
+// the snapshot writer saves. A side the request leaves out is the
+// shared empty instance.
 func (s *Server) resolveInstance(w http.ResponseWriter, side, inline, byID string) (*StoredInstance, bool) {
 	switch {
 	case inline != "" && byID != "":
@@ -331,6 +328,8 @@ func (s *Server) resolveInstance(w http.ResponseWriter, side, inline, byID strin
 			return nil, false
 		}
 		return si, true
+	case inline == "":
+		return emptyInstance, true
 	default:
 		inst, err := pde.ParseInstance(inline)
 		if err != nil {

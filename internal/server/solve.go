@@ -11,6 +11,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
 
@@ -36,14 +37,14 @@ type solvePair struct {
 
 // config is the execution config of one request's solver work.
 func (s *Server) config(ctx context.Context) par.Config {
-	return par.Config{Parallelism: s.cfg.Parallelism, Ctx: ctx}
+	return par.Config{Ctx: ctx}
 }
 
 // options configures the shared dispatch for one request: the compiled
 // certain-answer path is always on, and a positive maxNodes overrides
 // the server-wide generic-solver budget.
 func (s *Server) options(maxNodes int64) pde.Options {
-	o := pde.Options{Compiled: true, Parallelism: s.cfg.Parallelism, MaxNodes: s.cfg.MaxNodes}
+	o := pde.Options{Compiled: true, MaxNodes: s.cfg.MaxNodes}
 	if maxNodes > 0 {
 		o.MaxNodes = maxNodes
 	}
@@ -196,6 +197,18 @@ func fitsSetting(batch *pde.Instance, st *pde.Setting) bool {
 	return true
 }
 
+// arityConflict reports the first relation of batch whose arity
+// differs from the same relation's in base: the union of the two would
+// not be an instance.
+func arityConflict(base, batch *pde.Instance) error {
+	for _, name := range batch.RelationNames() {
+		if r := base.Relation(name); r != nil && r.Arity() != batch.Relation(name).Arity() {
+			return fmt.Errorf("relation %s has arity %d in the instance but %d in the batch", name, r.Arity(), batch.Relation(name).Arity())
+		}
+	}
+	return nil
+}
+
 func (s *Server) handleInstanceRegister(w http.ResponseWriter, r *http.Request) {
 	var req client.RegisterInstanceRequest
 	if !decode(w, r, &req) {
@@ -248,6 +261,10 @@ func (s *Server) handleInstanceAppend(w http.ResponseWriter, r *http.Request) {
 	batch, err := pde.ParseInstance(req.Facts)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "parsing facts: %v", err)
+		return
+	}
+	if err := arityConflict(base.Inst, batch); err != nil {
+		writeErr(w, http.StatusBadRequest, client.CodeBadRequest, "%v", err)
 		return
 	}
 	// Migration resumes chases, so it runs under admission control and

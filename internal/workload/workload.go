@@ -456,8 +456,8 @@ func GenomicInstance(n int, clean bool, rng *rand.Rand) (*rel.Instance, *rel.Ins
 // inclusion dependencies with existentials, and key egds over a layered
 // schema L0, L1, L2 (edges only go up the layers, so the set is weakly
 // acyclic by construction). It is the generator behind the chase
-// property suites: soundness, determinism, parallel-vs-serial parity,
-// and semi-naive-vs-naive parity.
+// property suites: soundness, determinism, parallel callers matching a
+// serial run, and semi-naive-vs-naive parity.
 func RandomWeaklyAcyclicDeps(rng *rand.Rand) []dep.Dependency {
 	layers := []string{"L0", "L1", "L2"}
 	var out []dep.Dependency

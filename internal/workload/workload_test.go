@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dep"
 	"repro/internal/oracle"
-	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/workload"
 )
@@ -162,8 +161,7 @@ func TestKeyedLAVSetting(t *testing.T) {
 
 // TestKeyedLAVInstanceMerges: the generator really is egd-heavy — the
 // chase of Union(i, j) performs one merge per person and reaches a
-// clean fixpoint, byte for byte the reference chase's (oracle.Chase),
-// with the engine at Parallelism 1 and 4.
+// clean fixpoint, byte for byte the reference chase's (oracle.Chase).
 func TestKeyedLAVInstanceMerges(t *testing.T) {
 	const n = 60
 	i, j := workload.KeyedLAVInstance(n)
@@ -173,22 +171,20 @@ func TestKeyedLAVInstanceMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		res, err := chase.Run(start, deps, chase.Options{Config: par.Config{Parallelism: workers}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Failed {
-			t.Fatalf("keyed chase failed on %s", res.FailedOn)
-		}
-		if res.Merges != n {
-			t.Fatalf("chase applied %d merges, want one per person (%d)", res.Merges, n)
-		}
-		if res.UnionFind == nil || res.UnionFind.Merges() != n {
-			t.Fatalf("union-find state not retained: %v", res.UnionFind)
-		}
-		if ref.Instance.String() != res.Instance.String() || ref.Steps != res.Steps || ref.Merges != res.Merges || ref.Failed {
-			t.Fatalf("par %d: engine diverged from the reference chase on the keyed workload", workers)
-		}
+	res, err := chase.Run(start, deps, chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed {
+		t.Fatalf("keyed chase failed on %s", res.FailedOn)
+	}
+	if res.Merges != n {
+		t.Fatalf("chase applied %d merges, want one per person (%d)", res.Merges, n)
+	}
+	if res.UnionFind == nil || res.UnionFind.Merges() != n {
+		t.Fatalf("union-find state not retained: %v", res.UnionFind)
+	}
+	if ref.Instance.String() != res.Instance.String() || ref.Steps != res.Steps || ref.Merges != res.Merges || ref.Failed {
+		t.Fatal("engine diverged from the reference chase on the keyed workload")
 	}
 }

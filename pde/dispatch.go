@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/certain"
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/qplan"
 )
 
@@ -61,7 +62,7 @@ func SolveFrom(ctx context.Context, s *Setting, i, j *Instance, strategy Strateg
 		if err != nil {
 			return Result{}, err
 		}
-		sol, _, err := core.FindSolutionTractableFrom(i, trace, core.TractableOptions{Config: o.config(ctx)})
+		sol, _, err := core.FindSolutionTractableFrom(i, trace, core.TractableOptions{Config: par.Config{Ctx: ctx}})
 		if err != nil {
 			return Result{}, err
 		}
@@ -95,7 +96,7 @@ func SolveFrom(ctx context.Context, s *Setting, i, j *Instance, strategy Strateg
 // On error the returned slice ends at the failing query, so callers can
 // still account for the fallbacks taken.
 func CertainFrom(ctx context.Context, s *Setting, i, j *Instance, queries []UCQ, a Artifacts, o Options) ([]CertainResult, error) {
-	cfg := o.config(ctx)
+	cfg := par.Config{Ctx: ctx}
 	out := make([]CertainResult, len(queries))
 	var (
 		probed, exists bool
@@ -165,7 +166,7 @@ type chaser struct {
 }
 
 func (c *chaser) Tractable(ctx context.Context) (*TractableTrace, error) {
-	return core.ChaseCanonicalTractable(c.s, c.i, c.j, core.TractableOptions{Config: c.o.config(ctx)})
+	return core.ChaseCanonicalTractable(c.s, c.i, c.j, core.TractableOptions{Config: par.Config{Ctx: ctx}})
 }
 
 func (c *chaser) Verdict(ctx context.Context, cachedOnly bool) (bool, bool, error) {
@@ -176,7 +177,7 @@ func (c *chaser) Verdict(ctx context.Context, cachedOnly bool) (bool, bool, erro
 	if err != nil {
 		return false, false, err
 	}
-	ok, _, err := core.ExistsSolutionTractableFrom(c.i, trace, core.TractableOptions{Config: c.o.config(ctx)})
+	ok, _, err := core.ExistsSolutionTractableFrom(c.i, trace, core.TractableOptions{Config: par.Config{Ctx: ctx}})
 	return ok, err == nil, err
 }
 

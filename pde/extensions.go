@@ -17,10 +17,9 @@ import (
 // data-exchange fragment of the setting (Σts is not allowed): the chase
 // of (I, J) with Σst ∪ Σt. It returns nil with exists=false when the
 // chase fails (a target egd equated two constants), meaning no solution
-// exists. Options.Parallelism/Seed configure the chase's trigger
-// search.
-func UniversalSolution(s *Setting, i, j *Instance, opts ...Options) (sol *Instance, exists bool, err error) {
-	res, err := uni.CanonicalSolution(s, i, j, chase.Options{Config: options(opts).config(nil)})
+// exists.
+func UniversalSolution(s *Setting, i, j *Instance) (sol *Instance, exists bool, err error) {
+	res, err := uni.CanonicalSolution(s, i, j, chase.Options{})
 	if err != nil {
 		return nil, false, err
 	}
@@ -42,16 +41,15 @@ func Core(inst *Instance) *Instance {
 // polynomial time, by naive evaluation on the canonical universal
 // solution. This is the tractable contrast the paper draws with the
 // coNP-complete PDE case.
-func CertainAnswersDataExchange(s *Setting, i, j *Instance, q UCQ, opts ...Options) (CertainResult, error) {
+func CertainAnswersDataExchange(s *Setting, i, j *Instance, q UCQ) (CertainResult, error) {
 	if err := prepareCertain(s, i, j, q); err != nil {
 		return CertainResult{}, err
 	}
 	// The context-free config: query evaluation never sees a canceled
 	// search, so a spurious miss can never become an answer.
-	cfg := options(opts).config(nil)
 	answers, exists, err := uni.CertainAnswers(s, i, j, func(inst *rel.Instance) []rel.Tuple {
-		return q.Eval(inst, cfg)
-	}, chase.Options{Config: cfg})
+		return q.Eval(inst, hom.Options{})
+	}, chase.Options{})
 	if err != nil {
 		return CertainResult{}, err
 	}

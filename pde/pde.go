@@ -258,27 +258,14 @@ type Options struct {
 	// paths (SolutionsExamined excepted: the compiled path examines
 	// none).
 	Compiled bool
-	// Parallelism bounds the workers of every parallel phase (chase
-	// trigger search, block checks, the solver's violation scan): 0
-	// means GOMAXPROCS, 1 forces the serial paths. Results are
-	// byte-identical at every setting.
-	Parallelism int
-	// Seed perturbs parallel work distribution, never results.
-	Seed int64
 	// MaxNodes bounds the generic solver's search nodes; 0 means no
 	// bound. An exhausted budget fails with ErrSearchBudget.
 	MaxNodes int64
 }
 
-// config is the execution config of one call: the options' knobs plus
-// the call's context (nil for the context-free entry points).
-func (o Options) config(ctx context.Context) par.Config {
-	return par.Config{Parallelism: o.Parallelism, Seed: o.Seed, Ctx: ctx}
-}
-
 // solveOptions configures the generic solver for one call.
 func (o Options) solveOptions(ctx context.Context) core.SolveOptions {
-	return core.SolveOptions{Config: o.config(ctx), MaxNodes: o.MaxNodes}
+	return core.SolveOptions{Config: par.Config{Ctx: ctx}, MaxNodes: o.MaxNodes}
 }
 
 // ExistsSolution decides SOL(P) for (I, J): it runs the polynomial
