@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -11,6 +13,9 @@ import (
 	"repro/pde"
 )
 
+// lavPersons is the size of the LAV seed.
+const lavPersons = 8
+
 // seedSnapshots builds valid snapshot encodings covering both artifact
 // kinds, so the fuzzer starts from deep inside the format instead of
 // spending its budget rediscovering the magic and checksum.
@@ -19,7 +24,7 @@ func seedSnapshots(f *testing.F) [][]byte {
 	rng := rand.New(rand.NewSource(7))
 	var seeds [][]byte
 
-	li, lj := workload.LAVInstance(8, true, rng)
+	li, lj := workload.LAVInstance(lavPersons, true, rng)
 	trace, err := core.ChaseCanonicalTractable(workload.LAVSetting(), li, lj, core.TractableOptions{})
 	if err != nil {
 		f.Fatalf("lav trace: %v", err)
@@ -53,12 +58,39 @@ func seedSnapshots(f *testing.F) [][]byte {
 	return seeds
 }
 
+// divergedCopy changes one value of the second stored copy of the LAV
+// seed's Person relation (the Σst start's, which repeats the Σst
+// fixpoint's) and recomputes the checksum. The copy's header still
+// matches the first one, so the decoder must refuse to share the
+// relation it already built and decode the copy from its own bytes.
+func divergedCopy(f *testing.F, data []byte, persons int) []byte {
+	f.Helper()
+	hdr := binary.AppendUvarint(nil, uint64(len("Person")))
+	hdr = append(hdr, "Person"...)
+	hdr = binary.AppendUvarint(hdr, 2)
+	hdr = binary.AppendUvarint(hdr, uint64(persons))
+	body := append([]byte(nil), data[:len(data)-sha256.Size]...)
+	at := bytes.Index(body, hdr) + len(hdr)
+	next := bytes.Index(body[at:], hdr)
+	if at < len(hdr) || next < 0 {
+		f.Fatal("the LAV seed stores Person fewer than twice")
+	}
+	// The copy's first value is a constant: tag, length, then text.
+	body[at+next+len(hdr)+2] ^= 1
+	mut := snap.AppendChecksum(body)
+	if _, err := snap.Decode(mut); err != nil {
+		f.Fatalf("diverged copy does not decode: %v", err)
+	}
+	return mut
+}
+
 // FuzzSnapshotDecode pins the codec's two load-bearing guarantees on
 // arbitrary input: Decode never panics, and anything it accepts
 // re-encodes byte-identically (the canonical-form invariant the peer
 // warm-transfer protocol relies on).
 func FuzzSnapshotDecode(f *testing.F) {
-	for _, seed := range seedSnapshots(f) {
+	seeds := seedSnapshots(f)
+	for _, seed := range seeds {
 		f.Add(seed)
 		// Truncations and a bit flip steer the corpus toward the
 		// validation branches.
@@ -69,6 +101,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("\x89PDXSNAP"))
+	f.Add(divergedCopy(f, seeds[0], lavPersons))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := snap.Decode(data)

@@ -14,7 +14,7 @@ import (
 // two shapes statically:
 //
 //   - a mutating method (Add, AddTuple, AddOwnedTuple, AddFact, AddAll,
-//     Reserve, RemoveLastTuple, MergeValue) called on a receiver that
+//     Reserve, ShareRelation, RemoveLastTuple, MergeValue) called on a receiver that
 //     was frozen earlier in the same function, unless the variable was
 //     reassigned (e.g. to a Clone()) in between;
 //   - a mutating method called inside a go-statement closure on an
@@ -35,6 +35,7 @@ var instanceMutators = map[string]bool{
 	"AddFact":         true,
 	"AddAll":          true,
 	"Reserve":         true,
+	"ShareRelation":   true,
 	"RemoveLastTuple": true,
 	"MergeValue":      true,
 }

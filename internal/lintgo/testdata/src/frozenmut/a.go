@@ -37,6 +37,7 @@ func freezeThenOwnedAddReserveMerge() {
 	inst.AddOwnedTuple("R", rel.Tuple{rel.Const("x")}) // want `AddOwnedTuple called on inst, frozen at line`
 	inst.Reserve("R", 1, 8)                            // want `Reserve called on inst, frozen at line`
 	inst.MergeValue(rel.Null(1), rel.Const("a"))       // want `MergeValue called on inst, frozen at line`
+	inst.ShareRelation(rel.NewInstance(), "R")         // want `ShareRelation called on inst, frozen at line`
 }
 
 func mutateBeforeFreeze() {
@@ -66,6 +67,7 @@ func goOwnedAddReserveMerge(shared *rel.Instance, done chan struct{}) {
 		shared.Reserve("R", 1, 8)                            // want `Reserve mutates captured instance shared inside a goroutine`
 		shared.MergeValue(rel.Null(1), rel.Const("a"))       // want `MergeValue mutates captured instance shared inside a goroutine`
 		shared.AddAll(rel.NewInstance())                     // want `AddAll mutates captured instance shared inside a goroutine`
+		shared.ShareRelation(rel.NewInstance(), "R")         // want `ShareRelation mutates captured instance shared inside a goroutine`
 		close(done)
 	}()
 }

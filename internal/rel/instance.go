@@ -517,6 +517,20 @@ func (inst *Instance) lend(out *Instance, name string, s relSlot) {
 	}
 }
 
+// ShareRelation makes src's relation name a relation of inst too,
+// shared copy-on-write the way Clone shares it, so it counts as a write
+// to both. It replaces any relation of that name inst held, and panics
+// if src has none. Decoders use it to reuse a relation they already
+// built from equal bytes.
+func (inst *Instance) ShareRelation(src *Instance, name string) {
+	inst.mutable("ShareRelation")
+	s, ok := src.rels[name]
+	if !ok {
+		panic("rel: ShareRelation of absent relation " + name)
+	}
+	src.lend(inst, name, s)
+}
+
 // AddTuple inserts the fact R(t) and reports whether it was newly added.
 func (inst *Instance) AddTuple(relName string, t Tuple) bool {
 	return inst.add(relName, t, "AddTuple", true)

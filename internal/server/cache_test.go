@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rel"
+	"repro/internal/snap"
 	"repro/internal/workload"
 	"repro/pde"
 	"repro/pde/client"
@@ -682,6 +683,47 @@ func TestTractableBytesCountsSharedRelationsOnce(t *testing.T) {
 	}
 	if want >= perInstance {
 		t.Fatalf("no relation shared: %d bytes over distinct relations, %d per instance", want, perInstance)
+	}
+}
+
+// TestRestoredEntryChargedAsFresh: a snapshot-restored artifact shares
+// relations the way a freshly chased one does, so the cache charges it
+// no more bytes. Were the decoder to build each stored copy of a
+// relation on its own, a restored LAV(400) trace would be charged about
+// 2.5× its fresh size and -cache-max-bytes would evict restored entries
+// that much early.
+func TestRestoredEntryChargedAsFresh(t *testing.T) {
+	decode := func(e *snap.Entry) *snap.Entry {
+		t.Helper()
+		data, err := snap.Encode(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := snap.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	i, j := workload.LAVInstance(400, true, rand.New(rand.NewSource(1)))
+	tr, err := core.ChaseCanonicalTractable(workload.LAVSetting(), i, j, core.TractableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decode(&snap.Entry{Kind: snap.KindTractable, Tractable: tr}).Tractable
+	if fresh, restored := tractableBytes(tr), tractableBytes(got); restored > fresh {
+		t.Errorf("restored LAV(400) trace charged %d B, fresh %d B", restored, fresh)
+	}
+
+	ki, kj := workload.KeyedLAVInstance(40)
+	ct, err := core.ChaseCanonicalTarget(workload.KeyedLAVSetting(), ki, kj, core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := decode(&snap.Entry{Kind: snap.KindGeneric, Generic: ct}).Generic
+	if fresh, restored := canonicalBytes(ct), canonicalBytes(gen); restored > fresh {
+		t.Errorf("restored keyed canonical target charged %d B, fresh %d B", restored, fresh)
 	}
 }
 

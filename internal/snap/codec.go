@@ -165,7 +165,7 @@ func Decode(data []byte) (*Entry, error) {
 	}
 	body := data[:len(data)-sha256.Size]
 	r := &reader{buf: body, off: len(magic)}
-	v := r.uvarint("format version")
+	v := r.varint("format version", "", "")
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -173,11 +173,11 @@ func Decode(data []byte) (*Entry, error) {
 		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrVersion, v, Version)
 	}
 	e := &Entry{
-		SettingID: r.str("setting id"),
-		SourceID:  r.str("source id"),
-		TargetID:  r.str("target id"),
+		SettingID: r.str("setting id", ""),
+		SourceID:  r.str("source id", ""),
+		TargetID:  r.str("target id", ""),
 	}
-	switch k := r.byteVal("artifact kind"); {
+	switch k := r.byteVal("artifact kind", ""); {
 	case r.err != nil:
 	case k == kindByteTractable:
 		e.Kind = KindTractable
@@ -186,8 +186,8 @@ func Decode(data []byte) (*Entry, error) {
 	default:
 		r.fail(ErrCorrupt, "unknown artifact kind byte %d", k)
 	}
-	e.SourceText = r.str("source instance text")
-	e.TargetText = r.str("target instance text")
+	e.SourceText = r.str("source instance text", "")
+	e.TargetText = r.str("target instance text", "")
 	switch e.Kind {
 	case KindTractable:
 		e.Tractable = r.tractable()
@@ -392,6 +392,11 @@ func (w *writer) generic(ct *core.CanonicalTarget) {
 // reader parses the encoding with bounds checks and a sticky error. No
 // allocation is sized from an untrusted count without first bounding
 // the count by the remaining input.
+//
+// Each read names its field for errors by a section label (what, e.g.
+// "Σts start") and a constant suffix (field, e.g. " tag"). They are
+// joined only inside fail, so a clean decode builds no error text, yet
+// a corrupt file still gets an error naming where decoding stopped.
 type reader struct {
 	buf []byte
 	off int
@@ -402,6 +407,18 @@ type reader struct {
 	// and chase artifacts repeat the same constants in fixpoints,
 	// starts, and canonical instances.
 	interned map[string]rel.Value
+	// spans maps a relation name to the relations this decode has built
+	// cleanly under that name, each with the exact bytes it was built
+	// from (see instance).
+	spans map[string][]span
+}
+
+// span records one relation the reader built: its header, the offsets
+// of its tuple bytes in buf, and the instance holding it.
+type span struct {
+	arity, n   int
+	start, end int
+	inst       *rel.Instance
 }
 
 func (r *reader) fail(sentinel error, format string, args ...any) {
@@ -418,58 +435,62 @@ func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-func (r *reader) uvarint(what string) uint64 {
+// varint reads a minimal uvarint; what+field+unit names it in errors.
+func (r *reader) varint(what, field, unit string) uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	switch {
 	case n == 0:
-		r.fail(ErrTruncated, "reading %s", what)
+		r.fail(ErrTruncated, "reading %s%s%s", what, field, unit)
 		return 0
 	case n < 0:
-		r.fail(ErrCorrupt, "varint overflow in %s", what)
+		r.fail(ErrCorrupt, "varint overflow in %s%s%s", what, field, unit)
 		return 0
 	case n != uvarintLen(v):
-		r.fail(ErrCorrupt, "non-minimal varint in %s", what)
+		r.fail(ErrCorrupt, "non-minimal varint in %s%s%s", what, field, unit)
 		return 0
 	}
 	r.off += n
 	return v
 }
 
-func (r *reader) count(what string, max int) int {
-	v := r.uvarint(what)
+func (r *reader) count(what, field string, max int) int {
+	v := r.varint(what, field, "")
 	if r.err != nil {
 		return 0
 	}
 	if v > uint64(max) {
-		r.fail(ErrCorrupt, "%s %d exceeds limit %d", what, v, max)
+		r.fail(ErrCorrupt, "%s%s %d exceeds limit %d", what, field, v, max)
 		return 0
 	}
 	return int(v)
 }
 
-func (r *reader) str(what string) string {
-	v := r.uvarint(what + " length")
+// prefixed reads a length-prefixed byte string. The result aliases buf.
+func (r *reader) prefixed(what, field string) []byte {
+	v := r.varint(what, field, " length")
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if v > uint64(r.remaining()) {
-		r.fail(ErrTruncated, "%s of %d bytes with %d remaining", what, v, r.remaining())
-		return ""
+		r.fail(ErrTruncated, "%s%s of %d bytes with %d remaining", what, field, v, r.remaining())
+		return nil
 	}
-	s := string(r.buf[r.off : r.off+int(v)])
+	b := r.buf[r.off : r.off+int(v)]
 	r.off += int(v)
-	return s
+	return b
 }
 
-func (r *reader) byteVal(what string) byte {
+func (r *reader) str(what, field string) string { return string(r.prefixed(what, field)) }
+
+func (r *reader) byteVal(what, field string) byte {
 	if r.err != nil {
 		return 0
 	}
 	if r.remaining() < 1 {
-		r.fail(ErrTruncated, "reading %s", what)
+		r.fail(ErrTruncated, "reading %s%s", what, field)
 		return 0
 	}
 	b := r.buf[r.off]
@@ -477,26 +498,26 @@ func (r *reader) byteVal(what string) byte {
 	return b
 }
 
-func (r *reader) boolVal(what string) bool {
-	b := r.byteVal(what)
+func (r *reader) boolVal(what, field string) bool {
+	b := r.byteVal(what, field)
 	if r.err != nil {
 		return false
 	}
 	if b > 1 {
-		r.fail(ErrCorrupt, "%s byte %d is not a bool", what, b)
+		r.fail(ErrCorrupt, "%s%s byte %d is not a bool", what, field, b)
 		return false
 	}
 	return b == 1
 }
 
 func (r *reader) value(what string) rel.Value {
-	switch tag := r.byteVal(what + " tag"); {
+	switch tag := r.byteVal(what, " tag"); {
 	case r.err != nil:
 		return rel.Value{}
 	case tag == tagConst:
-		return r.constValue(what + " constant")
+		return r.constValue(what)
 	case tag == tagNull:
-		return rel.Null(r.count(what+" null id", maxCounter))
+		return rel.Null(r.count(what, " null id", maxCounter))
 	default:
 		r.fail(ErrCorrupt, "unknown %s tag %d", what, tag)
 		return rel.Value{}
@@ -506,16 +527,10 @@ func (r *reader) value(what string) rel.Value {
 // constValue reads a constant's text and returns its interned Value:
 // the map lookup keyed by the raw bytes allocates nothing on a hit.
 func (r *reader) constValue(what string) rel.Value {
-	v := r.uvarint(what + " length")
+	b := r.prefixed(what, " constant")
 	if r.err != nil {
 		return rel.Value{}
 	}
-	if v > uint64(r.remaining()) {
-		r.fail(ErrTruncated, "%s of %d bytes with %d remaining", what, v, r.remaining())
-		return rel.Value{}
-	}
-	b := r.buf[r.off : r.off+int(v)]
-	r.off += int(v)
 	if val, ok := r.interned[string(b)]; ok {
 		return val
 	}
@@ -527,12 +542,19 @@ func (r *reader) constValue(what string) rel.Value {
 	return val
 }
 
+// instance reads one instance. A relation whose header and tuple bytes
+// repeat a relation this decode already built is shared with it
+// copy-on-write instead of being built again, the way the chase shares
+// relations between the instances of a fresh artifact. That is sound
+// because the encoding is canonical and self-delimiting: given the
+// name, arity and tuple count, equal bytes decode to an equal relation,
+// and the first copy already passed every check.
 func (r *reader) instance(what string) *rel.Instance {
 	inst := rel.NewInstance()
-	nrels := r.count(what+" relation count", r.remaining())
+	nrels := r.count(what, " relation count", r.remaining())
 	prev := ""
 	for k := 0; k < nrels && r.err == nil; k++ {
-		name := r.str(what + " relation name")
+		name := r.str(what, " relation name")
 		if r.err != nil {
 			break
 		}
@@ -541,8 +563,8 @@ func (r *reader) instance(what string) *rel.Instance {
 			break
 		}
 		prev = name
-		arity := r.count(what+" arity", maxArity)
-		n := r.count(what+" tuple count", maxCounter)
+		arity := r.count(what, " arity", maxArity)
+		n := r.count(what, " tuple count", maxCounter)
 		if r.err != nil {
 			break
 		}
@@ -560,6 +582,10 @@ func (r *reader) instance(what string) *rel.Instance {
 			r.fail(ErrTruncated, "%s relation %q claims %d tuples of arity %d", what, name, n, arity)
 			break
 		}
+		if r.share(inst, name, arity, n) {
+			continue
+		}
+		start := r.off
 		// n is bounded by the remaining input, so the slab and the
 		// reserved containers are sized by trusted counts. The slab
 		// backs every tuple of the relation; ownership transfers to the
@@ -579,8 +605,28 @@ func (r *reader) instance(what string) *rel.Instance {
 				r.fail(ErrCorrupt, "%s relation %q holds a duplicate tuple", what, name)
 			}
 		}
+		if r.err == nil {
+			if r.spans == nil {
+				r.spans = make(map[string][]span)
+			}
+			r.spans[name] = append(r.spans[name], span{arity, n, start, r.off, inst})
+		}
 	}
 	return inst
+}
+
+// share gives inst the relation this decode already built from the
+// bytes at the read offset, when there is one with the same name, arity
+// and tuple count, and skips those bytes. It reports whether it did.
+func (r *reader) share(inst *rel.Instance, name string, arity, n int) bool {
+	for _, s := range r.spans[name] {
+		if s.arity == arity && s.n == n && bytes.HasPrefix(r.buf[r.off:], r.buf[s.start:s.end]) {
+			inst.ShareRelation(s.inst, name)
+			r.off += s.end - s.start
+			return true
+		}
+	}
+	return false
 }
 
 // watermark reads the resume watermark and checks it against the
@@ -589,12 +635,12 @@ func (r *reader) instance(what string) *rel.Instance {
 // the fixpoint — exactly the invariant a resume depends on — so a
 // mismatch means corruption.
 func (r *reader) watermark(inst *rel.Instance) {
-	n := r.count("watermark entries", r.remaining())
+	n := r.count("watermark", " entries", r.remaining())
 	got := make(hom.Delta, n)
 	prev := ""
 	for k := 0; k < n && r.err == nil; k++ {
-		name := r.str("watermark relation")
-		c := r.count("watermark count", maxCounter)
+		name := r.str("watermark", " relation")
+		c := r.count("watermark", " count", maxCounter)
 		if r.err != nil {
 			break
 		}
@@ -627,7 +673,7 @@ func (r *reader) watermark(inst *rel.Instance) {
 // rel.UnionFind.Snapshot guarantees, so accepting only them keeps the
 // re-encode byte-identical.
 func (r *reader) unionFind() *rel.UnionFind {
-	n := r.count("union-find pairs", r.remaining()/4)
+	n := r.count("union-find", " pairs", r.remaining()/4)
 	pairs := make([][2]rel.Value, 0, n)
 	members := make(map[rel.Value]struct{}, n)
 	var prev rel.Value
@@ -665,14 +711,14 @@ func (r *reader) result(what string) *chase.Result {
 	inst := r.instance(what + " fixpoint")
 	r.watermark(inst)
 	start := r.instance(what + " start")
-	steps := r.count(what+" steps", maxCounter)
-	failed := r.boolVal(what + " failed flag")
-	failedOn := r.str(what + " failed-on label")
-	egd := r.boolVal(what + " egd flag")
-	merges := r.count(what+" merges", maxCounter)
-	finds := r.count(what+" finds", maxCounter)
+	steps := r.count(what, " steps", maxCounter)
+	failed := r.boolVal(what, " failed flag")
+	failedOn := r.str(what, " failed-on label")
+	egd := r.boolVal(what, " egd flag")
+	merges := r.count(what, " merges", maxCounter)
+	finds := r.count(what, " finds", maxCounter)
 	var uf *rel.UnionFind
-	if r.boolVal(what+" union-find flag") && r.err == nil {
+	if r.boolVal(what, " union-find flag") && r.err == nil {
 		uf = r.unionFind()
 	}
 	if r.err != nil {
@@ -696,7 +742,7 @@ func (r *reader) result(what string) *chase.Result {
 func (r *reader) tractable() *core.TractableTrace {
 	st := r.result("Σst")
 	ts := r.result("Σts")
-	nullState := r.count("null state", maxCounter)
+	nullState := r.count("null state", "", maxCounter)
 	jcan := r.instance("canonical target")
 	ican := r.instance("canonical source")
 	if r.err != nil {
@@ -720,15 +766,15 @@ func (r *reader) tractable() *core.TractableTrace {
 func (r *reader) generic() *core.CanonicalTarget {
 	ct := &core.CanonicalTarget{}
 	ct.STResult = r.result("Σst")
-	if r.boolVal("Σt flag") && r.err == nil {
+	if r.boolVal("Σt", " flag") && r.err == nil {
 		ct.TResult = r.result("Σt")
 	}
-	ct.TFailed = r.boolVal("Σt failed flag")
-	hasJCan := r.boolVal("canonical target flag")
+	ct.TFailed = r.boolVal("Σt", " failed flag")
+	hasJCan := r.boolVal("canonical target", " flag")
 	if hasJCan && r.err == nil {
 		ct.JCan = r.instance("canonical target")
 	}
-	ct.NullState = r.count("null state", maxCounter)
+	ct.NullState = r.count("null state", "", maxCounter)
 	if r.err != nil {
 		return nil
 	}
