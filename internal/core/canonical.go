@@ -47,7 +47,7 @@ func ChaseCanonicalTarget(s *Setting, i, j *rel.Instance, opts SolveOptions) (*C
 	nulls := &rel.NullSource{}
 	nulls.SeenIn(i)
 	nulls.SeenIn(j)
-	copts := chase.Options{Config: opts.Config, Nulls: nulls, MaxSteps: opts.MaxChaseSteps}
+	copts := chase.Options{Config: opts.Config, Nulls: nulls}
 	res, err := chase.Run(rel.Union(i, j), s.StDeps(), copts)
 	if err != nil {
 		return nil, fmt.Errorf("core: chasing Σst: %w", err)
@@ -90,7 +90,7 @@ func ChaseCanonicalTarget(s *Setting, i, j *rel.Instance, opts SolveOptions) (*C
 func ForEachImageSolutionFrom(s *Setting, i, j *rel.Instance, ct *CanonicalTarget, opts SolveOptions, fn func(*rel.Instance) bool) (*SolveStats, error) {
 	nulls := &rel.NullSource{}
 	nulls.SetState(ct.NullState)
-	copts := chase.Options{Config: opts.Config, Nulls: nulls, MaxSteps: opts.MaxChaseSteps}
+	copts := chase.Options{Config: opts.Config, Nulls: nulls}
 	if ct.TFailed {
 		sv := newImageSearch(s, i, j, rel.NewInstance(), opts, copts)
 		sv.stats.Nodes = 0

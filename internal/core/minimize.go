@@ -25,7 +25,7 @@ func SmallSolution(s *Setting, i, j, jsol *rel.Instance, opts SolveOptions) (*re
 	deps := s.StDeps()
 	deps = append(deps, s.T...)
 	witness := rel.Union(i, jsol)
-	copts := chase.Options{Config: opts.Config, MaxSteps: opts.MaxChaseSteps}
+	copts := chase.Options{Config: opts.Config}
 	res, err := chase.RunSolutionAware(rel.Union(i, j), deps, witness, copts)
 	if err != nil {
 		return nil, fmt.Errorf("core: solution-aware chase: %w", err)

@@ -34,7 +34,7 @@ func ResumeCanonicalTractable(s *Setting, trace *TractableTrace, appended *rel.I
 	}
 	ns := &rel.NullSource{}
 	ns.SetState(trace.NullState)
-	copts := chase.Options{Config: opts.Config, Nulls: ns, MaxSteps: opts.MaxChaseSteps}
+	copts := chase.Options{Config: opts.Config, Nulls: ns}
 
 	res1, r1, err := chase.Resume(trace.STResult, s.StDeps(), appended, copts)
 	if err != nil {
@@ -86,7 +86,7 @@ func ResumeCanonicalTarget(s *Setting, ct *CanonicalTarget, appended *rel.Instan
 	}
 	ns := &rel.NullSource{}
 	ns.SetState(ct.NullState)
-	copts := chase.Options{Config: opts.Config, Nulls: ns, MaxSteps: opts.MaxChaseSteps}
+	copts := chase.Options{Config: opts.Config, Nulls: ns}
 
 	res, r1, err := chase.Resume(ct.STResult, s.StDeps(), appended, copts)
 	if err != nil {

@@ -45,8 +45,6 @@ type SolveOptions struct {
 	par.Config
 	// MaxNodes bounds the number of search nodes; 0 means no bound.
 	MaxNodes int64
-	// MaxChaseSteps bounds each chase; 0 means the chase default.
-	MaxChaseSteps int
 }
 
 // SolveStats reports search effort.

@@ -54,8 +54,6 @@ type TractableOptions struct {
 	// C_tract fails. The answer may then be incorrect (Theorem 5 needs
 	// condition 1); used only by tests demonstrating exactly that.
 	SkipCondition1Check bool
-	// MaxChaseSteps bounds each chase phase; 0 means the chase default.
-	MaxChaseSteps int
 }
 
 // ExistsSolutionTractable implements the algorithm of Figure 3 of the
@@ -99,7 +97,7 @@ func ChaseCanonicalTractable(s *Setting, i, j *rel.Instance, opts TractableOptio
 	nulls := &rel.NullSource{}
 	nulls.SeenIn(i)
 	nulls.SeenIn(j)
-	copts := chase.Options{Config: opts.Config, Nulls: nulls, MaxSteps: opts.MaxChaseSteps}
+	copts := chase.Options{Config: opts.Config, Nulls: nulls}
 
 	// Phase 1: (I, J_can) := chase of (I, J) with Σst.
 	res1, err := chase.Run(rel.Union(i, j), s.StDeps(), copts)

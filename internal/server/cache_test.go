@@ -23,7 +23,7 @@ import (
 )
 
 func TestChaseCacheSingleFlight(t *testing.T) {
-	cc := newChaseCache(0, 16, newMetrics())
+	cc := newCache(0, 16)
 	meta := entryMeta{key: "k", settingID: "s", kind: kindTractable, src: &StoredInstance{ID: "i"}, tgt: &StoredInstance{ID: "j"}}
 	var computes atomic.Int32
 	var hits atomic.Int32
@@ -55,7 +55,7 @@ func TestChaseCacheSingleFlight(t *testing.T) {
 }
 
 func TestChaseCacheFailedComputeNotRetained(t *testing.T) {
-	cc := newChaseCache(0, 16, newMetrics())
+	cc := newCache(0, 16)
 	meta := entryMeta{key: "k"}
 	boom := errors.New("budget exhausted")
 	if _, _, err := cc.getOrCompute(context.Background(), meta, func() (any, int64, error) {
@@ -76,8 +76,7 @@ func TestChaseCacheFailedComputeNotRetained(t *testing.T) {
 }
 
 func TestChaseCacheLRUBounds(t *testing.T) {
-	met := newMetrics()
-	cc := newChaseCache(0, 2, met)
+	cc := newCache(0, 2)
 	for _, k := range []string{"a", "b", "c"} {
 		cc.getOrCompute(context.Background(), entryMeta{key: k}, func() (any, int64, error) {
 			return k, 100, nil
@@ -94,13 +93,13 @@ func TestChaseCacheLRUBounds(t *testing.T) {
 	if hit {
 		t.Error("evicted entry reported a hit")
 	}
-	if got := met.cacheEvictions.Load(); got < 1 {
+	if got := cc.evictions.Load(); got < 1 {
 		t.Errorf("evictions counter = %d, want ≥1", got)
 	}
 
 	// Byte budget: an insert that blows the bound evicts older entries
 	// but spares itself.
-	cc2 := newChaseCache(150, 0, met)
+	cc2 := newCache(150, 0)
 	cc2.put(entryMeta{key: "x"}, "x", 100)
 	cc2.put(entryMeta{key: "y"}, "y", 120)
 	n, bytes = cc2.stats()

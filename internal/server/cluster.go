@@ -35,12 +35,10 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/snap"
-	"repro/pde"
 	"repro/pde/client"
 )
 
@@ -330,18 +328,6 @@ func (s *Server) clusterBroadcastSetting(r *http.Request, c *Compiled) {
 	}
 }
 
-// emptyInstanceID is the content hash of the empty instance — the
-// target-side identity of every solve that omits its target.
-var emptyInstanceID = sync.OnceValue(func() string {
-	inst, err := pde.ParseInstance("")
-	if err != nil {
-		// The empty text is always parsable; reaching this is a parser
-		// regression, not a runtime condition.
-		panic("server: parsing the empty instance: " + err.Error())
-	}
-	return instanceID(pde.FormatInstance(inst))
-})
-
 // handleClusterStatus reports this shard's ring view, and resolves an
 // owner when the query carries a cache identity (setting_id plus
 // source_id; target_id defaults to the empty instance).
@@ -361,7 +347,7 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	if sid, src := q.Get("setting_id"), q.Get("source_id"); sid != "" && src != "" {
 		tgt := q.Get("target_id")
 		if tgt == "" {
-			tgt = emptyInstanceID()
+			tgt = emptyInstance.ID
 		}
 		out.Owner = s.cluster.ring.Owner(cluster.Key(sid, src, tgt))
 	}

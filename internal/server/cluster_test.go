@@ -183,7 +183,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			t.Fatalf("shards disagree on owner: %q vs %q", owner, cs.Owner)
 		}
 	}
-	if want := tc.srvs[0].cluster.ring.Owner(cluster.Key(reg.ID, srcID, emptyInstanceID())); owner != want {
+	if want := tc.srvs[0].cluster.ring.Owner(cluster.Key(reg.ID, srcID, emptyInstance.ID)); owner != want {
 		t.Fatalf("status owner %q, ring says %q", owner, want)
 	}
 	ownerIdx := -1
@@ -425,7 +425,7 @@ func TestClusterProxyByID(t *testing.T) {
 			t.Fatalf("registering the triangle on shard %d: %+v, %v", i, ri, err)
 		}
 	}
-	owner, caller := route(iid, emptyInstanceID())
+	owner, caller := route(iid, emptyInstance.ID)
 	query := "q(x,y) :- H(x,y)"
 	batch := []string{"q1(x,y) :- H(x,y)", "q2 :- H(x,x)"}
 	answers := func(cli *client.Client) (out [3]string) {
@@ -471,7 +471,7 @@ func TestClusterProxyByID(t *testing.T) {
 	// the caller; the same solve again then crosses the hop by ID.
 	miss := func(name string, req client.SolveRequest, facts, target string, wantShipped int64) {
 		t.Helper()
-		tgtID := emptyInstanceID()
+		tgtID := emptyInstance.ID
 		if req.TargetID != "" {
 			tgtID = req.TargetID
 		}
@@ -511,7 +511,7 @@ func TestClusterProxyByID(t *testing.T) {
 	// (1) An instance registered on the caller only.
 	const path = "E(a,b). E(b,c)."
 	pathID := idOf(path)
-	_, pathCaller := route(pathID, emptyInstanceID())
+	_, pathCaller := route(pathID, emptyInstance.ID)
 	if _, err := tc.clis[pathCaller].RegisterInstance(ctx, path); err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestClusterProxyByID(t *testing.T) {
 	// the shard that took the append.
 	const base, more = "E(c,d).", "E(d,e). E(c,e)."
 	childID := idOf(base + " " + more)
-	_, childCaller := route(childID, emptyInstanceID())
+	_, childCaller := route(childID, emptyInstance.ID)
 	for _, cli := range tc.clis {
 		if _, err := cli.RegisterInstance(ctx, base); err != nil {
 			t.Fatal(err)

@@ -2,10 +2,16 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/qplan"
+	"repro/pde"
 	"repro/pde/client"
 )
 
@@ -171,4 +177,98 @@ func TestCertainCompiledFallbackMetrics(t *testing.T) {
 	if v := metricsValue(t, c, `pdxd_certain_compiled_fallbacks_total{reason="instance-nulls"}`); v != 0 {
 		t.Errorf("unexpected instance-nulls fallbacks: %d", v)
 	}
+}
+
+// TestPlanCacheRefusalsAndBound covers what the plan instance of the
+// cache keeps beyond compiled plans: a compile refusal is a cached value
+// (served as a hit, never recompiled), concurrent first lookups of one
+// query compile once, and the count bound evicts the least recently
+// used plan and counts it.
+func TestPlanCacheRefusalsAndBound(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	reg, err := c.Register(ctx, example1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("refusal is a hit", func(t *testing.T) {
+		// Every H atom has two origins (J or the st-tgd), so 13 atoms
+		// unfold to 2^13 disjuncts, over the budget.
+		atoms := make([]string, 13)
+		for k := range atoms {
+			atoms[k] = fmt.Sprintf("H(x%d,x%d)", k, k+1)
+		}
+		req := client.CertainRequest{SettingID: reg.ID, Source: "E(a,b).", Query: "q :- " + strings.Join(atoms, ", ")}
+		hits, misses := s.plans.hits.Load(), s.plans.misses.Load()
+		for n := 0; n < 2; n++ {
+			ca, err := c.CertainAnswers(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ca.Compiled || ca.FallbackReason != qplan.FallbackPlanSize {
+				t.Fatalf("request %d: %+v, want fallback %q", n, ca, qplan.FallbackPlanSize)
+			}
+		}
+		if got := s.plans.misses.Load() - misses; got != 1 {
+			t.Errorf("refused query compiled %d times, want 1", got)
+		}
+		if got := s.plans.hits.Load() - hits; got != 1 {
+			t.Errorf("second lookup of the refused query: %d hits, want 1", got)
+		}
+	})
+
+	t.Run("single flight", func(t *testing.T) {
+		refusal := &qplan.FallbackError{Reason: qplan.FallbackPlanSize}
+		meta := entryMeta{key: planKey(reg.ID, pde.UCQ{}), settingID: reg.ID}
+		var compiles atomic.Int32
+		var wg sync.WaitGroup
+		for w := 0; w < 16; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e, _, err := s.plans.getOrCompute(ctx, meta, func() (any, int64, error) {
+					compiles.Add(1)
+					time.Sleep(30 * time.Millisecond)
+					return planResult{err: refusal}, 0, nil
+				})
+				if err != nil || !errors.Is(e.value.(planResult).err, refusal) {
+					t.Errorf("lookup: %v, %v", e, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := compiles.Load(); got != 1 {
+			t.Errorf("16 concurrent first lookups compiled %d times, want 1", got)
+		}
+	})
+
+	t.Run("count bound", func(t *testing.T) {
+		s.plans.evictMatching(func(*cacheEntry) bool { return true })
+		evictions := s.plans.evictions.Load()
+		insert := func(k int) {
+			meta := entryMeta{key: fmt.Sprintf("plan-%d", k), settingID: reg.ID}
+			s.plans.getOrCompute(ctx, meta, func() (any, int64, error) { return planResult{}, 0, nil })
+		}
+		for k := 0; k < planCacheMaxEntries; k++ {
+			insert(k)
+		}
+		// Touch plan-0, so plan-1 is the least recently used.
+		if s.plans.peek("plan-0") == nil {
+			t.Fatal("plan-0 missing below the bound")
+		}
+		insert(planCacheMaxEntries)
+		if n, _ := s.plans.stats(); n != planCacheMaxEntries {
+			t.Errorf("%d plans cached, want the bound %d", n, planCacheMaxEntries)
+		}
+		if s.plans.peek("plan-1") != nil || s.plans.peek("plan-0") == nil {
+			t.Error("the bound evicted another plan than the least recently used")
+		}
+		if got := s.plans.evictions.Load() - evictions; got != 1 {
+			t.Errorf("plan evictions moved by %d, want 1", got)
+		}
+		if got := metricsValue(t, c, "pdxd_plan_cache_evictions_total"); got != s.plans.evictions.Load() {
+			t.Errorf("pdxd_plan_cache_evictions_total = %d, want %d", got, s.plans.evictions.Load())
+		}
+	})
 }

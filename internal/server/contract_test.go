@@ -199,6 +199,9 @@ pdxd_plan_cache_hits_total
 # HELP pdxd_plan_cache_misses_total Compiled plans built on demand.
 # TYPE pdxd_plan_cache_misses_total counter
 pdxd_plan_cache_misses_total
+# HELP pdxd_plan_cache_evictions_total Compiled plans dropped by the LRU bound or setting eviction.
+# TYPE pdxd_plan_cache_evictions_total counter
+pdxd_plan_cache_evictions_total
 # HELP pdxd_certain_compiled_fallbacks_total Certain-answer requests that fell back to solution enumeration, by reason.
 # TYPE pdxd_certain_compiled_fallbacks_total counter
 FALLBACKS

@@ -62,10 +62,7 @@ type metrics struct {
 	shed       atomic.Int64 // requests rejected by admission control
 	nodes      atomic.Int64 // cumulative generic-solver search nodes
 
-	cacheHits      atomic.Int64 // solves served from a cached chased artifact
-	cacheMisses    atomic.Int64 // solves that had to chase from scratch
-	cacheResumes   atomic.Int64 // append migrations that resumed incrementally
-	cacheEvictions atomic.Int64 // cache entries dropped (LRU or explicit)
+	cacheResumes atomic.Int64 // append migrations that resumed incrementally
 
 	// cacheFallbacks counts append migrations that re-chased fully,
 	// split by the chase's fallback reason (indexed per fallbackLabels):
@@ -73,8 +70,6 @@ type metrics struct {
 	// anything else (no previous result, unsupported dependency kinds).
 	cacheFallbacks [len(fallbackLabels)]atomic.Int64
 
-	planHits   atomic.Int64 // certain-answer requests served by a cached compiled plan
-	planMisses atomic.Int64 // compiled plans built (and cached) on demand
 	// compiledFallbacks counts certain-answer requests that fell back
 	// from the compiled path to solution enumeration, by qplan fallback
 	// reason (indexed per compiledFallbackLabels; sized in newMetrics).
@@ -157,15 +152,16 @@ func (s *Server) families() []family {
 		{"pdxd_solver_nodes_total", "Cumulative generic-solver search nodes.", "counter", nil, one(m.nodes.Load())},
 		{"pdxd_registry_settings", "Registered settings.", "gauge", nil, one(int64(s.reg.Len()))},
 		{"pdxd_instances", "Registered instances.", "gauge", nil, one(int64(s.inst.Len()))},
-		{"pdxd_chase_cache_hits_total", "Solves served from a cached chased artifact.", "counter", nil, one(m.cacheHits.Load())},
-		{"pdxd_chase_cache_misses_total", "Solves that chased from scratch.", "counter", nil, one(m.cacheMisses.Load())},
+		{"pdxd_chase_cache_hits_total", "Solves served from a cached chased artifact.", "counter", nil, one(s.cache.hits.Load())},
+		{"pdxd_chase_cache_misses_total", "Solves that chased from scratch.", "counter", nil, one(s.cache.misses.Load())},
 		{"pdxd_chase_cache_resumes_total", "Append migrations that resumed the chase incrementally.", "counter", nil, one(m.cacheResumes.Load())},
 		{"pdxd_chase_cache_fallbacks_total", "Append migrations that re-chased fully, by fallback reason.", "counter", []string{"reason"}, byLabel(fallbackLabels[:], m.cacheFallbacks[:])},
-		{"pdxd_chase_cache_evictions_total", "Cache entries dropped by LRU bounds or explicit eviction.", "counter", nil, one(m.cacheEvictions.Load())},
+		{"pdxd_chase_cache_evictions_total", "Cache entries dropped by LRU bounds or explicit eviction.", "counter", nil, one(s.cache.evictions.Load())},
 		{"pdxd_chase_cache_entries", "Cached chased artifacts.", "gauge", nil, one(int64(entries))},
 		{"pdxd_chase_cache_bytes", "Approximate bytes held by the chase cache.", "gauge", nil, one(bytes)},
-		{"pdxd_plan_cache_hits_total", "Certain-answer requests served by a cached compiled plan.", "counter", nil, one(m.planHits.Load())},
-		{"pdxd_plan_cache_misses_total", "Compiled plans built on demand.", "counter", nil, one(m.planMisses.Load())},
+		{"pdxd_plan_cache_hits_total", "Certain-answer requests served by a cached compiled plan.", "counter", nil, one(s.plans.hits.Load())},
+		{"pdxd_plan_cache_misses_total", "Compiled plans built on demand.", "counter", nil, one(s.plans.misses.Load())},
+		{"pdxd_plan_cache_evictions_total", "Compiled plans dropped by the LRU bound or setting eviction.", "counter", nil, one(s.plans.evictions.Load())},
 		{"pdxd_certain_compiled_fallbacks_total", "Certain-answer requests that fell back to solution enumeration, by reason.", "counter", []string{"reason"}, byLabel(compiledFallbackLabels, m.compiledFallbacks)},
 		{"pdxd_snapshot_saves_total", "Snapshots written to the snapshot store.", "counter", nil, one(m.snapshotSaves.Load())},
 		{"pdxd_snapshot_loads_total", "Snapshots loaded and installed at warm start.", "counter", nil, one(m.snapshotLoads.Load())},

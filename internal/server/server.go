@@ -89,8 +89,8 @@ type Server struct {
 	cfg      Config
 	reg      *Registry
 	inst     *InstanceRegistry
-	cache    *chaseCache
-	plans    *planCache
+	cache    *cache // chased artifacts
+	plans    *cache // compiled query plans (planResult values)
 	met      *metrics
 	sem      chan struct{} // admission slots, cap MaxInFlight
 	mux      *http.ServeMux
@@ -116,8 +116,8 @@ func New(cfg Config) *Server {
 		inst: NewInstanceRegistry(),
 		met:  newMetrics(),
 	}
-	s.cache = newChaseCache(s.cfg.CacheMaxBytes, s.cfg.CacheMaxEntries, s.met)
-	s.plans = newPlanCache(planCacheMaxEntries)
+	s.cache = newCache(s.cfg.CacheMaxBytes, s.cfg.CacheMaxEntries)
+	s.plans = newCache(0, planCacheMaxEntries)
 	s.sem = make(chan struct{}, s.cfg.MaxInFlight)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/settings", s.route("settings-register", s.handleRegister))
@@ -418,8 +418,9 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, client.CodeNotFound, "setting %q is not registered", id)
 		return
 	}
-	s.cache.evictMatching(func(e *cacheEntry) bool { return e.settingID == id })
-	s.plans.evictSetting(id)
+	ofSetting := func(e *cacheEntry) bool { return e.settingID == id }
+	s.cache.evictMatching(ofSetting)
+	s.plans.evictMatching(ofSetting)
 	writeJSON(w, http.StatusOK, map[string]string{"evicted": id})
 }
 

@@ -154,19 +154,23 @@ func (p *solvePair) entry(ctx context.Context, kind cacheKind, compute func() (a
 	return e, nil
 }
 
-// Plan returns the query's plan from the plan cache, or the setting's
-// fallback reason when it is outside the compilable fragment.
-func (p *solvePair) Plan(q pde.UCQ) (*pde.Plan, error) {
+// Plan returns the query's plan from the plan cache, compiling it once
+// on a miss, or the setting's fallback reason when it is outside the
+// compilable fragment.
+func (p *solvePair) Plan(ctx context.Context, q pde.UCQ) (*pde.Plan, error) {
 	if p.c.Plan == nil {
 		return nil, &qplan.FallbackError{Reason: p.c.PlanFallback}
 	}
-	plan, hit, err := p.srv.plans.get(p.c, q)
-	if hit {
-		p.srv.met.planHits.Add(1)
-	} else {
-		p.srv.met.planMisses.Add(1)
+	meta := entryMeta{key: planKey(p.c.ID, q), settingID: p.c.ID}
+	e, _, err := p.srv.plans.getOrCompute(ctx, meta, func() (any, int64, error) {
+		plan, err := p.c.Plan.CompileQuery(q)
+		return planResult{plan, err}, 0, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return plan, err
+	r := e.value.(planResult)
+	return r.plan, r.err
 }
 
 // certain runs the shared certain-answers dispatch over the pair and

@@ -37,8 +37,9 @@ type Artifacts interface {
 	// Canonical returns the canonical target of (I, J).
 	Canonical(ctx context.Context) (*CanonicalTarget, error)
 	// Plan returns the compiled plan of q, or an error whose
-	// CompiledFallbackReason names why the compiled path declines.
-	Plan(q UCQ) (*Plan, error)
+	// CompiledFallbackReason names why the compiled path declines. ctx
+	// bounds a wait on another request compiling the same plan.
+	Plan(ctx context.Context, q UCQ) (*Plan, error)
 }
 
 // SolveFrom decides SOL(P) for (I, J) with the given strategy over the
@@ -105,7 +106,7 @@ func CertainFrom(ctx context.Context, s *Setting, i, j *Instance, queries []UCQ,
 	)
 	for n, q := range queries {
 		if o.Compiled {
-			plan, err := a.Plan(q)
+			plan, err := a.Plan(ctx, q)
 			if err == nil {
 				if !probed {
 					probed = true
@@ -185,7 +186,7 @@ func (c *chaser) Canonical(ctx context.Context) (*CanonicalTarget, error) {
 	return core.ChaseCanonicalTarget(c.s, c.i, c.j, c.o.solveOptions(ctx))
 }
 
-func (c *chaser) Plan(q UCQ) (*Plan, error) {
+func (c *chaser) Plan(_ context.Context, q UCQ) (*Plan, error) {
 	if c.sp == nil && c.spErr == nil {
 		c.sp, c.spErr = qplan.CompileSetting(c.s)
 	}
