@@ -17,7 +17,7 @@ import (
 // server.ClusterConfig, or nil when clustering is off (both flags
 // empty). Setting only one of -cluster-self and -cluster-peers is a
 // configuration error, not a single-node daemon.
-func clusterConfig(self, peers string, vnodes int, probe time.Duration) (*server.ClusterConfig, error) {
+func clusterConfig(self, peers string, probe time.Duration) (*server.ClusterConfig, error) {
 	if self == "" && peers == "" {
 		return nil, nil
 	}
@@ -37,7 +37,6 @@ func clusterConfig(self, peers string, vnodes int, probe time.Duration) (*server
 	return &server.ClusterConfig{
 		Self:          self,
 		Peers:         list,
-		VNodes:        vnodes,
 		ProbeInterval: probe,
 	}, nil
 }

@@ -38,7 +38,6 @@ func cmdServe(args []string) error {
 	warmFrom := fs.String("warm-from", "", "peer daemon base URL to pull cache snapshots from at startup (e.g. http://10.0.0.2:8642)")
 	clusterSelf := fs.String("cluster-self", "", "this shard's advertised base URL; enables cluster mode with -cluster-peers")
 	clusterPeers := fs.String("cluster-peers", "", "comma-separated base URLs of every shard in the fleet (including or excluding this one; both work)")
-	clusterVNodes := fs.Int("cluster-vnodes", 0, "virtual nodes per ring member (0 = 64)")
 	clusterProbe := fs.Duration("cluster-probe", 0, "peer health-probe interval (0 = 2s)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -51,7 +50,7 @@ func cmdServe(args []string) error {
 		}
 		warmURL = u
 	}
-	clusterCfg, err := clusterConfig(*clusterSelf, *clusterPeers, *clusterVNodes, *clusterProbe)
+	clusterCfg, err := clusterConfig(*clusterSelf, *clusterPeers, *clusterProbe)
 	if err != nil {
 		return err
 	}

@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -14,46 +12,24 @@ import (
 	"repro/pde"
 )
 
-// cacheKind distinguishes the two chased artifacts a (setting, I, J)
-// pair can cache. Certain-answers always enumerates image solutions, so
-// it needs the generic artifact even for tractable settings; an
-// exists-solution against the same pair uses the tractable one. The
-// kind is part of the cache key.
-type cacheKind string
-
-const (
-	kindTractable cacheKind = "tractable"
-	kindGeneric   cacheKind = "generic"
-)
-
-// cacheKey builds the composite key. IDs are "sha256:<hex>" so '\x00'
-// can never occur inside a component.
-func cacheKey(settingID, srcID, tgtID string, kind cacheKind) string {
-	return settingID + "\x00" + srcID + "\x00" + tgtID + "\x00" + string(kind)
-}
-
 // planCacheMaxEntries bounds the plan cache. Plans are small (a few
 // disjuncts of a few atoms), so a count bound suffices.
 const planCacheMaxEntries = 4096
 
-// planKey builds a plan-cache key: the setting ID and the hex sha256 of
-// the query's canonical text, so formatting differences never split
-// entries. The key is built in one allocation beyond the text's.
+// planKey builds a plan-cache key: the raw sha256 of the setting ID, a
+// NUL and the query's canonical text, so formatting differences never
+// split entries and a cached plan keeps 32 key bytes. The hashed bytes
+// start in a stack buffer, which a point query's text fits, so the key
+// costs one allocation beyond the text's.
 func planKey(settingID string, q pde.UCQ) string {
-	var text []byte
+	var buf [256]byte
+	text := append(append(buf[:0], settingID...), 0)
 	for _, cq := range q {
 		text = append(text, cq.String()...)
 		text = append(text, '\n')
 	}
 	sum := sha256.Sum256(text)
-	var hexSum [2 * sha256.Size]byte
-	hex.Encode(hexSum[:], sum[:])
-	var b strings.Builder
-	b.Grow(len(settingID) + 1 + len(hexSum))
-	b.WriteString(settingID)
-	b.WriteByte(0)
-	b.Write(hexSum[:])
-	return b.String()
+	return string(sum[:])
 }
 
 // planResult is a plan-cache value: the compiled plan, or the error of
@@ -66,11 +42,16 @@ type planResult struct {
 }
 
 // entryMeta is a cache entry's identity: its key and what the key was
-// built from. Plan entries set only key and settingID.
+// built from. A chase-cache key is snap.Key(settingID, src.ID, tgt.ID,
+// kind), the name of the entry's snapshot file and of its peer-transfer
+// URL, and kind is snap.KindTractable or snap.KindGeneric: certain
+// answers enumerate image solutions, so they need the generic artifact
+// even for a tractable setting. Plan entries set only key and
+// settingID.
 type entryMeta struct {
 	key       string
 	settingID string
-	kind      cacheKind
+	kind      string
 	// src and tgt are the resolved source and target instances the key
 	// was built from. Their canonical texts are what the snapshot store
 	// saves and a warm start validates against. Both are immutable.

@@ -24,7 +24,7 @@ import (
 
 func TestChaseCacheSingleFlight(t *testing.T) {
 	cc := newCache(0, 16)
-	meta := entryMeta{key: "k", settingID: "s", kind: kindTractable, src: &StoredInstance{ID: "i"}, tgt: &StoredInstance{ID: "j"}}
+	meta := entryMeta{key: "k", settingID: "s", kind: snap.KindTractable, src: &StoredInstance{ID: "i"}, tgt: &StoredInstance{ID: "j"}}
 	var computes atomic.Int32
 	var hits atomic.Int32
 	var wg sync.WaitGroup

@@ -52,9 +52,6 @@ type ClusterConfig struct {
 	// not include Self; membership cannot change at runtime, only
 	// liveness can.
 	Peers []string
-	// VNodes is the virtual-node count per member; 0 means
-	// cluster.DefaultVNodes.
-	VNodes int
 	// ProbeInterval is the health-probe period; 0 means 2s.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe; 0 means 1s.
@@ -87,7 +84,7 @@ type clusterState struct {
 // successful probe.
 func newClusterState(cfg ClusterConfig) (*clusterState, error) {
 	cfg = cfg.withDefaults()
-	ring, err := cluster.New(cfg.Self, cfg.Peers, cfg.VNodes)
+	ring, err := cluster.New(cfg.Self, cfg.Peers, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -183,18 +180,17 @@ func (s *Server) handoffEntry(ctx context.Context, owner string, e *cacheEntry) 
 	data, err := snap.Encode(se)
 	if err != nil {
 		s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "handoff encode failed",
-			slog.String("key", snapKeyOf(e)), slog.String("err", err.Error()))
+			slog.String("key", e.key), slog.String("err", err.Error()))
 		return false
 	}
-	key := snapKeyOf(e)
-	err = healSetting(ctx, cl, s.reg.Get(e.settingID), func() error { return cl.PushCacheEntry(ctx, key, data) })
+	err = healSetting(ctx, cl, s.reg.Get(e.settingID), func() error { return cl.PushCacheEntry(ctx, e.key, data) })
 	if err != nil {
 		s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "handoff push failed",
-			slog.String("key", key), slog.String("owner", owner), slog.String("err", err.Error()))
+			slog.String("key", e.key), slog.String("owner", owner), slog.String("err", err.Error()))
 		return false
 	}
 	s.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "cache entry handed off",
-		slog.String("key", key), slog.String("owner", owner))
+		slog.String("key", e.key), slog.String("owner", owner))
 	return true
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/qplan"
+	"repro/internal/snap"
 	"repro/pde"
 	"repro/pde/client"
 )
@@ -88,7 +89,7 @@ func (p *solvePair) Tractable(ctx context.Context) (*core.TractableTrace, error)
 // tractable fetches the pair's tractable cache entry, chasing it once
 // on a miss.
 func (p *solvePair) tractable(ctx context.Context) (*cacheEntry, error) {
-	return p.entry(ctx, kindTractable, func() (any, int64, error) {
+	return p.entry(ctx, snap.KindTractable, func() (any, int64, error) {
 		tr, err := core.ChaseCanonicalTractable(p.c.Setting, p.src.Inst, p.tgt.Inst, core.TractableOptions{Config: p.srv.config(ctx)})
 		if err != nil {
 			return nil, 0, err
@@ -105,7 +106,7 @@ func (p *solvePair) tractable(ctx context.Context) (*cacheEntry, error) {
 func (p *solvePair) Verdict(ctx context.Context, cachedOnly bool) (bool, bool, error) {
 	var e *cacheEntry
 	if cachedOnly {
-		if e = p.srv.cache.peek(cacheKey(p.c.ID, p.src.ID, p.tgt.ID, kindTractable)); e == nil {
+		if e = p.srv.cache.peek(snap.Key(p.c.ID, p.src.ID, p.tgt.ID, snap.KindTractable)); e == nil {
 			return false, false, nil
 		}
 	} else {
@@ -124,7 +125,7 @@ func (p *solvePair) Verdict(ctx context.Context, cachedOnly bool) (bool, bool, e
 // Canonical returns the cached (or freshly chased) canonical target for
 // the pair.
 func (p *solvePair) Canonical(ctx context.Context) (*core.CanonicalTarget, error) {
-	e, err := p.entry(ctx, kindGeneric, func() (any, int64, error) {
+	e, err := p.entry(ctx, snap.KindGeneric, func() (any, int64, error) {
 		ct, err := core.ChaseCanonicalTarget(p.c.Setting, p.src.Inst, p.tgt.Inst, core.SolveOptions{Config: p.srv.config(ctx)})
 		if err != nil {
 			return nil, 0, err
@@ -140,8 +141,8 @@ func (p *solvePair) Canonical(ctx context.Context) (*core.CanonicalTarget, error
 // entry fetches the pair's cache entry of the given kind, computing it
 // once on a miss (single-flight), and records whether it was a hit. A
 // freshly computed entry goes to the write-behind snapshot queue.
-func (p *solvePair) entry(ctx context.Context, kind cacheKind, compute func() (any, int64, error)) (*cacheEntry, error) {
-	meta := entryMeta{key: cacheKey(p.c.ID, p.src.ID, p.tgt.ID, kind), settingID: p.c.ID, kind: kind, src: p.src, tgt: p.tgt}
+func (p *solvePair) entry(ctx context.Context, kind string, compute func() (any, int64, error)) (*cacheEntry, error) {
+	meta := entryMeta{key: snap.Key(p.c.ID, p.src.ID, p.tgt.ID, kind), settingID: p.c.ID, kind: kind, src: p.src, tgt: p.tgt}
 	e, hit, err := p.srv.cache.getOrCompute(ctx, meta, compute)
 	if err != nil {
 		return nil, err
@@ -319,7 +320,7 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 			tgt = child
 		}
 		meta := entryMeta{
-			key:       cacheKey(e.settingID, src.ID, tgt.ID, e.kind),
+			key:       snap.Key(e.settingID, src.ID, tgt.ID, e.kind),
 			settingID: e.settingID,
 			kind:      e.kind,
 			src:       src,
@@ -329,7 +330,7 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 		var resumed bool
 		var reason string
 		switch e.kind {
-		case kindTractable:
+		case snap.KindTractable:
 			next, r, why, err := core.ResumeCanonicalTractable(c.Setting, e.value.(*core.TractableTrace), delta, core.TractableOptions{Config: s.config(ctx)})
 			if err != nil {
 				s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "cache migration failed",
@@ -337,7 +338,7 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 				continue
 			}
 			installed, resumed, reason = s.cache.put(meta, next, tractableBytes(next)), r, why
-		case kindGeneric:
+		default: // snap.KindGeneric
 			next, r, why, err := core.ResumeCanonicalTarget(c.Setting, e.value.(*core.CanonicalTarget), delta, core.SolveOptions{Config: s.config(ctx)})
 			if err != nil {
 				s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "cache migration failed",
@@ -345,8 +346,6 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 				continue
 			}
 			installed, resumed, reason = s.cache.put(meta, next, canonicalBytes(next)), r, why
-		default:
-			continue
 		}
 		migrated++
 		s.saveAsync(installed)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/qplan"
+	"repro/internal/snap"
 	"repro/internal/workload"
 	"repro/pde"
 	"repro/pde/client"
@@ -36,7 +37,7 @@ func pairByID(t *testing.T, s *Server, settingID, sourceID string) *solvePair {
 // tractableMemo returns the verdict memo of the pair's tractable cache
 // entry, or ok == false when the pair has no completed entry.
 func tractableMemo(s *Server, settingID, sourceID string) (memo uint32, ok bool) {
-	e := s.cache.peek(cacheKey(settingID, sourceID, instanceID(""), kindTractable))
+	e := s.cache.peek(snap.Key(settingID, sourceID, emptyInstance.ID, snap.KindTractable))
 	if e == nil {
 		return 0, false
 	}

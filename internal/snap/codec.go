@@ -112,10 +112,19 @@ type Entry struct {
 // Key returns the snapshot key for a cached artifact: the hex sha256 of
 // the composite cache identity. It names the file inside a Store and
 // the entry in the peer warm-transfer API, and is safe as both a file
-// name and a URL path segment.
+// name and a URL path segment. pdxd keys its chase cache by it, so the
+// identity is hashed in a stack buffer (content IDs are 71 bytes, so
+// three of them and a kind fit) and only the result string allocates.
 func Key(settingID, srcID, tgtID, kind string) string {
-	h := sha256.Sum256([]byte(settingID + "\x00" + srcID + "\x00" + tgtID + "\x00" + kind))
-	return hex.EncodeToString(h[:])
+	var buf [256]byte
+	b := append(buf[:0], settingID...)
+	b = append(append(b, 0), srcID...)
+	b = append(append(b, 0), tgtID...)
+	b = append(append(b, 0), kind...)
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // Encode serializes the entry. The output is canonical: encoding the

@@ -2,9 +2,12 @@ package snap_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -313,6 +316,24 @@ func TestKeyShape(t *testing.T) {
 	}
 	if k == snap.Key("sha256:s", "sha256:i", "sha256:j", snap.KindGeneric) {
 		t.Fatal("kind does not separate keys")
+	}
+}
+
+// TestKeyFormulaAndAllocs pins Key to the hex sha256 of the
+// NUL-joined identity, also for identities longer than its stack
+// buffer, and holds a lookup with content IDs to one allocation: the
+// chase cache hashes a key on every request.
+func TestKeyFormulaAndAllocs(t *testing.T) {
+	id := fakeID("i", 1)
+	long := strings.Repeat("x", 300)
+	for _, parts := range [][4]string{{id, id, id, snap.KindTractable}, {long, id, "", snap.KindGeneric}} {
+		sum := sha256.Sum256([]byte(strings.Join(parts[:], "\x00")))
+		if got, want := snap.Key(parts[0], parts[1], parts[2], parts[3]), hex.EncodeToString(sum[:]); got != want {
+			t.Fatalf("Key = %s, want %s", got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { snap.Key(id, id, id, snap.KindTractable) }); n > 1 {
+		t.Fatalf("Key allocates %.0f times, want 1", n)
 	}
 }
 

@@ -181,9 +181,21 @@ base=$(sed -n 's/^pdxd listening on //p' "$workdir/stdout2")
 [ -n "$base" ] || { echo "no listen banner after restart"; cat "$workdir/stderr2"; exit 1; }
 echo "restarted daemon at $base"
 
-loads=$(curl -sS "$base/metrics" | sed -n 's/^pdxd_snapshot_loads_total \([0-9]*\)$/\1/p')
+metrics=$(curl -sS "$base/metrics")
+loads=$(printf '%s\n' "$metrics" | sed -n 's/^pdxd_snapshot_loads_total \([0-9]*\)$/\1/p')
 [ -n "$loads" ] && [ "$loads" -ge 1 ] || {
   echo "FAIL: restarted daemon loaded no snapshots"; cat "$workdir/stderr2"; exit 1; }
+printf '%s\n' "$metrics" | grep -q '^pdxd_snapshot_load_errors_total 0$' || {
+  echo "FAIL: restarted daemon rejected snapshots"; cat "$workdir/stderr2"; exit 1; }
+
+# A restored entry is served back under the key /v1/cache/keys lists:
+# the cache is keyed by the snapshot key itself.
+key=$(curl -sS "$base/v1/cache/keys" | sed -n 's/.*"key":"\([0-9a-f]*\)".*/\1/p')
+[ -n "$key" ] || { echo "FAIL: restarted daemon lists no cache keys"; exit 1; }
+status=$(curl -sS -o "$workdir/entry" -w '%{http_code}' "$base/v1/cache/entries/$key")
+{ [ "$status" = 200 ] && [ -s "$workdir/entry" ]; } || {
+  echo "FAIL: GET /v1/cache/entries/$key -> $status, $(wc -c <"$workdir/entry") bytes"; exit 1; }
+echo "ok: restored entry $key served back ($(wc -c <"$workdir/entry") bytes)"
 warm=$(curl -sS -X POST "$base/v1/exists-solution" \
   -d "{\"setting_id\":\"$id\",\"source_id\":\"$newid\"}")
 case "$warm" in
