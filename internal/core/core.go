@@ -80,25 +80,11 @@ func (s *Setting) Validate() error {
 	return nil
 }
 
-// HasTargetConstraints reports whether Σt is nonempty.
-func (s *Setting) HasTargetConstraints() bool { return len(s.T) > 0 }
-
 // TargetTGDsWeaklyAcyclic reports whether the tgds of Σt form a weakly
 // acyclic set (Definition 5). Theorem 1 requires this for the NP upper
 // bound; the chase requires it for guaranteed termination.
 func (s *Setting) TargetTGDsWeaklyAcyclic() bool {
 	return dep.WeaklyAcyclic(dep.TGDs(s.T))
-}
-
-// TargetTGDsAllFull reports whether every tgd of Σt is full. The generic
-// solver is complete for Σt consisting of egds and full tgds.
-func (s *Setting) TargetTGDsAllFull() bool {
-	for _, d := range dep.TGDs(s.T) {
-		if !d.IsFull() {
-			return false
-		}
-	}
-	return true
 }
 
 // Classify decides membership of the setting in C_tract (Definition 9).

@@ -1,18 +1,19 @@
 package core
 
-// Resuming cached chase state after an instance append. Both helpers
-// wrap chase.Resume phase by phase: the Σst chase continues with the
-// appended facts as its delta, and the downstream phase (Σts or Σt)
-// continues with the facts of the new canonical target its previous
-// start lacks (newFacts) — Σst is pure tgds, so the old J_can is a
-// prefix of the new one and those are exactly the facts Σst added.
-// Null labels continue from the stored NullState, so a resumed
-// artifact never collides with the labels it already contains.
-// The returned bool reports whether every phase took the incremental
-// path; a false still returns a correct artifact (the fallback phases
-// re-chased from their true starts), and the returned reason string —
-// one of the chase.Fallback* constants — names the first blocking
-// condition, for the server's cache metrics.
+// Resuming cached chase state after an instance append. The Σst phase
+// both artifacts share is resumed in one place, ResumeCanonicalTarget:
+// the Σst chase continues with the appended facts as its delta, and the
+// downstream phase (Σt there, Σts in ResumeCanonicalTractable, which
+// resumes the trace's canonical target first) continues with the facts
+// of the new J_can its previous start lacks (newFacts) — Σst is pure
+// tgds, so the old J_can is a prefix of the new one and those are
+// exactly the facts Σst added. Null labels continue from the stored
+// NullState, so a resumed artifact never collides with the labels it
+// already contains. The returned bool reports whether every phase took
+// the incremental path; a false still returns a correct artifact (the
+// fallback phases re-chased from their true starts), and the returned
+// reason string — one of the chase.Fallback* constants — names the
+// first blocking condition, for the server's cache metrics.
 
 import (
 	"fmt"
@@ -23,53 +24,32 @@ import (
 
 // ResumeCanonicalTractable continues a ChaseCanonicalTractable trace
 // after appending facts to the source/target instances it was chased
-// from. The input trace is not mutated; the returned trace is a fresh
-// artifact ready for ExistsSolutionTractableFrom. Both phases are pure
-// tgds for any setting the tractable algorithm accepts, so the
-// incremental path always applies and the bool is true (reason "")
-// unless a previous result was unexpectedly non-resumable.
+// from: ResumeCanonicalTarget resumes its Σst phase, then Σts resumes
+// from the facts that phase added. The input trace is not mutated; the
+// returned trace is a fresh artifact ready for
+// ExistsSolutionTractableFrom. Both phases are pure tgds for any
+// setting the tractable algorithm accepts, so the incremental path
+// always applies and the bool is true (reason "") unless a previous
+// result was unexpectedly non-resumable.
 func ResumeCanonicalTractable(s *Setting, trace *TractableTrace, appended *rel.Instance, opts TractableOptions) (*TractableTrace, bool, string, error) {
 	if trace == nil || trace.STResult == nil || trace.TSResult == nil {
 		return nil, false, chase.FallbackNoPrev, fmt.Errorf("core: cannot resume a tractable trace without its chase results")
 	}
-	ns := &rel.NullSource{}
-	ns.SetState(trace.NullState)
-	copts := chase.Options{Config: opts.Config, Nulls: ns}
-
-	res1, r1, err := chase.Resume(trace.STResult, s.StDeps(), appended, copts)
+	prev := &CanonicalTarget{STResult: trace.STResult, NullState: trace.NullState}
+	ct, resumed, reason, err := ResumeCanonicalTarget(s, prev, appended, SolveOptions{Config: opts.Config})
 	if err != nil {
-		return nil, false, chase.FallbackNone, fmt.Errorf("core: resuming Σst: %w", err)
+		return nil, false, reason, err
 	}
-	reason := chase.FallbackNone
-	if !r1 {
-		reason = chase.FallbackReason(trace.STResult, s.StDeps())
-	}
-	jcan := res1.Instance.Restrict(s.Target)
-
-	res2, r2, err := chase.Resume(trace.TSResult, s.TsDeps(), newFacts(jcan, trace.TSResult), copts)
+	nulls := &rel.NullSource{}
+	nulls.SetState(ct.NullState)
+	res, r, err := chase.Resume(trace.TSResult, s.TsDeps(), newFacts(ct.JCan, trace.TSResult), chase.Options{Config: opts.Config, Nulls: nulls})
 	if err != nil {
 		return nil, false, chase.FallbackNone, fmt.Errorf("core: resuming Σts: %w", err)
 	}
-	if !r2 && reason == chase.FallbackNone {
+	if !r && reason == chase.FallbackNone {
 		reason = chase.FallbackReason(trace.TSResult, s.TsDeps())
 	}
-	ican := res2.Instance.Restrict(s.Source)
-
-	jcan.Freeze()
-	ican.Freeze()
-	res1.Freeze()
-	res2.Freeze()
-	next := &TractableTrace{
-		JCan:      jcan,
-		ICan:      ican,
-		StepsST:   res1.Steps,
-		StepsTS:   res2.Steps,
-		STResult:  res1,
-		TSResult:  res2,
-		NullState: ns.State(),
-	}
-	next.FillBlocks()
-	return next, r1 && r2, reason, nil
+	return newTractableTrace(s, ct, res, nulls), resumed && r, reason, nil
 }
 
 // ResumeCanonicalTarget continues a ChaseCanonicalTarget after

@@ -94,15 +94,11 @@ type SolveStats struct {
 // The search is exponential in the number of nulls of J_can in the worst
 // case — the NP behaviour Theorem 3 proves unavoidable (unless P = NP).
 func ExistsSolutionGeneric(s *Setting, i, j *rel.Instance, opts SolveOptions) (bool, *rel.Instance, *SolveStats, error) {
-	var witness *rel.Instance
-	stats, err := forEachImageSolution(s, i, j, opts, func(sol *rel.Instance) bool {
-		witness = sol
-		return false // stop at the first solution
-	})
+	ct, err := ChaseCanonicalTarget(s, i, j, opts)
 	if err != nil {
-		return false, nil, stats, err
+		return false, nil, nil, err
 	}
-	return witness != nil, witness, stats, nil
+	return ExistsSolutionGenericFrom(s, i, j, ct, opts)
 }
 
 // ForEachImageSolution enumerates the image solutions h(J_can) (chased
@@ -112,20 +108,16 @@ func ExistsSolutionGeneric(s *Setting, i, j *rel.Instance, opts SolveOptions) (b
 // them, which is what the certain-answers evaluator relies on for
 // monotone queries.
 func ForEachImageSolution(s *Setting, i, j *rel.Instance, opts SolveOptions, fn func(*rel.Instance) bool) (*SolveStats, error) {
-	return forEachImageSolution(s, i, j, opts, fn)
-}
-
-// ErrUnsupportedTargetTGDs reports target constraints outside the class
-// the generic solver is complete for.
-var ErrUnsupportedTargetTGDs = errors.New("core: Σt has existential tgds that are not weakly acyclic; the generic solver cannot handle them")
-
-func forEachImageSolution(s *Setting, i, j *rel.Instance, opts SolveOptions, fn func(*rel.Instance) bool) (*SolveStats, error) {
 	ct, err := ChaseCanonicalTarget(s, i, j, opts)
 	if err != nil {
 		return nil, err
 	}
 	return ForEachImageSolutionFrom(s, i, j, ct, opts, fn)
 }
+
+// ErrUnsupportedTargetTGDs reports target constraints outside the class
+// the generic solver is complete for.
+var ErrUnsupportedTargetTGDs = errors.New("core: Σt has existential tgds that are not weakly acyclic; the generic solver cannot handle them")
 
 // imageSearch is the backtracking state for the assignment search over
 // the nulls of J_can.
@@ -348,10 +340,10 @@ func maxBelow(resp []int, k int) int {
 }
 
 // groundLevel grounds the facts that become fully assigned at level k,
-// adds them to cur/curSrc, and — unless Naive — checks each new fact's
-// Σts triggers. On a violation it returns false together with the
-// responsible null indexes of the violated trigger. Grounded facts are
-// tracked per level for LIFO undo.
+// adds them to cur/curSrc, and checks each new fact's Σts triggers. On
+// a violation it returns false together with the responsible null
+// indexes of the violated trigger. Grounded facts are tracked per level
+// for LIFO undo.
 func (sv *imageSearch) groundLevel(k int) (bool, []int) {
 	added := sv.levelAdds(k)
 	*added = (*added)[:0]

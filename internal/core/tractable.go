@@ -77,11 +77,12 @@ func ExistsSolutionTractable(s *Setting, i, j *rel.Instance, opts TractableOptio
 // ChaseCanonicalTractable runs the two chase phases of Figure 3 and the
 // block decomposition of I_can, returning a trace ready for repeated
 // ExistsSolutionTractableFrom calls against different (or identical)
-// source instances. It refuses settings with target constraints or
-// disjunctive target-to-source dependencies, and — unless
-// SkipCondition1Check is set — settings violating condition 1. The
-// trace's instances are frozen and its block list is read-only, so the
-// trace may be shared concurrently.
+// source instances. Phase 1 is ChaseCanonicalTarget: with Σt = ∅ its
+// J_can is exactly Figure 3's. It refuses settings with target
+// constraints or disjunctive target-to-source dependencies, and —
+// unless SkipCondition1Check is set — settings violating condition 1.
+// The trace's instances are frozen and its block list is read-only, so
+// the trace may be shared concurrently.
 func ChaseCanonicalTractable(s *Setting, i, j *rel.Instance, opts TractableOptions) (*TractableTrace, error) {
 	if len(s.T) > 0 {
 		return nil, fmt.Errorf("core: ExistsSolutionTractable: setting %s has target constraints", s.Name)
@@ -94,44 +95,41 @@ func ChaseCanonicalTractable(s *Setting, i, j *rel.Instance, opts TractableOptio
 			return nil, fmt.Errorf("core: ExistsSolutionTractable: setting %s violates condition 1 of C_tract; the algorithm would be unsound: %s", s.Name, rep.Summary())
 		}
 	}
-	nulls := &rel.NullSource{}
-	nulls.SeenIn(i)
-	nulls.SeenIn(j)
-	copts := chase.Options{Config: opts.Config, Nulls: nulls}
-
-	// Phase 1: (I, J_can) := chase of (I, J) with Σst.
-	res1, err := chase.Run(rel.Union(i, j), s.StDeps(), copts)
+	ct, err := ChaseCanonicalTarget(s, i, j, SolveOptions{Config: opts.Config})
 	if err != nil {
-		return nil, fmt.Errorf("core: chasing Σst: %w", err)
+		return nil, err
 	}
-	jcan := res1.Instance.Restrict(s.Target)
-
-	// Phase 2: (J_can, I_can) := chase of (J_can, ∅) with Σts.
-	res2, err := chase.Run(jcan, s.TsDeps(), copts)
+	// Phase 2: (J_can, I_can) := chase of (J_can, ∅) with Σts, drawing
+	// nulls after the ones phase 1 drew.
+	nulls := &rel.NullSource{}
+	nulls.SetState(ct.NullState)
+	res, err := chase.Run(ct.JCan, s.TsDeps(), chase.Options{Config: opts.Config, Nulls: nulls})
 	if err != nil {
 		return nil, fmt.Errorf("core: chasing Σts: %w", err)
 	}
-	ican := res2.Instance.Restrict(s.Source)
+	return newTractableTrace(s, ct, res, nulls), nil
+}
 
-	// Freeze-after-build: a cached trace is shared by concurrent solves,
-	// which read both canonical instances, and by concurrent resumes of
-	// the retained chase results; none may be mutated again.
-	jcan.Freeze()
+// newTractableTrace packages a trace from its canonical target (phase
+// 1) and the Σts chase of the target's J_can (phase 2). It freezes the
+// Σts result and I_can — a cached trace is shared by concurrent solves
+// and concurrent resumes, so none of it may be mutated again — and
+// computes the block decomposition.
+func newTractableTrace(s *Setting, ct *CanonicalTarget, ts *chase.Result, nulls *rel.NullSource) *TractableTrace {
+	ican := ts.Instance.Restrict(s.Source)
 	ican.Freeze()
-	res1.Freeze()
-	res2.Freeze()
-
+	ts.Freeze()
 	trace := &TractableTrace{
-		JCan:      jcan,
+		JCan:      ct.JCan,
 		ICan:      ican,
-		StepsST:   res1.Steps,
-		StepsTS:   res2.Steps,
-		STResult:  res1,
-		TSResult:  res2,
+		StepsST:   ct.STResult.Steps,
+		StepsTS:   ts.Steps,
+		STResult:  ct.STResult,
+		TSResult:  ts,
 		NullState: nulls.State(),
 	}
 	trace.FillBlocks()
-	return trace, nil
+	return trace
 }
 
 // ExistsSolutionTractableFrom runs the verdict phase of the Figure 3

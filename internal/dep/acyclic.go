@@ -117,12 +117,6 @@ func (g *DependencyGraph) addEdge(from, to Position, special bool, label string)
 	g.provenance[key] = append(g.provenance[key], label)
 }
 
-// EdgeTGDs returns the labels of the tgds that contributed the edge, in
-// insertion order; nil when the edge does not exist.
-func (g *DependencyGraph) EdgeTGDs(from, to Position, special bool) []string {
-	return g.provenance[graphEdge{From: from, To: to, Special: special}]
-}
-
 // Nodes returns the graph's positions in sorted order.
 func (g *DependencyGraph) Nodes() []Position {
 	out := make([]Position, 0, len(g.nodes))

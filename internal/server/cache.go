@@ -70,9 +70,8 @@ type cacheEntry struct {
 	entryMeta
 	value   any
 	bytes   int64
-	done    bool          // computation finished (value/err valid)
-	err     error         // leader's failure, observed by waiters once
-	ready   chan struct{} // pending only: closed, then dropped, when done flips true
+	done    bool          // computation succeeded; value and bytes are valid
+	ready   chan struct{} // pending only: closed, then dropped, when the leader finishes
 	verdict atomic.Uint32 // SOL(P) memo: one of the verdict* states below
 }
 
@@ -182,10 +181,12 @@ func (c *cache) getOrCompute(ctx context.Context, meta entryMeta, compute func()
 
 		v, bytes, err := compute()
 		c.mu.Lock()
-		e.value, e.bytes, e.err, e.done = v, bytes, err, true
 		if err != nil {
+			// Unlinked while still pending, so it uncharges nothing;
+			// waiters loop back and find the key free.
 			c.removeLocked(meta.key)
 		} else {
+			e.value, e.bytes, e.done = v, bytes, true
 			c.bytes += bytes
 			c.evictOverBudgetLocked(meta.key)
 		}
@@ -253,7 +254,7 @@ func (c *cache) entries() []*cacheEntry {
 	defer c.mu.Unlock()
 	out := make([]*cacheEntry, 0, c.lru.Len())
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*cacheEntry); e.done && e.err == nil {
+		if e := el.Value.(*cacheEntry); e.done {
 			out = append(out, e)
 		}
 	}
@@ -320,8 +321,7 @@ func (c *cache) removeLocked(key string) {
 	if !ok {
 		return
 	}
-	e := el.Value.(*cacheEntry)
-	if e.done && e.err == nil {
+	if e := el.Value.(*cacheEntry); e.done {
 		c.bytes -= e.bytes
 	}
 	delete(c.items, key)

@@ -66,6 +66,16 @@ func TestChaseCacheFailedComputeNotRetained(t *testing.T) {
 	if n, _ := cc.stats(); n != 0 {
 		t.Fatalf("failed compute was retained: %d entries", n)
 	}
+	// A failure that reports bytes is never charged, so it uncharges
+	// nothing either.
+	if _, _, err := cc.getOrCompute(context.Background(), meta, func() (any, int64, error) {
+		return nil, 100, boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("want leader failure, got %v", err)
+	}
+	if n, bytes := cc.stats(); n != 0 || bytes != 0 {
+		t.Fatalf("after a failed compute reporting 100 B: %d entries / %d bytes, want 0 / 0", n, bytes)
+	}
 	// The next requester becomes the leader and can succeed.
 	e, hit, err := cc.getOrCompute(context.Background(), meta, func() (any, int64, error) {
 		return "ok", 2, nil
@@ -677,8 +687,8 @@ func TestTractableBytesCountsSharedRelationsOnce(t *testing.T) {
 		}
 	}
 	want += int64(tr.Blocks)*64 + 256
-	if got := tractableBytes(tr); got != want {
-		t.Fatalf("tractableBytes = %d, want %d over %d distinct relations", got, want, len(distinct))
+	if got := artifactBytes(tr); got != want {
+		t.Fatalf("artifactBytes = %d, want %d over %d distinct relations", got, want, len(distinct))
 	}
 	if want >= perInstance {
 		t.Fatalf("no relation shared: %d bytes over distinct relations, %d per instance", want, perInstance)
@@ -711,7 +721,7 @@ func TestRestoredEntryChargedAsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := decode(&snap.Entry{Kind: snap.KindTractable, Tractable: tr}).Tractable
-	if fresh, restored := tractableBytes(tr), tractableBytes(got); restored > fresh {
+	if fresh, restored := artifactBytes(tr), artifactBytes(got); restored > fresh {
 		t.Errorf("restored LAV(400) trace charged %d B, fresh %d B", restored, fresh)
 	}
 
@@ -721,7 +731,7 @@ func TestRestoredEntryChargedAsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := decode(&snap.Entry{Kind: snap.KindGeneric, Generic: ct}).Generic
-	if fresh, restored := canonicalBytes(ct), canonicalBytes(gen); restored > fresh {
+	if fresh, restored := artifactBytes(ct), artifactBytes(gen); restored > fresh {
 		t.Errorf("restored keyed canonical target charged %d B, fresh %d B", restored, fresh)
 	}
 }

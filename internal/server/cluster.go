@@ -54,16 +54,11 @@ type ClusterConfig struct {
 	Peers []string
 	// ProbeInterval is the health-probe period; 0 means 2s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe; 0 means 1s.
-	ProbeTimeout time.Duration
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
 	}
 	return c
 }
@@ -126,12 +121,15 @@ func (s *Server) clusterMonitor() {
 	}
 }
 
+// probeTimeout bounds one health probe.
+const probeTimeout = time.Second
+
 // clusterProbe runs one health round over the peers (in sorted order,
 // so probe traffic is deterministic) and rebalances if the ring moved.
 func (s *Server) clusterProbe() {
 	changed := false
 	for _, url := range s.cluster.peerURLs {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cluster.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		_, err := s.cluster.clients[url].Health(ctx)
 		cancel()
 		if s.cluster.ring.SetAlive(url, err == nil) {

@@ -72,7 +72,6 @@ func (tc *testCluster) shardConfig(i int) Config {
 			Self:          tc.urls[i],
 			Peers:         tc.urls,
 			ProbeInterval: 25 * time.Millisecond,
-			ProbeTimeout:  time.Second,
 		},
 	}
 }

@@ -199,12 +199,11 @@ func (s *Server) installSnapshot(key string, e *snap.Entry, fromPeer bool) error
 	}
 	// snap.Decode sets exactly the artifact its kind names.
 	var value any
-	var bytes int64
 	var start *pde.Instance
 	if e.Kind == snap.KindTractable {
-		value, bytes, start = e.Tractable, tractableBytes(e.Tractable), e.Tractable.STResult.Start
+		value, start = e.Tractable, e.Tractable.STResult.Start
 	} else {
-		value, bytes, start = e.Generic, canonicalBytes(e.Generic), e.Generic.STResult.Start
+		value, start = e.Generic, e.Generic.STResult.Start
 	}
 	src, err := adoptInstance(start, c.Setting.Source, e.SourceText, e.SourceID, "source")
 	if err != nil {
@@ -220,7 +219,7 @@ func (s *Server) installSnapshot(key string, e *snap.Entry, fromPeer bool) error
 	}
 	src, tgt = s.registerInstance(src), s.registerInstance(tgt)
 	meta := entryMeta{key: key, settingID: e.SettingID, kind: e.Kind, src: src, tgt: tgt}
-	installed := s.cache.put(meta, value, bytes)
+	installed := s.cache.put(meta, value, artifactBytes(value))
 	if fromPeer {
 		s.met.warmTransfers.Add(1)
 		s.saveAsync(installed)

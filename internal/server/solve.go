@@ -52,28 +52,28 @@ func (s *Server) options(maxNodes int64) pde.Options {
 	return o
 }
 
-// tractableBytes approximates a trace's heap footprint for the cache.
-func tractableBytes(t *core.TractableTrace) int64 {
-	insts := append([]*pde.Instance{t.JCan, t.ICan}, resultInstances(t.STResult, t.TSResult)...)
-	return instanceBytes(insts...) + int64(t.Blocks)*64 + 256
-}
-
-// canonicalBytes approximates a canonical target's heap footprint.
-func canonicalBytes(ct *core.CanonicalTarget) int64 {
-	insts := append([]*pde.Instance{ct.JCan}, resultInstances(ct.STResult, ct.TResult)...)
-	return instanceBytes(insts...) + 256
-}
-
-// resultInstances lists the start and fixpoint instances of the
-// non-nil chase results.
-func resultInstances(results ...*chase.Result) []*pde.Instance {
-	var out []*pde.Instance
+// artifactBytes approximates a cached artifact's heap footprint: the
+// distinct relations of its instances, a fixed overhead, and a trace's
+// blocks.
+func artifactBytes(v any) int64 {
+	insts := make([]*pde.Instance, 0, 6)
+	var results [2]*chase.Result
+	n := int64(256)
+	switch a := v.(type) {
+	case *core.TractableTrace:
+		insts = append(insts, a.JCan, a.ICan)
+		results = [2]*chase.Result{a.STResult, a.TSResult}
+		n += int64(a.Blocks) * 64
+	case *core.CanonicalTarget:
+		insts = append(insts, a.JCan)
+		results = [2]*chase.Result{a.STResult, a.TResult}
+	}
 	for _, r := range results {
 		if r != nil {
-			out = append(out, r.Start, r.Instance)
+			insts = append(insts, r.Start, r.Instance)
 		}
 	}
-	return out
+	return n + instanceBytes(insts...)
 }
 
 // Tractable returns the cached (or freshly chased) Figure 3 trace for
@@ -94,7 +94,7 @@ func (p *solvePair) tractable(ctx context.Context) (*cacheEntry, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return tr, tractableBytes(tr), nil
+		return tr, artifactBytes(tr), nil
 	})
 }
 
@@ -130,7 +130,7 @@ func (p *solvePair) Canonical(ctx context.Context) (*core.CanonicalTarget, error
 		if err != nil {
 			return nil, 0, err
 		}
-		return ct, canonicalBytes(ct), nil
+		return ct, artifactBytes(ct), nil
 	})
 	if err != nil {
 		return nil, err
@@ -326,27 +326,22 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 			src:       src,
 			tgt:       tgt,
 		}
-		var installed *cacheEntry
+		var next any
 		var resumed bool
 		var reason string
+		var err error
 		switch e.kind {
 		case snap.KindTractable:
-			next, r, why, err := core.ResumeCanonicalTractable(c.Setting, e.value.(*core.TractableTrace), delta, core.TractableOptions{Config: s.config(ctx)})
-			if err != nil {
-				s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "cache migration failed",
-					slog.String("setting", e.settingID), slog.String("err", err.Error()))
-				continue
-			}
-			installed, resumed, reason = s.cache.put(meta, next, tractableBytes(next)), r, why
+			next, resumed, reason, err = core.ResumeCanonicalTractable(c.Setting, e.value.(*core.TractableTrace), delta, core.TractableOptions{Config: s.config(ctx)})
 		default: // snap.KindGeneric
-			next, r, why, err := core.ResumeCanonicalTarget(c.Setting, e.value.(*core.CanonicalTarget), delta, core.SolveOptions{Config: s.config(ctx)})
-			if err != nil {
-				s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "cache migration failed",
-					slog.String("setting", e.settingID), slog.String("err", err.Error()))
-				continue
-			}
-			installed, resumed, reason = s.cache.put(meta, next, canonicalBytes(next)), r, why
+			next, resumed, reason, err = core.ResumeCanonicalTarget(c.Setting, e.value.(*core.CanonicalTarget), delta, core.SolveOptions{Config: s.config(ctx)})
 		}
+		if err != nil {
+			s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "cache migration failed",
+				slog.String("setting", e.settingID), slog.String("err", err.Error()))
+			continue
+		}
+		installed := s.cache.put(meta, next, artifactBytes(next))
 		migrated++
 		s.saveAsync(installed)
 		if resumed {

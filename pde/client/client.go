@@ -21,7 +21,8 @@ const ForwardedHeader = "X-Pdxd-Forwarded"
 type Client struct {
 	base string
 	http *http.Client
-	hdr  http.Header // extra headers applied to every request; nil for none
+	// forwarded stamps ForwardedHeader on every request (see Forwarded).
+	forwarded bool
 }
 
 // New returns a client for the daemon at base (e.g.
@@ -40,30 +41,13 @@ func New(base string, hc ...*http.Client) *Client {
 // Base returns the daemon base URL the client talks to.
 func (c *Client) Base() string { return c.base }
 
-// WithHeader returns a copy of the client that sends the given header
-// on every request (the original client is unchanged). Cluster shards
-// use it to stamp ForwardedHeader on proxied traffic.
-func (c *Client) WithHeader(key, value string) *Client {
-	out := &Client{base: c.base, http: c.http, hdr: make(http.Header, len(c.hdr)+1)}
-	for k, vs := range c.hdr {
-		out.hdr[k] = vs
-	}
-	out.hdr.Set(key, value)
-	return out
-}
-
 // Forwarded returns a copy of the client whose requests carry the
 // cluster forwarding mark, so the receiving shard answers locally
-// instead of proxying again.
-func (c *Client) Forwarded() *Client { return c.WithHeader(ForwardedHeader, "1") }
-
-// applyHeaders stamps the client's extra headers onto a request.
-func (c *Client) applyHeaders(req *http.Request) {
-	for k, vs := range c.hdr {
-		for _, v := range vs {
-			req.Header.Set(k, v)
-		}
-	}
+// instead of proxying again. The original client is unchanged.
+func (c *Client) Forwarded() *Client {
+	out := *c
+	out.forwarded = true
+	return &out
 }
 
 // Register compiles and registers a setting, returning its registry ID.
@@ -239,7 +223,9 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body io.Rea
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	c.applyHeaders(req)
+	if c.forwarded {
+		req.Header.Set(ForwardedHeader, "1")
+	}
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
