@@ -107,7 +107,7 @@ func (q CQ) Eval(inst *rel.Instance, opts hom.Options) []rel.Tuple {
 		}
 		return true
 	})
-	sortTuples(out)
+	SortAnswers(out)
 	return out
 }
 
@@ -147,7 +147,7 @@ func (u UCQ) Eval(inst *rel.Instance, opts hom.Options) []rel.Tuple {
 			}
 		}
 	}
-	sortTuples(out)
+	SortAnswers(out)
 	return out
 }
 
@@ -257,7 +257,7 @@ func Answers(s *core.Setting, i, j *rel.Instance, q UCQ, opts Options) (Result, 
 	for _, t := range inter {
 		res.Answers = append(res.Answers, t)
 	}
-	sortTuples(res.Answers)
+	SortAnswers(res.Answers)
 	return res, nil
 }
 
@@ -270,6 +270,26 @@ func tupleGround(t rel.Tuple) bool {
 	return true
 }
 
-func sortTuples(ts []rel.Tuple) {
-	sort.Slice(ts, func(a, b int) bool { return ts[a].String() < ts[b].String() })
+// SortAnswers orders answer tuples by their printed text, the one
+// answer order of every evaluator (enumeration, compiled plans,
+// repairs), so their results are byte-identical. Each tuple is printed
+// once, not once per comparison.
+func SortAnswers(ts []rel.Tuple) {
+	keys := make([]string, len(ts))
+	for i, t := range ts {
+		keys[i] = t.String()
+	}
+	sort.Sort(&answerSorter{ts: ts, keys: keys})
+}
+
+type answerSorter struct {
+	ts   []rel.Tuple
+	keys []string
+}
+
+func (s *answerSorter) Len() int           { return len(s.ts) }
+func (s *answerSorter) Less(a, b int) bool { return s.keys[a] < s.keys[b] }
+func (s *answerSorter) Swap(a, b int) {
+	s.ts[a], s.ts[b] = s.ts[b], s.ts[a]
+	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
 }

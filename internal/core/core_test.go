@@ -295,9 +295,9 @@ func TestGenericSolverBudget(t *testing.T) {
 	}
 }
 
-// TestNaiveModeAgrees: the pruned solver's verdict matches the
-// brute-force SOL(P) decider.
-func TestNaiveModeAgrees(t *testing.T) {
+// TestGenericSolverMatchesExhaustiveSOL: the pruned solver's verdict
+// matches the brute-force SOL(P) decider.
+func TestGenericSolverMatchesExhaustiveSOL(t *testing.T) {
 	s := example1Setting()
 	cases := []*rel.Instance{
 		edges([2]string{"a", "b"}, [2]string{"b", "c"}),

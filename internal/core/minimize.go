@@ -61,9 +61,10 @@ func MinimizeSolution(s *Setting, i, j, jsol *rel.Instance, opts SolveOptions) *
 			if j.Contains(f) {
 				continue
 			}
+			fk := f.Key()
 			cand := rel.NewInstance()
 			for _, g := range cur.Facts() {
-				if g.Rel == f.Rel && g.Args.String() == f.Args.String() {
+				if g.Key() == fk {
 					continue
 				}
 				cand.AddFact(g)

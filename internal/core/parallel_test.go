@@ -79,12 +79,12 @@ func inParallel(n int, run func(g int)) {
 	wg.Wait()
 }
 
-// TestTractableParallelMatchesSerial: on 60 random workloads from the
+// TestTractableConcurrentCallsMatchSerial: on 60 random workloads from the
 // three families, Figure 3 runs issued in parallel on shared frozen
 // inputs each return the same verdict AND the same full trace
 // (canonical instances, block counts, failing block index, step counts)
 // as a serial run.
-func TestTractableParallelMatchesSerial(t *testing.T) {
+func TestTractableConcurrentCallsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	wls := parallelWorkloads(rng)
 	if len(wls) < 50 {
@@ -119,11 +119,11 @@ func TestTractableParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGenericSolverParallelMatchesSerial: generic solves issued in
+// TestGenericSolverConcurrentCallsMatchSerial: generic solves issued in
 // parallel on shared frozen inputs each return the verdict, node count
 // and solution count of a serial solve (the searcher pool and the
 // shared setting hold no per-solve state).
-func TestGenericSolverParallelMatchesSerial(t *testing.T) {
+func TestGenericSolverConcurrentCallsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	for trial := 0; trial < 12; trial++ {
 		n := 5 + rng.Intn(15)

@@ -137,12 +137,12 @@ type imageSearch struct {
 	factNulls [][]int // indexes into nulls, per fact
 	readyAt   [][]int // facts becoming fully assigned at null index k
 
-	assignment map[rel.Value]rel.Value // null -> value (may map null to itself)
-	cur        *rel.Instance           // grounded target facts assigned so far
-	curSrc     *rel.Instance           // i ∪ cur, maintained incrementally
-	levelAdded [][]rel.Fact            // facts grounded per level, for LIFO undo
-	factResp   map[string][]int        // grounded fact key -> responsible null indexes
-	stopped    bool
+	pruneOnNulls bool                    // Σt has no egds (see newFactViolation)
+	assignment   map[rel.Value]rel.Value // null -> value (may map null to itself)
+	cur          *rel.Instance           // grounded target facts assigned so far
+	levelAdded   [][]rel.Fact            // facts grounded per level, for LIFO undo
+	factResp     map[rel.FactKey][]int   // grounded fact -> responsible null indexes
+	stopped      bool
 }
 
 // noConflict marks a subtree that produced solutions (or whose failures
@@ -151,15 +151,15 @@ const noConflict = int(^uint(0) >> 1)
 
 func newImageSearch(s *Setting, i, j, jcan *rel.Instance, opts SolveOptions, copts chase.Options) *imageSearch {
 	sv := &imageSearch{
-		s:          s,
-		i:          i,
-		j:          j,
-		opts:       opts,
-		copts:      copts,
-		assignment: make(map[rel.Value]rel.Value),
-		cur:        rel.NewInstance(),
-		curSrc:     i.Clone(),
-		factResp:   make(map[string][]int),
+		s:            s,
+		i:            i,
+		j:            j,
+		opts:         opts,
+		copts:        copts,
+		pruneOnNulls: len(dep.EGDs(s.T)) == 0,
+		assignment:   make(map[rel.Value]rel.Value),
+		cur:          rel.NewInstance(),
+		factResp:     make(map[rel.FactKey][]int),
 	}
 
 	nullSet := jcan.Nulls()
@@ -340,7 +340,7 @@ func maxBelow(resp []int, k int) int {
 }
 
 // groundLevel grounds the facts that become fully assigned at level k,
-// adds them to cur/curSrc, and checks each new fact's Σts triggers. On
+// adds them to cur, and checks each new fact's Σts triggers. On
 // a violation it returns false together with the responsible null
 // indexes of the violated trigger. Grounded facts are tracked per level
 // for LIFO undo.
@@ -359,12 +359,8 @@ func (sv *imageSearch) groundLevel(k int) (bool, []int) {
 		}
 		gf := rel.Fact{Rel: f.Rel, Args: t}
 		if sv.cur.AddOwnedTuple(f.Rel, t) {
-			sv.curSrc.AddOwnedTuple(f.Rel, t)
 			*added = append(*added, gf)
-			key := gf.String()
-			if _, dup := sv.factResp[key]; !dup {
-				sv.factResp[key] = sv.factNulls[fi]
-			}
+			sv.factResp[gf.Key()] = sv.factNulls[fi]
 			if okAll {
 				if viol := sv.newFactViolation(gf); viol != nil {
 					okAll = false
@@ -382,8 +378,7 @@ func (sv *imageSearch) ungroundLevel(k int) {
 	for idx := len(*added) - 1; idx >= 0; idx-- {
 		f := (*added)[idx]
 		sv.cur.RemoveLastTuple(f.Rel)
-		sv.curSrc.RemoveLastTuple(f.Rel)
-		delete(sv.factResp, f.String())
+		delete(sv.factResp, f.Key())
 	}
 	*added = (*added)[:0]
 }
@@ -407,11 +402,12 @@ func (sv *imageSearch) levelAdds(k int) *[]rel.Fact {
 // constants are pruned on (egd chasing could later merge a kept null
 // into a constant). Returns nil when every trigger is satisfied.
 func (sv *imageSearch) newFactViolation(gf rel.Fact) []int {
-	pruneOnNulls := len(dep.EGDs(sv.s.T)) == 0
 	for _, d := range sv.s.TS {
 		resp := sv.violatedTriggerThroughFact(d.Body, func(b hom.Binding) bool {
-			return sv.tsTriggerSatisfied(d, b)
-		}, gf, pruneOnNulls)
+			// I ⊨ ∃w β(c, w); b binds only body variables, so no
+			// existential w is pre-bound.
+			return hom.Exists(d.Head, sv.i, b, sv.opts.Config)
+		}, gf)
 		if resp != nil {
 			return resp
 		}
@@ -424,7 +420,7 @@ func (sv *imageSearch) newFactViolation(gf rel.Fact) []int {
 				}
 			}
 			return false
-		}, gf, pruneOnNulls)
+		}, gf)
 		if resp != nil {
 			return resp
 		}
@@ -437,7 +433,7 @@ func (sv *imageSearch) newFactViolation(gf rel.Fact) []int {
 // satisfied rejects, it returns the responsible null indexes of the
 // trigger's facts (never nil — a violation with no responsible nulls
 // yields an empty, non-nil slice).
-func (sv *imageSearch) violatedTriggerThroughFact(body []dep.Atom, satisfied func(hom.Binding) bool, gf rel.Fact, pruneOnNulls bool) []int {
+func (sv *imageSearch) violatedTriggerThroughFact(body []dep.Atom, satisfied func(hom.Binding) bool, gf rel.Fact) []int {
 	for ai, a := range body {
 		if a.Rel != gf.Rel {
 			continue
@@ -451,7 +447,7 @@ func (sv *imageSearch) violatedTriggerThroughFact(body []dep.Atom, satisfied fun
 		rest = append(rest, body[ai+1:]...)
 		var resp []int
 		hom.ForEach(rest, sv.cur, init, sv.opts.Config, func(b hom.Binding) bool {
-			if !pruneOnNulls {
+			if !sv.pruneOnNulls {
 				for _, v := range b {
 					if v.IsNull() {
 						return true // cannot prune: Σt may merge this null later
@@ -486,8 +482,7 @@ func (sv *imageSearch) triggerResponsibility(body []dep.Atom, b hom.Binding) []i
 				t[idx] = b[term.Name]
 			}
 		}
-		key := rel.Fact{Rel: a.Rel, Args: t}.String()
-		for _, nullIdx := range sv.factResp[key] {
+		for _, nullIdx := range sv.factResp[rel.Fact{Rel: a.Rel, Args: t}.Key()] {
 			if !seen[nullIdx] {
 				seen[nullIdx] = true
 				resp = append(resp, nullIdx)
@@ -522,16 +517,6 @@ func unifyAtomWithFact(a dep.Atom, f rel.Fact) hom.Binding {
 		b[term.Name] = v
 	}
 	return b
-}
-
-// tsTriggerSatisfied checks I ⊨ ∃w β(c, w) for the trigger binding.
-func (sv *imageSearch) tsTriggerSatisfied(d dep.TGD, b hom.Binding) bool {
-	uvars := d.UniversalVars()
-	init := make(hom.Binding, len(uvars))
-	for _, v := range uvars {
-		init[v] = b[v]
-	}
-	return hom.Exists(d.Head, sv.i, init, sv.opts.Config)
 }
 
 // leaf handles a fully assigned image: with Σt = ∅ the incremental

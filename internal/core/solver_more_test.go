@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dep"
+	"repro/internal/graph"
 	"repro/internal/hom"
+	"repro/internal/reductions"
 	"repro/internal/rel"
 	"repro/internal/workload"
 )
@@ -69,6 +71,30 @@ func TestSolveStatsShape(t *testing.T) {
 	}
 	if stats.Nodes <= 0 || stats.Solutions != 1 {
 		t.Errorf("Nodes=%d Solutions=%d", stats.Nodes, stats.Solutions)
+	}
+}
+
+// TestCliqueSearchTreePinned pins the generic search on the Theorem 3
+// reduction of K4 with k=4. The node counts depend on which nulls each
+// violated trigger blames, so they change whenever the responsibility
+// sets (and hence the backjumps) change; the values were recorded
+// before responsibilities were keyed on rel.FactKey.
+func TestCliqueSearchTreePinned(t *testing.T) {
+	s := reductions.CliqueSetting()
+	i, j := reductions.CliqueInstance(graph.Complete(4), 4)
+	ok, _, stats, err := core.ExistsSolutionGeneric(s, i, j, core.SolveOptions{})
+	if err != nil || !ok {
+		t.Fatalf("ExistsSolutionGeneric = %v, %v; want a solution", ok, err)
+	}
+	if stats.Nodes != 1371 || stats.Solutions != 1 {
+		t.Errorf("ExistsSolutionGeneric: Nodes=%d Solutions=%d, want 1371 and 1", stats.Nodes, stats.Solutions)
+	}
+	stats, err = core.ForEachImageSolution(s, i, j, core.SolveOptions{}, func(*rel.Instance) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Nodes != 44194 || stats.Solutions != 24 {
+		t.Errorf("ForEachImageSolution: Nodes=%d Solutions=%d, want 44194 and 24", stats.Nodes, stats.Solutions)
 	}
 }
 

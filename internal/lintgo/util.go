@@ -116,7 +116,7 @@ func mentionsObject(info *types.Info, n ast.Node, obj types.Object) bool {
 
 // looksLikeSort reports whether a call plausibly establishes a
 // deterministic order: sort.* and slices.Sort* calls, plus any
-// function whose name contains "sort" (sortTuples, sortDiagnostics —
+// function whose name contains "sort" (SortAnswers, sortDiagnostics —
 // the codebase's local sorting helpers).
 func looksLikeSort(info *types.Info, call *ast.CallExpr) bool {
 	if fn := calleeFunc(info, call); fn != nil {

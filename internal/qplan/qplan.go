@@ -44,7 +44,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/certain"
@@ -500,30 +499,8 @@ func (p *Plan) answers(i, j *rel.Instance, opts EvalOptions) ([]rel.Tuple, error
 			out = append(out, t)
 		}
 	}
-	sortTuples(out)
+	certain.SortAnswers(out)
 	return out, nil
-}
-
-// sortTuples orders tuples exactly as package certain does, so compiled
-// answers are byte-identical to the enumeration path's.
-func sortTuples(ts []rel.Tuple) {
-	keys := make([]string, len(ts))
-	for i, t := range ts {
-		keys[i] = t.String()
-	}
-	sort.Sort(&tupleSorter{ts: ts, keys: keys})
-}
-
-type tupleSorter struct {
-	ts   []rel.Tuple
-	keys []string
-}
-
-func (s *tupleSorter) Len() int           { return len(s.ts) }
-func (s *tupleSorter) Less(a, b int) bool { return s.keys[a] < s.keys[b] }
-func (s *tupleSorter) Swap(a, b int) {
-	s.ts[a], s.ts[b] = s.ts[b], s.ts[a]
-	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
 }
 
 // String renders the plan for offline inspection (pdx compile): the

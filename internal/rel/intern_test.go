@@ -14,13 +14,20 @@ import (
 // {kind, label, handle} layout was measured to grow TupleKey to 120
 // bytes, which the Go map stores inline in 128-byte slots: cold-inline
 // allocated 7.8% more bytes per request (4,778 → 5,153 KiB/op). The
-// TupleKey bound keeps the key inside one 128-byte slot.
+// TupleKey bound keeps the key inside one 128-byte slot. FactKey (a
+// relation name beside a TupleKey, 104 bytes) keys the generic image
+// search's per-fact responsibilities and the core's block membership,
+// so it is held to the same slot: past 128 bytes the map stores keys
+// out of line and every insert allocates.
 func TestValueLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Value{}); got != 16 {
 		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 16", got)
 	}
 	if got := unsafe.Sizeof(TupleKey{}); got > 128 {
 		t.Errorf("unsafe.Sizeof(TupleKey{}) = %d, want <= 128", got)
+	}
+	if got := unsafe.Sizeof(FactKey{}); got > 128 {
+		t.Errorf("unsafe.Sizeof(FactKey{}) = %d, want <= 128", got)
 	}
 }
 

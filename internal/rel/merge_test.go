@@ -127,7 +127,7 @@ func TestMergeValueMatchesReplaceValue(t *testing.T) {
 			t.Fatalf("trial %d: fact counts diverge: %d vs %d", trial, len(cf), len(rf))
 		}
 		for i := range cf {
-			if cf[i].key() != rf[i].key() {
+			if cf[i].Key() != rf[i].Key() {
 				t.Fatalf("trial %d: fact order diverges at %d: %v vs %v", trial, i, cf[i], rf[i])
 			}
 		}

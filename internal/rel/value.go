@@ -231,9 +231,19 @@ func (f Fact) String() string {
 	return fmt.Sprintf("%s%s", f.Rel, f.Args.String())
 }
 
-// key returns a canonical encoding of the fact usable as a map key.
-func (f Fact) key() string {
-	return f.Rel + tupleKey(f.Args)
+// FactKey is the comparable identity of a fact: its relation and the
+// TupleKey of its arguments. Two keys are == exactly when the facts are
+// equal value-for-value. Unlike the printed text it is injective: the
+// constant "_N1" and the null _N1 print alike but key apart.
+type FactKey struct {
+	rel  string
+	args TupleKey
+}
+
+// Key returns the comparable key of the fact; like KeyOf, it allocates
+// nothing up to arity 4.
+func (f Fact) Key() FactKey {
+	return FactKey{rel: f.Rel, args: KeyOf(f.Args)}
 }
 
 func tupleKey(t Tuple) string {

@@ -154,7 +154,7 @@ func TestFactString(t *testing.T) {
 func TestFactKeyDistinguishesKinds(t *testing.T) {
 	f1 := Fact{Rel: "R", Args: Tuple{Const("1")}}
 	f2 := Fact{Rel: "R", Args: Tuple{Null(1)}}
-	if f1.key() == f2.key() {
+	if f1.Key() == f2.Key() {
 		t.Error("fact keys must distinguish Const(\"1\") from Null(1)")
 	}
 }

@@ -22,7 +22,6 @@ package repair
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/certain"
 	"repro/internal/core"
@@ -172,15 +171,15 @@ func CertainAnswers(s *core.Setting, i, j *rel.Instance, q certain.UCQ, opts Opt
 	if len(reps.Repairs) == 0 {
 		return nil, false, nil
 	}
-	var inter map[string]rel.Tuple
+	var inter map[rel.TupleKey]rel.Tuple
 	for _, r := range reps.Repairs {
 		res, err := certain.Answers(s, i, r.Target, q, certain.Options{Solve: opts.Solve})
 		if err != nil {
 			return nil, true, err
 		}
-		cur := make(map[string]rel.Tuple, len(res.Answers))
+		cur := make(map[rel.TupleKey]rel.Tuple, len(res.Answers))
 		for _, t := range res.Answers {
-			cur[t.String()] = t
+			cur[rel.KeyOf(t)] = t
 		}
 		if inter == nil {
 			inter = cur
@@ -196,6 +195,6 @@ func CertainAnswers(s *core.Setting, i, j *rel.Instance, q certain.UCQ, opts Opt
 	for _, t := range inter {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].String() < out[b].String() })
+	certain.SortAnswers(out)
 	return out, true, nil
 }

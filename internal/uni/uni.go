@@ -106,9 +106,9 @@ func shrinkBlock(k *rel.Instance, block hom.Block, opts hom.Options) (*rel.Insta
 	for _, f := range block.Facts {
 		blockAtoms = append(blockAtoms, hom.FactAtom(f))
 	}
-	inBlock := make(map[string]bool, len(block.Facts))
+	inBlock := make(map[rel.FactKey]bool, len(block.Facts))
 	for _, f := range block.Facts {
-		inBlock[f.String()] = true
+		inBlock[f.Key()] = true
 	}
 	var result *rel.Instance
 	hom.ForEach(blockAtoms, k, nil, opts, func(b hom.Binding) bool {
@@ -121,7 +121,7 @@ func shrinkBlock(k *rel.Instance, block hom.Block, opts hom.Options) (*rel.Insta
 		// image.
 		cand := rel.NewInstance()
 		for _, f := range k.Facts() {
-			if !inBlock[f.String()] {
+			if !inBlock[f.Key()] {
 				cand.AddFact(f)
 			}
 		}

@@ -43,6 +43,23 @@ func TestCoreKeepsEssentialNulls(t *testing.T) {
 	}
 }
 
+func TestCoreKeepsConstantPrintedLikeNull(t *testing.T) {
+	// {R('_N1'), R(N1), S(N1)}: the constant prints as the null does,
+	// but N1 cannot map onto it (S('_N1') is absent), so the instance is
+	// its own core and the constant fact must survive.
+	k := rel.NewInstance()
+	k.Add("R", rel.Const("_N1"))
+	k.Add("R", rel.Null(1))
+	k.Add("S", rel.Null(1))
+	c := uni.Core(k, hom.Options{})
+	if c.NumFacts() != 3 {
+		t.Fatalf("core has %d facts, want 3:\n%s", c.NumFacts(), c)
+	}
+	if !c.Contains(rel.Fact{Rel: "R", Args: rel.Tuple{rel.Const("_N1")}}) {
+		t.Errorf("core lost the constant fact R('_N1'):\n%s", c)
+	}
+}
+
 func TestCoreCollapsesParallelNullChains(t *testing.T) {
 	// Two parallel null chains from a to b: one suffices.
 	k := rel.NewInstance()
