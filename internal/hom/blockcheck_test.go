@@ -41,9 +41,9 @@ func bindingsEqual(a, b Binding) bool {
 	return true
 }
 
-// TestEnumerateMatchesForEachOrder: Enumerate returns exactly the
-// ForEach enumeration — same bindings, same order — with and without a
-// keep filter.
+// TestEnumerateMatchesForEachOrder: EnumerateDeltaSpec with a zero spec
+// returns exactly the ForEach enumeration — same bindings, same order —
+// with and without a keep filter.
 func TestEnumerateMatchesForEachOrder(t *testing.T) {
 	atoms := []dep.Atom{
 		dep.NewAtom("R", dep.Var("x"), dep.Var("y")),
@@ -65,7 +65,7 @@ func TestEnumerateMatchesForEachOrder(t *testing.T) {
 				wantKept = append(wantKept, b)
 			}
 		}
-		got := Enumerate(atoms, inst, nil, Options{}, nil)
+		got := EnumerateDeltaSpec(atoms, inst, nil, DeltaSpec{}, Options{}, nil)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d bindings, want %d", trial, len(got), len(want))
 		}
@@ -74,7 +74,7 @@ func TestEnumerateMatchesForEachOrder(t *testing.T) {
 				t.Fatalf("trial %d: binding %d = %v, want %v", trial, i, got[i], want[i])
 			}
 		}
-		gotKept := Enumerate(atoms, inst, nil, Options{}, keep)
+		gotKept := EnumerateDeltaSpec(atoms, inst, nil, DeltaSpec{}, Options{}, keep)
 		if len(gotKept) != len(wantKept) {
 			t.Fatalf("trial %d: %d kept bindings, want %d", trial, len(gotKept), len(wantKept))
 		}
@@ -86,7 +86,7 @@ func TestEnumerateMatchesForEachOrder(t *testing.T) {
 	}
 }
 
-// TestEnumerateWithInitBinding: init bindings constrain Enumerate
+// TestEnumerateWithInitBinding: init bindings constrain EnumerateDeltaSpec
 // exactly as they constrain ForEach.
 func TestEnumerateWithInitBinding(t *testing.T) {
 	atoms := []dep.Atom{
@@ -100,7 +100,7 @@ func TestEnumerateWithInitBinding(t *testing.T) {
 		want = append(want, b)
 		return true
 	})
-	got := Enumerate(atoms, inst, init, Options{}, nil)
+	got := EnumerateDeltaSpec(atoms, inst, init, DeltaSpec{}, Options{}, nil)
 	if len(got) != len(want) {
 		t.Fatalf("got %d bindings, want %d", len(got), len(want))
 	}

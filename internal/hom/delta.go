@@ -63,80 +63,57 @@ func (d Delta) oldCount(r *rel.Relation) int {
 	return n
 }
 
-// deltaHit pairs a collected binding with the tuple-index vector the
-// search chose along the join order. Because every candidate list is
-// scanned in ascending tuple order, the unconstrained enumeration emits
-// bindings exactly in lexicographic vector order — sorting the
-// per-slot results by vector therefore reproduces the order Enumerate
-// (and ForEach) would produce.
-type deltaHit struct {
-	vec []int
-	b   Binding
-}
-
-// deltaSlot is one pinned search of the semi-naive decomposition: atom
-// `atom` of the join order restricted either to the new segment of its
-// relation (changed == nil) or to the explicit changed-index list.
-type deltaSlot struct {
-	atom    int
-	changed []int
-}
-
-// EnumerateDeltaSpec is the semi-naive counterpart of Enumerate: it
-// returns every homomorphism from the atoms into the instance that uses
-// at least one new tuple (past the spec.Old watermark) or one changed
-// (merge-rewritten) tuple listed in spec.Changed, in exactly the
-// relative order Enumerate produces them, and each such binding exactly
-// once. Bindings whose atoms all match unchanged old tuples are skipped
+// EnumerateDeltaSpec returns the homomorphisms from the conjunction of
+// atoms into the instance extending init that use at least one new
+// tuple (past the spec.Old watermark) or one changed (merge-rewritten)
+// tuple listed in spec.Changed, each exactly once and in ForEach's
+// order. Bindings whose atoms all match unchanged old tuples are skipped
 // without being enumerated — the caller guarantees it has already
 // processed them (this is the chase's invariant: a trigger over facts
 // it has seen was satisfied by the end of that collection's firing
 // pass, and merges report the tuples they rewrite through Changed).
 //
-// A nil spec.Old requests a full enumeration; so does an all-zero one
-// (the first chase round seeds the delta with the whole instance). The
-// keep filter follows the Enumerate contract.
+// A zero spec (nil Old) requests the full enumeration, so does an
+// all-zero Old (the first chase round seeds the delta with the whole
+// instance). When keep is non-nil, only bindings it accepts are
+// returned; it runs once per binding the search finds, on live search
+// state that must not be retained or mutated. The returned slice holds fresh
+// copies. This is the trigger-collection primitive of the chase: keep
+// runs the satisfaction check on each binding as the search produces
+// it.
 //
-// The decomposition generalizes the textbook one: for each position s
-// in the join order, a count slot pins atom s to the delta segment,
-// atoms before s to the old segment, and leaves atoms after s
-// unconstrained; a changed slot pins atom s to the changed-index list
-// instead. Count slots partition their bindings by the first join
-// position that touches a new tuple, but a binding can combine changed
-// tuples with new ones and so surface from several slots — the merged,
-// vector-sorted result is deduplicated by vector (equal vectors denote
-// the same binding). The merged result is re-sorted into the full
-// enumeration order.
+// The enumeration is one backtracking search in ForEach's join order
+// (see searcher.pending): every candidate list is ascending, so the
+// result is the full enumeration restricted to the delta-touching
+// bindings.
 func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec DeltaSpec, opts Options, keep func(Binding) bool) []Binding {
-	if spec.Old == nil {
-		return Enumerate(atoms, inst, init, opts, keep)
-	}
 	if len(atoms) == 0 {
-		// An empty body has a single (empty) trigger, independent of any
-		// facts; it was handled when the watermark was first taken.
-		return nil
+		if spec.Old != nil {
+			// An empty body has a single (empty) trigger, independent of
+			// any facts; it was handled when the watermark was taken.
+			return nil
+		}
+		b := init
+		if b == nil {
+			b = Binding{}
+		}
+		if keep != nil && !keep(b) {
+			return nil
+		}
+		return []Binding{b.Clone()}
 	}
-	hasNew, allNew := false, true
+	hasNew := false
 	for _, a := range atoms {
 		r := inst.Relation(a.Rel)
 		if r == nil || r.Len() == 0 {
 			return nil // an empty body relation admits no homomorphism at all
 		}
-		old := spec.Old.oldCount(r)
-		if old < r.Len() || len(spec.Changed[a.Rel]) > 0 {
+		if spec.Old == nil || spec.Old.oldCount(r) < r.Len() || len(spec.Changed[a.Rel]) > 0 {
 			hasNew = true
-		}
-		if old > 0 {
-			allNew = false
 		}
 	}
 	if !hasNew {
 		return nil
-	}
-	if allNew {
-		// Whole instance is delta: the plain enumeration is equivalent
-		// and skips the per-hit vectors and the merge sort.
-		return Enumerate(atoms, inst, init, opts, keep)
 	}
 
 	base := Binding{}
@@ -144,104 +121,43 @@ func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec
 		base[k] = v
 	}
 	order := orderAtoms(atoms, base)
-
-	// Viable slots: the pinned atom needs a nonempty delta segment (or
-	// changed list) and every atom before it a nonempty old segment.
-	slots := make([]deltaSlot, 0, len(order))
-	for s := range order {
-		ok := true
-		for i := 0; i < s; i++ {
-			if spec.Old.oldCount(inst.Relation(order[i].Rel)) == 0 {
-				ok = false
-				break
+	var out []Binding
+	s := newSearcher(inst, opts, false, func(b Binding) bool {
+		if keep == nil || keep(b) {
+			out = append(out, b.Clone())
+		}
+		return true
+	})
+	defer s.release()
+	if spec.Old != nil {
+		// hasNew guarantees some depth sets last.
+		for i, a := range order {
+			r := inst.Relation(a.Rel)
+			d := depthDelta{old: spec.Old.oldCount(r), changed: spec.Changed[a.Rel]}
+			if d.old < r.Len() || len(d.changed) > 0 {
+				s.last = i
 			}
+			s.delta = append(s.delta, d)
 		}
-		if !ok {
-			continue
-		}
-		rs := inst.Relation(order[s].Rel)
-		if spec.Old.oldCount(rs) < rs.Len() {
-			slots = append(slots, deltaSlot{atom: s})
-		}
-		if ch := spec.Changed[order[s].Rel]; len(ch) > 0 {
-			slots = append(slots, deltaSlot{atom: s, changed: ch})
-		}
+		s.pending = true
 	}
-	if len(slots) == 0 {
-		return nil
-	}
-
-	var hits []deltaHit
-	for _, s := range slots {
-		hits = enumerateSlot(order, inst, opts, base, spec.Old, s, keep, hits)
-	}
-	sort.Slice(hits, func(i, j int) bool { return lexLess(hits[i].vec, hits[j].vec) })
-	out := make([]Binding, 0, len(hits))
-	for i, h := range hits {
-		if i > 0 && lexEqual(hits[i-1].vec, h.vec) {
-			continue // same vector ⇒ same binding, surfaced by another slot
-		}
-		out = append(out, h.b)
-	}
+	s.match(order, 0, base)
 	return out
 }
 
-// enumerateSlot runs one slot of the semi-naive decomposition: a
-// backtracking search with the slot atom pinned to the delta segment or
-// to the changed-index list, earlier atoms pinned to the old segment,
-// later atoms unconstrained. Each hit, appended to hits, carries its
-// tuple-index vector for the merge sort.
-func enumerateSlot(order []dep.Atom, inst *rel.Instance, opts Options, base Binding, delta Delta, slot deltaSlot, keep func(Binding) bool, hits []deltaHit) []deltaHit {
-	n := len(order)
-	low := make([]int, n)
-	high := make([]int, n)
-	vec := make([]int, n)
-	const maxInt = int(^uint(0) >> 1)
-	for i, a := range order {
-		low[i], high[i] = 0, maxInt
-		old := delta.oldCount(inst.Relation(a.Rel))
-		switch {
-		case i < slot.atom:
-			high[i] = old
-		case i == slot.atom && slot.changed == nil:
-			low[i] = old
-		}
-	}
-	s := newSearcher(inst, opts, false, nil)
-	defer s.release()
-	s.low, s.high, s.vec = low, high, vec
-	if slot.changed != nil {
-		only := make([][]int, n)
-		only[slot.atom] = slot.changed
-		s.only = only
-	}
-	s.fn = func(b Binding) bool {
-		if keep == nil || keep(b) {
-			hits = append(hits, deltaHit{vec: append([]int(nil), vec...), b: b.Clone()})
-		}
+// depthDelta is the semi-naive watermark of one depth of the join
+// order: the old-segment length of the atom's relation and the sorted
+// changed indexes below it.
+type depthDelta struct {
+	old     int
+	changed []int
+}
+
+// touches reports whether tuple idx is new or changed.
+func (d depthDelta) touches(idx int) bool {
+	if idx >= d.old {
 		return true
 	}
-	s.match(order, 0, base)
-	return hits
-}
-
-// lexEqual reports whether two tuple-index vectors are identical.
-func lexEqual(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// lexLess orders tuple-index vectors lexicographically; vectors of the
-// same enumeration always have equal length.
-func lexLess(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	at := sort.SearchInts(d.changed, idx)
+	return at < len(d.changed) && d.changed[at] == idx
 }

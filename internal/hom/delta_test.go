@@ -32,11 +32,11 @@ func bindingKey(b Binding) string {
 // exact).
 func deltaReference(atoms []dep.Atom, full, old *rel.Instance, opts Options) []Binding {
 	seen := map[string]bool{}
-	for _, b := range Enumerate(atoms, old, nil, opts, nil) {
+	for _, b := range EnumerateDeltaSpec(atoms, old, nil, DeltaSpec{}, opts, nil) {
 		seen[bindingKey(b)] = true
 	}
 	var out []Binding
-	for _, b := range Enumerate(atoms, full, nil, opts, nil) {
+	for _, b := range EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{}, opts, nil) {
 		if !seen[bindingKey(b)] {
 			out = append(out, b)
 		}
@@ -112,7 +112,7 @@ func TestEnumerateDeltaDegenerateCases(t *testing.T) {
 	full, _, delta := buildSplitInstance(rng, 6, 5)
 	full.Freeze()
 	atoms := deltaTestPatterns[1]
-	fullEnum := Enumerate(atoms, full, nil, Options{}, nil)
+	fullEnum := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{}, Options{}, nil)
 
 	if got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{}, Options{}, nil); len(got) != len(fullEnum) {
 		t.Fatalf("nil delta: got %d bindings, want full %d", len(got), len(fullEnum))

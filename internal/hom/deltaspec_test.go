@@ -148,3 +148,63 @@ func TestEnumerateDeltaSpecChangedOnly(t *testing.T) {
 		t.Fatalf("no-new no-changed spec returned %d bindings", len(empty))
 	}
 }
+
+// TestEnumerateDeltaSpecKeepsEachBindingOnce: keep runs exactly once per
+// binding EnumerateDeltaSpec returns, including bindings that combine a
+// changed tuple with a new one. In the chase every extra call is a
+// wasted head check.
+func TestEnumerateDeltaSpecKeepsEachBindingOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	extra := 0
+	for trial := 0; trial < 60; trial++ {
+		inst, counts, changed := buildMergedInstance(rng, 3+rng.Intn(12), 1+rng.Intn(3), rng.Intn(8))
+		inst.Freeze()
+		for _, atoms := range deltaTestPatterns {
+			calls := 0
+			got := EnumerateDeltaSpec(atoms, inst, nil, DeltaSpec{Old: counts, Changed: changed}, Options{}, func(Binding) bool {
+				calls++
+				return true
+			})
+			extra += calls - len(got)
+		}
+	}
+	if extra != 0 {
+		t.Fatalf("keep ran %d times more than the bindings returned", extra)
+	}
+}
+
+// FuzzEnumerateDeltaSpec: on merged instances sized by the input, every
+// test pattern's delta enumeration has the reference content and order,
+// and keep runs once per returned binding.
+func FuzzEnumerateDeltaSpec(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(2), uint8(4))
+	f.Add(int64(47), uint8(14), uint8(3), uint8(0))
+	f.Add(int64(7), uint8(0), uint8(0), uint8(9))
+	f.Fuzz(func(t *testing.T, seed int64, nOld, nMerges, nNew uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		inst, counts, changed := buildMergedInstance(rng, 1+int(nOld)%16, int(nMerges)%5, int(nNew)%10)
+		oldUnchanged := oldUnchangedCopy(inst, counts, changed)
+		inst.Freeze()
+		oldUnchanged.Freeze()
+		spec := DeltaSpec{Old: counts, Changed: changed}
+		for pi, atoms := range deltaTestPatterns {
+			want := deltaReference(atoms, inst, oldUnchanged, Options{})
+			calls := 0
+			got := EnumerateDeltaSpec(atoms, inst, nil, spec, Options{}, func(Binding) bool {
+				calls++
+				return true
+			})
+			if len(got) != len(want) {
+				t.Fatalf("pattern %d: got %d bindings, want %d", pi, len(got), len(want))
+			}
+			for i := range got {
+				if bindingKey(got[i]) != bindingKey(want[i]) {
+					t.Fatalf("pattern %d: binding %d is %s, want %s", pi, i, bindingKey(got[i]), bindingKey(want[i]))
+				}
+			}
+			if calls != len(got) {
+				t.Fatalf("pattern %d: keep ran %d times for %d bindings", pi, calls, len(got))
+			}
+		}
+	})
+}

@@ -197,18 +197,17 @@ type searcher struct {
 	newly  [][]string
 	allIdx [][]int
 
-	// low/high, when non-nil, constrain the tuple indexes tried at each
-	// depth to [low[i], high[i]) — the semi-naive enumeration pins atoms
-	// to the old or the new (delta) segment of their relation this way.
-	// only, when non-nil, pins a depth with a non-nil entry to exactly
-	// that sorted list of tuple indexes — the merged-value delta pins an
-	// atom to the tuples rewritten by egd merges this way. vec, when
-	// non-nil, records the tuple index chosen at each depth, so complete
-	// bindings can be merged back into the order the unconstrained
-	// search would produce (see EnumerateDeltaSpec).
-	low, high []int
-	only      [][]int
-	vec       []int
+	// A semi-naive search (see EnumerateDeltaSpec) keeps only bindings
+	// that use a new or changed tuple: delta[i] is the watermark of
+	// depth i, pending is set while the current path has chosen no such
+	// tuple yet, and last is the deepest depth whose atom has one. A
+	// pending path scans depths before last as usual and, at last, tries
+	// only that atom's changed and then its new tuples, so a path that
+	// touches nothing is cut there. Other searches leave delta empty and
+	// pending unset.
+	delta   []depthDelta
+	last    int
+	pending bool
 
 	// ctxTick counts match calls between polls of opts.Ctx; canceled
 	// latches a cancellation observed mid-search so the whole search
@@ -248,13 +247,14 @@ func newSearcher(inst *rel.Instance, opts Options, clone bool, fn func(Binding) 
 	s := searcherPool.Get().(*searcher)
 	s.inst, s.opts, s.clone, s.fn = inst, opts, clone, fn
 	s.ctxTick, s.canceled = 0, false
-	s.low, s.high, s.only, s.vec = nil, nil, nil, nil
 	return s
 }
 
 func (s *searcher) release() {
 	s.inst, s.fn, s.opts.Ctx = nil, nil, nil
-	s.low, s.high, s.only, s.vec = nil, nil, nil, nil
+	// Drop the changed lists so the pool does not pin them.
+	clear(s.delta)
+	s.delta, s.pending = s.delta[:0], false
 	searcherPool.Put(s)
 }
 
@@ -276,8 +276,41 @@ func (s *searcher) match(atoms []dep.Atom, i int, b Binding) bool {
 	if r == nil {
 		return true // no tuples: no matches for this atom; enumeration complete
 	}
-	for _, idx := range s.candidateTuples(r, a, b, i) {
+	if s.pending {
+		return s.matchPending(atoms, i, r, b)
+	}
+	return s.tryAll(atoms, i, r, s.candidateTuples(r, a, b, i, 0), b)
+}
+
+// tryAll runs tryTuple on each index in turn, stopping when the
+// enumeration is stopped.
+func (s *searcher) tryAll(atoms []dep.Atom, i int, r *rel.Relation, idxs []int, b Binding) bool {
+	for _, idx := range idxs {
 		if !s.tryTuple(atoms, i, r, idx, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// matchPending is match at depth i on a path that has chosen no new or
+// changed tuple yet. At depth last the changed indexes (all below the
+// old count) come before the new segment, so candidates stay ascending
+// either way and the search keeps ForEach's order.
+func (s *searcher) matchPending(atoms []dep.Atom, i int, r *rel.Relation, b Binding) bool {
+	d := s.delta[i]
+	if i == s.last {
+		s.pending = false
+		cont := s.tryAll(atoms, i, r, d.changed, b) &&
+			s.tryAll(atoms, i, r, s.candidateTuples(r, atoms[i], b, i, d.old), b)
+		s.pending = true
+		return cont
+	}
+	for _, idx := range s.candidateTuples(r, atoms[i], b, i, 0) {
+		s.pending = !d.touches(idx)
+		cont := s.tryTuple(atoms, i, r, idx, b)
+		s.pending = true
+		if !cont {
 			return false
 		}
 	}
@@ -290,9 +323,6 @@ func (s *searcher) match(atoms []dep.Atom, i int, b Binding) bool {
 func (s *searcher) tryTuple(atoms []dep.Atom, i int, r *rel.Relation, idx int, b Binding) bool {
 	a := atoms[i]
 	t := r.TupleAt(idx)
-	if s.vec != nil {
-		s.vec[i] = idx
-	}
 	for len(s.newly) <= i {
 		s.newly = append(s.newly, nil)
 	}
@@ -328,32 +358,11 @@ func (s *searcher) tryTuple(atoms []dep.Atom, i int, r *rel.Relation, idx int, b
 	return cont
 }
 
-// candidateTuples returns indexes of tuples possibly matching the atom
-// under the current binding, using the most selective position index
-// available, clipped to the searcher's per-depth index bounds when set.
-// The returned slice is only valid until the next call at the same
-// depth.
-func (s *searcher) candidateTuples(r *rel.Relation, a dep.Atom, b Binding, depth int) []int {
-	lo, hi := 0, r.Len()
-	if s.low != nil {
-		if l := s.low[depth]; l > lo {
-			lo = l
-		}
-		if h := s.high[depth]; h < hi {
-			hi = h
-		}
-		if lo >= hi {
-			return nil
-		}
-	}
-	if s.only != nil {
-		if list := s.only[depth]; list != nil {
-			// Pinned to an explicit (sorted, live) index list; clip to the
-			// bounds like the position-index path does.
-			list = list[sort.SearchInts(list, lo):]
-			return list[:sort.SearchInts(list, hi)]
-		}
-	}
+// candidateTuples returns the ascending indexes, from index from on, of
+// tuples possibly matching the atom under the current binding, using
+// the most selective position index available. The returned slice is
+// only valid until the next call at the same depth.
+func (s *searcher) candidateTuples(r *rel.Relation, a dep.Atom, b Binding, depth, from int) []int {
 	bestPos, bestVal, bestLen := -1, rel.Value{}, -1
 	for j, term := range a.Args {
 		var v rel.Value
@@ -371,12 +380,11 @@ func (s *searcher) candidateTuples(r *rel.Relation, a dep.Atom, b Binding, depth
 	}
 	if bestPos >= 0 {
 		// Position-index lists hold ascending tuple indexes (they are
-		// append-only as tuples arrive), so the bound clip is a binary
-		// search, not a scan.
+		// append-only as tuples arrive), so the clip is a binary search,
+		// not a scan.
 		list := r.MatchingAt(bestPos, bestVal)
-		if s.low != nil {
-			list = list[sort.SearchInts(list, lo):]
-			list = list[:sort.SearchInts(list, hi)]
+		if from > 0 {
+			list = list[sort.SearchInts(list, from):]
 		}
 		return list
 	}
@@ -384,7 +392,7 @@ func (s *searcher) candidateTuples(r *rel.Relation, a dep.Atom, b Binding, depth
 		s.allIdx = append(s.allIdx, nil)
 	}
 	all := s.allIdx[depth][:0]
-	for i := lo; i < hi; i++ {
+	for i := from; i < r.Len(); i++ {
 		// Tuple slots tombstoned by egd merges stay in [0, Len) but must
 		// never match; the position-index path is clean by construction.
 		if r.Live(i) {

@@ -1,7 +1,8 @@
 // Command bench-compare gates perf regressions in CI: it diffs a fresh
 // `pdxbench -json` run against a committed baseline (BENCH_PR<k>.json)
 // and fails when any benchmark present in both runs got more than
-// -threshold slower in ns/op. Names only in one run are reported but
+// -threshold slower in ns/op, or when its allocs/op rose past the
+// baseline's by more than 1% + 8. Names only in one run are reported but
 // never gate, so adding or retiring benchmarks doesn't break the gate.
 // Both files use the perfsuite Report format; a record whose ns/op is
 // not positive is malformed input (exit 2), as a failed run leaves it.
@@ -29,6 +30,20 @@ import (
 
 	"repro/internal/perfsuite"
 )
+
+// allocs/op is nearly deterministic: repeated runs of one commit differ
+// by a few allocations (up to 6 on the perfsuite cases), so the gate
+// allows 1% plus allocsSlack over the baseline.
+const (
+	allocsRatio = 1.01
+	allocsSlack = 8
+)
+
+// allocsLimit is the highest allocs/op that passes against a baseline
+// record's base allocs/op.
+func allocsLimit(base int64) int64 {
+	return int64(float64(base)*allocsRatio) + allocsSlack
+}
 
 // baselinePattern matches committed baseline file names, capturing the
 // PR number.
@@ -105,8 +120,8 @@ func byName(rep *perfsuite.Report) map[string]perfsuite.Record {
 // compare diffs cur against base, printing one line per current record
 // (and one per retired record) to w. It returns a description of every
 // record present in both runs that got more than threshold slower in
-// ns/op, and the sorted names of the baseline-only (retired) records,
-// which never gate.
+// ns/op or allocates past allocsLimit, and the sorted names of the
+// baseline-only (retired) records, which never gate.
 func compare(w io.Writer, base, cur *perfsuite.Report, threshold float64) (regressions, retired []string) {
 	baseByName, curByName := byName(base), byName(cur)
 	names := make([]string, 0, len(curByName))
@@ -115,12 +130,12 @@ func compare(w io.Writer, base, cur *perfsuite.Report, threshold float64) (regre
 	}
 	sort.Strings(names)
 
-	fmt.Fprintf(w, "%-40s %14s %14s %8s\n", "benchmark", "baseline ns", "current ns", "delta")
+	fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s\n", "benchmark", "baseline ns", "current ns", "delta", "base allocs", "cur allocs")
 	for _, name := range names {
 		c := curByName[name]
 		b, ok := baseByName[name]
 		if !ok {
-			fmt.Fprintf(w, "%-40s %14s %14d %8s\n", name, "(new)", c.NsPerOp, "-")
+			fmt.Fprintf(w, "%-40s %14s %14d %8s %12s %12d\n", name, "(new)", c.NsPerOp, "-", "-", c.AllocsPerOp)
 			continue
 		}
 		ratio := float64(c.NsPerOp)/float64(b.NsPerOp) - 1
@@ -130,7 +145,12 @@ func compare(w io.Writer, base, cur *perfsuite.Report, threshold float64) (regre
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %d -> %d ns/op (%+.1f%%, limit %+.0f%%)", name, b.NsPerOp, c.NsPerOp, 100*ratio, 100*threshold))
 		}
-		fmt.Fprintf(w, "%-40s %14d %14d %+7.1f%%%s\n", name, b.NsPerOp, c.NsPerOp, 100*ratio, mark)
+		if limit := allocsLimit(b.AllocsPerOp); c.AllocsPerOp > limit {
+			mark = "  REGRESSION"
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %d -> %d allocs/op (limit %d)", name, b.AllocsPerOp, c.AllocsPerOp, limit))
+		}
+		fmt.Fprintf(w, "%-40s %14d %14d %+7.1f%% %12d %12d%s\n", name, b.NsPerOp, c.NsPerOp, 100*ratio, b.AllocsPerOp, c.AllocsPerOp, mark)
 		if b.Steps != 0 && c.Steps != 0 && b.Steps != c.Steps {
 			fmt.Fprintf(w, "%-40s   steps changed: %d -> %d\n", "", b.Steps, c.Steps)
 		}
@@ -187,11 +207,11 @@ func main() {
 
 	regressions, _ := compare(os.Stdout, base, cur, *threshold)
 	if len(regressions) > 0 {
-		fmt.Fprintf(os.Stderr, "\nbench-compare: %d regression(s) beyond the %.0f%% gate:\n", len(regressions), 100**threshold)
+		fmt.Fprintf(os.Stderr, "\nbench-compare: %d regression(s) beyond the %.0f%% ns/op or the allocs/op gate:\n", len(regressions), 100**threshold)
 		for _, r := range regressions {
 			fmt.Fprintf(os.Stderr, "  %s\n", r)
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("\nbench-compare: ok (%d compared, gate %.0f%%)\n", len(cur.Benchmarks), 100**threshold)
+	fmt.Printf("\nbench-compare: ok (%d compared, gate %.0f%% ns/op, allocs/op ×%.2f + %d)\n", len(cur.Benchmarks), 100**threshold, allocsRatio, allocsSlack)
 }

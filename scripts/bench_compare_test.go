@@ -97,3 +97,30 @@ func TestCompareRetiredRecordDoesNotGate(t *testing.T) {
 		t.Errorf("retired = %q, want one record", retired)
 	}
 }
+
+// TestCompareGatesAllocs: a record whose allocs/op rose past 1% + 8 of
+// the baseline's is a regression even when its ns/op did not move, and
+// a rise within that run-to-run spread is not.
+func TestCompareGatesAllocs(t *testing.T) {
+	base := &perfsuite.Report{Benchmarks: []perfsuite.Record{
+		{Name: "clique/k=4/generic", NsPerOp: 1000, AllocsPerOp: 184159},
+		{Name: "keyed-chase/n=400/uf", NsPerOp: 1000, AllocsPerOp: 175067},
+		{Name: "tractable-lav/n=1600/warm", NsPerOp: 1000, AllocsPerOp: 1},
+	}}
+	cur := &perfsuite.Report{Benchmarks: []perfsuite.Record{
+		{Name: "clique/k=4/generic", NsPerOp: 1000, AllocsPerOp: 186009},
+		{Name: "keyed-chase/n=400/uf", NsPerOp: 900, AllocsPerOp: 175072},
+		{Name: "tractable-lav/n=1600/warm", NsPerOp: 1000, AllocsPerOp: 9},
+	}}
+	var out strings.Builder
+	regressions, _ := compare(&out, base, cur, 0.25)
+	if len(regressions) != 1 || !strings.HasPrefix(regressions[0], "clique/k=4/generic:") ||
+		!strings.Contains(regressions[0], "allocs/op") {
+		t.Errorf("regressions = %q, want clique/k=4/generic allocs/op only", regressions)
+	}
+
+	cur.Benchmarks[0].AllocsPerOp = 186008 // 184159 × 1.01 + 8 = 186008.59
+	if regressions, _ = compare(io.Discard, base, cur, 0.25); len(regressions) != 0 {
+		t.Errorf("regressions = %q, want none within the allocs spread", regressions)
+	}
+}
