@@ -13,9 +13,11 @@ import (
 // context polls (matching the hom searcher's cadence).
 const ctxPollEvery = 1024
 
-// runner is the backtracking state of one disjunct scan.
+// runner is the backtracking state of one disjunct scan; params are
+// the values of the disjunct's param constants.
 type runner struct {
 	d      *disjunct
+	params []rel.Value
 	i, j   *rel.Instance
 	ctx    context.Context
 	steps  int
@@ -26,9 +28,9 @@ type runner struct {
 	set    []bool
 }
 
-func newRunner(d *disjunct, i, j *rel.Instance, ctx context.Context, emit func(rel.Tuple) bool) *runner {
+func newRunner(d *disjunct, params []rel.Value, i, j *rel.Instance, ctx context.Context, emit func(rel.Tuple) bool) *runner {
 	return &runner{
-		d: d, i: i, j: j, ctx: ctx, emit: emit,
+		d: d, params: params, i: i, j: j, ctx: ctx, emit: emit,
 		vals: make([]rel.Value, d.nvars),
 		set:  make([]bool, d.nvars),
 	}
@@ -62,7 +64,7 @@ func (r *runner) run(depth int) bool {
 		out := make(rel.Tuple, len(r.d.head))
 		for i, t := range r.d.head {
 			if t.constant {
-				out[i] = t.val
+				out[i] = t.value(r.params)
 			} else {
 				out[i] = r.vals[t.v]
 			}
@@ -107,7 +109,7 @@ func (r *runner) candidates(a *catom, rl *rel.Relation) (cands []int, full bool)
 		var v rel.Value
 		switch {
 		case t.constant:
-			v = t.val
+			v = t.value(r.params)
 		case r.set[t.v]:
 			v = r.vals[t.v]
 		default:
@@ -135,7 +137,7 @@ func (r *runner) tryTuple(a *catom, tup rel.Tuple, depth int) bool {
 	for p, t := range a.args {
 		v := tup[p]
 		if t.constant {
-			if t.val != v {
+			if t.value(r.params) != v {
 				ok = false
 				break
 			}
@@ -164,14 +166,14 @@ func (r *runner) tryTuple(a *catom, tup rel.Tuple, depth int) bool {
 
 // topCandidates returns the tuple indices the top atom scans: the
 // tightest constant-bound position index, or every live tuple.
-func topCandidates(a *catom, rl *rel.Relation) []int {
+func topCandidates(a *catom, params []rel.Value, rl *rel.Relation) []int {
 	best := -1
 	var cands []int
 	for p, t := range a.args {
 		if !t.constant {
 			continue
 		}
-		m := rl.MatchingAt(p, t.val)
+		m := rl.MatchingAt(p, t.value(params))
 		if best < 0 || len(m) < best {
 			cands, best = m, len(m)
 		}
@@ -193,9 +195,9 @@ func topCandidates(a *catom, rl *rel.Relation) []int {
 
 // collectRows evaluates one disjunct and returns every head row in
 // candidate order (duplicates included; the caller deduplicates).
-func collectRows(d *disjunct, i, j *rel.Instance, opts EvalOptions) ([]rel.Tuple, error) {
+func collectRows(d *disjunct, params []rel.Value, i, j *rel.Instance, opts EvalOptions) ([]rel.Tuple, error) {
 	var out []rel.Tuple
-	err := forEachRow(d, i, j, opts.Ctx, "plan scan", func(t rel.Tuple) bool {
+	err := forEachRow(d, params, i, j, opts.Ctx, "plan scan", func(t rel.Tuple) bool {
 		out = append(out, t)
 		return true
 	})
@@ -207,12 +209,12 @@ func collectRows(d *disjunct, i, j *rel.Instance, opts EvalOptions) ([]rel.Tuple
 
 // existsMatch reports whether the disjunct has any match, stopping at
 // the first one.
-func existsMatch(d *disjunct, i, j *rel.Instance, opts EvalOptions) (bool, error) {
+func existsMatch(d *disjunct, params []rel.Value, i, j *rel.Instance, opts EvalOptions) (bool, error) {
 	if len(d.order) == 0 {
 		return true, nil
 	}
 	found := false
-	err := forEachRow(d, i, j, opts.Ctx, "plan scan", func(rel.Tuple) bool {
+	err := forEachRow(d, params, i, j, opts.Ctx, "plan scan", func(rel.Tuple) bool {
 		found = true
 		return false
 	})
@@ -223,9 +225,10 @@ func existsMatch(d *disjunct, i, j *rel.Instance, opts EvalOptions) (bool, error
 }
 
 // forEachRow enumerates one disjunct's head rows in candidate order,
-// stopping when fn returns false. A canceled ctx stops the scan with an
-// error naming what was scanning.
-func forEachRow(d *disjunct, i, j *rel.Instance, ctx context.Context, what string, fn func(rel.Tuple) bool) error {
+// with its param constants taken from params, stopping when fn returns
+// false. A canceled ctx stops the scan with an error naming what was
+// scanning.
+func forEachRow(d *disjunct, params []rel.Value, i, j *rel.Instance, ctx context.Context, what string, fn func(rel.Tuple) bool) error {
 	if len(d.order) == 0 {
 		return nil
 	}
@@ -238,8 +241,8 @@ func forEachRow(d *disjunct, i, j *rel.Instance, ctx context.Context, what strin
 	if rl == nil {
 		return nil
 	}
-	r := newRunner(d, i, j, ctx, fn)
-	for _, idx := range topCandidates(a, rl) {
+	r := newRunner(d, params, i, j, ctx, fn)
+	for _, idx := range topCandidates(a, params, rl) {
 		if !r.tryTuple(a, rl.TupleAt(idx), 0) {
 			break
 		}

@@ -44,6 +44,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/certain"
@@ -193,6 +195,11 @@ type SettingPlan struct {
 	// universal[d] is the universal-variable set of s.ST[d].
 	universal []map[string]bool
 	probes    []probe
+	// parametric reports that query plans are compiled per shape (see
+	// AppendShape): no Σst head atom carries a constant, so during
+	// unfolding a query constant meets only query constants, variables
+	// and Skolem nulls, and which constant it is decides nothing.
+	parametric bool
 }
 
 // CompileSetting compiles the setting's origin table and Σts probes,
@@ -202,9 +209,10 @@ func CompileSetting(s *core.Setting) (*SettingPlan, error) {
 		return nil, err
 	}
 	sp := &SettingPlan{
-		s:         s,
-		origins:   make(map[string][]origin),
-		universal: make([]map[string]bool, len(s.ST)),
+		s:          s,
+		origins:    make(map[string][]origin),
+		universal:  make([]map[string]bool, len(s.ST)),
+		parametric: true,
 	}
 	for di, d := range s.ST {
 		uni := make(map[string]bool)
@@ -214,6 +222,14 @@ func CompileSetting(s *core.Setting) (*SettingPlan, error) {
 		sp.universal[di] = uni
 		for ai, a := range d.Head {
 			sp.origins[a.Rel] = append(sp.origins[a.Rel], origin{tgd: di, atom: ai})
+			for _, t := range a.Args {
+				if t.IsConst {
+					// A query constant could meet this one through a
+					// universal variable, as R('a',y), T(y) meets
+					// heads R(x,x) and T('c'): constants stay literal.
+					sp.parametric = false
+				}
+			}
 		}
 	}
 	for _, d := range s.TS {
@@ -222,7 +238,7 @@ func CompileSetting(s *core.Setting) (*SettingPlan, error) {
 		for i, v := range headVars {
 			headTerms[i] = dep.Var(v)
 		}
-		ds, _, err := sp.unfold(headTerms, d.Body, false)
+		ds, _, err := sp.unfold(headTerms, d.Body, false, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -321,7 +337,7 @@ func (sp *SettingPlan) SolutionExists(i, j *rel.Instance, opts EvalOptions) (boo
 		b := hom.Binding{}
 		for di := range pb.disjuncts {
 			violated := false
-			err := forEachRow(&pb.disjuncts[di], i, j, opts.Ctx, "probe scan", func(row rel.Tuple) bool {
+			err := forEachRow(&pb.disjuncts[di], nil, i, j, opts.Ctx, "probe scan", func(row rel.Tuple) bool {
 				k := rel.KeyOf(row)
 				if seen[k] {
 					return true
@@ -352,30 +368,62 @@ func (sp *SettingPlan) SolutionExists(i, j *rel.Instance, opts EvalOptions) (boo
 	return true, nil
 }
 
-// Plan is a compiled certain-answer plan for one UCQ over one setting.
-// It is immutable after compilation and safe for concurrent use.
+// Plan is a compiled certain-answer plan for one UCQ over one setting,
+// bound to the UCQ's constants. It is immutable after compilation and
+// safe for concurrent use.
 type Plan struct {
-	sp        *SettingPlan
-	name      string
-	boolean   bool
-	headArity int
-	disjuncts []disjunct
+	*shape
+	// params holds the constants the shape's param terms stand for, in
+	// slot order; inline backs it for up to four constants, so binding
+	// a plan takes one allocation.
+	params []rel.Value
+	inline [4]rel.Value
+}
+
+// shape is the compiled part of a plan, shared by every query of one
+// shape (see AppendShape): its constant terms either hold their value
+// or, when parametric, name a slot of the binding plan's params.
+type shape struct {
+	sp         *SettingPlan
+	name       string
+	boolean    bool
+	headArity  int
+	parametric bool
+	disjuncts  []disjunct
 	// dropped counts the unfolded disjuncts discarded because they bind
 	// a head variable to an existential (null-producing) position.
 	dropped int
 }
 
-// CompileQuery unfolds the UCQ into a plan over the setting. The query
-// must validate against the setting's target schema.
+// CompileQuery unfolds the UCQ into a plan over the setting, bound to
+// the UCQ's constants. The query must validate against the setting's
+// target schema. When the setting is parametric the compiled shape
+// serves every query with the same AppendShape text (see Bind).
 func (sp *SettingPlan) CompileQuery(q certain.UCQ) (*Plan, error) {
+	return sp.compile(q, sp.parametric)
+}
+
+// compile is CompileQuery with the choice of compiling q's shape, with
+// a slot per distinct constant, or q's constants literally.
+func (sp *SettingPlan) compile(q certain.UCQ, parametric bool) (*Plan, error) {
 	if err := q.Validate(sp.s.Target); err != nil {
 		return nil, err
 	}
-	p := &Plan{
-		sp:        sp,
-		name:      q[0].Name,
-		boolean:   q[0].IsBoolean(),
-		headArity: len(q[0].Head),
+	sh := &shape{
+		sp:         sp,
+		name:       q[0].Name,
+		boolean:    q[0].IsBoolean(),
+		headArity:  len(q[0].Head),
+		parametric: parametric,
+	}
+	var params map[string]int // constant text → slot, in first-occurrence order
+	if parametric {
+		params = make(map[string]int)
+		forEachConst(q, func(c string) {
+			if _, ok := params[c]; !ok {
+				params[c] = len(params)
+			}
+		})
 	}
 	seen := make(map[string]bool)
 	for _, cq := range q {
@@ -383,20 +431,105 @@ func (sp *SettingPlan) CompileQuery(q certain.UCQ) (*Plan, error) {
 		for i, v := range cq.Head {
 			headTerms[i] = dep.Var(v)
 		}
-		ds, dropped, err := sp.unfold(headTerms, cq.Body, !p.boolean)
+		ds, dropped, err := sp.unfold(headTerms, cq.Body, !sh.boolean, params)
 		if err != nil {
 			return nil, err
 		}
-		p.dropped += dropped
+		sh.dropped += dropped
 		for _, d := range ds {
 			if seen[d.key] {
 				continue
 			}
 			seen[d.key] = true
-			p.disjuncts = append(p.disjuncts, d)
+			sh.disjuncts = append(sh.disjuncts, d)
 		}
 	}
-	return p, nil
+	return (&Plan{shape: sh}).Bind(q), nil
+}
+
+// forEachConst calls fn on the text of every constant of q, in the
+// order AppendShape writes them.
+func forEachConst(q certain.UCQ, fn func(string)) {
+	for _, cq := range q {
+		for _, a := range cq.Body {
+			for _, t := range a.Args {
+				if t.IsConst {
+					fn(t.Name)
+				}
+			}
+		}
+	}
+}
+
+// Bind returns the plan of q, a query with the same AppendShape text as
+// the one p was compiled from, bound to q's constants. A plan compiled
+// with literal constants serves only its own query and returns itself.
+func (p *Plan) Bind(q certain.UCQ) *Plan {
+	if !p.parametric {
+		return p
+	}
+	b := &Plan{shape: p.shape}
+	b.params = b.inline[:0]
+	forEachConst(q, func(c string) {
+		if v := rel.Const(c); !slices.Contains(b.params, v) {
+			b.params = append(b.params, v)
+		}
+	})
+	return b
+}
+
+// AppendShape appends the plan-cache key text of q to buf and returns
+// the extended buffer: q's rule text, one line per disjunct, with each
+// constant written as its slot $k when the setting is parametric,
+// numbered by first occurrence so that equal constants share a slot.
+// Queries with equal text share one compiled shape, which Bind binds to
+// each query's constants; parsed identifiers never start with '$'. The
+// text fits a stack buffer for a point query, so building a key
+// allocates nothing.
+func (sp *SettingPlan) AppendShape(buf []byte, q certain.UCQ) []byte {
+	var seenArr [8]string
+	seen := seenArr[:0]
+	for _, cq := range q {
+		buf = append(buf, cq.Name...)
+		if len(cq.Head) > 0 {
+			buf = append(buf, '(')
+			for i, h := range cq.Head {
+				if i > 0 {
+					buf = append(buf, ", "...)
+				}
+				buf = append(buf, h...)
+			}
+			buf = append(buf, ')')
+		}
+		buf = append(buf, " :- "...)
+		for i, a := range cq.Body {
+			if i > 0 {
+				buf = append(buf, ", "...)
+			}
+			buf = append(append(buf, a.Rel...), '(')
+			for k, t := range a.Args {
+				if k > 0 {
+					buf = append(buf, ", "...)
+				}
+				switch {
+				case !t.IsConst:
+					buf = append(buf, t.Name...)
+				case !sp.parametric:
+					buf = append(append(append(buf, '\''), t.Name...), '\'')
+				default:
+					slot := slices.Index(seen, t.Name)
+					if slot < 0 {
+						slot = len(seen)
+						seen = append(seen, t.Name)
+					}
+					buf = strconv.AppendInt(append(buf, '$'), int64(slot), 10)
+				}
+			}
+			buf = append(buf, ')')
+		}
+		buf = append(buf, '\n')
+	}
+	return buf
 }
 
 // Compile is the one-shot form: CompileSetting followed by
@@ -468,7 +601,7 @@ func (p *Plan) EvalGiven(solutionExists bool, i, j *rel.Instance, opts EvalOptio
 // holds reports whether any disjunct matches (Boolean certainty).
 func (p *Plan) holds(i, j *rel.Instance, opts EvalOptions) (bool, error) {
 	for di := range p.disjuncts {
-		found, err := existsMatch(&p.disjuncts[di], i, j, opts)
+		found, err := existsMatch(&p.disjuncts[di], p.params, i, j, opts)
 		if err != nil {
 			return false, err
 		}
@@ -486,7 +619,7 @@ func (p *Plan) answers(i, j *rel.Instance, opts EvalOptions) ([]rel.Tuple, error
 	seen := make(map[rel.TupleKey]bool)
 	var out []rel.Tuple
 	for di := range p.disjuncts {
-		rows, err := collectRows(&p.disjuncts[di], i, j, opts)
+		rows, err := collectRows(&p.disjuncts[di], p.params, i, j, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -518,7 +651,7 @@ func (p *Plan) String() string {
 	}
 	b.WriteString("\n")
 	for i := range p.disjuncts {
-		fmt.Fprintf(&b, "  %s%s\n", p.name, p.disjuncts[i].render())
+		fmt.Fprintf(&b, "  %s%s\n", p.name, p.disjuncts[i].renderWith(nil, p.params))
 	}
 	for pi := range p.sp.probes {
 		pb := &p.sp.probes[pi]
@@ -530,7 +663,7 @@ func (p *Plan) String() string {
 				}
 				fmt.Fprintf(&b, " %s", a)
 			}
-			fmt.Fprintf(&b, " over%s\n", pb.disjuncts[di].renderWith(pb.headVars))
+			fmt.Fprintf(&b, " over%s\n", pb.disjuncts[di].renderWith(pb.headVars, nil))
 		}
 	}
 	return b.String()

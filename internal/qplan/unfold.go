@@ -25,11 +25,26 @@ import (
 	"repro/internal/rel"
 )
 
-// cterm is a compiled term: a constant value or a variable slot.
+// cterm is a compiled term: a constant or a variable slot. A constant
+// either holds its value in val or, when param is set, stands for the
+// query constant in slot v of the binding plan's params; two param
+// terms are the same constant exactly when their slots are equal.
 type cterm struct {
 	constant bool
+	param    bool
 	val      rel.Value
 	v        int
+}
+
+// literal returns the constant term holding the constant with text c.
+func literal(c string) cterm { return cterm{constant: true, val: rel.Const(c)} }
+
+// value returns a constant term's value under the plan's params.
+func (t cterm) value(params []rel.Value) rel.Value {
+	if t.param {
+		return params[t.v]
+	}
+	return t.val
 }
 
 // catom is a compiled atom, evaluated against the source instance
@@ -52,12 +67,14 @@ type disjunct struct {
 }
 
 // unfold rewrites (head, body) — a query disjunct or a Σts body with
-// its head variables — into compiled disjuncts. dropNullHeads drops
+// its head variables — into compiled disjuncts. A constant of body
+// whose text params maps compiles to that param slot, any other to its
+// value (see SettingPlan.parametric). dropNullHeads drops
 // disjuncts binding a head variable to an existential position (open
 // queries: only ground rows can be certain); when false such a binding
 // is an internal error, since the fragment gate proved Σts heads
 // null-free. The second result counts the dropped disjuncts.
-func (sp *SettingPlan) unfold(head []dep.Term, body []dep.Atom, dropNullHeads bool) ([]disjunct, int, error) {
+func (sp *SettingPlan) unfold(head []dep.Term, body []dep.Atom, dropNullHeads bool, params map[string]int) ([]disjunct, int, error) {
 	// One choice list per atom: the stored target instance, then every
 	// st head conjunct over the same relation.
 	choices := make([][]origin, len(body))
@@ -79,7 +96,7 @@ func (sp *SettingPlan) unfold(head []dep.Term, body []dep.Atom, dropNullHeads bo
 	dropped := 0
 	asg := make([]int, len(body))
 	for {
-		d, drop, err := sp.buildDisjunct(head, body, choices, asg, dropNullHeads)
+		d, drop, err := sp.buildDisjunct(head, body, choices, asg, dropNullHeads, params)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -109,6 +126,7 @@ func (sp *SettingPlan) unfold(head []dep.Term, body []dep.Atom, dropNullHeads bo
 // existential marker (copy, variable) identifying a Skolem null.
 type unifier struct {
 	sp     *SettingPlan
+	params map[string]int // query constant text → param slot; nil keeps constants literal
 	parent []int
 	size   []int
 	attrs  []attr
@@ -125,13 +143,24 @@ type unifier struct {
 
 type attr struct {
 	hasConst bool
-	constVal rel.Value
+	constVal cterm
 	hasEx    bool
 	exCopy   int
 	exVar    string
 }
 
-func newUnifier(sp *SettingPlan) *unifier { return &unifier{sp: sp} }
+func newUnifier(sp *SettingPlan, params map[string]int) *unifier {
+	return &unifier{sp: sp, params: params}
+}
+
+// queryConst compiles a constant of the query: its param slot, or its
+// value when constants stay literal.
+func (u *unifier) queryConst(c string) cterm {
+	if k, ok := u.params[c]; ok {
+		return cterm{constant: true, param: true, v: k}
+	}
+	return literal(c)
+}
 
 func (u *unifier) newNode() int {
 	u.parent = append(u.parent, len(u.parent))
@@ -243,9 +272,9 @@ func (u *unifier) mergeCopies(ca, cb int) {
 	}
 }
 
-func (u *unifier) bindConst(n int, val rel.Value) {
+func (u *unifier) bindConst(n int, c cterm) {
 	r := u.find(n)
-	merged, ok := u.mergeAttrs(u.attrs[r], attr{hasConst: true, constVal: val})
+	merged, ok := u.mergeAttrs(u.attrs[r], attr{hasConst: true, constVal: c})
 	if !ok {
 		u.failed = true
 		return
@@ -268,8 +297,8 @@ func (u *unifier) bindExistential(n, copyID int, evar string) {
 // buildDisjunct compiles one origin assignment. It returns (nil, true,
 // nil) when the disjunct is dropped for binding a head variable to a
 // null, and (nil, false, nil) when unification pruned it.
-func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [][]origin, asg []int, dropNullHeads bool) (*disjunct, bool, error) {
-	u := newUnifier(sp)
+func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [][]origin, asg []int, dropNullHeads bool, params map[string]int) (*disjunct, bool, error) {
+	u := newUnifier(sp, params)
 	qvar := make(map[string]int)
 	node := func(name string) int {
 		n, ok := qvar[name]
@@ -302,15 +331,15 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 			qt := a.Args[p]
 			switch {
 			case ht.IsConst && qt.IsConst:
-				if ht.Name != qt.Name {
+				if literal(ht.Name) != u.queryConst(qt.Name) {
 					u.failed = true
 				}
 			case ht.IsConst:
-				u.bindConst(node(qt.Name), rel.Const(ht.Name))
+				u.bindConst(node(qt.Name), literal(ht.Name))
 			case sp.universal[o.tgd][ht.Name]:
 				hn := u.copyVars[c][ht.Name]
 				if qt.IsConst {
-					u.bindConst(hn, rel.Const(qt.Name))
+					u.bindConst(hn, u.queryConst(qt.Name))
 				} else {
 					u.union(node(qt.Name), hn)
 				}
@@ -334,8 +363,11 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 	slots := make(map[int]int)
 	pruned := false
 	termOf := func(t dep.Term, copyID int) cterm {
-		if t.IsConst {
-			return cterm{constant: true, val: rel.Const(t.Name)}
+		switch {
+		case t.IsConst && copyID >= 0: // a Σst body constant
+			return literal(t.Name)
+		case t.IsConst:
+			return u.queryConst(t.Name)
 		}
 		var n int
 		if copyID >= 0 {
@@ -346,7 +378,7 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 		r := u.find(n)
 		at := u.attrs[r]
 		if at.hasConst {
-			return cterm{constant: true, val: at.constVal}
+			return at.constVal
 		}
 		if at.hasEx {
 			// A Skolem null flowed into an instance-matched position;
@@ -404,14 +436,14 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 	d.head = make([]cterm, len(head))
 	for hi, t := range head {
 		if t.IsConst {
-			d.head[hi] = cterm{constant: true, val: rel.Const(t.Name)}
+			d.head[hi] = literal(t.Name)
 			continue
 		}
 		r := u.find(node(t.Name))
 		at := u.attrs[r]
 		switch {
 		case at.hasConst:
-			d.head[hi] = cterm{constant: true, val: at.constVal}
+			d.head[hi] = at.constVal
 		case at.hasEx:
 			if !dropNullHeads {
 				return nil, false, fmt.Errorf("qplan: internal: probe head variable %s bound to a null", t.Name)
@@ -471,19 +503,26 @@ func joinOrder(atoms []catom) []int {
 
 // render produces the canonical text of the disjunct: head then atoms,
 // with variables renumbered by first occurrence so structurally equal
-// disjuncts from different origin assignments deduplicate.
+// disjuncts from different origin assignments deduplicate, and param
+// constants written as their slots $k.
 func (d *disjunct) render() string {
-	return d.renderWith(nil)
+	return d.renderWith(nil, nil)
 }
 
 // renderWith is render with head-variable names substituted for the
-// head slots (used for probe display).
-func (d *disjunct) renderWith(headNames []string) string {
+// head slots (used for probe display) and param constants resolved
+// from params when it is non-nil (used for plan display).
+func (d *disjunct) renderWith(headNames []string, params []rel.Value) string {
 	canon := make(map[int]int)
 	var b strings.Builder
 	writeTerm := func(t cterm) {
-		if t.constant {
-			b.WriteString(t.val.String())
+		switch {
+		case t.param && params == nil:
+			b.WriteString("$")
+			b.WriteString(strconv.Itoa(t.v))
+			return
+		case t.constant:
+			b.WriteString(t.value(params).String())
 			return
 		}
 		c, ok := canon[t.v]
@@ -544,9 +583,13 @@ func (a *catom) render() string {
 	b.WriteString(a.rel)
 	for _, t := range a.args {
 		b.WriteString("|")
-		if t.constant {
+		switch {
+		case t.param:
+			b.WriteString("$")
+			b.WriteString(strconv.Itoa(t.v))
+		case t.constant:
 			b.WriteString(t.val.String())
-		} else {
+		default:
 			b.WriteString("v")
 			b.WriteString(strconv.Itoa(t.v))
 		}

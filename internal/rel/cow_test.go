@@ -4,17 +4,36 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
 
 // deepCopy is the copy-on-write model's reference: an instance whose
-// relations are all copied up front and owned, the semantics Clone had
-// before relations were shared.
+// relations are all rebuilt up front from their tuple slots and owned,
+// sharing no index with inst — the semantics Clone had before
+// relations were shared. Slot indexes and tombstones are kept, so
+// MergeValue reports the same indexes on either side.
 func deepCopy(inst *Instance) *Instance {
 	c := NewInstance()
 	for name, s := range inst.rels {
-		c.rels[name] = relSlot{r: s.r.clone(), owned: true}
+		src := s.r
+		r := newRelation(name, src.arity)
+		r.tuples = slices.Clone(src.tuples)
+		r.dead, r.nDead = slices.Clone(src.dead), src.nDead
+		for i := range r.tuples {
+			r.ident = append(r.ident, i)
+		}
+		r.reserveSlots(r.LiveLen())
+		for i, t := range r.tuples {
+			if !r.Live(i) {
+				continue
+			}
+			for p, v := range t {
+				r.setPosting(p, v, append(r.MatchingAt(p, v), i))
+			}
+		}
+		c.rels[name] = relSlot{r: r, owned: true}
 	}
 	return c
 }
@@ -42,8 +61,11 @@ func cowTuple(rng *rand.Rand, arity int) Tuple {
 // steps interleaved with every write (AddTuple, AddOwnedTuple, Reserve,
 // RemoveLastTuple, MergeValue) on sources and copies alike, and after
 // every step compares each instance's facts with a model that deep
-// copies instead of sharing. A write leaking into an instance that
-// shares the relation shows up as a mismatch.
+// copies instead of sharing. A chain step clones 2–4 times in a row,
+// writing each clone before cloning it again, so copies of copies fork
+// postings that are themselves forked and flattened. A write leaking
+// into an instance that shares the relation shows up as a mismatch or
+// as incoherent indexes.
 func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 	names := []string{"R", "S", "T"}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -54,34 +76,13 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 			k := rng.Intn(len(cow))
 			c, m := cow[k], model[k]
 			op := ""
-			var wrote []string // relations of c the step wrote
-			switch rng.Intn(10) {
-			case 0:
-				op = "Clone"
-				cow, model = append(cow, c.Clone()), append(model, deepCopy(m))
-			case 1:
-				op = "Restrict"
-				s := NewSchema()
-				for _, name := range names {
-					if rng.Intn(2) == 0 {
-						s.Add(name, cowArity[name]) //nolint:errcheck // arities fixed by cowArity
-					}
-				}
-				cow, model = append(cow, c.Restrict(s)), append(model, deepCopy(m).Restrict(s))
-			case 2:
-				op = "Union"
-				b := rng.Intn(len(cow))
-				u := deepCopy(m)
-				u.AddAll(model[b])
-				cow, model = append(cow, Union(c, cow[b])), append(model, u)
-			case 3:
-				op = "Freeze"
-				c.Freeze()
-				m.Freeze()
-			default:
+			// write applies one random write to c and its model m, and
+			// checks that it left c sole holder of what it wrote.
+			write := func(c, m *Instance) {
 				if c.Frozen() {
-					continue
+					return
 				}
+				var wrote []string // relations of c the write changed
 				name := names[rng.Intn(len(names))]
 				switch rng.Intn(5) {
 				case 0:
@@ -114,7 +115,7 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 					op = "RemoveLastTuple"
 					r := m.Relation(name)
 					if r == nil || r.Len() == 0 || r.nDead > 0 {
-						continue
+						return
 					}
 					if got, want := c.RemoveLastTuple(name), m.RemoveLastTuple(name); !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d step %d: RemoveLastTuple = %v, model %v", seed, step, got, want)
@@ -131,16 +132,50 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 						wrote = append(wrote, name)
 					}
 				}
-			}
-			// A write leaves the writer sole holder of the relation.
-			for _, name := range wrote {
-				for i, o := range cow {
-					if o != c && o.Relation(name) == c.Relation(name) {
-						t.Fatalf("seed %d step %d: %s on instance %d left %s shared with instance %d", seed, step, op, k, name, i)
+				for _, name := range wrote {
+					for i, o := range cow {
+						if o != c && o.Relation(name) == c.Relation(name) {
+							t.Fatalf("seed %d step %d: %s left %s shared with instance %d", seed, step, op, name, i)
+						}
 					}
 				}
 			}
-			if len(cow) > 8 {
+			switch rng.Intn(11) {
+			case 0:
+				op = "Clone"
+				cow, model = append(cow, c.Clone()), append(model, deepCopy(m))
+			case 1:
+				op = "Restrict"
+				s := NewSchema()
+				for _, name := range names {
+					if rng.Intn(2) == 0 {
+						s.Add(name, cowArity[name]) //nolint:errcheck // arities fixed by cowArity
+					}
+				}
+				cow, model = append(cow, c.Restrict(s)), append(model, deepCopy(m).Restrict(s))
+			case 2:
+				op = "Union"
+				b := rng.Intn(len(cow))
+				u := deepCopy(m)
+				u.AddAll(model[b])
+				cow, model = append(cow, Union(c, cow[b])), append(model, u)
+			case 3:
+				op = "Freeze"
+				c.Freeze()
+				m.Freeze()
+			case 4:
+				for depth := 2 + rng.Intn(3); depth > 0; depth-- {
+					c, m = c.Clone(), deepCopy(m)
+					cow, model = append(cow, c), append(model, m)
+					for n := 1 + rng.Intn(3); n > 0; n-- {
+						write(c, m)
+					}
+				}
+				op = "chain of " + op
+			default:
+				write(c, m)
+			}
+			for len(cow) > 8 {
 				drop := rng.Intn(len(cow))
 				cow, model = append(cow[:drop], cow[drop+1:]...), append(model[:drop], model[drop+1:]...)
 			}
@@ -148,6 +183,7 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 				if got, want := cow[i].Facts(), model[i].Facts(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d (%s on instance %d): instance %d facts\n%v\nmodel\n%v", seed, step, op, k, i, got, want)
 				}
+				checkIndexCoherence(t, cow[i])
 			}
 		}
 	}

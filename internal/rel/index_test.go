@@ -130,27 +130,46 @@ func (br *byteReader) next() int {
 
 func (br *byteReader) value() Value { return opsPool[br.next()%len(opsPool)] }
 
+// lineage is an instance the current one descends from by clones,
+// with its model and its arrays (relationArrays) when it was cloned.
+type lineage struct {
+	inst   *Instance
+	model  modelInstance
+	arrays []int
+}
+
 // runRelationOps applies the op sequence encoded in ops to a fresh
 // instance and a model and checks the two against each other: after
 // every step when everyStep is set, else at the end and around each
-// clone.
+// clone. A clone step writes the clone one to three times and may go
+// on with it, so clones of written clones make chains up to four
+// ancestors deep; none of the ancestors may change.
 func runRelationOps(t *testing.T, ops []byte, everyStep bool) {
 	t.Helper()
 	br := &byteReader{b: ops}
 	inst, model := NewInstance(), make(modelInstance)
+	var ancestors []lineage // oldest first
 	for step := 0; len(br.b) > 0; step++ {
 		if br.next()%8 == 7 {
 			// Clone, write through the clone, and check that the
-			// write left the source alone — spare capacity included,
-			// so a write into an array the two share is caught.
+			// writes left the source and its ancestors alone — spare
+			// capacity included, so a write into an array they share
+			// is caught.
 			c, cm := inst.Clone(), model.clone()
-			before := relationArrays(inst)
-			applyRelationOp(t, br, c, cm)
-			if after := relationArrays(inst); !slices.Equal(before, after) {
-				t.Fatalf("step %d: a write through a clone changed its source's arrays", step)
+			src := lineage{inst, model, relationArrays(inst)}
+			for n := 1 + br.next()%3; n > 0; n-- {
+				applyRelationOp(t, br, c, cm)
 			}
-			checkAgainstModel(t, step, inst, model)
+			for _, a := range append(ancestors, src) {
+				if !slices.Equal(a.arrays, relationArrays(a.inst)) {
+					t.Fatalf("step %d: a write through a clone changed the arrays of an instance it descends from", step)
+				}
+				checkAgainstModel(t, step, a.inst, a.model)
+			}
 			if br.next()%2 == 0 {
+				if ancestors = append(ancestors, src); len(ancestors) > 4 {
+					ancestors = ancestors[1:]
+				}
 				inst, model = c, cm
 			}
 		} else {
@@ -226,8 +245,9 @@ func applyRelationOp(t *testing.T, br *byteReader, inst *Instance, model modelIn
 }
 
 // relationArrays flattens every array the instance's relations can
-// reach — each full to its capacity — so a comparison catches writes
-// into spare capacity as well as into the live elements.
+// reach — each full to its capacity, posting lists of base and own
+// alike — so a comparison catches writes into spare capacity as well
+// as into the live elements, and into lists a clone shares.
 func relationArrays(inst *Instance) []int {
 	var out []int
 	names := make([]string, 0, len(inst.rels))
@@ -241,11 +261,13 @@ func relationArrays(inst *Instance) []int {
 			out = append(out, int(e))
 		}
 		out = append(out, r.ident[:cap(r.ident)]...)
-		for p, m := range r.posIndex {
-			for _, v := range opsPool {
-				if lst, ok := m[v]; ok {
-					out = append(out, -1-p)
-					out = append(out, lst[:cap(lst)]...)
+		for p, idx := range r.posIndex {
+			for _, m := range []map[Value][]int{idx.base, idx.own} {
+				for _, v := range opsPool {
+					if lst, ok := m[v]; ok {
+						out = append(out, -1-p)
+						out = append(out, lst[:cap(lst)]...)
+					}
 				}
 			}
 		}

@@ -32,12 +32,12 @@ type Relation struct {
 	slots []int32
 
 	// posIndex[i] maps a value to the ascending indexes of the live
-	// tuples carrying that value at position i. A value carried by one
-	// tuple gets no list of its own: its entry is the cap-1 window
-	// ident[idx:idx+1:idx+1], and any append to it copies first.
-	// Lists hold live indexes only: mergeValue removes tombstoned
-	// tuples from every list they belong to.
-	posIndex []map[Value][]int
+	// tuples carrying that value at position i (see postings). A value
+	// carried by one tuple gets no list of its own: its entry is the
+	// cap-1 window ident[idx:idx+1:idx+1], and any append to it copies
+	// first. Lists hold live indexes only: mergeValue removes
+	// tombstoned tuples from every list they belong to.
+	posIndex []postings
 
 	// ident holds ident[i] == i for every i < len(ident), and
 	// len(ident) >= len(tuples). Singleton lists are windows into it.
@@ -79,14 +79,81 @@ func tableSize(n int) int {
 	return size
 }
 
+// postings is the position index of one position, copy-on-write
+// across clones. base is shared read-only with the relation it was
+// cloned from, and with that relation's other clones; own holds this
+// relation's changes to it. An entry of own shadows base's entry for
+// the same value, and an empty one means the value has no list. Every
+// multi-element list in own is private to this relation, so it may be
+// written in place; a list read from base is copied before any write.
+type postings struct {
+	base map[Value][]int
+	own  map[Value][]int
+}
+
+// get returns the posting list of v and whether it is one of own's
+// lists, which may be written in place.
+func (p *postings) get(v Value) (lst []int, mine bool) {
+	if lst, ok := p.own[v]; ok {
+		return lst, true
+	}
+	return p.base[v], false
+}
+
+// fork returns the postings of a clone of the relation holding p,
+// which is never written again: the clone shares p's lists read-only
+// and copies only p's changes. Once the changes pass half of base's
+// entries they are flattened with base into the clone's fresh base,
+// so chains of clones never pile up changes.
+func (p *postings) fork() postings {
+	switch {
+	case len(p.own) == 0:
+		return postings{base: p.base, own: make(map[Value][]int)}
+	case p.base == nil:
+		return postings{base: p.own, own: make(map[Value][]int)}
+	case 2*len(p.own) > len(p.base):
+		flat := make(map[Value][]int, len(p.base)+len(p.own))
+		for v, lst := range p.base {
+			flat[v] = lst
+		}
+		for v, lst := range p.own {
+			if len(lst) == 0 {
+				delete(flat, v)
+			} else {
+				flat[v] = lst
+			}
+		}
+		return postings{base: flat, own: make(map[Value][]int)}
+	}
+	// The copied lists share one array, each a cap-limited window of
+	// it, so every copy stays private to its entry.
+	n := 0
+	for _, lst := range p.own {
+		if len(lst) > 1 {
+			n += len(lst)
+		}
+	}
+	buf := make([]int, n)
+	own := make(map[Value][]int, len(p.own))
+	for v, lst := range p.own {
+		if len(lst) > 1 {
+			cp := buf[:len(lst):len(lst)]
+			copy(cp, lst)
+			buf, lst = buf[len(lst):], cp
+		}
+		own[v] = lst
+	}
+	return postings{base: p.base, own: own}
+}
+
 func newRelation(name string, arity int) *Relation {
 	r := &Relation{
 		name:     name,
 		arity:    arity,
-		posIndex: make([]map[Value][]int, arity),
+		posIndex: make([]postings, arity),
 	}
 	for i := range r.posIndex {
-		r.posIndex[i] = make(map[Value][]int)
+		r.posIndex[i].own = make(map[Value][]int)
 	}
 	return r
 }
@@ -122,7 +189,8 @@ func (r *Relation) Contains(t Tuple) bool {
 // MatchingAt returns the indexes of tuples whose i-th position holds v.
 // The returned slice is owned by the relation and must not be mutated.
 func (r *Relation) MatchingAt(i int, v Value) []int {
-	return r.posIndex[i][v]
+	lst, _ := r.posIndex[i].get(v)
+	return lst
 }
 
 // TupleAt returns the tuple at the given index.
@@ -202,17 +270,23 @@ func (r *Relation) singleton(idx int) []int {
 	return r.ident[idx : idx+1 : idx+1]
 }
 
-// setPosting stores lst as the posting list of v at position pos: an
-// empty list drops the entry, and a one-element list becomes a
-// singleton window so that every one-element list has cap 1.
+// setPosting stores lst, which must be private to r when it has more
+// than one element, as the posting list of v at position pos: an empty
+// list drops the entry (or shadows base's), and a one-element list
+// becomes a singleton window so that every one-element list has cap 1.
 func (r *Relation) setPosting(pos int, v Value, lst []int) {
+	p := &r.posIndex[pos]
 	switch len(lst) {
 	case 0:
-		delete(r.posIndex[pos], v)
+		if len(p.base[v]) > 0 {
+			p.own[v] = nil
+		} else {
+			delete(p.own, v)
+		}
 	case 1:
-		r.posIndex[pos][v] = r.singleton(lst[0])
+		p.own[v] = r.singleton(lst[0])
 	default:
-		r.posIndex[pos][v] = lst
+		p.own[v] = lst
 	}
 }
 
@@ -236,47 +310,45 @@ func (r *Relation) popLast() Tuple {
 	r.unindex(n - 1)
 	r.tuples = r.tuples[:n-1]
 	for i, v := range t {
-		lst := r.posIndex[i][v]
+		lst, mine := r.posIndex[i].get(v)
 		if len(lst) == 0 || lst[len(lst)-1] != n-1 {
 			panic("rel: position index corrupted during popLast")
 		}
-		r.setPosting(i, v, lst[:len(lst)-1])
+		lst = lst[:len(lst)-1]
+		if !mine && len(lst) > 1 {
+			lst = slices.Clone(lst)
+		}
+		r.setPosting(i, v, lst)
 	}
 	return t
 }
 
-// clone returns a structural copy of the relation, made when an
-// instance first writes a relation it shares (see Instance.own). The
-// tuple slice, the dedup table, the position-index maps and their
-// multi-element lists are copied, so either copy can add, pop or
-// merge tuples without disturbing the other. Singleton lists and ident
-// are shared: ident goes over cap-limited and no code writes a cap-1
-// list in place, so neither copy ever writes a shared array. The
-// stored Tuple arrays are shared too, which is safe because tuples are
+// clone returns a copy of the relation, made when an instance first
+// writes a relation it shares (see Instance.own); r itself is never
+// written again. The tuple slice and the dedup table are copied, the
+// tuple slice with room for the writes that follow. The position
+// indexes are forked (see postings.fork): the copy shares r's lists
+// and copies only r's own changes. ident is shared too, as a
+// cap-limited window, so neither copy ever writes a shared array. The
+// stored Tuple arrays are shared, which is safe because tuples are
 // never mutated in place once added (mergeValue replaces a rewritten
 // tuple, popLast only drops the last entry).
 func (r *Relation) clone() *Relation {
+	n := len(r.tuples)
 	c := &Relation{
 		name:     r.name,
 		arity:    r.arity,
-		tuples:   append(make([]Tuple, 0, len(r.tuples)), r.tuples...),
+		tuples:   append(make([]Tuple, 0, n+n/8+8), r.tuples...),
 		slots:    slices.Clone(r.slots),
-		posIndex: make([]map[Value][]int, len(r.posIndex)),
+		posIndex: make([]postings, len(r.posIndex)),
 		ident:    r.ident[:len(r.ident):len(r.ident)],
 		nDead:    r.nDead,
 	}
 	if r.dead != nil {
-		c.dead = append(make([]bool, 0, len(r.dead)), r.dead...)
+		c.dead = slices.Clone(r.dead)
 	}
-	for i, idx := range r.posIndex {
-		m := make(map[Value][]int, len(idx))
-		for v, lst := range idx {
-			if cap(lst) > 1 {
-				lst = append(make([]int, 0, len(lst)), lst...)
-			}
-			m[v] = lst
-		}
-		c.posIndex[i] = m
+	for i := range r.posIndex {
+		c.posIndex[i] = r.posIndex[i].fork()
 	}
 	return c
 }
@@ -305,10 +377,14 @@ func (r *Relation) insert(t Tuple, h uint64) {
 		r.ident = append(r.ident, idx)
 	}
 	for i, v := range t {
-		if lst, ok := r.posIndex[i][v]; ok {
-			r.posIndex[i][v] = append(lst, idx)
-		} else {
-			r.posIndex[i][v] = r.singleton(idx)
+		p := &r.posIndex[i]
+		switch lst, mine := p.get(v); {
+		case len(lst) == 0:
+			p.own[v] = r.singleton(idx)
+		case mine:
+			p.own[v] = append(lst, idx)
+		default:
+			p.own[v] = append(slices.Clip(lst), idx)
 		}
 	}
 }
@@ -318,27 +394,40 @@ func (r *Relation) insert(t Tuple, h uint64) {
 // growing indexes and removals preserve order), so the slot is found by
 // binary search; a miss means the index is corrupted.
 func (r *Relation) removeFromIndex(pos int, v Value, idx int) {
-	lst := r.posIndex[pos][v]
+	lst, mine := r.posIndex[pos].get(v)
 	at := sort.SearchInts(lst, idx)
 	if at >= len(lst) || lst[at] != idx {
 		panic("rel: position index corrupted during merge")
 	}
-	r.setPosting(pos, v, append(lst[:at], lst[at+1:]...))
+	switch {
+	case mine:
+		lst = append(lst[:at], lst[at+1:]...)
+	case len(lst) > 2:
+		lst = slices.Concat(lst[:at], lst[at+1:])
+	case at == 0: // at most one index remains, which setPosting only reads
+		lst = lst[1:]
+	default:
+		lst = lst[:at]
+	}
+	r.setPosting(pos, v, lst)
 }
 
 // insertIntoIndex adds idx to the position-index list of v at position
 // pos, keeping the list sorted.
 func (r *Relation) insertIntoIndex(pos int, v Value, idx int) {
-	lst, ok := r.posIndex[pos][v]
-	if !ok {
-		r.posIndex[pos][v] = r.singleton(idx)
+	lst, mine := r.posIndex[pos].get(v)
+	if len(lst) == 0 {
+		r.setPosting(pos, v, r.singleton(idx))
 		return
+	}
+	if !mine {
+		lst = slices.Clip(lst)
 	}
 	at := sort.SearchInts(lst, idx)
 	lst = append(lst, 0)
 	copy(lst[at+1:], lst[at:])
 	lst[at] = idx
-	r.posIndex[pos][v] = lst
+	r.setPosting(pos, v, lst)
 }
 
 // tombstone marks the tuple slot at idx dead, removing its
@@ -360,8 +449,8 @@ func (r *Relation) tombstone(idx int) {
 
 // holds reports whether some live tuple carries v.
 func (r *Relation) holds(v Value) bool {
-	for _, idx := range r.posIndex {
-		if len(idx[v]) > 0 {
+	for i := range r.posIndex {
+		if len(r.MatchingAt(i, v)) > 0 {
 			return true
 		}
 	}
@@ -378,7 +467,7 @@ func (r *Relation) holds(v Value) bool {
 func (r *Relation) mergeValue(from, to Value) []int {
 	var affected []int
 	for i := 0; i < r.arity; i++ {
-		affected = append(affected, r.posIndex[i][from]...)
+		affected = append(affected, r.MatchingAt(i, from)...)
 	}
 	if len(affected) == 0 {
 		return nil
@@ -586,10 +675,10 @@ func (inst *Instance) Reserve(relName string, arity, n int) {
 			tuples:   make([]Tuple, 0, n),
 			slots:    make([]int32, tableSize(n)),
 			ident:    make([]int, 0, n),
-			posIndex: make([]map[Value][]int, arity),
+			posIndex: make([]postings, arity),
 		}
 		for i := range r.posIndex {
-			r.posIndex[i] = make(map[Value][]int, n)
+			r.posIndex[i].own = make(map[Value][]int, n)
 		}
 		inst.rels[relName] = relSlot{r: r, owned: true}
 		return

@@ -139,7 +139,9 @@ func TestMergeValueMatchesReplaceValue(t *testing.T) {
 // exactly with the live tuples: every live tuple is found at its own
 // index, the table holds one entry per live tuple at a load of at most
 // one half, ident[i] == i, and every one-element posting list has cap
-// 1 so that no append can write into ident.
+// 1 so that no append can write into ident. The posting lists checked
+// are the merged view MatchingAt reads (see postingView), and an empty
+// entry of own may only shadow a list of base.
 func checkIndexCoherence(t *testing.T, inst *Instance) {
 	t.Helper()
 	for name, s := range inst.rels {
@@ -186,8 +188,13 @@ func checkIndexCoherence(t *testing.T, inst *Instance) {
 			}
 		}
 		for p := 0; p < r.Arity(); p++ {
+			for v, lst := range r.posIndex[p].own {
+				if len(lst) == 0 && len(r.posIndex[p].base[v]) == 0 {
+					t.Fatalf("%s: empty index entry kept for %v at %d with nothing to shadow", name, v, p)
+				}
+			}
 			total := 0
-			for v, lst := range r.posIndex[p] {
+			for v, lst := range postingView(r, p) {
 				if len(lst) == 0 {
 					t.Fatalf("%s: empty index list kept for %v at %d", name, v, p)
 				}
@@ -212,6 +219,24 @@ func checkIndexCoherence(t *testing.T, inst *Instance) {
 			}
 		}
 	}
+}
+
+// postingView returns the posting lists of position p as MatchingAt
+// reads them: base's lists, overridden by own's, with the values an
+// empty entry of own shadows left out.
+func postingView(r *Relation, p int) map[Value][]int {
+	out := make(map[Value][]int)
+	for v, lst := range r.posIndex[p].base {
+		out[v] = lst
+	}
+	for v, lst := range r.posIndex[p].own {
+		if len(lst) == 0 {
+			delete(out, v)
+		} else {
+			out[v] = lst
+		}
+	}
+	return out
 }
 
 func equalInts(a, b []int) bool {

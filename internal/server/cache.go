@@ -16,20 +16,17 @@ import (
 // disjuncts of a few atoms), so a count bound suffices.
 const planCacheMaxEntries = 4096
 
-// planKey builds a plan-cache key: the raw sha256 of the setting ID, a
-// NUL and the query's canonical text, so formatting differences never
-// split entries and a cached plan keeps 32 key bytes. The hashed bytes
-// start in a stack buffer, which a point query's text fits, so the key
-// costs one allocation beyond the text's.
-func planKey(settingID string, q pde.UCQ) string {
+// planKey builds a plan-cache key: the sha256 of the setting ID, a NUL
+// and the query's shape text (qplan.SettingPlan.AppendShape), so
+// formatting differences never split entries, the queries of one shape
+// share one entry when the setting's plans are parametric, and a cached
+// plan keeps 32 key bytes. The hashed bytes are built in a stack
+// buffer, which a point query's text fits, so the key allocates
+// nothing.
+func planKey(sp *pde.SettingPlan, settingID string, q pde.UCQ) [sha256.Size]byte {
 	var buf [256]byte
 	text := append(append(buf[:0], settingID...), 0)
-	for _, cq := range q {
-		text = append(text, cq.String()...)
-		text = append(text, '\n')
-	}
-	sum := sha256.Sum256(text)
-	return string(sum[:])
+	return sha256.Sum256(sp.AppendShape(text, q))
 }
 
 // planResult is a plan-cache value: the compiled plan, or the error of
@@ -202,6 +199,26 @@ func (c *cache) getOrCompute(ctx context.Context, meta entryMeta, compute func()
 	}
 }
 
+// hit returns the completed entry for key and counts a hit, or returns
+// nil, counting nothing, when there is none (absent, still pending, or
+// the cache disabled); getOrCompute then settles the lookup. It reads
+// the key as bytes, so a hit allocates nothing.
+func (c *cache) hit(key []byte) *cacheEntry {
+	if c.disabled {
+		return nil
+	}
+	c.mu.Lock()
+	el, ok := c.items[string(key)]
+	if !ok || !el.Value.(*cacheEntry).done {
+		c.mu.Unlock()
+		return nil
+	}
+	c.lru.MoveToFront(el)
+	c.mu.Unlock()
+	c.hits.Add(1)
+	return el.Value.(*cacheEntry)
+}
+
 // peek returns the completed entry for key without waiting or
 // computing, or nil when there is none (absent, still pending, or the
 // cache disabled). It counts neither a hit nor a miss; a found entry
@@ -262,25 +279,25 @@ func (c *cache) entries() []*cacheEntry {
 }
 
 // evictMatching removes every completed entry the predicate selects and
-// returns how many went. Pending entries are skipped: their leader owns
-// them until done.
-func (c *cache) evictMatching(match func(*cacheEntry) bool) int {
+// returns them. Pending entries are skipped: their leader owns them
+// until done.
+func (c *cache) evictMatching(match func(*cacheEntry) bool) []*cacheEntry {
 	if c.disabled {
-		return 0
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
+	var gone []*cacheEntry
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		if e := el.Value.(*cacheEntry); e.done && match(e) {
 			c.removeLocked(e.key)
 			c.evictions.Add(1)
-			n++
+			gone = append(gone, e)
 		}
 		el = next
 	}
-	return n
+	return gone
 }
 
 // stats returns the current entry count and byte total.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/qplan"
+	"repro/internal/workload"
 	"repro/pde"
 	"repro/pde/client"
 )
@@ -220,7 +223,8 @@ func TestPlanCacheRefusalsAndBound(t *testing.T) {
 
 	t.Run("single flight", func(t *testing.T) {
 		refusal := &qplan.FallbackError{Reason: qplan.FallbackPlanSize}
-		meta := entryMeta{key: planKey(reg.ID, pde.UCQ{}), settingID: reg.ID}
+		key := planKey(s.reg.Get(reg.ID).Plan, reg.ID, pde.UCQ{})
+		meta := entryMeta{key: string(key[:]), settingID: reg.ID}
 		var compiles atomic.Int32
 		var wg sync.WaitGroup
 		for w := 0; w < 16; w++ {
@@ -271,4 +275,69 @@ func TestPlanCacheRefusalsAndBound(t *testing.T) {
 			t.Errorf("pdxd_plan_cache_evictions_total = %d, want %d", got, s.plans.evictions.Load())
 		}
 	})
+}
+
+// TestPointQueriesShareOnePlan: certain point queries that differ only
+// in their constant share one compiled plan, bound per request to its
+// constant: 101 queries, one per person and one about nobody, cost one
+// plan-cache miss, and each returns the person's group.
+func TestPointQueriesShareOnePlan(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	setID := registerLAV(t, c)
+	i, _ := workload.LAVInstance(100, true, rand.New(rand.NewSource(1)))
+	inst, err := c.RegisterInstance(ctx, pde.FormatInstance(i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := s.plans.misses.Load()
+	for k := 0; k <= 100; k++ {
+		person := fmt.Sprintf("p%d", k)
+		var want [][]string
+		for _, idx := range i.Relation("Person").MatchingAt(0, pde.Const(person)) {
+			want = append(want, []string{i.Relation("Person").TupleAt(idx)[1].String()})
+		}
+		ca, err := c.CertainAnswers(ctx, client.CertainRequest{
+			SettingID: setID, SourceID: inst.ID, Query: fmt.Sprintf("q(g) :- Rec('%s', g, u)", person),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ca.Compiled || !ca.SolutionExists || !reflect.DeepEqual(ca.Answers, want) {
+			t.Fatalf("%s: %+v, want compiled answers %v", person, ca, want)
+		}
+	}
+	if got := s.plans.misses.Load() - misses; got != 1 {
+		t.Fatalf("101 point queries of one shape compiled %d plans, want 1", got)
+	}
+}
+
+// TestCachedPlanLookupAllocs: a cached point query's plan costs at
+// most two allocations: the key is hashed in a stack buffer and looked
+// up as bytes, and only the plan bound to the query's constant is new.
+func TestCachedPlanLookupAllocs(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	setID := registerLAV(t, c)
+	i, _ := workload.LAVInstance(20, true, rand.New(rand.NewSource(1)))
+	inst, err := c.RegisterInstance(ctx, pde.FormatInstance(i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pairByID(t, s, setID, inst.ID)
+	qs, err := pde.ParseQueries(lavPointQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Plan(ctx, qs[0]); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := p.Plan(ctx, qs[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("a cached point-query plan lookup takes %v allocations, want at most 2", allocs)
+	}
 }

@@ -98,9 +98,10 @@ type Server struct {
 	cluster  *clusterState // nil without cfg.Cluster
 
 	// Write-behind snapshot machinery (nil/idle without cfg.Snapshots).
-	snapQ      chan *cacheEntry
+	snapMu     sync.Mutex // guards the queue and snapClosed
+	snapCond   *sync.Cond // on snapMu: signals the worker a job or Close
+	snapJobs   []snapJob  // queued saves and removals, oldest first
 	snapDone   chan struct{}
-	snapMu     sync.Mutex // guards snapClosed against concurrent saveAsync/Close
 	snapClosed bool
 	closeOnce  sync.Once
 }
@@ -139,7 +140,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealth))
 	s.mux.HandleFunc("GET /metrics", s.route("metrics", s.handleMetrics))
 	if s.cfg.Snapshots != nil {
-		s.snapQ = make(chan *cacheEntry, snapQueueLen)
+		s.snapCond = sync.NewCond(&s.snapMu)
 		s.snapDone = make(chan struct{})
 		go s.snapWorker()
 	}

@@ -2,8 +2,11 @@ package server
 
 // Snapshot persistence: the glue between the chase cache and the
 // internal/snap store. Saves are write-behind — cache fills enqueue the
-// completed entry on a bounded channel drained by one worker goroutine,
-// so the solve path never waits on disk — and loads happen once at
+// completed entry on a bounded queue drained by one worker goroutine,
+// so the solve path never waits on disk. Evicting an instance queues
+// the removal of its entries' files on the same queue and drops their
+// queued saves, so an evicted instance does not come back on the next
+// warm start; LRU eviction keeps files. Loads happen once at
 // startup (LoadSnapshots), on demand from a peer (WarmFrom), or by a
 // cluster handoff push. A chase-cache entry's key is its snapshot key
 // (snap.Key), so a file, a peer-transfer URL and a cache lookup name an
@@ -27,6 +30,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,10 +46,19 @@ import (
 // other rejection is final.
 var errSettingUnregistered = errors.New("setting is not registered")
 
-// snapQueueLen bounds the write-behind queue. A full queue drops the
-// save (with a warning): the entry is still served from memory and will
-// be re-saved if it is recomputed after a restart.
+// snapQueueLen bounds the write-behind queue for saves. A save finding
+// it full is dropped (with a warning): the entry is still served from
+// memory and will be re-saved if it is recomputed after a restart. A
+// removal is never dropped, so removals may run the queue past the
+// bound.
 const snapQueueLen = 256
+
+// snapJob is one task of the write-behind worker: save the entry's
+// snapshot, or remove it.
+type snapJob struct {
+	e      *cacheEntry
+	remove bool
+}
 
 // snapEntry builds the codec entry for a completed cache entry, or nil
 // when the entry cannot be serialized (no instances — the detached
@@ -87,19 +100,67 @@ func (s *Server) saveAsync(e *cacheEntry) {
 	if s.snapClosed {
 		return
 	}
-	select {
-	case s.snapQ <- e:
-	default:
+	if len(s.snapJobs) >= snapQueueLen {
 		s.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "snapshot queue full, dropping save",
 			slog.String("key", e.key))
+		return
+	}
+	s.snapJobs = append(s.snapJobs, snapJob{e: e})
+	s.snapCond.Signal()
+}
+
+// dropSnapshots forgets the snapshots of entries evicted with their
+// instance: their queued saves are dropped and the removal of their
+// files is queued behind every job already waiting, so the one worker
+// never lets a save land after its removal.
+func (s *Server) dropSnapshots(gone []*cacheEntry) {
+	if s.cfg.Snapshots == nil || len(gone) == 0 {
+		return
+	}
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	if s.snapClosed {
+		return
+	}
+	evicted := func(j snapJob) bool {
+		return !j.remove && slices.ContainsFunc(gone, func(e *cacheEntry) bool { return e.key == j.e.key })
+	}
+	s.snapJobs = slices.DeleteFunc(s.snapJobs, evicted)
+	for _, e := range gone {
+		s.snapJobs = append(s.snapJobs, snapJob{e: e, remove: true})
+	}
+	s.snapCond.Signal()
+}
+
+// snapWorker runs the queued jobs one at a time, oldest first, until
+// Close has been called and the queue is empty.
+func (s *Server) snapWorker() {
+	defer close(s.snapDone)
+	for {
+		s.snapMu.Lock()
+		for len(s.snapJobs) == 0 && !s.snapClosed {
+			s.snapCond.Wait()
+		}
+		if len(s.snapJobs) == 0 {
+			s.snapMu.Unlock()
+			return
+		}
+		j := s.snapJobs[0]
+		s.snapJobs = slices.Delete(s.snapJobs, 0, 1)
+		s.snapMu.Unlock()
+		if j.remove {
+			s.removeSnapshot(j.e)
+		} else {
+			s.saveSnapshot(j.e)
+		}
 	}
 }
 
-// snapWorker drains the write-behind queue until Close closes it.
-func (s *Server) snapWorker() {
-	defer close(s.snapDone)
-	for e := range s.snapQ {
-		s.saveSnapshot(e)
+// removeSnapshot deletes one entry's snapshot file, if it has one.
+func (s *Server) removeSnapshot(e *cacheEntry) {
+	if err := s.cfg.Snapshots.Remove(e.key); err != nil {
+		s.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "snapshot removal failed",
+			slog.String("key", e.key), slog.String("err", err.Error()))
 	}
 }
 
@@ -136,8 +197,8 @@ func (s *Server) Close() {
 		}
 		s.snapMu.Lock()
 		s.snapClosed = true
+		s.snapCond.Signal()
 		s.snapMu.Unlock()
-		close(s.snapQ)
 		<-s.snapDone
 	})
 }

@@ -88,6 +88,72 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	}
 }
 
+// TestEvictedInstanceStaysEvictedAcrossRestart: evicting an instance
+// removes the snapshot files of its cache entries, and of entries
+// whose saves were still queued, so a warm restart over the same
+// directory loads only what is still registered and does not bring
+// the evicted instance back.
+func TestEvictedInstanceStaysEvictedAcrossRestart(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	store, err := snap.Open(dir)
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	srv, c := newTestServer(t, Config{Snapshots: store})
+	reg, err := c.Register(ctx, example1)
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	base, err := c.RegisterInstance(ctx, "E(a,b). E(b,c).")
+	if err != nil {
+		t.Fatalf("register instance: %v", err)
+	}
+	if _, err := c.ExistsSolution(ctx, client.SolveRequest{SettingID: reg.ID, SourceID: base.ID}); err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	child, err := c.AppendInstance(ctx, base.ID, client.AppendRequest{Facts: "E(c,d)."})
+	if err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := c.EvictInstance(ctx, child.ID); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	srv.Close()
+	keys, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 1 {
+		t.Fatalf("%d snapshot files after evicting the appended instance, want the base's 1", len(keys))
+	}
+
+	store2, err := snap.Open(dir)
+	if err != nil {
+		t.Fatalf("reopen store: %v", err)
+	}
+	srv2, c2 := newTestServer(t, Config{Snapshots: store2})
+	defer srv2.Close()
+	if _, err := c2.Register(ctx, example1); err != nil {
+		t.Fatalf("re-register: %v", err)
+	}
+	if loaded, failed := srv2.LoadSnapshots(); loaded != 1 || failed != 0 {
+		t.Fatalf("warm start loaded %d, failed %d; want 1, 0", loaded, failed)
+	}
+	insts, err := c2.Instances(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, si := range insts.Instances {
+		if si.ID == child.ID {
+			t.Fatalf("warm restart re-registered the evicted instance %s", child.ID)
+		}
+	}
+	if len(insts.Instances) != 1 || insts.Instances[0].ID != base.ID {
+		t.Fatalf("instances after warm start: %+v, want only the base %s", insts.Instances, base.ID)
+	}
+}
+
 func TestSnapshotLoadRejectsUnregisteredSettingAndTamper(t *testing.T) {
 	dir := t.TempDir()
 	store, err := snap.Open(dir)

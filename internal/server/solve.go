@@ -155,23 +155,33 @@ func (p *solvePair) entry(ctx context.Context, kind string, compute func() (any,
 	return e, nil
 }
 
-// Plan returns the query's plan from the plan cache, compiling it once
-// on a miss, or the setting's fallback reason when it is outside the
-// compilable fragment.
+// Plan returns the query's plan from the plan cache, compiling its
+// shape once on a miss and binding it to the query's constants, or the
+// setting's fallback reason when it is outside the compilable fragment.
+// A hit allocates only the bound plan.
 func (p *solvePair) Plan(ctx context.Context, q pde.UCQ) (*pde.Plan, error) {
-	if p.c.Plan == nil {
+	sp := p.c.Plan
+	if sp == nil {
 		return nil, &qplan.FallbackError{Reason: p.c.PlanFallback}
 	}
-	meta := entryMeta{key: planKey(p.c.ID, q), settingID: p.c.ID}
-	e, _, err := p.srv.plans.getOrCompute(ctx, meta, func() (any, int64, error) {
-		plan, err := p.c.Plan.CompileQuery(q)
-		return planResult{plan, err}, 0, nil
-	})
-	if err != nil {
-		return nil, err
+	key := planKey(sp, p.c.ID, q)
+	e := p.srv.plans.hit(key[:])
+	if e == nil {
+		meta := entryMeta{key: string(key[:]), settingID: p.c.ID}
+		var err error
+		e, _, err = p.srv.plans.getOrCompute(ctx, meta, func() (any, int64, error) {
+			plan, err := sp.CompileQuery(q)
+			return planResult{plan, err}, 0, nil
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	r := e.value.(planResult)
-	return r.plan, r.err
+	if r.err != nil {
+		return nil, r.err
+	}
+	return r.plan.Bind(q), nil
 }
 
 // certain runs the shared certain-answers dispatch over the pair and
@@ -248,7 +258,8 @@ func (s *Server) handleInstanceEvict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, client.CodeNotFound, "instance %q is not registered", id)
 		return
 	}
-	s.cache.evictMatching(func(e *cacheEntry) bool { return e.src.ID == id || e.tgt.ID == id })
+	gone := s.cache.evictMatching(func(e *cacheEntry) bool { return e.src.ID == id || e.tgt.ID == id })
+	s.dropSnapshots(gone)
 	writeJSON(w, http.StatusOK, map[string]string{"evicted": id})
 }
 

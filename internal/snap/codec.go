@@ -128,36 +128,43 @@ func Key(settingID, srcID, tgtID, kind string) string {
 }
 
 // Encode serializes the entry. The output is canonical: encoding the
-// result of Decode reproduces the decoded bytes exactly.
+// result of Decode reproduces the decoded bytes exactly. A counting
+// pass through the same writer methods sizes the output first, so the
+// bytes are written into one allocation.
 func Encode(e *Entry) ([]byte, error) {
-	w := &writer{buf: make([]byte, 0, 4096)}
-	w.raw([]byte(magic))
+	if e.Kind != KindTractable && e.Kind != KindGeneric {
+		return nil, fmt.Errorf("snap: encode: unknown artifact kind %q", e.Kind)
+	}
+	sizer := &writer{counting: true}
+	sizer.entry(e)
+	if sizer.err != nil {
+		return nil, sizer.err
+	}
+	w := &writer{buf: make([]byte, 0, sizer.n+sha256.Size)}
+	w.entry(e)
+	sum := sha256.Sum256(w.buf)
+	return append(w.buf, sum[:]...), nil
+}
+
+// entry writes the body of e, whose kind is one of the two known.
+func (w *writer) entry(e *Entry) {
+	w.raw(magic)
 	w.uvarint(Version)
 	w.str(e.SettingID)
 	w.str(e.SourceID)
 	w.str(e.TargetID)
-	switch e.Kind {
-	case KindTractable:
+	if e.Kind == KindTractable {
 		w.byteVal(kindByteTractable)
-	case KindGeneric:
+	} else {
 		w.byteVal(kindByteGeneric)
-	default:
-		return nil, fmt.Errorf("snap: encode: unknown artifact kind %q", e.Kind)
 	}
 	w.str(e.SourceText)
 	w.str(e.TargetText)
-	switch e.Kind {
-	case KindTractable:
+	if e.Kind == KindTractable {
 		w.tractable(e.Tractable)
-	case KindGeneric:
+	} else {
 		w.generic(e.Generic)
 	}
-	if w.err != nil {
-		return nil, w.err
-	}
-	sum := sha256.Sum256(w.buf)
-	w.raw(sum[:])
-	return w.buf, nil
 }
 
 // Decode parses and validates a snapshot. It never panics on arbitrary
@@ -254,10 +261,14 @@ func fixpointWatermark(inst *rel.Instance) hom.Delta {
 	return d
 }
 
-// writer accumulates the encoding with a sticky error.
+// writer accumulates the encoding with a sticky error. A counting
+// writer writes nothing and only adds up in n the bytes it would
+// write, so one pass sizes the buffer of the next.
 type writer struct {
-	buf []byte
-	err error
+	buf      []byte
+	counting bool
+	n        int
+	err      error
 }
 
 func (w *writer) fail(format string, args ...any) {
@@ -266,9 +277,29 @@ func (w *writer) fail(format string, args ...any) {
 	}
 }
 
-func (w *writer) raw(p []byte)     { w.buf = append(w.buf, p...) }
-func (w *writer) byteVal(b byte)   { w.buf = append(w.buf, b) }
-func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *writer) raw(s string) {
+	if w.counting {
+		w.n += len(s)
+		return
+	}
+	w.buf = append(w.buf, s...)
+}
+
+func (w *writer) byteVal(b byte) {
+	if w.counting {
+		w.n++
+		return
+	}
+	w.buf = append(w.buf, b)
+}
+
+func (w *writer) uvarint(v uint64) {
+	if w.counting {
+		w.n += (bits.Len64(v|1) + 6) / 7
+		return
+	}
+	w.buf = binary.AppendUvarint(w.buf, v)
+}
 
 func (w *writer) count(n int, what string) {
 	if n < 0 || n > maxCounter {
@@ -280,7 +311,7 @@ func (w *writer) count(n int, what string) {
 
 func (w *writer) str(s string) {
 	w.uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
+	w.raw(s)
 }
 
 func (w *writer) boolVal(b bool) {
@@ -322,14 +353,14 @@ func (w *writer) instance(inst *rel.Instance) {
 	}
 }
 
-// watermark encodes the fixpoint's resume watermark in sorted order.
+// watermark encodes the fixpoint's resume watermark (see
+// fixpointWatermark) in sorted order.
 func (w *writer) watermark(inst *rel.Instance) {
-	d := fixpointWatermark(inst)
-	names := d.Names()
+	names := inst.RelationNames()
 	w.count(len(names), "watermark entries")
 	for _, name := range names {
 		w.str(name)
-		w.count(d[name], "watermark count")
+		w.count(inst.Relation(name).LiveLen(), "watermark count")
 	}
 }
 

@@ -24,12 +24,16 @@ func fakeID(kind string, n int) string {
 
 // roundTrip asserts the codec's central guarantee on one entry:
 // Encode → Decode → Encode is byte-identical, and the decoded entry
-// carries the same identity.
+// carries the same identity. Encode's counting pass must size its
+// buffer exactly, so the bytes fill their one allocation.
 func roundTrip(t *testing.T, e *snap.Entry) *snap.Entry {
 	t.Helper()
 	data, err := snap.Encode(e)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
+	}
+	if len(data) != cap(data) {
+		t.Fatalf("encode sized %d bytes for %d", cap(data), len(data))
 	}
 	got, err := snap.Decode(data)
 	if err != nil {
