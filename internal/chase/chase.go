@@ -207,27 +207,21 @@ type state struct {
 	merges     int
 
 	// Semi-naive bookkeeping, indexed by dependency position. marks[di]
-	// is the watermark of dependency di's previous trigger collection.
+	// is the watermark of dependency di: for a tgd, its previous trigger
+	// collection; for an egd, the end of its last clean detection pass.
 	// Merges keep counts valid (surviving tuples keep their slots) and
 	// route their rewrites through the change log, so marks are never
 	// reset. Resume pre-seeds marks so the first round only enumerates
-	// triggers touching the appended facts.
+	// triggers touching the appended facts. brels[di] caches di's body
+	// relation names, which changedSince filters the log by.
 	marks []mark
-
-	// Egd detection watermarks, indexed by dependency position.
-	// egdMarks[di] with non-nil counts records the state at the end of
-	// di's last clean pass (no active trigger). Between merges relations
-	// only grow, so if none of di's body relations has grown past the
-	// mark and the change log shows no rewrite into them since, the body
-	// join — and hence the trigger set — is unchanged and the pass is
-	// skipped without enumerating anything. (Tombstoned tuples only ever
-	// leave the join, which cannot create a violation.) brels[di] caches
-	// di's body relation names, for every dependency kind.
-	egdMarks []mark
-	brels    [][]string
+	brels [][]string
 	// exist[di] caches the existential variables of tgd di, which every
 	// step of di draws values for.
 	exist [][]string
+	// triggers is the buffer collectTriggers fills, reused across
+	// collections so a collection allocates only the bindings it keeps.
+	triggers []hom.Binding
 }
 
 // result packages the run's current outcome. Tombstoned slots left by
@@ -265,14 +259,10 @@ func (st *state) ctxErr() error {
 }
 
 func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, error) {
-	// Resume pre-seeds st.marks (and st.egdMarks) with the previous
-	// fixpoint's watermarks; a fresh run starts from zero marks (full
-	// first scan).
+	// Resume pre-seeds st.marks with the previous fixpoint's
+	// watermarks; a fresh run starts from zero marks (full first scan).
 	if st.marks == nil {
 		st.marks = make([]mark, len(deps))
-	}
-	if st.egdMarks == nil {
-		st.egdMarks = make([]mark, len(deps))
 	}
 	st.brels = make([][]string, len(deps))
 	st.exist = make([][]string, len(deps))
@@ -320,38 +310,40 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 // trigger found against the instance as it evolves. It reports whether
 // any step was applied.
 //
-// Trigger collection is semi-naive: each tgd enumerates only triggers
-// that touch at least one fact added — or rewritten by a merge — since
-// its own previous collection (its watermark in st.marks). This is
-// lossless for the restricted chase because satisfaction of a trigger
-// over unchanged old facts is preserved: tgd additions are monotone,
-// and an egd merge substitutes values, mapping the satisfying head
-// facts onto facts of the merged instance (the trigger's own values are
-// untouched — a binding whose values a merge rewrote has, by
-// definition, a changed tuple in it and is re-enumerated via the change
-// log). A trigger whose facts all predate the watermark unchanged was,
-// by the end of that earlier collection's firing pass, satisfied (and
-// stays satisfied) — so the naive enumeration would have filtered it
-// too. A dependency's watermark advances at each collection: to the
-// round-start snapshot while the round is still clean, to a fresh
-// snapshot once the round went dirty.
+// Trigger search is semi-naive for every dependency: it enumerates
+// only bindings that touch at least one fact added — or rewritten by a
+// merge — since the dependency's watermark in st.marks. This is
+// lossless because a binding over unchanged old facts was handled when
+// the watermark was taken and stays handled. For a tgd, the trigger was
+// satisfied by the end of that collection's firing pass, and
+// satisfaction survives later steps: tgd additions are monotone, and an
+// egd merge substitutes values, mapping the satisfying head facts onto
+// facts of the merged instance (the trigger's own values are untouched
+// — a binding whose values a merge rewrote has, by definition, a
+// changed tuple in it and is re-enumerated via the change log). For an
+// egd, the binding was clean (Left = Right) at the end of its last
+// clean pass, and it still is. A tgd's watermark advances at each
+// collection, an egd's after each clean pass: to the round-start
+// snapshot while the round is still clean, to a fresh snapshot once
+// the round went dirty.
 func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed, failed bool, failedOn string, err error) {
 	// Snapshot the round-start sizes once; the map is shared by every
 	// watermark taken from it and never mutated after this point.
-	roundStart := hom.Delta(st.inst.TupleCounts())
-	roundLog := len(st.changedLog)
+	roundStart := mark{counts: hom.Delta(st.inst.TupleCounts()), logPos: len(st.changedLog)}
 	dirty := false
+	now := func() mark {
+		if !dirty {
+			// Instance still equals the round start, so the shared
+			// snapshot doubles as this watermark.
+			return roundStart
+		}
+		return mark{counts: hom.Delta(st.inst.TupleCounts()), logPos: len(st.changedLog)}
+	}
 	for di, d := range deps {
 		switch d := d.(type) {
 		case dep.TGD:
-			triggers := st.collectTriggers(di, d, st.marks[di])
-			if !dirty {
-				// Instance still equals the round start, so the shared
-				// snapshot doubles as this collection's watermark.
-				st.marks[di] = mark{counts: roundStart, logPos: roundLog}
-			} else {
-				st.marks[di] = mark{counts: hom.Delta(st.inst.TupleCounts()), logPos: len(st.changedLog)}
-			}
+			triggers := st.collectTriggers(di, d)
+			st.marks[di] = now()
 			p, e := st.fireTriggers(di, d, triggers, witness)
 			if e != nil {
 				return false, false, "", e
@@ -360,10 +352,7 @@ func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed
 				progressed, dirty = true, true
 			}
 		case dep.EGD:
-			if st.egdSkip(di, roundStart, dirty) {
-				continue
-			}
-			p, f, e := st.egdPass(d)
+			p, f, e := st.egdPass(di, d)
 			if e != nil {
 				return false, false, "", e
 			}
@@ -372,19 +361,10 @@ func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed
 			}
 			if p {
 				progressed, dirty = true, true
-				// Merges rewrote tuples in place: slots and counts are
-				// untouched and the rewrites are on the change log, so
-				// marks stay valid as they are.
 			}
-			// The pass ended with no active trigger for d: record the
-			// state it was clean at, so later rounds skip the body scan
-			// until one of d's relations grows or a merge rewrites into
-			// them.
-			if p || dirty {
-				st.egdMarks[di] = mark{counts: hom.Delta(st.inst.TupleCounts()), logPos: len(st.changedLog)}
-			} else {
-				st.egdMarks[di] = mark{counts: roundStart, logPos: roundLog}
-			}
+			// The pass ended with no active trigger for d: later passes
+			// enumerate only bindings past this state.
+			st.marks[di] = now()
 		default:
 			return false, false, "", fmt.Errorf("chase: unsupported dependency type %T", d)
 		}
@@ -432,19 +412,32 @@ func (st *state) changedSince(m mark, rels []string) map[string][]int {
 	return out
 }
 
-// collectTriggers enumerates the triggers of d against the current
-// instance that were not already satisfied at collection time, skipping
-// — via the delta watermark and the merge change log — triggers whose
-// body facts all predate d's previous collection unchanged. The list
-// comes back in the full-enumeration order.
-func (st *state) collectTriggers(di int, d dep.TGD, m mark) []hom.Binding {
+// deltaSpec returns the search delta of dependency di: the bindings
+// that touch a fact added or rewritten since its watermark.
+func (st *state) deltaSpec(di int) hom.DeltaSpec {
+	m := st.marks[di]
 	spec := hom.DeltaSpec{Old: m.counts}
 	if m.counts != nil {
 		spec.Changed = st.changedSince(m, st.brels[di])
 	}
-	return hom.EnumerateDeltaSpec(d.Body, st.inst, nil, spec, st.opts.Config, func(b hom.Binding) bool {
-		return !hom.Exists(d.Head, st.inst, b, st.opts.Config)
+	return spec
+}
+
+// collectTriggers enumerates the triggers of tgd di against the current
+// instance that were not already satisfied at collection time, skipping
+// — via the delta watermark and the merge change log — triggers whose
+// body facts all predate di's previous collection unchanged. The list
+// comes back in the full-enumeration order, in st.triggers, which the
+// next collection overwrites.
+func (st *state) collectTriggers(di int, d dep.TGD) []hom.Binding {
+	st.triggers = st.triggers[:0]
+	hom.EnumerateDeltaSpec(d.Body, st.inst, nil, st.deltaSpec(di), st.opts.Config, func(b hom.Binding) bool {
+		if !hom.Exists(d.Head, st.inst, b, st.opts.Config) {
+			st.triggers = append(st.triggers, b.Clone())
+		}
+		return true
 	})
+	return st.triggers
 }
 
 // fireTriggers fires the collected triggers of d that are still
@@ -504,38 +497,6 @@ func (st *state) fire(di int, d dep.TGD, b hom.Binding, witness *rel.Instance) e
 	return nil
 }
 
-// egdSkip reports whether egd di's detection pass can be skipped: its
-// last clean pass recorded a watermark, none of the egd's body
-// relations has grown since, and the merge change log shows no rewrite
-// into them. Relations are append-only between merges, so equal counts
-// mean no added tuples; merges only rewrite logged slots or tombstone
-// tuples (which removes bindings from the body join, never creating a
-// violation) — so an unchanged watermark means an unchanged trigger
-// set.
-func (st *state) egdSkip(di int, roundStart hom.Delta, dirty bool) bool {
-	m := st.egdMarks[di]
-	if m.counts == nil {
-		return false
-	}
-	cur := roundStart
-	if dirty {
-		cur = hom.Delta(st.inst.TupleCounts())
-	}
-	for _, r := range st.brels[di] {
-		if cur[r] > m.counts[r] {
-			return false
-		}
-	}
-	for _, e := range st.changedLog[m.logPos:] {
-		for _, r := range st.brels[di] {
-			if e.rel == r {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // merge applies one egd merge step, replacing the null `from` by `to`
 // throughout the instance. The union-find engine records the class
 // merge, rewrites the affected tuples in place, and appends the
@@ -561,18 +522,22 @@ func (st *state) merge(from, to rel.Value) {
 	}
 }
 
-// egdPass applies egd steps until d has no active trigger or the chase
-// fails. A merge can create a violation lexicographically before the
-// current scan position (the rewritten tuples join differently), so the
-// pass restarts its trigger scan after every step. The in-place merge
-// keeps live tuples in the order a full rebuild would leave them, so
-// the merge sequence matches a chase that rebuilds the instance per
-// merge (oracle.Chase) exactly.
-func (st *state) egdPass(d dep.EGD) (progressed, failed bool, err error) {
+// egdPass applies egd steps until egd di has no active trigger or the
+// chase fails. Each scan searches only the bindings past di's
+// watermark: a binding over old, unrewritten tuples was clean at the
+// watermark and still is, so the first violation in ForEach order is
+// the first delta-touching one. A merge can create a violation before
+// the current scan position (the rewritten tuples join differently),
+// so the pass restarts its scan after every step; the rewrites are on
+// the change log past the watermark, so the restart sees them. The
+// in-place merge keeps live tuples in the order a full rebuild would
+// leave them, so the merge sequence matches a chase that rebuilds the
+// instance per merge (oracle.Chase) exactly.
+func (st *state) egdPass(di int, d dep.EGD) (progressed, failed bool, err error) {
 	for {
 		var l, r rel.Value
 		found := false
-		hom.ForEach(d.Body, st.inst, nil, st.opts.Config, func(b hom.Binding) bool {
+		hom.EnumerateDeltaSpec(d.Body, st.inst, nil, st.deltaSpec(di), st.opts.Config, func(b hom.Binding) bool {
 			if b[d.Left] != b[d.Right] {
 				l, r = b[d.Left], b[d.Right]
 				found = true

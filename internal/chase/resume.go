@@ -151,11 +151,9 @@ func Resume(prev *Result, deps []dep.Dependency, appended *rel.Instance, opts Op
 		egdFired: prev.EgdFired,
 		uf:       uf,
 		marks:    make([]mark, len(deps)),
-		egdMarks: make([]mark, len(deps)),
 	}
 	for i := range st.marks {
 		st.marks[i] = mark{counts: seed}
-		st.egdMarks[i] = mark{counts: seed}
 	}
 	res, err := st.run(deps, nil)
 	return res, true, err

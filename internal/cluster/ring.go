@@ -187,9 +187,6 @@ func (r *Ring) Owner(key string) string {
 	return r.points[i].url
 }
 
-// OwnedBySelf reports whether the local member owns key.
-func (r *Ring) OwnedBySelf(key string) bool { return r.Owner(key) == r.self }
-
 // rebuildLocked regenerates the placement points from the live set.
 // Ties on hash values (astronomically unlikely with sha256, but the
 // sort must still be total) break by URL, keeping the order — and

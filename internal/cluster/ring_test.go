@@ -219,7 +219,4 @@ func TestRingBasics(t *testing.T) {
 	if o := r.Owner(key); !r.Alive(o) {
 		t.Fatalf("owner %q not alive", o)
 	}
-	if r.OwnedBySelf(key) != (r.Owner(key) == peers[0]) {
-		t.Fatal("OwnedBySelf disagrees with Owner")
-	}
 }

@@ -1,16 +1,19 @@
-// Package datalog implements positive Datalog with semi-naive
-// evaluation. It completes the peer data management model of Section 2
-// of the peer data exchange paper: Halevy et al.'s PDMS allows
-// *definitional mappings* — Datalog programs whose rules have single
-// peer relations in heads and bodies — alongside the inclusion and
-// equality mappings. The paper's PDE-to-PDMS translation uses no
-// definitional mappings, but package pdms supports them through this
-// engine so the full mapping language of [14] is representable.
+// Package datalog implements positive Datalog, evaluated by the chase:
+// a rule is a full tgd with one head atom, and chase.Run's semi-naive
+// trigger search is the evaluation loop. It completes the peer data
+// management model of Section 2 of the peer data exchange paper:
+// Halevy et al.'s PDMS allows *definitional mappings* — Datalog
+// programs whose rules have single peer relations in heads and bodies
+// — alongside the inclusion and equality mappings. The paper's
+// PDE-to-PDMS translation uses no definitional mappings, but package
+// pdms supports them through this engine so the full mapping language
+// of [14] is representable.
 package datalog
 
 import (
 	"fmt"
 
+	"repro/internal/chase"
 	"repro/internal/dep"
 	"repro/internal/hom"
 	"repro/internal/rel"
@@ -54,6 +57,11 @@ func (r Rule) Validate(schema *rel.Schema) error {
 			return fmt.Errorf("datalog: rule %s: atom %s has %d arguments, relation has arity %d", r.Label, a, len(a.Args), ar)
 		}
 	}
+	return r.safe()
+}
+
+// safe checks that every head variable occurs in the body.
+func (r Rule) safe() error {
 	bodyVars := make(map[string]bool)
 	for _, a := range r.Body {
 		for _, v := range a.Vars() {
@@ -119,74 +127,26 @@ func (o Options) maxDerivations() int {
 // unfrozen edb (see rel.Instance); the result holds edb plus every
 // derived fact.
 //
-// Evaluation is semi-naive: each round matches every rule with at least
-// one subgoal bound to the previous round's delta, so already-joined
-// combinations are not re-derived.
+// Evaluation is the chase: each rule is a full tgd with a single head
+// atom, which chase.Run evaluates semi-naively — each round matches a
+// rule only on bindings that touch a fact it has not seen, each binding
+// once. Every chase step derives one new fact, so the step budget is
+// the derivation budget; running out of it returns an error wrapping
+// chase.ErrBudgetExhausted. An unsafe rule is an error: its head
+// variables outside the body would be chased as labeled nulls.
 func (p *Program) Eval(edb *rel.Instance, opts Options) (*rel.Instance, error) {
-	full := edb.Clone()
-	delta := edb.Clone()
-	budget := opts.maxDerivations()
-	derived := 0
-
-	for delta.NumFacts() > 0 {
-		next := rel.NewInstance()
-		for _, r := range p.Rules {
-			if err := fireSemiNaive(r, full, delta, next, opts, &derived, budget); err != nil {
-				return nil, err
-			}
+	deps := make([]dep.Dependency, len(p.Rules))
+	for i, r := range p.Rules {
+		if err := r.safe(); err != nil {
+			return nil, err
 		}
-		// Move the genuinely new facts into full; they form the next
-		// delta.
-		delta = rel.NewInstance()
-		for _, f := range next.Facts() {
-			if full.AddFact(f) {
-				delta.AddFact(f)
-			}
-		}
+		deps[i] = dep.TGD{Label: r.Label, Body: r.Body, Head: []dep.Atom{r.Head}}
 	}
-	return full, nil
-}
-
-// fireSemiNaive derives the immediate consequences of rule r where at
-// least one subgoal matches a delta fact. For each subgoal position we
-// match that subgoal against delta and the remaining subgoals against
-// full; duplicates across positions are deduplicated by the instance.
-func fireSemiNaive(r Rule, full, delta, out *rel.Instance, opts Options, derived *int, budget int) error {
-	for pivot := range r.Body {
-		pivotAtom := r.Body[pivot]
-		if delta.Relation(pivotAtom.Rel) == nil {
-			continue
-		}
-		rest := make([]dep.Atom, 0, len(r.Body)-1)
-		rest = append(rest, r.Body[:pivot]...)
-		rest = append(rest, r.Body[pivot+1:]...)
-		var evalErr error
-		hom.ForEach([]dep.Atom{pivotAtom}, delta, nil, opts.Hom, func(b hom.Binding) bool {
-			hom.ForEach(rest, full, b, opts.Hom, func(b2 hom.Binding) bool {
-				t := make(rel.Tuple, len(r.Head.Args))
-				for i, term := range r.Head.Args {
-					if term.IsConst {
-						t[i] = rel.Const(term.Name)
-					} else {
-						t[i] = b2[term.Name]
-					}
-				}
-				if out.AddTuple(r.Head.Rel, t) {
-					*derived++
-					if *derived > budget {
-						evalErr = fmt.Errorf("datalog: derivation budget of %d exceeded (rule %s)", budget, r.Label)
-						return false
-					}
-				}
-				return true
-			})
-			return evalErr == nil
-		})
-		if evalErr != nil {
-			return evalErr
-		}
+	res, err := chase.Run(edb, deps, chase.Options{Config: opts.Hom, MaxSteps: opts.maxDerivations()})
+	if err != nil {
+		return nil, fmt.Errorf("datalog: %w", err)
 	}
-	return nil
+	return res.Instance, nil
 }
 
 // Naive evaluates the program by naive fixpoint iteration (every rule

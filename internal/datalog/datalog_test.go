@@ -1,9 +1,11 @@
 package datalog_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/chase"
 	"repro/internal/datalog"
 	"repro/internal/dep"
 	"repro/internal/graph"
@@ -53,6 +55,9 @@ func TestValidate(t *testing.T) {
 	}}}
 	if err := unsafe.Validate(tcSchema()); err == nil {
 		t.Error("unsafe rule accepted")
+	}
+	if _, err := unsafe.Eval(pathEDB(3), datalog.Options{}); err == nil {
+		t.Error("unsafe rule evaluated")
 	}
 	badRel := &datalog.Program{Rules: []datalog.Rule{{
 		Label: "bad",
@@ -217,8 +222,8 @@ func TestDerivationBudget(t *testing.T) {
 	for k := 0; k < 20; k++ {
 		edb.Add("E", vtx(k%26), rel.Const("t"))
 	}
-	if _, err := p.Eval(edb, datalog.Options{MaxDerivations: 10}); err == nil {
-		t.Error("budget not enforced in semi-naive eval")
+	if _, err := p.Eval(edb, datalog.Options{MaxDerivations: 10}); !errors.Is(err, chase.ErrBudgetExhausted) {
+		t.Errorf("budget not enforced in semi-naive eval: %v", err)
 	}
 	if _, err := p.Naive(edb, datalog.Options{MaxDerivations: 10}); err == nil {
 		t.Error("budget not enforced in naive eval")

@@ -63,57 +63,54 @@ func (d Delta) oldCount(r *rel.Relation) int {
 	return n
 }
 
-// EnumerateDeltaSpec returns the homomorphisms from the conjunction of
+// EnumerateDeltaSpec streams the homomorphisms from the conjunction of
 // atoms into the instance extending init that use at least one new
 // tuple (past the spec.Old watermark) or one changed (merge-rewritten)
 // tuple listed in spec.Changed, each exactly once and in ForEach's
-// order. Bindings whose atoms all match unchanged old tuples are skipped
-// without being enumerated — the caller guarantees it has already
-// processed them (this is the chase's invariant: a trigger over facts
-// it has seen was satisfied by the end of that collection's firing
-// pass, and merges report the tuples they rewrite through Changed).
+// order. fn gets each binding live — search state it must neither
+// retain nor mutate (Clone to keep one) — and returns false to stop.
+// EnumerateDeltaSpec reports whether the enumeration ran to
+// completion. Bindings whose atoms all match unchanged old tuples are
+// skipped without being enumerated — the caller guarantees it has
+// already processed them (this is the chase's invariant: a trigger over
+// facts it has seen was satisfied by the end of that collection's
+// firing pass, and merges report the tuples they rewrite through
+// Changed).
 //
 // A zero spec (nil Old) requests the full enumeration, so does an
 // all-zero Old (the first chase round seeds the delta with the whole
-// instance). When keep is non-nil, only bindings it accepts are
-// returned; it runs once per binding the search finds, on live search
-// state that must not be retained or mutated. The returned slice holds fresh
-// copies. This is the trigger-collection primitive of the chase: keep
-// runs the satisfaction check on each binding as the search produces
-// it.
+// instance). This is the trigger search of the chase, for tgds and
+// egds alike.
 //
 // The enumeration is one backtracking search in ForEach's join order
 // (see searcher.pending): every candidate list is ascending, so the
-// result is the full enumeration restricted to the delta-touching
+// stream is the full enumeration restricted to the delta-touching
 // bindings.
-func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec DeltaSpec, opts Options, keep func(Binding) bool) []Binding {
+func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec DeltaSpec, opts Options, fn func(Binding) bool) bool {
 	if len(atoms) == 0 {
 		if spec.Old != nil {
 			// An empty body has a single (empty) trigger, independent of
 			// any facts; it was handled when the watermark was taken.
-			return nil
+			return true
 		}
 		b := init
 		if b == nil {
 			b = Binding{}
 		}
-		if keep != nil && !keep(b) {
-			return nil
-		}
-		return []Binding{b.Clone()}
+		return fn(b)
 	}
 	hasNew := false
 	for _, a := range atoms {
 		r := inst.Relation(a.Rel)
 		if r == nil || r.Len() == 0 {
-			return nil // an empty body relation admits no homomorphism at all
+			return true // an empty body relation admits no homomorphism at all
 		}
 		if spec.Old == nil || spec.Old.oldCount(r) < r.Len() || len(spec.Changed[a.Rel]) > 0 {
 			hasNew = true
 		}
 	}
 	if !hasNew {
-		return nil
+		return true
 	}
 
 	base := Binding{}
@@ -121,13 +118,7 @@ func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec
 		base[k] = v
 	}
 	order := orderAtoms(atoms, base)
-	var out []Binding
-	s := newSearcher(inst, opts, false, func(b Binding) bool {
-		if keep == nil || keep(b) {
-			out = append(out, b.Clone())
-		}
-		return true
-	})
+	s := newSearcher(inst, opts, false, fn)
 	defer s.release()
 	if spec.Old != nil {
 		// hasNew guarantees some depth sets last.
@@ -141,8 +132,7 @@ func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec
 		}
 		s.pending = true
 	}
-	s.match(order, 0, base)
-	return out
+	return s.match(order, 0, base)
 }
 
 // depthDelta is the semi-naive watermark of one depth of the join

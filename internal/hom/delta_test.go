@@ -24,7 +24,18 @@ func bindingKey(b Binding) string {
 	return sb.String()
 }
 
-// deltaReference computes what EnumerateDeltaSpec must return for a
+// collectDelta runs EnumerateDeltaSpec to completion and returns a copy
+// of every binding it streams, in stream order.
+func collectDelta(atoms []dep.Atom, inst *rel.Instance, init Binding, spec DeltaSpec, opts Options) []Binding {
+	var out []Binding
+	EnumerateDeltaSpec(atoms, inst, init, spec, opts, func(b Binding) bool {
+		out = append(out, b.Clone())
+		return true
+	})
+	return out
+}
+
+// deltaReference computes what EnumerateDeltaSpec must stream for a
 // spec with only an Old watermark: the full enumeration order, minus
 // the bindings that already exist against the old prefix of the
 // instance (distinct tuple-index vectors yield distinct bindings here
@@ -32,11 +43,11 @@ func bindingKey(b Binding) string {
 // exact).
 func deltaReference(atoms []dep.Atom, full, old *rel.Instance, opts Options) []Binding {
 	seen := map[string]bool{}
-	for _, b := range EnumerateDeltaSpec(atoms, old, nil, DeltaSpec{}, opts, nil) {
+	for _, b := range collectDelta(atoms, old, nil, DeltaSpec{}, opts) {
 		seen[bindingKey(b)] = true
 	}
 	var out []Binding
-	for _, b := range EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{}, opts, nil) {
+	for _, b := range collectDelta(atoms, full, nil, DeltaSpec{}, opts) {
 		if !seen[bindingKey(b)] {
 			out = append(out, b)
 		}
@@ -79,7 +90,7 @@ var deltaTestPatterns = [][]dep.Atom{
 }
 
 // TestEnumerateDeltaMatchesReference: on random old/new instance
-// splits, EnumerateDeltaSpec with an Old watermark returns exactly the
+// splits, EnumerateDeltaSpec with an Old watermark streams exactly the
 // full enumeration minus the old-only bindings, in the full
 // enumeration's order.
 func TestEnumerateDeltaMatchesReference(t *testing.T) {
@@ -90,7 +101,7 @@ func TestEnumerateDeltaMatchesReference(t *testing.T) {
 		old.Freeze()
 		for pi, atoms := range deltaTestPatterns {
 			want := deltaReference(atoms, full, old, Options{})
-			got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, nil)
+			got := collectDelta(atoms, full, nil, DeltaSpec{Old: delta}, Options{})
 			if len(got) != len(want) {
 				t.Fatalf("trial %d pattern %d: got %d bindings, want %d", trial, pi, len(got), len(want))
 			}
@@ -105,45 +116,57 @@ func TestEnumerateDeltaMatchesReference(t *testing.T) {
 }
 
 // TestEnumerateDeltaDegenerateCases: nil and all-zero deltas degrade to
-// the full enumeration; a delta with no new tuples returns nothing; a
-// keep filter applies on top of the delta constraint.
+// the full enumeration; a delta with no new tuples streams nothing; fn
+// returning false stops the stream.
 func TestEnumerateDeltaDegenerateCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	full, _, delta := buildSplitInstance(rng, 6, 5)
 	full.Freeze()
 	atoms := deltaTestPatterns[1]
-	fullEnum := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{}, Options{}, nil)
+	fullEnum := collectDelta(atoms, full, nil, DeltaSpec{}, Options{})
 
-	if got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{}, Options{}, nil); len(got) != len(fullEnum) {
+	if got := collectDelta(atoms, full, nil, DeltaSpec{}, Options{}); len(got) != len(fullEnum) {
 		t.Fatalf("nil delta: got %d bindings, want full %d", len(got), len(fullEnum))
 	}
-	if got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: Delta{}}, Options{}, nil); len(got) != len(fullEnum) {
+	if got := collectDelta(atoms, full, nil, DeltaSpec{Old: Delta{}}, Options{}); len(got) != len(fullEnum) {
 		t.Fatalf("all-new delta: got %d bindings, want full %d", len(got), len(fullEnum))
 	}
-	if got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: Delta(full.TupleCounts())}, Options{}, nil); len(got) != 0 {
+	if got := collectDelta(atoms, full, nil, DeltaSpec{Old: Delta(full.TupleCounts())}, Options{}); len(got) != 0 {
 		t.Fatalf("no-new delta: got %d bindings, want none", len(got))
 	}
-	if got := EnumerateDeltaSpec(nil, full, nil, DeltaSpec{Old: delta}, Options{}, nil); got != nil {
+	if got := collectDelta(nil, full, nil, DeltaSpec{Old: delta}, Options{}); got != nil {
 		t.Fatalf("empty atom list with a watermark: got %d bindings, want none", len(got))
 	}
 
-	all := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, nil)
-	kept := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(b Binding) bool {
-		return b["x"] == rel.Const("v0")
-	})
-	for _, b := range kept {
-		if b["x"] != rel.Const("v0") {
-			t.Fatalf("keep filter leaked binding %s", bindingKey(b))
+	// fn returning false stops the stream after that binding: what it
+	// saw is a prefix of the full stream, and the call reports the stop.
+	all := collectDelta(atoms, full, nil, DeltaSpec{Old: delta}, Options{})
+	if len(all) == 0 {
+		t.Fatal("test instance has no delta-touching binding")
+	}
+	for stop := 1; stop <= len(all); stop++ {
+		var seen []Binding
+		done := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(b Binding) bool {
+			seen = append(seen, b.Clone())
+			return len(seen) < stop
+		})
+		if done || len(seen) != stop {
+			t.Fatalf("stop after %d: saw %d bindings, ran to completion %v", stop, len(seen), done)
+		}
+		for i := range seen {
+			if bindingKey(seen[i]) != bindingKey(all[i]) {
+				t.Fatalf("stop after %d: binding %d is %s, want %s", stop, i, bindingKey(seen[i]), bindingKey(all[i]))
+			}
 		}
 	}
-	if len(kept) > len(all) {
-		t.Fatalf("keep filter grew the result: %d > %d", len(kept), len(all))
+	if !EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(Binding) bool { return true }) {
+		t.Fatal("a stream fn never stopped reported a stop")
 	}
 
 	// A stale watermark larger than the relation (possible after an
 	// instance shrinks) clamps instead of panicking.
 	over := Delta{"R": 1 << 30, "S": 1 << 30}
-	if got := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: over}, Options{}, nil); len(got) != 0 {
+	if got := collectDelta(atoms, full, nil, DeltaSpec{Old: over}, Options{}); len(got) != 0 {
 		t.Fatalf("oversized watermark: got %d bindings, want none", len(got))
 	}
 }

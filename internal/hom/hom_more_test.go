@@ -128,10 +128,10 @@ func TestBlockHomExistsGroundBlock(t *testing.T) {
 	}
 	target := rel.NewInstance()
 	target.Add("E", rel.Const("a"), rel.Const("b"))
-	if !BlockHomExists(blocks[0], target, Options{}) {
+	if !blockHomExists(blocks[0], target, Options{}) {
 		t.Error("containment check failed")
 	}
-	if BlockHomExists(blocks[0], rel.NewInstance(), Options{}) {
+	if blockHomExists(blocks[0], rel.NewInstance(), Options{}) {
 		t.Error("empty target accepted")
 	}
 }

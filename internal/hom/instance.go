@@ -33,13 +33,6 @@ func FactAtom(f rel.Fact) dep.Atom { return factAtom(f) }
 // with the given label; it cannot collide with user variable names.
 func NullVar(id int) string { return nullVarName(id) }
 
-// BlockHomExists reports whether the block has a homomorphism into i
-// that is the identity on constants. Null-free blocks reduce to a
-// containment check.
-func BlockHomExists(block Block, i *rel.Instance, opts Options) bool {
-	return blockHomExists(block, i, opts)
-}
-
 func factAtom(f rel.Fact) dep.Atom {
 	args := make([]dep.Term, len(f.Args))
 	for i, v := range f.Args {

@@ -26,9 +26,10 @@ func TestCloneAllocsIndependentOfSize(t *testing.T) {
 
 // TestInsertAllocsLogarithmic: inserting n fresh tuples whose values
 // are new at every position allocates only when a container grows —
-// the tuple slice, the dedup table, ident and the position-index maps
-// — and nothing per tuple. A first-seen (position, value) pair gets a
-// window into ident rather than a list of its own. The bound is
+// the tuple slice, the dedup table, the shared identity array and the
+// position-index maps — and nothing per tuple. A first-seen (position,
+// value) pair gets a window into the identity array rather than a list
+// of its own. The bound is
 // 16·log2(n) allocations for n = 4096 (about 140 are taken; one list
 // per pair would be over 8,000). Go maps also split a table every
 // ~1,000 entries, so the count grows by about n/1024 besides.

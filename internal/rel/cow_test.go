@@ -21,9 +21,6 @@ func deepCopy(inst *Instance) *Instance {
 		r := newRelation(name, src.arity)
 		r.tuples = slices.Clone(src.tuples)
 		r.dead, r.nDead = slices.Clone(src.dead), src.nDead
-		for i := range r.tuples {
-			r.ident = append(r.ident, i)
-		}
 		r.reserveSlots(r.LiveLen())
 		for i, t := range r.tuples {
 			if !r.Live(i) {

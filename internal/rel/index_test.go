@@ -1,9 +1,11 @@
 package rel
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -244,10 +246,37 @@ func applyRelationOp(t *testing.T, br *byteReader, inst *Instance, model modelIn
 	}
 }
 
+// identLen returns the length of the shared identity array, 0 before
+// its first use.
+func identLen() int {
+	if p := ident.Load(); p != nil {
+		return len(*p)
+	}
+	return 0
+}
+
+// identBreaks counts the entries below n of the shared identity array
+// that do not hold their own index: a write into the array shows as a
+// nonzero count however far the array has grown since.
+func identBreaks(n int) int {
+	p := ident.Load()
+	if p == nil {
+		return 0
+	}
+	bad := 0
+	for i, x := range (*p)[:min(n, len(*p))] {
+		if x != i {
+			bad++
+		}
+	}
+	return bad
+}
+
 // relationArrays flattens every array the instance's relations can
 // reach — each full to its capacity, posting lists of base and own
-// alike — so a comparison catches writes into spare capacity as well
-// as into the live elements, and into lists a clone shares.
+// alike, and the shared identity array through identBreaks — so a
+// comparison catches writes into spare capacity as well as into the
+// live elements, and into lists a clone shares.
 func relationArrays(inst *Instance) []int {
 	var out []int
 	names := make([]string, 0, len(inst.rels))
@@ -260,7 +289,7 @@ func relationArrays(inst *Instance) []int {
 		for _, e := range r.slots[:cap(r.slots)] {
 			out = append(out, int(e))
 		}
-		out = append(out, r.ident[:cap(r.ident)]...)
+		out = append(out, identBreaks(r.Len()))
 		for p, idx := range r.posIndex {
 			for _, m := range []map[Value][]int{idx.base, idx.own} {
 				for _, v := range opsPool {
@@ -385,4 +414,30 @@ func FuzzRelationOps(f *testing.F) {
 		}
 		runRelationOps(t, ops, false)
 	})
+}
+
+// TestSharedIdentConcurrentGrowth: goroutines that each fill their own
+// relation with fresh values grow the shared identity array at the
+// same time, and every relation still ends up coherent: no window
+// points past the array it was cut from, and no array was written
+// after it was published.
+func TestSharedIdentConcurrentGrowth(t *testing.T) {
+	const workers, n = 4, 3000
+	insts := make([]*Instance, workers)
+	var wg sync.WaitGroup
+	for w := range insts {
+		inst := NewInstance()
+		insts[w] = inst
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				inst.Add("R", Const(fmt.Sprintf("w%d-%d", w, k)), Null(k))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, inst := range insts {
+		checkIndexCoherence(t, inst)
+	}
 }

@@ -8,14 +8,15 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
 // Relation is the extension of one relation symbol inside an instance:
 // a set of tuples with a fixed arity, plus indexes that accelerate
-// trigger and homomorphism search. The dedup table and ident are
-// pointer-free arrays, which the GC does not scan, and indexing a tuple
-// allocates no per-tuple object.
+// trigger and homomorphism search. The dedup table is a pointer-free
+// array, which the GC does not scan, and indexing a tuple allocates no
+// per-tuple object.
 type Relation struct {
 	name   string
 	arity  int
@@ -34,16 +35,11 @@ type Relation struct {
 	// posIndex[i] maps a value to the ascending indexes of the live
 	// tuples carrying that value at position i (see postings). A value
 	// carried by one tuple gets no list of its own: its entry is the
-	// cap-1 window ident[idx:idx+1:idx+1], and any append to it copies
-	// first. Lists hold live indexes only: mergeValue removes
-	// tombstoned tuples from every list they belong to.
+	// cap-1 window singleton(idx) into the shared identity array, and
+	// any append to it copies first. Lists hold live indexes only:
+	// mergeValue removes tombstoned tuples from every list they belong
+	// to.
 	posIndex []postings
-
-	// ident holds ident[i] == i for every i < len(ident), and
-	// len(ident) >= len(tuples). Singleton lists are windows into it.
-	// It only ever grows by appending, and clone hands the copy a
-	// cap-limited window, so no array is written after it is shared.
-	ident []int
 
 	// dead marks tuple slots tombstoned by mergeValue: a merge that
 	// makes two tuples collide keeps the earlier copy and tombstones
@@ -264,10 +260,37 @@ func (r *Relation) reserveSlots(n int) {
 	}
 }
 
+// ident is the identity array every relation's singleton posting
+// lists are windows into: ident[i] == i for every i. It grows by
+// replacement under identMu — a longer array is filled and published —
+// and a published array is never written, so windows into an older
+// array stay valid and readers need no lock.
+var (
+	ident   atomic.Pointer[[]int]
+	identMu sync.Mutex
+)
+
 // singleton returns the posting list holding just idx, a cap-1 window
-// into ident.
-func (r *Relation) singleton(idx int) []int {
-	return r.ident[idx : idx+1 : idx+1]
+// into the shared identity array.
+func singleton(idx int) []int {
+	if p := ident.Load(); p != nil && idx < len(*p) {
+		return (*p)[idx : idx+1 : idx+1]
+	}
+	identMu.Lock()
+	defer identMu.Unlock()
+	var cur []int
+	if p := ident.Load(); p != nil {
+		cur = *p
+	}
+	if idx >= len(cur) {
+		next := make([]int, max(2*len(cur), idx+1, 1024))
+		for i := range next {
+			next[i] = i
+		}
+		ident.Store(&next)
+		cur = next
+	}
+	return cur[idx : idx+1 : idx+1]
 }
 
 // setPosting stores lst, which must be private to r when it has more
@@ -284,7 +307,7 @@ func (r *Relation) setPosting(pos int, v Value, lst []int) {
 			delete(p.own, v)
 		}
 	case 1:
-		p.own[v] = r.singleton(lst[0])
+		p.own[v] = singleton(lst[0])
 	default:
 		p.own[v] = lst
 	}
@@ -294,8 +317,7 @@ func (r *Relation) setPosting(pos int, v Value, lst []int) {
 // panics when the relation is empty. Because tuple indexes grow
 // monotonically and position-index lists are append-only, the popped
 // tuple's index sits at the end of every list it belongs to, making the
-// removal O(arity). ident keeps its length, so pushing a tuple again
-// reuses its entry.
+// removal O(arity).
 func (r *Relation) popLast() Tuple {
 	n := len(r.tuples)
 	if n == 0 {
@@ -328,11 +350,10 @@ func (r *Relation) popLast() Tuple {
 // written again. The tuple slice and the dedup table are copied, the
 // tuple slice with room for the writes that follow. The position
 // indexes are forked (see postings.fork): the copy shares r's lists
-// and copies only r's own changes. ident is shared too, as a
-// cap-limited window, so neither copy ever writes a shared array. The
-// stored Tuple arrays are shared, which is safe because tuples are
-// never mutated in place once added (mergeValue replaces a rewritten
-// tuple, popLast only drops the last entry).
+// and copies only r's own changes. The stored Tuple arrays are shared,
+// which is safe because tuples are never mutated in place once added
+// (mergeValue replaces a rewritten tuple, popLast only drops the last
+// entry).
 func (r *Relation) clone() *Relation {
 	n := len(r.tuples)
 	c := &Relation{
@@ -341,7 +362,6 @@ func (r *Relation) clone() *Relation {
 		tuples:   append(make([]Tuple, 0, n+n/8+8), r.tuples...),
 		slots:    slices.Clone(r.slots),
 		posIndex: make([]postings, len(r.posIndex)),
-		ident:    r.ident[:len(r.ident):len(r.ident)],
 		nDead:    r.nDead,
 	}
 	if r.dead != nil {
@@ -373,14 +393,11 @@ func (r *Relation) insert(t Tuple, h uint64) {
 	r.reserveSlots(r.LiveLen() + 1)
 	r.tuples = append(r.tuples, t)
 	r.place(idx, h)
-	if len(r.ident) == idx {
-		r.ident = append(r.ident, idx)
-	}
 	for i, v := range t {
 		p := &r.posIndex[i]
 		switch lst, mine := p.get(v); {
 		case len(lst) == 0:
-			p.own[v] = r.singleton(idx)
+			p.own[v] = singleton(idx)
 		case mine:
 			p.own[v] = append(lst, idx)
 		default:
@@ -417,7 +434,7 @@ func (r *Relation) removeFromIndex(pos int, v Value, idx int) {
 func (r *Relation) insertIntoIndex(pos int, v Value, idx int) {
 	lst, mine := r.posIndex[pos].get(v)
 	if len(lst) == 0 {
-		r.setPosting(pos, v, r.singleton(idx))
+		r.setPosting(pos, v, singleton(idx))
 		return
 	}
 	if !mine {
@@ -659,8 +676,8 @@ func (inst *Instance) add(relName string, t Tuple, op string, copyTuple bool) bo
 }
 
 // Reserve pre-sizes the relation for n more tuples of the given
-// arity, creating it if absent: the tuple slice, the dedup table and
-// ident are grown once instead of incrementally, on both paths. The
+// arity, creating it if absent: the tuple slice and the dedup table
+// are grown once instead of incrementally, on both paths. The
 // position-index maps are pre-sized only for a new relation; an
 // existing relation's maps grow as tuples arrive. Loaders that know
 // tuple counts up front (the snapshot decoder) call it before
@@ -674,7 +691,6 @@ func (inst *Instance) Reserve(relName string, arity, n int) {
 			arity:    arity,
 			tuples:   make([]Tuple, 0, n),
 			slots:    make([]int32, tableSize(n)),
-			ident:    make([]int, 0, n),
 			posIndex: make([]postings, arity),
 		}
 		for i := range r.posIndex {
@@ -689,9 +705,6 @@ func (inst *Instance) Reserve(relName string, arity, n int) {
 	r := inst.own(relName, s)
 	r.tuples = slices.Grow(r.tuples, n)
 	r.reserveSlots(r.LiveLen() + n)
-	if want := len(r.tuples) + n; cap(r.ident) < want {
-		r.ident = slices.Grow(r.ident, want-len(r.ident))
-	}
 }
 
 // AddFact inserts the fact and reports whether it was newly added.
@@ -947,8 +960,10 @@ func (inst *Instance) scanNulls() bool {
 //
 // The result maps each relation to the sorted indexes of live tuples
 // whose content changed; relations without changes are absent. The
-// chase feeds these indexes to hom.EnumerateDeltaSpec so only bindings
-// touching a merged class are re-enumerated.
+// chase logs these indexes, and each dependency's next search — a tgd's
+// trigger collection or an egd's detection pass — hands those logged
+// since its mark to hom.EnumerateDeltaSpec, so only bindings touching a
+// merged class are re-enumerated.
 func (inst *Instance) MergeValue(from, to Value) map[string][]int {
 	inst.mutable("MergeValue")
 	if from == to {

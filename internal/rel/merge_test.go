@@ -138,8 +138,9 @@ func TestMergeValueMatchesReplaceValue(t *testing.T) {
 // checkIndexCoherence verifies that the dedup table and posIndex agree
 // exactly with the live tuples: every live tuple is found at its own
 // index, the table holds one entry per live tuple at a load of at most
-// one half, ident[i] == i, and every one-element posting list has cap
-// 1 so that no append can write into ident. The posting lists checked
+// one half, the shared identity array holds ident[i] == i and reaches
+// past every one-element posting list, and every such list has cap 1 so
+// that no append can write into ident. The posting lists checked
 // are the merged view MatchingAt reads (see postingView), and an empty
 // entry of own may only shadow a list of base.
 func checkIndexCoherence(t *testing.T, inst *Instance) {
@@ -179,13 +180,8 @@ func checkIndexCoherence(t *testing.T, inst *Instance) {
 		if n := len(r.slots); n&(n-1) != 0 || 2*entries > n {
 			t.Fatalf("%s: dedup table of %d slots holds %d entries", name, n, entries)
 		}
-		if len(r.ident) < r.Len() {
-			t.Fatalf("%s: ident has %d entries for %d tuple slots", name, len(r.ident), r.Len())
-		}
-		for i, x := range r.ident {
-			if x != i {
-				t.Fatalf("%s: ident[%d] = %d", name, i, x)
-			}
+		if n := identBreaks(identLen()); n != 0 {
+			t.Fatalf("%s: %d entries of the identity array do not hold their index", name, n)
 		}
 		for p := 0; p < r.Arity(); p++ {
 			for v, lst := range r.posIndex[p].own {
@@ -200,6 +196,9 @@ func checkIndexCoherence(t *testing.T, inst *Instance) {
 				}
 				if len(lst) == 1 && cap(lst) != 1 {
 					t.Fatalf("%s: singleton list for %v at %d has cap %d", name, v, p, cap(lst))
+				}
+				if len(lst) == 1 && lst[0] >= identLen() {
+					t.Fatalf("%s: singleton list for %v at %d holds %d, past the identity array's %d entries", name, v, p, lst[0], identLen())
 				}
 				total += len(lst)
 				for k, idx := range lst {
