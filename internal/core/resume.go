@@ -121,8 +121,8 @@ func newFacts(jcan *rel.Instance, prev *chase.Result) *rel.Instance {
 	delta := rel.NewInstance()
 	for _, name := range jcan.RelationNames() {
 		r, old := jcan.Relation(name), prev.Start.Relation(name)
-		for i, t := range r.Tuples() {
-			if r.Live(i) && (old == nil || !old.Contains(t)) {
+		for i := 0; i < r.Len(); i++ {
+			if t := r.TupleAt(i); r.Live(i) && (old == nil || !old.Contains(t)) {
 				delta.AddOwnedTuple(name, t)
 			}
 		}

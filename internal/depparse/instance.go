@@ -133,12 +133,12 @@ func FormatInstance(inst *rel.Instance) string {
 	starts := make([]int, 0, n+1)
 	for _, name := range inst.RelationNames() {
 		r := inst.Relation(name)
-		for i, t := range r.Tuples() {
+		for i := 0; i < r.Len(); i++ {
 			if !r.Live(i) {
 				continue
 			}
 			starts = append(starts, len(buf))
-			buf = appendFact(buf, name, t)
+			buf = appendFact(buf, name, r.TupleAt(i))
 		}
 	}
 	starts = append(starts, len(buf))

@@ -51,34 +51,42 @@ func Blocks(k *rel.Instance) []Block {
 		}
 	}
 
+	// The first pass unions each fact's nulls with its first one and
+	// counts the null-free facts; the second finds each fact's first
+	// null again to place the fact in its component's block.
 	facts := k.Facts()
-	factNulls := make([][]int, len(facts))
-	for i, f := range facts {
-		var nulls []int
-		seen := make(map[int]bool)
+	grounds := 0
+	for _, f := range facts {
+		first, ok := firstNull(f.Args)
+		if !ok {
+			grounds++
+			continue
+		}
 		for _, v := range f.Args {
-			if v.IsNull() && !seen[v.NullID()] {
-				seen[v.NullID()] = true
-				nulls = append(nulls, v.NullID())
+			if v.IsNull() {
+				union(first, v.NullID())
 			}
 		}
-		factNulls[i] = nulls
-		for j := 1; j < len(nulls); j++ {
-			union(nulls[0], nulls[j])
+	}
+	if grounds == len(facts) {
+		if len(facts) == 0 {
+			return nil
 		}
+		return []Block{{Facts: facts}}
 	}
 
 	groups := make(map[int]*Block)
 	var ground *Block
-	for i, f := range facts {
-		if len(factNulls[i]) == 0 {
-			if ground == nil {
-				ground = &Block{}
-			}
+	if grounds > 0 {
+		ground = &Block{Facts: make([]rel.Fact, 0, grounds)}
+	}
+	for _, f := range facts {
+		first, ok := firstNull(f.Args)
+		if !ok {
 			ground.Facts = append(ground.Facts, f)
 			continue
 		}
-		root := find(factNulls[i][0])
+		root := find(first)
 		b, ok := groups[root]
 		if !ok {
 			b = &Block{}
@@ -87,7 +95,7 @@ func Blocks(k *rel.Instance) []Block {
 		b.Facts = append(b.Facts, f)
 	}
 
-	var out []Block
+	out := make([]Block, 0, len(groups)+1)
 	roots := make([]int, 0, len(groups))
 	for r := range groups {
 		roots = append(roots, r)
@@ -102,6 +110,16 @@ func Blocks(k *rel.Instance) []Block {
 		out = append(out, *ground)
 	}
 	return out
+}
+
+// firstNull returns the label of the first null of args, if any.
+func firstNull(args rel.Tuple) (int, bool) {
+	for _, v := range args {
+		if v.IsNull() {
+			return v.NullID(), true
+		}
+	}
+	return 0, false
 }
 
 func blockNulls(facts []rel.Fact) []rel.Value {

@@ -1,6 +1,10 @@
 package hom
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -225,5 +229,115 @@ func TestProposition1Property(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// ReferenceBlocks is Blocks as first written, with a set of nulls kept
+// per fact, the reference the lean Blocks is compared against.
+func ReferenceBlocks(k *rel.Instance) []Block {
+	parent := make(map[int]int)
+	var find func(int) int
+	find = func(x int) int {
+		p, ok := parent[x]
+		if !ok {
+			parent[x] = x
+			return x
+		}
+		if p == x {
+			return x
+		}
+		root := find(p)
+		parent[x] = root
+		return root
+	}
+	union := func(a, b int) {
+		ra, rb := find(a), find(b)
+		if ra != rb {
+			parent[ra] = rb
+		}
+	}
+
+	facts := k.Facts()
+	factNulls := make([][]int, len(facts))
+	for i, f := range facts {
+		var nulls []int
+		seen := make(map[int]bool)
+		for _, v := range f.Args {
+			if v.IsNull() && !seen[v.NullID()] {
+				seen[v.NullID()] = true
+				nulls = append(nulls, v.NullID())
+			}
+		}
+		factNulls[i] = nulls
+		for j := 1; j < len(nulls); j++ {
+			union(nulls[0], nulls[j])
+		}
+	}
+
+	groups := make(map[int]*Block)
+	var ground *Block
+	for i, f := range facts {
+		if len(factNulls[i]) == 0 {
+			if ground == nil {
+				ground = &Block{}
+			}
+			ground.Facts = append(ground.Facts, f)
+			continue
+		}
+		root := find(factNulls[i][0])
+		b, ok := groups[root]
+		if !ok {
+			b = &Block{}
+			groups[root] = b
+		}
+		b.Facts = append(b.Facts, f)
+	}
+
+	var out []Block
+	roots := make([]int, 0, len(groups))
+	for r := range groups {
+		roots = append(roots, r)
+	}
+	sort.Ints(roots)
+	for _, r := range roots {
+		b := groups[r]
+		b.Nulls = blockNulls(b.Facts)
+		out = append(out, *b)
+	}
+	if ground != nil {
+		out = append(out, *ground)
+	}
+	return out
+}
+
+// TestBlocksMatchReference compares Blocks with ReferenceBlocks on
+// random instances whose facts carry shared, repeated and absent
+// nulls: the blocks, their order and the fact order inside each block
+// must agree.
+func TestBlocksMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	value := func(nulls int) rel.Value {
+		if rng.Intn(2) == 0 {
+			return rel.Null(1 + rng.Intn(nulls))
+		}
+		return rel.Const(fmt.Sprintf("c%d", rng.Intn(3)))
+	}
+	for trial := 0; trial < 500; trial++ {
+		inst := rel.NewInstance()
+		nulls := 1 + rng.Intn(12)
+		for n := rng.Intn(30); n > 0; n-- {
+			switch rng.Intn(4) {
+			case 0: // null-free
+				inst.Add("G", rel.Const(fmt.Sprintf("c%d", rng.Intn(5))), rel.Const("d"))
+			case 1: // one null, repeated
+				x := rel.Null(1 + rng.Intn(nulls))
+				inst.Add("R", x, value(nulls), x)
+			default:
+				inst.Add("R", value(nulls), value(nulls), value(nulls))
+			}
+		}
+		if got, want := Blocks(inst), ReferenceBlocks(inst); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Blocks\n%v\nreference\n%v", trial, got, want)
+		}
 	}
 }

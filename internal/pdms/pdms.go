@@ -201,7 +201,11 @@ func relationFacts(inst *rel.Instance, name string) []rel.Tuple {
 	if r == nil {
 		return nil
 	}
-	return r.Tuples()
+	out := make([]rel.Tuple, r.Len())
+	for i := range out {
+		out[i] = r.TupleAt(i)
+	}
+	return out
 }
 
 func containsTuple(tuples []rel.Tuple, t rel.Tuple) bool {

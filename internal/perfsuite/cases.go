@@ -34,8 +34,10 @@ func Cases() []Case {
 	}
 	cs = append(cs,
 		Case{"lav-chase/n=1600/delta", lavChase},
-		cacheHit("tractable-lav/n=1600/warm", false),
-		cacheHit("lav-resume/n=1600/append=16", true),
+		Case{"tractable-lav/n=1600/warm", warmVerdict},
+		lavResume("lav-resume/n=1600/append=16", 1600, 1),
+		lavResume("lav-resume/n=6400/append=16", 6400, 1),
+		lavResume("lav-resume-chain/n=1600/append=16x8", 1600, 8),
 		snapshotCase("snapshot-save/n=1600", false),
 		snapshotCase("snapshot-load/n=1600", true),
 		Case{"parse-instance/n=1600", parseInstance},
@@ -135,38 +137,57 @@ func lavChase() (Op, error) {
 	}, nil
 }
 
-// lavTrace is the LAV(1600) pair's canonical-instance trace.
-func lavTrace() (*core.Setting, *rel.Instance, *rel.Instance, *core.TractableTrace, error) {
-	s, i, j := acceptance("lav", 1600)
+// lavTrace is the LAV(n) pair's canonical-instance trace.
+func lavTrace(n int) (*core.Setting, *rel.Instance, *rel.Instance, *core.TractableTrace, error) {
+	s, i, j := acceptance("lav", n)
 	trace, err := core.ChaseCanonicalTractable(s, i, j, core.TractableOptions{})
 	return s, i, j, trace, err
 }
 
-// cacheHit runs on the trace pdxd's chase cache holds for the pair: the
-// verdict phase alone, as for a repeat /v1/exists-solution (the gap to
-// tractable-lav/n=1600/delta is what a hit saves), or with resume the
-// re-chase of a 16-person append, the migration pdxd runs per entry on
-// /v1/instances/{id}/append.
-func cacheHit(name string, resume bool) Case {
+// warmVerdict runs the verdict phase alone on the trace pdxd's chase
+// cache holds for the LAV(1600) pair, as for a repeat
+// /v1/exists-solution: the gap to tractable-lav/n=1600/delta is what a
+// hit saves.
+func warmVerdict() (Op, error) {
+	_, i, _, trace, err := lavTrace(1600)
+	if err != nil {
+		return nil, err
+	}
+	return func() (Counters, error) {
+		ok, _, err := core.ExistsSolutionTractableFrom(i, trace, core.TractableOptions{})
+		if err == nil && !ok {
+			err = errors.New("warm verdict rejected a solvable instance")
+		}
+		return Counters{}, err
+	}, nil
+}
+
+// lavResume re-chases the LAV(n) pair's trace for links appends of 16
+// fresh persons, each resumed from the trace the one before returned:
+// one link is the migration pdxd runs per cache entry on
+// /v1/instances/{id}/append, eight an append-write chain.
+func lavResume(name string, n, links int) Case {
 	return Case{name, func() (Op, error) {
-		s, i, _, trace, err := lavTrace()
+		s, _, _, trace, err := lavTrace(n)
 		if err != nil {
 			return nil, err
 		}
-		delta := workload.LAVAppend(16)
+		batches := make([]*rel.Instance, links)
+		for k := range batches {
+			batches[k] = workload.LAVAppendFrom(16*k, 16)
+		}
 		return func() (Counters, error) {
-			if resume {
-				next, resumed, _, err := core.ResumeCanonicalTractable(s, trace, delta, core.TractableOptions{})
+			var c Counters
+			cur := trace
+			for _, delta := range batches {
+				next, resumed, _, err := core.ResumeCanonicalTractable(s, cur, delta, core.TractableOptions{})
 				if err != nil || !resumed {
 					return Counters{}, fmt.Errorf("resumed=%v err=%v", resumed, err)
 				}
-				return Counters{Steps: next.StepsST + next.StepsTS}, nil
+				c.Steps += next.StepsST + next.StepsTS
+				cur = next
 			}
-			ok, _, err := core.ExistsSolutionTractableFrom(i, trace, core.TractableOptions{})
-			if err == nil && !ok {
-				err = errors.New("warm verdict rejected a solvable instance")
-			}
-			return Counters{}, err
+			return c, nil
 		}, nil
 	}}
 }
@@ -177,7 +198,7 @@ func cacheHit(name string, resume bool) Case {
 // warm-start price.
 func snapshotCase(name string, decode bool) Case {
 	return Case{name, func() (Op, error) {
-		_, i, j, trace, err := lavTrace()
+		_, i, j, trace, err := lavTrace(1600)
 		if err != nil {
 			return nil, err
 		}
@@ -277,7 +298,9 @@ func certainBatch() (Op, error) {
 		return nil, err
 	}
 	groups := map[string]string{}
-	for _, t := range i.Relation("Person").Tuples() {
+	person := i.Relation("Person")
+	for k := 0; k < person.Len(); k++ {
+		t := person.TupleAt(k)
 		groups[t[0].ConstText()] = t[1].ConstText()
 	}
 	plans := make([]*qplan.Plan, 256)

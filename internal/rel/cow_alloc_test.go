@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/rel"
@@ -51,22 +52,43 @@ func TestInsertAllocsLogarithmic(t *testing.T) {
 }
 
 // TestFirstWriteToSharedRelationAllocs: the first write to a shared
-// LAV Person relation copies the tuple slice and the dedup table and
-// nothing per tuple or per posting list: the copy shares the
-// relation's position indexes and keeps only the entries it changes
-// (see postings). It takes the same 11 allocations at LAV(200) as at
-// LAV(1600); copying every multi-element list took 36 and 178.
+// LAV Person relation copies nothing per tuple or per posting list:
+// the copy takes the relation's tuples and dedup table as its base and
+// shares its position indexes (see postings), keeping only what it
+// writes. It takes the same 10 allocations at LAV(200) as at
+// LAV(1600), and the same bytes within 10% (2,224 B) at LAV(200),
+// LAV(1600) and LAV(6400); copying the tuple slice and the table took
+// 9, 67 and 247 KB.
 func TestFirstWriteToSharedRelationAllocs(t *testing.T) {
-	allocs := func(n int) float64 {
+	const runs = 20
+	measure := func(n int) (allocs, bytes float64) {
 		i, _ := workload.LAVInstance(n, true, rand.New(rand.NewSource(1)))
 		fresh := rel.Const("fresh")
-		return testing.AllocsPerRun(5, func() {
+		write := func() {
 			c := i.Clone()
 			c.Add("Person", fresh, fresh)
-		})
+		}
+		allocs = testing.AllocsPerRun(5, write)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := 0; k < runs; k++ {
+			write()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	small, large := allocs(200), allocs(1600)
-	if small != large || large > 16 {
-		t.Fatalf("first write to a shared LAV Person relation takes %v allocations at n=200 and %v at n=1600, want equal and at most 16", small, large)
+	smallAllocs, small := measure(200)
+	largeAllocs, large := measure(1600)
+	if smallAllocs != largeAllocs || largeAllocs > 16 {
+		t.Fatalf("first write to a shared LAV Person relation takes %v allocations at n=200 and %v at n=1600, want equal and at most 16", smallAllocs, largeAllocs)
+	}
+	_, huge := measure(6400)
+	for _, m := range []struct {
+		n     int
+		bytes float64
+	}{{1600, large}, {6400, huge}} {
+		if m.bytes > 1.1*small || m.bytes < small/1.1 {
+			t.Fatalf("first write to a shared LAV Person relation takes %.0f B at n=%d and %.0f B at n=200, want equal within 10%%", m.bytes, m.n, small)
+		}
 	}
 }

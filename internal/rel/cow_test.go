@@ -10,8 +10,9 @@ import (
 )
 
 // deepCopy is the copy-on-write model's reference: an instance whose
-// relations are all rebuilt up front from their tuple slots and owned,
-// sharing no index with inst — the semantics Clone had before
+// relations are all rebuilt up front from their tuple slots, base and
+// tail alike, into flat relations it owns, sharing no tuple slice,
+// dedup table or index with inst — the semantics Clone had before
 // relations were shared. Slot indexes and tombstones are kept, so
 // MergeValue reports the same indexes on either side.
 func deepCopy(inst *Instance) *Instance {
@@ -19,7 +20,10 @@ func deepCopy(inst *Instance) *Instance {
 	for name, s := range inst.rels {
 		src := s.r
 		r := newRelation(name, src.arity)
-		r.tuples = slices.Clone(src.tuples)
+		r.tuples = make([]Tuple, src.Len())
+		for i := range r.tuples {
+			r.tuples[i] = src.TupleAt(i)
+		}
 		r.dead, r.nDead = slices.Clone(src.dead), src.nDead
 		r.reserveSlots(r.LiveLen())
 		for i, t := range r.tuples {
@@ -58,13 +62,15 @@ func cowTuple(rng *rand.Rand, arity int) Tuple {
 // steps interleaved with every write (AddTuple, AddOwnedTuple, Reserve,
 // RemoveLastTuple, MergeValue) on sources and copies alike, and after
 // every step compares each instance's facts with a model that deep
-// copies instead of sharing. A chain step clones 2–4 times in a row,
+// copies instead of sharing. A chain step clones 2–10 times in a row,
 // writing each clone before cloning it again, so copies of copies fork
-// postings that are themselves forked and flattened. A write leaking
-// into an instance that shares the relation shows up as a mismatch or
-// as incoherent indexes.
+// postings that are themselves forked and flattened, and overlays grow
+// tails past half of their base. A write leaking into an instance that
+// shares the relation shows up as a mismatch or as incoherent indexes.
+// Between them the seeds must reach every overlay path.
 func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 	names := []string{"R", "S", "T"}
+	var cov overlayCoverage
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cow := []*Instance{NewInstance()}
@@ -114,14 +120,14 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 					if r == nil || r.Len() == 0 || r.nDead > 0 {
 						return
 					}
-					if got, want := c.RemoveLastTuple(name), m.RemoveLastTuple(name); !reflect.DeepEqual(got, want) {
+					if got, want := cov.removeLast(c, name), m.RemoveLastTuple(name); !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d step %d: RemoveLastTuple = %v, model %v", seed, step, got, want)
 					}
 					wrote = []string{name}
 				case 4:
 					op = "MergeValue"
 					from, to := Null(1+rng.Intn(4)), cowValue(rng)
-					got, want := c.MergeValue(from, to), m.MergeValue(from, to)
+					got, want := cov.mergeValue(c, from, to), m.MergeValue(from, to)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d step %d: MergeValue = %v, model %v", seed, step, got, want)
 					}
@@ -161,7 +167,7 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 				c.Freeze()
 				m.Freeze()
 			case 4:
-				for depth := 2 + rng.Intn(3); depth > 0; depth-- {
+				for depth := 2 + rng.Intn(9); depth > 0; depth-- {
 					c, m = c.Clone(), deepCopy(m)
 					cow, model = append(cow, c), append(model, m)
 					for n := 1 + rng.Intn(3); n > 0; n-- {
@@ -184,6 +190,10 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 			}
 		}
 	}
+	if cov.pastThreshold == 0 || cov.mergeBelow == 0 || cov.tombstoneBelow == 0 || cov.popBelow == 0 {
+		t.Fatalf("the random steps missed an overlay path: %+v", cov)
+	}
+	t.Logf("overlay paths reached: %+v", cov)
 }
 
 // TestCloneOfFrozenWritesNothing: cloning, restricting or uniting a
@@ -246,4 +256,55 @@ func TestOnlyFirstShareWrites(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestConcurrentWritesToClonesOfFrozenBase: eight goroutines each
+// clone one frozen instance and write their clone — appends into the
+// tail, a merge inside the tail, a clone of the clone, and a merge
+// that rewrites base tuples and so flattens — while all of them read
+// the base's tuples and dedup table. Under -race any write into the
+// shared arrays is reported; without it, every clone must still match
+// a model written alone and the base must keep its facts.
+func TestConcurrentWritesToClonesOfFrozenBase(t *testing.T) {
+	base := NewInstance()
+	for k := 0; k < 2000; k++ {
+		base.Add("R", Const(fmt.Sprintf("c%d", k)), Null(k%100))
+	}
+	base.Freeze()
+	want := base.Facts()
+	// write writes inst and returns the clone of it it wrote last.
+	write := func(inst *Instance, g int) *Instance {
+		for k := 0; k < 50; k++ {
+			inst.Add("R", Const(fmt.Sprintf("g%d-%d", g, k)), Null(1000+g*10+k%10))
+		}
+		inst.MergeValue(Null(1000+g*10), Null(1000+g*10+1))
+		c := inst.Clone()
+		c.Add("R", Const(fmt.Sprintf("g%d-late", g)), Null(g))
+		c.MergeValue(Null(g), Const(fmt.Sprintf("m%d", g)))
+		return c
+	}
+	var wg sync.WaitGroup
+	got := make([][2]*Instance, 8)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := base.Clone()
+			got[g] = [2]*Instance{c, write(c, g)}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(base.Facts(), want) {
+		t.Fatal("writes to clones changed the frozen base")
+	}
+	for g, insts := range got {
+		m := deepCopy(base)
+		models := [2]*Instance{m, write(m, g)}
+		for k, inst := range insts {
+			if !reflect.DeepEqual(inst.Facts(), models[k].Facts()) {
+				t.Fatalf("goroutine %d: clone %d diverged from its model", g, k)
+			}
+			checkIndexCoherence(t, inst)
+		}
+	}
 }

@@ -140,19 +140,136 @@ type lineage struct {
 	arrays []int
 }
 
+// overlayCoverage counts the overlay paths a run reached: writes that
+// copied an overlay whose tail had passed half of its base, so the copy
+// was flattened, and merge rewrites, tombstones and pops that landed
+// below len(base), so the write flattened first.
+type overlayCoverage struct {
+	pastThreshold, mergeBelow, tombstoneBelow, popBelow int
+}
+
+func (c *overlayCoverage) add(o overlayCoverage) {
+	c.pastThreshold += o.pastThreshold
+	c.mergeBelow += o.mergeBelow
+	c.tombstoneBelow += o.tombstoneBelow
+	c.popBelow += o.popBelow
+}
+
+// writeBase returns len(base) of the relation a write to name lands
+// in — the relation itself when inst owns it, else the copy clone
+// makes of it — and counts a copy flattened past the threshold.
+func (c *overlayCoverage) writeBase(inst *Instance, name string) int {
+	s, ok := inst.rels[name]
+	switch {
+	case !ok:
+		return 0
+	case s.owned:
+		return len(s.r.base)
+	case s.r.nDead > 0:
+		return 0
+	case len(s.r.base) == 0:
+		return len(s.r.tuples)
+	case 2*len(s.r.tuples) > len(s.r.base):
+		c.pastThreshold++
+		return 0
+	}
+	return len(s.r.base)
+}
+
+// mergeValue runs inst.MergeValue(from, to) and counts the overlay
+// paths it reaches.
+func (c *overlayCoverage) mergeValue(inst *Instance, from, to Value) map[string][]int {
+	if from == to {
+		return inst.MergeValue(from, to)
+	}
+	rewritten, live := slotsWith(inst, from), liveSlots(inst)
+	bases := make(map[string]int, len(rewritten))
+	for name := range rewritten {
+		bases[name] = c.writeBase(inst, name)
+	}
+	got := inst.MergeValue(from, to)
+	for name, base := range bases {
+		if rewritten[name][0] < base {
+			c.mergeBelow++
+		}
+		r := inst.Relation(name)
+		for i := 0; i < base; i++ {
+			if live[name][i] && !r.Live(i) {
+				c.tombstoneBelow++
+				break
+			}
+		}
+	}
+	return got
+}
+
+// removeLast runs inst.RemoveLastTuple(name) and counts a pop below
+// len(base).
+func (c *overlayCoverage) removeLast(inst *Instance, name string) Tuple {
+	if inst.Relation(name).Len() <= c.writeBase(inst, name) {
+		c.popBelow++
+	}
+	return inst.RemoveLastTuple(name)
+}
+
+// slotsWith returns, per relation of inst, the ascending live slots
+// whose tuple carries v.
+func slotsWith(inst *Instance, v Value) map[string][]int {
+	out := map[string][]int{}
+	for name, s := range inst.rels {
+		for i := 0; i < s.r.Len(); i++ {
+			if s.r.Live(i) && slices.Contains(s.r.TupleAt(i), v) {
+				out[name] = append(out[name], i)
+			}
+		}
+	}
+	return out
+}
+
+// liveSlots returns, per relation of inst, which slots are live.
+func liveSlots(inst *Instance) map[string][]bool {
+	out := map[string][]bool{}
+	for name, s := range inst.rels {
+		for i := 0; i < s.r.Len(); i++ {
+			out[name] = append(out[name], s.r.Live(i))
+		}
+	}
+	return out
+}
+
 // runRelationOps applies the op sequence encoded in ops to a fresh
 // instance and a model and checks the two against each other: after
 // every step when everyStep is set, else at the end and around each
 // clone. A clone step writes the clone one to three times and may go
 // on with it, so clones of written clones make chains up to four
-// ancestors deep; none of the ancestors may change.
-func runRelationOps(t *testing.T, ops []byte, everyStep bool) {
+// ancestors deep; none of the ancestors may change. A chain step
+// clones and writes the current instance four to eleven times in a
+// row, carrying an overlay's tail past half of its base. It returns
+// the overlay paths the run reached.
+func runRelationOps(t *testing.T, ops []byte, everyStep bool) overlayCoverage {
 	t.Helper()
+	var cov overlayCoverage
 	br := &byteReader{b: ops}
 	inst, model := NewInstance(), make(modelInstance)
 	var ancestors []lineage // oldest first
 	for step := 0; len(br.b) > 0; step++ {
-		if br.next()%8 == 7 {
+		switch op := br.next() % 16; {
+		case op == 14:
+			for n := 4 + br.next()%8; n > 0; n-- {
+				c, cm := inst.Clone(), model.clone()
+				if ancestors = append(ancestors, lineage{inst, model, relationArrays(inst)}); len(ancestors) > 4 {
+					ancestors = ancestors[1:]
+				}
+				applyRelationOp(t, br, c, cm, &cov)
+				inst, model = c, cm
+			}
+			for _, a := range ancestors {
+				if !slices.Equal(a.arrays, relationArrays(a.inst)) {
+					t.Fatalf("step %d: a write along a chain of clones changed the arrays of an instance it descends from", step)
+				}
+				checkAgainstModel(t, step, a.inst, a.model)
+			}
+		case op >= 12:
 			// Clone, write through the clone, and check that the
 			// writes left the source and its ancestors alone — spare
 			// capacity included, so a write into an array they share
@@ -160,7 +277,7 @@ func runRelationOps(t *testing.T, ops []byte, everyStep bool) {
 			c, cm := inst.Clone(), model.clone()
 			src := lineage{inst, model, relationArrays(inst)}
 			for n := 1 + br.next()%3; n > 0; n-- {
-				applyRelationOp(t, br, c, cm)
+				applyRelationOp(t, br, c, cm, &cov)
 			}
 			for _, a := range append(ancestors, src) {
 				if !slices.Equal(a.arrays, relationArrays(a.inst)) {
@@ -174,17 +291,19 @@ func runRelationOps(t *testing.T, ops []byte, everyStep bool) {
 				}
 				inst, model = c, cm
 			}
-		} else {
-			applyRelationOp(t, br, inst, model)
+		default:
+			applyRelationOp(t, br, inst, model, &cov)
 		}
 		if everyStep || len(br.b) == 0 {
 			checkAgainstModel(t, step, inst, model)
 		}
 	}
+	return cov
 }
 
-// applyRelationOp decodes one write and applies it to inst and model.
-func applyRelationOp(t *testing.T, br *byteReader, inst *Instance, model modelInstance) {
+// applyRelationOp decodes one write, applies it to inst and model, and
+// counts the overlay paths it reaches into cov.
+func applyRelationOp(t *testing.T, br *byteReader, inst *Instance, model modelInstance, cov *overlayCoverage) {
 	t.Helper()
 	spec := opsRels[br.next()%len(opsRels)]
 	name := spec.name
@@ -222,7 +341,7 @@ func applyRelationOp(t *testing.T, br *byteReader, inst *Instance, model modelIn
 			return
 		}
 		want := model.popLast(name)
-		if got := inst.RemoveLastTuple(name); !slices.Equal(got, want) {
+		if got := cov.removeLast(inst, name); !slices.Equal(got, want) {
 			t.Fatalf("RemoveLastTuple(%s) = %v, model says %v", name, got, want)
 		}
 	case 4: // MergeValue
@@ -231,7 +350,7 @@ func applyRelationOp(t *testing.T, br *byteReader, inst *Instance, model modelIn
 			return
 		}
 		want := model.merge(from, to)
-		got := inst.MergeValue(from, to)
+		got := cov.mergeValue(inst, from, to)
 		if len(got) != len(want) {
 			t.Fatalf("MergeValue(%v, %v) changed %v, model says %v", from, to, got, want)
 		}
@@ -286,8 +405,11 @@ func relationArrays(inst *Instance) []int {
 	sort.Strings(names)
 	for _, name := range names {
 		r := inst.rels[name].r
-		for _, e := range r.slots[:cap(r.slots)] {
-			out = append(out, int(e))
+		for _, slots := range [][]int32{r.baseSlots, r.slots} {
+			out = append(out, -1)
+			for _, e := range slots[:cap(slots)] {
+				out = append(out, int(e))
+			}
 		}
 		out = append(out, identBreaks(r.Len()))
 		for p, idx := range r.posIndex {
@@ -386,14 +508,19 @@ func checkAgainstModel(t *testing.T, step int, inst *Instance, model modelInstan
 }
 
 // TestRelationOpsMatchModel runs random op sequences through
-// runRelationOps.
+// runRelationOps, which between them must reach every overlay path.
 func TestRelationOpsMatchModel(t *testing.T) {
+	var cov overlayCoverage
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 300+rng.Intn(900))
 		rng.Read(ops)
-		runRelationOps(t, ops, true)
+		cov.add(runRelationOps(t, ops, true))
 	}
+	if cov.pastThreshold == 0 || cov.mergeBelow == 0 || cov.tombstoneBelow == 0 || cov.popBelow == 0 {
+		t.Fatalf("the op sequences missed an overlay path: %+v", cov)
+	}
+	t.Logf("overlay paths reached: %+v", cov)
 }
 
 // FuzzRelationOps decodes the fuzz input as an op sequence for

@@ -18,18 +18,31 @@ import (
 // array, which the GC does not scan, and indexing a tuple allocates no
 // per-tuple object.
 type Relation struct {
-	name   string
-	arity  int
-	tuples []Tuple
+	name  string
+	arity int
+
+	// base and baseSlots are the tuples and the dedup table of the
+	// relation this one was cloned from, shared read-only with it and
+	// with its other clones and never written: base is a cap-limited
+	// window of its tuple slice, and baseSlots its dedup table over
+	// exactly those indexes. tuples holds this relation's own tail, at
+	// indexes len(base)…, and slots is the dedup table of the tail
+	// alone. A relation built from scratch, or flattened, has neither.
+	// Every tuple of base is live: a relation with tombstones is cloned
+	// flat, and a write below len(base) flattens first (see flatten).
+	base      []Tuple
+	baseSlots []int32
+	tuples    []Tuple
 
 	// slots is the dedup table: open addressing with linear probing
 	// over tuple indexes, each stored as index+1 so that 0 marks an
 	// empty slot. Its length is a power of two and at least twice the
-	// number of entries, one per live tuple. A tuple is hashed by
-	// hashTuple and compared against r.tuples[slot], so the table
-	// stores no key; deletion shifts the rest of the probe cluster
-	// back instead of leaving tombstones. Nothing reads the table in
-	// slot order except clone, which copies it whole.
+	// number of entries, one per live tuple of the tail. A tuple is
+	// hashed by hashTuple and compared against the tuple at the slot's
+	// index, so the table stores no key; deletion shifts the rest of
+	// the probe cluster back instead of leaving tombstones. Nothing
+	// reads the table in slot order except clone and flatten, which
+	// copy it whole.
 	slots []int32
 
 	// posIndex[i] maps a value to the ascending indexes of the live
@@ -162,20 +175,16 @@ func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of tuple slots, including tombstoned ones.
 // Tuple indexes range over [0, Len); use Live to skip dead slots.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return len(r.base) + len(r.tuples) }
 
 // LiveLen returns the number of live (non-tombstoned) tuples.
-func (r *Relation) LiveLen() int { return len(r.tuples) - r.nDead }
+func (r *Relation) LiveLen() int { return r.Len() - r.nDead }
 
 // Live reports whether the tuple slot at index i is live, i.e. not
 // tombstoned by a merge.
 func (r *Relation) Live(i int) bool {
 	return i >= len(r.dead) || !r.dead[i]
 }
-
-// Tuples returns the relation's tuples. The returned slice and its
-// tuples are owned by the relation and must not be mutated.
-func (r *Relation) Tuples() []Tuple { return r.tuples }
 
 // Contains reports whether the tuple is present.
 func (r *Relation) Contains(t Tuple) bool {
@@ -189,45 +198,64 @@ func (r *Relation) MatchingAt(i int, v Value) []int {
 	return lst
 }
 
-// TupleAt returns the tuple at the given index.
-func (r *Relation) TupleAt(i int) Tuple { return r.tuples[i] }
+// TupleAt returns the tuple at the given index. The tuple is owned by
+// the relation and must not be mutated.
+func (r *Relation) TupleAt(i int) Tuple {
+	if i < len(r.base) {
+		return r.base[i]
+	}
+	return r.tuples[i-len(r.base)]
+}
 
 // find returns the index of the live tuple equal to t, whose hash is
 // h, or -1 when the relation does not hold t.
 func (r *Relation) find(t Tuple, h uint64) int {
+	if len(r.baseSlots) > 0 {
+		if i := probe(r.baseSlots, r.base, 0, t, h); i >= 0 {
+			return i
+		}
+	}
 	if len(r.slots) == 0 {
 		return -1
 	}
-	mask := len(r.slots) - 1
+	return probe(r.slots, r.tuples, len(r.base), t, h)
+}
+
+// probe looks up t, whose hash is h, in the nonempty dedup table slots
+// over tuples, whose first element has index off, and returns its
+// index or -1.
+func probe(slots []int32, tuples []Tuple, off int, t Tuple, h uint64) int {
+	mask := len(slots) - 1
 	for s := int(h) & mask; ; s = (s + 1) & mask {
-		e := r.slots[s]
+		e := int(slots[s])
 		if e == 0 {
 			return -1
 		}
-		if slices.Equal(r.tuples[e-1], t) {
-			return int(e - 1)
+		if slices.Equal(tuples[e-1-off], t) {
+			return e - 1
 		}
 	}
 }
 
 // place enters tuple index idx, whose tuple hashes to h and is absent
-// from the table, into a table with room for it.
-func (r *Relation) place(idx int, h uint64) {
-	mask := len(r.slots) - 1
+// from the dedup table slots, into it; the table has room for it.
+func place(slots []int32, idx int, h uint64) {
+	mask := len(slots) - 1
 	s := int(h) & mask
-	for r.slots[s] != 0 {
+	for slots[s] != 0 {
 		s = (s + 1) & mask
 	}
-	r.slots[s] = int32(idx + 1)
+	slots[s] = int32(idx + 1)
 }
 
-// unindex removes tuple index idx from the dedup table. r.tuples[idx]
-// must still hold the content idx was entered under. The entries after
-// it in its probe cluster shift back, each into the first free slot
-// its own probe sequence reaches, so lookups never need tombstones.
+// unindex removes tuple index idx, which lies in the tail, from the
+// dedup table. The tuple at idx must still hold the content idx was
+// entered under. The entries after it in its probe cluster shift back,
+// each into the first free slot its own probe sequence reaches, so
+// lookups never need tombstones.
 func (r *Relation) unindex(idx int) {
 	mask := len(r.slots) - 1
-	s := int(hashTuple(r.tuples[idx])) & mask
+	s := int(hashTuple(r.TupleAt(idx))) & mask
 	for int(r.slots[s]) != idx+1 {
 		if r.slots[s] == 0 {
 			panic("rel: dedup table corrupted during removal")
@@ -235,7 +263,7 @@ func (r *Relation) unindex(idx int) {
 		s = (s + 1) & mask
 	}
 	for j := (s + 1) & mask; r.slots[j] != 0; j = (j + 1) & mask {
-		home := int(hashTuple(r.tuples[r.slots[j]-1])) & mask
+		home := int(hashTuple(r.TupleAt(int(r.slots[j]-1)))) & mask
 		// The entry at j may move to the hole at s unless its home
 		// lies cyclically in (s, j].
 		if (s < j && (home <= s || home > j)) || (s > j && home <= s && home > j) {
@@ -246,19 +274,23 @@ func (r *Relation) unindex(idx int) {
 	r.slots[s] = 0
 }
 
-// reserveSlots grows the dedup table to hold n entries, re-entering
-// every live tuple when it grows.
+// reserveSlots grows the dedup table of the tail to hold n entries,
+// re-entering every live tuple of the tail when it grows.
 func (r *Relation) reserveSlots(n int) {
 	if 2*n <= len(r.slots) {
 		return
 	}
 	r.slots = make([]int32, tableSize(n))
-	for i, t := range r.tuples {
-		if r.Live(i) {
-			r.place(i, hashTuple(t))
+	for k, t := range r.tuples {
+		if i := len(r.base) + k; r.Live(i) {
+			place(r.slots, i, hashTuple(t))
 		}
 	}
 }
+
+// tailLive returns the number of live tuples in the tail, the entries
+// of its dedup table. Every tombstone lies in the tail.
+func (r *Relation) tailLive() int { return len(r.tuples) - r.nDead }
 
 // ident is the identity array every relation's singleton posting
 // lists are windows into: ident[i] == i for every i. It grows by
@@ -319,7 +351,7 @@ func (r *Relation) setPosting(pos int, v Value, lst []int) {
 // tuple's index sits at the end of every list it belongs to, making the
 // removal O(arity).
 func (r *Relation) popLast() Tuple {
-	n := len(r.tuples)
+	n := r.Len()
 	if n == 0 {
 		panic("rel: popLast on empty relation")
 	}
@@ -328,9 +360,12 @@ func (r *Relation) popLast() Tuple {
 		// relations; refusing keeps the LIFO index argument intact.
 		panic("rel: popLast on relation with tombstoned tuples")
 	}
-	t := r.tuples[n-1]
+	if len(r.tuples) == 0 {
+		r.flatten()
+	}
+	t := r.tuples[len(r.tuples)-1]
 	r.unindex(n - 1)
-	r.tuples = r.tuples[:n-1]
+	r.tuples = r.tuples[:len(r.tuples)-1]
 	for i, v := range t {
 		lst, mine := r.posIndex[i].get(v)
 		if len(lst) == 0 || lst[len(lst)-1] != n-1 {
@@ -347,30 +382,86 @@ func (r *Relation) popLast() Tuple {
 
 // clone returns a copy of the relation, made when an instance first
 // writes a relation it shares (see Instance.own); r itself is never
-// written again. The tuple slice and the dedup table are copied, the
-// tuple slice with room for the writes that follow. The position
-// indexes are forked (see postings.fork): the copy shares r's lists
-// and copies only r's own changes. The stored Tuple arrays are shared,
-// which is safe because tuples are never mutated in place once added
-// (mergeValue replaces a rewritten tuple, popLast only drops the last
-// entry).
+// written again. The tuples and the dedup table follow postings.fork's
+// rule: the copy of a flat r takes r's tuples and table as its base,
+// in O(1); the copy of an overlay shares r's base and copies only r's
+// tail and tail table; and once the tail passes half of base, or when
+// r holds tombstones, the copy is flattened into one fresh slice and
+// table. A chain of clones that each append a batch therefore copies
+// no more than its batches between two flattenings. The position
+// indexes are forked (see postings.fork). The stored Tuple arrays are
+// shared, which is safe because tuples are never mutated in place once
+// added (mergeValue replaces a rewritten tuple, popLast only drops the
+// last entry).
 func (r *Relation) clone() *Relation {
-	n := len(r.tuples)
 	c := &Relation{
 		name:     r.name,
 		arity:    r.arity,
-		tuples:   append(make([]Tuple, 0, n+n/8+8), r.tuples...),
-		slots:    slices.Clone(r.slots),
 		posIndex: make([]postings, len(r.posIndex)),
-		nDead:    r.nDead,
-	}
-	if r.dead != nil {
-		c.dead = slices.Clone(r.dead)
 	}
 	for i := range r.posIndex {
 		c.posIndex[i] = r.posIndex[i].fork()
 	}
+	switch {
+	case r.nDead > 0 || (len(r.base) > 0 && 2*len(r.tuples) > len(r.base)):
+		c.tuples, c.slots = r.flatCopy()
+		c.dead, c.nDead = slices.Clone(r.dead), r.nDead
+	case len(r.base) == 0:
+		n := len(r.tuples)
+		c.base, c.baseSlots = r.tuples[:n:n], r.slots
+		c.tuples, c.slots = make([]Tuple, 0, tailRoom), make([]int32, tableSize(tailRoom))
+	default:
+		c.base, c.baseSlots = r.base, r.baseSlots
+		c.tuples = withRoom(len(r.tuples), r.tuples)
+		c.slots = slices.Clone(r.slots)
+	}
 	return c
+}
+
+// tailRoom is the number of tuples a clone has room for before its
+// tuple slice or dedup table first grows: a batch of appends takes one
+// allocation of each, not one per doubling.
+const tailRoom = 32
+
+// withRoom returns the concatenation of parts, which hold n tuples, in
+// a fresh slice with room for the writes that follow.
+func withRoom(n int, parts ...[]Tuple) []Tuple {
+	out := make([]Tuple, 0, n+n/8+tailRoom)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// flatCopy returns every tuple slot of r in one fresh slice and a fresh
+// dedup table over all of them. It copies base's table and enters the
+// tail into it when that table is large enough, and otherwise enters
+// every live tuple anew.
+func (r *Relation) flatCopy() ([]Tuple, []int32) {
+	n := r.Len()
+	tuples := withRoom(n, r.base, r.tuples)
+	if len(r.base) == 0 {
+		return tuples, slices.Clone(r.slots)
+	}
+	slots := make([]int32, max(len(r.baseSlots), tableSize(n-r.nDead)))
+	from := 0
+	if len(slots) == len(r.baseSlots) {
+		copy(slots, r.baseSlots)
+		from = len(r.base)
+	}
+	for i := from; i < n; i++ {
+		if r.Live(i) {
+			place(slots, i, hashTuple(tuples[i]))
+		}
+	}
+	return tuples, slots
+}
+
+// flatten turns an overlay into a flat relation holding the same
+// tuples at the same indexes, before a write below len(base).
+func (r *Relation) flatten() {
+	r.tuples, r.slots = r.flatCopy()
+	r.base, r.baseSlots = nil, nil
 }
 
 // addOwned inserts t unless it is already present, storing t itself:
@@ -386,13 +477,13 @@ func (r *Relation) addOwned(t Tuple) bool {
 
 // insert appends t, which hashes to h and is absent, and indexes it.
 func (r *Relation) insert(t Tuple, h uint64) {
-	idx := len(r.tuples)
+	idx := r.Len()
 	if idx >= math.MaxInt32 {
 		panic("rel: relation " + r.name + " exceeds the dedup table's index range")
 	}
-	r.reserveSlots(r.LiveLen() + 1)
+	r.reserveSlots(r.tailLive() + 1)
 	r.tuples = append(r.tuples, t)
-	r.place(idx, h)
+	place(r.slots, idx, h)
 	for i, v := range t {
 		p := &r.posIndex[i]
 		switch lst, mine := p.get(v); {
@@ -447,16 +538,16 @@ func (r *Relation) insertIntoIndex(pos int, v Value, idx int) {
 	r.setPosting(pos, v, lst)
 }
 
-// tombstone marks the tuple slot at idx dead, removing its
-// position-index entries so lookups never see it; the slot itself
-// stays so later tuples keep their indexes. The caller has already
-// removed idx from the dedup table.
+// tombstone marks the tuple slot at idx, which lies in the tail, dead,
+// removing its position-index entries so lookups never see it; the
+// slot itself stays so later tuples keep their indexes. The caller has
+// already removed idx from the dedup table.
 func (r *Relation) tombstone(idx int) {
-	for i, v := range r.tuples[idx] {
+	for i, v := range r.TupleAt(idx) {
 		r.removeFromIndex(i, v, idx)
 	}
-	if len(r.dead) < len(r.tuples) {
-		grown := make([]bool, len(r.tuples))
+	if n := r.Len(); len(r.dead) < n {
+		grown := make([]bool, n)
 		copy(grown, r.dead)
 		r.dead = grown
 	}
@@ -480,7 +571,10 @@ func (r *Relation) holds(v Value) bool {
 // exactly the first-occurrence-wins dedup a full rebuild (MapValues)
 // performs, so the surviving tuples and their relative order match the
 // rebuild byte for byte, while surviving indexes stay put. It returns
-// the sorted indexes of live tuples whose content changed.
+// the sorted indexes of live tuples whose content changed. A rewrite
+// below len(base) flattens the relation first; every other write lands
+// in the tail, since a colliding tuple that dies lies past the one
+// rewritten.
 func (r *Relation) mergeValue(from, to Value) []int {
 	var affected []int
 	for i := 0; i < r.arity; i++ {
@@ -490,6 +584,9 @@ func (r *Relation) mergeValue(from, to Value) []int {
 		return nil
 	}
 	sort.Ints(affected)
+	if affected[0] < len(r.base) {
+		r.flatten()
+	}
 	changed := make([]int, 0, len(affected))
 	prev := -1
 	for _, idx := range affected {
@@ -497,14 +594,14 @@ func (r *Relation) mergeValue(from, to Value) []int {
 			continue
 		}
 		prev = idx
-		old := r.tuples[idx]
+		old := r.TupleAt(idx)
 		neu := old.Clone()
 		for i, v := range neu {
 			if v == from {
 				neu[i] = to
 			}
 		}
-		r.unindex(idx) // while r.tuples[idx] still holds old
+		r.unindex(idx) // while the tuple at idx still holds old
 		h := hashTuple(neu)
 		if j := r.find(neu, h); j >= 0 {
 			if j < idx {
@@ -516,8 +613,8 @@ func (r *Relation) mergeValue(from, to Value) []int {
 			r.unindex(j)
 			r.tombstone(j)
 		}
-		r.tuples[idx] = neu
-		r.place(idx, h)
+		r.tuples[idx-len(r.base)] = neu
+		place(r.slots, idx, h)
 		for i, v := range old {
 			if v == from {
 				r.removeFromIndex(i, v, idx)
@@ -704,7 +801,7 @@ func (inst *Instance) Reserve(relName string, arity, n int) {
 	}
 	r := inst.own(relName, s)
 	r.tuples = slices.Grow(r.tuples, n)
-	r.reserveSlots(r.LiveLen() + n)
+	r.reserveSlots(r.tailLive() + n)
 }
 
 // AddFact inserts the fact and reports whether it was newly added.
@@ -727,8 +824,8 @@ func (inst *Instance) AddAll(other *Instance) int {
 // to the named relation and returns how many were new.
 func (inst *Instance) addLive(name string, r *Relation) int {
 	n := 0
-	for i, t := range r.tuples {
-		if r.Live(i) && inst.add(name, t, "AddAll", false) {
+	for i := 0; i < r.Len(); i++ {
+		if r.Live(i) && inst.add(name, r.TupleAt(i), "AddAll", false) {
 			n++
 		}
 	}
@@ -798,7 +895,7 @@ func (inst *Instance) IsEmpty() bool { return inst.NumFacts() == 0 }
 func (inst *Instance) TupleCounts() map[string]int {
 	counts := make(map[string]int, len(inst.rels))
 	for name, s := range inst.rels {
-		counts[name] = len(s.r.tuples)
+		counts[name] = s.r.Len()
 	}
 	return counts
 }
@@ -810,11 +907,10 @@ func (inst *Instance) Facts() []Fact {
 	out := make([]Fact, 0, inst.NumFacts())
 	for _, name := range inst.RelationNames() {
 		r := inst.rels[name].r
-		for i, t := range r.tuples {
-			if !r.Live(i) {
-				continue
+		for i := 0; i < r.Len(); i++ {
+			if r.Live(i) {
+				out = append(out, Fact{Rel: name, Args: r.TupleAt(i)})
 			}
-			out = append(out, Fact{Rel: name, Args: t})
 		}
 	}
 	return out
@@ -882,11 +978,11 @@ func (inst *Instance) ActiveDomain() map[Value]struct{} {
 	dom := make(map[Value]struct{})
 	for _, s := range inst.rels {
 		r := s.r
-		for i, t := range r.tuples {
+		for i := 0; i < r.Len(); i++ {
 			if !r.Live(i) {
 				continue
 			}
-			for _, v := range t {
+			for _, v := range r.TupleAt(i) {
 				dom[v] = struct{}{}
 			}
 		}
@@ -899,11 +995,11 @@ func (inst *Instance) Nulls() map[Value]struct{} {
 	nulls := make(map[Value]struct{})
 	for _, s := range inst.rels {
 		r := s.r
-		for i, t := range r.tuples {
+		for i := 0; i < r.Len(); i++ {
 			if !r.Live(i) {
 				continue
 			}
-			for _, v := range t {
+			for _, v := range r.TupleAt(i) {
 				if v.IsNull() {
 					nulls[v] = struct{}{}
 				}
@@ -934,11 +1030,11 @@ func (inst *Instance) HasNulls() bool {
 func (inst *Instance) scanNulls() bool {
 	for _, s := range inst.rels {
 		r := s.r
-		for i, t := range r.tuples {
+		for i := 0; i < r.Len(); i++ {
 			if !r.Live(i) {
 				continue
 			}
-			for _, v := range t {
+			for _, v := range r.TupleAt(i) {
 				if v.IsNull() {
 					return true
 				}
@@ -1004,9 +1100,9 @@ func (inst *Instance) Compact() *Instance {
 	for name, s := range inst.rels {
 		r := s.r
 		nr := newRelation(r.name, r.arity)
-		for i, t := range r.tuples {
+		for i := 0; i < r.Len(); i++ {
 			if r.Live(i) {
-				nr.addOwned(t)
+				nr.addOwned(r.TupleAt(i))
 			}
 		}
 		out.rels[name] = relSlot{r: nr, owned: true}

@@ -168,17 +168,43 @@ func checkIndexCoherence(t *testing.T, inst *Instance) {
 		if live != r.LiveLen() {
 			t.Fatalf("%s: LiveLen=%d but %d live slots", name, r.LiveLen(), live)
 		}
-		entries := 0
-		for _, e := range r.slots {
-			if e != 0 {
-				entries++
+		if cap(r.base) != len(r.base) {
+			t.Fatalf("%s: base window of %d tuples has cap %d", name, len(r.base), cap(r.base))
+		}
+		for i := range r.base {
+			if !r.Live(i) {
+				t.Fatalf("%s: base slot %d is tombstoned", name, i)
 			}
 		}
-		if entries != live {
-			t.Fatalf("%s: dedup table has %d entries for %d live tuples", name, entries, live)
+		// Two dedup tables: base's, one entry per base slot, and the
+		// tail's, one per live tail slot. Each entry names a slot of
+		// its own part.
+		tables := []struct {
+			part    string
+			slots   []int32
+			lo, hi  int
+			entries int
+		}{
+			{"base", r.baseSlots, 0, len(r.base), len(r.base)},
+			{"tail", r.slots, len(r.base), r.Len(), live - len(r.base)},
 		}
-		if n := len(r.slots); n&(n-1) != 0 || 2*entries > n {
-			t.Fatalf("%s: dedup table of %d slots holds %d entries", name, n, entries)
+		for _, tbl := range tables {
+			entries := 0
+			for _, e := range tbl.slots {
+				if e == 0 {
+					continue
+				}
+				entries++
+				if i := int(e) - 1; i < tbl.lo || i >= tbl.hi {
+					t.Fatalf("%s: %s dedup table names slot %d outside [%d, %d)", name, tbl.part, i, tbl.lo, tbl.hi)
+				}
+			}
+			if entries != tbl.entries {
+				t.Fatalf("%s: %s dedup table has %d entries for %d live tuples", name, tbl.part, entries, tbl.entries)
+			}
+			if n := len(tbl.slots); n&(n-1) != 0 || 2*entries > n {
+				t.Fatalf("%s: %s dedup table of %d slots holds %d entries", name, tbl.part, n, entries)
+			}
 		}
 		if n := identBreaks(identLen()); n != 0 {
 			t.Fatalf("%s: %d entries of the identity array do not hold their index", name, n)

@@ -2,6 +2,9 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
 	"testing"
 
 	"repro/internal/rel"
@@ -188,5 +191,18 @@ func TestSnapEntryTextsAreCanonical(t *testing.T) {
 	}
 	if n := checkSnapTexts(t, warm); n != 5 {
 		t.Fatalf("after a warm transfer: %d entries, want 5", n)
+	}
+}
+
+// TestInstanceIDPinned: streaming the text through the hash in chunks
+// gives the ID of hashing it whole, for texts shorter than, as long as
+// and longer than a chunk, and spanning several.
+func TestInstanceIDPinned(t *testing.T) {
+	for _, n := range []int{0, 1, idChunk - 1, idChunk, idChunk + 1, 3*idChunk + 7} {
+		text := strings.Repeat("P(a,b).\n", n/8+1)[:n]
+		sum := sha256.Sum256([]byte(text))
+		if got, want := instanceID(text), "sha256:"+hex.EncodeToString(sum[:]); got != want {
+			t.Fatalf("instanceID of %d bytes = %s, want %s", n, got, want)
+		}
 	}
 }

@@ -98,9 +98,14 @@ type Server struct {
 	cluster  *clusterState // nil without cfg.Cluster
 
 	// Write-behind snapshot machinery (nil/idle without cfg.Snapshots).
-	snapMu     sync.Mutex // guards the queue and snapClosed
-	snapCond   *sync.Cond // on snapMu: signals the worker a job or Close
-	snapJobs   []snapJob  // queued saves and removals, oldest first
+	snapMu   sync.Mutex // guards the queue, snapKeys and snapClosed
+	snapCond *sync.Cond // on snapMu: signals the worker a job or Close
+	snapJobs []snapJob  // queued saves and removals, oldest first
+	// snapKeys maps every snapshot key stored or queued for saving to
+	// the source and target instance IDs it names, so evicting an
+	// instance finds its files whether or not their entries are still
+	// cached.
+	snapKeys   map[string][2]string
 	snapDone   chan struct{}
 	snapClosed bool
 	closeOnce  sync.Once
@@ -141,6 +146,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /metrics", s.route("metrics", s.handleMetrics))
 	if s.cfg.Snapshots != nil {
 		s.snapCond = sync.NewCond(&s.snapMu)
+		s.snapKeys = make(map[string][2]string)
 		s.snapDone = make(chan struct{})
 		go s.snapWorker()
 	}

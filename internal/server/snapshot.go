@@ -3,10 +3,12 @@ package server
 // Snapshot persistence: the glue between the chase cache and the
 // internal/snap store. Saves are write-behind — cache fills enqueue the
 // completed entry on a bounded queue drained by one worker goroutine,
-// so the solve path never waits on disk. Evicting an instance queues
-// the removal of its entries' files on the same queue and drops their
-// queued saves, so an evicted instance does not come back on the next
-// warm start; LRU eviction keeps files. Loads happen once at
+// so the solve path never waits on disk. The server remembers the
+// instance IDs every stored or queued key names, and evicting an
+// instance queues the removal of every file naming it on the same
+// queue and drops their queued saves, so an evicted instance does not
+// come back on the next warm start, even from an entry LRU eviction
+// dropped earlier; LRU eviction itself keeps files. Loads happen once at
 // startup (LoadSnapshots), on demand from a peer (WarmFrom), or by a
 // cluster handoff push. A chase-cache entry's key is its snapshot key
 // (snap.Key), so a file, a peer-transfer URL and a cache lookup name an
@@ -53,11 +55,12 @@ var errSettingUnregistered = errors.New("setting is not registered")
 // bound.
 const snapQueueLen = 256
 
-// snapJob is one task of the write-behind worker: save the entry's
-// snapshot, or remove it.
+// snapJob is one task of the write-behind worker: save entry e's
+// snapshot under key, or, with e nil, remove the snapshot stored under
+// key.
 type snapJob struct {
-	e      *cacheEntry
-	remove bool
+	key string
+	e   *cacheEntry
 }
 
 // snapEntry builds the codec entry for a completed cache entry, or nil
@@ -105,16 +108,17 @@ func (s *Server) saveAsync(e *cacheEntry) {
 			slog.String("key", e.key))
 		return
 	}
-	s.snapJobs = append(s.snapJobs, snapJob{e: e})
+	s.snapJobs = append(s.snapJobs, snapJob{key: e.key, e: e})
+	s.snapKeys[e.key] = [2]string{e.src.ID, e.tgt.ID}
 	s.snapCond.Signal()
 }
 
-// dropSnapshots forgets the snapshots of entries evicted with their
-// instance: their queued saves are dropped and the removal of their
-// files is queued behind every job already waiting, so the one worker
-// never lets a save land after its removal.
-func (s *Server) dropSnapshots(gone []*cacheEntry) {
-	if s.cfg.Snapshots == nil || len(gone) == 0 {
+// dropSnapshots forgets every snapshot naming the evicted instance id:
+// their queued saves are dropped and the removal of their files is
+// queued behind every job already waiting, so the one worker never
+// lets a save land after its removal.
+func (s *Server) dropSnapshots(id string) {
+	if s.cfg.Snapshots == nil {
 		return
 	}
 	s.snapMu.Lock()
@@ -122,12 +126,22 @@ func (s *Server) dropSnapshots(gone []*cacheEntry) {
 	if s.snapClosed {
 		return
 	}
-	evicted := func(j snapJob) bool {
-		return !j.remove && slices.ContainsFunc(gone, func(e *cacheEntry) bool { return e.key == j.e.key })
+	var gone []string
+	for key, ids := range s.snapKeys {
+		if ids[0] == id || ids[1] == id {
+			gone = append(gone, key)
+			delete(s.snapKeys, key)
+		}
 	}
-	s.snapJobs = slices.DeleteFunc(s.snapJobs, evicted)
-	for _, e := range gone {
-		s.snapJobs = append(s.snapJobs, snapJob{e: e, remove: true})
+	if len(gone) == 0 {
+		return
+	}
+	sort.Strings(gone) // removals run in key order, not map order
+	s.snapJobs = slices.DeleteFunc(s.snapJobs, func(j snapJob) bool {
+		return j.e != nil && slices.Contains(gone, j.key)
+	})
+	for _, key := range gone {
+		s.snapJobs = append(s.snapJobs, snapJob{key: key})
 	}
 	s.snapCond.Signal()
 }
@@ -148,19 +162,19 @@ func (s *Server) snapWorker() {
 		j := s.snapJobs[0]
 		s.snapJobs = slices.Delete(s.snapJobs, 0, 1)
 		s.snapMu.Unlock()
-		if j.remove {
-			s.removeSnapshot(j.e)
+		if j.e == nil {
+			s.removeSnapshot(j.key)
 		} else {
 			s.saveSnapshot(j.e)
 		}
 	}
 }
 
-// removeSnapshot deletes one entry's snapshot file, if it has one.
-func (s *Server) removeSnapshot(e *cacheEntry) {
-	if err := s.cfg.Snapshots.Remove(e.key); err != nil {
+// removeSnapshot deletes the snapshot file stored under key, if any.
+func (s *Server) removeSnapshot(key string) {
+	if err := s.cfg.Snapshots.Remove(key); err != nil {
 		s.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "snapshot removal failed",
-			slog.String("key", e.key), slog.String("err", err.Error()))
+			slog.String("key", key), slog.String("err", err.Error()))
 	}
 }
 
@@ -243,6 +257,9 @@ func (s *Server) loadSnapshot(key string) error {
 	if err != nil {
 		return err
 	}
+	s.snapMu.Lock()
+	s.snapKeys[key] = [2]string{e.SourceID, e.TargetID}
+	s.snapMu.Unlock()
 	return s.installSnapshot(key, e, false)
 }
 
@@ -319,8 +336,9 @@ func adoptInstance(start *pde.Instance, schema *pde.Schema, text, claimedID, sid
 // text holds exactly the facts that text parses to.
 func unparsableConst(inst *pde.Instance) (string, bool) {
 	for _, name := range inst.RelationNames() {
-		for _, t := range inst.Relation(name).Tuples() {
-			for _, v := range t {
+		r := inst.Relation(name)
+		for i := 0; i < r.Len(); i++ {
+			for _, v := range r.TupleAt(i) {
 				if !v.IsNull() && strings.ContainsAny(v.ConstText(), "'\n") {
 					return v.ConstText(), true
 				}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,6 +152,65 @@ func TestEvictedInstanceStaysEvictedAcrossRestart(t *testing.T) {
 	}
 	if len(insts.Instances) != 1 || insts.Instances[0].ID != base.ID {
 		t.Fatalf("instances after warm start: %+v, want only the base %s", insts.Instances, base.ID)
+	}
+}
+
+// TestLRUEvictedInstanceStaysEvictedAcrossRestart: evicting an
+// instance removes the snapshot files naming it even when LRU eviction
+// has already dropped their cache entries, so a warm restart does not
+// bring the instance back.
+func TestLRUEvictedInstanceStaysEvictedAcrossRestart(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	store, err := snap.Open(dir)
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	srv, c := newTestServer(t, Config{Snapshots: store, CacheMaxEntries: 1})
+	reg, err := c.Register(ctx, example1)
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	a, err := c.RegisterInstance(ctx, "E(a,b). E(b,c).")
+	if err != nil {
+		t.Fatalf("register instance a: %v", err)
+	}
+	b, err := c.RegisterInstance(ctx, "E(c,d).")
+	if err != nil {
+		t.Fatalf("register instance b: %v", err)
+	}
+	for _, id := range []string{a.ID, b.ID} { // b's entry pushes a's out
+		if _, err := c.ExistsSolution(ctx, client.SolveRequest{SettingID: reg.ID, SourceID: id}); err != nil {
+			t.Fatalf("solve: %v", err)
+		}
+	}
+	if err := c.EvictInstance(ctx, a.ID); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	srv.Close()
+
+	store2, err := snap.Open(dir)
+	if err != nil {
+		t.Fatalf("reopen store: %v", err)
+	}
+	srv2, c2 := newTestServer(t, Config{Snapshots: store2})
+	defer srv2.Close()
+	if _, err := c2.Register(ctx, example1); err != nil {
+		t.Fatalf("re-register: %v", err)
+	}
+	if loaded, failed := srv2.LoadSnapshots(); loaded != 1 || failed != 0 {
+		t.Fatalf("warm start loaded %d, failed %d; want 1, 0", loaded, failed)
+	}
+	insts, err := c2.Instances(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, si := range insts.Instances {
+		ids = append(ids, si.ID)
+	}
+	if slices.Contains(ids, a.ID) || !slices.Contains(ids, b.ID) {
+		t.Fatalf("instances after warm start: %v; want b %s and not the evicted a %s", ids, b.ID, a.ID)
 	}
 }
 

@@ -258,8 +258,8 @@ func (s *Server) handleInstanceEvict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, client.CodeNotFound, "instance %q is not registered", id)
 		return
 	}
-	gone := s.cache.evictMatching(func(e *cacheEntry) bool { return e.src.ID == id || e.tgt.ID == id })
-	s.dropSnapshots(gone)
+	s.cache.evictMatching(func(e *cacheEntry) bool { return e.src.ID == id || e.tgt.ID == id })
+	s.dropSnapshots(id)
 	writeJSON(w, http.StatusOK, map[string]string{"evicted": id})
 }
 

@@ -172,9 +172,13 @@ func KeyedLAVDeps() []dep.Dependency {
 // LAVAppend builds k fresh persons over four fresh groups, without
 // memberships: LAVSetting's append workload (lav-resume, EXP-CACHE).
 // The grown instance has no solution.
-func LAVAppend(k int) *rel.Instance {
+func LAVAppend(k int) *rel.Instance { return LAVAppendFrom(0, k) }
+
+// LAVAppendFrom is LAVAppend with the persons numbered from first on,
+// so successive batches of a chain of appends are disjoint.
+func LAVAppendFrom(first, k int) *rel.Instance {
 	a := rel.NewInstance()
-	for p := 0; p < k; p++ {
+	for p := first; p < first+k; p++ {
 		a.Add("Person", rel.Const(fmt.Sprintf("newp%d", p)), rel.Const(fmt.Sprintf("newg%d", p%4)))
 	}
 	return a
