@@ -30,7 +30,7 @@ func cmdServe(args []string) error {
 	maxQueue := fs.Int("max-queue", 0, "max solves queued for a slot; beyond it requests are shed with 429 (0 = 2×max-inflight, -1 = no queue)")
 	defaultDeadline := fs.Duration("default-deadline", 30*time.Second, "solve deadline when the request sends none")
 	maxDeadline := fs.Duration("max-deadline", 5*time.Minute, "cap on client-requested deadlines")
-	maxNodes := fs.Int64("max-nodes", 0, "server-wide generic-solver node budget (0 = unbounded)")
+	maxNodes := fs.Int64("max-nodes", 0, "server-wide generic-solver node budget; requests may only lower it (0 = unbounded)")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "chase-cache byte budget (0 = 256 MiB, -1 = no byte bound)")
 	cacheMaxEntries := fs.Int("cache-max-entries", 0, "chase-cache entry budget (0 = 1024, -1 = disable the cache)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")

@@ -208,6 +208,10 @@ FALLBACKS
 # HELP pdxd_snapshot_saves_total Snapshots written to the snapshot store.
 # TYPE pdxd_snapshot_saves_total counter
 pdxd_snapshot_saves_total
+# HELP pdxd_snapshot_saves_dropped_total Snapshot saves never written, by reason.
+# TYPE pdxd_snapshot_saves_dropped_total counter
+pdxd_snapshot_saves_dropped_total{reason="queue_full"}
+pdxd_snapshot_saves_dropped_total{reason="evicted"}
 # HELP pdxd_snapshot_loads_total Snapshots loaded and installed at warm start.
 # TYPE pdxd_snapshot_loads_total counter
 pdxd_snapshot_loads_total

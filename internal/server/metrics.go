@@ -35,6 +35,17 @@ func (m *metrics) fallback(reason string) *atomic.Int64 {
 	return &m.cacheFallbacks[len(fallbackLabels)-1]
 }
 
+// snapDropLabels are the reason labels of
+// pdxd_snapshot_saves_dropped_total, indexed by the drop* constants: a
+// save found the write-behind queue full, or its instance was evicted
+// while it waited.
+var snapDropLabels = [...]string{"queue_full", "evicted"}
+
+const (
+	dropQueueFull = iota
+	dropEvicted
+)
+
 // compiledFallbackLabels are the reason labels of
 // pdxd_certain_compiled_fallbacks_total: the qplan fallback taxonomy
 // plus "other" for anything unexpected.
@@ -79,6 +90,10 @@ type metrics struct {
 	snapshotLoads      atomic.Int64 // snapshots loaded and installed at warm start
 	snapshotLoadErrors atomic.Int64 // snapshots rejected at load (corrupt, unregistered, mismatched)
 	warmTransfers      atomic.Int64 // snapshots pulled from a peer and installed
+
+	// snapshotDropped counts the saves the write-behind worker never
+	// wrote, by reason (indexed per snapDropLabels).
+	snapshotDropped [len(snapDropLabels)]atomic.Int64
 
 	clusterProxied       atomic.Int64 // solves forwarded to (and answered by) the owning shard
 	clusterProxyInlined  atomic.Int64 // proxied solves that registered an instance on an owner lacking its ID
@@ -164,6 +179,7 @@ func (s *Server) families() []family {
 		{"pdxd_plan_cache_evictions_total", "Compiled plans dropped by the LRU bound or setting eviction.", "counter", nil, one(s.plans.evictions.Load())},
 		{"pdxd_certain_compiled_fallbacks_total", "Certain-answer requests that fell back to solution enumeration, by reason.", "counter", []string{"reason"}, byLabel(compiledFallbackLabels, m.compiledFallbacks)},
 		{"pdxd_snapshot_saves_total", "Snapshots written to the snapshot store.", "counter", nil, one(m.snapshotSaves.Load())},
+		{"pdxd_snapshot_saves_dropped_total", "Snapshot saves never written, by reason.", "counter", []string{"reason"}, byLabel(snapDropLabels[:], m.snapshotDropped[:])},
 		{"pdxd_snapshot_loads_total", "Snapshots loaded and installed at warm start.", "counter", nil, one(m.snapshotLoads.Load())},
 		{"pdxd_snapshot_load_errors_total", "Snapshots rejected at load time.", "counter", nil, one(m.snapshotLoadErrors.Load())},
 		{"pdxd_snapshot_warm_transfers_total", "Snapshots pulled from a peer and installed.", "counter", nil, one(m.warmTransfers.Load())},

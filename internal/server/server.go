@@ -34,8 +34,9 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps client-requested deadlines; 0 means 5m.
 	MaxDeadline time.Duration
-	// MaxNodes is the server-wide generic-solver budget applied when a
-	// request doesn't set max_nodes; 0 means unbounded.
+	// MaxNodes bounds the generic solver's search nodes per request; 0
+	// means unbounded. A request's max_nodes may lower the bound but
+	// never raise it.
 	MaxNodes int64
 	// CacheMaxBytes bounds the approximate bytes held by the
 	// chased-result cache; 0 means 256 MiB, negative means no byte

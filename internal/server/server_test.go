@@ -220,22 +220,54 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
-// TestMaxNodesBudget exercises the server-side search budget mapping.
+// TestMaxNodesBudget exercises the server-side search budget: a
+// request's max_nodes may lower the server's bound but never raise it,
+// so a client asking for more nodes than the server allows is still
+// stopped at the server's bound, with a 422.
 func TestMaxNodesBudget(t *testing.T) {
-	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
-
-	setting, source, target := cliqueWorkload()
-	reg, err := c.Register(ctx, setting)
-	if err != nil {
-		t.Fatal(err)
+	s := reductions.CliqueSetting()
+	i, j := reductions.CliqueInstance(graph.Random(6, 0.6, rand.New(rand.NewSource(3))), 3)
+	setting, source, target := pde.FormatSetting(s), pde.FormatInstance(i), pde.FormatInstance(j)
+	solve := func(cfg Config, maxNodes int64) (client.SolveResponse, error) {
+		t.Helper()
+		_, c := newTestServer(t, cfg)
+		reg, err := c.Register(ctx, setting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.ExistsSolution(ctx, client.SolveRequest{SettingID: reg.ID, Source: source, Target: target, MaxNodes: maxNodes})
 	}
-	_, err = c.ExistsSolution(ctx, client.SolveRequest{
-		SettingID: reg.ID, Source: source, Target: target, MaxNodes: 100,
-	})
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity || apiErr.Code != client.CodeUnprocessable {
-		t.Fatalf("want 422 unprocessable for budget exhaustion, got %v", err)
+	free, err := solve(Config{}, 0)
+	if err != nil {
+		t.Fatalf("unbounded solve: %v", err)
+	}
+	need := free.Nodes
+	if need < 2 {
+		t.Fatalf("the solve searched %d nodes; the test needs at least 2", need)
+	}
+	exhausted := func(err error) bool {
+		var apiErr *client.APIError
+		return errors.As(err, &apiErr) && apiErr.Status == http.StatusUnprocessableEntity && apiErr.Code == client.CodeUnprocessable
+	}
+	for _, tc := range []struct {
+		server, request int64
+		ok              bool
+	}{
+		{need - 1, 0, false},
+		{need - 1, 1_000_000, false}, // a request cannot raise the bound
+		{need, 1_000_000, true},
+		{need, need - 1, false}, // but it can lower it
+		{0, need - 1, false},
+		{0, 1_000_000, true},
+	} {
+		res, err := solve(Config{MaxNodes: tc.server}, tc.request)
+		if tc.ok && (err != nil || res.Nodes != need) {
+			t.Fatalf("server bound %d, request %d: %v, %d nodes; want %d nodes", tc.server, tc.request, err, res.Nodes, need)
+		}
+		if !tc.ok && !exhausted(err) {
+			t.Fatalf("server bound %d, request %d: got %v, want 422 for an exhausted budget", tc.server, tc.request, err)
+		}
 	}
 }
 

@@ -49,7 +49,8 @@ import (
 var errSettingUnregistered = errors.New("setting is not registered")
 
 // snapQueueLen bounds the write-behind queue for saves. A save finding
-// it full is dropped (with a warning): the entry is still served from
+// it full is dropped (with a warning, counted as queue_full in
+// pdxd_snapshot_saves_dropped_total): the entry is still served from
 // memory and will be re-saved if it is recomputed after a restart. A
 // removal is never dropped, so removals may run the queue past the
 // bound.
@@ -104,6 +105,7 @@ func (s *Server) saveAsync(e *cacheEntry) {
 		return
 	}
 	if len(s.snapJobs) >= snapQueueLen {
+		s.met.snapshotDropped[dropQueueFull].Add(1)
 		s.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "snapshot queue full, dropping save",
 			slog.String("key", e.key))
 		return
@@ -114,7 +116,8 @@ func (s *Server) saveAsync(e *cacheEntry) {
 }
 
 // dropSnapshots forgets every snapshot naming the evicted instance id:
-// their queued saves are dropped and the removal of their files is
+// their queued saves are dropped (counted as evicted in
+// pdxd_snapshot_saves_dropped_total) and the removal of their files is
 // queued behind every job already waiting, so the one worker never
 // lets a save land after its removal.
 func (s *Server) dropSnapshots(id string) {
@@ -137,9 +140,11 @@ func (s *Server) dropSnapshots(id string) {
 		return
 	}
 	sort.Strings(gone) // removals run in key order, not map order
+	queued := len(s.snapJobs)
 	s.snapJobs = slices.DeleteFunc(s.snapJobs, func(j snapJob) bool {
 		return j.e != nil && slices.Contains(gone, j.key)
 	})
+	s.met.snapshotDropped[dropEvicted].Add(int64(queued - len(s.snapJobs)))
 	for _, key := range gone {
 		s.snapJobs = append(s.snapJobs, snapJob{key: key})
 	}
@@ -147,9 +152,12 @@ func (s *Server) dropSnapshots(id string) {
 }
 
 // snapWorker runs the queued jobs one at a time, oldest first, until
-// Close has been called and the queue is empty.
+// Close has been called and the queue is empty. Every save encodes into
+// buf, which grows to the largest snapshot saved and is freed when the
+// worker returns.
 func (s *Server) snapWorker() {
 	defer close(s.snapDone)
+	var buf []byte
 	for {
 		s.snapMu.Lock()
 		for len(s.snapJobs) == 0 && !s.snapClosed {
@@ -165,7 +173,7 @@ func (s *Server) snapWorker() {
 		if j.e == nil {
 			s.removeSnapshot(j.key)
 		} else {
-			s.saveSnapshot(j.e)
+			buf = s.saveSnapshot(j.e, buf)
 		}
 	}
 }
@@ -178,22 +186,25 @@ func (s *Server) removeSnapshot(key string) {
 	}
 }
 
-// saveSnapshot encodes one entry and writes it to the store.
-func (s *Server) saveSnapshot(e *cacheEntry) {
+// saveSnapshot encodes one entry into buf and writes it to the store.
+// It returns the buffer for the next save to reuse: the store keeps no
+// reference to the bytes it wrote.
+func (s *Server) saveSnapshot(e *cacheEntry, buf []byte) []byte {
 	se := snapEntry(e)
 	if se == nil {
-		return
+		return buf
 	}
-	data, err := snap.Encode(se)
+	data, err := snap.AppendEncode(buf[:0], se)
 	if err == nil {
 		err = s.cfg.Snapshots.Save(e.key, data)
 	}
 	if err != nil {
 		s.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "snapshot save failed",
 			slog.String("key", e.key), slog.String("err", err.Error()))
-		return
+		return data
 	}
 	s.met.snapshotSaves.Add(1)
+	return data
 }
 
 // Close stops the cluster monitor, then flushes the write-behind queue

@@ -6,12 +6,14 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -631,4 +633,117 @@ func FuzzCachePush(f *testing.F) {
 			}
 		}
 	})
+}
+
+// stallHandler is a log handler that holds the goroutine logging msg
+// until release is closed, after signalling entered.
+type stallHandler struct {
+	msg     string
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *stallHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *stallHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *stallHandler) WithGroup(string) slog.Handler            { return h }
+
+func (h *stallHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg {
+		h.entered <- struct{}{}
+		<-h.release
+	}
+	return nil
+}
+
+// stalledSnapshotServer starts a server with a snapshot store whose
+// write-behind worker is held inside a job, a removal under a key the
+// store refuses, until the returned release runs, so saves stay
+// queued. Close runs release first.
+func stalledSnapshotServer(t *testing.T) (*Server, *client.Client, *snap.Store, func()) {
+	t.Helper()
+	store, err := snap.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	h := &stallHandler{msg: "snapshot removal failed", entered: make(chan struct{}, 1), release: make(chan struct{})}
+	srv, c := newTestServer(t, Config{Snapshots: store, Logger: slog.New(h)})
+	release := sync.OnceFunc(func() { close(h.release) })
+	t.Cleanup(func() {
+		release()
+		srv.Close()
+	})
+	srv.snapMu.Lock()
+	srv.snapJobs = append(srv.snapJobs, snapJob{key: "not-a-key"})
+	srv.snapCond.Signal()
+	srv.snapMu.Unlock()
+	<-h.entered
+	return srv, c, store, release
+}
+
+// droppedSaves reads pdxd_snapshot_saves_dropped_total by reason.
+func droppedSaves(t *testing.T, c *client.Client) (queueFull, evicted int64) {
+	t.Helper()
+	return metricsValue(t, c, `pdxd_snapshot_saves_dropped_total{reason="queue_full"}`),
+		metricsValue(t, c, `pdxd_snapshot_saves_dropped_total{reason="evicted"}`)
+}
+
+// TestSnapshotSaveDroppedOnFullQueueIsCounted fills the write-behind
+// queue behind a stalled worker; the next cache fill's save is dropped
+// and counted as queue_full, and nothing is written for it.
+func TestSnapshotSaveDroppedOnFullQueueIsCounted(t *testing.T) {
+	srv, c, store, release := stalledSnapshotServer(t)
+	reg, err := c.Register(context.Background(), example1)
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	srv.snapMu.Lock()
+	for k := len(srv.snapJobs); k < snapQueueLen; k++ {
+		srv.snapJobs = append(srv.snapJobs, snapJob{key: fmt.Sprintf("%064x", k)})
+	}
+	srv.snapMu.Unlock()
+	solveByID(t, c, reg.ID, "E(a,b). E(b,c).")
+	if full, evicted := droppedSaves(t, c); full != 1 || evicted != 0 {
+		t.Fatalf("dropped saves: queue_full %d, evicted %d; want 1, 0", full, evicted)
+	}
+	release()
+	srv.Close()
+	if keys, err := store.List(); err != nil || len(keys) != 0 {
+		t.Fatalf("snapshot files %v (err %v), want none", keys, err)
+	}
+	if n := metricsValue(t, c, "pdxd_snapshot_saves_total"); n != 0 {
+		t.Fatalf("%d saves written, want 0", n)
+	}
+}
+
+// TestSnapshotSaveDroppedOnEvictionIsCounted evicts an instance while
+// its entry's save waits behind a stalled worker: the queued save is
+// dropped and counted as evicted, and nothing is written for it.
+func TestSnapshotSaveDroppedOnEvictionIsCounted(t *testing.T) {
+	srv, c, store, release := stalledSnapshotServer(t)
+	ctx := context.Background()
+	reg, err := c.Register(ctx, example1)
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	inst, err := c.RegisterInstance(ctx, "E(a,b). E(b,c).")
+	if err != nil {
+		t.Fatalf("register instance: %v", err)
+	}
+	if _, err := c.ExistsSolution(ctx, client.SolveRequest{SettingID: reg.ID, SourceID: inst.ID}); err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if err := c.EvictInstance(ctx, inst.ID); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	if full, evicted := droppedSaves(t, c); full != 0 || evicted != 1 {
+		t.Fatalf("dropped saves: queue_full %d, evicted %d; want 0, 1", full, evicted)
+	}
+	release()
+	srv.Close()
+	if keys, err := store.List(); err != nil || len(keys) != 0 {
+		t.Fatalf("snapshot files %v (err %v), want none", keys, err)
+	}
+	if n := metricsValue(t, c, "pdxd_snapshot_saves_total"); n != 0 {
+		t.Fatalf("%d saves written, want 0", n)
+	}
 }

@@ -42,11 +42,11 @@ func (s *Server) config(ctx context.Context) par.Config {
 }
 
 // options configures the shared dispatch for one request: the compiled
-// certain-answer path is always on, and a positive maxNodes overrides
-// the server-wide generic-solver budget.
+// certain-answer path is always on, and a positive maxNodes may lower
+// the server-wide generic-solver budget but never raise it.
 func (s *Server) options(maxNodes int64) pde.Options {
 	o := pde.Options{Compiled: true, MaxNodes: s.cfg.MaxNodes}
-	if maxNodes > 0 {
+	if maxNodes > 0 && (o.MaxNodes == 0 || maxNodes < o.MaxNodes) {
 		o.MaxNodes = maxNodes
 	}
 	return o

@@ -128,21 +128,45 @@ func Key(settingID, srcID, tgtID, kind string) string {
 }
 
 // Encode serializes the entry. The output is canonical: encoding the
-// result of Decode reproduces the decoded bytes exactly. A counting
-// pass through the same writer methods sizes the output first, so the
-// bytes are written into one allocation.
+// result of Decode reproduces the decoded bytes exactly. Encode is
+// AppendEncode(nil, e), so a counting pass sizes the output and the
+// bytes fill one allocation; the writer's relation memo and the
+// instances' name lists are the only others.
 func Encode(e *Entry) ([]byte, error) {
+	return AppendEncode(nil, e)
+}
+
+// AppendEncode appends the encoding of e to dst and returns the
+// extended buffer; the bytes it appends are exactly Encode(e), the
+// checksum covering them alone. A relation that the artifact's
+// instances share copy-on-write is encoded once and its bytes copied
+// at every later use, so a save costs the artifact's distinct bytes;
+// no instance of e may be written while it is encoded.
+// Only when dst has no capacity does a counting pass size the buffer
+// first; otherwise append grows dst as needed, so a caller that passes
+// the previous result back (as buf[:0]) encodes without allocating
+// the output. On failure it returns dst's bytes, possibly moved to a
+// larger buffer, with nothing appended, and the error.
+func AppendEncode(dst []byte, e *Entry) ([]byte, error) {
 	if e.Kind != KindTractable && e.Kind != KindGeneric {
-		return nil, fmt.Errorf("snap: encode: unknown artifact kind %q", e.Kind)
+		return dst, fmt.Errorf("snap: encode: unknown artifact kind %q", e.Kind)
 	}
-	sizer := &writer{counting: true}
-	sizer.entry(e)
-	if sizer.err != nil {
-		return nil, sizer.err
+	w := &writer{buf: dst}
+	if cap(dst) == 0 {
+		w.counting = true
+		w.entry(e)
+		if w.err != nil {
+			return dst, w.err
+		}
+		w.buf = make([]byte, 0, w.n+sha256.Size)
+		w.counting = false
+		clear(w.spans)
 	}
-	w := &writer{buf: make([]byte, 0, sizer.n+sha256.Size)}
 	w.entry(e)
-	sum := sha256.Sum256(w.buf)
+	if w.err != nil {
+		return w.buf[:len(dst)], w.err
+	}
+	sum := sha256.Sum256(w.buf[len(dst):])
 	return append(w.buf, sum[:]...), nil
 }
 
@@ -225,8 +249,8 @@ func Decode(data []byte) (*Entry, error) {
 
 // AppendChecksum appends the sha256 footer over body and returns the
 // complete snapshot bytes. It exists for tests and fuzz harnesses that
-// construct or mutate snapshot bodies directly; Encode calls the same
-// arithmetic internally.
+// construct or mutate snapshot bodies directly; AppendEncode computes
+// the same footer over the bytes it appends.
 func AppendChecksum(body []byte) []byte {
 	sum := sha256.Sum256(body)
 	return append(body, sum[:]...)
@@ -269,6 +293,19 @@ type writer struct {
 	counting bool
 	n        int
 	err      error
+	// spans maps each relation this pass has written to the offsets
+	// (see pos) of its encoding after the name. The relations of an
+	// artifact are not written while it is encoded, so a pointer seen
+	// again stands for the same bytes, which are copied, not encoded.
+	spans map[*rel.Relation][2]int
+}
+
+// pos is the writer's offset: the bytes written, or counted.
+func (w *writer) pos() int {
+	if w.counting {
+		return w.n
+	}
+	return len(w.buf)
 }
 
 func (w *writer) fail(format string, args ...any) {
@@ -334,29 +371,48 @@ func (w *writer) value(v rel.Value) {
 
 // instance encodes the live tuples of an instance: relations sorted by
 // name (empty ones omitted), tuples in slot order skipping tombstones.
-func (w *writer) instance(inst *rel.Instance) {
+// It returns the names it wrote.
+func (w *writer) instance(inst *rel.Instance) []string {
 	names := inst.RelationNames()
 	w.count(len(names), "relation count")
 	for _, name := range names {
-		r := inst.Relation(name)
 		w.str(name)
-		w.count(r.Arity(), "arity")
-		w.count(r.LiveLen(), "tuple count")
-		for i := 0; i < r.Len(); i++ {
-			if !r.Live(i) {
-				continue
-			}
-			for _, v := range r.TupleAt(i) {
-				w.value(v)
-			}
+		w.relation(inst.Relation(name))
+	}
+	return names
+}
+
+// relation encodes r's arity, live tuple count and live tuples, or
+// copies them when this pass has already written r.
+func (w *writer) relation(r *rel.Relation) {
+	if s, ok := w.spans[r]; ok {
+		if w.counting {
+			w.n += s[1] - s[0]
+		} else {
+			w.buf = append(w.buf, w.buf[s[0]:s[1]]...)
+		}
+		return
+	}
+	start := w.pos()
+	w.count(r.Arity(), "arity")
+	w.count(r.LiveLen(), "tuple count")
+	for i := 0; i < r.Len(); i++ {
+		if !r.Live(i) {
+			continue
+		}
+		for _, v := range r.TupleAt(i) {
+			w.value(v)
 		}
 	}
+	if w.spans == nil {
+		w.spans = make(map[*rel.Relation][2]int)
+	}
+	w.spans[r] = [2]int{start, w.pos()}
 }
 
 // watermark encodes the fixpoint's resume watermark (see
-// fixpointWatermark) in sorted order.
-func (w *writer) watermark(inst *rel.Instance) {
-	names := inst.RelationNames()
+// fixpointWatermark) in sorted order; names are inst's relation names.
+func (w *writer) watermark(inst *rel.Instance, names []string) {
 	w.count(len(names), "watermark entries")
 	for _, name := range names {
 		w.str(name)
@@ -371,8 +427,7 @@ func (w *writer) result(res *chase.Result) {
 		w.fail("chase result is missing its instances")
 		return
 	}
-	w.instance(res.Instance)
-	w.watermark(res.Instance)
+	w.watermark(res.Instance, w.instance(res.Instance))
 	w.instance(res.Start)
 	w.count(res.Steps, "steps")
 	w.boolVal(res.Failed)

@@ -145,7 +145,7 @@ type SolveRequest struct {
 	// server caps it at its configured maximum.
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 	// MaxNodes bounds the generic solver's search tree; 0 means the
-	// server default.
+	// server default. The server caps it at its own bound.
 	MaxNodes int64 `json:"max_nodes,omitempty"`
 	// Witness requests a witness solution in the response.
 	Witness bool `json:"witness,omitempty"`
