@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dep"
 	"repro/internal/depparse"
+	"repro/internal/hom"
 	"repro/internal/qplan"
+	"repro/internal/rel"
 	"repro/internal/workload"
 )
 
@@ -90,6 +93,54 @@ func TestAllocsIndependentOfGOMAXPROCS(t *testing.T) {
 		if diff := int64(four) - int64(one); 200*max(diff, -diff) > int64(one) {
 			t.Errorf("%s: %.1f allocs per call at GOMAXPROCS=1, %.1f at GOMAXPROCS=4",
 				c.name, float64(one)/runs, float64(four)/runs)
+		}
+	}
+}
+
+// TestSearchAllocsZero pins the join engine's inner loop: on a compiled
+// two-atom conjunction with a live slot vector, after warm-up, Exists
+// and ForEach with a no-op callback allocate nothing per call — the
+// searcher is pooled, binds by slot, and the ground fast path (every
+// slot pre-bound) checks containment in pooled scratch.
+func TestSearchAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	inst := rel.NewInstance()
+	for k := 0; k < 40; k++ {
+		inst.Add("R", rel.Const(string(rune('a'+k%7))), rel.Const(string(rune('a'+k%5))))
+		inst.Add("S", rel.Const(string(rune('a'+k%5))), rel.Null(k))
+	}
+	inst.Freeze()
+	body := []dep.Atom{
+		dep.NewAtom("R", dep.Var("x"), dep.Var("y")),
+		dep.NewAtom("S", dep.Var("y"), dep.Var("z")),
+	}
+	var open hom.Vars
+	join := open.Compile(body)
+	var pre hom.Vars
+	for _, v := range []string{"x", "y", "z"} {
+		pre.Slot(v)
+	}
+	ground := pre.Compile(body)
+	vals := make([]rel.Value, 3)
+	gvals := []rel.Value{rel.Const("a"), rel.Const("a"), rel.Null(0)}
+	noop := func([]rel.Value) bool { return true }
+	const runs = 100
+	for _, c := range []struct {
+		name string
+		want bool
+		run  func() bool
+	}{
+		{"Exists", true, func() bool { return join.Exists(inst, vals, hom.Options{}) }},
+		{"ForEach", true, func() bool { return join.ForEach(inst, vals, hom.Options{}, noop) }},
+		{"ground Exists", true, func() bool { return ground.Exists(inst, gvals, hom.Options{}) }},
+	} {
+		if got := c.run(); got != c.want {
+			t.Fatalf("%s = %v, want %v", c.name, got, c.want)
+		}
+		if n := mallocsAt(1, runs, func() { c.run() }); n != 0 {
+			t.Errorf("%s: %d allocations over %d calls, want 0", c.name, n, runs)
 		}
 	}
 }

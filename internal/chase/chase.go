@@ -216,12 +216,50 @@ type state struct {
 	// relation names, which changedSince filters the log by.
 	marks []mark
 	brels [][]string
-	// exist[di] caches the existential variables of tgd di, which every
-	// step of di draws values for.
-	exist [][]string
-	// triggers is the buffer collectTriggers fills, reused across
-	// collections so a collection allocates only the bindings it keeps.
-	triggers []hom.Binding
+	// comp[di] is dependency di compiled to variable slots, once per
+	// run.
+	comp []compiled
+	// triggers is the buffer collectTriggers fills with ntriggers slot
+	// vectors, one per kept trigger, back to back, reused across
+	// collections (a body with no variable has zero-length ones); vals
+	// is the live slot vector of the searches.
+	triggers  []rel.Value
+	ntriggers int
+	vals      []rel.Value
+}
+
+// compiled is one dependency over one slot layout: the body's
+// variables first, then a tgd's existential variables. A trigger is a
+// slot vector of the body; the head is compiled with the body's slots
+// pre-bound, so the trigger's own vector checks it, and a step writes
+// the existential slots and grounds the head atoms by index copies.
+type compiled struct {
+	body, head  *hom.Conj
+	heads       []hom.Atom
+	exist       []int // existential slots of a tgd
+	left, right int   // the equated slots of an egd
+	slots       int
+}
+
+// compile compiles dependency d to slots.
+func compile(d dep.Dependency) compiled {
+	var vars hom.Vars
+	var c compiled
+	switch d := d.(type) {
+	case dep.TGD:
+		c.body = vars.Compile(d.Body)
+		pre := vars.Len()
+		c.heads = vars.Atoms(d.Head)
+		c.head = hom.NewConj(c.heads, pre)
+		for s := pre; s < vars.Len(); s++ {
+			c.exist = append(c.exist, s)
+		}
+	case dep.EGD:
+		c.body = vars.Compile(d.Body)
+		c.left, c.right = vars.Slot(d.Left), vars.Slot(d.Right)
+	}
+	c.slots = vars.Len()
+	return c
 }
 
 // result packages the run's current outcome. Tombstoned slots left by
@@ -265,14 +303,13 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 		st.marks = make([]mark, len(deps))
 	}
 	st.brels = make([][]string, len(deps))
-	st.exist = make([][]string, len(deps))
+	st.comp = make([]compiled, len(deps))
 	// Precompute per-dependency state once per run.
 	for di, d := range deps {
 		var body []dep.Atom
 		switch d := d.(type) {
 		case dep.TGD:
 			body = d.Body
-			st.exist[di] = d.ExistentialVars()
 		case dep.EGD:
 			body = d.Body
 		}
@@ -282,6 +319,10 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 				seen[a.Rel] = true
 				st.brels[di] = append(st.brels[di], a.Rel)
 			}
+		}
+		st.comp[di] = compile(d)
+		if n := st.comp[di].slots; n > len(st.vals) {
+			st.vals = make([]rel.Value, n)
 		}
 	}
 	for {
@@ -342,9 +383,9 @@ func (st *state) round(deps []dep.Dependency, witness *rel.Instance) (progressed
 	for di, d := range deps {
 		switch d := d.(type) {
 		case dep.TGD:
-			triggers := st.collectTriggers(di, d)
+			st.collectTriggers(di)
 			st.marks[di] = now()
-			p, e := st.fireTriggers(di, d, triggers, witness)
+			p, e := st.fireTriggers(di, d, witness)
 			if e != nil {
 				return false, false, "", e
 			}
@@ -426,33 +467,37 @@ func (st *state) deltaSpec(di int) hom.DeltaSpec {
 // collectTriggers enumerates the triggers of tgd di against the current
 // instance that were not already satisfied at collection time, skipping
 // — via the delta watermark and the merge change log — triggers whose
-// body facts all predate di's previous collection unchanged. The list
-// comes back in the full-enumeration order, in st.triggers, which the
-// next collection overwrites.
-func (st *state) collectTriggers(di int, d dep.TGD) []hom.Binding {
-	st.triggers = st.triggers[:0]
-	hom.EnumerateDeltaSpec(d.Body, st.inst, nil, st.deltaSpec(di), st.opts.Config, func(b hom.Binding) bool {
-		if !hom.Exists(d.Head, st.inst, b, st.opts.Config) {
-			st.triggers = append(st.triggers, b.Clone())
+// body facts all predate di's previous collection unchanged. The
+// triggers come back as slot vectors of di's layout, back to back in the
+// full-enumeration order, in st.triggers, which the next collection
+// overwrites.
+func (st *state) collectTriggers(di int) {
+	c := &st.comp[di]
+	st.triggers, st.ntriggers = st.triggers[:0], 0
+	c.body.EnumerateDeltaSpec(st.inst, st.vals[:c.slots], st.deltaSpec(di), st.opts.Config, func(vals []rel.Value) bool {
+		if !c.head.Exists(st.inst, vals, st.opts.Config) {
+			st.triggers = append(st.triggers, vals...)
+			st.ntriggers++
 		}
 		return true
 	})
-	return st.triggers
 }
 
 // fireTriggers fires the collected triggers of d that are still
 // applicable, serially and in collection order. Triggers were collected
 // up front so the enumeration never observes its own insertions; new
 // triggers created by the fired steps are picked up by the next round.
-func (st *state) fireTriggers(di int, d dep.TGD, triggers []hom.Binding, witness *rel.Instance) (bool, error) {
+func (st *state) fireTriggers(di int, d dep.TGD, witness *rel.Instance) (bool, error) {
+	c := &st.comp[di]
 	progressed := false
-	for _, b := range triggers {
-		if hom.Exists(d.Head, st.inst, b, st.opts.Config) {
+	for k := 0; k < st.ntriggers; k++ {
+		trig := st.triggers[k*c.slots : (k+1)*c.slots]
+		if c.head.Exists(st.inst, trig, st.opts.Config) {
 			// Re-check: an earlier firing in this pass may have
 			// satisfied this trigger.
 			continue
 		}
-		if err := st.fire(di, d, b, witness); err != nil {
+		if err := st.fire(c, d, trig, witness); err != nil {
 			return progressed, err
 		}
 		progressed = true
@@ -460,8 +505,11 @@ func (st *state) fireTriggers(di int, d dep.TGD, triggers []hom.Binding, witness
 	return progressed, nil
 }
 
-// fire applies one step of tgd d, dependency di, for the trigger b.
-func (st *state) fire(di int, d dep.TGD, b hom.Binding, witness *rel.Instance) error {
+// fire applies one step of tgd d, compiled as c, for the trigger trig.
+// Trigger vectors are consumed exactly once (fireTriggers re-checks
+// satisfaction before this call), so the step writes the existential
+// slots of trig directly.
+func (st *state) fire(c *compiled, d dep.TGD, trig []rel.Value, witness *rel.Instance) error {
 	if err := st.ctxErr(); err != nil {
 		return err
 	}
@@ -469,30 +517,20 @@ func (st *state) fire(di int, d dep.TGD, b hom.Binding, witness *rel.Instance) e
 		return fmt.Errorf("%w (after %d steps, chasing %s)", ErrBudgetExhausted, st.steps, d.Label)
 	}
 	st.steps++
-	// Trigger bindings are consumed exactly once (fireTriggers re-checks
-	// satisfaction before this call), so the existential extension can
-	// write into b directly instead of cloning.
-	ext := b
-	if exist := st.exist[di]; len(exist) > 0 {
+	if len(c.exist) > 0 {
 		if witness == nil {
-			for _, v := range exist {
-				ext[v] = st.nulls.Fresh()
+			for _, s := range c.exist {
+				trig[s] = st.nulls.Fresh()
 			}
-		} else {
+		} else if !c.head.Exists(witness, trig, st.opts.Config) {
 			// Solution-aware step: extend the trigger homomorphism into
 			// the witness, which satisfies the tgd, so an extension is
 			// guaranteed when the trigger facts lie inside the witness.
-			w, ok := hom.FindOne(d.Head, witness, b, st.opts.Config)
-			if !ok {
-				return fmt.Errorf("chase: solution-aware step for %s found no witness extension; witness does not satisfy the tgds", d.Label)
-			}
-			for _, v := range exist {
-				ext[v] = w[v]
-			}
+			return fmt.Errorf("chase: solution-aware step for %s found no witness extension; witness does not satisfy the tgds", d.Label)
 		}
 	}
-	for _, a := range d.Head {
-		st.inst.AddOwnedTuple(a.Rel, groundAtom(a, ext))
+	for _, a := range c.heads {
+		st.inst.AddOwnedTuple(a.Rel, a.AppendTuple(make(rel.Tuple, 0, len(a.Args)), trig))
 	}
 	return nil
 }
@@ -534,12 +572,13 @@ func (st *state) merge(from, to rel.Value) {
 // leave them, so the merge sequence matches a chase that rebuilds the
 // instance per merge (oracle.Chase) exactly.
 func (st *state) egdPass(di int, d dep.EGD) (progressed, failed bool, err error) {
+	c := &st.comp[di]
 	for {
 		var l, r rel.Value
 		found := false
-		hom.EnumerateDeltaSpec(d.Body, st.inst, nil, st.deltaSpec(di), st.opts.Config, func(b hom.Binding) bool {
-			if b[d.Left] != b[d.Right] {
-				l, r = b[d.Left], b[d.Right]
+		c.body.EnumerateDeltaSpec(st.inst, st.vals[:c.slots], st.deltaSpec(di), st.opts.Config, func(vals []rel.Value) bool {
+			if vals[c.left] != vals[c.right] {
+				l, r = vals[c.left], vals[c.right]
 				found = true
 				return false
 			}
@@ -567,28 +606,4 @@ func (st *state) egdPass(di int, d dep.EGD) (progressed, failed bool, err error)
 		st.merge(from, to)
 		progressed = true
 	}
-}
-
-func restrict(b hom.Binding, vars []string) hom.Binding {
-	out := make(hom.Binding, len(vars))
-	for _, v := range vars {
-		out[v] = b[v]
-	}
-	return out
-}
-
-func groundAtom(a dep.Atom, b hom.Binding) rel.Tuple {
-	t := make(rel.Tuple, len(a.Args))
-	for i, term := range a.Args {
-		if term.IsConst {
-			t[i] = rel.Const(term.Name)
-		} else {
-			v, ok := b[term.Name]
-			if !ok {
-				panic(fmt.Sprintf("chase: unbound variable %s grounding %s", term.Name, a))
-			}
-			t[i] = v
-		}
-	}
-	return t
 }

@@ -61,6 +61,37 @@ func TestChaseExistentialCreatesNull(t *testing.T) {
 	}
 }
 
+// TestChaseVariableFreeTGD: a tgd whose body and head name no variable
+// has one trigger, an empty slot vector, which must still fire (and,
+// with an existential head, still draw its null).
+func TestChaseVariableFreeTGD(t *testing.T) {
+	inst := rel.NewInstance()
+	inst.Add("U", rel.Const("b"), rel.Const("a"))
+	ground := dep.TGD{
+		Label: "g",
+		Body:  []dep.Atom{dep.NewAtom("U", dep.Cst("b"), dep.Cst("a"))},
+		Head:  []dep.Atom{dep.NewAtom("T", dep.Cst("a"), dep.Cst("a"))},
+	}
+	exist := dep.TGD{
+		Label: "e",
+		Body:  []dep.Atom{dep.NewAtom("U", dep.Cst("b"), dep.Cst("a"))},
+		Head:  []dep.Atom{dep.NewAtom("V", dep.Var("y"))},
+	}
+	res, err := Run(inst, []dep.Dependency{ground, exist}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Instance.Contains(rel.Fact{Rel: "T", Args: rel.Tuple{rel.Const("a"), rel.Const("a")}}) {
+		t.Errorf("T(a,a) not derived:\n%s", res.Instance)
+	}
+	if v := res.Instance.Relation("V"); v == nil || v.Len() != 1 || !v.TupleAt(0)[0].IsNull() {
+		t.Errorf("V(null) not derived:\n%s", res.Instance)
+	}
+	if res.Steps != 2 {
+		t.Errorf("steps = %d, want 2", res.Steps)
+	}
+}
+
 func TestRestrictedChaseSkipsSatisfiedTrigger(t *testing.T) {
 	inst := rel.NewInstance()
 	inst.Add("A", rel.Const("a"))

@@ -130,3 +130,11 @@ func bindingString(b hom.Binding) string {
 	}
 	return s + "}"
 }
+
+func restrict(b hom.Binding, vars []string) hom.Binding {
+	out := make(hom.Binding, len(vars))
+	for _, v := range vars {
+		out[v] = b[v]
+	}
+	return out
+}

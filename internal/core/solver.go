@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/chase"
@@ -143,6 +144,45 @@ type imageSearch struct {
 	levelAdded   [][]rel.Fact            // facts grounded per level, for LIFO undo
 	factResp     map[rel.FactKey][]int   // grounded fact -> responsible null indexes
 	stopped      bool
+
+	// through[R] lists the Σts dependencies compiled around each body
+	// atom over R, in dependency then atom order (see newFactViolation);
+	// vals, tup and resp are the scratch of their searches.
+	through map[string][]through
+	vals    []rel.Value
+	tup     rel.Tuple
+	resp    []int
+}
+
+// through is one Σts dependency compiled to slots around one body atom,
+// the pivot that a new fact is unified with: the pivot's variables take
+// the first slots, the rest of the body is compiled with them
+// pre-bound, and each head (one for a tgd, one per disjunct of a
+// disjunctive tgd) with every body slot pre-bound. The layout has
+// nbody body slots, then the heads' existential slots, slots in all.
+type through struct {
+	pivot        hom.Atom
+	rest         *hom.Conj
+	body         []hom.Atom
+	heads        []*hom.Conj
+	nbody, slots int
+}
+
+// compileThrough compiles body around its atom k, with heads as the
+// dependency's alternative heads.
+func compileThrough(body []dep.Atom, k int, heads [][]dep.Atom) through {
+	var vars hom.Vars
+	th := through{pivot: vars.Atoms(body[k : k+1])[0]}
+	rest := make([]dep.Atom, 0, len(body)-1)
+	rest = append(append(rest, body[:k]...), body[k+1:]...)
+	th.rest = vars.Compile(rest)
+	th.nbody = vars.Len()
+	th.body = vars.Atoms(body)
+	for _, h := range heads {
+		th.heads = append(th.heads, hom.NewConj(vars.Atoms(h), th.nbody))
+	}
+	th.slots = vars.Len()
+	return th
 }
 
 // noConflict marks a subtree that produced solutions (or whose failures
@@ -160,6 +200,23 @@ func newImageSearch(s *Setting, i, j, jcan *rel.Instance, opts SolveOptions, cop
 		assignment:   make(map[rel.Value]rel.Value),
 		cur:          rel.NewInstance(),
 		factResp:     make(map[rel.FactKey][]int),
+		through:      make(map[string][]through),
+		resp:         make([]int, 0, 8),
+	}
+	addThrough := func(body []dep.Atom, heads [][]dep.Atom) {
+		for k, a := range body {
+			th := compileThrough(body, k, heads)
+			sv.through[a.Rel] = append(sv.through[a.Rel], th)
+			if th.slots > len(sv.vals) {
+				sv.vals = make([]rel.Value, th.slots)
+			}
+		}
+	}
+	for _, d := range s.TS {
+		addThrough(d.Body, [][]dep.Atom{d.Head})
+	}
+	for _, d := range s.TSDisj {
+		addThrough(d.Body, d.Disjuncts)
 	}
 
 	nullSet := jcan.Nulls()
@@ -400,123 +457,89 @@ func (sv *imageSearch) levelAdds(k int) *[]rel.Fact {
 // of the trigger's facts are returned for conflict-directed
 // backjumping. With egds in Σt, only triggers whose values are all
 // constants are pruned on (egd chasing could later merge a kept null
-// into a constant). Returns nil when every trigger is satisfied.
+// into a constant). Returns nil when every trigger is satisfied; the
+// returned slice is scratch, valid until the next call.
 func (sv *imageSearch) newFactViolation(gf rel.Fact) []int {
-	for _, d := range sv.s.TS {
-		resp := sv.violatedTriggerThroughFact(d.Body, func(b hom.Binding) bool {
-			// I ⊨ ∃w β(c, w); b binds only body variables, so no
-			// existential w is pre-bound.
-			return hom.Exists(d.Head, sv.i, b, sv.opts.Config)
-		}, gf)
-		if resp != nil {
-			return resp
-		}
-	}
-	for _, d := range sv.s.TSDisj {
-		resp := sv.violatedTriggerThroughFact(d.Body, func(b hom.Binding) bool {
-			for _, disj := range d.Disjuncts {
-				if hom.Exists(disj, sv.i, b, sv.opts.Config) {
-					return true
-				}
-			}
-			return false
-		}, gf)
-		if resp != nil {
+	for ti := range sv.through[gf.Rel] {
+		if resp := sv.violatedTrigger(&sv.through[gf.Rel][ti], gf.Args); resp != nil {
 			return resp
 		}
 	}
 	return nil
 }
 
-// violatedTriggerThroughFact enumerates body homomorphisms into cur that
-// map at least one designated atom onto gf; on the first trigger that
-// satisfied rejects, it returns the responsible null indexes of the
-// trigger's facts (never nil — a violation with no responsible nulls
-// yields an empty, non-nil slice).
-func (sv *imageSearch) violatedTriggerThroughFact(body []dep.Atom, satisfied func(hom.Binding) bool, gf rel.Fact) []int {
-	for ai, a := range body {
-		if a.Rel != gf.Rel {
-			continue
-		}
-		init := unifyAtomWithFact(a, gf)
-		if init == nil {
-			continue
-		}
-		rest := make([]dep.Atom, 0, len(body)-1)
-		rest = append(rest, body[:ai]...)
-		rest = append(rest, body[ai+1:]...)
-		var resp []int
-		hom.ForEach(rest, sv.cur, init, sv.opts.Config, func(b hom.Binding) bool {
-			if !sv.pruneOnNulls {
-				for _, v := range b {
-					if v.IsNull() {
-						return true // cannot prune: Σt may merge this null later
-					}
+// violatedTrigger enumerates the body homomorphisms into cur that map
+// th's pivot onto the fact with arguments t; on the first trigger that
+// satisfies no head in I, it returns the responsible null indexes of
+// the trigger's facts (never nil — a violation with no responsible
+// nulls yields an empty, non-nil slice).
+func (sv *imageSearch) violatedTrigger(th *through, t rel.Tuple) []int {
+	if !unify(th.pivot, t, sv.vals) {
+		return nil
+	}
+	var resp []int
+	th.rest.ForEach(sv.cur, sv.vals, sv.opts.Config, func(vals []rel.Value) bool {
+		if !sv.pruneOnNulls {
+			for _, v := range vals[:th.nbody] {
+				if v.IsNull() {
+					return true // cannot prune: Σt may merge this null later
 				}
 			}
-			if !satisfied(b) {
-				resp = sv.triggerResponsibility(body, b)
-				return false
-			}
-			return true
-		})
-		if resp != nil {
-			return resp
 		}
-	}
-	return nil
+		// I ⊨ ∃w β(c, w) for some head β; the body slots are the
+		// trigger, the heads bind only their existential slots.
+		for _, h := range th.heads {
+			if h.Exists(sv.i, vals, sv.opts.Config) {
+				return true
+			}
+		}
+		resp = sv.triggerResponsibility(th.body, vals)
+		return false
+	})
+	return resp
 }
 
 // triggerResponsibility collects the null indexes responsible for the
 // presence of the trigger's facts, by grounding each body atom under the
-// binding and looking up the producer fact's null set.
-func (sv *imageSearch) triggerResponsibility(body []dep.Atom, b hom.Binding) []int {
-	seen := make(map[int]bool)
-	resp := []int{}
+// trigger and looking up the producer fact's null set. The result is
+// scratch, valid until the next call.
+func (sv *imageSearch) triggerResponsibility(body []hom.Atom, vals []rel.Value) []int {
+	resp := sv.resp[:0]
 	for _, a := range body {
-		t := make(rel.Tuple, len(a.Args))
-		for idx, term := range a.Args {
-			if term.IsConst {
-				t[idx] = rel.Const(term.Name)
-			} else {
-				t[idx] = b[term.Name]
-			}
-		}
-		for _, nullIdx := range sv.factResp[rel.Fact{Rel: a.Rel, Args: t}.Key()] {
-			if !seen[nullIdx] {
-				seen[nullIdx] = true
+		sv.tup = a.AppendTuple(sv.tup[:0], vals)
+		for _, nullIdx := range sv.factResp[rel.Fact{Rel: a.Rel, Args: sv.tup}.Key()] {
+			if !slices.Contains(resp, nullIdx) {
 				resp = append(resp, nullIdx)
 			}
 		}
 	}
+	sv.resp = resp
 	return resp
 }
 
-// unifyAtomWithFact matches an atom against a ground fact, returning the
-// induced binding or nil when they do not unify (constant mismatch or a
-// repeated variable bound to two different values).
-func unifyAtomWithFact(a dep.Atom, f rel.Fact) hom.Binding {
-	if a.Rel != f.Rel || len(a.Args) != len(f.Args) {
-		return nil
+// unify matches the pivot atom, whose variables hold the first slots in
+// first-occurrence order, against the ground tuple t, writing the
+// induced binding into vals. It reports false on a constant mismatch or
+// a repeated variable meeting two different values.
+func unify(a hom.Atom, t rel.Tuple, vals []rel.Value) bool {
+	if len(a.Args) != len(t) {
+		return false
 	}
-	b := make(hom.Binding)
-	for idx, term := range a.Args {
-		v := f.Args[idx]
-		if term.IsConst {
-			if !v.IsConst() || v.ConstText() != term.Name {
-				return nil
+	next := 0 // the slot a new variable takes
+	for idx, g := range a.Args {
+		switch {
+		case g.Slot < 0:
+			if t[idx] != g.Val {
+				return false
 			}
-			continue
+		case g.Slot == next:
+			vals[g.Slot] = t[idx]
+			next++
+		case vals[g.Slot] != t[idx]:
+			return false
 		}
-		if prev, ok := b[term.Name]; ok {
-			if prev != v {
-				return nil
-			}
-			continue
-		}
-		b[term.Name] = v
 	}
-	return b
+	return true
 }
 
 // leaf handles a fully assigned image: with Σt = ∅ the incremental

@@ -102,5 +102,5 @@ func blockHomExists(block Block, i *rel.Instance, opts Options) bool {
 		}
 		return true
 	}
-	return Exists(blockAtoms(block), i, nil, opts)
+	return block.Compile().Exists(i, make([]rel.Value, len(block.Nulls)), opts)
 }

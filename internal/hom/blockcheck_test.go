@@ -166,7 +166,7 @@ func TestCheckBlocksMatchesSerial(t *testing.T) {
 		i.Freeze()
 		want := -1
 		for idx, b := range Blocks(k) {
-			if !Exists(blockAtoms(b), i, nil, Options{}) {
+			if !b.Compile().Exists(i, make([]rel.Value, len(b.Nulls)), Options{}) {
 				want = idx
 				break
 			}
@@ -213,7 +213,7 @@ func TestChunkedContainmentMatchesSerial(t *testing.T) {
 			t.Fatalf("trial %d: expected one null-free block", trial)
 		}
 		want := missing >= n // contained iff nothing was withheld
-		if got := Exists(blockAtoms(blocks[0]), i, nil, Options{}); got != want {
+		if got := blocks[0].Compile().Exists(i, nil, Options{}); got != want {
 			t.Fatalf("trial %d: Exists=%v, want %v", trial, got, want)
 		}
 		if got := blockHomExists(blocks[0], i, Options{}); got != want {

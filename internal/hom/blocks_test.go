@@ -220,7 +220,8 @@ func TestProposition1Property(t *testing.T) {
 			i.Add("R", rel.Const(string(rune('a'+s.A%3))), rel.Const(string(rune('a'+s.B%3))))
 		}
 		blockwise := InstanceHomExists(k, i, Options{})
-		whole := Exists(InstanceAtoms(k), i, nil, Options{})
+		wk := wholeBlock(k)
+		whole := wk.Compile().Exists(i, make([]rel.Value, len(wk.Nulls)), Options{})
 		if k.NumFacts() == 0 {
 			// Empty k: both must be true.
 			return blockwise && whole
@@ -230,6 +231,13 @@ func TestProposition1Property(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// wholeBlock is all of k as one block: every fact and every null, the
+// conjunction of a whole-instance homomorphism search.
+func wholeBlock(k *rel.Instance) Block {
+	facts := k.Facts()
+	return Block{Facts: facts, Nulls: blockNulls(facts)}
 }
 
 // ReferenceBlocks is Blocks as first written, with a set of nulls kept

@@ -3,7 +3,6 @@ package hom
 import (
 	"sort"
 
-	"repro/internal/dep"
 	"repro/internal/rel"
 )
 
@@ -61,78 +60,6 @@ func (d Delta) oldCount(r *rel.Relation) int {
 		return l
 	}
 	return n
-}
-
-// EnumerateDeltaSpec streams the homomorphisms from the conjunction of
-// atoms into the instance extending init that use at least one new
-// tuple (past the spec.Old watermark) or one changed (merge-rewritten)
-// tuple listed in spec.Changed, each exactly once and in ForEach's
-// order. fn gets each binding live — search state it must neither
-// retain nor mutate (Clone to keep one) — and returns false to stop.
-// EnumerateDeltaSpec reports whether the enumeration ran to
-// completion. Bindings whose atoms all match unchanged old tuples are
-// skipped without being enumerated — the caller guarantees it has
-// already processed them (this is the chase's invariant: a trigger over
-// facts it has seen was satisfied by the end of that collection's
-// firing pass, and merges report the tuples they rewrite through
-// Changed).
-//
-// A zero spec (nil Old) requests the full enumeration, so does an
-// all-zero Old (the first chase round seeds the delta with the whole
-// instance). This is the trigger search of the chase, for tgds and
-// egds alike.
-//
-// The enumeration is one backtracking search in ForEach's join order
-// (see searcher.pending): every candidate list is ascending, so the
-// stream is the full enumeration restricted to the delta-touching
-// bindings.
-func EnumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec DeltaSpec, opts Options, fn func(Binding) bool) bool {
-	if len(atoms) == 0 {
-		if spec.Old != nil {
-			// An empty body has a single (empty) trigger, independent of
-			// any facts; it was handled when the watermark was taken.
-			return true
-		}
-		b := init
-		if b == nil {
-			b = Binding{}
-		}
-		return fn(b)
-	}
-	hasNew := false
-	for _, a := range atoms {
-		r := inst.Relation(a.Rel)
-		if r == nil || r.Len() == 0 {
-			return true // an empty body relation admits no homomorphism at all
-		}
-		if spec.Old == nil || spec.Old.oldCount(r) < r.Len() || len(spec.Changed[a.Rel]) > 0 {
-			hasNew = true
-		}
-	}
-	if !hasNew {
-		return true
-	}
-
-	base := Binding{}
-	for k, v := range init {
-		base[k] = v
-	}
-	order := orderAtoms(atoms, base)
-	s := newSearcher(inst, opts, false, fn)
-	defer s.release()
-	if spec.Old != nil {
-		// hasNew guarantees some depth sets last.
-		for i, a := range order {
-			r := inst.Relation(a.Rel)
-			d := depthDelta{old: spec.Old.oldCount(r), changed: spec.Changed[a.Rel]}
-			if d.old < r.Len() || len(d.changed) > 0 {
-				s.last = i
-			}
-			s.delta = append(s.delta, d)
-		}
-		s.pending = true
-	}
-	return s.match(order, 0, base)
 }
 
 // depthDelta is the semi-naive watermark of one depth of the join

@@ -24,34 +24,45 @@ func bindingKey(b Binding) string {
 	return sb.String()
 }
 
+// enumerateDeltaSpec runs Conj.EnumerateDeltaSpec on atoms compiled
+// with init's variables pre-bound, handing fn each binding by name.
+func enumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec DeltaSpec, opts Options, fn func(Binding) bool) bool {
+	vars, c, vals := compileEdge(atoms, init)
+	return c.EnumerateDeltaSpec(inst, vals, spec, opts, func(vals []rel.Value) bool {
+		return fn(vars.binding(vals))
+	})
+}
+
 // collectDelta runs EnumerateDeltaSpec to completion and returns a copy
 // of every binding it streams, in stream order.
 func collectDelta(atoms []dep.Atom, inst *rel.Instance, init Binding, spec DeltaSpec, opts Options) []Binding {
 	var out []Binding
-	EnumerateDeltaSpec(atoms, inst, init, spec, opts, func(b Binding) bool {
-		out = append(out, b.Clone())
+	enumerateDeltaSpec(atoms, inst, init, spec, opts, func(b Binding) bool {
+		out = append(out, b)
 		return true
 	})
 	return out
 }
 
 // deltaReference computes what EnumerateDeltaSpec must stream for a
-// spec with only an Old watermark: the full enumeration order, minus
-// the bindings that already exist against the old prefix of the
-// instance (distinct tuple-index vectors yield distinct bindings here
-// because relations deduplicate tuples, so the set difference is
-// exact).
+// spec with only an Old watermark: the reference search's full
+// enumeration order, minus the bindings that already exist against the
+// old prefix of the instance (distinct tuple-index vectors yield
+// distinct bindings here because relations deduplicate tuples, so the
+// set difference is exact).
 func deltaReference(atoms []dep.Atom, full, old *rel.Instance, opts Options) []Binding {
 	seen := map[string]bool{}
-	for _, b := range collectDelta(atoms, old, nil, DeltaSpec{}, opts) {
+	referenceForEach(atoms, old, nil, func(b Binding) bool {
 		seen[bindingKey(b)] = true
-	}
+		return true
+	})
 	var out []Binding
-	for _, b := range collectDelta(atoms, full, nil, DeltaSpec{}, opts) {
+	referenceForEach(atoms, full, nil, func(b Binding) bool {
 		if !seen[bindingKey(b)] {
 			out = append(out, b)
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -146,8 +157,8 @@ func TestEnumerateDeltaDegenerateCases(t *testing.T) {
 	}
 	for stop := 1; stop <= len(all); stop++ {
 		var seen []Binding
-		done := EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(b Binding) bool {
-			seen = append(seen, b.Clone())
+		done := enumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(b Binding) bool {
+			seen = append(seen, b)
 			return len(seen) < stop
 		})
 		if done || len(seen) != stop {
@@ -159,7 +170,7 @@ func TestEnumerateDeltaDegenerateCases(t *testing.T) {
 			}
 		}
 	}
-	if !EnumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(Binding) bool { return true }) {
+	if !enumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(Binding) bool { return true }) {
 		t.Fatal("a stream fn never stopped reported a stop")
 	}
 

@@ -3,6 +3,12 @@
 // conjunctive-query evaluation, and of the ExistsSolution algorithm),
 // homomorphisms between instances with labeled nulls, and the block
 // decomposition of Definition 10 of the peer data exchange paper.
+//
+// There is one join engine: a conjunction is compiled once (Conj, see
+// conj.go) into atoms over variable slots with a fixed join order, and
+// one backtracking searcher binds a []rel.Value by slot. The functions
+// of this file over Binding maps are a thin edge that compiles per
+// call and runs the same searcher.
 package hom
 
 import (
@@ -17,15 +23,6 @@ import (
 // Binding maps variable names to values. Bindings returned by the
 // search functions are fresh copies and may be retained by callers.
 type Binding map[string]rel.Value
-
-// Clone returns a copy of the binding.
-func (b Binding) Clone() Binding {
-	c := make(Binding, len(b))
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
 
 // Options controls the homomorphism search: a canceled Ctx makes the
 // backtracking searcher stop enumerating — possibly reporting a
@@ -43,82 +40,17 @@ type Options = par.Config
 // match constant values in the instance exactly. Labeled nulls in the
 // instance are matched like any other value.
 func ForEach(atoms []dep.Atom, inst *rel.Instance, init Binding, opts Options, fn func(Binding) bool) bool {
-	if len(atoms) == 0 {
-		b := init
-		if b == nil {
-			b = Binding{}
-		}
-		return fn(b.Clone())
-	}
-	s := newSearcher(inst, opts, true, fn)
-	defer s.release()
-	b := Binding{}
-	for k, v := range init {
-		b[k] = v
-	}
-	order := orderAtoms(atoms, b)
-	return s.match(order, 0, b)
+	vars, c, vals := compileEdge(atoms, init)
+	return c.ForEach(inst, vals, opts, func(vals []rel.Value) bool {
+		return fn(vars.binding(vals))
+	})
 }
 
 // Exists reports whether at least one homomorphism from the atoms into
-// the instance extends init. When init is non-nil it is used as the
-// live search binding — extended and fully restored before Exists
-// returns — so the hot satisfaction checks of the chase pay no map
-// copy. Callers must not read init from other goroutines during the
-// call.
+// the instance extends init. init is not modified.
 func Exists(atoms []dep.Atom, inst *rel.Instance, init Binding, opts Options) bool {
-	if sat, ok := groundSatisfied(atoms, inst, init); ok {
-		return sat
-	}
-	found := false
-	// Internal no-clone path: the callback discards the binding, so the
-	// per-solution copy of the public ForEach contract is wasted work.
-	s := newSearcher(inst, opts, false, func(Binding) bool {
-		found = true
-		return false
-	})
-	defer s.release()
-	b := init
-	if b == nil {
-		b = Binding{}
-	}
-	order := orderAtoms(atoms, b)
-	s.match(order, 0, b)
-	return found
-}
-
-// groundSatisfied handles the fully bound case without a backtracking
-// search: when every term of every atom is a constant or bound by init,
-// a homomorphism exists iff each grounded atom is a fact of the
-// instance. This is the hot shape of the restricted chase's
-// satisfaction re-checks for full tgds.
-func groundSatisfied(atoms []dep.Atom, inst *rel.Instance, init Binding) (sat, ok bool) {
-	for _, a := range atoms {
-		for _, term := range a.Args {
-			if term.IsConst {
-				continue
-			}
-			if _, bound := init[term.Name]; !bound {
-				return false, false
-			}
-		}
-	}
-	var t rel.Tuple
-	for _, a := range atoms {
-		t = t[:0]
-		for _, term := range a.Args {
-			if term.IsConst {
-				t = append(t, rel.Const(term.Name))
-			} else {
-				t = append(t, init[term.Name])
-			}
-		}
-		r := inst.Relation(a.Rel)
-		if r == nil || !r.Contains(t) {
-			return false, true
-		}
-	}
-	return true, true
+	_, c, vals := compileEdge(atoms, init)
+	return c.Exists(inst, vals, opts)
 }
 
 // FindOne returns one homomorphism extending init, if any.
@@ -131,80 +63,61 @@ func FindOne(atoms []dep.Atom, inst *rel.Instance, init Binding, opts Options) (
 	return out, out != nil
 }
 
-// orderAtoms produces a join order: greedily pick the atom with the
-// most bound variables (breaking ties toward fewer unbound variables),
-// simulating the bindings it would introduce. A good order keeps the
-// backtracking search close to linear on the acyclic patterns that
-// dominate chase bodies.
-func orderAtoms(atoms []dep.Atom, init Binding) []dep.Atom {
-	if len(atoms) <= 1 {
-		// Nothing to order; the callers never mutate the slice. This is
-		// the hot shape of the chase's per-trigger head checks.
-		return atoms
+// compileEdge compiles atoms for one map-edge call: init's variables
+// take the first slots, in name order, and are pre-bound to their
+// values in the returned slot vector.
+func compileEdge(atoms []dep.Atom, init Binding) (*Vars, *Conj, []rel.Value) {
+	vars := &Vars{names: make([]string, 0, len(init))}
+	for name := range init {
+		vars.names = append(vars.names, name)
 	}
-	bound := make(map[string]bool, len(init))
-	for v := range init {
-		bound[v] = true
+	sort.Strings(vars.names)
+	c := vars.Compile(atoms)
+	vals := make([]rel.Value, vars.Len())
+	for i, name := range vars.names[:len(init)] {
+		vals[i] = init[name]
 	}
-	remaining := make([]dep.Atom, len(atoms))
-	copy(remaining, atoms)
-	out := make([]dep.Atom, 0, len(atoms))
-	for len(remaining) > 0 {
-		best, bestScore := 0, -1<<30
-		for i, a := range remaining {
-			nb, nu := 0, 0
-			for _, t := range a.Args {
-				switch {
-				case t.IsConst:
-					nb++
-				case bound[t.Name]:
-					nb++
-				default:
-					nu++
-				}
-			}
-			score := nb*16 - nu
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		a := remaining[best]
-		out = append(out, a)
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		for _, t := range a.Args {
-			if !t.IsConst {
-				bound[t.Name] = true
-			}
-		}
-	}
-	return out
+	return vars, c, vals
 }
 
-// searcher carries the state of one backtracking search: the target
-// instance, options, the solution callback, and per-depth scratch
-// buffers reused across candidates so the inner loop stays
+// binding returns the named copy of a slot vector over vars.
+func (v *Vars) binding(vals []rel.Value) Binding {
+	b := make(Binding, len(v.names))
+	for i, name := range v.names {
+		b[name] = vals[i]
+	}
+	return b
+}
+
+// searcher carries the state of one backtracking search over a
+// compiled conjunction: the instances its atoms read, their relations
+// resolved per depth, the caller's slot vector, the solution callback
+// (nil for an existence check, which records found and stops), and
+// per-depth scratch reused across candidates so the inner loop stays
 // allocation-free. Searchers are pooled; each concurrent search uses
 // its own.
 type searcher struct {
-	inst  *rel.Instance
+	atoms []catom
+	insts [2]*rel.Instance
+	rels  []*rel.Relation
+	vals  []rel.Value
 	opts  Options
-	fn    func(Binding) bool
-	clone bool // hand fn a fresh copy (public ForEach contract)
+	fn    func([]rel.Value) bool
+	found bool
 
-	// newly[i] holds the variables bound at depth i, reset per
-	// candidate; allIdx[i] is the full-scan candidate buffer for depth
-	// i, used when no position index applies.
-	newly  [][]string
+	// allIdx[i] is the full-scan candidate buffer for depth i, used when
+	// no position index applies; tup is the ground check's tuple.
 	allIdx [][]int
+	tup    rel.Tuple
 
-	// A semi-naive search (see EnumerateDeltaSpec) keeps only bindings
-	// that use a new or changed tuple: delta[i] is the watermark of
-	// depth i, pending is set while the current path has chosen no such
-	// tuple yet, and last is the deepest depth whose atom has one. A
-	// pending path scans depths before last as usual and, at last, tries
-	// only that atom's changed and then its new tuples, so a path that
-	// touches nothing is cut there. Other searches leave delta empty and
-	// pending unset.
+	// A semi-naive search (see Conj.EnumerateDeltaSpec) keeps only
+	// bindings that use a new or changed tuple: delta[i] is the
+	// watermark of depth i, pending is set while the current path has
+	// chosen no such tuple yet, and last is the deepest depth whose atom
+	// has one. A pending path scans depths before last as usual and, at
+	// last, tries only that atom's changed and then its new tuples, so a
+	// path that touches nothing is cut there. Other searches leave delta
+	// empty and pending unset.
 	delta   []depthDelta
 	last    int
 	pending bool
@@ -217,9 +130,10 @@ type searcher struct {
 }
 
 // ctxPollEvery is how many match calls pass between polls of the
-// search context. Polling costs a mutex acquisition inside the context,
-// so it is amortized; the bound keeps worst-case cancellation latency
-// in the microseconds on any realistic instance.
+// search context — the one poll cadence of every join. Polling costs a
+// mutex acquisition inside the context, so it is amortized; the bound
+// keeps worst-case cancellation latency in the microseconds on any
+// realistic instance.
 const ctxPollEvery = 1024
 
 // cancelSearch reports whether the search's context has been canceled,
@@ -243,50 +157,63 @@ func (s *searcher) cancelSearch() bool {
 
 var searcherPool = sync.Pool{New: func() any { return &searcher{} }}
 
-func newSearcher(inst *rel.Instance, opts Options, clone bool, fn func(Binding) bool) *searcher {
+// newSearcher readies a pooled searcher for c over inst and alt, or
+// returns nil when some atom's relation is absent (no homomorphism
+// exists).
+func (c *Conj) newSearcher(inst, alt *rel.Instance, vals []rel.Value, opts Options, fn func([]rel.Value) bool) *searcher {
 	s := searcherPool.Get().(*searcher)
-	s.inst, s.opts, s.clone, s.fn = inst, opts, clone, fn
-	s.ctxTick, s.canceled = 0, false
+	s.insts = [2]*rel.Instance{inst, alt}
+	s.rels = s.rels[:0]
+	for i := range c.atoms {
+		r := s.insts[c.atoms[i].in].Relation(c.atoms[i].rel)
+		if r == nil {
+			s.release()
+			return nil
+		}
+		s.rels = append(s.rels, r)
+	}
+	s.atoms, s.vals, s.opts, s.fn = c.atoms, vals, opts, fn
+	s.found, s.ctxTick, s.canceled = false, 0, false
 	return s
 }
 
 func (s *searcher) release() {
-	s.inst, s.fn, s.opts.Ctx = nil, nil, nil
-	// Drop the changed lists so the pool does not pin them.
+	// Drop every reference so the pool pins no instance, vector or
+	// changed list.
+	clear(s.rels)
 	clear(s.delta)
+	s.atoms, s.vals, s.fn, s.opts.Ctx = nil, nil, nil, nil
+	s.insts = [2]*rel.Instance{}
 	s.delta, s.pending = s.delta[:0], false
 	searcherPool.Put(s)
 }
 
-// match extends the binding over atoms[i:], calling the searcher's fn
-// with every complete extension. It reports whether the enumeration ran
-// to completion (true) or was stopped by fn (false).
-func (s *searcher) match(atoms []dep.Atom, i int, b Binding) bool {
+// match extends the binding over atoms[i:], calling fn with every
+// complete extension. It reports whether the enumeration ran to
+// completion (true) or was stopped by fn or a canceled context
+// (false).
+func (s *searcher) match(i int) bool {
 	if s.cancelSearch() {
 		return false // abandon: caller must check opts.Ctx.Err()
 	}
-	if i == len(atoms) {
-		if s.clone {
-			return s.fn(b.Clone())
+	if i == len(s.atoms) {
+		if s.fn == nil {
+			s.found = true
+			return false
 		}
-		return s.fn(b)
-	}
-	a := atoms[i]
-	r := s.inst.Relation(a.Rel)
-	if r == nil {
-		return true // no tuples: no matches for this atom; enumeration complete
+		return s.fn(s.vals)
 	}
 	if s.pending {
-		return s.matchPending(atoms, i, r, b)
+		return s.matchPending(i)
 	}
-	return s.tryAll(atoms, i, r, s.candidateTuples(r, a, b, i, 0), b)
+	return s.tryAll(i, s.candidates(i, 0))
 }
 
 // tryAll runs tryTuple on each index in turn, stopping when the
 // enumeration is stopped.
-func (s *searcher) tryAll(atoms []dep.Atom, i int, r *rel.Relation, idxs []int, b Binding) bool {
+func (s *searcher) tryAll(i int, idxs []int) bool {
 	for _, idx := range idxs {
-		if !s.tryTuple(atoms, i, r, idx, b) {
+		if !s.tryTuple(i, idx) {
 			return false
 		}
 	}
@@ -297,18 +224,17 @@ func (s *searcher) tryAll(atoms []dep.Atom, i int, r *rel.Relation, idxs []int, 
 // changed tuple yet. At depth last the changed indexes (all below the
 // old count) come before the new segment, so candidates stay ascending
 // either way and the search keeps ForEach's order.
-func (s *searcher) matchPending(atoms []dep.Atom, i int, r *rel.Relation, b Binding) bool {
+func (s *searcher) matchPending(i int) bool {
 	d := s.delta[i]
 	if i == s.last {
 		s.pending = false
-		cont := s.tryAll(atoms, i, r, d.changed, b) &&
-			s.tryAll(atoms, i, r, s.candidateTuples(r, atoms[i], b, i, d.old), b)
+		cont := s.tryAll(i, d.changed) && s.tryAll(i, s.candidates(i, d.old))
 		s.pending = true
 		return cont
 	}
-	for _, idx := range s.candidateTuples(r, atoms[i], b, i, 0) {
+	for _, idx := range s.candidates(i, 0) {
 		s.pending = !d.touches(idx)
-		cont := s.tryTuple(atoms, i, r, idx, b)
+		cont := s.tryTuple(i, idx)
 		s.pending = true
 		if !cont {
 			return false
@@ -317,88 +243,75 @@ func (s *searcher) matchPending(atoms []dep.Atom, i int, r *rel.Relation, b Bind
 	return true
 }
 
-// tryTuple attempts to unify atoms[i] with tuple idx of its relation
-// under b and, on success, recurses into the remaining atoms. It
-// reports whether the enumeration should continue.
-func (s *searcher) tryTuple(atoms []dep.Atom, i int, r *rel.Relation, idx int, b Binding) bool {
-	a := atoms[i]
-	t := r.TupleAt(idx)
-	for len(s.newly) <= i {
-		s.newly = append(s.newly, nil)
-	}
-	newly := s.newly[i][:0]
-	ok := true
-	for j, term := range a.Args {
-		v := t[j]
-		if term.IsConst {
-			if !v.IsConst() || v.ConstText() != term.Name {
-				ok = false
-				break
+// tryTuple unifies the depth-i atom with tuple idx of its relation and,
+// on success, recurses into the remaining atoms. A first binding writes
+// its slot; nothing is undone on backtracking, because the compiled
+// layout never reads a slot before the depth that binds it. It reports
+// whether the enumeration should continue.
+func (s *searcher) tryTuple(i, idx int) bool {
+	t := s.rels[i].TupleAt(idx)
+	for j := range s.atoms[i].args {
+		g := &s.atoms[i].args[j]
+		switch g.op {
+		case opConst:
+			if t[j] != g.val {
+				return true
 			}
-			continue
-		}
-		if bv, bound := b[term.Name]; bound {
-			if bv != v {
-				ok = false
-				break
+		case opBind:
+			s.vals[g.slot] = t[j]
+		default:
+			if t[j] != s.vals[g.slot] {
+				return true
 			}
-			continue
 		}
-		b[term.Name] = v
-		newly = append(newly, term.Name)
 	}
-	s.newly[i] = newly
-	cont := true
-	if ok {
-		cont = s.match(atoms, i+1, b)
-	}
-	for _, v := range s.newly[i] {
-		delete(b, v)
-	}
-	return cont
+	return s.match(i + 1)
 }
 
-// candidateTuples returns the ascending indexes, from index from on, of
-// tuples possibly matching the atom under the current binding, using
-// the most selective position index available. The returned slice is
-// only valid until the next call at the same depth.
-func (s *searcher) candidateTuples(r *rel.Relation, a dep.Atom, b Binding, depth, from int) []int {
-	bestPos, bestVal, bestLen := -1, rel.Value{}, -1
-	for j, term := range a.Args {
+// candidates returns the ascending indexes, from index from on, of the
+// tuples possibly matching the depth-i atom under the current binding:
+// the shortest position index list over its constant and bound
+// positions (the first on ties), or every live tuple. The returned
+// slice is only valid until the next call at the same depth.
+func (s *searcher) candidates(i, from int) []int {
+	r := s.rels[i]
+	var best []int
+	found := false
+	for j := range s.atoms[i].args {
+		g := &s.atoms[i].args[j]
 		var v rel.Value
-		if term.IsConst {
-			v = rel.Const(term.Name)
-		} else if bv, bound := b[term.Name]; bound {
-			v = bv
-		} else {
+		switch g.op {
+		case opConst:
+			v = g.val
+		case opCheck:
+			v = s.vals[g.slot]
+		default:
 			continue
 		}
-		l := len(r.MatchingAt(j, v))
-		if bestLen == -1 || l < bestLen {
-			bestPos, bestVal, bestLen = j, v, l
+		if l := r.MatchingAt(j, v); !found || len(l) < len(best) {
+			best, found = l, true
 		}
 	}
-	if bestPos >= 0 {
+	if found {
 		// Position-index lists hold ascending tuple indexes (they are
 		// append-only as tuples arrive), so the clip is a binary search,
 		// not a scan.
-		list := r.MatchingAt(bestPos, bestVal)
 		if from > 0 {
-			list = list[sort.SearchInts(list, from):]
+			best = best[sort.SearchInts(best, from):]
 		}
-		return list
+		return best
 	}
-	for len(s.allIdx) <= depth {
+	for len(s.allIdx) <= i {
 		s.allIdx = append(s.allIdx, nil)
 	}
-	all := s.allIdx[depth][:0]
-	for i := from; i < r.Len(); i++ {
+	all := s.allIdx[i][:0]
+	for idx := from; idx < r.Len(); idx++ {
 		// Tuple slots tombstoned by egd merges stay in [0, Len) but must
 		// never match; the position-index path is clean by construction.
-		if r.Live(i) {
-			all = append(all, i)
+		if r.Live(idx) {
+			all = append(all, idx)
 		}
 	}
-	s.allIdx[depth] = all
+	s.allIdx[i] = all
 	return all
 }

@@ -89,31 +89,50 @@ func TestOrderAtomsCorrectness(t *testing.T) {
 	}
 }
 
-// TestInstanceAtomsRoundTrip: InstanceAtoms + matching against the same
-// instance always succeeds (the identity homomorphism).
+// TestInstanceAtomsRoundTrip: a whole instance compiled as one block
+// maps into the same instance (the identity homomorphism), and the
+// homomorphism found sends each null to itself or to a value that
+// keeps every fact.
 func TestInstanceAtomsRoundTrip(t *testing.T) {
 	inst := rel.NewInstance()
 	inst.Add("E", rel.Const("a"), rel.Null(1))
 	inst.Add("E", rel.Null(1), rel.Null(2))
-	atoms := InstanceAtoms(inst)
-	if len(atoms) != 2 {
-		t.Fatalf("atoms = %d", len(atoms))
+	b := wholeBlock(inst)
+	if len(b.Facts) != 2 || len(b.Nulls) != 2 {
+		t.Fatalf("whole block = %d facts, %d nulls", len(b.Facts), len(b.Nulls))
 	}
-	if !Exists(atoms, inst, nil, Options{}) {
-		t.Error("identity homomorphism not found")
+	vals := make([]rel.Value, len(b.Nulls))
+	if !b.Compile().Exists(inst, vals, Options{}) {
+		t.Fatal("identity homomorphism not found")
+	}
+	for s, n := range b.Nulls {
+		if vals[s] != n {
+			t.Errorf("null %v mapped to %v, want itself (the only homomorphism)", n, vals[s])
+		}
 	}
 }
 
-// TestNullVarStability: NullVar is injective over labels and matches
-// what FactAtom generates.
+// TestNullVarStability: distinct nulls of a block get distinct slots,
+// numbered as in Block.Nulls, and a compiled fact binds its null's
+// slot; a value that is no null of the block has no slot.
 func TestNullVarStability(t *testing.T) {
-	if NullVar(1) == NullVar(2) {
-		t.Error("NullVar not injective")
+	b := Block{
+		Facts: []rel.Fact{{Rel: "R", Args: rel.Tuple{rel.Null(7), rel.Const("c"), rel.Null(2), rel.Null(7)}}},
+		Nulls: []rel.Value{rel.Null(2), rel.Null(7)},
 	}
-	f := rel.Fact{Rel: "R", Args: rel.Tuple{rel.Null(7)}}
-	a := FactAtom(f)
-	if a.Args[0].IsConst || a.Args[0].Name != NullVar(7) {
-		t.Errorf("FactAtom arg = %+v, want var %q", a.Args[0], NullVar(7))
+	if b.Slot(rel.Null(2)) != 0 || b.Slot(rel.Null(7)) != 1 {
+		t.Errorf("slots = %d, %d; want 0, 1", b.Slot(rel.Null(2)), b.Slot(rel.Null(7)))
+	}
+	if b.Slot(rel.Null(3)) != -1 {
+		t.Errorf("foreign null got slot %d", b.Slot(rel.Null(3)))
+	}
+	c := b.Compile()
+	if c.Slots() != 2 {
+		t.Fatalf("compiled block has %d slots, want 2", c.Slots())
+	}
+	args := c.atoms[0].args
+	if args[0].op != opBind || args[0].slot != 1 || args[1].op != opConst || args[2].op != opBind || args[2].slot != 0 || args[3].op != opSame || args[3].slot != 1 {
+		t.Errorf("compiled args = %+v", args)
 	}
 }
 

@@ -1,48 +1,47 @@
 package hom
 
 import (
-	"strconv"
+	"sort"
 
-	"repro/internal/dep"
 	"repro/internal/rel"
 )
 
-// nullVarName encodes a labeled null as a variable name that cannot
-// collide with user variable names (which never start with "\x00").
-func nullVarName(id int) string { return "\x00n" + strconv.Itoa(id) }
-
-// InstanceAtoms renders the facts of an instance as a conjunction of
-// atoms in which constants become constant terms and labeled nulls
-// become variables. A homomorphism from the resulting conjunction into
-// an instance I is exactly a homomorphism K -> I that is the identity on
-// constants, as used throughout the paper.
-func InstanceAtoms(k *rel.Instance) []dep.Atom {
-	facts := k.Facts()
-	atoms := make([]dep.Atom, 0, len(facts))
-	for _, f := range facts {
-		atoms = append(atoms, factAtom(f))
+// Compile compiles the block's facts into a conjunction with one slot
+// per distinct null, numbered as in b.Nulls (slot k holds b.Nulls[k]);
+// constants stay constants. A homomorphism from the conjunction into an
+// instance I is exactly a homomorphism from the block into I that is
+// the identity on constants, as used throughout the paper. No slot is
+// pre-bound, so a slot vector for it has len(b.Nulls) values.
+func (b Block) Compile() *Conj {
+	n := 0
+	for _, f := range b.Facts {
+		n += len(f.Args)
 	}
-	return atoms
+	args := make([]Arg, 0, n)
+	atoms := make([]Atom, len(b.Facts))
+	for i, f := range b.Facts {
+		start := len(args)
+		for _, v := range f.Args {
+			if v.IsNull() {
+				args = append(args, Arg{Slot: b.Slot(v)})
+			} else {
+				args = append(args, Arg{Slot: -1, Val: v})
+			}
+		}
+		atoms[i] = Atom{Rel: f.Rel, Args: args[start:len(args):len(args)]}
+	}
+	return NewConj(atoms, 0)
 }
 
-// FactAtom renders one fact as an atom: constants become constant
-// terms, labeled nulls become variables.
-func FactAtom(f rel.Fact) dep.Atom { return factAtom(f) }
-
-// NullVar returns the variable name FactAtom uses for the labeled null
-// with the given label; it cannot collide with user variable names.
-func NullVar(id int) string { return nullVarName(id) }
-
-func factAtom(f rel.Fact) dep.Atom {
-	args := make([]dep.Term, len(f.Args))
-	for i, v := range f.Args {
-		if v.IsNull() {
-			args[i] = dep.Var(nullVarName(v.NullID()))
-		} else {
-			args[i] = dep.Cst(v.ConstText())
-		}
+// Slot returns the slot of the null v in the block's compiled
+// conjunction: its index in b.Nulls, or -1 when v is not a null of the
+// block.
+func (b Block) Slot(v rel.Value) int {
+	k := sort.Search(len(b.Nulls), func(k int) bool { return b.Nulls[k].NullID() >= v.NullID() })
+	if k < len(b.Nulls) && b.Nulls[k] == v {
+		return k
 	}
-	return dep.Atom{Rel: f.Rel, Args: args}
+	return -1
 }
 
 // InstanceHomExists reports whether there is a homomorphism from k to i
@@ -58,34 +57,13 @@ func InstanceHomExists(k, i *rel.Instance, opts Options) bool {
 func FindInstanceHom(k, i *rel.Instance, opts Options) (map[rel.Value]rel.Value, bool) {
 	out := make(map[rel.Value]rel.Value)
 	for _, block := range Blocks(k) {
-		b, ok := FindOne(blockAtoms(block), i, nil, opts)
-		if !ok {
+		vals := make([]rel.Value, len(block.Nulls))
+		if !block.Compile().Exists(i, vals, opts) {
 			return nil, false
 		}
-		for name, v := range b {
-			if id, isNull := decodeNullVar(name); isNull {
-				out[rel.Null(id)] = v
-			}
+		for s, n := range block.Nulls {
+			out[n] = vals[s]
 		}
 	}
 	return out, true
-}
-
-func blockAtoms(block Block) []dep.Atom {
-	atoms := make([]dep.Atom, 0, len(block.Facts))
-	for _, f := range block.Facts {
-		atoms = append(atoms, factAtom(f))
-	}
-	return atoms
-}
-
-func decodeNullVar(name string) (int, bool) {
-	if len(name) < 3 || name[0] != '\x00' || name[1] != 'n' {
-		return 0, false
-	}
-	id, err := strconv.Atoi(name[2:])
-	if err != nil {
-		return 0, false
-	}
-	return id, true
 }

@@ -175,11 +175,14 @@ type origin struct {
 
 // probe is the compiled violation check of one Σts tgd: the unfolded
 // body enumerates rows of head-variable bindings; each distinct row
-// must extend to a homomorphism of the head into I.
+// must extend to a homomorphism of the head into I. head is the head
+// compiled with the head variables pre-bound in the first slots, in
+// headVars order, as the rows hold them.
 type probe struct {
 	label     string
 	headVars  []string
 	headAtoms []dep.Atom
+	head      *hom.Conj
 	disjuncts []disjunct
 }
 
@@ -242,10 +245,15 @@ func CompileSetting(s *core.Setting) (*SettingPlan, error) {
 		if err != nil {
 			return nil, err
 		}
+		var vars hom.Vars
+		for _, v := range headVars {
+			vars.Slot(v)
+		}
 		sp.probes = append(sp.probes, probe{
 			label:     d.Label,
 			headVars:  headVars,
 			headAtoms: d.Head,
+			head:      vars.Compile(d.Head),
 			disjuncts: ds,
 		})
 	}
@@ -334,19 +342,21 @@ func (sp *SettingPlan) SolutionExists(i, j *rel.Instance, opts EvalOptions) (boo
 	for pi := range sp.probes {
 		pb := &sp.probes[pi]
 		seen := make(map[rel.TupleKey]bool)
-		b := hom.Binding{}
+		vals := slotVector(pb.disjuncts, nil)
+		hvals := make([]rel.Value, pb.head.Slots())
+		var row rel.Tuple
 		for di := range pb.disjuncts {
+			d := &pb.disjuncts[di]
 			violated := false
-			err := forEachRow(&pb.disjuncts[di], nil, i, j, opts.Ctx, "probe scan", func(row rel.Tuple) bool {
+			err := d.scan(vals, i, j, opts, "probe scan", func(vals []rel.Value) bool {
+				row = d.head.AppendTuple(row[:0], vals)
 				k := rel.KeyOf(row)
 				if seen[k] {
 					return true
 				}
 				seen[k] = true
-				for vi, name := range pb.headVars {
-					b[name] = row[vi]
-				}
-				if !hom.Exists(pb.headAtoms, i, b, opts) {
+				copy(hvals, row)
+				if !pb.head.Exists(i, hvals, opts) {
 					violated = true
 					return false
 				}
@@ -598,10 +608,39 @@ func (p *Plan) EvalGiven(solutionExists bool, i, j *rel.Instance, opts EvalOptio
 	return res, nil
 }
 
+// slotVector returns a slot vector long enough for every disjunct of
+// ds, its first slots holding params.
+func slotVector(ds []disjunct, params []rel.Value) []rel.Value {
+	n := len(params)
+	for di := range ds {
+		n = max(n, ds[di].conj.Slots())
+	}
+	vals := make([]rel.Value, n)
+	copy(vals, params)
+	return vals
+}
+
+// scan enumerates the matches of d over (i, j) on hom's searcher,
+// calling fn with each match's slot vector (vals, whose param slots the
+// caller filled) until fn returns false. The searcher reports a
+// canceled context as a stop, so a stopped scan under a done context is
+// an error naming what was scanning — never a truncated result.
+func (d *disjunct) scan(vals []rel.Value, i, j *rel.Instance, opts EvalOptions, what string, fn func([]rel.Value) bool) error {
+	if d.conj.ForEachIn(j, i, vals, opts, fn) {
+		return nil
+	}
+	return canceled(opts.Ctx, what)
+}
+
 // holds reports whether any disjunct matches (Boolean certainty).
 func (p *Plan) holds(i, j *rel.Instance, opts EvalOptions) (bool, error) {
+	vals := slotVector(p.disjuncts, p.params)
+	found := false
 	for di := range p.disjuncts {
-		found, err := existsMatch(&p.disjuncts[di], p.params, i, j, opts)
+		err := p.disjuncts[di].scan(vals, i, j, opts, "plan scan", func([]rel.Value) bool {
+			found = true
+			return false
+		})
 		if err != nil {
 			return false, err
 		}
@@ -615,20 +654,28 @@ func (p *Plan) holds(i, j *rel.Instance, opts EvalOptions) (bool, error) {
 // answers evaluates every disjunct and returns the deduplicated head
 // rows, sorted as in package certain. All rows are ground by
 // construction (null-producing disjuncts were dropped at compile time).
+// The scans write rows back to back into one buffer, and the distinct
+// ones are returned as capacity-capped windows of it, so a row costs no
+// allocation of its own.
 func (p *Plan) answers(i, j *rel.Instance, opts EvalOptions) ([]rel.Tuple, error) {
-	seen := make(map[rel.TupleKey]bool)
-	var out []rel.Tuple
+	vals := slotVector(p.disjuncts, p.params)
+	var rows []rel.Value
 	for di := range p.disjuncts {
-		rows, err := collectRows(&p.disjuncts[di], p.params, i, j, opts)
+		d := &p.disjuncts[di]
+		err := d.scan(vals, i, j, opts, "plan scan", func(vals []rel.Value) bool {
+			rows = d.head.AppendTuple(rows, vals)
+			return true
+		})
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range rows {
-			k := rel.KeyOf(t)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
+	}
+	seen := make(map[rel.TupleKey]bool)
+	var out []rel.Tuple
+	for k, w := 0, p.headArity; k < len(rows); k += w {
+		t := rel.Tuple(rows[k : k+w : k+w])
+		if key := rel.KeyOf(t); !seen[key] {
+			seen[key] = true
 			out = append(out, t)
 		}
 	}

@@ -317,6 +317,65 @@ func TestEvalCanceled(t *testing.T) {
 	}
 }
 
+// pollCanceledCtx is a context that reads as canceled from its
+// (after+1)-th Err poll on, so the cancellation lands wherever that
+// poll falls — past the up-front checks, inside a plan or probe scan.
+type pollCanceledCtx struct {
+	context.Context
+	polls, after int
+}
+
+func (c *pollCanceledCtx) Err() error {
+	c.polls++
+	if c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEvalCanceledMidScan cancels the context at every poll of an
+// evaluation on a LAV(1600) plan in turn — the up-front checks, then
+// the searcher's polls inside the Σts probe and query scans. Eval of an
+// open query, SolutionExists and EvalGiven must each return an error
+// matching core.ErrCanceled, never a truncated answer set or a false
+// verdict; a run whose polls all pass returns the full result.
+func TestEvalCanceledMidScan(t *testing.T) {
+	s := workload.LAVSetting()
+	i, j := workload.LAVInstance(1600, true, rand.New(rand.NewSource(3)))
+	i.Freeze()
+	j.Freeze()
+	q := openQ("q", []string{"x", "g"}, dep.NewAtom("Rec", dep.Var("x"), dep.Var("g"), dep.Var("u")))
+	p := mustCompile(t, s, q)
+	for _, c := range []struct {
+		name string
+		run  func(EvalOptions) (certain.Result, error)
+	}{
+		{"Eval", func(o EvalOptions) (certain.Result, error) { return p.Eval(i, j, o) }},
+		{"SolutionExists", func(o EvalOptions) (certain.Result, error) {
+			ok, err := p.SettingPlan().SolutionExists(i, j, o)
+			return certain.Result{SolutionExists: ok}, err
+		}},
+		{"EvalGiven", func(o EvalOptions) (certain.Result, error) { return p.EvalGiven(true, i, j, o) }},
+	} {
+		full := &pollCanceledCtx{Context: context.Background(), after: 1 << 30}
+		want, err := c.run(EvalOptions{Ctx: full})
+		if err != nil || !want.SolutionExists {
+			t.Fatalf("%s uncanceled: %+v, %v", c.name, want, err)
+		}
+		t.Logf("%s: %d polls", c.name, full.polls)
+		if full.polls < 2 {
+			t.Fatalf("%s polled its context %d times; the scans must poll past the up-front check", c.name, full.polls)
+		}
+		for after := 0; after < full.polls; after++ {
+			got, err := c.run(EvalOptions{Ctx: &pollCanceledCtx{Context: context.Background(), after: after}})
+			if err == nil || !errors.Is(err, core.ErrCanceled) {
+				t.Fatalf("%s canceled at poll %d of %d: %+v (%d answers), err = %v; want ErrCanceled",
+					c.name, after+1, full.polls, got.SolutionExists, len(got.Answers), err)
+			}
+		}
+	}
+}
+
 // TestPlanConcurrentCallers: one compiled plan evaluated from several
 // goroutines over shared frozen instances — as pdxd's plan cache serves
 // concurrent requests — gives every caller the serial result.

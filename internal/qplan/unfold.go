@@ -22,46 +22,27 @@ import (
 	"strings"
 
 	"repro/internal/dep"
+	"repro/internal/hom"
 	"repro/internal/rel"
 )
 
-// cterm is a compiled term: a constant or a variable slot. A constant
-// either holds its value in val or, when param is set, stands for the
-// query constant in slot v of the binding plan's params; two param
-// terms are the same constant exactly when their slots are equal.
-type cterm struct {
-	constant bool
-	param    bool
-	val      rel.Value
-	v        int
-}
+// literal returns the term holding the constant with text c.
+func literal(c string) hom.Arg { return hom.Arg{Slot: -1, Val: rel.Const(c)} }
 
-// literal returns the constant term holding the constant with text c.
-func literal(c string) cterm { return cterm{constant: true, val: rel.Const(c)} }
-
-// value returns a constant term's value under the plan's params.
-func (t cterm) value(params []rel.Value) rel.Value {
-	if t.param {
-		return params[t.v]
-	}
-	return t.val
-}
-
-// catom is a compiled atom, evaluated against the source instance
-// (source=true) or the stored target instance.
-type catom struct {
-	source bool
-	rel    string
-	args   []cterm
-}
-
-// disjunct is one conjunct of the compiled union: atoms in emission
-// order, a greedy execution order over them, and the head row template.
+// disjunct is one conjunct of the compiled union, in hom's slot form:
+// atoms in emission order (conj is them compiled for the searcher) and
+// the head row template. The first nparams slots stand for the query's
+// param constants, pre-bound to the binding plan's params at every
+// scan, so two params are the same constant exactly when their slots
+// are equal; the variables take the slots after them, and a literal
+// constant is an argument with no slot. Source atoms are Alt: a scan
+// matches them in the source instance, the others in the stored target
+// instance.
 type disjunct struct {
-	atoms []catom
-	order []int
-	head  []cterm
-	nvars int
+	atoms   []hom.Atom
+	head    hom.Atom
+	nparams int
+	conj    *hom.Conj
 	// key is the canonical rendering used for deduplication.
 	key string
 }
@@ -143,7 +124,7 @@ type unifier struct {
 
 type attr struct {
 	hasConst bool
-	constVal cterm
+	constVal hom.Arg
 	hasEx    bool
 	exCopy   int
 	exVar    string
@@ -155,9 +136,9 @@ func newUnifier(sp *SettingPlan, params map[string]int) *unifier {
 
 // queryConst compiles a constant of the query: its param slot, or its
 // value when constants stay literal.
-func (u *unifier) queryConst(c string) cterm {
+func (u *unifier) queryConst(c string) hom.Arg {
 	if k, ok := u.params[c]; ok {
-		return cterm{constant: true, param: true, v: k}
+		return hom.Arg{Slot: k}
 	}
 	return literal(c)
 }
@@ -272,7 +253,7 @@ func (u *unifier) mergeCopies(ca, cb int) {
 	}
 }
 
-func (u *unifier) bindConst(n int, c cterm) {
+func (u *unifier) bindConst(n int, c hom.Arg) {
 	r := u.find(n)
 	merged, ok := u.mergeAttrs(u.attrs[r], attr{hasConst: true, constVal: c})
 	if !ok {
@@ -359,10 +340,10 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 	// Emission: trigger-copy bodies (once per merged copy) and J atoms,
 	// in body-atom order. Variable slots are assigned per class root in
 	// first-appearance order.
-	d := &disjunct{}
+	d := &disjunct{nparams: len(params)}
 	slots := make(map[int]int)
 	pruned := false
-	termOf := func(t dep.Term, copyID int) cterm {
+	termOf := func(t dep.Term, copyID int) hom.Arg {
 		switch {
 		case t.IsConst && copyID >= 0: // a Σst body constant
 			return literal(t.Name)
@@ -384,27 +365,25 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 			// A Skolem null flowed into an instance-matched position;
 			// the null-free instances can never supply it.
 			pruned = true
-			return cterm{}
+			return hom.Arg{}
 		}
 		s, ok := slots[r]
 		if !ok {
-			s = d.nvars
-			d.nvars++
+			s = d.nparams + len(slots)
 			slots[r] = s
 		}
-		return cterm{v: s}
+		return hom.Arg{Slot: s}
 	}
 	seenAtom := make(map[string]bool)
 	emit := func(source bool, relName string, args []dep.Term, copyID int) {
-		ct := make([]cterm, len(args))
+		a := hom.Atom{Rel: relName, Args: make([]hom.Arg, len(args)), Alt: source}
 		for p, t := range args {
-			ct[p] = termOf(t, copyID)
+			a.Args[p] = termOf(t, copyID)
 			if pruned {
 				return
 			}
 		}
-		a := catom{source: source, rel: relName, args: ct}
-		k := a.render()
+		k := d.atomKey(a)
 		if seenAtom[k] {
 			return
 		}
@@ -433,17 +412,17 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 	}
 
 	// Head template.
-	d.head = make([]cterm, len(head))
+	d.head.Args = make([]hom.Arg, len(head))
 	for hi, t := range head {
 		if t.IsConst {
-			d.head[hi] = literal(t.Name)
+			d.head.Args[hi] = literal(t.Name)
 			continue
 		}
 		r := u.find(node(t.Name))
 		at := u.attrs[r]
 		switch {
 		case at.hasConst:
-			d.head[hi] = at.constVal
+			d.head.Args[hi] = at.constVal
 		case at.hasEx:
 			if !dropNullHeads {
 				return nil, false, fmt.Errorf("qplan: internal: probe head variable %s bound to a null", t.Name)
@@ -457,48 +436,13 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 				// guarantees head variables occur in the body).
 				return nil, false, nil
 			}
-			d.head[hi] = cterm{v: s}
+			d.head.Args[hi] = hom.Arg{Slot: s}
 		}
 	}
 
-	d.order = joinOrder(d.atoms)
+	d.conj = hom.NewConj(d.atoms, d.nparams)
 	d.key = d.render()
 	return d, false, nil
-}
-
-// joinOrder greedily orders atoms for execution: repeatedly pick the
-// atom with the most bound argument positions (constants or variables
-// bound by earlier atoms), breaking ties by emission order.
-func joinOrder(atoms []catom) []int {
-	n := len(atoms)
-	used := make([]bool, n)
-	bound := make(map[int]bool)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		best, bestScore := -1, -1
-		for k := range atoms {
-			if used[k] {
-				continue
-			}
-			score := 0
-			for _, t := range atoms[k].args {
-				if t.constant || bound[t.v] {
-					score++
-				}
-			}
-			if score > bestScore {
-				best, bestScore = k, score
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, t := range atoms[best].args {
-			if !t.constant {
-				bound[t.v] = true
-			}
-		}
-	}
-	return order
 }
 
 // render produces the canonical text of the disjunct: head then atoms,
@@ -515,31 +459,34 @@ func (d *disjunct) render() string {
 func (d *disjunct) renderWith(headNames []string, params []rel.Value) string {
 	canon := make(map[int]int)
 	var b strings.Builder
-	writeTerm := func(t cterm) {
+	writeTerm := func(t hom.Arg) {
 		switch {
-		case t.param && params == nil:
-			b.WriteString("$")
-			b.WriteString(strconv.Itoa(t.v))
+		case t.Slot < 0:
+			b.WriteString(t.Val.String())
 			return
-		case t.constant:
-			b.WriteString(t.value(params).String())
+		case t.Slot < d.nparams && params == nil:
+			b.WriteString("$")
+			b.WriteString(strconv.Itoa(t.Slot))
+			return
+		case t.Slot < d.nparams:
+			b.WriteString(params[t.Slot].String())
 			return
 		}
-		c, ok := canon[t.v]
+		c, ok := canon[t.Slot]
 		if !ok {
 			c = len(canon)
-			canon[t.v] = c
+			canon[t.Slot] = c
 		}
 		b.WriteString("v")
 		b.WriteString(strconv.Itoa(c))
 	}
-	if len(d.head) > 0 {
+	if len(d.head.Args) > 0 {
 		b.WriteString("(")
-		for i, t := range d.head {
+		for i, t := range d.head.Args {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			if headNames != nil && !t.constant {
+			if headNames != nil && t.Slot >= d.nparams {
 				b.WriteString(headNames[i])
 				b.WriteString("=")
 			}
@@ -548,19 +495,18 @@ func (d *disjunct) renderWith(headNames []string, params []rel.Value) string {
 		b.WriteString(")")
 	}
 	b.WriteString(" :- ")
-	for i := range d.atoms {
+	for i, a := range d.atoms {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		a := &d.atoms[i]
-		if a.source {
+		if a.Alt {
 			b.WriteString("src:")
 		} else {
 			b.WriteString("tgt:")
 		}
-		b.WriteString(a.rel)
+		b.WriteString(a.Rel)
 		b.WriteString("(")
-		for p, t := range a.args {
+		for p, t := range a.Args {
 			if p > 0 {
 				b.WriteString(", ")
 			}
@@ -571,27 +517,27 @@ func (d *disjunct) renderWith(headNames []string, params []rel.Value) string {
 	return b.String()
 }
 
-// render is the exact (slot-numbered) form of one atom, used to drop
-// duplicate atoms within a disjunct.
-func (a *catom) render() string {
+// atomKey is the exact (slot-numbered) form of one atom of d, used to
+// drop duplicate atoms within a disjunct.
+func (d *disjunct) atomKey(a hom.Atom) string {
 	var b strings.Builder
-	if a.source {
+	if a.Alt {
 		b.WriteString("s:")
 	} else {
 		b.WriteString("t:")
 	}
-	b.WriteString(a.rel)
-	for _, t := range a.args {
+	b.WriteString(a.Rel)
+	for _, t := range a.Args {
 		b.WriteString("|")
 		switch {
-		case t.param:
+		case t.Slot < 0:
+			b.WriteString(t.Val.String())
+		case t.Slot < d.nparams:
 			b.WriteString("$")
-			b.WriteString(strconv.Itoa(t.v))
-		case t.constant:
-			b.WriteString(t.val.String())
+			b.WriteString(strconv.Itoa(t.Slot))
 		default:
 			b.WriteString("v")
-			b.WriteString(strconv.Itoa(t.v))
+			b.WriteString(strconv.Itoa(t.Slot))
 		}
 	}
 	return b.String()

@@ -1058,7 +1058,7 @@ func (inst *Instance) scanNulls() bool {
 // whose content changed; relations without changes are absent. The
 // chase logs these indexes, and each dependency's next search — a tgd's
 // trigger collection or an egd's detection pass — hands those logged
-// since its mark to hom.EnumerateDeltaSpec, so only bindings touching a
+// since its mark to hom.Conj.EnumerateDeltaSpec, so only bindings touching a
 // merged class are re-enumerated.
 func (inst *Instance) MergeValue(from, to Value) map[string][]int {
 	inst.mutable("MergeValue")

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/core"
-	"repro/internal/dep"
 	"repro/internal/hom"
 	"repro/internal/rel"
 )
@@ -102,20 +101,16 @@ func Core(k *rel.Instance, opts hom.Options) *rel.Instance {
 // shrinkBlock searches a homomorphism h from the block into the whole
 // instance such that (K \ B) ∪ h(B) has strictly fewer facts than K.
 func shrinkBlock(k *rel.Instance, block hom.Block, opts hom.Options) (*rel.Instance, bool) {
-	blockAtoms := make([]dep.Atom, 0, len(block.Facts))
-	for _, f := range block.Facts {
-		blockAtoms = append(blockAtoms, hom.FactAtom(f))
-	}
 	inBlock := make(map[rel.FactKey]bool, len(block.Facts))
 	for _, f := range block.Facts {
 		inBlock[f.Key()] = true
 	}
 	var result *rel.Instance
-	hom.ForEach(blockAtoms, k, nil, opts, func(b hom.Binding) bool {
+	block.Compile().ForEach(k, make([]rel.Value, len(block.Nulls)), opts, func(vals []rel.Value) bool {
 		// Build the candidate image of the block under this binding.
 		img := rel.NewInstance()
 		for _, f := range block.Facts {
-			img.AddFact(applyBinding(f, b))
+			img.AddFact(applyBinding(f, block, vals))
 		}
 		// Candidate instance: everything outside the block, plus the
 		// image.
@@ -135,13 +130,13 @@ func shrinkBlock(k *rel.Instance, block hom.Block, opts hom.Options) (*rel.Insta
 	return result, result != nil
 }
 
-func applyBinding(f rel.Fact, b hom.Binding) rel.Fact {
+// applyBinding maps the nulls of a fact of block to their values in the
+// slot vector of the block's compiled conjunction.
+func applyBinding(f rel.Fact, block hom.Block, vals []rel.Value) rel.Fact {
 	t := f.Args.Clone()
 	for idx, v := range t {
 		if v.IsNull() {
-			if w, ok := b[hom.NullVar(v.NullID())]; ok {
-				t[idx] = w
-			}
+			t[idx] = vals[block.Slot(v)]
 		}
 	}
 	return rel.Fact{Rel: f.Rel, Args: t}
