@@ -117,82 +117,13 @@ func (g *DependencyGraph) addEdge(from, to Position, special bool, label string)
 	g.provenance[key] = append(g.provenance[key], label)
 }
 
-// Nodes returns the graph's positions in sorted order.
-func (g *DependencyGraph) Nodes() []Position {
-	out := make([]Position, 0, len(g.nodes))
-	for p := range g.nodes {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rel != out[j].Rel {
-			return out[i].Rel < out[j].Rel
-		}
-		return out[i].Idx < out[j].Idx
-	})
-	return out
-}
-
-// HasOrdinaryEdge reports whether there is an ordinary edge from a to b.
-func (g *DependencyGraph) HasOrdinaryEdge(a, b Position) bool {
-	return g.ordinary[a][b]
-}
-
-// HasSpecialEdge reports whether there is a special edge from a to b.
-func (g *DependencyGraph) HasSpecialEdge(a, b Position) bool {
-	return g.special[a][b]
-}
-
-// HasCycleThroughSpecialEdge reports whether the graph contains a cycle
-// that traverses at least one special edge. Per Definition 5, a set of
-// tgds is weakly acyclic iff its dependency graph has no such cycle.
-//
-// The check: for every special edge (u, v), the set is not weakly
-// acyclic iff u is reachable from v (using edges of either kind), which
-// closes a cycle through the special edge. We compute reachability by
-// DFS from each special-edge head; the graph is small (positions of a
-// fixed setting), so this is cheap.
-func (g *DependencyGraph) HasCycleThroughSpecialEdge() bool {
-	for u, tos := range g.special {
-		for v := range tos {
-			if g.reaches(v, u) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (g *DependencyGraph) reaches(from, to Position) bool {
-	if from == to {
-		return true
-	}
-	seen := map[Position]bool{from: true}
-	stack := []Position{from}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, succs := range []map[Position]map[Position]bool{g.ordinary, g.special} {
-			for next := range succs[cur] {
-				if next == to {
-					return true
-				}
-				if !seen[next] {
-					seen[next] = true
-					//lint:ignore pdxlint/mapdet DFS worklist for a boolean reachability query; visit order cannot affect the answer
-					stack = append(stack, next)
-				}
-			}
-		}
-	}
-	return false
-}
-
 // WeaklyAcyclic reports whether the set of tgds is weakly acyclic
 // (Definition 5). Weakly acyclic sets include all sets of full tgds and
 // all acyclic sets of inclusion dependencies; the chase with a weakly
 // acyclic set terminates in polynomially many steps.
 func WeaklyAcyclic(tgds []TGD) bool {
-	return !BuildDependencyGraph(tgds).HasCycleThroughSpecialEdge()
+	_, found := BuildDependencyGraph(tgds).FindSpecialCycle()
+	return !found
 }
 
 // CycleEdge is one edge of a witness cycle in the dependency graph.

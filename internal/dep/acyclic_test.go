@@ -92,18 +92,18 @@ func TestDependencyGraphEdges(t *testing.T) {
 		Head:  []Atom{NewAtom("B", Var("x"), Var("z"))},
 	}}
 	g := BuildDependencyGraph(tgds)
-	if !g.HasOrdinaryEdge(Position{"A", 0}, Position{"B", 0}) {
+	if !g.ordinary[Position{"A", 0}][Position{"B", 0}] {
 		t.Error("missing ordinary edge A.0 -> B.0")
 	}
-	if !g.HasSpecialEdge(Position{"A", 0}, Position{"B", 1}) {
+	if !g.special[Position{"A", 0}][Position{"B", 1}] {
 		t.Error("missing special edge A.0 -> B.1")
 	}
 	// y does not occur in the head: it contributes no edges.
-	if g.HasSpecialEdge(Position{"A", 1}, Position{"B", 1}) {
+	if g.special[Position{"A", 1}][Position{"B", 1}] {
 		t.Error("variable absent from head contributed an edge")
 	}
-	if len(g.Nodes()) != 4 {
-		t.Errorf("graph has %d nodes, want 4", len(g.Nodes()))
+	if len(g.nodes) != 4 {
+		t.Errorf("graph has %d nodes, want 4", len(g.nodes))
 	}
 }
 
@@ -136,7 +136,7 @@ func TestConstantsContributeNoEdges(t *testing.T) {
 		t.Error("special self-loop must be detected")
 	}
 	g := BuildDependencyGraph(tgds)
-	if g.HasOrdinaryEdge(Position{"A", 0}, Position{"A", 0}) {
+	if g.ordinary[Position{"A", 0}][Position{"A", 0}] {
 		t.Error("constant position contributed an edge")
 	}
 }

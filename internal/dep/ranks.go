@@ -10,159 +10,36 @@ import "fmt"
 // polynomially many in the input, with the polynomial degree growing
 // with r.
 //
-// It returns an error when the set is not weakly acyclic (some cycle
-// goes through a special edge), in which case ranks are unbounded.
+// It returns an error naming a cycle through a special edge when the
+// set is not weakly acyclic, in which case ranks are unbounded.
 //
-// Algorithm: Tarjan-style strongly connected components of the
-// dependency graph; weak acyclicity means no special edge connects two
-// positions of the same component. The condensation is a DAG, over
-// which the longest special-edge count is a simple memoized traversal.
+// Algorithm: every edge is relaxed (weight 1 for a special edge, 0 for
+// an ordinary one) until no rank changes. Since no cycle carries a
+// special edge, going round a cycle never raises a rank, so the
+// relaxation settles, as Bellman–Ford does, at the longest special-edge
+// count of any path ending at each position.
 func PositionRanks(tgds []TGD) (map[Position]int, error) {
 	g := BuildDependencyGraph(tgds)
-	nodes := g.Nodes()
-	index := make(map[Position]int, len(nodes))
-	for i, p := range nodes {
-		index[p] = i
+	if cycle, found := g.FindSpecialCycle(); found {
+		return nil, fmt.Errorf("dep: not weakly acyclic: the dependency graph has the cycle %s through a special edge", FormatCycle(cycle))
 	}
-
-	// adjacency with special flags
-	type edge struct {
-		to      int
-		special bool
+	ranks := make(map[Position]int, len(g.nodes))
+	for p := range g.nodes {
+		ranks[p] = 0
 	}
-	adj := make([][]edge, len(nodes))
-	for i, p := range nodes {
-		for _, q := range nodes {
-			if g.HasOrdinaryEdge(p, q) {
-				adj[i] = append(adj[i], edge{index[q], false})
-			}
-			if g.HasSpecialEdge(p, q) {
-				adj[i] = append(adj[i], edge{index[q], true})
-			}
-		}
-	}
-
-	// Iterative Tarjan SCC.
-	const unvisited = -1
-	idx := make([]int, len(nodes))
-	low := make([]int, len(nodes))
-	comp := make([]int, len(nodes))
-	onStack := make([]bool, len(nodes))
-	for i := range idx {
-		idx[i], comp[i] = unvisited, unvisited
-	}
-	var stack []int
-	counter, nComp := 0, 0
-
-	type frame struct{ v, ei int }
-	for start := range nodes {
-		if idx[start] != unvisited {
-			continue
-		}
-		frames := []frame{{start, 0}}
-		idx[start], low[start] = counter, counter
-		counter++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(adj[f.v]) {
-				w := adj[f.v][f.ei].to
-				f.ei++
-				if idx[w] == unvisited {
-					idx[w], low[w] = counter, counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{w, 0})
-				} else if onStack[w] && idx[w] < low[f.v] {
-					low[f.v] = idx[w]
-				}
-				continue
-			}
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := frames[len(frames)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
-			}
-			if low[v] == idx[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = nComp
-					if w == v {
-						break
+	for changed := true; changed; {
+		changed = false
+		for w, edges := range []map[Position]map[Position]bool{g.ordinary, g.special} {
+			for from, tos := range edges {
+				for to := range tos {
+					if r := ranks[from] + w; r > ranks[to] {
+						ranks[to], changed = r, true
 					}
 				}
-				nComp++
 			}
 		}
 	}
-
-	// Weak acyclicity check at the component level, plus condensed
-	// edges.
-	type cedge struct {
-		to      int
-		special bool
-	}
-	cadj := make([][]cedge, nComp)
-	for v := range nodes {
-		for _, e := range adj[v] {
-			if comp[v] == comp[e.to] {
-				if e.special {
-					return nil, fmt.Errorf("dep: not weakly acyclic: special edge inside a cycle at %s", nodes[v])
-				}
-				continue
-			}
-			cadj[comp[v]] = append(cadj[comp[v]], cedge{comp[e.to], e.special})
-		}
-	}
-
-	// Longest special-edge count INTO each component: reverse view via
-	// memoized forward computation of "max specials along any path
-	// ending here" = max over incoming (rank(src) + special). Compute
-	// with a reverse adjacency.
-	rin := make([][]cedge, nComp)
-	for c, outs := range cadj {
-		for _, e := range outs {
-			rin[e.to] = append(rin[e.to], cedge{c, e.special})
-		}
-	}
-	rank := make([]int, nComp)
-	state := make([]int, nComp) // 0 = unset, 1 = computing, 2 = done
-	var rankOf func(c int) int
-	rankOf = func(c int) int {
-		if state[c] == 2 {
-			return rank[c]
-		}
-		if state[c] == 1 {
-			// Cannot happen: condensation is a DAG.
-			panic("dep: cycle in condensation")
-		}
-		state[c] = 1
-		best := 0
-		for _, e := range rin[c] {
-			r := rankOf(e.to)
-			if e.special {
-				r++
-			}
-			if r > best {
-				best = r
-			}
-		}
-		rank[c] = best
-		state[c] = 2
-		return best
-	}
-	out := make(map[Position]int, len(nodes))
-	for i, p := range nodes {
-		out[p] = rankOf(comp[i])
-	}
-	return out, nil
+	return ranks, nil
 }
 
 // MaxRank returns the largest position rank of a weakly acyclic set of

@@ -52,10 +52,10 @@ func verifyCycle(t *testing.T, g *DependencyGraph, cycle []CycleEdge) {
 		}
 		if e.Special {
 			hasSpecial = true
-			if !g.HasSpecialEdge(e.From, e.To) {
+			if !g.special[e.From][e.To] {
 				t.Errorf("reported special edge %v → %v not in graph", e.From, e.To)
 			}
-		} else if !g.HasOrdinaryEdge(e.From, e.To) {
+		} else if !g.ordinary[e.From][e.To] {
 			t.Errorf("reported ordinary edge %v → %v not in graph", e.From, e.To)
 		}
 		if len(e.TGDs) == 0 {

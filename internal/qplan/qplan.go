@@ -27,8 +27,8 @@
 // trigger is satisfied in I depends only on constant bindings, so the
 // identity assignment (keep every null fresh) is a solution whenever
 // any assignment is. Solution existence therefore compiles to violation
-// probes — unfoldings of each Σts body whose distinct head-variable
-// rows are checked against I — and certain answers of a UCQ q reduce to
+// probes — unfoldings of each Σts body whose head-variable rows are
+// checked against I — and certain answers of a UCQ q reduce to
 // evaluating the unfolded q over (I, J): for Boolean queries any match
 // settles certainty, for open queries exactly the matches whose head
 // values are constants survive, so disjuncts that bind a head variable
@@ -174,10 +174,10 @@ type origin struct {
 }
 
 // probe is the compiled violation check of one Σts tgd: the unfolded
-// body enumerates rows of head-variable bindings; each distinct row
-// must extend to a homomorphism of the head into I. head is the head
-// compiled with the head variables pre-bound in the first slots, in
-// headVars order, as the rows hold them.
+// body enumerates rows of head-variable bindings; each row must extend
+// to a homomorphism of the head into I. head is the head compiled with
+// the head variables pre-bound in the first slots, in headVars order,
+// as the rows hold them.
 type probe struct {
 	label     string
 	headVars  []string
@@ -198,11 +198,13 @@ type SettingPlan struct {
 	// universal[d] is the universal-variable set of s.ST[d].
 	universal []map[string]bool
 	probes    []probe
-	// parametric reports that query plans are compiled per shape (see
-	// AppendShape): no Σst head atom carries a constant, so during
-	// unfolding a query constant meets only query constants, variables
-	// and Skolem nulls, and which constant it is decides nothing.
-	parametric bool
+	// headConsts holds the constants of the Σst heads, nil when there
+	// are none. A query constant in it stays literal in the shape and
+	// the plan; every other one is a param (see AppendShape), which
+	// therefore never equals a constant the unfolding can meet, so the
+	// unifier's rule that a param meets a literal only to prune is
+	// exact.
+	headConsts map[string]bool
 }
 
 // CompileSetting compiles the setting's origin table and Σts probes,
@@ -212,10 +214,9 @@ func CompileSetting(s *core.Setting) (*SettingPlan, error) {
 		return nil, err
 	}
 	sp := &SettingPlan{
-		s:          s,
-		origins:    make(map[string][]origin),
-		universal:  make([]map[string]bool, len(s.ST)),
-		parametric: true,
+		s:         s,
+		origins:   make(map[string][]origin),
+		universal: make([]map[string]bool, len(s.ST)),
 	}
 	for di, d := range s.ST {
 		uni := make(map[string]bool)
@@ -227,10 +228,10 @@ func CompileSetting(s *core.Setting) (*SettingPlan, error) {
 			sp.origins[a.Rel] = append(sp.origins[a.Rel], origin{tgd: di, atom: ai})
 			for _, t := range a.Args {
 				if t.IsConst {
-					// A query constant could meet this one through a
-					// universal variable, as R('a',y), T(y) meets
-					// heads R(x,x) and T('c'): constants stay literal.
-					sp.parametric = false
+					if sp.headConsts == nil {
+						sp.headConsts = make(map[string]bool)
+					}
+					sp.headConsts[t.Name] = true
 				}
 			}
 		}
@@ -328,9 +329,11 @@ func (sp *SettingPlan) CheckInstances(i, j *rel.Instance) error {
 }
 
 // SolutionExists decides SOL(P) for (i, j) by running the compiled Σts
-// probes: it returns false exactly when some distinct head-variable row
-// of some unfolded Σts body has no extension into i. It returns a
-// *FallbackError when an instance contains labeled nulls.
+// probes: it returns false exactly when some head-variable row of some
+// unfolded Σts body has no extension into i. A repeated row is probed
+// again: the check is pure, and probing a repeat costs less than
+// keeping a set of every row. It returns a *FallbackError when an instance
+// contains labeled nulls.
 func (sp *SettingPlan) SolutionExists(i, j *rel.Instance, opts EvalOptions) (bool, error) {
 	if err := sp.CheckInstances(i, j); err != nil {
 		return false, err
@@ -341,21 +344,13 @@ func (sp *SettingPlan) SolutionExists(i, j *rel.Instance, opts EvalOptions) (boo
 	i, j = orEmpty(i), orEmpty(j)
 	for pi := range sp.probes {
 		pb := &sp.probes[pi]
-		seen := make(map[rel.TupleKey]bool)
 		vals := slotVector(pb.disjuncts, nil)
 		hvals := make([]rel.Value, pb.head.Slots())
-		var row rel.Tuple
 		for di := range pb.disjuncts {
 			d := &pb.disjuncts[di]
 			violated := false
 			err := d.scan(vals, i, j, opts, "probe scan", func(vals []rel.Value) bool {
-				row = d.head.AppendTuple(row[:0], vals)
-				k := rel.KeyOf(row)
-				if seen[k] {
-					return true
-				}
-				seen[k] = true
-				copy(hvals, row)
+				d.head.AppendTuple(hvals[:0], vals) // the row pre-binds the head's first slots
 				if !pb.head.Exists(i, hvals, opts) {
 					violated = true
 					return false
@@ -392,14 +387,13 @@ type Plan struct {
 
 // shape is the compiled part of a plan, shared by every query of one
 // shape (see AppendShape): its constant terms either hold their value
-// or, when parametric, name a slot of the binding plan's params.
+// (a Σst head constant) or name a slot of the binding plan's params.
 type shape struct {
-	sp         *SettingPlan
-	name       string
-	boolean    bool
-	headArity  int
-	parametric bool
-	disjuncts  []disjunct
+	sp        *SettingPlan
+	name      string
+	boolean   bool
+	headArity int
+	disjuncts []disjunct
 	// dropped counts the unfolded disjuncts discarded because they bind
 	// a head variable to an existential (null-producing) position.
 	dropped int
@@ -407,34 +401,24 @@ type shape struct {
 
 // CompileQuery unfolds the UCQ into a plan over the setting, bound to
 // the UCQ's constants. The query must validate against the setting's
-// target schema. When the setting is parametric the compiled shape
-// serves every query with the same AppendShape text (see Bind).
+// target schema. The compiled shape serves every query with the same
+// AppendShape text (see Bind).
 func (sp *SettingPlan) CompileQuery(q certain.UCQ) (*Plan, error) {
-	return sp.compile(q, sp.parametric)
-}
-
-// compile is CompileQuery with the choice of compiling q's shape, with
-// a slot per distinct constant, or q's constants literally.
-func (sp *SettingPlan) compile(q certain.UCQ, parametric bool) (*Plan, error) {
 	if err := q.Validate(sp.s.Target); err != nil {
 		return nil, err
 	}
 	sh := &shape{
-		sp:         sp,
-		name:       q[0].Name,
-		boolean:    q[0].IsBoolean(),
-		headArity:  len(q[0].Head),
-		parametric: parametric,
+		sp:        sp,
+		name:      q[0].Name,
+		boolean:   q[0].IsBoolean(),
+		headArity: len(q[0].Head),
 	}
-	var params map[string]int // constant text → slot, in first-occurrence order
-	if parametric {
-		params = make(map[string]int)
-		forEachConst(q, func(c string) {
-			if _, ok := params[c]; !ok {
-				params[c] = len(params)
-			}
-		})
-	}
+	params := make(map[string]int) // constant text → slot, in first-occurrence order
+	sp.forEachConst(q, func(c string) {
+		if _, ok := params[c]; !ok {
+			params[c] = len(params)
+		}
+	})
 	seen := make(map[string]bool)
 	for _, cq := range q {
 		headTerms := make([]dep.Term, len(cq.Head))
@@ -457,13 +441,14 @@ func (sp *SettingPlan) compile(q certain.UCQ, parametric bool) (*Plan, error) {
 	return (&Plan{shape: sh}).Bind(q), nil
 }
 
-// forEachConst calls fn on the text of every constant of q, in the
-// order AppendShape writes them.
-func forEachConst(q certain.UCQ, fn func(string)) {
+// forEachConst calls fn on the text of every param constant of q (one
+// that is not a Σst head constant), in the order AppendShape writes
+// them.
+func (sp *SettingPlan) forEachConst(q certain.UCQ, fn func(string)) {
 	for _, cq := range q {
 		for _, a := range cq.Body {
 			for _, t := range a.Args {
-				if t.IsConst {
+				if t.IsConst && !sp.headConsts[t.Name] {
 					fn(t.Name)
 				}
 			}
@@ -472,15 +457,11 @@ func forEachConst(q certain.UCQ, fn func(string)) {
 }
 
 // Bind returns the plan of q, a query with the same AppendShape text as
-// the one p was compiled from, bound to q's constants. A plan compiled
-// with literal constants serves only its own query and returns itself.
+// the one p was compiled from, bound to q's constants.
 func (p *Plan) Bind(q certain.UCQ) *Plan {
-	if !p.parametric {
-		return p
-	}
 	b := &Plan{shape: p.shape}
 	b.params = b.inline[:0]
-	forEachConst(q, func(c string) {
+	p.sp.forEachConst(q, func(c string) {
 		if v := rel.Const(c); !slices.Contains(b.params, v) {
 			b.params = append(b.params, v)
 		}
@@ -490,12 +471,14 @@ func (p *Plan) Bind(q certain.UCQ) *Plan {
 
 // AppendShape appends the plan-cache key text of q to buf and returns
 // the extended buffer: q's rule text, one line per disjunct, with each
-// constant written as its slot $k when the setting is parametric,
+// constant that is not a Σst head constant written as its slot $k,
 // numbered by first occurrence so that equal constants share a slot.
-// Queries with equal text share one compiled shape, which Bind binds to
-// each query's constants; parsed identifiers never start with '$'. The
-// text fits a stack buffer for a point query, so building a key
-// allocates nothing.
+// Head constants stay literal, since a query constant can meet one
+// through a universal variable, as R('a',y), T(y) meets heads R(x,x)
+// and T('c'). Queries with equal text share one compiled shape, which
+// Bind binds to each query's constants; parsed identifiers never start
+// with '$'. The text fits a stack buffer for a point query, so building
+// a key allocates nothing.
 func (sp *SettingPlan) AppendShape(buf []byte, q certain.UCQ) []byte {
 	var seenArr [8]string
 	seen := seenArr[:0]
@@ -524,7 +507,7 @@ func (sp *SettingPlan) AppendShape(buf []byte, q certain.UCQ) []byte {
 				switch {
 				case !t.IsConst:
 					buf = append(buf, t.Name...)
-				case !sp.parametric:
+				case sp.headConsts[t.Name]:
 					buf = append(append(append(buf, '\''), t.Name...), '\'')
 				default:
 					slot := slices.Index(seen, t.Name)

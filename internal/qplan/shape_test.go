@@ -10,6 +10,7 @@ import (
 	"repro/internal/certain"
 	"repro/internal/core"
 	"repro/internal/dep"
+	"repro/internal/rel"
 	"repro/internal/workload"
 )
 
@@ -19,7 +20,7 @@ var shapeConsts = []string{"a", "b", "c", "d"}
 
 // shapeSetting is a random compilable setting; with headConst set, one
 // Σst head argument becomes a constant of the instances' domain, which
-// keeps the setting's plans literal.
+// query constants equal to it then keep literal in their shape.
 func shapeSetting(rng *rand.Rand, headConst bool) *core.Setting {
 	s := workload.RandomCompilableSetting(rng)
 	if headConst {
@@ -54,10 +55,10 @@ func shapeQuery(rng *rand.Rand, boolean bool) certain.UCQ {
 	return q
 }
 
-// renameConsts returns q with its k-th distinct constant, in
-// first-occurrence order, renamed to "k<k>": a query of the same shape
-// whose constants occur in no instance.
-func renameConsts(q certain.UCQ) certain.UCQ {
+// renameConsts returns q with its k-th distinct constant outside keep,
+// in first-occurrence order, renamed to "k<k>": a query of the same
+// shape whose renamed constants occur in no instance.
+func renameConsts(q certain.UCQ, keep map[string]bool) certain.UCQ {
 	names := map[string]string{}
 	out := make(certain.UCQ, len(q))
 	for d, cq := range q {
@@ -65,7 +66,7 @@ func renameConsts(q certain.UCQ) certain.UCQ {
 		for a, at := range cq.Body {
 			args := append([]dep.Term(nil), at.Args...)
 			for k, t := range args {
-				if t.IsConst {
+				if t.IsConst && !keep[t.Name] {
 					n, ok := names[t.Name]
 					if !ok {
 						n = fmt.Sprintf("k%d", len(names))
@@ -81,9 +82,35 @@ func renameConsts(q certain.UCQ) certain.UCQ {
 	return out
 }
 
+// literalPlan is the reference plan of q: its unfolding with every
+// constant literal (no params), deduplicated as CompileQuery does.
+func literalPlan(t *testing.T, sp *SettingPlan, q certain.UCQ) *Plan {
+	t.Helper()
+	sh := &shape{sp: sp, name: q[0].Name, boolean: q[0].IsBoolean(), headArity: len(q[0].Head)}
+	seen := map[string]bool{}
+	for _, cq := range q {
+		headTerms := make([]dep.Term, len(cq.Head))
+		for i, v := range cq.Head {
+			headTerms[i] = dep.Var(v)
+		}
+		ds, dropped, err := sp.unfold(headTerms, cq.Body, !sh.boolean, nil)
+		if err != nil {
+			t.Fatalf("literal unfolding of %v: %v", q, err)
+		}
+		sh.dropped += dropped
+		for _, d := range ds {
+			if !seen[d.key] {
+				seen[d.key] = true
+				sh.disjuncts = append(sh.disjuncts, d)
+			}
+		}
+	}
+	return &Plan{shape: sh}
+}
+
 // checkShapePlan runs one case of the shape-plan property: the plan
-// compiled from a renamed sibling of q and bound to q agrees with a
-// literal compile of q and, when the case is small enough to
+// compiled from a renamed sibling of q (its Σst head constants kept)
+// and bound to q agrees with literalPlan of q and, when the case is small enough to
 // enumerate, with the chase-backed certain answers. It reports whether
 // the setting was in the fragment.
 func checkShapePlan(t *testing.T, rng *rand.Rand) bool {
@@ -97,15 +124,9 @@ func checkShapePlan(t *testing.T, rng *rand.Rand) bool {
 	if err != nil {
 		t.Fatalf("CompileSetting: %v", err)
 	}
-	if sp.parametric == headConst {
-		t.Fatalf("setting with head constant %v compiled parametric=%v:\n%v", headConst, sp.parametric, s)
-	}
 	i, j := workload.RandomCompilableInstance(rng)
 	q := shapeQuery(rng, rng.Intn(2) == 0)
-	sibling := q
-	if sp.parametric {
-		sibling = renameConsts(q)
-	}
+	sibling := renameConsts(q, sp.headConsts)
 	if got, want := string(sp.AppendShape(nil, sibling)), string(sp.AppendShape(nil, q)); got != want {
 		t.Fatalf("shape texts differ:\n%s\n%s", got, want)
 	}
@@ -114,10 +135,7 @@ func checkShapePlan(t *testing.T, rng *rand.Rand) bool {
 		t.Fatalf("CompileQuery(%v): %v", sibling, err)
 	}
 	p := shaped.Bind(q)
-	lit, err := sp.compile(q, false)
-	if err != nil {
-		t.Fatalf("literal compile of %v: %v", q, err)
-	}
+	lit := literalPlan(t, sp, q)
 	got, err := p.Eval(i, j, EvalOptions{})
 	if err != nil {
 		t.Fatalf("shape plan eval: %v", err)
@@ -155,8 +173,8 @@ func checkShapePlan(t *testing.T, rng *rand.Rand) bool {
 }
 
 // TestShapePlanMatchesLiteralPlan: over random compilable settings
-// (a quarter with a constant in a Σst head, which keeps plans literal)
-// and random queries with repeated constants, a plan compiled for one
+// (a quarter with a constant in a Σst head, which stays literal in
+// the shapes of queries that use it) and random queries with repeated constants, a plan compiled for one
 // query's shape and bound to another query of that shape answers
 // exactly as that query's literal plan and its certain answers.
 func TestShapePlanMatchesLiteralPlan(t *testing.T) {
@@ -190,6 +208,62 @@ func TestShapeKeepsRepeatedConstantsApart(t *testing.T) {
 	}
 	if want := "q(u) :- Rec($0, $0, u)\n"; shape("a", "a") != want {
 		t.Fatalf("shape %q, want %q", shape("a", "a"), want)
+	}
+}
+
+// TestShapeKeepsHeadConstantsLiteral pins the example of DESIGN §15:
+// with Σst heads R(x,x) and T('c'), the query R('a',y), T(y) prunes
+// the disjunct unfolding both atoms through the heads (y would be 'a'
+// and 'c'), while R('c',y), T(y) keeps it. 'c' therefore stays literal
+// in the shape text, and 'a' and 'b' share a slot.
+func TestShapeKeepsHeadConstantsLiteral(t *testing.T) {
+	s := &core.Setting{
+		Name:   "head-const",
+		Source: rel.SchemaOf("S", 1),
+		Target: rel.SchemaOf("R", 2, "T", 1),
+		ST: []dep.TGD{
+			{Label: "st-r", Body: []dep.Atom{dep.NewAtom("S", dep.Var("x"))}, Head: []dep.Atom{dep.NewAtom("R", dep.Var("x"), dep.Var("x"))}},
+			{Label: "st-t", Body: []dep.Atom{dep.NewAtom("S", dep.Var("x"))}, Head: []dep.Atom{dep.NewAtom("T", dep.Cst("c"))}},
+		},
+	}
+	sp, err := CompileSetting(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(c string) certain.UCQ {
+		return certain.UCQ{{Name: "q", Body: []dep.Atom{dep.NewAtom("R", dep.Cst(c), dep.Var("y")), dep.NewAtom("T", dep.Var("y"))}}}
+	}
+	shape := func(c string) string { return string(sp.AppendShape(nil, query(c))) }
+	if want := "q :- R($0, y), T(y)\n"; shape("a") != want || shape("b") != want {
+		t.Fatalf("shapes %q and %q, want %q", shape("a"), shape("b"), want)
+	}
+	if want := "q :- R('c', y), T(y)\n"; shape("c") != want {
+		t.Fatalf("shape %q, want %q", shape("c"), want)
+	}
+	shaped, err := sp.CompileQuery(query("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []string{"a", "c"} {
+		i := rel.NewInstance()
+		i.Add("S", rel.Const(c))
+		p := shaped
+		if c == "c" {
+			if p, err = sp.CompileQuery(query(c)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := p.Bind(query(c)).Eval(i, nil, EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := certain.Boolean(s, i, rel.NewInstance(), query(c), certain.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Certain != want.Certain || got.Certain != (c == "c") {
+			t.Fatalf("S(%s): plan says certain=%v, chase %v\n%s", c, got.Certain, want.Certain, p)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ type disjunct struct {
 // unfold rewrites (head, body) — a query disjunct or a Σts body with
 // its head variables — into compiled disjuncts. A constant of body
 // whose text params maps compiles to that param slot, any other to its
-// value (see SettingPlan.parametric). dropNullHeads drops
+// value (see SettingPlan.headConsts). dropNullHeads drops
 // disjuncts binding a head variable to an existential position (open
 // queries: only ground rows can be certain); when false such a binding
 // is an internal error, since the fragment gate proved Σts heads
@@ -107,7 +107,7 @@ func (sp *SettingPlan) unfold(head []dep.Term, body []dep.Atom, dropNullHeads bo
 // existential marker (copy, variable) identifying a Skolem null.
 type unifier struct {
 	sp     *SettingPlan
-	params map[string]int // query constant text → param slot; nil keeps constants literal
+	params map[string]int // query constant text → param slot; an unmapped constant stays literal
 	parent []int
 	size   []int
 	attrs  []attr
@@ -135,7 +135,7 @@ func newUnifier(sp *SettingPlan, params map[string]int) *unifier {
 }
 
 // queryConst compiles a constant of the query: its param slot, or its
-// value when constants stay literal.
+// value when it stays literal.
 func (u *unifier) queryConst(c string) hom.Arg {
 	if k, ok := u.params[c]; ok {
 		return hom.Arg{Slot: k}

@@ -18,9 +18,9 @@ const planCacheMaxEntries = 4096
 
 // planKey builds a plan-cache key: the sha256 of the setting ID, a NUL
 // and the query's shape text (qplan.SettingPlan.AppendShape), so
-// formatting differences never split entries, the queries of one shape
-// share one entry when the setting's plans are parametric, and a cached
-// plan keeps 32 key bytes. The hashed bytes are built in a stack
+// formatting differences never split entries, queries that differ only
+// in constants other than the setting's Σst head constants share one
+// entry, and a cached plan keeps 32 key bytes. The hashed bytes are built in a stack
 // buffer, which a point query's text fits, so the key allocates
 // nothing.
 func planKey(sp *pde.SettingPlan, settingID string, q pde.UCQ) [sha256.Size]byte {
