@@ -94,26 +94,12 @@ func (q CQ) String() string {
 // containing labeled nulls are included; callers computing certain
 // answers filter them out (certain answers are tuples of constants).
 func (q CQ) Eval(inst *rel.Instance, opts hom.Options) []rel.Tuple {
-	seen := make(map[rel.TupleKey]bool)
-	var out []rel.Tuple
-	hom.ForEach(q.Body, inst, nil, opts, func(b hom.Binding) bool {
-		t := make(rel.Tuple, len(q.Head))
-		for i, h := range q.Head {
-			t[i] = b[h]
-		}
-		if k := rel.KeyOf(t); !seen[k] {
-			seen[k] = true
-			out = append(out, t)
-		}
-		return true
-	})
-	SortAnswers(out)
-	return out
+	return UCQ{q}.Eval(inst, opts)
 }
 
 // EvalBool reports whether the Boolean query holds on the instance.
 func (q CQ) EvalBool(inst *rel.Instance, opts hom.Options) bool {
-	return hom.Exists(q.Body, inst, nil, opts)
+	return UCQ{q}.EvalBool(inst, opts)
 }
 
 // UCQ is a union of conjunctive queries with the same head arity.
@@ -137,24 +123,65 @@ func (u UCQ) Validate(target *rel.Schema) error {
 
 // Eval returns the union of the disjuncts' answers.
 func (u UCQ) Eval(inst *rel.Instance, opts hom.Options) []rel.Tuple {
+	return u.compile().eval(inst, opts)
+}
+
+// EvalBool reports whether any disjunct holds.
+func (u UCQ) EvalBool(inst *rel.Instance, opts hom.Options) bool {
+	return u.compile().holds(inst, opts)
+}
+
+// compiledUCQ is a union of conjunctive queries compiled once to
+// variable slots, for evaluation over many instances in turn.
+type compiledUCQ []compiledCQ
+
+// compiledCQ is one disjunct: its body, the slot of each head variable,
+// and the slot vector its searches reuse.
+type compiledCQ struct {
+	body *hom.Conj
+	head []int
+	vals []rel.Value
+}
+
+func (u UCQ) compile() compiledUCQ {
+	out := make(compiledUCQ, len(u))
+	for k, q := range u {
+		var vars hom.Vars
+		out[k].body = vars.Compile(q.Body)
+		for _, h := range q.Head {
+			out[k].head = append(out[k].head, vars.Slot(h))
+		}
+		out[k].vals = make([]rel.Value, vars.Len())
+	}
+	return out
+}
+
+// eval returns the distinct head tuples of the disjuncts on inst, in
+// answer order.
+func (u compiledUCQ) eval(inst *rel.Instance, opts hom.Options) []rel.Tuple {
 	seen := make(map[rel.TupleKey]bool)
 	var out []rel.Tuple
 	for _, q := range u {
-		for _, t := range q.Eval(inst, opts) {
+		q.body.ForEach(inst, q.vals, opts, func(vals []rel.Value) bool {
+			t := make(rel.Tuple, len(q.head))
+			for i, s := range q.head {
+				t[i] = vals[s]
+			}
 			if k := rel.KeyOf(t); !seen[k] {
 				seen[k] = true
 				out = append(out, t)
 			}
-		}
+			return true
+		})
 	}
 	SortAnswers(out)
 	return out
 }
 
-// EvalBool reports whether any disjunct holds.
-func (u UCQ) EvalBool(inst *rel.Instance, opts hom.Options) bool {
+// holds reports whether some disjunct holds on inst.
+func (u compiledUCQ) holds(inst *rel.Instance, opts hom.Options) bool {
 	for _, q := range u {
-		if q.EvalBool(inst, opts) {
+		if q.body.Exists(inst, q.vals, opts) {
 			return true
 		}
 	}
@@ -211,10 +238,11 @@ type Result struct {
 // conjunctive queries.
 func Boolean(s *core.Setting, i, j *rel.Instance, q UCQ, opts Options) (Result, error) {
 	res := Result{Certain: true}
+	cq := q.compile()
 	_, err := opts.forEach(s, i, j, func(sol *rel.Instance) bool {
 		res.SolutionExists = true
 		res.SolutionsExamined++
-		if !q.EvalBool(sol, opts.evalOpts()) {
+		if !cq.holds(sol, opts.evalOpts()) {
 			res.Certain = false
 			return false // one counterexample solution settles it
 		}
@@ -231,11 +259,12 @@ func Boolean(s *core.Setting, i, j *rel.Instance, q UCQ, opts Options) (Result, 
 func Answers(s *core.Setting, i, j *rel.Instance, q UCQ, opts Options) (Result, error) {
 	res := Result{}
 	var inter map[rel.TupleKey]rel.Tuple
+	cq := q.compile()
 	_, err := opts.forEach(s, i, j, func(sol *rel.Instance) bool {
 		res.SolutionExists = true
 		res.SolutionsExamined++
 		cur := make(map[rel.TupleKey]rel.Tuple)
-		for _, t := range q.Eval(sol, opts.evalOpts()) {
+		for _, t := range cq.eval(sol, opts.evalOpts()) {
 			if tupleGround(t) {
 				cur[rel.KeyOf(t)] = t
 			}

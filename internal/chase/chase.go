@@ -229,34 +229,38 @@ type state struct {
 }
 
 // compiled is one dependency over one slot layout: the body's
-// variables first, then a tgd's existential variables. A trigger is a
-// slot vector of the body; the head is compiled with the body's slots
-// pre-bound, so the trigger's own vector checks it, and a step writes
-// the existential slots and grounds the head atoms by index copies.
+// variables first, in first-occurrence order, then a tgd's (or each
+// disjunct's) existential variables. A trigger is a slot vector of the
+// body; a head is compiled with the body's slots pre-bound, so the
+// trigger's own vector checks it, and a step writes the existential
+// slots and grounds the head atoms by index copies.
 type compiled struct {
 	body, head  *hom.Conj
 	heads       []hom.Atom
-	exist       []int // existential slots of a tgd
-	left, right int   // the equated slots of an egd
+	disjuncts   []*hom.Conj // the heads of a disjunctive tgd
+	exist       []int       // existential slots of a tgd
+	left, right int         // the equated slots of an egd
 	slots       int
 }
 
 // compile compiles dependency d to slots.
 func compile(d dep.Dependency) compiled {
 	var vars hom.Vars
-	var c compiled
+	c := compiled{body: vars.Compile(d.BodyAtoms())}
+	pre := vars.Len()
 	switch d := d.(type) {
 	case dep.TGD:
-		c.body = vars.Compile(d.Body)
-		pre := vars.Len()
 		c.heads = vars.Atoms(d.Head)
 		c.head = hom.NewConj(c.heads, pre)
 		for s := pre; s < vars.Len(); s++ {
 			c.exist = append(c.exist, s)
 		}
 	case dep.EGD:
-		c.body = vars.Compile(d.Body)
 		c.left, c.right = vars.Slot(d.Left), vars.Slot(d.Right)
+	case dep.DisjunctiveTGD:
+		for _, h := range d.Disjuncts {
+			c.disjuncts = append(c.disjuncts, hom.NewConj(vars.Atoms(h), pre))
+		}
 	}
 	c.slots = vars.Len()
 	return c
@@ -306,15 +310,8 @@ func (st *state) run(deps []dep.Dependency, witness *rel.Instance) (*Result, err
 	st.comp = make([]compiled, len(deps))
 	// Precompute per-dependency state once per run.
 	for di, d := range deps {
-		var body []dep.Atom
-		switch d := d.(type) {
-		case dep.TGD:
-			body = d.Body
-		case dep.EGD:
-			body = d.Body
-		}
 		seen := map[string]bool{}
-		for _, a := range body {
+		for _, a := range d.BodyAtoms() {
 			if !seen[a.Rel] {
 				seen[a.Rel] = true
 				st.brels[di] = append(st.brels[di], a.Rel)

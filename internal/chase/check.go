@@ -2,7 +2,8 @@ package chase
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/dep"
 	"repro/internal/hom"
@@ -14,9 +15,6 @@ import (
 type Violation struct {
 	// Dep is the label of the violated dependency.
 	Dep string
-	// Trigger is the body homomorphism with no valid head extension (or,
-	// for an egd, a body homomorphism equating distinct values).
-	Trigger hom.Binding
 	// Detail is a human-readable explanation.
 	Detail string
 }
@@ -30,111 +28,87 @@ func (v Violation) String() string {
 // Dependencies may be tgds, egds, or disjunctive tgds. For dependencies
 // whose body and head range over different schemas (source-to-target or
 // target-to-source tgds), pass the union instance holding both sides.
+// It stops at the first violated trigger.
 func Check(inst *rel.Instance, deps []dep.Dependency, opts hom.Options) bool {
-	return len(FirstViolation(inst, deps, opts)) == 0
+	return eachViolation(inst, deps, opts, func(dep.Dependency, *compiled, []rel.Value) bool { return false })
 }
 
-// FirstViolation returns at most one violation, or an empty slice if the
-// instance satisfies every dependency.
-func FirstViolation(inst *rel.Instance, deps []dep.Dependency, opts hom.Options) []Violation {
-	return violations(inst, deps, opts, true)
-}
-
-// Violations returns every violated trigger of every dependency.
+// Violations returns every violated trigger of every dependency, in
+// dependency order and then in the body's search order.
 func Violations(inst *rel.Instance, deps []dep.Dependency, opts hom.Options) []Violation {
-	return violations(inst, deps, opts, false)
-}
-
-func violations(inst *rel.Instance, deps []dep.Dependency, opts hom.Options, firstOnly bool) []Violation {
 	var out []Violation
-	for _, d := range deps {
-		switch d := d.(type) {
-		case dep.TGD:
-			uvars := d.UniversalVars()
-			hom.ForEach(d.Body, inst, nil, opts, func(b hom.Binding) bool {
-				bu := restrict(b, uvars)
-				if !hom.Exists(d.Head, inst, bu, opts) {
-					out = append(out, Violation{
-						Dep:     d.Label,
-						Trigger: bu,
-						Detail:  fmt.Sprintf("trigger %v has no head extension for %s", bindingString(bu), d),
-					})
-					return !firstOnly
-				}
-				return true
-			})
-		case dep.EGD:
-			hom.ForEach(d.Body, inst, nil, opts, func(b hom.Binding) bool {
-				if b[d.Left] != b[d.Right] {
-					bu := restrict(b, []string{d.Left, d.Right})
-					out = append(out, Violation{
-						Dep:     d.Label,
-						Trigger: bu,
-						Detail:  fmt.Sprintf("egd %s equates %v and %v", d.Label, b[d.Left], b[d.Right]),
-					})
-					return !firstOnly
-				}
-				return true
-			})
-		case dep.DisjunctiveTGD:
-			uvars := varNamesOf(d.Body)
-			hom.ForEach(d.Body, inst, nil, opts, func(b hom.Binding) bool {
-				bu := restrict(b, uvars)
-				for _, disj := range d.Disjuncts {
-					if hom.Exists(disj, inst, bu, opts) {
-						return true
-					}
-				}
-				out = append(out, Violation{
-					Dep:     d.Label,
-					Trigger: bu,
-					Detail:  fmt.Sprintf("trigger %v satisfies no disjunct of %s", bindingString(bu), d.Label),
-				})
-				return !firstOnly
-			})
-		}
-		if firstOnly && len(out) > 0 {
-			return out
-		}
-	}
+	eachViolation(inst, deps, opts, func(d dep.Dependency, c *compiled, vals []rel.Value) bool {
+		out = append(out, c.violation(d, vals))
+		return true
+	})
 	return out
 }
 
-func varNamesOf(atoms []dep.Atom) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, a := range atoms {
+// eachViolation compiles each dependency once, as the chase does, and
+// calls fn with every body homomorphism (a slot vector of the compiled
+// layout) that is a violated trigger; fn returns false to stop. It
+// reports whether no trigger was violated.
+func eachViolation(inst *rel.Instance, deps []dep.Dependency, opts hom.Options, fn func(dep.Dependency, *compiled, []rel.Value) bool) bool {
+	ok := true
+	for _, d := range deps {
+		c := compile(d)
+		stopped := !c.body.ForEach(inst, make([]rel.Value, c.slots), opts, func(vals []rel.Value) bool {
+			if c.holds(inst, vals, opts) {
+				return true
+			}
+			ok = false
+			return fn(d, &c, vals)
+		})
+		if stopped && !ok {
+			break
+		}
+	}
+	return ok
+}
+
+// holds reports whether the trigger vals satisfies c: a tgd's head, or
+// some disjunct of a disjunctive tgd, extends it in inst, or an egd's
+// two slots hold one value.
+func (c *compiled) holds(inst *rel.Instance, vals []rel.Value, opts hom.Options) bool {
+	switch {
+	case c.head != nil:
+		return c.head.Exists(inst, vals, opts)
+	case c.disjuncts != nil:
+		return slices.ContainsFunc(c.disjuncts, func(h *hom.Conj) bool { return h.Exists(inst, vals, opts) })
+	default:
+		return vals[c.left] == vals[c.right]
+	}
+}
+
+// violation explains the violated trigger vals of d, compiled as c.
+func (c *compiled) violation(d dep.Dependency, vals []rel.Value) Violation {
+	v := Violation{Dep: d.DepLabel()}
+	switch d := d.(type) {
+	case dep.TGD:
+		v.Detail = fmt.Sprintf("trigger %s has no head extension for %s", triggerString(d.Body, vals), d)
+	case dep.EGD:
+		v.Detail = fmt.Sprintf("egd %s equates %v and %v", d.Label, vals[c.left], vals[c.right])
+	case dep.DisjunctiveTGD:
+		v.Detail = fmt.Sprintf("trigger %s satisfies no disjunct of %s", triggerString(d.Body, vals), d.Label)
+	}
+	return v
+}
+
+// triggerString renders a trigger of body as {name=value, ...} in name
+// order. The body's variables hold the first slots in first-occurrence
+// order (see compile).
+func triggerString(body []dep.Atom, vals []rel.Value) string {
+	var names []string
+	for _, a := range body {
 		for _, v := range a.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
+			if !slices.Contains(names, v) {
+				names = append(names, v)
 			}
 		}
 	}
-	return out
-}
-
-func bindingString(b hom.Binding) string {
-	names := make([]string, 0, len(b))
-	for n := range b {
-		names = append(names, n)
+	pairs := make([]string, 0, len(names))
+	for _, name := range slices.Sorted(slices.Values(names)) {
+		pairs = append(pairs, name+"="+vals[slices.Index(names, name)].String())
 	}
-	// Deterministic rendering for errors and tests.
-	sort.Strings(names)
-	s := "{"
-	for i, n := range names {
-		if i > 0 {
-			s += ", "
-		}
-		s += n + "=" + b[n].String()
-	}
-	return s + "}"
-}
-
-func restrict(b hom.Binding, vars []string) hom.Binding {
-	out := make(hom.Binding, len(vars))
-	for _, v := range vars {
-		out[v] = b[v]
-	}
-	return out
+	return "{" + strings.Join(pairs, ", ") + "}"
 }

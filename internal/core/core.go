@@ -133,9 +133,12 @@ func (s *Setting) ExchangeDeps() []dep.Dependency {
 // IsSolution decides whether Jp is a solution for (I, J) in the setting
 // (Definition 2): J ⊆ Jp, (I, Jp) satisfies Σst and Σts, and Jp
 // satisfies Σt. Labeled nulls in Jp are treated as distinct fresh
-// values.
+// values. It stops at the first violation; SolutionViolations lists
+// them all.
 func (s *Setting) IsSolution(i, j, jp *rel.Instance) bool {
-	return len(s.SolutionViolations(i, j, jp)) == 0
+	return jp.ContainsAll(j) &&
+		chase.Check(rel.Union(i, jp), s.ExchangeDeps(), hom.Options{}) &&
+		chase.Check(jp, s.T, hom.Options{})
 }
 
 // SolutionViolations explains why Jp fails to be a solution for (I, J);

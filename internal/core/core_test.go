@@ -217,6 +217,52 @@ func TestFindSolutionTractable(t *testing.T) {
 	}
 }
 
+// TestFindSolutionTractableMapsNulls: the witness applies each block's
+// homomorphism from I_can into I to J_can. Here I_can is E(a,N1),
+// E(c,N2): the nulls map to b and d, one block each; without E(c,d) the
+// second block is the first to fail.
+func TestFindSolutionTractableMapsNulls(t *testing.T) {
+	s := &core.Setting{
+		Name:   "nulls",
+		Source: rel.SchemaOf("A", 1, "E", 2),
+		Target: rel.SchemaOf("H", 2),
+		ST: []dep.TGD{{
+			Label: "st",
+			Body:  []dep.Atom{dep.NewAtom("A", dep.Var("x"))},
+			Head:  []dep.Atom{dep.NewAtom("H", dep.Var("x"), dep.Var("z"))},
+		}},
+		TS: []dep.TGD{{
+			Label: "ts",
+			Body:  []dep.Atom{dep.NewAtom("H", dep.Var("x"), dep.Var("y"))},
+			Head:  []dep.Atom{dep.NewAtom("E", dep.Var("x"), dep.Var("y"))},
+		}},
+	}
+	i := edges([2]string{"a", "b"}, [2]string{"c", "d"})
+	i.Add("A", rel.Const("a"))
+	i.Add("A", rel.Const("c"))
+	j := rel.NewInstance()
+	sol, trace, err := core.FindSolutionTractable(s, i, j, core.TractableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rel.NewInstance()
+	want.Add("H", rel.Const("a"), rel.Const("b"))
+	want.Add("H", rel.Const("c"), rel.Const("d"))
+	if sol == nil || !sol.Equal(want) || trace.FailedBlock != -1 {
+		t.Fatalf("witness = %v, failed block %d; want %v, -1", sol, trace.FailedBlock, want)
+	}
+	i = edges([2]string{"a", "b"})
+	i.Add("A", rel.Const("a"))
+	i.Add("A", rel.Const("c"))
+	sol, trace, err = core.FindSolutionTractable(s, i, j, core.TractableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol != nil || trace.FailedBlock != 1 || trace.BlockList[1].Facts[0].Args[0] != rel.Const("c") {
+		t.Fatalf("witness = %v, failed block %d; want none, the block of E(c, _)", sol, trace.FailedBlock)
+	}
+}
+
 func TestTractableRefusesTargetConstraints(t *testing.T) {
 	s := example1Setting()
 	s.T = []dep.Dependency{dep.EGD{

@@ -141,8 +141,8 @@ type imageSearch struct {
 	pruneOnNulls bool                    // Σt has no egds (see newFactViolation)
 	assignment   map[rel.Value]rel.Value // null -> value (may map null to itself)
 	cur          *rel.Instance           // grounded target facts assigned so far
-	levelAdded   [][]rel.Fact            // facts grounded per level, for LIFO undo
-	factResp     map[rel.FactKey][]int   // grounded fact -> responsible null indexes
+	levelAdded   [][]int                 // indexes into facts grounded per level, for LIFO undo
+	producer     map[string][]int        // per relation, the index into facts of each tuple of cur
 	stopped      bool
 
 	// through[R] lists the Σts dependencies compiled around each body
@@ -199,7 +199,7 @@ func newImageSearch(s *Setting, i, j, jcan *rel.Instance, opts SolveOptions, cop
 		pruneOnNulls: len(dep.EGDs(s.T)) == 0,
 		assignment:   make(map[rel.Value]rel.Value),
 		cur:          rel.NewInstance(),
-		factResp:     make(map[rel.FactKey][]int),
+		producer:     make(map[string][]int),
 		through:      make(map[string][]through),
 		resp:         make([]int, 0, 8),
 	}
@@ -414,12 +414,11 @@ func (sv *imageSearch) groundLevel(k int) (bool, []int) {
 				t[ai] = sv.assignment[v]
 			}
 		}
-		gf := rel.Fact{Rel: f.Rel, Args: t}
 		if sv.cur.AddOwnedTuple(f.Rel, t) {
-			*added = append(*added, gf)
-			sv.factResp[gf.Key()] = sv.factNulls[fi]
+			*added = append(*added, fi)
+			sv.producer[f.Rel] = append(sv.producer[f.Rel], fi)
 			if okAll {
-				if viol := sv.newFactViolation(gf); viol != nil {
+				if viol := sv.newFactViolation(rel.Fact{Rel: f.Rel, Args: t}); viol != nil {
 					okAll = false
 					resp = viol
 					// keep grounding the rest so undo stays uniform
@@ -433,16 +432,16 @@ func (sv *imageSearch) groundLevel(k int) (bool, []int) {
 func (sv *imageSearch) ungroundLevel(k int) {
 	added := sv.levelAdds(k)
 	for idx := len(*added) - 1; idx >= 0; idx-- {
-		f := (*added)[idx]
-		sv.cur.RemoveLastTuple(f.Rel)
-		delete(sv.factResp, f.Key())
+		name := sv.facts[(*added)[idx]].Rel
+		sv.cur.RemoveLastTuple(name)
+		sv.producer[name] = sv.producer[name][:len(sv.producer[name])-1]
 	}
 	*added = (*added)[:0]
 }
 
 // levelAdds returns the per-level list of facts added, growing the
 // backing store on demand.
-func (sv *imageSearch) levelAdds(k int) *[]rel.Fact {
+func (sv *imageSearch) levelAdds(k int) *[]int {
 	for len(sv.levelAdded) <= k {
 		sv.levelAdded = append(sv.levelAdded, nil)
 	}
@@ -501,13 +500,15 @@ func (sv *imageSearch) violatedTrigger(th *through, t rel.Tuple) []int {
 
 // triggerResponsibility collects the null indexes responsible for the
 // presence of the trigger's facts, by grounding each body atom under the
-// trigger and looking up the producer fact's null set. The result is
-// scratch, valid until the next call.
+// trigger and looking up the null set of the J_can fact that grounded
+// it, through its tuple index in cur. The result is scratch, valid
+// until the next call.
 func (sv *imageSearch) triggerResponsibility(body []hom.Atom, vals []rel.Value) []int {
 	resp := sv.resp[:0]
 	for _, a := range body {
 		sv.tup = a.AppendTuple(sv.tup[:0], vals)
-		for _, nullIdx := range sv.factResp[rel.Fact{Rel: a.Rel, Args: sv.tup}.Key()] {
+		fi := sv.producer[a.Rel][sv.cur.Relation(a.Rel).Index(sv.tup)]
+		for _, nullIdx := range sv.factNulls[fi] {
 			if !slices.Contains(resp, nullIdx) {
 				resp = append(resp, nullIdx)
 			}

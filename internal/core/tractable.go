@@ -185,26 +185,35 @@ func FindSolutionTractable(s *Setting, i, j *rel.Instance, opts TractableOptions
 }
 
 // FindSolutionTractableFrom is FindSolutionTractable over a precomputed
-// trace (see ChaseCanonicalTractable). The input trace is not mutated.
+// trace (see ChaseCanonicalTractable). The input trace is not mutated;
+// the returned copy's FailedBlock names the first block of I_can with
+// no homomorphism into I, or is -1 on acceptance.
+//
+// Each block is searched once: by Proposition 1, the homomorphisms the
+// blocks' searches leave in their slots together form h.
 func FindSolutionTractableFrom(i *rel.Instance, trace *TractableTrace, opts TractableOptions) (*rel.Instance, *TractableTrace, error) {
-	ok, trace, err := ExistsSolutionTractableFrom(i, trace, opts)
-	if err != nil {
-		return nil, trace, err
+	t := *trace
+	trace = &t
+	trace.FailedBlock = -1
+	h := make(map[rel.Value]rel.Value)
+	for k, b := range trace.BlockList {
+		vals := make([]rel.Value, len(b.Nulls))
+		if !b.Compile().Exists(i, vals, opts.Config) {
+			if err := canceled(opts.Ctx, "tractable algorithm"); err != nil {
+				return nil, trace, err // a canceled search reports a spurious miss
+			}
+			trace.FailedBlock = k
+			return nil, trace, nil
+		}
+		for s, n := range b.Nulls {
+			h[n] = vals[s]
+		}
 	}
-	if !ok {
-		return nil, trace, nil
-	}
-	h, found := hom.FindInstanceHom(trace.ICan, i, opts.Config)
 	if err := canceled(opts.Ctx, "tractable algorithm"); err != nil {
 		return nil, trace, err
-	}
-	if !found {
-		// Cannot happen: ExistsSolutionTractable accepted.
-		return nil, trace, fmt.Errorf("core: internal inconsistency: accepted but no homomorphism from I_can to I")
 	}
 	// h_J: apply h on the shared nulls, identity elsewhere. MapValues
 	// ignores values absent from the map, which is exactly the identity
 	// default.
-	jimg := trace.JCan.MapValues(h)
-	return jimg, trace, nil
+	return trace.JCan.MapValues(h), trace, nil
 }

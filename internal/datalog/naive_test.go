@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 
+	"repro/internal/dep"
 	"repro/internal/hom"
 	"repro/internal/rel"
 )
@@ -17,20 +18,17 @@ func (p *Program) Naive(edb *rel.Instance, opts Options) (*rel.Instance, error) 
 	for {
 		added := false
 		for _, r := range p.Rules {
-			var bindings []hom.Binding
-			hom.ForEach(r.Body, full, nil, opts.Hom, func(b hom.Binding) bool {
-				bindings = append(bindings, b)
+			// The body's variables take the first slots; the head reads
+			// them by name through the same numbering.
+			var vars hom.Vars
+			body := vars.Compile(r.Body)
+			head := vars.Atoms([]dep.Atom{r.Head})[0]
+			var tuples []rel.Tuple
+			body.ForEach(full, make([]rel.Value, vars.Len()), opts.Hom, func(vals []rel.Value) bool {
+				tuples = append(tuples, head.AppendTuple(nil, vals))
 				return true
 			})
-			for _, b := range bindings {
-				t := make(rel.Tuple, len(r.Head.Args))
-				for i, term := range r.Head.Args {
-					if term.IsConst {
-						t[i] = rel.Const(term.Name)
-					} else {
-						t[i] = b[term.Name]
-					}
-				}
+			for _, t := range tuples {
 				if full.AddTuple(r.Head.Rel, t) {
 					added = true
 					derived++

@@ -29,7 +29,7 @@ func randomJoinInstance(rng *rand.Rand, n int) *rel.Instance {
 	return inst
 }
 
-func bindingsEqual(a, b Binding) bool {
+func bindingsEqual(a, b binding) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -52,8 +52,8 @@ func TestEnumerateMatchesForEachOrder(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		inst := randomJoinInstance(rng, 10+rng.Intn(40))
 		inst.Freeze()
-		var want []Binding
-		ForEach(atoms, inst, nil, Options{}, func(b Binding) bool {
+		var want []binding
+		forEach(atoms, inst, nil, Options{}, func(b binding) bool {
 			want = append(want, b)
 			return true
 		})
@@ -77,9 +77,9 @@ func TestEnumerateWithInitBinding(t *testing.T) {
 		dep.NewAtom("S", dep.Var("y"), dep.Var("z")),
 	}
 	inst := randomJoinInstance(rand.New(rand.NewSource(33)), 40)
-	init := Binding{"x": rel.Const("a1")}
-	var want []Binding
-	ForEach(atoms, inst, init, Options{}, func(b Binding) bool {
+	init := binding{"x": rel.Const("a1")}
+	var want []binding
+	forEach(atoms, inst, init, Options{}, func(b binding) bool {
 		want = append(want, b)
 		return true
 	})

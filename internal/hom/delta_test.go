@@ -11,7 +11,7 @@ import (
 	"repro/internal/rel"
 )
 
-func bindingKey(b Binding) string {
+func bindingKey(b binding) string {
 	keys := make([]string, 0, len(b))
 	for k := range b {
 		keys = append(keys, k)
@@ -26,18 +26,18 @@ func bindingKey(b Binding) string {
 
 // enumerateDeltaSpec runs Conj.EnumerateDeltaSpec on atoms compiled
 // with init's variables pre-bound, handing fn each binding by name.
-func enumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init Binding, spec DeltaSpec, opts Options, fn func(Binding) bool) bool {
-	vars, c, vals := compileEdge(atoms, init)
+func enumerateDeltaSpec(atoms []dep.Atom, inst *rel.Instance, init binding, spec DeltaSpec, opts Options, fn func(binding) bool) bool {
+	vars, c, vals := compileNamed(atoms, init)
 	return c.EnumerateDeltaSpec(inst, vals, spec, opts, func(vals []rel.Value) bool {
-		return fn(vars.binding(vals))
+		return fn(named(vars, vals))
 	})
 }
 
 // collectDelta runs EnumerateDeltaSpec to completion and returns a copy
 // of every binding it streams, in stream order.
-func collectDelta(atoms []dep.Atom, inst *rel.Instance, init Binding, spec DeltaSpec, opts Options) []Binding {
-	var out []Binding
-	enumerateDeltaSpec(atoms, inst, init, spec, opts, func(b Binding) bool {
+func collectDelta(atoms []dep.Atom, inst *rel.Instance, init binding, spec DeltaSpec, opts Options) []binding {
+	var out []binding
+	enumerateDeltaSpec(atoms, inst, init, spec, opts, func(b binding) bool {
 		out = append(out, b)
 		return true
 	})
@@ -50,14 +50,14 @@ func collectDelta(atoms []dep.Atom, inst *rel.Instance, init Binding, spec Delta
 // old prefix of the instance (distinct tuple-index vectors yield
 // distinct bindings here because relations deduplicate tuples, so the
 // set difference is exact).
-func deltaReference(atoms []dep.Atom, full, old *rel.Instance, opts Options) []Binding {
+func deltaReference(atoms []dep.Atom, full, old *rel.Instance, opts Options) []binding {
 	seen := map[string]bool{}
-	referenceForEach(atoms, old, nil, func(b Binding) bool {
+	referenceForEach(atoms, old, nil, func(b binding) bool {
 		seen[bindingKey(b)] = true
 		return true
 	})
-	var out []Binding
-	referenceForEach(atoms, full, nil, func(b Binding) bool {
+	var out []binding
+	referenceForEach(atoms, full, nil, func(b binding) bool {
 		if !seen[bindingKey(b)] {
 			out = append(out, b)
 		}
@@ -156,8 +156,8 @@ func TestEnumerateDeltaDegenerateCases(t *testing.T) {
 		t.Fatal("test instance has no delta-touching binding")
 	}
 	for stop := 1; stop <= len(all); stop++ {
-		var seen []Binding
-		done := enumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(b Binding) bool {
+		var seen []binding
+		done := enumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(b binding) bool {
 			seen = append(seen, b)
 			return len(seen) < stop
 		})
@@ -170,7 +170,7 @@ func TestEnumerateDeltaDegenerateCases(t *testing.T) {
 			}
 		}
 	}
-	if !enumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(Binding) bool { return true }) {
+	if !enumerateDeltaSpec(atoms, full, nil, DeltaSpec{Old: delta}, Options{}, func(binding) bool { return true }) {
 		t.Fatal("a stream fn never stopped reported a stop")
 	}
 

@@ -170,7 +170,7 @@ func TestEnumerateDeltaSpecKeepsEachBindingOnce(t *testing.T) {
 
 // firstRepeat returns the index of the first binding equal to an
 // earlier one, or -1.
-func firstRepeat(bs []Binding) int {
+func firstRepeat(bs []binding) int {
 	seen := map[string]bool{}
 	for i, b := range bs {
 		k := bindingKey(b)

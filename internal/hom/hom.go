@@ -6,88 +6,22 @@
 //
 // There is one join engine: a conjunction is compiled once (Conj, see
 // conj.go) into atoms over variable slots with a fixed join order, and
-// one backtracking searcher binds a []rel.Value by slot. The functions
-// of this file over Binding maps are a thin edge that compiles per
-// call and runs the same searcher.
+// one backtracking searcher binds a []rel.Value by slot.
 package hom
 
 import (
 	"sort"
 	"sync"
 
-	"repro/internal/dep"
 	"repro/internal/par"
 	"repro/internal/rel"
 )
-
-// Binding maps variable names to values. Bindings returned by the
-// search functions are fresh copies and may be retained by callers.
-type Binding map[string]rel.Value
 
 // Options controls the homomorphism search: a canceled Ctx makes the
 // backtracking searcher stop enumerating — possibly reporting a
 // spurious miss, so callers that set Ctx re-check Ctx.Err() before
 // trusting a result.
 type Options = par.Config
-
-// ForEach enumerates homomorphisms from the conjunction of atoms into
-// the instance, extending the initial binding (which may be nil). It
-// calls fn with each complete binding; fn returns false to stop the
-// enumeration. ForEach reports whether the enumeration ran to
-// completion (true) or was stopped by fn (false).
-//
-// Variables already present in init are fixed; constants in atoms must
-// match constant values in the instance exactly. Labeled nulls in the
-// instance are matched like any other value.
-func ForEach(atoms []dep.Atom, inst *rel.Instance, init Binding, opts Options, fn func(Binding) bool) bool {
-	vars, c, vals := compileEdge(atoms, init)
-	return c.ForEach(inst, vals, opts, func(vals []rel.Value) bool {
-		return fn(vars.binding(vals))
-	})
-}
-
-// Exists reports whether at least one homomorphism from the atoms into
-// the instance extends init. init is not modified.
-func Exists(atoms []dep.Atom, inst *rel.Instance, init Binding, opts Options) bool {
-	_, c, vals := compileEdge(atoms, init)
-	return c.Exists(inst, vals, opts)
-}
-
-// FindOne returns one homomorphism extending init, if any.
-func FindOne(atoms []dep.Atom, inst *rel.Instance, init Binding, opts Options) (Binding, bool) {
-	var out Binding
-	ForEach(atoms, inst, init, opts, func(b Binding) bool {
-		out = b
-		return false
-	})
-	return out, out != nil
-}
-
-// compileEdge compiles atoms for one map-edge call: init's variables
-// take the first slots, in name order, and are pre-bound to their
-// values in the returned slot vector.
-func compileEdge(atoms []dep.Atom, init Binding) (*Vars, *Conj, []rel.Value) {
-	vars := &Vars{names: make([]string, 0, len(init))}
-	for name := range init {
-		vars.names = append(vars.names, name)
-	}
-	sort.Strings(vars.names)
-	c := vars.Compile(atoms)
-	vals := make([]rel.Value, vars.Len())
-	for i, name := range vars.names[:len(init)] {
-		vals[i] = init[name]
-	}
-	return vars, c, vals
-}
-
-// binding returns the named copy of a slot vector over vars.
-func (v *Vars) binding(vals []rel.Value) Binding {
-	b := make(Binding, len(v.names))
-	for i, name := range v.names {
-		b[name] = vals[i]
-	}
-	return b
-}
 
 // searcher carries the state of one backtracking search over a
 // compiled conjunction: the instances its atoms read, their relations

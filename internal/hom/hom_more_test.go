@@ -9,14 +9,14 @@ import (
 	"repro/internal/rel"
 )
 
-// TestFindOneRespectsInit: FindOne extends the initial binding rather
+// TestFindOneRespectsInit: a search extends the pre-bound slots rather
 // than rebinding.
 func TestFindOneRespectsInit(t *testing.T) {
 	inst := rel.NewInstance()
 	inst.Add("E", rel.Const("a"), rel.Const("b"))
 	inst.Add("E", rel.Const("c"), rel.Const("d"))
 	atoms := []dep.Atom{dep.NewAtom("E", dep.Var("x"), dep.Var("y"))}
-	b, ok := FindOne(atoms, inst, Binding{"x": rel.Const("c")}, Options{})
+	b, ok := findOne(atoms, inst, binding{"x": rel.Const("c")}, Options{})
 	if !ok || b["y"] != rel.Const("d") {
 		t.Errorf("binding = %v ok=%v", b, ok)
 	}
@@ -36,7 +36,7 @@ func TestCrossProductPattern(t *testing.T) {
 	inst.Add("B", rel.Const("b3"))
 	atoms := []dep.Atom{dep.NewAtom("A", dep.Var("x")), dep.NewAtom("B", dep.Var("y"))}
 	count := 0
-	ForEach(atoms, inst, nil, Options{}, func(Binding) bool { count++; return true })
+	forEach(atoms, inst, nil, Options{}, func(binding) bool { count++; return true })
 	if count != 6 {
 		t.Errorf("cross product = %d bindings, want 6", count)
 	}
@@ -51,7 +51,7 @@ func TestSharedVariableAcrossAtoms(t *testing.T) {
 	inst.Add("B", rel.Const("m"), rel.Const("w"))
 	atoms := []dep.Atom{dep.NewAtom("A", dep.Var("x")), dep.NewAtom("B", dep.Var("x"), dep.Var("y"))}
 	count := 0
-	ForEach(atoms, inst, nil, Options{}, func(b Binding) bool {
+	forEach(atoms, inst, nil, Options{}, func(b binding) bool {
 		if b["y"] != rel.Const("v") {
 			t.Errorf("wrong join result: %v", b)
 		}
@@ -81,8 +81,8 @@ func TestOrderAtomsCorrectness(t *testing.T) {
 			inst.Add("F", rel.Const(fmt.Sprintf("v%d", rng.Intn(4))), rel.Const(fmt.Sprintf("v%d", rng.Intn(4))))
 		}
 		count1, count2 := 0, 0
-		ForEach(pattern, inst, nil, Options{}, func(Binding) bool { count1++; return true })
-		ForEach(permuted, inst, nil, Options{}, func(Binding) bool { count2++; return true })
+		forEach(pattern, inst, nil, Options{}, func(binding) bool { count1++; return true })
+		forEach(permuted, inst, nil, Options{}, func(binding) bool { count2++; return true })
 		if count1 != count2 {
 			t.Fatalf("trial %d: atom order changed result count: %d vs %d", trial, count1, count2)
 		}
@@ -168,7 +168,7 @@ func TestSelectivityWithBoundVariable(t *testing.T) {
 	inst.Add("E", rel.Const("x3"), rel.Const("rare"))
 	atoms := []dep.Atom{dep.NewAtom("E", dep.Var("x"), dep.Cst("rare"))}
 	count := 0
-	ForEach(atoms, inst, nil, Options{}, func(Binding) bool { count++; return true })
+	forEach(atoms, inst, nil, Options{}, func(binding) bool { count++; return true })
 	if count != 3 {
 		t.Errorf("matches = %d, want 3", count)
 	}

@@ -21,7 +21,7 @@ func TestExistsSimplePattern(t *testing.T) {
 		dep.NewAtom("E", dep.Var("x"), dep.Var("y")),
 		dep.NewAtom("E", dep.Var("y"), dep.Var("z")),
 	}
-	if !Exists(path2, inst, nil, Options{}) {
+	if !exists(path2, inst, nil, Options{}) {
 		t.Error("path of length 2 not found")
 	}
 	triangle := []dep.Atom{
@@ -29,7 +29,7 @@ func TestExistsSimplePattern(t *testing.T) {
 		dep.NewAtom("E", dep.Var("y"), dep.Var("z")),
 		dep.NewAtom("E", dep.Var("z"), dep.Var("x")),
 	}
-	if Exists(triangle, inst, nil, Options{}) {
+	if exists(triangle, inst, nil, Options{}) {
 		t.Error("triangle found in a path graph")
 	}
 }
@@ -37,11 +37,11 @@ func TestExistsSimplePattern(t *testing.T) {
 func TestExistsWithConstants(t *testing.T) {
 	inst := edgeInstance([2]string{"a", "b"})
 	atom := []dep.Atom{dep.NewAtom("E", dep.Cst("a"), dep.Var("y"))}
-	if !Exists(atom, inst, nil, Options{}) {
+	if !exists(atom, inst, nil, Options{}) {
 		t.Error("constant match failed")
 	}
 	atom = []dep.Atom{dep.NewAtom("E", dep.Cst("b"), dep.Var("y"))}
-	if Exists(atom, inst, nil, Options{}) {
+	if exists(atom, inst, nil, Options{}) {
 		t.Error("constant mismatch matched")
 	}
 }
@@ -49,10 +49,10 @@ func TestExistsWithConstants(t *testing.T) {
 func TestExistsWithInitialBinding(t *testing.T) {
 	inst := edgeInstance([2]string{"a", "b"}, [2]string{"c", "d"})
 	atom := []dep.Atom{dep.NewAtom("E", dep.Var("x"), dep.Var("y"))}
-	if !Exists(atom, inst, Binding{"x": rel.Const("a")}, Options{}) {
+	if !exists(atom, inst, binding{"x": rel.Const("a")}, Options{}) {
 		t.Error("bound search failed")
 	}
-	if Exists(atom, inst, Binding{"x": rel.Const("b")}, Options{}) {
+	if exists(atom, inst, binding{"x": rel.Const("b")}, Options{}) {
 		t.Error("bound search over-matched")
 	}
 }
@@ -60,7 +60,7 @@ func TestExistsWithInitialBinding(t *testing.T) {
 func TestRepeatedVariableInAtom(t *testing.T) {
 	inst := edgeInstance([2]string{"a", "b"}, [2]string{"c", "c"})
 	loop := []dep.Atom{dep.NewAtom("E", dep.Var("x"), dep.Var("x"))}
-	b, ok := FindOne(loop, inst, nil, Options{})
+	b, ok := findOne(loop, inst, nil, Options{})
 	if !ok {
 		t.Fatal("self-loop not found")
 	}
@@ -73,7 +73,7 @@ func TestForEachEnumeratesAll(t *testing.T) {
 	inst := edgeInstance([2]string{"a", "b"}, [2]string{"a", "c"}, [2]string{"b", "c"})
 	atom := []dep.Atom{dep.NewAtom("E", dep.Var("x"), dep.Var("y"))}
 	count := 0
-	done := ForEach(atom, inst, nil, Options{}, func(Binding) bool {
+	done := forEach(atom, inst, nil, Options{}, func(binding) bool {
 		count++
 		return true
 	})
@@ -82,7 +82,7 @@ func TestForEachEnumeratesAll(t *testing.T) {
 	}
 	// Early stop.
 	count = 0
-	done = ForEach(atom, inst, nil, Options{}, func(Binding) bool {
+	done = forEach(atom, inst, nil, Options{}, func(binding) bool {
 		count++
 		return count < 2
 	})
@@ -94,7 +94,7 @@ func TestForEachEnumeratesAll(t *testing.T) {
 func TestForEachEmptyPattern(t *testing.T) {
 	inst := edgeInstance()
 	calls := 0
-	ForEach(nil, inst, nil, Options{}, func(b Binding) bool {
+	forEach(nil, inst, nil, Options{}, func(b binding) bool {
 		calls++
 		return true
 	})
@@ -106,7 +106,7 @@ func TestForEachEmptyPattern(t *testing.T) {
 func TestMissingRelationNoMatch(t *testing.T) {
 	inst := edgeInstance([2]string{"a", "b"})
 	atom := []dep.Atom{dep.NewAtom("H", dep.Var("x"), dep.Var("y"))}
-	if Exists(atom, inst, nil, Options{}) {
+	if exists(atom, inst, nil, Options{}) {
 		t.Error("matched against absent relation")
 	}
 }
@@ -130,7 +130,7 @@ func TestDirectedTrianglesInK4(t *testing.T) {
 		dep.NewAtom("E", dep.Var("z"), dep.Var("x")),
 	}
 	count := 0
-	ForEach(pattern, inst, nil, Options{}, func(Binding) bool { count++; return true })
+	forEach(pattern, inst, nil, Options{}, func(binding) bool { count++; return true })
 	if count != 24 {
 		t.Errorf("found %d directed triangles in K4, want 24", count)
 	}
@@ -139,8 +139,8 @@ func TestDirectedTrianglesInK4(t *testing.T) {
 func TestBindingsAreFreshCopies(t *testing.T) {
 	inst := edgeInstance([2]string{"a", "b"}, [2]string{"b", "c"})
 	atom := []dep.Atom{dep.NewAtom("E", dep.Var("x"), dep.Var("y"))}
-	var collected []Binding
-	ForEach(atom, inst, nil, Options{}, func(b Binding) bool {
+	var collected []binding
+	forEach(atom, inst, nil, Options{}, func(b binding) bool {
 		collected = append(collected, b)
 		return true
 	})
@@ -157,13 +157,13 @@ func TestMatchAgainstNullValues(t *testing.T) {
 	inst := rel.NewInstance()
 	inst.Add("E", rel.Const("a"), rel.Null(1))
 	atom := []dep.Atom{dep.NewAtom("E", dep.Var("x"), dep.Var("y"))}
-	b, ok := FindOne(atom, inst, nil, Options{})
+	b, ok := findOne(atom, inst, nil, Options{})
 	if !ok || b["y"] != rel.Null(1) {
 		t.Errorf("null not matched: %v %v", b, ok)
 	}
 	// A constant term never matches a null value.
 	atomC := []dep.Atom{dep.NewAtom("E", dep.Var("x"), dep.Cst("b"))}
-	if Exists(atomC, inst, nil, Options{}) {
+	if exists(atomC, inst, nil, Options{}) {
 		t.Error("constant term matched a null")
 	}
 }

@@ -50,20 +50,3 @@ func (b Block) Slot(v rel.Value) int {
 func InstanceHomExists(k, i *rel.Instance, opts Options) bool {
 	return CheckBlocks(Blocks(k), i, opts) < 0
 }
-
-// FindInstanceHom returns a homomorphism from k to i as a map from the
-// nulls of k to values of i, if one exists. Nulls absent from the map
-// were not constrained (they do not occur in k).
-func FindInstanceHom(k, i *rel.Instance, opts Options) (map[rel.Value]rel.Value, bool) {
-	out := make(map[rel.Value]rel.Value)
-	for _, block := range Blocks(k) {
-		vals := make([]rel.Value, len(block.Nulls))
-		if !block.Compile().Exists(i, vals, opts) {
-			return nil, false
-		}
-		for s, n := range block.Nulls {
-			out[n] = vals[s]
-		}
-	}
-	return out, true
-}

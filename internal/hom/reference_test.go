@@ -14,17 +14,17 @@ import (
 // referenceForEach is the map-binding backtracking search the slot
 // searcher replaced, kept as its independent reference: the same join
 // order (referenceOrderAtoms scores bound×16 − unbound, ties to the
-// first atom) and the same candidate lists, over a Binding that each
+// first atom) and the same candidate lists, over a binding that each
 // candidate extends and then restores. It hands fn a fresh copy of
 // every complete binding and reports whether the enumeration ran to
 // completion.
-func referenceForEach(atoms []dep.Atom, inst *rel.Instance, init Binding, fn func(Binding) bool) bool {
-	b := Binding{}
+func referenceForEach(atoms []dep.Atom, inst *rel.Instance, init binding, fn func(binding) bool) bool {
+	b := binding{}
 	maps.Copy(b, init)
 	return referenceMatch(referenceOrderAtoms(atoms, b), 0, inst, b, fn)
 }
 
-func referenceOrderAtoms(atoms []dep.Atom, init Binding) []dep.Atom {
+func referenceOrderAtoms(atoms []dep.Atom, init binding) []dep.Atom {
 	bound := make(map[string]bool, len(init))
 	for v := range init {
 		bound[v] = true
@@ -58,7 +58,7 @@ func referenceOrderAtoms(atoms []dep.Atom, init Binding) []dep.Atom {
 	return out
 }
 
-func referenceMatch(atoms []dep.Atom, i int, inst *rel.Instance, b Binding, fn func(Binding) bool) bool {
+func referenceMatch(atoms []dep.Atom, i int, inst *rel.Instance, b binding, fn func(binding) bool) bool {
 	if i == len(atoms) {
 		return fn(maps.Clone(b))
 	}
@@ -76,7 +76,7 @@ func referenceMatch(atoms []dep.Atom, i int, inst *rel.Instance, b Binding, fn f
 
 // referenceTryTuple unifies atoms[i] with tuple t under b, recurses on
 // success, and restores b.
-func referenceTryTuple(atoms []dep.Atom, i int, inst *rel.Instance, t rel.Tuple, b Binding, fn func(Binding) bool) bool {
+func referenceTryTuple(atoms []dep.Atom, i int, inst *rel.Instance, t rel.Tuple, b binding, fn func(binding) bool) bool {
 	var newly []string
 	defer func() {
 		for _, v := range newly {
@@ -107,7 +107,7 @@ func referenceTryTuple(atoms []dep.Atom, i int, inst *rel.Instance, t rel.Tuple,
 // may match the atom under b: the shortest position index list over
 // its constant and bound positions (the first on ties), or every live
 // tuple.
-func referenceCandidates(r *rel.Relation, a dep.Atom, b Binding) []int {
+func referenceCandidates(r *rel.Relation, a dep.Atom, b binding) []int {
 	var best []int
 	found := false
 	for j, term := range a.Args {
@@ -164,29 +164,29 @@ func FuzzSearchMatchesReference(f *testing.F) {
 		oldUnchanged := oldUnchangedCopy(inst, counts, changed)
 		inst.Freeze()
 		oldUnchanged.Freeze()
-		var init Binding
+		var init binding
 		switch initSel % 3 {
 		case 1:
-			init = Binding{"x": rel.Const(fmt.Sprintf("v%d", rng.Intn(6)))}
+			init = binding{"x": rel.Const(fmt.Sprintf("v%d", rng.Intn(6)))}
 		case 2:
-			init = Binding{"y": rel.Null(1 + rng.Intn(5)), "unused": rel.Const("u")}
+			init = binding{"y": rel.Null(1 + rng.Intn(5)), "unused": rel.Const("u")}
 		}
 		spec := DeltaSpec{Old: counts, Changed: changed}
 		for pi, atoms := range searchPatterns {
-			var want []Binding
-			referenceForEach(atoms, inst, init, func(b Binding) bool {
+			var want []binding
+			referenceForEach(atoms, inst, init, func(b binding) bool {
 				want = append(want, b)
 				return true
 			})
-			var got []Binding
-			ForEach(atoms, inst, init, Options{}, func(b Binding) bool {
+			var got []binding
+			forEach(atoms, inst, init, Options{}, func(b binding) bool {
 				got = append(got, b)
 				return true
 			})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("pattern %d init %v: ForEach streamed %v, reference %v", pi, init, got, want)
 			}
-			if ex := Exists(atoms, inst, init, Options{}); ex != (len(want) > 0) {
+			if ex := exists(atoms, inst, init, Options{}); ex != (len(want) > 0) {
 				t.Fatalf("pattern %d init %v: Exists = %v, reference found %d", pi, init, ex, len(want))
 			}
 			if init != nil {

@@ -27,7 +27,7 @@ func runRedundant(p *Pass) {
 		return
 	}
 	for i, d := range ts {
-		frozen, binding := freezeBody(d)
+		frozen, head, vals := freezeBody(d)
 		// Derive, per other tgd, the source facts it forces on the
 		// frozen target instance.
 		var derived []*rel.Instance
@@ -39,7 +39,7 @@ func runRedundant(p *Pass) {
 			derived = append(derived, applyOnce(e, frozen))
 			labels = append(labels, e.Label)
 		}
-		impliedBy := implies(d, derived, labels, binding)
+		impliedBy := implies(head, vals, derived, labels)
 		if impliedBy == nil {
 			continue
 		}
@@ -55,12 +55,12 @@ func runRedundant(p *Pass) {
 	}
 }
 
-// implies reports which other t-s tgds entail the candidate's head over
-// its frozen body: first each single tgd (for a minimal witness), then
-// all of them jointly.
-func implies(d dep.TGD, derived []*rel.Instance, labels []string, binding hom.Binding) []string {
+// implies reports which other t-s tgds entail the candidate's head,
+// compiled over its frozen body's slot vector vals: first each single
+// tgd (for a minimal witness), then all of them jointly.
+func implies(head *hom.Conj, vals []rel.Value, derived []*rel.Instance, labels []string) []string {
 	for j, inst := range derived {
-		if hom.Exists(d.Head, inst, binding, hom.Options{}) {
+		if head.Exists(inst, vals, hom.Options{}) {
 			return []string{labels[j]}
 		}
 	}
@@ -71,7 +71,7 @@ func implies(d dep.TGD, derived []*rel.Instance, labels []string, binding hom.Bi
 	for _, inst := range derived {
 		joint.AddAll(inst)
 	}
-	if hom.Exists(d.Head, joint, binding, hom.Options{}) {
+	if head.Exists(joint, vals, hom.Options{}) {
 		return append([]string(nil), labels...)
 	}
 	return nil
@@ -79,10 +79,13 @@ func implies(d dep.TGD, derived []*rel.Instance, labels []string, binding hom.Bi
 
 // freezeBody builds the canonical instance of a tgd body: every
 // variable becomes a distinct frozen constant (prefixed so it cannot
-// collide with user constants), every constant stays itself.
-func freezeBody(d dep.TGD) (*rel.Instance, hom.Binding) {
+// collide with user constants), every constant stays itself. It also
+// compiles the tgd's head with the body's variables pre-bound, and
+// returns the slot vector that binds each to its frozen constant.
+func freezeBody(d dep.TGD) (*rel.Instance, *hom.Conj, []rel.Value) {
 	inst := rel.NewInstance()
-	binding := hom.Binding{}
+	var vars hom.Vars
+	var vals []rel.Value
 	for _, a := range d.Body {
 		tuple := make(rel.Tuple, len(a.Args))
 		for k, t := range a.Args {
@@ -90,16 +93,16 @@ func freezeBody(d dep.TGD) (*rel.Instance, hom.Binding) {
 				tuple[k] = rel.Const(t.Name)
 				continue
 			}
-			v, ok := binding[t.Name]
-			if !ok {
-				v = rel.Const("\x00frz:" + t.Name)
-				binding[t.Name] = v
+			s := vars.Slot(t.Name)
+			if s == len(vals) {
+				vals = append(vals, rel.Const("\x00frz:"+t.Name))
 			}
-			tuple[k] = v
+			tuple[k] = vals[s]
 		}
 		inst.AddTuple(a.Rel, tuple)
 	}
-	return inst, binding
+	head := vars.Compile(d.Head)
+	return inst, head, append(vals, make([]rel.Value, head.Slots()-len(vals))...)
 }
 
 // applyOnce fires a t-s tgd over the target instance, materializing its
@@ -107,23 +110,16 @@ func freezeBody(d dep.TGD) (*rel.Instance, hom.Binding) {
 func applyOnce(e dep.TGD, target *rel.Instance) *rel.Instance {
 	out := rel.NewInstance()
 	var nulls rel.NullSource
-	hom.ForEach(e.Body, target, nil, hom.Options{}, func(b hom.Binding) bool {
-		for _, a := range e.Head {
-			tuple := make(rel.Tuple, len(a.Args))
-			for k, t := range a.Args {
-				switch {
-				case t.IsConst:
-					tuple[k] = rel.Const(t.Name)
-				default:
-					v, ok := b[t.Name]
-					if !ok {
-						v = nulls.Fresh()
-						b[t.Name] = v
-					}
-					tuple[k] = v
-				}
-			}
-			out.AddTuple(a.Rel, tuple)
+	var vars hom.Vars
+	body := vars.Compile(e.Body)
+	nbody := vars.Len()
+	head := vars.Atoms(e.Head)
+	body.ForEach(target, make([]rel.Value, vars.Len()), hom.Options{}, func(vals []rel.Value) bool {
+		for s := nbody; s < len(vals); s++ {
+			vals[s] = nulls.Fresh()
+		}
+		for _, a := range head {
+			out.AddOwnedTuple(a.Rel, a.AppendTuple(make(rel.Tuple, 0, len(a.Args)), vals))
 		}
 		return true
 	})

@@ -3,6 +3,7 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/dep"
@@ -91,23 +92,26 @@ func (c *refChase) step(label string) error {
 // firedRel of c.fired.
 func (c *refChase) tgd(firedRel string, d dep.TGD) (bool, error) {
 	inst := c.res.Instance
-	trigger := func(b hom.Binding) rel.Fact {
-		f := rel.Fact{Rel: firedRel}
-		for _, v := range d.UniversalVars() {
-			f.Args = append(f.Args, b[v])
-		}
-		return f
+	// The body's variables take the first slots, in first-occurrence
+	// order, so a trigger's universal values are its first nbody slots.
+	var vars hom.Vars
+	body := vars.Compile(d.Body)
+	nbody := vars.Len()
+	heads := vars.Atoms(d.Head)
+	head := hom.NewConj(heads, nbody)
+	trigger := func(b []rel.Value) rel.Fact {
+		return rel.Fact{Rel: firedRel, Args: slices.Clone(b[:nbody])}
 	}
-	active := func(b hom.Binding) bool {
+	active := func(b []rel.Value) bool {
 		if c.oblivious {
 			return !c.fired.Contains(trigger(b))
 		}
-		return !hom.Exists(d.Head, inst, b, hom.Options{})
+		return !head.Exists(inst, b, hom.Options{})
 	}
-	var triggers []hom.Binding
-	hom.ForEach(d.Body, inst, nil, hom.Options{}, func(b hom.Binding) bool {
+	var triggers [][]rel.Value
+	body.ForEach(inst, make([]rel.Value, vars.Len()), hom.Options{}, func(b []rel.Value) bool {
 		if active(b) {
-			triggers = append(triggers, b)
+			triggers = append(triggers, slices.Clone(b))
 		}
 		return true
 	})
@@ -122,27 +126,17 @@ func (c *refChase) tgd(firedRel string, d dep.TGD) (bool, error) {
 		if err := c.step(d.Label); err != nil {
 			return progressed, err
 		}
-		if exist := d.ExistentialVars(); len(exist) > 0 && c.witness != nil {
-			w, ok := hom.FindOne(d.Head, c.witness, b, hom.Options{})
-			if !ok {
+		if len(b) > nbody && c.witness != nil {
+			if !head.Exists(c.witness, b, hom.Options{}) {
 				return progressed, fmt.Errorf("oracle: witness does not satisfy %s", d.Label)
 			}
-			b = w
 		} else {
-			for _, v := range exist {
-				b[v] = c.nulls.Fresh()
+			for s := nbody; s < len(b); s++ {
+				b[s] = c.nulls.Fresh()
 			}
 		}
-		for _, a := range d.Head {
-			t := make(rel.Tuple, len(a.Args))
-			for i, term := range a.Args {
-				if term.IsConst {
-					t[i] = rel.Const(term.Name)
-				} else {
-					t[i] = b[term.Name]
-				}
-			}
-			inst.AddTuple(a.Rel, t)
+		for _, a := range heads {
+			inst.AddTuple(a.Rel, a.AppendTuple(nil, b))
 		}
 		progressed = true
 	}
@@ -151,12 +145,15 @@ func (c *refChase) tgd(firedRel string, d dep.TGD) (bool, error) {
 
 // egd applies d until it has no violation or the chase fails.
 func (c *refChase) egd(d dep.EGD) (bool, error) {
+	var vars hom.Vars
+	body := vars.Compile(d.Body)
+	left, right := vars.Slot(d.Left), vars.Slot(d.Right)
 	for progressed := false; ; progressed = true {
 		// l == r after the scan means no violation: either the body has
 		// no match, or the scan ran to completion on a satisfied one.
 		var l, r rel.Value
-		hom.ForEach(d.Body, c.res.Instance, nil, hom.Options{}, func(b hom.Binding) bool {
-			l, r = b[d.Left], b[d.Right]
+		body.ForEach(c.res.Instance, make([]rel.Value, vars.Len()), hom.Options{}, func(b []rel.Value) bool {
+			l, r = b[left], b[right]
 			return l == r
 		})
 		if l == r {

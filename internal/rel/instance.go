@@ -188,7 +188,13 @@ func (r *Relation) Live(i int) bool {
 
 // Contains reports whether the tuple is present.
 func (r *Relation) Contains(t Tuple) bool {
-	return r.find(t, hashTuple(t)) >= 0
+	return r.Index(t) >= 0
+}
+
+// Index returns the index of the live tuple equal to t, or -1 when the
+// relation does not hold t.
+func (r *Relation) Index(t Tuple) int {
+	return r.find(t, hashTuple(t))
 }
 
 // MatchingAt returns the indexes of tuples whose i-th position holds v.

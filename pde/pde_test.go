@@ -186,3 +186,42 @@ func TestValueConstructors(t *testing.T) {
 		t.Errorf("FormatInstance = %q", pde.FormatInstance(inst))
 	}
 }
+
+// TestViolationTextPinned pins the text and order of the reasons a
+// candidate fails Definition 2: one missing J fact, then Σst, Σts and
+// disjunctive Σts in setting order, then Σt. The candidate breaks each
+// kind exactly once; the null _3 of a trigger prints as _N3.
+func TestViolationTextPinned(t *testing.T) {
+	s := mustSetting(t, `
+setting pinned
+source S/2, A/1, B/1, C/1
+target T/2, U/1, V/2, W/2, K/1, M/1
+st: S(x,y) -> exists z: T(x,z)
+ts: U(x) -> A(x)
+tsd: K(x), K(y) -> B(x) | C(y)
+t: V(x,y), W(x,z) -> y = z
+`)
+	i := mustInstance(t, "S(a,b). A(u0).")
+	j := mustInstance(t, "M(j).")
+	jp := mustInstance(t, "U(u0). U(_3). V(k,p). W(k,q). K(m).")
+	want := []string{
+		"containment: J fact M(j) missing from candidate solution",
+		"st1: trigger {x=a, y=b} has no head extension for S(x, y) -> exists z: T(x, z)",
+		"ts1: trigger {x=_N3} has no head extension for U(x) -> A(x)",
+		"tsd1: trigger {x=m, y=m} satisfies no disjunct of tsd1",
+		"t1: egd t1 equates p and q",
+	}
+	var got []string
+	for _, v := range s.SolutionViolations(i, j, jp) {
+		got = append(got, v.String())
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("SolutionViolations:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if exp := pde.ExplainNonSolution(s, i, j, jp); strings.Join(exp, "\n") != strings.Join(want, "\n") {
+		t.Errorf("ExplainNonSolution:\n%s\nwant:\n%s", strings.Join(exp, "\n"), strings.Join(want, "\n"))
+	}
+	if pde.IsSolution(s, i, j, jp) {
+		t.Error("IsSolution accepted a candidate with five violations")
+	}
+}
